@@ -3,7 +3,8 @@
 Covers four reporting surfaces:
   * decompose      — split expected outages into weather-driven vs cascade
   * predict_*      — teacher-forced and h-slot-ahead count predictions with
-                     MAE/RMSE and a persistence baseline
+                     MAE/RMSE and a persistence baseline; both sum the
+                     triggering term with model.py's kernel and coupling
   * fit_sigmoid    — outage-ratio response curves against cumulative weather,
                      whose threshold c is the disruption tolerance estimate
   * restoration_durations — outage episodes and how fast they clear
@@ -23,7 +24,7 @@ from scipy.special import expit
 
 from .errors import InsufficientDataError, ValidationError
 from .ingest import Dataset
-from .model import ModelParams, intensity_field, mlp_forward
+from .model import Coupling, Kernel, ModelParams, intensity_field, mlp_forward
 from .weather_effect import DecayConfig, accumulate
 
 # -- decomposition ----------------------------------------------------------
@@ -116,24 +117,18 @@ def predict_in_sample(params: ModelParams, dataset: Dataset) -> PredictionReport
     )
 
 
-def _lambda_at(params, hist, direct_col, s, tgt, src, w):
-    """Intensity column at slot s given history columns hist[:, :s]."""
-    lags = np.arange(1, min(s, params.trig_window) + 1)
-    if lags.size:
-        kern = params.beta[:, None] * np.exp(-np.outer(params.beta, lags))  # (K, L)
-        R = (hist[:, s - lags] * kern).sum(axis=1)
-    else:
-        R = np.zeros(params.num_units)
-    lam = direct_col + R + params.eps
-    if tgt.size:
-        np.add.at(lam, tgt, w * R[src])
-    return lam
+def _lambda_at(params, coupling, direct_col, P):
+    """Intensity column at a slot from its direct term and the kernel state P."""
+    return direct_col + coupling.apply(params.beta * P) + params.eps
 
 
 def predict_ahead(params: ModelParams, dataset: Dataset, horizon_slots: int = 1) -> PredictionReport:
     """h-slot-ahead prediction: observed history ends at t - h, the gap is
     rolled forward on predicted means. Weather is exogenous and read at every
     step (a forecast assumption). Baseline: persistence N[t - h].
+
+    The observed history's kernel state is rolled across the gap, so at h = 1
+    each predicted column is exactly the teacher-forced intensity.
 
     Metrics cover slots t >= h only, so the model and the baseline see the
     same evaluation span.
@@ -148,20 +143,21 @@ def predict_ahead(params: ModelParams, dataset: Dataset, horizon_slots: int = 1)
     v = accumulate(params.scaler.transform(dataset.weather), params.decay)
     mu, _ = mlp_forward(params.mlp, v.reshape(K * T, -1))
     direct = params.gamma[:, None] * mu.reshape(K, T)
-    edges = sorted(params.graph.edges, key=lambda e: (e[1], e[0]))
-    tgt = np.array([t for s, t in edges], dtype=np.intp)
-    src = np.array([s for s, t in edges], dtype=np.intp)
-    w = np.array([params.alpha.alpha[t_, s_] for s_, t_ in edges])
-    keep = w != 0.0
-    tgt, src, w = tgt[keep], src[keep], w[keep]
+    kern = Kernel(params.beta, params.trig_window)
+    coupling = Coupling(params.alpha)
 
     predicted = np.full((K, T), np.nan)
-    hist = np.empty((K, T))
+    hist = counts.copy()  # observed counts, with the current gap holding predicted means
+    P_obs = np.zeros(K)  # kernel state before the first unobserved slot
     for t in range(h, T):
-        hist[:, : t - h + 1] = counts[:, : t - h + 1]
-        for s in range(t - h + 1, t):
-            hist[:, s] = _lambda_at(params, hist, direct[:, s], s, tgt, src, w)
-        predicted[:, t] = _lambda_at(params, hist, direct[:, t], t, tgt, src, w)
+        first = t - h + 1
+        hist[:, first - 1] = counts[:, first - 1]  # a gap slot for the previous target, observed now
+        P_obs = kern.step(P_obs, hist, first - 1)
+        P = P_obs
+        for s in range(first, t):
+            hist[:, s] = _lambda_at(params, coupling, direct[:, s], P)
+            P = kern.step(P, hist, s)
+        predicted[:, t] = _lambda_at(params, coupling, direct[:, t], P)
 
     mae, rmse, per_unit = _metrics(predicted, counts, h)
     persistence_mae = float(np.abs(counts[:, : T - h] - counts[:, h:]).mean())

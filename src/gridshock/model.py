@@ -14,8 +14,11 @@ constraint. Kernel lags are integer slot differences t - t' >= 1 and are
 truncated at `trig_window` slots; with beta >= 0.1 the dropped tail is below
 e^-4 of the kernel mass.
 
-Everything here is plain numpy with explicit loops over lags/edges in fixed
-order, so repeated evaluation is reproducible.
+The triggering term has one implementation shared by fitting, simulation and
+prediction: `Kernel` rolls the truncated-kernel state forward slot by slot,
+and `Coupling` adds sum_j alpha[i, j] R[j] over the graph's edge arrays in a
+fixed order, so evaluation is bit-reproducible. `intensity` is the slow
+single-cell reference.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from scipy.special import expit
 
 from .container import read_container, write_container
 from .errors import ValidationError
-from .ingest import Dataset
 from .topology import EdgeWeights, Graph
 from .weather_effect import DecayConfig, WeatherScaler, accumulate
 
@@ -234,24 +236,31 @@ class IntensityField:
     eps: float
 
 
-def kernel_matrix(counts: np.ndarray, beta: np.ndarray, trig_window: int) -> np.ndarray:
-    """R[j, t] = sum over lags 1..trig_window of N[j, t-lag] beta_j e^{-beta_j lag}.
+class Kernel:
+    """Truncated exponential triggering kernel of one set of recovery rates.
 
-    Evaluated with the rolling recursion P[t+1] = e^{-beta} (N[t] + P[t]),
-    minus the term that ages out of the truncation window; R = beta * P.
+    The state P[:, t] = sum over lags 1..window of N[:, t-lag] e^{-beta lag}
+    rolls forward one slot at a time, P[t+1] = e^{-beta} (N[t] + P[t]) minus
+    the term that ages out of the window; the triggering mass is R = beta * P.
     """
-    counts = np.asarray(counts, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    K, T = counts.shape
-    decay = np.exp(-beta)
-    drop = np.exp(-beta * (trig_window + 1))
-    P = np.zeros((K, T))
-    for t in range(T - 1):
-        P[:, t + 1] = decay * (counts[:, t] + P[:, t])
-        old = t - trig_window
-        if old >= 0:
-            P[:, t + 1] -= counts[:, old] * drop
-    return beta[:, None] * P
+
+    def __init__(self, beta: np.ndarray, window: int):
+        self.beta = np.asarray(beta, dtype=np.float64)
+        self.window = window
+        self.decay = np.exp(-self.beta)
+        self.drop = np.exp(-self.beta * (window + 1))
+
+    def step(self, P: np.ndarray, hist: np.ndarray, t: int) -> np.ndarray:
+        """State before slot t + 1, from the state before slot t and hist[:, :t+1]."""
+        P = self.decay * (hist[:, t] + P)
+        if t >= self.window:
+            P -= hist[:, t - self.window] * self.drop
+        return P
+
+
+def kernel_matrix(counts: np.ndarray, beta: np.ndarray, trig_window: int) -> np.ndarray:
+    """R[j, t] = sum over lags 1..trig_window of N[j, t-lag] beta_j e^{-beta_j lag}."""
+    return kernel_matrix_with_grad(counts, beta, trig_window)[0]
 
 
 def kernel_matrix_with_grad(counts: np.ndarray, beta: np.ndarray, trig_window: int):
@@ -261,21 +270,17 @@ def kernel_matrix_with_grad(counts: np.ndarray, beta: np.ndarray, trig_window: i
     S1[j,t] = sum_lag lag * N[j,t-lag] e^{-beta_j lag}.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
+    kern = Kernel(beta, trig_window)
     K, T = counts.shape
-    decay = np.exp(-beta)
-    drop = np.exp(-beta * (trig_window + 1))
     P = np.zeros((K, T))
     S1 = np.zeros((K, T))
     for t in range(T - 1):
-        P[:, t + 1] = decay * (counts[:, t] + P[:, t])
-        S1[:, t + 1] = decay * (counts[:, t] + P[:, t] + S1[:, t])
-        old = t - trig_window
-        if old >= 0:
-            P[:, t + 1] -= counts[:, old] * drop
-            S1[:, t + 1] -= (trig_window + 1) * counts[:, old] * drop
-    R = beta[:, None] * P
-    dR = P - beta[:, None] * S1
+        P[:, t + 1] = kern.step(P[:, t], counts, t)
+        S1[:, t + 1] = kern.decay * (counts[:, t] + P[:, t] + S1[:, t])
+        if t >= trig_window:
+            S1[:, t + 1] -= (trig_window + 1) * counts[:, t - trig_window] * kern.drop
+    R = kern.beta[:, None] * P
+    dR = P - kern.beta[:, None] * S1
     return R, dR
 
 
@@ -287,15 +292,36 @@ def kernel_mass_closed_form(beta: float, num_lags: int) -> float:
     return float(beta * q * (1.0 - q**num_lags) / (1.0 - q))
 
 
+class Coupling:
+    """Snapshot of the active couplings alpha[i, j] != 0 as edge arrays in
+    (target, source) order; both sums add one edge's term at a time in that
+    order, so every caller gets the same bits."""
+
+    def __init__(self, alpha: EdgeWeights):
+        g = alpha.graph
+        w = alpha.alpha[g.tgt, g.src]
+        active = w != 0.0
+        self.tgt, self.src, self.w = g.tgt[active], g.src[active], w[active]
+
+    def _weights(self, X: np.ndarray) -> np.ndarray:
+        return self.w.reshape((-1,) + (1,) * (X.ndim - 1))
+
+    def apply(self, R: np.ndarray) -> np.ndarray:
+        """sum_j alpha[i, j] R[j] (alpha[i, i] = 1) for any R whose leading axis is K."""
+        out = R.copy()
+        np.add.at(out, self.tgt, self._weights(R) * R[self.src])
+        return out
+
+    def adjoint(self, W: np.ndarray) -> np.ndarray:
+        """Transpose of :meth:`apply`: U[j] = W[j] + sum_i alpha[i, j] W[i]."""
+        out = W.copy()
+        np.add.at(out, self.src, self._weights(W) * W[self.tgt])
+        return out
+
+
 def indirect_field(alpha: EdgeWeights, R: np.ndarray) -> np.ndarray:
-    """Triggering term: self row plus weighted neighbor rows, fixed edge order."""
-    indirect = R.copy()  # alpha[i, i] = 1
-    by_target = sorted(alpha.graph.edges, key=lambda e: (e[1], e[0]))
-    for s, tgt in by_target:
-        a = alpha.alpha[tgt, s]
-        if a != 0.0:
-            indirect[tgt] += a * R[s]
-    return indirect
+    """Triggering term sum_j alpha[i, j] R[j, t] over the K x T grid."""
+    return Coupling(alpha).apply(R)
 
 
 def direct_field(params: ModelParams, v: np.ndarray):
@@ -398,7 +424,3 @@ def deserialize(path) -> ModelParams:
         trig_window=meta["trig_window"],
     )
 
-
-def dataset_weather_effect(params: ModelParams, ds: Dataset) -> np.ndarray:
-    """Scaled + accumulated weather effect tensor for a dataset."""
-    return accumulate(params.scaler.transform(ds.weather), params.decay)

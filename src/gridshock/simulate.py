@@ -2,7 +2,9 @@
 
 A replication walks the slot grid in order: at each slot the intensity is
 computed from the history so far (observed history before the teacher-forced
-cutoff, simulated history after), and counts are drawn Poisson(lambda).
+cutoff, simulated history after), and counts are drawn Poisson(lambda),
+with lambda summed by model.py's kernel state and coupling in the order of
+`intensity_field`, so a path's intensity is exactly the path's own field.
 Replication r uses its own generator seeded with ``seed ^ r``, so runs are
 reproducible and replications could be farmed out without changing results.
 
@@ -18,13 +20,15 @@ platforms for a fixed numpy generation.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DivergenceError, NumericError, ValidationError
 from .ingest import TimeGrid
-from .model import ModelParams, kernel_matrix, mlp_forward
+from .model import Coupling, Kernel, ModelParams, kernel_matrix, mlp_forward
 from .topology import enforce_no_loops
 from .weather_effect import accumulate
 
@@ -62,11 +66,16 @@ class Scenario:
     beta_bottom_units: int | None = None
 
     def __post_init__(self):
+        values = [("edge_target", self.edge_target)]
         for name in ("edge_reweights", "gamma_overrides", "beta_overrides", "omega_overrides"):
-            for clause in getattr(self, name):
-                value = clause[-1]
-                if value != MEAN and (not np.isreal(value) or value < 0):
-                    raise ValidationError(f"{name} value must be >= 0 or {MEAN!r}, got {value!r}")
+            values += [(name, clause[-1]) for clause in getattr(self, name)]
+        for name, value in values:
+            try:
+                ok = value == MEAN or (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0)
+            except OverflowError:  # an integer beyond the float range
+                ok = False
+            if not ok:
+                raise ValidationError(f"{name} value must be a finite number >= 0 or {MEAN!r}, got {value!r}")
         if (self.top_k_units is None) != (self.top_e_edges is None):
             raise ValidationError("top_k_units and top_e_edges must be given together")
 
@@ -245,16 +254,6 @@ class SimResult:
         return np.sqrt(self.cell_var / max(self.replications, 1))
 
 
-def _edge_arrays(params: ModelParams):
-    """Flat (targets, sources, weights) for the active couplings, fixed order."""
-    edges = sorted(params.graph.edges, key=lambda e: (e[1], e[0]))
-    tgt = np.array([t for s, t in edges], dtype=np.intp)
-    src = np.array([s for s, t in edges], dtype=np.intp)
-    w = np.array([params.alpha.alpha[t, s] for s, t in edges])
-    active = w != 0.0
-    return tgt[active], src[active], w[active]
-
-
 def simulate_paths(
     params: ModelParams,
     weather,
@@ -291,15 +290,13 @@ def simulate_paths(
 
     v = accumulate(params.scaler.transform(x), params.decay)
     mu_direct = _direct_matrix(params, v)  # (K, T), gamma_i mu + nothing else
-    tgt, src, w = _edge_arrays(params)
-    decay = np.exp(-params.beta)
-    drop = np.exp(-params.beta * (params.trig_window + 1))
-    d = params.trig_window
+    kern = Kernel(params.beta, params.trig_window)
+    coupling = Coupling(params.alpha)
 
     fully_forced = cutoff >= T
     lam_forced = None
     if fully_forced:
-        lam_forced = _lambda_given_history(params, obs[:, :T], mu_direct, tgt, src, w)
+        lam_forced = _lambda_given_history(params, coupling, obs[:, :T], mu_direct)
 
     rep_totals = np.zeros(R)
     unit_totals = np.zeros(K)
@@ -316,11 +313,7 @@ def simulate_paths(
             hist = np.zeros((K, T))
             P = np.zeros(K)
             for t in range(T):
-                lam_t = mu_direct[:, t] + params.beta * P + params.eps
-                if w.size:
-                    extra = np.zeros(K)
-                    np.add.at(extra, tgt, w * (params.beta * P)[src])
-                    lam_t = lam_t + extra
+                lam_t = mu_direct[:, t] + coupling.apply(params.beta * P) + params.eps
                 if (lam_t > LAMBDA_OVERFLOW).any():
                     i = int(np.argmax(lam_t))
                     raise DivergenceError(
@@ -328,9 +321,7 @@ def simulate_paths(
                     )
                 path[:, t] = rng.poisson(lam_t)
                 hist[:, t] = obs[:, t] if t < cutoff else path[:, t]
-                P = decay * (hist[:, t] + P)
-                if t - d >= 0:
-                    P -= hist[:, t - d] * drop
+                P = kern.step(P, hist, t)
         total = path.sum()
         rep_totals[r] = total
         unit_totals += path.sum(axis=1)
@@ -359,13 +350,10 @@ def _direct_matrix(params: ModelParams, v: np.ndarray) -> np.ndarray:
     return params.gamma[:, None] * mu.reshape(K, T)
 
 
-def _lambda_given_history(params, hist, mu_direct, tgt, src, w):
+def _lambda_given_history(params, coupling, hist, mu_direct):
     """Intensity at every slot when the full history is pinned to `hist`."""
-    Rmat = kernel_matrix(hist, params.beta, params.trig_window)
-    indirect = Rmat.copy()
-    for e in range(tgt.size):
-        indirect[tgt[e]] += w[e] * Rmat[src[e]]
-    lam = mu_direct + indirect + params.eps
+    R = kernel_matrix(hist, params.beta, params.trig_window)
+    lam = mu_direct + coupling.apply(R) + params.eps
     if (lam > LAMBDA_OVERFLOW).any():
         i, t = np.argwhere(lam > LAMBDA_OVERFLOW)[0]
         raise DivergenceError(f"intensity exploded at (unit={i}, slot={t}): {lam[i, t]:.3e}")

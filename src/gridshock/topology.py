@@ -46,7 +46,8 @@ def distance_matrix_km(units: list[UnitMeta]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Graph:
-    """Directed candidate graph on K nodes; edges are (source, target) pairs."""
+    """Directed candidate graph on K nodes; edges are (source, target) pairs,
+    also held as index arrays `src`, `tgt` sorted by (target, source)."""
 
     num_nodes: int
     edges: tuple  # tuple of (source, target) int pairs, sorted, no self-edges
@@ -61,12 +62,15 @@ class Graph:
         if len(set(edges)) != len(edges):
             raise ValidationError("duplicate edges in graph")
         object.__setattr__(self, "edges", edges)
+        pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        by_target = np.lexsort((pairs[:, 0], pairs[:, 1]))
+        object.__setattr__(self, "src", pairs[by_target, 0])
+        object.__setattr__(self, "tgt", pairs[by_target, 1])
 
     def candidate_mask(self) -> np.ndarray:
         """K x K boolean mask: mask[target, source] True for candidate edges."""
         mask = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
-        for s, t in self.edges:
-            mask[t, s] = True
+        mask[self.tgt, self.src] = True
         return mask
 
 
@@ -169,16 +173,10 @@ def enforce_no_loops(weights: EdgeWeights) -> EdgeWeights:
     """
     out = weights.copy()
     a = out.alpha
-    K = weights.num_nodes
-    for p in range(K):
-        for q in range(p + 1, K):
-            fwd = a[q, p]  # source p -> target q
-            bwd = a[p, q]  # source q -> target p
-            if fwd > 0 and bwd > 0:
-                if fwd >= bwd:
-                    a[p, q] = 0.0  # tie keeps the smaller source index (p)
-                else:
-                    a[q, p] = 0.0
+    s, t = out.graph.src, out.graph.tgt
+    own, back = a[t, s], a[s, t]  # off-candidate entries are 0, so back > 0 only on candidates
+    lose = (own > 0) & (back > 0) & ((back > own) | ((back == own) & (t < s)))
+    a[t[lose], s[lose]] = 0.0
     return out
 
 

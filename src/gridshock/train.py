@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DivergenceError, NumericError, ValidationError
 from .ingest import Dataset
 from .model import (
+    Coupling,
     DEFAULT_EPS,
     DEFAULT_HIDDEN,
     DEFAULT_TRIG_WINDOW,
@@ -161,14 +162,8 @@ def _block_loglik_and_grads(
     mu = mu_flat.reshape(K, B)
     direct = params.gamma[:, None] * mu
 
-    edges_by_target = sorted(params.graph.edges, key=lambda e: (e[1], e[0]))
-    indirect = R.copy()
-    for s, tgt in edges_by_target:
-        a = params.alpha.alpha[tgt, s]
-        if a != 0.0:
-            indirect[tgt] += a * R[s]
-
-    lam = direct + indirect + params.eps
+    coupling = Coupling(params.alpha)
+    lam = direct + coupling.apply(R) + params.eps
     if not np.isfinite(lam).all():
         i, t = np.argwhere(~np.isfinite(lam))[0]
         raise NumericError(f"non-finite intensity at (unit={i}, slot={t0 + t})")
@@ -184,13 +179,9 @@ def _block_loglik_and_grads(
     grad_omega = np.einsum("itm,itm->m", dv, dvdo)
 
     grad_alpha = np.zeros((K, K))
-    U = W.copy()
-    for s, tgt in edges_by_target:
+    for tgt, s in zip(params.graph.tgt.tolist(), params.graph.src.tolist()):
         grad_alpha[tgt, s] = float(np.dot(W[tgt], R[s]))
-        a = params.alpha.alpha[tgt, s]
-        if a != 0.0:
-            U[s] = U[s] + a * W[tgt]
-    grad_beta = np.einsum("jt,jt->j", dR, U)
+    grad_beta = np.einsum("jt,jt->j", dR, coupling.adjoint(W))
 
     grads = Gradients(alpha=grad_alpha, beta=grad_beta, gamma=grad_gamma, omega=grad_omega, mlp=grad_mlp)
     return ll, grads
@@ -256,10 +247,8 @@ def initialize(
     if graph.num_nodes != K:
         raise ValidationError(f"graph has {graph.num_nodes} nodes for {K} units")
     alpha = np.zeros((K, K))
-    for s, tgt in graph.edges:
-        alpha[tgt, s] = 0.01
-    np.fill_diagonal(alpha, 1.0)
-    weights = enforce_no_loops(EdgeWeights(graph=graph, alpha=alpha))
+    alpha[graph.tgt, graph.src] = 0.01
+    weights = enforce_no_loops(EdgeWeights(graph=graph, alpha=alpha))  # sets the unit diagonal
     params = ModelParams(
         alpha=weights,
         beta=np.full(K, 0.5),

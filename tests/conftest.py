@@ -3,6 +3,7 @@ held-out event) are session-scoped so the whole suite pays for them once."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from synth import (
     VARIABLE_NAMES,
@@ -12,6 +13,11 @@ from synth import (
     standard_fit_config,
     wrap_dataset,
 )
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic and leaves no files behind.
+settings.register_profile("gridshock", derandomize=True, database=None, deadline=None)
+settings.load_profile("gridshock")
 
 # Estimation settings used for every test that needs a fitted model. The
 # single hidden layer is deliberate: the wide default memorizes the one

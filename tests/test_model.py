@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import naive_intensity_field, naive_mu
 from synth import random_small_instance, random_small_params
 from gridshock.errors import ValidationError
 from gridshock.model import (
+    Coupling,
     IntensityField,
     MlpParams,
     ModelParams,
     deserialize,
+    indirect_field,
     intensity,
     intensity_field,
     intensity_field_from_v,
@@ -149,6 +153,34 @@ def test_kernel_mass_closed_form():
         direct = sum(beta * math.exp(-beta * s) for s in range(1, L + 1))
         assert kernel_mass_closed_form(beta, L) == pytest.approx(direct, rel=1e-12)
     assert kernel_mass_closed_form(0.0, 40) == 0.0
+
+
+# -- coupling ---------------------------------------------------------------------
+
+
+def _per_edge(alpha, X, adjoint=False):
+    """Reference: one edge at a time in (target, source) order, zero weights skipped."""
+    out = X.copy()
+    for s, t in sorted(alpha.graph.edges, key=lambda e: (e[1], e[0])):
+        a = alpha.alpha[t, s]
+        if a != 0.0:
+            if adjoint:
+                out[s] += a * X[t]
+            else:
+                out[t] += a * X[s]
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 8), T=st.integers(0, 6), n_edges=st.integers(0, 20))
+def test_coupling_apply_matches_per_edge_loop(seed, K, T, n_edges):
+    rng = np.random.default_rng(seed)
+    pairs = [(s, t) for s in range(K) for t in range(K) if s != t]
+    edges = [pairs[int(k)] for k in rng.permutation(len(pairs))[:n_edges]]
+    alpha = rng.uniform(0.0, 1.0, (K, K)) * (rng.uniform(size=(K, K)) < 0.7)
+    w = EdgeWeights(graph=Graph(num_nodes=K, edges=tuple(edges)), alpha=alpha)
+    for X in (rng.uniform(0.0, 3.0, K), rng.uniform(-1.0, 3.0, (K, T))):
+        assert_array_equal(indirect_field(w, X), _per_edge(w, X))
+        assert_array_equal(Coupling(w).adjoint(X), _per_edge(w, X, adjoint=True))
 
 
 # -- intensity ------------------------------------------------------------------

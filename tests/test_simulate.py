@@ -1,10 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from synth import wrap_dataset
+from synth import random_small_instance, wrap_dataset
 from gridshock.errors import DivergenceError, NumericError, ValidationError
 from gridshock.model import MlpParams, ModelParams, intensity_field
 from gridshock.simulate import (
@@ -52,8 +55,17 @@ def _shell(params, T):
 
 
 def test_scenario_validation():
-    with pytest.raises(ValidationError, match=">= 0"):
-        Scenario(edge_reweights=[(0, 1, -0.5)])
+    for bad in (-0.5, None, math.nan, math.inf, -math.inf, "half", 10**400):
+        with pytest.raises(ValidationError, match=">= 0"):
+            Scenario(edge_reweights=[(0, 1, bad)])
+        with pytest.raises(ValidationError, match=">= 0"):
+            Scenario(gamma_overrides=[(0, bad)])
+        with pytest.raises(ValidationError, match=">= 0"):
+            Scenario(top_k_units=1, top_e_edges=1, edge_target=bad)
+    # JSON null / NaN / Infinity reach the same check through from_dict
+    for text in ("null", "NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValidationError, match=">= 0"):
+            Scenario.from_dict(json.loads(f'{{"beta_overrides": [[0, {text}]]}}'))
     with pytest.raises(ValidationError, match="together"):
         Scenario(top_k_units=2)
     assert Scenario().is_identity()
@@ -223,6 +235,22 @@ def test_free_running_means_follow_the_linear_recursion():
     res = simulate_paths(params, ds.weather, ds.grid, R=3000, seed=17)
     se = res.cell_std_err()
     assert (np.abs(res.cell_mean - expected) <= 5 * se + 1e-3).all()
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**16), K=st.integers(2, 5), T=st.integers(2, 25), window=st.integers(1, 6))
+def test_free_running_paths_are_draws_from_their_own_field(seed, K, T, window):
+    # slot t of replication r is Poisson(lambda[:, t]) from generator seed ^ r,
+    # where lambda is the teacher-forced field of the path itself
+    params, _, weather = random_small_instance(np.random.default_rng(seed), K=K, T=T, n_edges=2 * K)
+    params.trig_window = window
+    ds = _shell(params, T)
+    res = simulate_paths(params, weather, ds.grid, R=3, seed=seed, store_paths=True)
+    for r in range(3):
+        lam = intensity_field(params, res.paths[r], weather).lam
+        rng = np.random.default_rng(seed ^ r)
+        redrawn = np.stack([rng.poisson(lam[:, t]) for t in range(T)], axis=1)
+        assert_array_equal(redrawn, res.paths[r])
 
 
 def test_simulation_diverges_loudly_when_unstable():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import brute_criticality, brute_knn_edges
@@ -126,6 +128,53 @@ def test_enforce_no_loops_keeps_larger_direction():
     assert_array_equal(again.alpha, out.alpha)
     # the input is never mutated
     assert w.alpha[0, 1] == 0.2
+
+
+def _pairwise_no_loops(weights):
+    """Reference: the pairwise double loop over unit pairs p < q."""
+    out = weights.copy()
+    a = out.alpha
+    K = weights.num_nodes
+    for p in range(K):
+        for q in range(p + 1, K):
+            fwd = a[q, p]  # source p -> target q
+            bwd = a[p, q]  # source q -> target p
+            if fwd > 0 and bwd > 0:
+                if fwd >= bwd:
+                    a[p, q] = 0.0  # tie keeps the smaller source index (p)
+                else:
+                    a[q, p] = 0.0
+    return out
+
+
+@st.composite
+def coupling_weights(draw):
+    """Candidate pairs in one or both directions, with zero-, tie- and negative-heavy weights."""
+    K = draw(st.integers(2, 7))
+    pairs = [(p, q) for p in range(K) for q in range(p + 1, K)]
+    value = st.one_of(st.sampled_from([0.0, 0.3, 0.7, -0.2]), st.floats(0.0, 2.0))
+    alpha = np.zeros((K, K))
+    edges = []
+    for p, q in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))):
+        fwd = draw(value)
+        directions = draw(st.sampled_from(["fwd", "bwd", "both"]))
+        if directions != "bwd":
+            edges.append((p, q))
+            alpha[q, p] = fwd
+        if directions != "fwd":
+            edges.append((q, p))
+            alpha[p, q] = draw(st.one_of(st.just(fwd), value))
+    return EdgeWeights(graph=Graph(num_nodes=K, edges=tuple(edges)), alpha=alpha)
+
+
+@given(coupling_weights())
+def test_enforce_no_loops_matches_pairwise_reference(w):
+    before = w.alpha.copy()
+    out = enforce_no_loops(w)
+    assert_array_equal(out.alpha, _pairwise_no_loops(w).alpha)
+    assert_array_equal(enforce_no_loops(out).alpha, out.alpha)
+    assert_array_equal(w.alpha, before)
+    assert out.graph is w.graph
 
 
 # -- criticality ---------------------------------------------------------------
