@@ -24,7 +24,8 @@ from scipy.special import expit
 
 from .errors import InsufficientDataError, ValidationError
 from .ingest import Dataset
-from .model import Coupling, Kernel, ModelParams, intensity_field, mlp_forward
+from .model import Coupling, Kernel, ModelParams, direct_from_weather, intensity_field
+from .model import mlp_forward  # noqa: F401  (binding patched by perfbench/tracer.py)
 from .weather_effect import DecayConfig, accumulate
 
 # -- decomposition ----------------------------------------------------------
@@ -140,9 +141,7 @@ def predict_ahead(params: ModelParams, dataset: Dataset, horizon_slots: int = 1)
     if h >= T:
         raise ValidationError(f"horizon {h} must be smaller than the {T}-slot series")
     counts = dataset.outages.counts.astype(np.float64)
-    v = accumulate(params.scaler.transform(dataset.weather), params.decay)
-    mu, _ = mlp_forward(params.mlp, v.reshape(K * T, -1))
-    direct = params.gamma[:, None] * mu.reshape(K, T)
+    direct = direct_from_weather(params, dataset.weather)
     kern = Kernel(params.beta, params.trig_window)
     coupling = Coupling(params.alpha)
 

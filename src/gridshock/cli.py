@@ -228,12 +228,8 @@ def cmd_ingest(cfg: dict, args) -> int:
     outages_path = _require_file(_require(cfg, "outages_csv", "--outages"), "outages CSV")
     weather_path = _require_file(_require(cfg, "weather_csv", "--weather"), "weather CSV")
     units = ingest.load_units(units_path)
-    variables, _ = ingest.load_weather_rows(weather_path)
-    grid = _resolve_grid(
-        cfg,
-        ingest.load_outage_rows(outages_path),
-        ingest.load_weather_rows(weather_path)[1],
-    )
+    variables, weather_rows = ingest.load_weather_rows(weather_path)
+    grid = _resolve_grid(cfg, ingest.load_outage_rows(outages_path), weather_rows)
     outages = ingest.aggregate_outages(
         ingest.load_outage_rows(outages_path), units, grid, method=cfg["aggregation"]
     )

@@ -218,7 +218,11 @@ def load_units(path) -> list[UnitMeta]:
 
 
 def load_outage_rows(path):
-    """Yield (unit_id, timestamp, customers_out) triples from outages.csv."""
+    """Yield (unit_id, timestamp, customers_out) triples from outages.csv.
+
+    customers_out must be a finite count in [0, 2**63), so it survives the
+    cast to an int64 count cell.
+    """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -229,34 +233,42 @@ def load_outage_rows(path):
             raise SchemaError(f"{path}: missing required column(s) {sorted(missing)}")
         for row_num, row in enumerate(reader, start=2):
             try:
-                yield row["unit_id"].strip(), parse_timestamp(row["timestamp"]), float(row["customers_out"])
+                value = float(row["customers_out"])
+                if not 0 <= value < 2**63:
+                    raw = row["customers_out"]
+                    raise ValueError(f"customers_out must be a finite count in [0, 2**63), got {raw!r}")
+                yield row["unit_id"].strip(), parse_timestamp(row["timestamp"]), value
             except (ValueError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{row_num}: {exc}") from exc
 
 
 def load_weather_rows(path):
-    """Return (variable_names, row iterator of (unit_id, timestamp, values))."""
+    """Return (variable_names, row iterator of (unit_id, timestamp, values)).
+
+    The header is checked at once; the iterator opens the file only when it
+    is read, so an iterator that is never read holds no open file.
+    """
     path = Path(path)
-    fh = open(path, newline="", encoding="utf-8")
-    reader = csv.DictReader(fh)
-    fields = reader.fieldnames or []
+    with open(path, newline="", encoding="utf-8") as fh:
+        fields = next(csv.reader(fh), [])
     if "unit_id" not in fields or "timestamp" not in fields:
-        fh.close()
         raise SchemaError(f"{path}: missing required column(s) ['timestamp', 'unit_id']")
     variables = [c for c in fields if c not in ("unit_id", "timestamp")]
     if not variables:
-        fh.close()
         raise SchemaError(f"{path}: no weather variable columns")
 
     def rows():
-        with fh:
-            for row_num, row in enumerate(reader, start=2):
+        with open(path, newline="", encoding="utf-8") as fh:
+            for row_num, row in enumerate(csv.DictReader(fh), start=2):
                 try:
                     vals = np.array([float(row[v]) for v in variables])
                 except (TypeError, ValueError) as exc:
                     raise ValidationError(
                         f"{path}:{row_num}: non-numeric weather value ({exc})"
                     ) from exc
+                if not np.isfinite(vals).all():
+                    bad = variables[int(np.argmin(np.isfinite(vals)))]
+                    raise ValidationError(f"{path}:{row_num}: non-finite {bad} value {row[bad]!r}")
                 yield row["unit_id"].strip(), parse_timestamp(row["timestamp"]), vals
 
     return variables, rows()

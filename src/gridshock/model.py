@@ -14,11 +14,11 @@ constraint. Kernel lags are integer slot differences t - t' >= 1 and are
 truncated at `trig_window` slots; with beta >= 0.1 the dropped tail is below
 e^-4 of the kernel mass.
 
-The triggering term has one implementation shared by fitting, simulation and
-prediction: `Kernel` rolls the truncated-kernel state forward slot by slot,
-and `Coupling` adds sum_j alpha[i, j] R[j] over the graph's edge arrays in a
-fixed order, so evaluation is bit-reproducible. `intensity` is the slow
-single-cell reference.
+Each term has one implementation shared by fitting, simulation and
+prediction: `direct_field` evaluates the weather term, `Kernel` rolls the
+truncated-kernel state forward slot by slot, and `Coupling` adds
+sum_j alpha[i, j] R[j] over the graph's per-edge weights in a fixed order, so
+evaluation is bit-reproducible. `intensity` is the slow single-cell reference.
 """
 
 from __future__ import annotations
@@ -154,11 +154,6 @@ def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray):
         else:
             dinput = dh
     return MlpParams(weights=grad_w, biases=grad_b), dinput
-
-
-def mu_forward(mlp: MlpParams, v_vec: np.ndarray):
-    """Single-vector weather response: returns (mu scalar >= 0, cache)."""
-    return mlp_forward(mlp, np.asarray(v_vec, dtype=np.float64))
 
 
 @dataclass
@@ -299,9 +294,8 @@ class Coupling:
 
     def __init__(self, alpha: EdgeWeights):
         g = alpha.graph
-        w = alpha.alpha[g.tgt, g.src]
-        active = w != 0.0
-        self.tgt, self.src, self.w = g.tgt[active], g.src[active], w[active]
+        active = alpha.w != 0.0
+        self.tgt, self.src, self.w = g.tgt[active], g.src[active], alpha.w[active]
 
     def _weights(self, X: np.ndarray) -> np.ndarray:
         return self.w.reshape((-1,) + (1,) * (X.ndim - 1))
@@ -331,6 +325,12 @@ def direct_field(params: ModelParams, v: np.ndarray):
     mu = mu_flat.reshape(K, T)
     return params.gamma[:, None] * mu, mu, cache
 
+
+def direct_from_weather(params: ModelParams, weather) -> np.ndarray:
+    """Weather term from raw weather: standardized, accumulated, then :func:`direct_field`."""
+    return direct_field(params, accumulate(params.scaler.transform(weather), params.decay))[0]
+
+
 def intensity(params: ModelParams, history, v: np.ndarray, i: int, t: int):
     """Single-cell intensity: returns (lambda, direct, indirect) at (i, t).
 
@@ -341,12 +341,13 @@ def intensity(params: ModelParams, history, v: np.ndarray, i: int, t: int):
     K, T = counts.shape
     if not (0 <= i < K and 0 <= t < T):
         raise ValidationError(f"cell ({i}, {t}) outside {K} x {T} grid")
-    mu_val, _ = mu_forward(params.mlp, v[i, t])
+    mu_val, _ = mlp_forward(params.mlp, v[i, t])
     direct = float(params.gamma[i] * mu_val)
     indirect = 0.0
+    alpha = params.alpha.alpha
     sources = [i] + sorted(s for s, tgt in params.graph.edges if tgt == i)
     for j in sources:
-        a = 1.0 if j == i else params.alpha.alpha[i, j]
+        a = alpha[i, j]
         if a == 0.0:
             continue
         acc = 0.0

@@ -28,9 +28,10 @@ import numpy as np
 
 from .errors import DivergenceError, NumericError, ValidationError
 from .ingest import TimeGrid
-from .model import Coupling, Kernel, ModelParams, kernel_matrix, mlp_forward
+from .model import Coupling, Kernel, ModelParams, direct_from_weather, kernel_matrix
+from .model import mlp_forward  # noqa: F401  (binding patched by perfbench/tracer.py)
 from .topology import enforce_no_loops
-from .weather_effect import accumulate
+from .weather_effect import accumulate  # noqa: F401  (binding patched by perfbench/tracer.py)
 
 LAMBDA_OVERFLOW = 1e9
 
@@ -155,9 +156,10 @@ def top_e_edges_per_unit(params: ModelParams, units, e: int) -> list:
     weight descending (ties: lower target index).
     """
     out = []
+    index, w = params.graph.index, params.alpha.w
     for j in units:
         outgoing = [(s, t) for s, t in params.graph.edges if s == j]
-        outgoing.sort(key=lambda st: (-params.alpha.alpha[st[1], st[0]], st[1]))
+        outgoing.sort(key=lambda st: (-w[index[st]], st[1]))
         out.extend(outgoing[: int(e)])
     return out
 
@@ -172,8 +174,8 @@ def apply_scenario(params: ModelParams, scenario: Scenario, reference_history=No
     """
     out = params.copy()
     K = params.num_units
-    off = params.alpha.off_diagonal()
-    nonzero = off[off > 0]
+    w = params.alpha.w
+    nonzero = w[w > 0]  # (target, source) order, as in a row-major scan of alpha
     edge_mean = float(nonzero.mean()) if nonzero.size else 0.0
     gamma_mean = float(params.gamma.mean())
     beta_mean = float(params.beta.mean())
@@ -196,12 +198,11 @@ def apply_scenario(params: ModelParams, scenario: Scenario, reference_history=No
         slowest = sorted(range(K), key=lambda i: (params.beta[i], i))[: scenario.beta_bottom_units]
         beta_clauses.extend((i, MEAN) for i in slowest)
 
-    candidate = set(params.graph.edges)
     for s, t, value in edge_clauses:
         s, t = int(s), int(t)
-        if (s, t) not in candidate:
+        if (s, t) not in params.graph.index:
             raise ValidationError(f"scenario re-weights edge ({s}, {t}) which is not in the graph")
-        out.alpha.alpha[t, s] = edge_mean if value == MEAN else float(value)
+        out.alpha.w[params.graph.index[s, t]] = edge_mean if value == MEAN else float(value)
     for i, value in gamma_clauses:
         i = int(i)
         if not 0 <= i < K:
@@ -288,8 +289,7 @@ def simulate_paths(
         if obs.shape[0] != K or obs.shape[1] < cutoff:
             raise ValidationError(f"observed history {obs.shape} does not cover the forced span")
 
-    v = accumulate(params.scaler.transform(x), params.decay)
-    mu_direct = _direct_matrix(params, v)  # (K, T), gamma_i mu + nothing else
+    mu_direct = direct_from_weather(params, x)  # (K, T), gamma_i mu + nothing else
     kern = Kernel(params.beta, params.trig_window)
     coupling = Coupling(params.alpha)
 
@@ -342,12 +342,6 @@ def simulate_paths(
         unit_total_mean=unit_totals / R,
         paths=paths,
     )
-
-
-def _direct_matrix(params: ModelParams, v: np.ndarray) -> np.ndarray:
-    K, T, M = v.shape
-    mu, _ = mlp_forward(params.mlp, v.reshape(K * T, M))
-    return params.gamma[:, None] * mu.reshape(K, T)
 
 
 def _lambda_given_history(params, coupling, hist, mu_direct):

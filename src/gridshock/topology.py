@@ -2,10 +2,11 @@
 
 Edges are directed: edge (source=j, target=i) says outages in unit j can
 trigger outages in unit i, with learned weight alpha[i, j] (target row,
-source column). Self-influence is always present with alpha[i, i] fixed at 1
-and is never part of the explicit edge list. Between any two units the model
-allows influence in at most one direction ("no loops"); that constraint is
-applied to the learned weights, not to the candidate set.
+source column), stored as one entry of a per-edge vector. Self-influence is
+always present with alpha[i, i] fixed at 1 and is never part of the explicit
+edge list. Between any two units the model allows influence in at most one
+direction ("no loops"); that constraint is applied to the learned weights,
+not to the candidate set.
 
 The candidate set itself is a stand-in for real grid connectivity: k nearest
 units by great-circle centroid distance, capped at a maximum radius, with
@@ -46,8 +47,12 @@ def distance_matrix_km(units: list[UnitMeta]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Graph:
-    """Directed candidate graph on K nodes; edges are (source, target) pairs,
-    also held as index arrays `src`, `tgt` sorted by (target, source)."""
+    """Directed candidate graph on K nodes; edges are (source, target) pairs.
+
+    Edge e, in (target, source) order, runs src[e] -> tgt[e]; `index` maps
+    (source, target) to e and rev[e] is the index of the reverse edge (-1
+    when the reverse is not a candidate).
+    """
 
     num_nodes: int
     edges: tuple  # tuple of (source, target) int pairs, sorted, no self-edges
@@ -62,70 +67,73 @@ class Graph:
         if len(set(edges)) != len(edges):
             raise ValidationError("duplicate edges in graph")
         object.__setattr__(self, "edges", edges)
-        pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
-        by_target = np.lexsort((pairs[:, 0], pairs[:, 1]))
-        object.__setattr__(self, "src", pairs[by_target, 0])
-        object.__setattr__(self, "tgt", pairs[by_target, 1])
-
-    def candidate_mask(self) -> np.ndarray:
-        """K x K boolean mask: mask[target, source] True for candidate edges."""
-        mask = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
-        mask[self.tgt, self.src] = True
-        return mask
+        by_target = sorted(edges, key=lambda e: (e[1], e[0]))
+        pairs = np.array(by_target, dtype=np.intp).reshape(-1, 2)
+        index = {e: k for k, e in enumerate(by_target)}
+        object.__setattr__(self, "src", pairs[:, 0])
+        object.__setattr__(self, "tgt", pairs[:, 1])
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "rev", np.array([index.get((t, s), -1) for s, t in by_target], dtype=np.intp))
 
 
-@dataclass
 class EdgeWeights:
-    """Coupling weights alpha[target, source] over a candidate graph.
+    """Coupling weights over a candidate graph, stored per edge.
 
-    The diagonal is identically 1 (implicit self-influence); off-candidate,
-    off-diagonal entries are identically 0.
+    w[e] is alpha[tgt[e], src[e]]. The dense K x K `alpha` (unit diagonal,
+    zero off the candidate set) is a derived read-only view; the constructor
+    also accepts one via `alpha=`, keeping only its candidate entries.
     """
 
-    graph: Graph
-    alpha: np.ndarray = None
-
-    def __post_init__(self):
-        K = self.graph.num_nodes
-        if self.alpha is None:
-            self.alpha = np.zeros((K, K))
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        if self.alpha.shape != (K, K):
-            raise ValidationError(f"alpha must be {K} x {K}, got {self.alpha.shape}")
-        np.fill_diagonal(self.alpha, 1.0)
-        allowed = self.graph.candidate_mask()
-        np.fill_diagonal(allowed, True)
-        self.alpha[~allowed] = 0.0
+    def __init__(self, graph: Graph, w=None, *, alpha=None):
+        self.graph = graph
+        if alpha is not None:
+            K = graph.num_nodes
+            alpha = np.asarray(alpha, dtype=np.float64)
+            if alpha.shape != (K, K):
+                raise ValidationError(f"alpha must be {K} x {K}, got {alpha.shape}")
+            w = alpha[graph.tgt, graph.src]
+        E = len(graph.edges)
+        self.w = np.zeros(E) if w is None else np.array(w, dtype=np.float64)
+        if self.w.shape != (E,):
+            raise ValidationError(f"need one weight per edge ({E}), got shape {self.w.shape}")
 
     @property
     def num_nodes(self) -> int:
         return self.graph.num_nodes
 
+    @property
+    def alpha(self) -> np.ndarray:
+        a = self.off_diagonal()
+        np.fill_diagonal(a, 1.0)
+        a.flags.writeable = False
+        return a
+
     def copy(self) -> "EdgeWeights":
-        return EdgeWeights(graph=self.graph, alpha=self.alpha.copy())
+        return EdgeWeights(self.graph, self.w)
 
     def off_diagonal(self) -> np.ndarray:
-        a = self.alpha.copy()
-        np.fill_diagonal(a, 0.0)
+        K = self.graph.num_nodes
+        a = np.zeros((K, K))
+        a[self.graph.tgt, self.graph.src] = self.w
         return a
 
     def nonzero_edges(self) -> list[tuple[int, int, float]]:
         """Active (source, target, alpha) triples, sorted by (source, target)."""
-        out = []
-        for s, t in self.graph.edges:
-            if self.alpha[t, s] > 0:
-                out.append((s, t, float(self.alpha[t, s])))
-        return out
+        weights = [(s, t, float(self.w[self.graph.index[s, t]])) for s, t in self.graph.edges]
+        return [e for e in weights if e[2] > 0]
 
     def check_invariants(self) -> None:
-        if (self.alpha < 0).any():
+        w, rev = self.w, self.graph.rev
+        if not np.isfinite(w).all():
+            raise ValidationError("non-finite coupling weight")
+        if (w < 0).any():
             raise ValidationError("negative coupling weight")
-        if not np.all(np.diag(self.alpha) == 1.0):
-            raise ValidationError("diagonal coupling must be exactly 1")
-        off = self.off_diagonal()
-        if (off * off.T != 0).any():
-            i, j = np.argwhere(off * off.T != 0)[0]
-            raise ValidationError(f"loop between units {i} and {j}: both directions have weight")
+        loop = (w != 0) & (rev >= 0) & (w[rev] != 0)
+        if loop.any():
+            e = int(np.flatnonzero(loop)[0])
+            raise ValidationError(
+                f"loop between units {self.graph.tgt[e]} and {self.graph.src[e]}: both directions have weight"
+            )
 
 
 def build_candidate_graph(
@@ -171,38 +179,16 @@ def enforce_no_loops(weights: EdgeWeights) -> EdgeWeights:
     On a tie the edge whose *source* index is smaller survives. Idempotent;
     returns a new EdgeWeights.
     """
-    out = weights.copy()
-    a = out.alpha
-    s, t = out.graph.src, out.graph.tgt
-    own, back = a[t, s], a[s, t]  # off-candidate entries are 0, so back > 0 only on candidates
-    lose = (own > 0) & (back > 0) & ((back > own) | ((back == own) & (t < s)))
-    a[t[lose], s[lose]] = 0.0
-    return out
+    g, w = weights.graph, weights.w
+    back = np.where(g.rev >= 0, w[g.rev], 0.0)
+    lose = (w > 0) & (back > 0) & ((back > w) | ((back == w) & (g.tgt < g.src)))
+    return EdgeWeights(g, np.where(lose, 0.0, w))
 
 
-def triggered_mass(counts: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Per-unit total triggering mass sum_t sum_{t'<t} N[j,t'] beta_j e^{-beta_j (t-t')}.
+def _triggering_totals(weights: EdgeWeights, history, params) -> np.ndarray:
+    """Per-unit sum over the window of the model's truncated triggering mass R[j, t]."""
+    from .model import kernel_matrix  # model imports this module
 
-    Evaluated by summing, for each past slot t', the kernel tail it still
-    contributes within the observed horizon.
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    K, T = counts.shape
-    mass = np.zeros(K)
-    for j in range(K):
-        w = beta[j] * np.exp(-beta[j] * np.arange(1, T))
-        tail = np.concatenate([[0.0], np.cumsum(w)])  # tail[L] = sum of first L kernel terms
-        mass[j] = float(np.dot(counts[j, : T - 1], tail[T - 1 : 0 : -1]))
-    return mass
-
-
-def criticality_scores(weights: EdgeWeights, history, params) -> np.ndarray:
-    """Outage intensity each unit exports to its direct neighbors.
-
-    score(j) = (sum of alpha[i, j] over targets i != j) x (total triggering
-    mass of unit j over the window). Units that influence nobody score 0.
-    """
     counts = np.asarray(getattr(history, "counts", history), dtype=np.float64)
     beta = np.asarray(params.beta, dtype=np.float64)
     K = weights.num_nodes
@@ -210,8 +196,19 @@ def criticality_scores(weights: EdgeWeights, history, params) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: {K} graph nodes, {counts.shape[0]} history rows, {beta.shape[0]} beta entries"
         )
-    export_weight = weights.off_diagonal().sum(axis=0)  # sum over targets, per source
-    return export_weight * triggered_mass(counts, beta)
+    return kernel_matrix(counts, beta, params.trig_window).sum(axis=1)
+
+
+def criticality_scores(weights: EdgeWeights, history, params) -> np.ndarray:
+    """Outage intensity each unit exports to its direct neighbors.
+
+    score(j) = (sum of alpha[i, j] over targets i != j) x (sum over slots of
+    unit j's truncated triggering mass R[j, t]), so the scores add up to the
+    cascade intensity the model attributes to cross-unit edges. Units that
+    influence nobody score 0.
+    """
+    export_weight = np.bincount(weights.graph.src, weights=weights.w, minlength=weights.num_nodes)
+    return export_weight * _triggering_totals(weights, history, params)
 
 
 def export_propagation_map(weights: EdgeWeights, history, params, path) -> int:
@@ -220,9 +217,7 @@ def export_propagation_map(weights: EdgeWeights, history, params, path) -> int:
     attributed_outages is the per-edge share of the source unit's criticality
     score. Returns the number of data rows written.
     """
-    counts = np.asarray(getattr(history, "counts", history), dtype=np.float64)
-    beta = np.asarray(params.beta, dtype=np.float64)
-    mass = triggered_mass(counts, beta)
+    mass = _triggering_totals(weights, history, params)
     rows = []
     for s, t, a in weights.nonzero_edges():
         rows.append((s, t, a, a * mass[s]))

@@ -14,8 +14,10 @@ where R[j,t] is the truncated-kernel triggering mass of unit j. Minibatches
 are contiguous time blocks so lagged history stays exact: history before the
 block is read from the data, never re-simulated.
 
-Constraints (non-negativity, alpha_ii = 1, no loops) are enforced by
-projection after every update step.
+The optimizer works on one vector theta holding every free parameter
+(per-edge alpha, beta, gamma, omega, network weights; see `pack`).
+Constraints (non-negativity, no loops) are enforced by projection after
+every update step; alpha_ii = 1 holds by construction.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from .model import (
     DEFAULT_TRIG_WINDOW,
     MlpParams,
     ModelParams,
+    direct_field,
     kernel_matrix_with_grad,
     mlp_backward,
-    mlp_forward,
+    mlp_forward,  # noqa: F401  (binding patched by perfbench/tracer.py)
 )
 from .topology import EdgeWeights, Graph, enforce_no_loops
 from .weather_effect import (
@@ -124,15 +127,31 @@ class FitReport:
 class Gradients:
     """d ell / d theta, arranged like the parameters themselves."""
 
-    alpha: np.ndarray  # K x K; nonzero only on candidate off-diagonal entries
+    alpha: np.ndarray  # (E,), one entry per graph edge in (target, source) order
     beta: np.ndarray
     gamma: np.ndarray
     omega: np.ndarray
     mlp: MlpParams
 
+    def flat(self) -> np.ndarray:
+        """The gradient laid out like :func:`pack`'s theta."""
+        return np.concatenate([self.alpha, self.beta, self.gamma, self.omega, self.mlp.flatten()])
+
     def norm(self) -> float:
-        parts = [self.alpha.ravel(), self.beta, self.gamma, self.omega, self.mlp.flatten()]
-        return float(np.sqrt(sum(float(np.dot(p, p)) for p in parts)))
+        return float(np.linalg.norm(self.flat()))
+
+
+def pack(params: ModelParams) -> np.ndarray:
+    """All free parameters as one vector theta: alpha, beta, gamma, omega, mlp."""
+    return np.concatenate([params.alpha.w, params.beta, params.gamma, params.decay.omega, params.mlp.flatten()])
+
+
+def unpack(params: ModelParams, theta: np.ndarray) -> None:
+    """Write a theta laid out as by :func:`pack` back into `params`, in place."""
+    ends = np.cumsum([params.alpha.w.size, params.num_units, params.num_units, params.num_variables])
+    params.alpha.w, params.beta, params.gamma, params.decay.omega, mlp = np.split(theta.copy(), ends)
+    new_mlp = params.mlp.unflatten_like(mlp)
+    params.mlp.weights, params.mlp.biases = new_mlp.weights, new_mlp.biases
 
 
 def _block_loglik_and_grads(
@@ -144,7 +163,6 @@ def _block_loglik_and_grads(
     history (the decay window / truncation window) to make in-block values
     identical to a full-series evaluation.
     """
-    K, T = counts.shape
     d = params.decay.window_slots
     s_wx = max(0, t0 - (d - 1))
     v_full, dvdo_full = accumulate_with_grad(x_scaled[:, s_wx:t1, :], params.decay)
@@ -156,11 +174,7 @@ def _block_loglik_and_grads(
     R = R_full[:, t0 - s_tk :]
     dR = dR_full[:, t0 - s_tk :]
 
-    B = t1 - t0
-    M = x_scaled.shape[2]
-    mu_flat, cache = mlp_forward(params.mlp, v.reshape(K * B, M))
-    mu = mu_flat.reshape(K, B)
-    direct = params.gamma[:, None] * mu
+    direct, mu, cache = direct_field(params, v)
 
     coupling = Coupling(params.alpha)
     lam = direct + coupling.apply(R) + params.eps
@@ -173,14 +187,13 @@ def _block_loglik_and_grads(
 
     grad_gamma = (W * mu).sum(axis=1)
 
-    dmu = (W * params.gamma[:, None]).reshape(K * B)
+    dmu = (W * params.gamma[:, None]).ravel()
     grad_mlp, dv = mlp_backward(params.mlp, cache, dmu)
-    dv = dv.reshape(K, B, M)
+    dv = dv.reshape(v.shape)
     grad_omega = np.einsum("itm,itm->m", dv, dvdo)
 
-    grad_alpha = np.zeros((K, K))
-    for tgt, s in zip(params.graph.tgt.tolist(), params.graph.src.tolist()):
-        grad_alpha[tgt, s] = float(np.dot(W[tgt], R[s]))
+    edges = zip(params.graph.tgt.tolist(), params.graph.src.tolist())
+    grad_alpha = np.array([np.dot(W[tgt], R[s]) for tgt, s in edges], dtype=np.float64)
     grad_beta = np.einsum("jt,jt->j", dR, coupling.adjoint(W))
 
     grads = Gradients(alpha=grad_alpha, beta=grad_beta, gamma=grad_gamma, omega=grad_omega, mlp=grad_mlp)
@@ -206,24 +219,17 @@ def gradients(params: ModelParams, dataset: Dataset) -> Gradients:
 def project(params: ModelParams) -> tuple[ModelParams, int]:
     """Clamp theta back into its constraint set; returns (params, #coords changed).
 
-    Clamps alpha/beta/gamma/omega at 0, pins alpha's diagonal at 1, and prunes
-    two-way couplings keep-larger. Idempotent.
+    Clamps alpha/beta/gamma/omega at 0 and prunes two-way couplings
+    keep-larger. Idempotent.
     """
     out = params.copy()
     changed = 0
-    for arr in (out.beta, out.gamma, out.decay.omega):
+    for arr in (out.alpha.w, out.beta, out.gamma, out.decay.omega):
         neg = arr < 0
         changed += int(neg.sum())
         arr[neg] = 0.0
-    a = out.alpha.alpha
-    neg = a < 0
-    changed += int(neg.sum())
-    a[neg] = 0.0
-    diag = np.diag_indices(out.num_units)
-    changed += int((a[diag] != 1.0).sum())
-    a[diag] = 1.0
     pruned = enforce_no_loops(out.alpha)
-    changed += int((pruned.alpha != a).sum())
+    changed += int((pruned.w != out.alpha.w).sum())
     out.alpha = pruned
     return out, changed
 
@@ -246,9 +252,7 @@ def initialize(
     M = dataset.num_variables
     if graph.num_nodes != K:
         raise ValidationError(f"graph has {graph.num_nodes} nodes for {K} units")
-    alpha = np.zeros((K, K))
-    alpha[graph.tgt, graph.src] = 0.01
-    weights = enforce_no_loops(EdgeWeights(graph=graph, alpha=alpha))  # sets the unit diagonal
+    weights = enforce_no_loops(EdgeWeights(graph, np.full(len(graph.edges), 0.01)))
     params = ModelParams(
         alpha=weights,
         beta=np.full(K, 0.5),
@@ -266,57 +270,28 @@ def initialize(
 def fd_audit(params: ModelParams, dataset: Dataset, max_coords: int = 40, h: float = 1e-5, seed: int = 0) -> float:
     """Spot-check analytic gradients against central finite differences.
 
-    Samples up to `max_coords` free coordinates across all five groups and
-    returns the worst relative error (absolute error where the gradient is
-    tiny). Pure likelihood evaluations on perturbed copies; nothing is
-    mutated.
+    Samples up to `max_coords` coordinates of theta (see :func:`pack`), across
+    all five groups, and returns the worst relative error (absolute error
+    where the gradient is tiny). Pure likelihood evaluations on perturbed
+    copies; nothing is mutated.
     """
-    g = gradients(params, dataset)
+    g = gradients(params, dataset).flat()
+    theta = pack(params)
     rng = np.random.default_rng(seed)
-    coords = []
-    for s, tgt in params.graph.edges:
-        coords.append(("alpha", (tgt, s)))
-    K = params.num_units
-    coords += [("beta", (j,)) for j in range(K)]
-    coords += [("gamma", (i,)) for i in range(K)]
-    coords += [("omega", (m,)) for m in range(params.num_variables)]
-    n_mlp = params.mlp.flatten().size
-    coords += [("mlp", (k,)) for k in range(n_mlp)]
-    if len(coords) > max_coords:
-        picked = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[int(p)] for p in sorted(picked)]
+    coords = range(theta.size)
+    if theta.size > max_coords:
+        coords = sorted(rng.choice(theta.size, size=max_coords, replace=False))
 
-    def perturbed_ll(group, idx, delta):
-        p = params.copy()
-        if group == "alpha":
-            p.alpha.alpha[idx] += delta
-        elif group == "beta":
-            p.beta[idx[0]] += delta
-        elif group == "gamma":
-            p.gamma[idx[0]] += delta
-        elif group == "omega":
-            p.decay.omega[idx[0]] += delta
-        else:
-            flat = p.mlp.flatten()
-            flat[idx[0]] += delta
-            new = p.mlp.unflatten_like(flat)
-            p.mlp.weights, p.mlp.biases = new.weights, new.biases
+    def perturbed_ll(k, delta):
+        p, th = params.copy(), theta.copy()
+        th[k] += delta
+        unpack(p, th)
         return log_likelihood(p, dataset)
 
-    g_mlp_flat = g.mlp.flatten()
     worst = 0.0
-    for group, idx in coords:
-        if group == "alpha":
-            analytic = g.alpha[idx]
-        elif group == "beta":
-            analytic = g.beta[idx[0]]
-        elif group == "gamma":
-            analytic = g.gamma[idx[0]]
-        elif group == "omega":
-            analytic = g.omega[idx[0]]
-        else:
-            analytic = g_mlp_flat[idx[0]]
-        fd = (perturbed_ll(group, idx, h) - perturbed_ll(group, idx, -h)) / (2 * h)
+    for k in coords:
+        analytic = g[k]
+        fd = (perturbed_ll(k, h) - perturbed_ll(k, -h)) / (2 * h)
         if abs(analytic) < 1e-8:
             err = abs(fd - analytic)
         else:
@@ -326,7 +301,7 @@ def fd_audit(params: ModelParams, dataset: Dataset, max_coords: int = 40, h: flo
 
 
 class _AdamState:
-    """First/second-moment accumulators for one parameter array."""
+    """First/second-moment accumulators for theta, one step count for all entries."""
 
     def __init__(self, shape):
         self.m = np.zeros(shape)
@@ -342,25 +317,10 @@ class _AdamState:
         return lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def _apply_update(params: ModelParams, grads: Gradients, lr: float, adam: dict | None) -> None:
-    """In-place ascent step on all five groups (plain when adam is None)."""
-    flat_mlp = params.mlp.flatten()
-    gflat_mlp = grads.mlp.flatten()
-    if adam is None:
-        params.alpha.alpha += lr * grads.alpha
-        params.beta += lr * grads.beta
-        params.gamma += lr * grads.gamma
-        params.decay.omega += lr * grads.omega
-        flat_mlp += lr * gflat_mlp
-    else:
-        params.alpha.alpha += adam["alpha"].step(grads.alpha, lr)
-        params.beta += adam["beta"].step(grads.beta, lr)
-        params.gamma += adam["gamma"].step(grads.gamma, lr)
-        params.decay.omega += adam["omega"].step(grads.omega, lr)
-        flat_mlp += adam["mlp"].step(gflat_mlp, lr)
-    new_mlp = params.mlp.unflatten_like(flat_mlp)
-    params.mlp.weights = new_mlp.weights
-    params.mlp.biases = new_mlp.biases
+def _apply_update(params: ModelParams, grads: Gradients, lr: float, adam: _AdamState | None) -> None:
+    """In-place ascent step on theta (plain when adam is None)."""
+    g = grads.flat()
+    unpack(params, pack(params) + (lr * g if adam is None else adam.step(g, lr)))
 
 
 def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, FitReport]:
@@ -384,15 +344,7 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
     bs = cfg.batch_slots or T
     blocks = [(t0, min(t0 + bs, T)) for t0 in range(0, T, bs)]
 
-    adam = None
-    if cfg.optimizer == "adaptive-moments":
-        adam = {
-            "alpha": _AdamState(params.alpha.alpha.shape),
-            "beta": _AdamState(params.beta.shape),
-            "gamma": _AdamState(params.gamma.shape),
-            "omega": _AdamState(params.decay.omega.shape),
-            "mlp": _AdamState(params.mlp.flatten().shape),
-        }
+    adam = _AdamState(pack(params).shape) if cfg.optimizer == "adaptive-moments" else None
 
     best_ll = -np.inf
     best_params = params.copy()

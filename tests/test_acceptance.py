@@ -70,7 +70,8 @@ def _audit_instance(seed: int):
 
     coords = []
     for s, t in params.graph.edges:
-        coords.append((grads.alpha[t, s], fd(lambda p, d, s=s, t=t: p.alpha.alpha.__setitem__((t, s), p.alpha.alpha[t, s] + d))))
+        e = params.graph.index[s, t]
+        coords.append((grads.alpha[e], fd(lambda p, d, e=e: p.alpha.w.__setitem__(e, p.alpha.w[e] + d))))
     for i in range(K):
         coords.append((grads.beta[i], fd(lambda p, d, i=i: p.beta.__setitem__(i, p.beta[i] + d))))
         coords.append((grads.gamma[i], fd(lambda p, d, i=i: p.gamma.__setitem__(i, p.gamma[i] + d))))

@@ -1,5 +1,7 @@
 import csv
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +336,28 @@ def test_validate_only_checks_container_schema(pipeline):
         ]
     )
     assert rc == 4
+
+
+def test_ingest_closes_every_file(pipeline, tmp_path):
+    inputs = ["--units", str(pipeline["units"]), "--outages", str(pipeline["outages"]),
+              "--weather", str(pipeline["weather"]), "--slot-seconds", "3600"]
+    explicit_grid = ["--grid-start", "2023-06-01T00:00:00Z", "--num-slots", str(HOURS)]
+    for n, grid in enumerate(([], explicit_grid)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["ingest", *inputs, *grid, "--output-dir", str(tmp_path / str(n))]) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_ingest_reports_the_row_of_a_bad_count(pipeline, tmp_path, capsys):
+    outages = tmp_path / "outages.csv"
+    outages.write_text("unit_id,timestamp,customers_out\ntown0,2023-06-01T00:30:00Z,nan\n")
+    rc = cli.main(["ingest", "--units", str(pipeline["units"]), "--outages", str(outages),
+                   "--weather", str(pipeline["weather"]), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{outages}:2: customers_out must be a finite count" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "dataset.gshk").exists()
 
 
 def test_exit_code_validation_errors(pipeline, tmp_path):

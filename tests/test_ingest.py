@@ -232,6 +232,18 @@ def test_csv_loaders_reject_bad_schema(tmp_path):
     bad_wx.write_text("unit_id,timestamp\nu0,2023-03-01T00:00:00Z\n")
     with pytest.raises(SchemaError, match="no weather variable"):
         load_weather_rows(bad_wx)
+    # values that cannot become an int64 count fail at their row, not at the cast
+    outages = tmp_path / "outages.csv"
+    for bad_value in ("nan", "inf", "-inf", "1e30", str(2**63), "-1"):
+        outages.write_text(f"unit_id,timestamp,customers_out\nu0,2023-03-01T00:00:00Z,3\nu0,2023-03-01T01:00:00Z,{bad_value}\n")
+        with pytest.raises(ValidationError, match=f"outages.csv:3: customers_out must be a finite count"):
+            list(load_outage_rows(outages))
+    outages.write_text(f"unit_id,timestamp,customers_out\nu0,2023-03-01T00:00:00Z,{2**63 - 1024}\n")
+    assert list(load_outage_rows(outages))[0][2] == 2**63 - 1024
+    for bad_value in ("nan", "inf", "-inf"):
+        bad_wx.write_text(f"unit_id,timestamp,wind,rain\nu0,2023-03-01T00:00:00Z,1,2\nu0,2023-03-01T01:00:00Z,3,{bad_value}\n")
+        with pytest.raises(ValidationError, match="weather.csv:3: non-finite rain value"):
+            list(load_weather_rows(bad_wx)[1])
 
 
 def test_load_units_rejects_duplicates(tmp_path):

@@ -23,7 +23,6 @@ from gridshock.model import (
     kernel_matrix,
     mlp_backward,
     mlp_forward,
-    mu_forward,
     serialize,
     softplus,
 )
@@ -38,13 +37,13 @@ def test_zero_network_outputs_ln2():
     assert softplus(np.array(0.0)) == pytest.approx(math.log(2.0), rel=1e-15)
     mlp = MlpParams.zeros(3, hidden=(4, 2))
     for v in (np.zeros(3), np.array([5.0, -2.0, 0.1])):
-        mu, _ = mu_forward(mlp, v)
+        mu, _ = mlp_forward(mlp, v)
         assert mu == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_one_hidden_unit_hand_forward():
     mlp = MlpParams(weights=[np.array([[2.0]]), np.array([[1.5]])], biases=[np.array([0.5]), np.array([-0.2])])
-    mu, _ = mu_forward(mlp, np.array([0.3]))
+    mu, _ = mlp_forward(mlp, np.array([0.3]))
     z = 1.5 * math.tanh(2.0 * 0.3 + 0.5) - 0.2
     assert mu == pytest.approx(math.log1p(math.exp(z)), rel=1e-14)
 
@@ -67,7 +66,7 @@ def test_forward_matches_naive_oracle():
         expected = [naive_mu(mlp.weights, mlp.biases, row) for row in v]
         assert_allclose(mu, expected, rtol=1e-13, atol=1e-13)
         # single-vector call agrees with the batched one
-        single, _ = mu_forward(mlp, v[4])
+        single, _ = mlp_forward(mlp, v[4])
         assert single == pytest.approx(mu[4], rel=1e-15)
 
 
@@ -189,8 +188,7 @@ def test_coupling_apply_matches_per_edge_loop(seed, K, T, n_edges):
 def _two_unit_params(alpha_01=0.5):
     """Unit 1 feeds unit 0 with weight alpha; gamma zero, network all-zero."""
     g = Graph(num_nodes=2, edges=((1, 0),))
-    w = EdgeWeights(graph=g)
-    w.alpha[0, 1] = alpha_01
+    w = EdgeWeights(graph=g, alpha=[[1.0, alpha_01], [0.0, 1.0]])
     return ModelParams(
         alpha=w,
         beta=np.array([1.0, 2.0]),
@@ -296,9 +294,10 @@ def test_params_copy_is_deep():
     params = random_small_params(rng, K=3, M=2, n_edges=3)
     clone = params.copy()
     clone.beta[0] += 1.0
-    clone.alpha.alpha[1, 0] += 0.1
+    clone.alpha.w[0] += 0.1
     clone.mlp.weights[0][0, 0] += 1.0
     assert params.beta[0] != clone.beta[0]
+    assert params.alpha.w[0] != clone.alpha.w[0]
     assert params.mlp.weights[0][0, 0] != clone.mlp.weights[0][0, 0]
 
 
@@ -308,7 +307,10 @@ def test_serialize_roundtrip(tmp_path):
     path = tmp_path / "model.gshk"
     serialize(params, path)
     again = deserialize(path)
+    assert again.alpha.w.tobytes() == params.alpha.w.tobytes()
     assert_array_equal(again.alpha.alpha, params.alpha.alpha)
+    serialize(again, tmp_path / "again.gshk")
+    assert (tmp_path / "again.gshk").read_bytes() == path.read_bytes()
     assert again.graph.edges == params.graph.edges
     assert_array_equal(again.beta, params.beta)
     assert_array_equal(again.gamma, params.gamma)

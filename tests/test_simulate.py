@@ -32,9 +32,10 @@ def _chain_params(K=2, alphas=((0, 1, 0.8),), beta=(1.0, 1.5), gamma=(0.5, 0.3),
     """K units on explicit edges, all-zero network (mu = ln 2), identity scaler."""
     edges = tuple((s, t) for s, t, _ in alphas)
     g = Graph(num_nodes=K, edges=edges)
-    w = EdgeWeights(graph=g)
+    alpha = np.eye(K)
     for s, t, a in alphas:
-        w.alpha[t, s] = a
+        alpha[t, s] = a
+    w = EdgeWeights(graph=g, alpha=alpha)
     return ModelParams(
         alpha=w,
         beta=np.array(beta, dtype=float),
@@ -134,9 +135,7 @@ def test_apply_scenario_reapplies_no_loop_projection():
     params = _chain_params(K=2, alphas=((0, 1, 0.4),))
     # both directions are candidates; only 0 -> 1 is active originally
     g = Graph(num_nodes=2, edges=((0, 1), (1, 0)))
-    w = EdgeWeights(graph=g)
-    w.alpha[1, 0] = 0.4
-    params.alpha = w
+    params.alpha = EdgeWeights(graph=g, alpha=[[1.0, 0.0], [0.4, 1.0]])
     out = apply_scenario(params, Scenario(edge_reweights=[(1, 0, 0.9)]))
     assert out.alpha.alpha[0, 1] == 0.9
     assert out.alpha.alpha[1, 0] == 0.0  # smaller direction dropped

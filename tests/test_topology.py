@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import brute_criticality, brute_knn_edges
-from synth import make_units, random_small_instance
+from synth import make_units, random_small_instance, random_small_params
 from gridshock.errors import ValidationError
+from gridshock.model import intensity_field, kernel_matrix
 from gridshock.topology import (
     EARTH_RADIUS_KM,
     EdgeWeights,
@@ -17,7 +18,6 @@ from gridshock.topology import (
     enforce_no_loops,
     export_propagation_map,
     haversine_km,
-    triggered_mass,
 )
 
 
@@ -80,8 +80,10 @@ def test_graph_validation():
         Graph(num_nodes=3, edges=((0, 1), (0, 1)))
     g = Graph(num_nodes=3, edges=((2, 0), (0, 1)))
     assert g.edges == ((0, 1), (2, 0))  # sorted
-    mask = g.candidate_mask()
-    assert mask[1, 0] and mask[0, 2] and not mask[0, 1]
+    # edges in (target, source) order: 2 -> 0, then 0 -> 1
+    assert g.index == {(2, 0): 0, (0, 1): 1}
+    assert_array_equal(g.rev, [-1, -1])
+    assert_array_equal(Graph(num_nodes=2, edges=((0, 1), (1, 0))).rev, [1, 0])
 
 
 # -- edge weights and the no-loop projection -----------------------------------
@@ -97,43 +99,57 @@ def test_edge_weights_enforce_structure():
     assert w.nonzero_edges() == [(0, 1, 0.7), (1, 2, 0.7)]
     off = w.off_diagonal()
     assert off[0, 0] == 0.0 and off[1, 0] == 0.7
+    assert_array_equal(w.w, [0.7, 0.7])
+    # alpha is a read-only view of the per-edge vector, and builds the same vector back
+    g = Graph(num_nodes=3, edges=((0, 1), (1, 0), (2, 1)))
+    w = EdgeWeights(g, [0.25, 1e-300, 0.1])
+    with pytest.raises(ValueError, match="read-only"):
+        w.alpha[1, 0] = 0.5
+    assert_array_equal(w.alpha, [[1.0, 0.25, 0.0], [1e-300, 1.0, 0.1], [0.0, 0.0, 1.0]])
+    again = EdgeWeights(g, alpha=w.alpha)
+    assert again.w.tobytes() == w.w.tobytes()
+    with pytest.raises(ValidationError, match="one weight per edge"):
+        EdgeWeights(g, [0.1, 0.2])
 
 
 def test_check_invariants_rejects_loops_and_negatives():
     g = Graph(num_nodes=2, edges=((0, 1), (1, 0)))
     w = EdgeWeights(graph=g)
-    w.alpha[1, 0] = 0.4
-    w.alpha[0, 1] = 0.2
+    w.w[g.index[0, 1]] = 0.4
+    w.w[g.index[1, 0]] = 0.2
     with pytest.raises(ValidationError, match="loop"):
         w.check_invariants()
-    w.alpha[0, 1] = 0.0
+    w.w[g.index[1, 0]] = 0.0
     w.check_invariants()
-    w.alpha[1, 0] = -0.1
+    w.w[g.index[0, 1]] = -0.1
     with pytest.raises(ValidationError, match="negative"):
+        w.check_invariants()
+    w.w[g.index[0, 1]] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
         w.check_invariants()
 
 
 def test_enforce_no_loops_keeps_larger_direction():
     g = Graph(num_nodes=3, edges=((0, 1), (1, 0), (1, 2), (2, 1)))
-    w = EdgeWeights(graph=g)
-    w.alpha[1, 0] = 0.5  # 0 -> 1
-    w.alpha[0, 1] = 0.2  # 1 -> 0 (smaller, dropped)
-    w.alpha[2, 1] = 0.3  # 1 -> 2 (tie ...
-    w.alpha[1, 2] = 0.3  # 2 -> 1  ... smaller source index wins)
+    a = np.eye(3)
+    a[1, 0] = 0.5  # 0 -> 1
+    a[0, 1] = 0.2  # 1 -> 0 (smaller, dropped)
+    a[2, 1] = 0.3  # 1 -> 2 (tie ...
+    a[1, 2] = 0.3  # 2 -> 1  ... smaller source index wins)
+    w = EdgeWeights(graph=g, alpha=a)
     out = enforce_no_loops(w)
     assert out.alpha[1, 0] == 0.5 and out.alpha[0, 1] == 0.0
     assert out.alpha[2, 1] == 0.3 and out.alpha[1, 2] == 0.0
     out.check_invariants()
     again = enforce_no_loops(out)
-    assert_array_equal(again.alpha, out.alpha)
+    assert_array_equal(again.w, out.w)
     # the input is never mutated
     assert w.alpha[0, 1] == 0.2
 
 
 def _pairwise_no_loops(weights):
-    """Reference: the pairwise double loop over unit pairs p < q."""
-    out = weights.copy()
-    a = out.alpha
+    """Reference: the pairwise double loop over unit pairs p < q, on a dense copy."""
+    a = weights.alpha.copy()
     K = weights.num_nodes
     for p in range(K):
         for q in range(p + 1, K):
@@ -144,7 +160,7 @@ def _pairwise_no_loops(weights):
                     a[p, q] = 0.0  # tie keeps the smaller source index (p)
                 else:
                     a[q, p] = 0.0
-    return out
+    return EdgeWeights(weights.graph, alpha=a)
 
 
 @st.composite
@@ -169,23 +185,61 @@ def coupling_weights(draw):
 
 @given(coupling_weights())
 def test_enforce_no_loops_matches_pairwise_reference(w):
-    before = w.alpha.copy()
+    before = w.w.copy()
     out = enforce_no_loops(w)
     assert_array_equal(out.alpha, _pairwise_no_loops(w).alpha)
-    assert_array_equal(enforce_no_loops(out).alpha, out.alpha)
-    assert_array_equal(w.alpha, before)
+    assert_array_equal(enforce_no_loops(out).w, out.w)
+    assert_array_equal(w.w, before)
     assert out.graph is w.graph
+    off = w.off_diagonal()
+    negative = (off < 0).any()
+    if negative or ((off != 0) & (off.T != 0)).any():
+        with pytest.raises(ValidationError):
+            w.check_invariants()
+    else:
+        w.check_invariants()
+    if negative:  # the no-loop rule leaves negative weights to the projection
+        with pytest.raises(ValidationError, match="negative"):
+            out.check_invariants()
+    else:
+        out.check_invariants()
 
 
 # -- criticality ---------------------------------------------------------------
 
 
-def test_triggered_mass_hand_value():
-    counts = np.array([[2.0, 0.0, 4.0, 0.0]])
-    beta = np.array([1.0])
+def test_criticality_hand_value():
+    w = EdgeWeights(Graph(num_nodes=2, edges=((0, 1),)), [0.5])
+    counts = np.array([[2.0, 0.0, 4.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+
+    class P:
+        beta = np.array([1.0, 3.0])
+        trig_window = 40
+
     # slot 0 contributes at lags 1..3, slot 2 at lag 1
-    expected = 2 * (np.exp(-1) + np.exp(-2) + np.exp(-3)) + 4 * np.exp(-1)
-    assert_allclose(triggered_mass(counts, beta), [expected], rtol=1e-14)
+    expected = 0.5 * (2 * (np.exp(-1) + np.exp(-2) + np.exp(-3)) + 4 * np.exp(-1))
+    assert_allclose(criticality_scores(w, counts, P()), [expected, 0.0], rtol=1e-14)
+    # the model's kernel stops after trig_window lags: slot 0 reaches lags 1..2 only
+    P.trig_window = 2
+    expected = 0.5 * (2 * (np.exp(-1) + np.exp(-2)) + 4 * np.exp(-1))
+    assert_allclose(criticality_scores(w, counts, P()), [expected, 0.0], rtol=1e-14)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(2, 6),
+    trig_window=st.integers(1, 8),
+    extra_slots=st.integers(1, 20),
+)
+def test_criticality_sums_to_the_cross_unit_cascade_intensity(seed, K, trig_window, extra_slots):
+    rng = np.random.default_rng(seed)
+    params = random_small_params(rng, K=K, M=1, n_edges=K, trig_window=trig_window)
+    params.beta = rng.uniform(0.01, 0.2, K)
+    T = trig_window + extra_slots
+    counts = rng.integers(0, 5, (K, T)).astype(float)
+    fld = intensity_field(params, counts, rng.normal(size=(K, T, 1)))
+    cross = (fld.indirect - kernel_matrix(counts, params.beta, trig_window)).sum()
+    assert_allclose(criticality_scores(params.alpha, counts, params).sum(), cross, rtol=1e-12)
 
 
 def test_criticality_matches_brute_force():
@@ -201,11 +255,11 @@ def test_criticality_matches_brute_force():
 
 def test_criticality_zero_for_units_without_outgoing_edges():
     g = Graph(num_nodes=3, edges=((0, 1),))
-    w = EdgeWeights(graph=g)
-    w.alpha[1, 0] = 0.5
+    w = EdgeWeights(g, [0.5])
 
     class P:
         beta = np.array([1.0, 1.0, 1.0])
+        trig_window = 40
 
     scores = criticality_scores(w, np.ones((3, 5)), P())
     assert scores[1] == 0.0 and scores[2] == 0.0 and scores[0] > 0.0
@@ -217,6 +271,7 @@ def test_criticality_dimension_mismatch():
 
     class P:
         beta = np.array([1.0, 1.0, 1.0])
+        trig_window = 40
 
     with pytest.raises(ValidationError, match="mismatch"):
         criticality_scores(w, np.ones((2, 4)), P())

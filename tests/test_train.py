@@ -101,10 +101,11 @@ def test_gradient_norm_covers_all_groups():
 
 def test_project_clamps_and_resolves_loops():
     g = Graph(num_nodes=3, edges=((0, 1), (1, 0), (1, 2)))
-    w = EdgeWeights(graph=g)
-    w.alpha[1, 0] = 0.6  # 0 -> 1
-    w.alpha[0, 1] = 0.9  # 1 -> 0 forms a loop; larger, so it survives
-    w.alpha[2, 1] = -0.3  # negative coupling
+    a = np.eye(3)
+    a[1, 0] = 0.6  # 0 -> 1
+    a[0, 1] = 0.9  # 1 -> 0 forms a loop; larger, so it survives
+    a[2, 1] = -0.3  # negative coupling
+    w = EdgeWeights(graph=g, alpha=a)
     params = ModelParams(
         alpha=w,
         beta=np.array([0.5, -1.0, 2.0]),
@@ -114,7 +115,7 @@ def test_project_clamps_and_resolves_loops():
         scaler=WeatherScaler(mean=np.zeros(2), scale=np.ones(2)),
     )
     fixed, n = project(params)
-    assert n > 0
+    assert n == 5  # beta, gamma, omega, the negative coupling, the pruned loop
     fixed.check_invariants()
     assert fixed.alpha.alpha[0, 1] == 0.9 and fixed.alpha.alpha[1, 0] == 0.0
     assert fixed.alpha.alpha[2, 1] == 0.0
