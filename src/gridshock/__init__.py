@@ -82,7 +82,9 @@ _EXPORTS = {
     "simulate_paths": "simulate",
     "apply_scenario": "simulate",
     "outage_reduction": "simulate",
+    "outage_reductions": "simulate",
     "sweep": "simulate",
+    "sweep_scenarios": "simulate",
     # analyze
     "decompose": "analyze",
     "predict_in_sample": "analyze",

@@ -19,8 +19,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from .errors import InsufficientDataError, ValidationError
 from .ingest import Dataset
@@ -151,11 +149,11 @@ def predict_ahead(params: ModelParams, dataset: Dataset, horizon_slots: int = 1)
     for t in range(h, T):
         first = t - h + 1
         hist[:, first - 1] = counts[:, first - 1]  # a gap slot for the previous target, observed now
-        P_obs = kern.step(P_obs, hist, first - 1)
+        P_obs = kern.step_at(P_obs, hist, first - 1)
         P = P_obs
         for s in range(first, t):
             hist[:, s] = _lambda_at(params, coupling, direct[:, s], P)
-            P = kern.step(P, hist, s)
+            P = kern.step_at(P, hist, s)
         predicted[:, t] = _lambda_at(params, coupling, direct[:, t], P)
 
     mae, rmse, per_unit = _metrics(predicted, counts, h)
@@ -192,6 +190,8 @@ class SigmoidFit:
             )
 
     def predict(self, v: np.ndarray) -> np.ndarray:
+        from scipy.special import expit
+
         return self.L * expit(self.a * (np.asarray(v) - self.c))
 
 
@@ -262,6 +262,9 @@ def fit_sigmoid_points(v, r, variable: str = "v") -> SigmoidFit:
 
 def _fit_sigmoid_points(v: np.ndarray, r: np.ndarray):
     """Multi-start bounded least squares for (a, c, L); returns + rmse."""
+    from scipy.optimize import minimize
+    from scipy.special import expit
+
     v_lo, v_hi = float(v.min()), float(v.max())
     span = max(v_hi - v_lo, 1e-9)
     L0 = float(np.clip(r.max(), 1e-3, 1.0))

@@ -307,16 +307,16 @@ def cmd_fit(cfg: dict, args) -> int:
             wr.writerow([epoch, repr(float(ll)), repr(float(gn)), pc])
     _echo_config(cfg, "fit")
     params.check_invariants()
-    off = params.alpha.off_diagonal()
+    w = params.alpha.w
     print(
         f"fit done: epochs={report.epochs_run} final_loglik={report.final_loglik:.6f} "
         f"converged={report.converged} seconds={report.seconds:.1f}"
     )
     print(
         "constraints ok: "
-        f"min_alpha={params.alpha.alpha.min():.3g} min_beta={params.beta.min():.3g} "
+        f"min_alpha={w.min(initial=np.inf):.3g} min_beta={params.beta.min():.3g} "
         f"min_gamma={params.gamma.min():.3g} min_omega={params.decay.omega.min():.3g} "
-        f"loops={int((off * off.T != 0).sum())} active_edges={int((off > 0).sum())}"
+        f"loops={int(params.alpha.loops().sum())} active_edges={int((w > 0).sum())}"
     )
     print(f"wrote {model_path}")
     return EXIT_OK
@@ -406,13 +406,29 @@ def cmd_enhance(cfg: dict, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     R = int(sim_cfg["replications"])
     seed = int(sim_cfg["seed"])
-    baseline = sim_cfg["baseline"]
-    did_something = False
+    scenarios = []
     if cfg.get("scenario"):
-        scenario = simulate.load_scenario(_require_file(cfg["scenario"], "scenario"))
-        res = simulate.outage_reduction(
-            params, scenario, ds.weather, ds.grid, R, seed, baseline=baseline, observed=ds.outages
-        )
+        scenarios.append(simulate.load_scenario(_require_file(cfg["scenario"], "scenario")))
+    sw = cfg.get("sweep") or {}
+    mode = sw.get("mode", "edges")
+    cells = simulate.sweep_scenarios([int(a) for a in sw["axis1"]], [int(a) for a in sw["axis2"]], mode) if sw else []
+    if not scenarios and not cells:
+        from .errors import ValidationError
+
+        raise ValidationError("enhance needs a scenario file (--scenario) and/or a sweep grid in the config")
+    # One call, so the baseline and every repeated parameter set are simulated once.
+    results = simulate.outage_reductions(
+        params,
+        scenarios + [scen for _, _, scen in cells],
+        ds.weather,
+        ds.grid,
+        R,
+        seed,
+        baseline=sim_cfg["baseline"],
+        observed=ds.outages,
+    )
+    if scenarios:
+        res = results[0]
         with open(out_dir / "enhancement.csv", "w", newline="", encoding="utf-8") as fh:
             wr = _csv.writer(fh, lineterminator="\n")
             wr.writerow(["reduction_pct", "std_err_pct", "baseline_total", "scenario_total", "replications", "seed"])
@@ -427,31 +443,13 @@ def cmd_enhance(cfg: dict, args) -> int:
                 ]
             )
         print(f"scenario reduction: {res.reduction_pct:.2f}% +- {res.std_err_pct:.2f}% (R={R})")
-        did_something = True
-    if cfg.get("sweep"):
-        sw = cfg["sweep"]
-        rows = simulate.sweep(
-            params,
-            ds.weather,
-            ds.grid,
-            axis1=[int(a) for a in sw["axis1"]],
-            axis2=[int(a) for a in sw["axis2"]],
-            R=R,
-            seed=seed,
-            mode=sw.get("mode", "edges"),
-            observed=ds.outages,
-            baseline=baseline,
-        )
-        names = (
-            ("top_units", "edges_per_unit") if sw.get("mode", "edges") == "edges" else ("margin_units", "recovery_units")
-        )
+    if cells:
+        rows = [
+            (a1, a2, res.reduction_pct, res.std_err_pct) for (a1, a2, _), res in zip(cells, results[len(scenarios) :])
+        ]
+        names = ("top_units", "edges_per_unit") if mode == "edges" else ("margin_units", "recovery_units")
         analyze.write_sweep_csv(out_dir / "sweep.csv", rows, axis1_name=names[0], axis2_name=names[1])
         print(f"sweep: {len(rows)} cells written")
-        did_something = True
-    if not did_something:
-        from .errors import ValidationError
-
-        raise ValidationError("enhance needs a scenario file (--scenario) and/or a sweep grid in the config")
     _echo_config(cfg, "enhance")
     return EXIT_OK
 
@@ -503,8 +501,9 @@ def cmd_export_map(cfg: dict, args) -> int:
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "propagation_map.csv"
-    n = topology.export_propagation_map(params.alpha, ds.outages, params, path)
-    scores = topology.criticality_scores(params.alpha, ds.outages, params)
+    mass = topology.triggering_totals(params.alpha, ds.outages, params)
+    n = topology.export_propagation_map(params.alpha, ds.outages, params, path, mass=mass)
+    scores = topology.criticality_scores(params.alpha, ds.outages, params, mass=mass)
     _echo_config(cfg, "export-map")
     top = sorted(range(len(scores)), key=lambda j: (-scores[j], j))[:5]
     print(f"wrote {n} edges to {path}")

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .container import read_container, write_container
 from .errors import ValidationError
@@ -141,6 +140,8 @@ def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray):
 
     Returns (grad MlpParams, input gradient (n, M)).
     """
+    from scipy.special import expit  # imported here: only fitting differentiates the network
+
     hiddens, z_out = cache
     dz = (np.asarray(dmu, dtype=np.float64) * expit(z_out))[:, None]  # softplus' = sigmoid
     grad_w = [None] * len(mlp.weights)
@@ -237,6 +238,7 @@ class Kernel:
     The state P[:, t] = sum over lags 1..window of N[:, t-lag] e^{-beta lag}
     rolls forward one slot at a time, P[t+1] = e^{-beta} (N[t] + P[t]) minus
     the term that ages out of the window; the triggering mass is R = beta * P.
+    A state may carry trailing axes (one column per replication).
     """
 
     def __init__(self, beta: np.ndarray, window: int):
@@ -245,12 +247,23 @@ class Kernel:
         self.decay = np.exp(-self.beta)
         self.drop = np.exp(-self.beta * (window + 1))
 
-    def step(self, P: np.ndarray, hist: np.ndarray, t: int) -> np.ndarray:
-        """State before slot t + 1, from the state before slot t and hist[:, :t+1]."""
-        P = self.decay * (hist[:, t] + P)
-        if t >= self.window:
-            P -= hist[:, t - self.window] * self.drop
+    def step(self, P: np.ndarray, new: np.ndarray, old: np.ndarray | None = None) -> np.ndarray:
+        """State before the next slot, from the state P before this slot, this
+        slot's counts `new` and the counts `old` that age out of the window
+        (those of `window` slots back; None while the window is filling)."""
+        P = _per_unit(self.decay, P) * (new + P)
+        if old is not None:
+            P -= old * _per_unit(self.drop, P)
         return P
+
+    def step_at(self, P: np.ndarray, hist: np.ndarray, t: int) -> np.ndarray:
+        """:meth:`step` at slot t of the count history hist, one column per slot."""
+        return self.step(P, hist[:, t], hist[:, t - self.window] if t >= self.window else None)
+
+
+def _per_unit(v: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The (K,) vector v shaped to broadcast along the leading axis of X."""
+    return v.reshape((-1,) + (1,) * (X.ndim - 1))
 
 
 def kernel_matrix(counts: np.ndarray, beta: np.ndarray, trig_window: int) -> np.ndarray:
@@ -270,10 +283,11 @@ def kernel_matrix_with_grad(counts: np.ndarray, beta: np.ndarray, trig_window: i
     P = np.zeros((K, T))
     S1 = np.zeros((K, T))
     for t in range(T - 1):
-        P[:, t + 1] = kern.step(P[:, t], counts, t)
+        old = counts[:, t - trig_window] if t >= trig_window else None
+        P[:, t + 1] = kern.step(P[:, t], counts[:, t], old)
         S1[:, t + 1] = kern.decay * (counts[:, t] + P[:, t] + S1[:, t])
-        if t >= trig_window:
-            S1[:, t + 1] -= (trig_window + 1) * counts[:, t - trig_window] * kern.drop
+        if old is not None:
+            S1[:, t + 1] -= (trig_window + 1) * old * kern.drop
     R = kern.beta[:, None] * P
     dR = P - kern.beta[:, None] * S1
     return R, dR
@@ -297,19 +311,16 @@ class Coupling:
         active = alpha.w != 0.0
         self.tgt, self.src, self.w = g.tgt[active], g.src[active], alpha.w[active]
 
-    def _weights(self, X: np.ndarray) -> np.ndarray:
-        return self.w.reshape((-1,) + (1,) * (X.ndim - 1))
-
     def apply(self, R: np.ndarray) -> np.ndarray:
         """sum_j alpha[i, j] R[j] (alpha[i, i] = 1) for any R whose leading axis is K."""
         out = R.copy()
-        np.add.at(out, self.tgt, self._weights(R) * R[self.src])
+        np.add.at(out, self.tgt, _per_unit(self.w, R) * R[self.src])
         return out
 
     def adjoint(self, W: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`apply`: U[j] = W[j] + sum_i alpha[i, j] W[i]."""
         out = W.copy()
-        np.add.at(out, self.src, self._weights(W) * W[self.tgt])
+        np.add.at(out, self.src, _per_unit(self.w, W) * W[self.tgt])
         return out
 
 

@@ -1,16 +1,22 @@
 """Monte Carlo rollout of the fitted process and what-if enhancement scenarios.
 
-A replication walks the slot grid in order: at each slot the intensity is
-computed from the history so far (observed history before the teacher-forced
-cutoff, simulated history after), and counts are drawn Poisson(lambda),
-with lambda summed by model.py's kernel state and coupling in the order of
-`intensity_field`, so a path's intensity is exactly the path's own field.
-Replication r uses its own generator seeded with ``seed ^ r``, so runs are
-reproducible and replications could be farmed out without changing results.
+A rollout walks the slot grid in order with all replications stepped
+together: at each slot the intensity of every replication is computed from
+its history so far (observed history before the teacher-forced cutoff,
+simulated history after), with lambda summed by model.py's kernel state and
+coupling in the order of `intensity_field`, so a path's intensity is exactly
+the path's own field. Each replication then draws its K counts for the slot
+from its own generator, seeded ``seed ^ r``, in the same order as if it ran
+alone; paths are therefore reproducible and do not depend on how many
+replications are stepped together. Only the counts inside the kernel window
+are kept, so memory grows with R x K x trig_window, not with R x K x T.
 
 Scenario evaluation uses common random numbers: baseline and scenario
 simulations share the seed, so an identity scenario gives exactly 0%
 reduction and small parameter edits are not drowned in Monte Carlo noise.
+The same seed also means equal parameters give equal rollouts, so a set of
+scenarios (one scenario, a sweep, or both) simulates each distinct parameter
+set once, the baseline included.
 
 Poisson draws use numpy's Generator.poisson (inversion below mean 10, a
 transformed-rejection method above), so paths are reproducible across
@@ -290,45 +296,24 @@ def simulate_paths(
             raise ValidationError(f"observed history {obs.shape} does not cover the forced span")
 
     mu_direct = direct_from_weather(params, x)  # (K, T), gamma_i mu + nothing else
-    kern = Kernel(params.beta, params.trig_window)
     coupling = Coupling(params.alpha)
+    if cutoff >= T:
+        draws = _forced_draws(_lambda_given_history(params, coupling, obs[:, :T], mu_direct), R, seed)
+    else:
+        draws = _rollout_draws(params, coupling, mu_direct, obs, cutoff, R, seed)
 
-    fully_forced = cutoff >= T
-    lam_forced = None
-    if fully_forced:
-        lam_forced = _lambda_given_history(params, coupling, obs[:, :T], mu_direct)
-
+    # Counts are integer-valued, so these sums are exact in any order.
     rep_totals = np.zeros(R)
-    unit_totals = np.zeros(K)
     cell_sum = np.zeros((K, T))
     cell_sq = np.zeros((K, T))
     paths = np.zeros((R, K, T), dtype=np.int64) if store_paths else None
-
-    for r in range(R):
-        rng = np.random.default_rng(seed ^ r)
-        if fully_forced:
-            path = rng.poisson(lam_forced).astype(np.float64)
-        else:
-            path = np.zeros((K, T))
-            hist = np.zeros((K, T))
-            P = np.zeros(K)
-            for t in range(T):
-                lam_t = mu_direct[:, t] + coupling.apply(params.beta * P) + params.eps
-                if (lam_t > LAMBDA_OVERFLOW).any():
-                    i = int(np.argmax(lam_t))
-                    raise DivergenceError(
-                        f"simulated intensity exploded at (unit={i}, slot={t}, replication={r}): {lam_t[i]:.3e}"
-                    )
-                path[:, t] = rng.poisson(lam_t)
-                hist[:, t] = obs[:, t] if t < cutoff else path[:, t]
-                P = kern.step(P, hist, t)
-        total = path.sum()
-        rep_totals[r] = total
-        unit_totals += path.sum(axis=1)
-        cell_sum += path
-        cell_sq += path * path
+    for reps, slots, n in draws:  # n: (replications, K, slots) counts
         if store_paths:
-            paths[r] = path.astype(np.int64)
+            paths[reps, :, slots] = n
+        n = n.astype(np.float64)
+        rep_totals[reps] += n.sum(axis=(1, 2))
+        cell_sum[:, slots] += n.sum(axis=0)
+        cell_sq[:, slots] += (n * n).sum(axis=0)
 
     cell_mean = cell_sum / R
     cell_var = (cell_sq - R * cell_mean**2) / max(R - 1, 1)
@@ -339,9 +324,55 @@ def simulate_paths(
         rep_totals=rep_totals,
         cell_mean=cell_mean,
         cell_var=cell_var,
-        unit_total_mean=unit_totals / R,
+        unit_total_mean=cell_sum.sum(axis=1) / R,
         paths=paths,
     )
+
+
+def _forced_draws(lam, R, seed):
+    """Fully forced runs: replication r draws its whole (K, T) grid from `lam` at once."""
+    for r in range(R):
+        yield slice(r, r + 1), slice(None), np.random.default_rng(seed ^ r).poisson(lam)[None]
+
+
+# Replications stepped together are cut into blocks so that the kernel's
+# count window and the coupling temporaries stay near this many floats.
+BLOCK_FLOATS = 1 << 22
+
+
+def _rollout_draws(params, coupling, mu_direct, obs, cutoff, R, seed):
+    """Free-running and partly forced runs, one slot at a time for a block of
+    replications at once; yields each slot's (block, K, 1) draws.
+
+    The block's kernel state P is (K, block). Replication r still draws its
+    K-vector for every slot from its own generator, so its path does not
+    depend on which replications share its block. Only the counts inside the
+    kernel window are kept, in a ring of min(window + 1, T) slots.
+    """
+    K, T = mu_direct.shape
+    window = params.trig_window
+    span = min(window + 1, T)
+    block = max(1, BLOCK_FLOATS // (K * (span + 2) + 2 * coupling.w.size))
+    kern = Kernel(params.beta, window)
+    beta = params.beta[:, None]
+    for r0 in range(0, R, block):
+        rngs = [np.random.default_rng(seed ^ r) for r in range(r0, min(r0 + block, R))]
+        reps = slice(r0, r0 + len(rngs))
+        ring = np.zeros((span, K, len(rngs)))
+        P = np.zeros((K, len(rngs)))
+        for t in range(T):
+            lam = mu_direct[:, t, None] + coupling.apply(beta * P) + params.eps
+            if (lam > LAMBDA_OVERFLOW).any():
+                b = int(np.argmax((lam > LAMBDA_OVERFLOW).any(axis=0)))
+                i = int(np.argmax(lam[:, b]))
+                raise DivergenceError(
+                    f"simulated intensity exploded at (unit={i}, slot={t}, replication={r0 + b}): {lam[i, b]:.3e}"
+                )
+            n = np.array([rng.poisson(lam[:, b]) for b, rng in enumerate(rngs)])
+            yield reps, slice(t, t + 1), n[:, :, None]
+            new = obs[:, t, None] if t < cutoff else n.T.astype(np.float64)
+            P = kern.step(P, new, ring[(t - window) % span] if t >= window else None)
+            ring[t % span] = new
 
 
 def _lambda_given_history(params, coupling, hist, mu_direct):
@@ -383,31 +414,91 @@ def outage_reduction(
     observed counts. Both simulations roll from empty history with the
     observed weather replayed.
     """
-    scen_params = apply_scenario(params, scenario, reference_history=observed)
-    sim_scen = simulate_paths(scen_params, weather, grid, R, seed)
-    if baseline == "simulated_total":
-        sim_base = simulate_paths(params, weather, grid, R, seed)
-        base_total = sim_base.mean_total
-        diff = sim_base.rep_totals - sim_scen.rep_totals
-        se_diff = diff.std(ddof=1) / np.sqrt(R) if R > 1 else 0.0
-    elif baseline == "observed_total":
-        if observed is None:
-            raise ValidationError("observed_total baseline requires observed counts")
-        base_total = float(np.asarray(getattr(observed, "counts", observed)).sum())
-        se_diff = sim_scen.total_std_err
-    else:
+    return outage_reductions(params, [scenario], weather, grid, R, seed, baseline, observed)[0]
+
+
+def outage_reductions(
+    params: ModelParams,
+    scenarios: list,
+    weather,
+    grid: TimeGrid,
+    R: int,
+    seed: int,
+    baseline: str = "simulated_total",
+    observed=None,
+) -> list:
+    """:func:`outage_reduction` of each scenario, simulating every distinct
+    parameter set once.
+
+    All rollouts share the seed, so a scenario whose applied parameters equal
+    the baseline's (or an earlier scenario's) reuses that rollout: it is the
+    rollout a fresh simulation would produce.
+    """
+    if baseline not in ("simulated_total", "observed_total"):
         raise ValidationError(f"baseline must be simulated_total or observed_total, got {baseline!r}")
+    if baseline == "observed_total" and observed is None:
+        raise ValidationError("observed_total baseline requires observed counts")
+    applied = [apply_scenario(params, scen, reference_history=observed) for scen in scenarios]
+    rollouts = {}
+
+    def rollout(p):
+        # A scenario edits only these arrays of a copy of `params`; equal bits, equal rollout.
+        key = b"".join(a.tobytes() for a in (p.alpha.w, p.beta, p.gamma, p.decay.omega))
+        if key not in rollouts:
+            rollouts[key] = simulate_paths(p, weather, grid, R, seed)
+        return rollouts[key]
+
+    if baseline == "simulated_total":
+        sim_base = rollout(params)
+        base_total = sim_base.mean_total
+    else:
+        base_total = float(np.asarray(getattr(observed, "counts", observed)).sum())
     if base_total == 0:
         raise NumericError("baseline total outages is zero; reduction percentage is undefined")
-    reduction = 100.0 * (base_total - sim_scen.mean_total) / base_total
-    return ReductionResult(
-        reduction_pct=float(reduction),
-        std_err_pct=float(100.0 * se_diff / base_total),
-        baseline_total=float(base_total),
-        scenario_total=float(sim_scen.mean_total),
-        replications=R,
-        seed=seed,
-    )
+    results = []
+    for p in applied:
+        sim_scen = rollout(p)
+        if baseline == "simulated_total":
+            diff = sim_base.rep_totals - sim_scen.rep_totals
+            se_diff = diff.std(ddof=1) / np.sqrt(R) if R > 1 else 0.0
+        else:
+            se_diff = sim_scen.total_std_err
+        reduction = 100.0 * (base_total - sim_scen.mean_total) / base_total
+        results.append(
+            ReductionResult(
+                reduction_pct=float(reduction),
+                std_err_pct=float(100.0 * se_diff / base_total),
+                baseline_total=float(base_total),
+                scenario_total=float(sim_scen.mean_total),
+                replications=R,
+                seed=seed,
+            )
+        )
+    return results
+
+
+def sweep_scenarios(axis1: list, axis2: list, mode: str = "edges") -> list:
+    """(axis1 value, axis2 value, Scenario) for every cell of a sweep grid.
+
+    mode="edges": axis1 = top units by max outages, axis2 = edges per unit
+    re-weighted to the mean coupling. mode="margins": axis1 = largest-gamma
+    units set to the average margin, axis2 = smallest-beta units set to the
+    average recovery rate. A cell with a 0 on an edges axis, or 0 on both
+    margins axes, is the identity scenario.
+    """
+    if not axis1 or not axis2:
+        raise ValidationError("sweep axes must be nonempty")
+    if mode not in ("edges", "margins"):
+        raise ValidationError(f"sweep mode must be 'edges' or 'margins', got {mode!r}")
+    cells = []
+    for a1 in axis1:
+        for a2 in axis2:
+            if mode == "edges":
+                scen = Scenario(top_k_units=a1, top_e_edges=a2) if a1 and a2 else Scenario()
+            else:
+                scen = Scenario(gamma_top_units=a1 or None, beta_bottom_units=a2 or None)
+            cells.append((a1, a2, scen))
+    return cells
 
 
 def sweep(
@@ -424,27 +515,10 @@ def sweep(
 ) -> list:
     """Cartesian scenario grid -> rows of (axis1, axis2, reduction_pct, std_err_pct).
 
-    mode="edges": axis1 = top units by max outages, axis2 = edges per unit
-    re-weighted to the mean coupling. mode="margins": axis1 = largest-gamma
-    units set to the average margin, axis2 = smallest-beta units set to the
-    average recovery rate. A (0, 0) cell is the identity scenario.
+    The cells are :func:`sweep_scenarios`; the baseline is simulated once.
     """
-    if not axis1 or not axis2:
-        raise ValidationError("sweep axes must be nonempty")
-    if mode not in ("edges", "margins"):
-        raise ValidationError(f"sweep mode must be 'edges' or 'margins', got {mode!r}")
-    rows = []
-    for a1 in axis1:
-        for a2 in axis2:
-            if mode == "edges":
-                scen = Scenario(top_k_units=a1, top_e_edges=a2) if a1 and a2 else Scenario()
-            else:
-                scen = Scenario(
-                    gamma_top_units=a1 or None,
-                    beta_bottom_units=a2 or None,
-                )
-            res = outage_reduction(
-                params, scen, weather, grid, R, seed, baseline=baseline, observed=observed
-            )
-            rows.append((a1, a2, res.reduction_pct, res.std_err_pct))
-    return rows
+    cells = sweep_scenarios(axis1, axis2, mode)
+    results = outage_reductions(
+        params, [scen for _, _, scen in cells], weather, grid, R, seed, baseline=baseline, observed=observed
+    )
+    return [(a1, a2, res.reduction_pct, res.std_err_pct) for (a1, a2, _), res in zip(cells, results)]

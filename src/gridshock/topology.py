@@ -122,13 +122,18 @@ class EdgeWeights:
         weights = [(s, t, float(self.w[self.graph.index[s, t]])) for s, t in self.graph.edges]
         return [e for e in weights if e[2] > 0]
 
-    def check_invariants(self) -> None:
+    def loops(self) -> np.ndarray:
+        """Per edge: True when it and its reverse both carry weight."""
         w, rev = self.w, self.graph.rev
+        return (w != 0) & (rev >= 0) & (w[rev] != 0)
+
+    def check_invariants(self) -> None:
+        w = self.w
         if not np.isfinite(w).all():
             raise ValidationError("non-finite coupling weight")
         if (w < 0).any():
             raise ValidationError("negative coupling weight")
-        loop = (w != 0) & (rev >= 0) & (w[rev] != 0)
+        loop = self.loops()
         if loop.any():
             e = int(np.flatnonzero(loop)[0])
             raise ValidationError(
@@ -185,7 +190,7 @@ def enforce_no_loops(weights: EdgeWeights) -> EdgeWeights:
     return EdgeWeights(g, np.where(lose, 0.0, w))
 
 
-def _triggering_totals(weights: EdgeWeights, history, params) -> np.ndarray:
+def triggering_totals(weights: EdgeWeights, history, params) -> np.ndarray:
     """Per-unit sum over the window of the model's truncated triggering mass R[j, t]."""
     from .model import kernel_matrix  # model imports this module
 
@@ -199,25 +204,28 @@ def _triggering_totals(weights: EdgeWeights, history, params) -> np.ndarray:
     return kernel_matrix(counts, beta, params.trig_window).sum(axis=1)
 
 
-def criticality_scores(weights: EdgeWeights, history, params) -> np.ndarray:
+def criticality_scores(weights: EdgeWeights, history, params, mass=None) -> np.ndarray:
     """Outage intensity each unit exports to its direct neighbors.
 
     score(j) = (sum of alpha[i, j] over targets i != j) x (sum over slots of
     unit j's truncated triggering mass R[j, t]), so the scores add up to the
     cascade intensity the model attributes to cross-unit edges. Units that
-    influence nobody score 0.
+    influence nobody score 0. `mass`, when given, is the already computed
+    :func:`triggering_totals` of the same history.
     """
     export_weight = np.bincount(weights.graph.src, weights=weights.w, minlength=weights.num_nodes)
-    return export_weight * _triggering_totals(weights, history, params)
+    return export_weight * (triggering_totals(weights, history, params) if mass is None else mass)
 
 
-def export_propagation_map(weights: EdgeWeights, history, params, path) -> int:
+def export_propagation_map(weights: EdgeWeights, history, params, path, mass=None) -> int:
     """Write `source,target,alpha,attributed_outages` rows, largest first.
 
     attributed_outages is the per-edge share of the source unit's criticality
-    score. Returns the number of data rows written.
+    score; `mass` is as in :func:`criticality_scores`. Returns the number of
+    data rows written.
     """
-    mass = _triggering_totals(weights, history, params)
+    if mass is None:
+        mass = triggering_totals(weights, history, params)
     rows = []
     for s, t, a in weights.nonzero_edges():
         rows.append((s, t, a, a * mass[s]))

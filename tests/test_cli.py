@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gridshock import cli
+from gridshock import cli, model, simulate, topology
 from gridshock.ingest import load_dataset
 from gridshock.model import deserialize
 
@@ -192,6 +192,46 @@ def test_enhance_scenario_and_sweep(pipeline):
     assert identity and float(identity[0][2]) == 0.0
 
 
+def test_enhance_simulates_each_distinct_parameter_set_once(pipeline, monkeypatch):
+    params = deserialize(pipeline["model"])
+    ds = load_dataset(pipeline["dataset"])
+    s, t = next((s, t) for s, t in params.graph.edges if params.alpha.w[params.graph.index[s, t]] > 0)
+    scen_path = pipeline["root"] / "scenario_once.json"
+    scen_path.write_text(json.dumps({"edge_reweights": [[s, t, 0.0]]}))
+    rollouts = []
+    rollout = simulate.simulate_paths
+
+    def counting(p, *args, **kwargs):
+        rollouts.append(p)
+        return rollout(p, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "simulate_paths", counting)
+    rc = cli.main(
+        [
+            "enhance",
+            "--dataset", str(pipeline["dataset"]),
+            "--model", str(pipeline["model"]),
+            "--output-dir", str(pipeline["root"] / "enh_once"),
+            "--scenario", str(scen_path),
+            "--replications", "10",
+            "--seed", "2",
+            "--sweep-units", "0,1,2",
+            "--sweep-edges", "0,1",
+        ]
+    )
+    assert rc == 0
+    # one rollout per distinct parameter set among the baseline, the scenario and
+    # the six cells; a baseline-plus-scenario pair per cell would take 2 + 6 * 2
+    applied = [params, simulate.apply_scenario(params, simulate.load_scenario(scen_path))]
+    applied += [
+        simulate.apply_scenario(params, scen, reference_history=ds.outages)
+        for _, _, scen in simulate.sweep_scenarios([0, 1, 2], [0, 1])
+    ]
+    distinct = {tuple(p.alpha.w.tolist() + p.gamma.tolist() + p.beta.tolist()) for p in applied}
+    assert len(rollouts) == len(distinct) < 2 + 6 * 2
+    assert rollouts[0].alpha.w.tobytes() == params.alpha.w.tobytes()  # the baseline comes first
+
+
 def test_enhance_needs_a_scenario_or_sweep(pipeline):
     rc = cli.main(
         [
@@ -238,6 +278,69 @@ def test_export_map_command(pipeline):
         rows = list(csv.reader(fh))
     assert rows[0] == ["source", "target", "alpha", "attributed_outages"]
     assert len(rows) > 1
+
+
+def test_export_map_runs_the_kernel_once(pipeline, monkeypatch, capsys):
+    params = deserialize(pipeline["model"])
+    ds = load_dataset(pipeline["dataset"])
+    out = pipeline["root"] / "map_once"
+    calls = []
+    kernel_matrix = model.kernel_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(model, "kernel_matrix", counting)
+    rc = cli.main(
+        [
+            "export-map",
+            "--dataset", str(pipeline["dataset"]),
+            "--model", str(pipeline["model"]),
+            "--output-dir", str(out),
+        ]
+    )
+    assert rc == 0
+    assert len(calls) == 1
+    printed = capsys.readouterr().out
+    # the shared totals give the same table and scores as separate passes
+    reference = pipeline["root"] / "map_reference.csv"
+    topology.export_propagation_map(params.alpha, ds.outages, params, reference)
+    assert (out / "propagation_map.csv").read_bytes() == reference.read_bytes()
+    scores = topology.criticality_scores(params.alpha, ds.outages, params)
+    for line in printed.splitlines()[1:]:
+        j = int(line.split()[2])
+        assert line.endswith(f"exported intensity {scores[j]:.2f}")
+
+
+def test_fit_constraints_line_matches_the_saved_model(pipeline, tmp_path, capsys):
+    path = tmp_path / "model.gshk"
+    rc = cli.main(
+        [
+            "fit",
+            "--dataset", str(pipeline["dataset"]),
+            "--model", str(path),
+            "--output-dir", str(tmp_path),
+            "--epochs", "3",
+            "--seed", "3",
+            "--k-neighbors", "3",
+        ]
+    )
+    assert rc == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("constraints ok: "))
+    printed = dict(field.split("=") for field in line.removeprefix("constraints ok: ").split())
+    params = deserialize(path)
+    alpha = params.alpha.alpha
+    candidates = [alpha[t, s] for s, t in params.graph.edges]
+    assert printed == {
+        "min_alpha": f"{min(candidates):.3g}",
+        "min_beta": f"{params.beta.min():.3g}",
+        "min_gamma": f"{params.gamma.min():.3g}",
+        "min_omega": f"{params.decay.omega.min():.3g}",
+        "loops": str(sum(alpha[t, s] != 0 and alpha[s, t] != 0 for s, t in params.graph.edges)),
+        "active_edges": str(sum(a > 0 for a in candidates)),
+    }
+    assert int(printed["active_edges"]) > 0
 
 
 def test_fit_rerun_is_byte_identical(pipeline):

@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,10 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from synth import random_small_instance, wrap_dataset
+from synth import random_small_instance, random_small_params, wrap_dataset
+from gridshock import simulate
 from gridshock.errors import DivergenceError, NumericError, ValidationError
-from gridshock.model import MlpParams, ModelParams, intensity_field
+from gridshock.model import (
+    Coupling,
+    Kernel,
+    MlpParams,
+    ModelParams,
+    direct_from_weather,
+    intensity_field,
+    kernel_matrix,
+)
 from gridshock.simulate import (
+    LAMBDA_OVERFLOW,
     MEAN,
     ReductionResult,
     Scenario,
@@ -21,6 +34,7 @@ from gridshock.simulate import (
     save_scenario,
     simulate_paths,
     sweep,
+    sweep_scenarios,
     top_e_edges_per_unit,
     top_k_units_by_max_outages,
 )
@@ -252,6 +266,136 @@ def test_free_running_paths_are_draws_from_their_own_field(seed, K, T, window):
         assert_array_equal(redrawn, res.paths[r])
 
 
+def _per_replication_reference(params, weather, T, reps, seed, cutoff=0, observed=None, store_paths=False):
+    """The rollout as it was before replications were stepped together: each
+    replication in `reps` walks the slots alone with its own full history."""
+    x = np.asarray(weather, dtype=np.float64)[:, :T, :]
+    K, R = params.num_units, len(reps)
+    obs = None if observed is None else np.asarray(observed, dtype=np.float64)
+    mu_direct = direct_from_weather(params, x)
+    kern = Kernel(params.beta, params.trig_window)
+    coupling = Coupling(params.alpha)
+    if cutoff >= T:
+        lam_forced = mu_direct + coupling.apply(kernel_matrix(obs[:, :T], params.beta, params.trig_window)) + params.eps
+    rep_totals = np.zeros(R)
+    unit_totals = np.zeros(K)
+    cell_sum = np.zeros((K, T))
+    cell_sq = np.zeros((K, T))
+    paths = np.zeros((R, K, T), dtype=np.int64) if store_paths else None
+    for k, r in enumerate(reps):
+        rng = np.random.default_rng(seed ^ r)
+        if cutoff >= T:
+            path = rng.poisson(lam_forced).astype(np.float64)
+        else:
+            path = np.zeros((K, T))
+            hist = np.zeros((K, T))
+            P = np.zeros(K)
+            for t in range(T):
+                lam_t = mu_direct[:, t] + coupling.apply(params.beta * P) + params.eps
+                if (lam_t > LAMBDA_OVERFLOW).any():
+                    i = int(np.argmax(lam_t))
+                    raise DivergenceError(
+                        f"simulated intensity exploded at (unit={i}, slot={t}, replication={r}): {lam_t[i]:.3e}"
+                    )
+                path[:, t] = rng.poisson(lam_t)
+                hist[:, t] = obs[:, t] if t < cutoff else path[:, t]
+                P = kern.step_at(P, hist, t)
+        rep_totals[k] = path.sum()
+        unit_totals += path.sum(axis=1)
+        cell_sum += path
+        cell_sq += path * path
+        if store_paths:
+            paths[k] = path.astype(np.int64)
+    cell_mean = cell_sum / R
+    cell_var = (cell_sq - R * cell_mean**2) / max(R - 1, 1)
+    np.maximum(cell_var, 0.0, out=cell_var)
+    return SimResult(R, seed, rep_totals, cell_mean, cell_var, unit_totals / R, paths)
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**16),
+    K=st.integers(2, 5),
+    window=st.integers(1, 6),
+    extra=st.integers(1, 20),
+    R=st.integers(1, 5),
+    forcing=st.sampled_from(["free", "partial", "full"]),
+    store_paths=st.booleans(),
+    one_per_block=st.booleans(),
+)
+def test_batched_rollout_matches_per_replication_reference(
+    seed, K, window, extra, R, forcing, store_paths, one_per_block
+):
+    T = window + extra
+    params, observed, weather = random_small_instance(np.random.default_rng(seed), K=K, T=T, n_edges=2 * K)
+    params.trig_window = window
+    cutoff = {"free": 0, "partial": 1 + seed % (T - 1), "full": T}[forcing]
+    ds = _shell(params, T)
+    # BLOCK_FLOATS = 1 puts every replication in a block of its own
+    with mock.patch.object(simulate, "BLOCK_FLOATS", 1 if one_per_block else simulate.BLOCK_FLOATS):
+        got = simulate_paths(
+            params, weather, ds.grid, R, seed, teacher_forced_until=cutoff,
+            observed=observed if cutoff else None, store_paths=store_paths,
+        )
+    want = _per_replication_reference(params, weather, T, range(R), seed, cutoff, observed, store_paths)
+    assert (got.replications, got.seed) == (want.replications, want.seed)
+    for name in ("rep_totals", "cell_mean", "cell_var", "unit_total_mean"):
+        _assert_same_bits(getattr(got, name), getattr(want, name))
+    if store_paths:
+        _assert_same_bits(got.paths, want.paths)
+    else:
+        assert got.paths is None
+
+
+def test_divergence_names_the_first_slot_and_replication_that_explode():
+    # the batched loop stops at the earliest slot at which any replication
+    # explodes and names the lowest such replication, with the unit and value
+    # that replication's own rollout reports there (here slot 21, reached by
+    # replications 2 and 5; a loop over replications would stop at slot 23 of
+    # replication 0)
+    params = _chain_params(
+        K=3, alphas=((0, 1, 10.0), (1, 2, 10.0), (2, 0, 10.0)), beta=(2.0, 2.0, 2.0), gamma=(0.1, 0.1, 0.1)
+    )
+    T, R, seed = 40, 6, 16
+    ds = _shell(params, T)
+    with pytest.raises(DivergenceError) as exc:
+        simulate_paths(params, ds.weather, ds.grid, R=R, seed=seed)
+    message = str(exc.value)
+    named = re.search(r"\(unit=(\d+), slot=(\d+), replication=(\d+)\)", message)
+    assert named, message
+    slot, rep = int(named.group(2)), int(named.group(3))
+    first = {}
+    for r in range(R):
+        with pytest.raises(DivergenceError) as alone:
+            _per_replication_reference(params, ds.weather.values, T, [r], seed)
+        first[r] = int(re.search(r"slot=(\d+)", str(alone.value)).group(1))
+        if r == rep:
+            assert str(alone.value) == message
+    assert slot == min(first.values())
+    assert sum(v == slot for v in first.values()) > 1 and first[0] > slot
+    assert rep == min(r for r in first if first[r] == slot)
+
+
+def test_free_running_memory_does_not_grow_with_replications_times_slots():
+    # only the counts inside the kernel window are kept: R x K x (window + 1)
+    R, K, T = 100, 200, 200
+    params = random_small_params(np.random.default_rng(5), K=K, M=2, n_edges=2 * K, trig_window=5)
+    ds = _shell(params, T)
+    weather = np.zeros((K, T, 2))
+    tracemalloc.start()
+    try:
+        res = simulate_paths(params, weather, ds.grid, R=R, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.paths is None and res.rep_totals.shape == (R,)
+    assert peak < R * K * T * 8 / 4, f"peak {peak} bytes"
+
+
 def test_simulation_diverges_loudly_when_unstable():
     # a 3-cycle is loop-free pairwise, but with couplings this strong the
     # branching ratio is far above one and the intensity runs away
@@ -318,3 +462,35 @@ def test_sweep_grid():
         sweep(params, ds.weather, ds.grid, axis1=[], axis2=[1], R=5, seed=1)
     with pytest.raises(ValidationError, match="mode"):
         sweep(params, ds.weather, ds.grid, axis1=[1], axis2=[1], R=5, seed=1, mode="blah")
+
+
+def test_sweep_simulates_each_distinct_parameter_set_once(monkeypatch):
+    # every unit has out-edges of distinct weights, so the four cells that
+    # touch edges give four distinct parameter sets
+    alphas = ((0, 1, 0.9), (0, 2, 0.1), (1, 2, 0.7), (1, 3, 0.2), (2, 3, 0.4))
+    params = _chain_params(K=4, alphas=alphas, beta=(1, 1, 1, 1), gamma=(0.8, 0.5, 0.2, 0.3))
+    T = 30
+    observed = np.zeros((4, T), dtype=np.int64)
+    observed[:, 3] = [9, 7, 1, 0]  # unit 0 then unit 1 have the largest peaks
+    ds = wrap_dataset(observed, np.zeros((4, T, 1)))
+    calls = []
+    rollout = simulate.simulate_paths
+
+    def counting(p, *args, **kwargs):
+        calls.append(p)
+        return rollout(p, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "simulate_paths", counting)
+    axes = dict(axis1=[0, 1, 2], axis2=[0, 1, 2])
+    rows = sweep(params, ds.weather, ds.grid, **axes, R=20, seed=3, observed=observed)
+    identity = sum(scen.is_identity() for _, _, scen in sweep_scenarios(**axes))
+    assert identity == 5
+    assert len(calls) == 1 + (9 - identity)  # the baseline, then each non-identity cell
+    one_by_one = [
+        (a1, a2, *(lambda r: (r.reduction_pct, r.std_err_pct))(
+            outage_reduction(params, scen, ds.weather, ds.grid, R=20, seed=3, observed=observed)
+        ))
+        for a1, a2, scen in sweep_scenarios(**axes)
+    ]
+    assert rows == one_by_one
+    assert [pct for a1, a2, pct, _ in rows if not (a1 and a2)] == [0.0] * identity
