@@ -375,15 +375,13 @@ def write_decomposition_csv(path, decomp: Decomposition) -> None:
 
 
 def write_predictions_csv(path, report: PredictionReport) -> None:
-    K, T = report.predicted.shape
+    units, slots = np.nonzero(~np.isnan(report.predicted))
+    predicted = report.predicted[units, slots].astype(np.float64).tolist()
+    actual = report.actual[units, slots].astype(np.float64).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(["unit", "slot", "predicted", "actual"])
-        for i in range(K):
-            for t in range(T):
-                if np.isnan(report.predicted[i, t]):
-                    continue
-                wr.writerow([i, t, _fmt(report.predicted[i, t]), _fmt(report.actual[i, t])])
+        wr.writerows(zip(units.tolist(), slots.tolist(), map(repr, predicted), map(repr, actual)))
 
 
 def write_sigmoid_csv(path, fits: list) -> None:

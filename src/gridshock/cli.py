@@ -189,19 +189,16 @@ def _require_file(path, kind: str):
 
 def _resolve_grid(cfg: dict, outage_rows, weather_rows):
     """Build the TimeGrid, deriving span from the data when set to "auto"."""
+    from operator import itemgetter
+
     from .ingest import TimeGrid, parse_timestamp
 
     slot_seconds = int(cfg["grid"]["slot_seconds"])
     start_cfg = cfg["grid"]["start"]
     slots_cfg = cfg["grid"]["num_slots"]
     if start_cfg == "auto" or slots_cfg == "auto":
-        ts_min, ts_max = None, None
-        for _, ts, _ in outage_rows:
-            ts_min = ts if ts_min is None or ts < ts_min else ts_min
-            ts_max = ts if ts_max is None or ts > ts_max else ts_max
-        for _, ts, _ in weather_rows:
-            ts_min = ts if ts_min is None or ts < ts_min else ts_min
-            ts_max = ts if ts_max is None or ts > ts_max else ts_max
+        stamps = [*map(itemgetter(1), outage_rows), *map(itemgetter(1), weather_rows)]
+        ts_min, ts_max = min(stamps, default=None), max(stamps, default=None)
         if ts_min is None:
             from .errors import InsufficientDataError
 
@@ -229,13 +226,12 @@ def cmd_ingest(cfg: dict, args) -> int:
     weather_path = _require_file(_require(cfg, "weather_csv", "--weather"), "weather CSV")
     units = ingest.load_units(units_path)
     variables, weather_rows = ingest.load_weather_rows(weather_path)
-    grid = _resolve_grid(cfg, ingest.load_outage_rows(outages_path), weather_rows)
-    outages = ingest.aggregate_outages(
-        ingest.load_outage_rows(outages_path), units, grid, method=cfg["aggregation"]
-    )
-    weather = ingest.aggregate_weather(
-        ingest.load_weather_rows(weather_path)[1], units, grid, variables
-    )
+    # Each file is parsed once; the grid and the aggregation read the same rows.
+    outage_rows = list(ingest.load_outage_rows(outages_path))
+    weather_rows = list(weather_rows)
+    grid = _resolve_grid(cfg, outage_rows, weather_rows)
+    outages = ingest.aggregate_outages(outage_rows, units, grid, method=cfg["aggregation"])
+    weather = ingest.aggregate_weather(weather_rows, units, grid, variables)
     ds = ingest.Dataset(units=units, grid=grid, outages=outages, weather=weather)
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -308,15 +304,16 @@ def cmd_fit(cfg: dict, args) -> int:
     _echo_config(cfg, "fit")
     params.check_invariants()
     w = params.alpha.w
+    kept = w[w > 0]  # the no-loop projection stores the losing direction of a pair as 0
     print(
         f"fit done: epochs={report.epochs_run} final_loglik={report.final_loglik:.6f} "
         f"converged={report.converged} seconds={report.seconds:.1f}"
     )
     print(
         "constraints ok: "
-        f"min_alpha={w.min(initial=np.inf):.3g} min_beta={params.beta.min():.3g} "
+        f"min_alpha={kept.min(initial=np.inf):.3g} min_beta={params.beta.min():.3g} "
         f"min_gamma={params.gamma.min():.3g} min_omega={params.decay.omega.min():.3g} "
-        f"loops={int(params.alpha.loops().sum())} active_edges={int((w > 0).sum())}"
+        f"loops={int(params.alpha.loops().sum())} active_edges={kept.size}"
     )
     print(f"wrote {model_path}")
     return EXIT_OK
@@ -516,18 +513,6 @@ def cmd_export_map(cfg: dict, args) -> int:
 # -- validate-only ------------------------------------------------------------
 
 
-def _validate_csv_header(path, required: set, kind: str) -> None:
-    import csv as _csv
-
-    from .errors import SchemaError
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(_csv.reader(fh), [])
-    missing = required - set(header)
-    if missing:
-        raise SchemaError(f"{kind} {path}: missing required column(s) {sorted(missing)}")
-
-
 def validate_only(cfg: dict, command: str) -> int:
     """Check config ranges and input file schemas without computing anything."""
     from .container import peek_schema
@@ -544,21 +529,10 @@ def validate_only(cfg: dict, command: str) -> int:
         raise ValidationError("predict.horizon must be >= 1")
 
     if command == "ingest":
-        _validate_csv_header(
-            _require_file(_require(cfg, "units_csv", "--units"), "units CSV"),
-            {"unit_id", "lat", "lon", "total_customers"},
-            "units CSV",
-        )
-        _validate_csv_header(
-            _require_file(_require(cfg, "outages_csv", "--outages"), "outages CSV"),
-            {"unit_id", "timestamp", "customers_out"},
-            "outages CSV",
-        )
-        _validate_csv_header(
-            _require_file(_require(cfg, "weather_csv", "--weather"), "weather CSV"),
-            {"unit_id", "timestamp"},
-            "weather CSV",
-        )
+        from .ingest import read_header
+
+        for kind in ("units", "outages", "weather"):
+            read_header(_require_file(_require(cfg, f"{kind}_csv", f"--{kind}"), f"{kind} CSV"), kind)
     else:
         ds_path = _require_file(_require(cfg, "dataset", "--dataset"), "dataset")
         schema = peek_schema(ds_path)

@@ -16,6 +16,7 @@ Conventions:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -183,35 +184,87 @@ class Dataset:
         return {u.unit_id: i for i, u in enumerate(self.units)}
 
 
+CSV_COLUMNS = {
+    "units": ("unit_id", "lat", "lon", "total_customers"),
+    "outages": ("unit_id", "timestamp", "customers_out"),
+    "weather": ("unit_id", "timestamp"),  # plus one column per weather variable
+}
+
+
+def read_header(path, kind: str) -> list[str]:
+    """Header row of a units/outages/weather CSV, checked for its required columns.
+
+    A weather header also needs at least one variable column. The loaders
+    check their files here, and so does `gridshock ingest --validate-only`.
+    """
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), [])
+    missing = set(CSV_COLUMNS[kind]) - set(header)
+    if missing:
+        raise SchemaError(f"{path}: missing required column(s) {sorted(missing)}")
+    if kind == "weather" and set(header) <= set(CSV_COLUMNS["weather"]):
+        raise SchemaError(f"{path}: no weather variable columns")
+    return header
+
+
+def _data_rows(path, width: int):
+    """Yield (line number, fields) for each data row of a CSV file.
+
+    Blank lines are skipped; a row with other than `width` fields fails
+    with its file and line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for fields in reader:
+            if len(fields) != width:
+                if not fields:
+                    continue
+                raise ValidationError(f"{path}:{reader.line_num}: {len(fields)} fields, the header has {width}")
+            yield reader.line_num, fields
+
+
+class _Memo(dict):
+    """`memo[key]` is `fn(key)`, computed on the first lookup of each distinct key.
+
+    Raw feeds repeat each timestamp once per unit and each unit id once per
+    timestamp, so the loaders parse each distinct string once.
+    """
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def load_units(path) -> list[UnitMeta]:
     """Read units.csv (unit_id, lat, lon, total_customers), preserving row order."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"unit_id", "lat", "lon", "total_customers"}
-        header = set(reader.fieldnames or [])
-        missing = required - header
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s) {sorted(missing)}")
-        units: list[UnitMeta] = []
-        seen: set[str] = set()
-        for row_num, row in enumerate(reader, start=2):
-            uid = (row["unit_id"] or "").strip()
-            if not uid:
-                raise ValidationError(f"{path}:{row_num}: empty unit_id")
-            if uid in seen:
-                raise ValidationError(f"{path}:{row_num}: duplicate unit_id {uid!r}")
-            seen.add(uid)
-            try:
-                unit = UnitMeta(
-                    unit_id=uid,
-                    centroid_lat=float(row["lat"]),
-                    centroid_lon=float(row["lon"]),
-                    total_customers=int(float(row["total_customers"])),
-                )
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{row_num}: {exc}") from exc
-            units.append(unit)
+    header = read_header(path, "units")
+    uid_col, lat_col, lon_col, customers_col = map(header.index, CSV_COLUMNS["units"])
+    units: list[UnitMeta] = []
+    seen: set[str] = set()
+    for row_num, fields in _data_rows(path, len(header)):
+        uid = fields[uid_col].strip()
+        if not uid:
+            raise ValidationError(f"{path}:{row_num}: empty unit_id")
+        if uid in seen:
+            raise ValidationError(f"{path}:{row_num}: duplicate unit_id {uid!r}")
+        seen.add(uid)
+        try:
+            unit = UnitMeta(
+                unit_id=uid,
+                centroid_lat=float(fields[lat_col]),
+                centroid_lon=float(fields[lon_col]),
+                total_customers=int(float(fields[customers_col])),
+            )
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{row_num}: {exc}") from exc
+        units.append(unit)
     if not units:
         raise ValidationError(f"{path}: no unit rows")
     return units
@@ -224,54 +277,75 @@ def load_outage_rows(path):
     cast to an int64 count cell.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"unit_id", "timestamp", "customers_out"}
-        header = set(reader.fieldnames or [])
-        missing = required - header
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s) {sorted(missing)}")
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                value = float(row["customers_out"])
-                if not 0 <= value < 2**63:
-                    raw = row["customers_out"]
-                    raise ValueError(f"customers_out must be a finite count in [0, 2**63), got {raw!r}")
-                yield row["unit_id"].strip(), parse_timestamp(row["timestamp"]), value
-            except (ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{row_num}: {exc}") from exc
+    header = read_header(path, "outages")
+    uid_col, ts_col, count_col = map(header.index, CSV_COLUMNS["outages"])
+    names, stamps = _Memo(str.strip), _Memo(parse_timestamp)
+    for row_num, fields in _data_rows(path, len(header)):
+        try:
+            value = float(fields[count_col])
+            if not 0 <= value < 2**63:
+                raise ValueError(f"customers_out must be a finite count in [0, 2**63), got {fields[count_col]!r}")
+            ts = stamps[fields[ts_col]]
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"{path}:{row_num}: {exc}") from exc
+        yield names[fields[uid_col]], ts, value
 
 
 def load_weather_rows(path):
     """Return (variable_names, row iterator of (unit_id, timestamp, values)).
 
-    The header is checked at once; the iterator opens the file only when it
-    is read, so an iterator that is never read holds no open file.
+    `values` is a tuple of floats, one per variable. The header is checked at
+    once; the iterator opens the file only when it is read, so an iterator
+    that is never read holds no open file.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        fields = next(csv.reader(fh), [])
-    if "unit_id" not in fields or "timestamp" not in fields:
-        raise SchemaError(f"{path}: missing required column(s) ['timestamp', 'unit_id']")
-    variables = [c for c in fields if c not in ("unit_id", "timestamp")]
-    if not variables:
-        raise SchemaError(f"{path}: no weather variable columns")
+    header = read_header(path, "weather")
+    uid_col, ts_col = map(header.index, CSV_COLUMNS["weather"])
+    var_cols = [c for c, name in enumerate(header) if name not in CSV_COLUMNS["weather"]]
 
     def rows():
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row_num, row in enumerate(csv.DictReader(fh), start=2):
-                try:
-                    vals = np.array([float(row[v]) for v in variables])
-                except (TypeError, ValueError) as exc:
-                    raise ValidationError(
-                        f"{path}:{row_num}: non-numeric weather value ({exc})"
-                    ) from exc
-                if not np.isfinite(vals).all():
-                    bad = variables[int(np.argmin(np.isfinite(vals)))]
-                    raise ValidationError(f"{path}:{row_num}: non-finite {bad} value {row[bad]!r}")
-                yield row["unit_id"].strip(), parse_timestamp(row["timestamp"]), vals
+        names, stamps = _Memo(str.strip), _Memo(parse_timestamp)
+        for row_num, fields in _data_rows(path, len(header)):
+            try:
+                vals = tuple(map(float, map(fields.__getitem__, var_cols)))
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{row_num}: non-numeric weather value ({exc})") from exc
+            if not all(map(math.isfinite, vals)):
+                bad = next(c for c, v in zip(var_cols, vals) if not math.isfinite(v))
+                raise ValidationError(f"{path}:{row_num}: non-finite {header[bad]} value {fields[bad]!r}")
+            try:
+                ts = stamps[fields[ts_col]]
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{row_num}: {exc}") from exc
+            yield names[fields[uid_col]], ts, vals
 
-    return variables, rows()
+    return [header[c] for c in var_cols], rows()
+
+
+def _columns(raw_rows, units: list[UnitMeta], grid: TimeGrid, kind: str):
+    """One pass over (unit_id, timestamp, value) rows: integer unit and slot columns.
+
+    Returns, per row: the unit index, the slot (-1 outside the grid span),
+    the timestamp's rank among the distinct timestamps (equal timestamps
+    share a rank), and the values as given. The slot and rank of each
+    distinct timestamp are computed once.
+    """
+    index = {u.unit_id: i for i, u in enumerate(units)}
+    ids: dict[datetime, int] = {}  # distinct timestamp -> id, in order of first appearance
+    unit_col, stamp_col, values = [], [], []
+    for uid, ts, value in raw_rows:
+        i = index.get(uid)
+        if i is None:
+            raise ValidationError(f"{kind} row references unknown unit_id {uid!r}")
+        unit_col.append(i)
+        stamp_col.append(ids.setdefault(ts, len(ids)))
+        values.append(value)
+    stamps = list(ids)
+    slot_of = np.array([grid.slot_of(ts) for ts in stamps], dtype=np.int64)
+    rank = np.empty(len(stamps), dtype=np.int64)
+    rank[sorted(range(len(stamps)), key=stamps.__getitem__)] = np.arange(len(stamps))
+    stamp_col = np.array(stamp_col, dtype=np.int64)
+    return np.array(unit_col, dtype=np.int64), slot_of[stamp_col], rank[stamp_col], values
 
 
 def aggregate_outages(raw_rows, units: list[UnitMeta], grid: TimeGrid, method: str = "mean") -> OutageSeries:
@@ -279,46 +353,39 @@ def aggregate_outages(raw_rows, units: list[UnitMeta], grid: TimeGrid, method: s
 
     Slots with no samples are 0 and flagged in the returned gap mask.
     Out-of-span timestamps are skipped and tallied on `series.skipped_rows`.
+    `last` keeps the sample with the latest timestamp; of equal timestamps,
+    the later row.
     """
     if method not in AGGREGATION_METHODS:
         raise ValidationError(f"unknown aggregation method {method!r}; choose from {AGGREGATION_METHODS}")
-    index = {u.unit_id: i for i, u in enumerate(units)}
     K, T = len(units), grid.num_slots
-    sums = np.zeros((K, T))
-    counts = np.zeros((K, T), dtype=np.int64)
-    maxima = np.zeros((K, T))
-    last_val = np.zeros((K, T))
-    last_ts: dict[tuple[int, int], datetime] = {}
-    skipped = 0
-    for uid, ts, value in raw_rows:
-        if uid not in index:
-            raise ValidationError(f"outage row references unknown unit_id {uid!r}")
-        if value < 0:
-            raise ValidationError(f"negative customers_out {value} for unit {uid!r}")
-        slot = grid.slot_of(ts)
-        if slot < 0:
-            skipped += 1
-            continue
-        i = index[uid]
-        sums[i, slot] += value
-        counts[i, slot] += 1
-        maxima[i, slot] = max(maxima[i, slot], value)
-        prev = last_ts.get((i, slot))
-        if prev is None or ts >= prev:
-            last_ts[(i, slot)] = ts
-            last_val[i, slot] = value
-    covered = counts > 0
+    unit, slot, rank, raw_values = _columns(raw_rows, units, grid, "outage")
+    values = np.array(raw_values, dtype=np.float64)
+    negative = np.flatnonzero(values < 0)
+    if negative.size:
+        j = negative[0]
+        raise ValidationError(f"negative customers_out {raw_values[j]} for unit {units[unit[j]].unit_id!r}")
+    keep = slot >= 0
+    cell, values, rank = unit[keep] * T + slot[keep], values[keep], rank[keep]
+    counts = np.bincount(cell, minlength=K * T)
     if method == "mean":
-        with np.errstate(invalid="ignore"):
-            agg = np.where(covered, sums / np.maximum(counts, 1), 0.0)
-        cells = np.floor(agg + 0.5).astype(np.int64)  # round half-up
+        # bincount adds the weights in row order, as a per-row `+=` would
+        sums = np.bincount(cell, weights=values, minlength=K * T)
+        agg = sums / np.maximum(counts, 1)
     elif method == "max":
-        cells = np.floor(maxima + 0.5).astype(np.int64)
+        agg = np.zeros(K * T)
+        np.maximum.at(agg, cell, values)
     else:
-        cells = np.floor(last_val + 0.5).astype(np.int64)
+        order = np.lexsort((rank, cell))  # stable: equal (cell, timestamp) keep row order
+        is_last = np.ones(order.size, dtype=bool)
+        is_last[:-1] = cell[order[1:]] != cell[order[:-1]]
+        agg = np.zeros(K * T)
+        agg[cell[order[is_last]]] = values[order[is_last]]
+    covered = (counts > 0).reshape(K, T)
+    cells = np.floor(agg + 0.5).astype(np.int64).reshape(K, T)  # round half-up
     cells[~covered] = 0
     series = OutageSeries(counts=cells, gap_mask=~covered)
-    series.skipped_rows = skipped
+    series.skipped_rows = int((~keep).sum())
     return series
 
 
@@ -328,28 +395,22 @@ def aggregate_weather(raw_rows, units: list[UnitMeta], grid: TimeGrid, variable_
     A cell with no samples takes the previous slot's value for that unit
     (0 when the gap is at the start of the series) and is flagged.
     """
-    index = {u.unit_id: i for i, u in enumerate(units)}
     K, T, M = len(units), grid.num_slots, len(variable_names)
-    sums = np.zeros((K, T, M))
-    counts = np.zeros((K, T), dtype=np.int64)
-    skipped = 0
-    for uid, ts, vals in raw_rows:
-        if uid not in index:
-            raise ValidationError(f"weather row references unknown unit_id {uid!r}")
-        slot = grid.slot_of(ts)
-        if slot < 0:
-            skipped += 1
-            continue
-        i = index[uid]
-        sums[i, slot, :] += vals
-        counts[i, slot] += 1
+    unit, slot, _, raw_values = _columns(raw_rows, units, grid, "weather")
+    keep = slot >= 0
+    cell = unit[keep] * T + slot[keep]
+    samples = np.array(raw_values, dtype=np.float64).reshape(len(raw_values), M)[keep]
+    counts = np.bincount(cell, minlength=K * T).reshape(K, T)
+    # one bin per (cell, variable); bincount adds each bin's samples in row order
+    bins = (cell[:, None] * M + np.arange(M)).ravel()
+    sums = np.bincount(bins, weights=samples.ravel(), minlength=K * T * M).reshape(K, T, M)
     covered = counts > 0
     values = np.where(covered[:, :, None], sums / np.maximum(counts, 1)[:, :, None], 0.0)
-    for t in range(1, T):
-        gap = ~covered[:, t]
-        values[gap, t, :] = values[gap, t - 1, :]
+    # each gap takes the value of the unit's last covered slot; a leading gap takes slot 0's 0.0
+    source = np.maximum.accumulate(np.where(covered, np.arange(T), 0), axis=1)
+    values = np.take_along_axis(values, source[:, :, None], axis=1)
     tensor = WeatherTensor(values=values, variable_names=list(variable_names), gap_mask=~covered)
-    tensor.skipped_rows = skipped
+    tensor.skipped_rows = int((~keep).sum())
     return tensor
 
 

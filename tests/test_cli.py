@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gridshock import cli, model, simulate, topology
+from gridshock import cli, ingest, model, simulate, topology
 from gridshock.ingest import load_dataset
 from gridshock.model import deserialize
 
@@ -333,7 +333,7 @@ def test_fit_constraints_line_matches_the_saved_model(pipeline, tmp_path, capsys
     alpha = params.alpha.alpha
     candidates = [alpha[t, s] for s, t in params.graph.edges]
     assert printed == {
-        "min_alpha": f"{min(candidates):.3g}",
+        "min_alpha": f"{min(a for a in candidates if a > 0):.3g}",  # the weakest kept coupling
         "min_beta": f"{params.beta.min():.3g}",
         "min_gamma": f"{params.gamma.min():.3g}",
         "min_omega": f"{params.decay.omega.min():.3g}",
@@ -341,6 +341,7 @@ def test_fit_constraints_line_matches_the_saved_model(pipeline, tmp_path, capsys
         "active_edges": str(sum(a > 0 for a in candidates)),
     }
     assert int(printed["active_edges"]) > 0
+    assert float(printed["min_alpha"]) > 0
 
 
 def test_fit_rerun_is_byte_identical(pipeline):
@@ -461,6 +462,73 @@ def test_ingest_reports_the_row_of_a_bad_count(pipeline, tmp_path, capsys):
     assert rc == 2
     assert f"{outages}:2: customers_out must be a finite count" in capsys.readouterr().err
     assert not (tmp_path / "out" / "dataset.gshk").exists()
+
+
+def test_ingest_parses_each_file_once(pipeline, tmp_path, monkeypatch):
+    calls = {"outages": 0, "weather": 0}
+    yielded = {"outages": 0, "weather": 0}
+
+    def counted(kind, rows):
+        for row in rows:
+            yielded[kind] += 1
+            yield row
+
+    load_outage_rows, load_weather_rows = ingest.load_outage_rows, ingest.load_weather_rows
+
+    def outage_rows(path):
+        calls["outages"] += 1
+        return counted("outages", load_outage_rows(path))
+
+    def weather_rows(path):
+        calls["weather"] += 1
+        variables, rows = load_weather_rows(path)
+        return variables, counted("weather", rows)
+
+    monkeypatch.setattr(ingest, "load_outage_rows", outage_rows)
+    monkeypatch.setattr(ingest, "load_weather_rows", weather_rows)
+    out = tmp_path / "out"
+    rc = cli.main(["ingest", "--units", str(pipeline["units"]), "--outages", str(pipeline["outages"]),
+                   "--weather", str(pipeline["weather"]), "--output-dir", str(out), "--slot-seconds", "3600",
+                   "--grid-start", "auto", "--num-slots", "auto"])
+    assert rc == 0
+    assert calls == {"outages": 1, "weather": 1}
+    data_rows = {kind: len(pipeline[kind].read_text().splitlines()) - 1 for kind in yielded}
+    assert yielded == data_rows
+    assert (out / "dataset.gshk").read_bytes() == pipeline["dataset"].read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["outages", "weather"])
+def test_ingest_reports_the_row_of_a_short_or_long_row(pipeline, tmp_path, capsys, kind):
+    lines = pipeline[kind].read_text().splitlines()
+    inputs = {"outages": pipeline["outages"], "weather": pipeline["weather"]}
+
+    def run(text):
+        inputs[kind] = tmp_path / f"{kind}.csv"
+        inputs[kind].write_text(text)
+        return cli.main(["ingest", "--units", str(pipeline["units"]), "--outages", str(inputs["outages"]),
+                         "--weather", str(inputs["weather"]), "--output-dir", str(tmp_path / "out"),
+                         "--slot-seconds", "3600"])
+
+    # blank lines are skipped; the row numbers count every line of the file
+    assert run("\n".join([lines[0], "", *lines[1:], ""]) + "\n") == 0
+    capsys.readouterr()
+    width = len(lines[0].split(","))
+    short = lines[1].rsplit(",", 1)[0]
+    for bad, n in ((short, width - 1), (lines[1] + ",7", width + 1)):
+        assert run("\n".join([lines[0], lines[1], "", bad, *lines[2:]]) + "\n") == 2
+        assert f"{inputs[kind]}:4: {n} fields, the header has {width}" in capsys.readouterr().err
+
+
+def test_validate_only_runs_the_loaders_header_checks(pipeline, tmp_path, capsys):
+    weather = tmp_path / "weather.csv"
+    weather.write_text("unit_id,timestamp\ntown0,2023-06-01T00:00:00Z\n")
+    args = ["ingest", "--units", str(pipeline["units"]), "--outages", str(pipeline["outages"]),
+            "--weather", str(weather), "--output-dir", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    ingest_err = capsys.readouterr().err
+    assert cli.main([*args, "--validate-only"]) == 2
+    assert capsys.readouterr().err == ingest_err == f"error: {weather}: no weather variable columns\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_validation_errors(pipeline, tmp_path):

@@ -2,6 +2,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from gridshock.errors import SchemaError, ValidationError
@@ -114,6 +116,10 @@ def test_aggregate_outages_max_and_last():
     ]
     assert aggregate_outages(rows, units, grid, method="max").counts[0, 0] == 9
     assert aggregate_outages(rows, units, grid, method="last").counts[0, 0] == 4
+    # of equal timestamps, in any UTC offset, the later row wins
+    tied = _ts(0, 50).astimezone(timezone(timedelta(hours=-5)))
+    assert aggregate_outages([*rows, ("u0", tied, 6.0)], units, grid, method="last").counts[0, 0] == 6
+    assert aggregate_outages([("u0", tied, 6.0), *rows], units, grid, method="last").counts[0, 0] == 4
 
 
 def test_aggregate_outages_skips_out_of_span():
@@ -167,6 +173,108 @@ def test_aggregate_weather_leading_gap_is_zero():
     wx = aggregate_weather(rows, units, grid, ["wind"])
     assert_array_equal(wx.values[:, :, 0], [[0.0, 4.0, 4.0]])
     assert wx.gap_mask[0, 0]
+
+
+# -- bucketing against the per-row reference ----------------------------------
+
+
+def _reference_outages(raw_rows, units, grid, method):
+    """The per-row loop the vectorised aggregate_outages replaced."""
+    index = {u.unit_id: i for i, u in enumerate(units)}
+    K, T = len(units), grid.num_slots
+    sums = np.zeros((K, T))
+    counts = np.zeros((K, T), dtype=np.int64)
+    maxima = np.zeros((K, T))
+    last_val = np.zeros((K, T))
+    last_ts = {}
+    skipped = 0
+    for uid, ts, value in raw_rows:
+        slot = grid.slot_of(ts)
+        if slot < 0:
+            skipped += 1
+            continue
+        i = index[uid]
+        sums[i, slot] += value
+        counts[i, slot] += 1
+        maxima[i, slot] = max(maxima[i, slot], value)
+        prev = last_ts.get((i, slot))
+        if prev is None or ts >= prev:
+            last_ts[(i, slot)] = ts
+            last_val[i, slot] = value
+    covered = counts > 0
+    if method == "mean":
+        agg = np.where(covered, sums / np.maximum(counts, 1), 0.0)
+    else:
+        agg = maxima if method == "max" else last_val
+    cells = np.floor(agg + 0.5).astype(np.int64)
+    cells[~covered] = 0
+    return cells, ~covered, skipped
+
+
+def _reference_weather(raw_rows, units, grid, M):
+    """The per-row loop and per-slot carry-forward aggregate_weather replaced."""
+    index = {u.unit_id: i for i, u in enumerate(units)}
+    K, T = len(units), grid.num_slots
+    sums = np.zeros((K, T, M))
+    counts = np.zeros((K, T), dtype=np.int64)
+    skipped = 0
+    for uid, ts, vals in raw_rows:
+        slot = grid.slot_of(ts)
+        if slot < 0:
+            skipped += 1
+            continue
+        i = index[uid]
+        sums[i, slot, :] += vals
+        counts[i, slot] += 1
+    covered = counts > 0
+    values = np.where(covered[:, :, None], sums / np.maximum(counts, 1)[:, :, None], 0.0)
+    for t in range(1, T):
+        gap = ~covered[:, t]
+        values[gap, t, :] = values[gap, t - 1, :]
+    return values, ~covered, skipped
+
+
+@st.composite
+def raw_feed(draw):
+    """Units, a grid and rows that hit slot boundaries, the span's edges,
+    microsecond offsets, repeated timestamps and non-UTC offsets."""
+    K, T, M = draw(st.integers(1, 4)), draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    slot_seconds = draw(st.sampled_from([60, 3600, 10800]))
+    grid = TimeGrid(start=START, slot_seconds=slot_seconds, num_slots=T)
+    slot_us = slot_seconds * 10**6
+    # slot -1 and slot T are outside the span; offset 0 is a slot boundary
+    in_slot = st.one_of(st.just(0), st.just(1), st.just(slot_us - 1), st.integers(0, slot_us - 1))
+    offset = st.builds(lambda k, us: k * slot_us + us, st.integers(-1, T), in_slot)
+    # a small pool of instants, so cells often see several, and the same one twice
+    pool = draw(st.lists(offset, min_size=1, max_size=8))
+    zone = st.integers(-14 * 60, 14 * 60).map(lambda m: timezone(timedelta(minutes=m)))
+    count = st.one_of(st.integers(0, 20).map(float), st.sampled_from([0.5, 2.5, 1e15 + 0.5]), st.floats(0, 1e6))
+    reading = st.tuples(*[st.floats(-1e3, 1e3, allow_subnormal=False)] * M)
+
+    def rows(value):
+        row = st.tuples(st.integers(0, K - 1), st.sampled_from(pool), zone, value)
+        return [
+            (f"u{i}", (START + timedelta(microseconds=us)).astimezone(tz), v)
+            for i, us, tz, v in draw(st.lists(row, max_size=3 * K * T))
+        ]
+
+    return _units(K), grid, M, rows(count), rows(reading)
+
+
+@given(raw_feed())
+def test_bucketing_matches_the_per_row_loops(feed):
+    units, grid, M, outage_rows, weather_rows = feed
+    for method in ("mean", "max", "last"):
+        series = aggregate_outages(outage_rows, units, grid, method=method)
+        cells, gaps, skipped = _reference_outages(outage_rows, units, grid, method)
+        assert_array_equal(series.counts, cells)
+        assert_array_equal(series.gap_mask, gaps)
+        assert series.skipped_rows == skipped
+    wx = aggregate_weather(weather_rows, units, grid, [f"v{m}" for m in range(M)])
+    values, gaps, skipped = _reference_weather(weather_rows, units, grid, M)
+    assert wx.values.tobytes() == values.tobytes()
+    assert_array_equal(wx.gap_mask, gaps)
+    assert wx.skipped_rows == skipped
 
 
 # -- series / tensor / dataset validation -------------------------------------
