@@ -98,9 +98,10 @@ def _metrics(pred: np.ndarray, actual: np.ndarray, t_from: int):
     return mae, rmse, per_unit
 
 
-def predict_in_sample(params: ModelParams, dataset: Dataset) -> PredictionReport:
-    """Expected counts with fully observed (teacher-forced) history."""
-    fld = intensity_field(params, dataset.outages, dataset.weather)
+def predict_in_sample(params: ModelParams, dataset: Dataset, direct: np.ndarray | None = None) -> PredictionReport:
+    """Expected counts with fully observed (teacher-forced) history. `direct`
+    is the weather term :func:`model.direct_from_weather`, when the caller has it."""
+    fld = intensity_field(params, dataset.outages, dataset.weather, direct=direct)
     actual = dataset.outages.counts.astype(np.float64)
     mae, rmse, per_unit = _metrics(fld.lam, actual, 0)
     persistence = actual[:, :-1]
@@ -121,7 +122,9 @@ def _lambda_at(params, coupling, direct_col, P):
     return direct_col + coupling.apply(params.beta * P) + params.eps
 
 
-def predict_ahead(params: ModelParams, dataset: Dataset, horizon_slots: int = 1) -> PredictionReport:
+def predict_ahead(
+    params: ModelParams, dataset: Dataset, horizon_slots: int = 1, direct: np.ndarray | None = None
+) -> PredictionReport:
     """h-slot-ahead prediction: observed history ends at t - h, the gap is
     rolled forward on predicted means. Weather is exogenous and read at every
     step (a forecast assumption). Baseline: persistence N[t - h].
@@ -130,7 +133,7 @@ def predict_ahead(params: ModelParams, dataset: Dataset, horizon_slots: int = 1)
     each predicted column is exactly the teacher-forced intensity.
 
     Metrics cover slots t >= h only, so the model and the baseline see the
-    same evaluation span.
+    same evaluation span. `direct` is as in :func:`predict_in_sample`.
     """
     h = int(horizon_slots)
     K, T = dataset.outages.counts.shape
@@ -139,7 +142,8 @@ def predict_ahead(params: ModelParams, dataset: Dataset, horizon_slots: int = 1)
     if h >= T:
         raise ValidationError(f"horizon {h} must be smaller than the {T}-slot series")
     counts = dataset.outages.counts.astype(np.float64)
-    direct = direct_from_weather(params, dataset.weather)
+    if direct is None:
+        direct = direct_from_weather(params, dataset.weather)
     kern = Kernel(params.beta, params.trig_window)
     coupling = Coupling(params.alpha)
 

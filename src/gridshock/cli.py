@@ -23,6 +23,8 @@ import os
 import sys
 from pathlib import Path
 
+from .errors import FileFormatError, InsufficientDataError, NumericError, ValidationError
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
@@ -46,7 +48,6 @@ DEFAULTS = {
         "tol": 1e-6,
         "seed": 0,
         "optimizer": "adaptive-moments",
-        "projection_cadence": 1,
         "hidden_sizes": [32, 16],
         "window_slots": 24,
         "trig_window": 40,
@@ -81,8 +82,6 @@ def _deep_merge(base: dict, override: dict, path="") -> dict:
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
-            from .errors import ValidationError
-
             raise ValidationError(f"unknown config key {where!r}")
         if isinstance(base[key], dict) and isinstance(value, dict):
             out[key] = _deep_merge(base[key], value, where)
@@ -92,8 +91,6 @@ def _deep_merge(base: dict, override: dict, path="") -> dict:
 
 
 def load_config(path) -> dict:
-    from .errors import ValidationError
-
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -168,8 +165,6 @@ def _echo_config(cfg: dict, command: str) -> None:
 
 
 def _require(cfg: dict, key: str, hint: str):
-    from .errors import ValidationError
-
     value = cfg.get(key)
     if not value:
         raise ValidationError(f"config key {key!r} is required for this command ({hint})")
@@ -177,8 +172,6 @@ def _require(cfg: dict, key: str, hint: str):
 
 
 def _require_file(path, kind: str):
-    from .errors import ValidationError
-
     if not Path(path).is_file():
         raise ValidationError(f"{kind} file not found: {path}")
     return Path(path)
@@ -200,8 +193,6 @@ def _resolve_grid(cfg: dict, outage_rows, weather_rows):
         stamps = [*map(itemgetter(1), outage_rows), *map(itemgetter(1), weather_rows)]
         ts_min, ts_max = min(stamps, default=None), max(stamps, default=None)
         if ts_min is None:
-            from .errors import InsufficientDataError
-
             raise InsufficientDataError("cannot derive the time grid: no data rows")
         if start_cfg == "auto":
             start = ts_min.replace(hour=0, minute=0, second=0, microsecond=0)
@@ -266,7 +257,6 @@ def _fit_config(cfg: dict):
         tol=float(f["tol"]),
         seed=int(f["seed"]),
         optimizer=f["optimizer"],
-        projection_cadence=int(f["projection_cadence"]),
         hidden_sizes=tuple(int(h) for h in f["hidden_sizes"]),
         window_slots=int(f["window_slots"]),
         trig_window=int(f["trig_window"]),
@@ -329,10 +319,11 @@ def cmd_predict(cfg: dict, args) -> int:
     params = model.deserialize(_require_file(_require(cfg, "model", "--model"), "model"))
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    in_sample = analyze.predict_in_sample(params, ds)
+    direct = model.direct_from_weather(params, ds.weather)  # one weather term for both predictions
+    in_sample = analyze.predict_in_sample(params, ds, direct=direct)
     analyze.write_predictions_csv(out_dir / "predictions_insample.csv", in_sample)
     horizon = int(cfg["predict"]["horizon"])
-    ahead = analyze.predict_ahead(params, ds, horizon_slots=horizon)
+    ahead = analyze.predict_ahead(params, ds, horizon_slots=horizon, direct=direct)
     analyze.write_predictions_csv(out_dir / "predictions_ahead.csv", ahead)
     _echo_config(cfg, "predict")
     print(f"in-sample: MAE={in_sample.mae:.4f} RMSE={in_sample.rmse:.4f}")
@@ -410,8 +401,6 @@ def cmd_enhance(cfg: dict, args) -> int:
     mode = sw.get("mode", "edges")
     cells = simulate.sweep_scenarios([int(a) for a in sw["axis1"]], [int(a) for a in sw["axis2"]], mode) if sw else []
     if not scenarios and not cells:
-        from .errors import ValidationError
-
         raise ValidationError("enhance needs a scenario file (--scenario) and/or a sweep grid in the config")
     # One call, so the baseline and every repeated parameter set are simulated once.
     results = simulate.outage_reductions(
@@ -516,7 +505,6 @@ def cmd_export_map(cfg: dict, args) -> int:
 def validate_only(cfg: dict, command: str) -> int:
     """Check config ranges and input file schemas without computing anything."""
     from .container import peek_schema
-    from .errors import FileFormatError, ValidationError
     from .ingest import DATASET_SCHEMA
     from .model import MODEL_SCHEMA
 
@@ -653,8 +641,6 @@ def main(argv=None) -> int:
             return EXIT_VALIDATION
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    from .errors import NumericError, FileFormatError, ValidationError
 
     try:
         cfg = effective_config(args)

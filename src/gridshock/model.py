@@ -15,8 +15,9 @@ truncated at `trig_window` slots; with beta >= 0.1 the dropped tail is below
 e^-4 of the kernel mass.
 
 Each term has one implementation shared by fitting, simulation and
-prediction: `direct_field` evaluates the weather term, `Kernel` rolls the
-truncated-kernel state forward slot by slot, and `Coupling` adds
+prediction: `direct_field` evaluates the weather term, `Kernel` (the window
+filter that also accumulates the weather) rolls the truncated-kernel state
+forward, slot by slot or over a whole history, and `Coupling` adds
 sum_j alpha[i, j] R[j] over the graph's per-edge weights in a fixed order, so
 evaluation is bit-reproducible. `intensity` is the slow single-cell reference.
 """
@@ -30,7 +31,7 @@ import numpy as np
 from .container import read_container, write_container
 from .errors import ValidationError
 from .topology import EdgeWeights, Graph
-from .weather_effect import DecayConfig, WeatherScaler, accumulate
+from .weather_effect import DecayConfig, WeatherScaler, WindowFilter, _per_lead, accumulate
 
 MODEL_SCHEMA = "gridshock-model-v1"
 
@@ -201,12 +202,11 @@ class ModelParams:
 
     def check_invariants(self) -> None:
         """Raise unless the constrained parameter space is respected."""
-        if (self.beta < 0).any():
-            raise ValidationError("negative recovery rate")
-        if (self.gamma < 0).any():
-            raise ValidationError("negative design-margin coefficient")
-        if (self.decay.omega < 0).any():
-            raise ValidationError("negative decay rate")
+        rates = ("beta", "recovery rate", self.beta), ("gamma", "design-margin coefficient", self.gamma)
+        for name, what, arr in (*rates, ("omega", "decay rate", self.decay.omega)):
+            if (arr < 0).any():
+                k = int(np.argmax(arr < 0))
+                raise ValidationError(f"negative {what} {name}[{k}] = {float(arr[k])!r}")
         self.alpha.check_invariants()
 
     def copy(self) -> "ModelParams":
@@ -232,65 +232,34 @@ class IntensityField:
     eps: float
 
 
-class Kernel:
-    """Truncated exponential triggering kernel of one set of recovery rates.
-
-    The state P[:, t] = sum over lags 1..window of N[:, t-lag] e^{-beta lag}
-    rolls forward one slot at a time, P[t+1] = e^{-beta} (N[t] + P[t]) minus
-    the term that ages out of the window; the triggering mass is R = beta * P.
-    A state may carry trailing axes (one column per replication).
-    """
-
-    def __init__(self, beta: np.ndarray, window: int):
-        self.beta = np.asarray(beta, dtype=np.float64)
-        self.window = window
-        self.decay = np.exp(-self.beta)
-        self.drop = np.exp(-self.beta * (window + 1))
-
-    def step(self, P: np.ndarray, new: np.ndarray, old: np.ndarray | None = None) -> np.ndarray:
-        """State before the next slot, from the state P before this slot, this
-        slot's counts `new` and the counts `old` that age out of the window
-        (those of `window` slots back; None while the window is filling)."""
-        P = _per_unit(self.decay, P) * (new + P)
-        if old is not None:
-            P -= old * _per_unit(self.drop, P)
-        return P
+class Kernel(WindowFilter):
+    """Truncated exponential triggering kernel of recovery rates beta: the
+    state P is the window filter of the counts and the triggering mass is
+    R = beta * P. A state may carry trailing axes (one column per replication)."""
 
     def step_at(self, P: np.ndarray, hist: np.ndarray, t: int) -> np.ndarray:
         """:meth:`step` at slot t of the count history hist, one column per slot."""
         return self.step(P, hist[:, t], hist[:, t - self.window] if t >= self.window else None)
 
 
-def _per_unit(v: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The (K,) vector v shaped to broadcast along the leading axis of X."""
-    return v.reshape((-1,) + (1,) * (X.ndim - 1))
-
-
 def kernel_matrix(counts: np.ndarray, beta: np.ndarray, trig_window: int) -> np.ndarray:
     """R[j, t] = sum over lags 1..trig_window of N[j, t-lag] beta_j e^{-beta_j lag}."""
-    return kernel_matrix_with_grad(counts, beta, trig_window)[0]
+    kern = Kernel(beta, trig_window)
+    P, _ = kern.run(_time_major(counts), lag_sum=False)
+    return np.ascontiguousarray((kern.rate * P).T)
 
 
 def kernel_matrix_with_grad(counts: np.ndarray, beta: np.ndarray, trig_window: int):
-    """Return (R, dR/dbeta), both K x T, via parallel rolling recursions.
-
-    dR[j,t]/dbeta_j = P[j,t] - beta_j * S1[j,t] with S1 the lag-weighted sum
-    S1[j,t] = sum_lag lag * N[j,t-lag] e^{-beta_j lag}.
-    """
-    counts = np.asarray(counts, dtype=np.float64)
+    """Return (R, dR/dbeta), both K x T: R = beta P and dR/dbeta = P - beta S1
+    with the window filter's sums P and S1, computed one slot per row."""
     kern = Kernel(beta, trig_window)
-    K, T = counts.shape
-    P = np.zeros((K, T))
-    S1 = np.zeros((K, T))
-    for t in range(T - 1):
-        old = counts[:, t - trig_window] if t >= trig_window else None
-        P[:, t + 1] = kern.step(P[:, t], counts[:, t], old)
-        S1[:, t + 1] = kern.decay * (counts[:, t] + P[:, t] + S1[:, t])
-        if old is not None:
-            S1[:, t + 1] -= (trig_window + 1) * old * kern.drop
-    R = kern.beta[:, None] * P
-    dR = P - kern.beta[:, None] * S1
-    return R, dR
+    P, S1 = kern.run(_time_major(counts))
+    return np.ascontiguousarray((kern.rate * P).T), np.ascontiguousarray((P - kern.rate * S1).T)
+
+
+def _time_major(counts) -> np.ndarray:
+    """A K x T count history as a T x K array, one contiguous row per slot."""
+    return np.ascontiguousarray(np.asarray(counts, dtype=np.float64).T)
 
 
 def kernel_mass_closed_form(beta: float, num_lags: int) -> float:
@@ -314,13 +283,13 @@ class Coupling:
     def apply(self, R: np.ndarray) -> np.ndarray:
         """sum_j alpha[i, j] R[j] (alpha[i, i] = 1) for any R whose leading axis is K."""
         out = R.copy()
-        np.add.at(out, self.tgt, _per_unit(self.w, R) * R[self.src])
+        np.add.at(out, self.tgt, _per_lead(self.w, R) * R[self.src])
         return out
 
     def adjoint(self, W: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`apply`: U[j] = W[j] + sum_i alpha[i, j] W[i]."""
         out = W.copy()
-        np.add.at(out, self.src, _per_unit(self.w, W) * W[self.tgt])
+        np.add.at(out, self.src, _per_lead(self.w, W) * W[self.tgt])
         return out
 
 
@@ -337,9 +306,16 @@ def direct_field(params: ModelParams, v: np.ndarray):
     return params.gamma[:, None] * mu, mu, cache
 
 
+def weather_response(params: ModelParams, weather) -> np.ndarray:
+    """Network output mu(v) over the K x T grid from raw weather: standardized,
+    accumulated, then the network. It depends on omega, the scaler and the
+    network only, not on gamma."""
+    return direct_field(params, accumulate(params.scaler.transform(weather), params.decay))[1]
+
+
 def direct_from_weather(params: ModelParams, weather) -> np.ndarray:
-    """Weather term from raw weather: standardized, accumulated, then :func:`direct_field`."""
-    return direct_field(params, accumulate(params.scaler.transform(weather), params.decay))[0]
+    """Weather term gamma_i mu(v[i,t]) from raw weather; the same bits as :func:`direct_field`."""
+    return params.gamma[:, None] * weather_response(params, weather)
 
 
 def intensity(params: ModelParams, history, v: np.ndarray, i: int, t: int):
@@ -369,21 +345,14 @@ def intensity(params: ModelParams, history, v: np.ndarray, i: int, t: int):
     return lam, direct, indirect
 
 
-def intensity_field(params: ModelParams, history, weather) -> IntensityField:
-    """Vectorized intensity over all cells (standardizes + accumulates weather)."""
+def intensity_field(params: ModelParams, history, weather, direct: np.ndarray | None = None) -> IntensityField:
+    """Vectorized intensity over all cells. The weather term is
+    :func:`direct_from_weather` of `weather` unless the caller passes it as `direct`."""
     counts = np.asarray(getattr(history, "counts", history), dtype=np.float64)
-    x = params.scaler.transform(weather)
-    v = accumulate(x, params.decay)
-    return intensity_field_from_v(params, counts, v)
-
-
-def intensity_field_from_v(params: ModelParams, counts: np.ndarray, v: np.ndarray) -> IntensityField:
-    """Intensity field when the accumulated weather effect v is already known."""
-    counts = np.asarray(counts, dtype=np.float64)
-    K, T = counts.shape
-    if v.shape[:2] != (K, T):
-        raise ValidationError(f"weather effect shape {v.shape} does not match counts {counts.shape}")
-    direct, _, _ = direct_field(params, v)
+    if direct is None:
+        direct = direct_from_weather(params, weather)
+    if direct.shape != counts.shape:
+        raise ValidationError(f"weather term shape {direct.shape} does not match counts {counts.shape}")
     R = kernel_matrix(counts, params.beta, params.trig_window)
     indirect = indirect_field(params.alpha, R)
     lam = direct + indirect + params.eps
@@ -416,7 +385,8 @@ def serialize(params: ModelParams, path) -> None:
 
 
 def deserialize(path) -> ModelParams:
-    """Load a gridshock-model-v1 file written by :func:`serialize`."""
+    """Load a gridshock-model-v1 file written by :func:`serialize`; raises
+    ValidationError unless the parameters satisfy :meth:`ModelParams.check_invariants`."""
     meta, arrays = read_container(path, MODEL_SCHEMA)
     graph = Graph(num_nodes=meta["num_nodes"], edges=tuple(tuple(e) for e in meta["edges"]))
     weights = EdgeWeights(graph=graph, alpha=arrays["alpha"])
@@ -425,7 +395,7 @@ def deserialize(path) -> ModelParams:
         weights=[arrays[f"mlp_w{k}"] for k in range(n_layers)],
         biases=[arrays[f"mlp_b{k}"] for k in range(n_layers)],
     )
-    return ModelParams(
+    params = ModelParams(
         alpha=weights,
         beta=arrays["beta"],
         gamma=arrays["gamma"],
@@ -435,4 +405,6 @@ def deserialize(path) -> ModelParams:
         eps=meta["eps"],
         trig_window=meta["trig_window"],
     )
+    params.check_invariants()
+    return params
 

@@ -28,13 +28,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import DivergenceError, NumericError, ValidationError
 from .ingest import TimeGrid
-from .model import Coupling, Kernel, ModelParams, direct_from_weather, kernel_matrix
+from .model import Coupling, Kernel, ModelParams, kernel_matrix, weather_response
 from .model import mlp_forward  # noqa: F401  (binding patched by perfbench/tracer.py)
 from .topology import enforce_no_loops
 from .weather_effect import accumulate  # noqa: F401  (binding patched by perfbench/tracer.py)
@@ -42,6 +42,7 @@ from .weather_effect import accumulate  # noqa: F401  (binding patched by perfbe
 LAMBDA_OVERFLOW = 1e9
 
 MEAN = "mean"  # symbolic override value: population average
+CLAUSE_LISTS = ("edge_reweights", "gamma_overrides", "beta_overrides", "omega_overrides")
 
 
 @dataclass
@@ -74,7 +75,7 @@ class Scenario:
 
     def __post_init__(self):
         values = [("edge_target", self.edge_target)]
-        for name in ("edge_reweights", "gamma_overrides", "beta_overrides", "omega_overrides"):
+        for name in CLAUSE_LISTS:
             values += [(name, clause[-1]) for clause in getattr(self, name)]
         for name, value in values:
             try:
@@ -87,49 +88,19 @@ class Scenario:
             raise ValidationError("top_k_units and top_e_edges must be given together")
 
     def is_identity(self) -> bool:
-        return not (
-            self.edge_reweights
-            or self.gamma_overrides
-            or self.beta_overrides
-            or self.omega_overrides
-            or self.top_k_units
-            or self.gamma_top_units
-            or self.beta_bottom_units
-        )
+        selectors = ("top_k_units", "gamma_top_units", "beta_bottom_units")
+        return not any(getattr(self, name) for name in CLAUSE_LISTS + selectors)
 
     def to_dict(self) -> dict:
-        return {
-            "edge_reweights": [list(c) for c in self.edge_reweights],
-            "gamma_overrides": [list(c) for c in self.gamma_overrides],
-            "beta_overrides": [list(c) for c in self.beta_overrides],
-            "omega_overrides": [list(c) for c in self.omega_overrides],
-            "top_k_units": self.top_k_units,
-            "top_e_edges": self.top_e_edges,
-            "edge_target": self.edge_target,
-            "gamma_top_units": self.gamma_top_units,
-            "beta_bottom_units": self.beta_bottom_units,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**d, **{name: [list(c) for c in d[name]] for name in CLAUSE_LISTS}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        known = {
-            "edge_reweights",
-            "gamma_overrides",
-            "beta_overrides",
-            "omega_overrides",
-            "top_k_units",
-            "top_e_edges",
-            "edge_target",
-            "gamma_top_units",
-            "beta_bottom_units",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown scenario field(s): {sorted(unknown)}")
-        kwargs = dict(d)
-        for name in ("edge_reweights", "gamma_overrides", "beta_overrides", "omega_overrides"):
-            kwargs[name] = [tuple(c) for c in d.get(name, [])]
-        return cls(**kwargs)
+        return cls(**{**d, **{name: [tuple(c) for c in d.get(name, [])] for name in CLAUSE_LISTS}})
 
 
 def load_scenario(path) -> Scenario:
@@ -270,6 +241,7 @@ def simulate_paths(
     teacher_forced_until: int = 0,
     observed=None,
     store_paths: bool = False,
+    mu: np.ndarray | None = None,
 ) -> SimResult:
     """Roll the process forward R times over the grid, replaying `weather`.
 
@@ -277,15 +249,13 @@ def simulate_paths(
     history (lambda there is still evaluated, and counts still drawn, so
     fully forced runs measure the one-step distribution); slots after it feed
     the replication's own draws forward. Deterministic given the seed.
+    `mu` is the network output over the grid, model.weather_response of the
+    weather's first T slots, when the caller already has it for these params.
     """
     if R < 1:
         raise ValidationError(f"need at least one replication, got {R}")
-    x = np.asarray(getattr(weather, "values", weather), dtype=np.float64)
-    K = params.num_units
-    T = grid.num_slots
-    if x.shape[0] != K or x.shape[1] < T:
-        raise ValidationError(f"weather shape {x.shape} does not cover {K} units x {T} slots")
-    x = x[:, :T, :]
+    x = _weather_on_grid(params, weather, grid)
+    K, T = x.shape[:2]
     cutoff = int(np.clip(teacher_forced_until, 0, T))
     obs = None
     if cutoff > 0:
@@ -295,7 +265,9 @@ def simulate_paths(
         if obs.shape[0] != K or obs.shape[1] < cutoff:
             raise ValidationError(f"observed history {obs.shape} does not cover the forced span")
 
-    mu_direct = direct_from_weather(params, x)  # (K, T), gamma_i mu + nothing else
+    if mu is None:
+        mu = weather_response(params, x)
+    mu_direct = params.gamma[:, None] * mu  # (K, T), the weather term alone
     coupling = Coupling(params.alpha)
     if cutoff >= T:
         draws = _forced_draws(_lambda_given_history(params, coupling, obs[:, :T], mu_direct), R, seed)
@@ -327,6 +299,15 @@ def simulate_paths(
         unit_total_mean=cell_sum.sum(axis=1) / R,
         paths=paths,
     )
+
+
+def _weather_on_grid(params, weather, grid):
+    """`weather` as a K x T x M array over the grid's T slots."""
+    x = np.asarray(getattr(weather, "values", weather), dtype=np.float64)
+    K, T = params.num_units, grid.num_slots
+    if x.shape[0] != K or x.shape[1] < T:
+        raise ValidationError(f"weather shape {x.shape} does not cover {K} units x {T} slots")
+    return x[:, :T, :]
 
 
 def _forced_draws(lam, R, seed):
@@ -432,20 +413,25 @@ def outage_reductions(
 
     All rollouts share the seed, so a scenario whose applied parameters equal
     the baseline's (or an earlier scenario's) reuses that rollout: it is the
-    rollout a fresh simulation would produce.
+    rollout a fresh simulation would produce. Scenarios never edit the scaler
+    or the network, so the network output mu is computed once per distinct
+    omega and each rollout scales it by its own gamma.
     """
     if baseline not in ("simulated_total", "observed_total"):
         raise ValidationError(f"baseline must be simulated_total or observed_total, got {baseline!r}")
     if baseline == "observed_total" and observed is None:
         raise ValidationError("observed_total baseline requires observed counts")
     applied = [apply_scenario(params, scen, reference_history=observed) for scen in scenarios]
-    rollouts = {}
+    rollouts, responses = {}, {}
 
     def rollout(p):
         # A scenario edits only these arrays of a copy of `params`; equal bits, equal rollout.
         key = b"".join(a.tobytes() for a in (p.alpha.w, p.beta, p.gamma, p.decay.omega))
         if key not in rollouts:
-            rollouts[key] = simulate_paths(p, weather, grid, R, seed)
+            omega = p.decay.omega.tobytes()
+            if omega not in responses:
+                responses[omega] = weather_response(p, _weather_on_grid(p, weather, grid))
+            rollouts[key] = simulate_paths(p, weather, grid, R, seed, mu=responses[omega])
         return rollouts[key]
 
     if baseline == "simulated_total":

@@ -63,7 +63,6 @@ class FitConfig:
     tol: float = 1e-6  # stop when |delta ell| over an epoch falls below
     seed: int = 0
     optimizer: str = "adaptive-moments"
-    projection_cadence: int = 1  # project every n-th step
     hidden_sizes: tuple = DEFAULT_HIDDEN
     window_slots: int = DEFAULT_WINDOW_SLOTS
     trig_window: int = DEFAULT_TRIG_WINDOW
@@ -80,8 +79,6 @@ class FitConfig:
             raise ValidationError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.batch_slots is not None and self.batch_slots < 1:
             raise ValidationError(f"batch_slots must be >= 1 or None, got {self.batch_slots}")
-        if self.projection_cadence < 1:
-            raise ValidationError(f"projection_cadence must be >= 1, got {self.projection_cadence}")
 
 
 @dataclass
@@ -350,7 +347,6 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
     best_params = params.copy()
     prev_ll = None
     lr = cfg.step_size
-    step_index = 0
     for epoch in range(cfg.max_epochs):
         projections = 0
         for t0, t1 in blocks:
@@ -362,10 +358,8 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
                     f"trace tail: {[f'{x:.4g}' for x in report.loglik_trace[-5:]]}"
                 ) from exc
             _apply_update(params, grads, lr, adam)
-            step_index += 1
-            if step_index % cfg.projection_cadence == 0:
-                params, n_proj = project(params)
-                projections += n_proj
+            params, n_proj = project(params)
+            projections += n_proj
         ll, full_grads = _block_loglik_and_grads(params, counts, x_scaled, 0, T)
         if not np.isfinite(ll):
             raise DivergenceError(

@@ -313,6 +313,38 @@ def test_export_map_runs_the_kernel_once(pipeline, monkeypatch, capsys):
         assert line.endswith(f"exported intensity {scores[j]:.2f}")
 
 
+def test_predict_builds_the_weather_term_once(pipeline, monkeypatch):
+    from gridshock import analyze
+
+    params = deserialize(pipeline["model"])
+    ds = load_dataset(pipeline["dataset"])
+    out = pipeline["root"] / "pred_once"
+    calls = []
+    accumulate = model.accumulate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(model, "accumulate", counting)
+    rc = cli.main(
+        [
+            "predict",
+            "--dataset", str(pipeline["dataset"]),
+            "--model", str(pipeline["model"]),
+            "--output-dir", str(out),
+            "--horizon", "3",
+        ]
+    )
+    assert rc == 0
+    assert len(calls) == 1
+    # the shared weather term gives the files each prediction writes on its own
+    analyze.write_predictions_csv(out / "insample_ref.csv", analyze.predict_in_sample(params, ds))
+    analyze.write_predictions_csv(out / "ahead_ref.csv", analyze.predict_ahead(params, ds, horizon_slots=3))
+    assert (out / "predictions_insample.csv").read_bytes() == (out / "insample_ref.csv").read_bytes()
+    assert (out / "predictions_ahead.csv").read_bytes() == (out / "ahead_ref.csv").read_bytes()
+
+
 def test_fit_constraints_line_matches_the_saved_model(pipeline, tmp_path, capsys):
     path = tmp_path / "model.gshk"
     rc = cli.main(
@@ -550,3 +582,30 @@ def test_exit_code_validation_errors(pipeline, tmp_path):
     rc = cli.main(["predict", "--dataset", str(pipeline["dataset"]), "--model", str(pipeline["model"]),
                    "--output-dir", str(tmp_path / "y"), "--horizon", "0", "--validate-only"])
     assert rc == 2
+
+
+def test_config_file_rejects_the_removed_projection_cadence_key(pipeline, tmp_path, capsys):
+    # Every optimizer step is projected: the kernel and weather filters need rates >= 0.
+    cfg_path = tmp_path / "cadence.json"
+    cfg_path.write_text(json.dumps({"fit": {"projection_cadence": 2}}))
+    rc = cli.main(["fit", "--config", str(cfg_path), "--dataset", str(pipeline["dataset"]),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "unknown config key 'fit.projection_cadence'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, index", [("beta", 0), ("gamma", 1), ("omega", 0)])
+def test_model_file_with_a_negative_rate_is_rejected_at_load(pipeline, tmp_path, capsys, field, index):
+    params = deserialize(pipeline["model"])
+    arr = params.decay.omega if field == "omega" else getattr(params, field)
+    arr[index] = -0.5
+    if field == "beta":
+        params.decay.omega[0] = -0.2  # the first bad field is the one named
+    bad = tmp_path / "bad_model.gshk"
+    model.serialize(params, bad)
+    rc = cli.main(["predict", "--dataset", str(pipeline["dataset"]), "--model", str(bad),
+                   "--output-dir", str(tmp_path / "pred")])
+    assert rc == 2
+    assert f"{field}[{index}] = -0.5" in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists()

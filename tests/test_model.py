@@ -15,10 +15,10 @@ from gridshock.model import (
     MlpParams,
     ModelParams,
     deserialize,
+    direct_field,
     indirect_field,
     intensity,
     intensity_field,
-    intensity_field_from_v,
     kernel_mass_closed_form,
     kernel_matrix,
     mlp_backward,
@@ -232,7 +232,7 @@ def test_intensity_field_agrees_with_single_cell():
     rng = np.random.default_rng(9)
     params, counts, _ = random_small_instance(rng, K=4, T=9, M=2, n_edges=4)
     v = rng.normal(size=(4, 9, 2))
-    field = intensity_field_from_v(params, counts, v)
+    field = intensity_field(params, counts, None, direct=direct_field(params, v)[0])
     assert isinstance(field, IntensityField)
     for i in range(4):
         for t in range(9):
@@ -259,7 +259,7 @@ def test_intensity_bounds_checks():
     with pytest.raises(ValidationError, match="outside"):
         intensity(params, np.zeros((2, 2)), v, 2, 0)
     with pytest.raises(ValidationError, match="does not match"):
-        intensity_field_from_v(params, np.zeros((2, 2)), np.zeros((3, 2, 1)))
+        intensity_field(params, np.zeros((2, 2)), None, direct=np.zeros((3, 2)))
 
 
 # -- parameter container ---------------------------------------------------------

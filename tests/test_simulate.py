@@ -494,3 +494,34 @@ def test_sweep_simulates_each_distinct_parameter_set_once(monkeypatch):
     ]
     assert rows == one_by_one
     assert [pct for a1, a2, pct, _ in rows if not (a1 and a2)] == [0.0] * identity
+
+
+def test_reductions_compute_the_network_output_once_per_omega(monkeypatch):
+    rng = np.random.default_rng(71)
+    params, counts, weather = random_small_instance(rng, K=4, T=30, M=2, n_edges=4)
+    ds = wrap_dataset(counts, weather)
+    scenarios = [
+        Scenario(gamma_overrides=[(0, 0.0)]),
+        Scenario(omega_overrides=[(1, 0.7)]),
+        Scenario(beta_overrides=[(2, MEAN)], omega_overrides=[(1, 0.7)]),
+    ]
+    responses, rollouts = [], []
+    response, rollout = simulate.weather_response, simulate.simulate_paths
+
+    def counting_response(p, *args, **kwargs):
+        responses.append(p.decay.omega.copy())
+        return response(p, *args, **kwargs)
+
+    def recording_rollout(p, *args, **kwargs):
+        rollouts.append((p, rollout(p, *args, **kwargs)))
+        return rollouts[-1][1]
+
+    monkeypatch.setattr(simulate, "weather_response", counting_response)
+    monkeypatch.setattr(simulate, "simulate_paths", recording_rollout)
+    simulate.outage_reductions(params, scenarios, ds.weather, ds.grid, R=6, seed=4)
+    assert [om.tolist() for om in responses] == [params.decay.omega.tolist(), [params.decay.omega[0], 0.7]]
+    assert len(rollouts) == 4
+    for p, res in rollouts:  # each is the rollout that computes its own weather term
+        fresh = rollout(p, ds.weather, ds.grid, 6, 4)
+        assert res.cell_mean.tobytes() == fresh.cell_mean.tobytes()
+        assert res.rep_totals.tobytes() == fresh.rep_totals.tobytes()

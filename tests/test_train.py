@@ -175,8 +175,6 @@ def test_fit_config_validation():
         FitConfig(optimizer="newton")
     with pytest.raises(ValidationError, match="batch_slots"):
         FitConfig(batch_slots=0)
-    with pytest.raises(ValidationError, match="projection_cadence"):
-        FitConfig(projection_cadence=0)
 
 
 # -- fitting ------------------------------------------------------------------------
