@@ -38,6 +38,9 @@ MODEL_SCHEMA = "gridshock-model-v1"
 DEFAULT_HIDDEN = (32, 16)
 DEFAULT_EPS = 1e-3
 DEFAULT_TRIG_WINDOW = 40  # 5 days of 3-hour slots
+# Rows per network pass: one chunk's activations stay in the CPU cache. A multiple
+# of the BLAS kernels' row unroll, so each row's sums match a whole-array pass.
+MLP_CHUNK_ROWS = 512
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -117,44 +120,71 @@ class MlpParams:
         return MlpParams(weights=out_w, biases=out_b)
 
 
+def _row_chunks(n: int) -> list:
+    """Slices of MLP_CHUNK_ROWS rows covering range(n). A lone last row joins the
+    chunk before it: numpy multiplies a single row by a vector-matrix product whose
+    sums round differently, and every row must get the bits of a whole-array pass."""
+    starts = list(range(0, n, MLP_CHUNK_ROWS))
+    if n > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(r0, r1) for r0, r1 in zip(starts, [*starts[1:], n])]
+
+
+def _activations(mlp: MlpParams, x: np.ndarray):
+    """([x, h_1, ..., h_L], z_out): the rows x, each hidden layer's tanh
+    activation and the output pre-activation."""
+    hiddens = [x]
+    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+        h = hiddens[-1] @ w
+        h += b
+        hiddens.append(np.tanh(h, out=h))
+    return hiddens, (hiddens[-1] @ mlp.weights[-1] + mlp.biases[-1])[:, 0]
+
+
 def mlp_forward(mlp: MlpParams, v: np.ndarray):
-    """Batched forward pass: v (n, M) -> (mu (n,), cache for backprop)."""
+    """Batched forward pass: v (n, M) -> (mu (n,), cache for backprop).
+
+    Rows go through the network MLP_CHUNK_ROWS at a time, so no activation
+    outlives its chunk; the cache is the 2-D input itself, from which
+    :func:`mlp_backward` recomputes the activations.
+    """
     v = np.asarray(v, dtype=np.float64)
     squeeze = v.ndim == 1
-    h = v[None, :] if squeeze else v
-    if h.shape[1] != mlp.input_dim:
-        raise ValidationError(f"network expects {mlp.input_dim} inputs, got {h.shape[1]}")
-    hiddens = [h]
-    n_layers = len(mlp.weights)
-    for k in range(n_layers - 1):
-        z = h @ mlp.weights[k] + mlp.biases[k]
-        h = np.tanh(z)
-        hiddens.append(h)
-    z_out = (h @ mlp.weights[-1] + mlp.biases[-1])[:, 0]
-    mu = softplus(z_out)
-    cache = (hiddens, z_out)
-    return (float(mu[0]) if squeeze else mu), cache
+    x = v[None, :] if squeeze else v
+    if x.shape[1] != mlp.input_dim:
+        raise ValidationError(f"network expects {mlp.input_dim} inputs, got {x.shape[1]}")
+    mu = np.empty(x.shape[0])
+    for chunk in _row_chunks(x.shape[0]):
+        mu[chunk] = softplus(_activations(mlp, x[chunk])[1])
+    return (float(mu[0]) if squeeze else mu), x
 
 
 def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray):
     """Backprop per-sample output gradients `dmu` (n,) through the network.
 
+    `cache` is the input rows that :func:`mlp_forward` returned. Each chunk's
+    activations are recomputed from it while they are still in the CPU cache
+    and consumed in place; the parameter gradients are summed chunk by chunk.
     Returns (grad MlpParams, input gradient (n, M)).
     """
-    from scipy.special import expit  # imported here: only fitting differentiates the network
-
-    hiddens, z_out = cache
-    dz = (np.asarray(dmu, dtype=np.float64) * expit(z_out))[:, None]  # softplus' = sigmoid
-    grad_w = [None] * len(mlp.weights)
-    grad_b = [None] * len(mlp.biases)
-    for k in range(len(mlp.weights) - 1, -1, -1):
-        grad_w[k] = hiddens[k].T @ dz
-        grad_b[k] = dz.sum(axis=0)
-        dh = dz @ mlp.weights[k].T
-        if k > 0:
-            dz = dh * (1.0 - hiddens[k] ** 2)  # tanh' through the cached activation
-        else:
-            dinput = dh
+    x = cache
+    dmu = np.asarray(dmu, dtype=np.float64)
+    grad_w = [np.zeros_like(w) for w in mlp.weights]
+    grad_b = [np.zeros_like(b) for b in mlp.biases]
+    dinput = np.empty_like(x)
+    for chunk in _row_chunks(x.shape[0]):
+        hiddens, z_out = _activations(mlp, x[chunk])
+        with np.errstate(over="ignore"):  # exp(-z) = inf for z < -709 gives sigmoid 0
+            sigmoid = 1.0 / (1.0 + np.exp(-z_out))  # softplus' = sigmoid
+        dz = (dmu[chunk] * sigmoid)[:, None]
+        for k in range(len(mlp.weights) - 1, -1, -1):
+            grad_w[k] += hiddens[k].T @ dz
+            grad_b[k] += dz.sum(axis=0)
+            dh = dz @ mlp.weights[k].T
+            if k > 0:  # tanh' = 1 - h^2, formed in place of the activation
+                h = np.subtract(1.0, np.square(hiddens[k], out=hiddens[k]), out=hiddens[k])
+                dz = np.multiply(dh, h, out=dh)
+        dinput[chunk] = dh
     return MlpParams(weights=grad_w, biases=grad_b), dinput
 
 
@@ -299,7 +329,8 @@ def indirect_field(alpha: EdgeWeights, R: np.ndarray) -> np.ndarray:
 
 
 def direct_field(params: ModelParams, v: np.ndarray):
-    """Weather term gamma_i mu(v[i,t]) for all cells; returns (direct, mu, cache)."""
+    """Weather term gamma_i mu(v[i,t]) for all cells; returns (direct, mu, cache),
+    where the cache for :func:`mlp_backward` is v as (K*T, M) rows."""
     K, T, M = v.shape
     mu_flat, cache = mlp_forward(params.mlp, v.reshape(K * T, M))
     mu = mu_flat.reshape(K, T)

@@ -189,8 +189,7 @@ def _block_loglik_and_grads(
     dv = dv.reshape(v.shape)
     grad_omega = np.einsum("itm,itm->m", dv, dvdo)
 
-    edges = zip(params.graph.tgt.tolist(), params.graph.src.tolist())
-    grad_alpha = np.array([np.dot(W[tgt], R[s]) for tgt, s in edges], dtype=np.float64)
+    grad_alpha = np.vecdot(W[params.graph.tgt], R[params.graph.src])
     grad_beta = np.einsum("jt,jt->j", dR, coupling.adjoint(W))
 
     grads = Gradients(alpha=grad_alpha, beta=grad_beta, gamma=grad_gamma, omega=grad_omega, mlp=grad_mlp)

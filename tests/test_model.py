@@ -1,15 +1,19 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import expit
 
 from oracles import naive_intensity_field, naive_mu
 from synth import random_small_instance, random_small_params
 from gridshock.errors import ValidationError
 from gridshock.model import (
+    MLP_CHUNK_ROWS,
     Coupling,
     IntensityField,
     MlpParams,
@@ -98,6 +102,109 @@ def test_backward_matches_finite_differences():
         vm[n, m] -= h
         fd = (float(dmu @ mlp_forward(mlp, vp)[0]) - float(dmu @ mlp_forward(mlp, vm)[0])) / (2 * h)
         assert fd == pytest.approx(dinput[n, m], rel=1e-6, abs=1e-9)
+
+
+def _whole_array_forward(mlp, v):
+    """Reference: the one-pass forward that caches every activation."""
+    hiddens = [v]
+    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+        hiddens.append(np.tanh(hiddens[-1] @ w + b))
+    z_out = (hiddens[-1] @ mlp.weights[-1] + mlp.biases[-1])[:, 0]
+    return softplus(z_out), hiddens, z_out
+
+
+def _whole_array_backward(mlp, v, dmu):
+    """Reference backward over the whole array with scipy's sigmoid. Besides the
+    gradients it returns each one's sum of |terms| (the input gradient's is
+    propagated through every layer in absolute values), the scale of the
+    rounding error that a different summation order may make."""
+    _, hiddens, z_out = _whole_array_forward(mlp, v)
+    dz = (dmu * expit(z_out))[:, None]
+    abs_dz = np.abs(dz)
+    grads, scales = {}, {}
+    for k in range(len(mlp.weights) - 1, -1, -1):
+        grads[k] = hiddens[k].T @ dz, dz.sum(axis=0)
+        scales[k] = np.abs(hiddens[k]).T @ abs_dz, abs_dz.sum(axis=0)
+        dh, abs_dh = dz @ mlp.weights[k].T, abs_dz @ np.abs(mlp.weights[k]).T
+        if k > 0:
+            dz, abs_dz = dh * (1.0 - hiddens[k] ** 2), abs_dh * (1.0 - hiddens[k] ** 2)
+    return grads, scales, dh, abs_dh
+
+
+def _row_counts(n_random):
+    """Row counts at each chunk edge, plus one drawn at random."""
+    C = MLP_CHUNK_ROWS
+    return (1, C - 1, C, C + 1, 2 * C + 1, n_random)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_random=st.integers(1, 3 * MLP_CHUNK_ROWS),
+    hidden=st.lists(st.integers(1, 32), min_size=1, max_size=3),
+    M=st.integers(1, 4),
+)
+def test_chunked_forward_is_bit_identical_to_the_whole_array_pass(seed, n_random, hidden, M):
+    rng = np.random.default_rng(seed)
+    mlp = MlpParams.init_random(M, hidden=tuple(hidden), seed=seed)
+    mlp.biases = [rng.normal(0, 1, b.shape) for b in mlp.biases]
+    for n in _row_counts(n_random):
+        v = rng.normal(0, 3, (n, M))
+        mu, cache = mlp_forward(mlp, v)
+        assert_array_equal(mu, _whole_array_forward(mlp, v)[0])
+        assert_array_equal(cache, v)
+    single, _ = mlp_forward(mlp, v[-1])
+    assert single == _whole_array_forward(mlp, v[-1:])[0][0]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_random=st.integers(1, 3 * MLP_CHUNK_ROWS),
+    hidden=st.lists(st.integers(1, 32), min_size=0, max_size=3),
+    M=st.integers(1, 4),
+)
+def test_chunked_backward_matches_the_whole_array_pass(seed, n_random, hidden, M):
+    rng = np.random.default_rng(seed)
+    mlp = MlpParams.init_random(M, hidden=tuple(hidden), seed=seed)
+    for n in _row_counts(n_random):
+        v = rng.normal(0, 3, (n, M))
+        dmu = rng.normal(0, 2, n)
+        grads, dinput = mlp_backward(mlp, mlp_forward(mlp, v)[1], dmu)
+        expected, scales, expected_dinput, dinput_scale = _whole_array_backward(mlp, v, dmu)
+        for k, (gw, gb) in expected.items():
+            sw, sb = scales[k]
+            assert (np.abs(grads.weights[k] - gw) <= 1e-13 * sw).all()
+            assert (np.abs(grads.biases[k] - gb) <= 1e-13 * sb).all()
+        # the sigmoid is numpy's 1 / (1 + e^-z), which can differ from scipy's in the last bit
+        assert (np.abs(dinput - expected_dinput) <= 4 * np.finfo(float).eps * dinput_scale).all()
+
+
+@pytest.mark.parametrize("z_out", [800.0, -800.0])
+def test_backward_is_finite_and_silent_at_extreme_outputs(z_out):
+    mlp = MlpParams(
+        weights=[np.array([[1.0, -1.0]]), np.array([[2.0], [1.0]])], biases=[np.zeros(2), np.array([z_out])]
+    )
+    v = np.linspace(-3.0, 3.0, 2 * MLP_CHUNK_ROWS + 3)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu, cache = mlp_forward(mlp, v)
+        grads, dinput = mlp_backward(mlp, cache, np.ones(len(v)))
+    assert np.isfinite(mu).all() and np.isfinite(grads.flatten()).all() and np.isfinite(dinput).all()
+    # softplus' is 1 far above zero and 0 far below it
+    assert grads.biases[-1][0] == (len(v) if z_out > 0 else 0.0)
+
+
+def test_direct_field_holds_no_activations():
+    K, T, M = 40, 1000, 3
+    params = random_small_params(np.random.default_rng(8), K=K, M=M, hidden=(32, 16))
+    v = np.random.default_rng(9).normal(size=(K, T, M))
+    tracemalloc.start()
+    try:
+        direct_field(params, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole-array pass cached 32 + 16 hidden floats per row; now the outputs dominate
+    assert peak < K * T * 48 * 8 / 8, f"peak {peak} bytes"
 
 
 def test_flatten_roundtrip_and_validation():

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import fd_gradient, naive_loglik, poisson_loglik_cellwise
 from synth import make_units, make_weather, random_small_instance, wrap_dataset
 from gridshock.errors import DivergenceError, ValidationError
-from gridshock.model import MlpParams, ModelParams, intensity_field
+from gridshock.model import Coupling, MlpParams, ModelParams, direct_field, intensity_field, kernel_matrix_with_grad
 from gridshock.simulate import simulate_paths
 from gridshock.topology import EdgeWeights, Graph, build_candidate_graph
 from gridshock.train import FitConfig, FitReport, fd_audit, fit, gradients, initialize, log_likelihood, project
-from gridshock.weather_effect import DecayConfig, WeatherScaler
+from gridshock.weather_effect import DecayConfig, WeatherScaler, accumulate_with_grad
 
 
 # -- log-likelihood --------------------------------------------------------------
@@ -94,6 +96,23 @@ def test_gradient_norm_covers_all_groups():
         + float((g.mlp.flatten() ** 2).sum())
     )
     assert g.norm() == pytest.approx(manual, rel=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 8), T=st.integers(2, 40), n_edges=st.integers(0, 12))
+def test_alpha_gradient_is_the_per_edge_dot_product(seed, K, T, n_edges):
+    rng = np.random.default_rng(seed)
+    params, counts, weather = random_small_instance(rng, K=K, T=T, M=2, n_edges=max(n_edges, 1))
+    if n_edges == 0:
+        params.alpha = EdgeWeights(graph=Graph(num_nodes=K, edges=()))
+    ds = wrap_dataset(counts, weather)
+    # W = N / lambda - 1 and R as the full-series evaluation forms them
+    v, _ = accumulate_with_grad(params.scaler.transform(ds.weather), params.decay)
+    R, _ = kernel_matrix_with_grad(counts, params.beta, params.trig_window)
+    lam = direct_field(params, v)[0] + Coupling(params.alpha).apply(R) + params.eps
+    W = counts / lam - 1.0
+    edges = zip(params.graph.tgt.tolist(), params.graph.src.tolist())
+    expected = np.array([np.dot(W[tgt], R[s]) for tgt, s in edges], dtype=np.float64)
+    assert_array_equal(gradients(params, ds).alpha, expected, strict=True)
 
 
 # -- projection ----------------------------------------------------------------------
