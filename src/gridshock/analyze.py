@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, ValidationError
 from .ingest import Dataset
-from .model import Coupling, Kernel, ModelParams, direct_from_weather, intensity_field
+from .model import Coupling, Kernel, ModelParams, direct_from_weather, intensity_field, sigmoid
 from .model import mlp_forward  # noqa: F401  (binding patched by perfbench/tracer.py)
 from .weather_effect import DecayConfig, accumulate
 
@@ -188,19 +188,20 @@ class SigmoidFit:
     n_points: int
 
     def __post_init__(self):
-        if self.a <= 0 or not 0 < self.L <= 1 or self.c < 0:
+        # written so that NaN fails every check
+        if not (self.a > 0 and 0 < self.L <= 1 and self.c >= 0 and np.isfinite(self.rmse)):
             raise ValidationError(
-                f"sigmoid fit out of range: a={self.a}, c={self.c}, L={self.L}"
+                f"sigmoid fit out of range: a={self.a}, c={self.c}, L={self.L}, rmse={self.rmse}"
             )
 
     def predict(self, v: np.ndarray) -> np.ndarray:
-        from scipy.special import expit
-
-        return self.L * expit(self.a * (np.asarray(v) - self.c))
+        return self.L * sigmoid(self.a * (np.asarray(v) - self.c))
 
 
 MIN_SIGMOID_POINTS = 10
 SIGMOID_STARTS = 8
+SIGMOID_MAX_ITER = 200  # Levenberg-Marquardt iterations per start
+SIGMOID_RTOL = 1e-12  # converged once a Gauss-Newton step gains at most this share of the loss
 
 
 def fit_sigmoid(
@@ -229,6 +230,9 @@ def fit_sigmoid(
     var_name = dataset.weather.variable_names[m]
     cfg = cfg or DecayConfig(omega=np.zeros(dataset.num_variables))
     units = list(range(dataset.num_units)) if population is None else [int(u) for u in population]
+    bad = [u for u in units if not 0 <= u < dataset.num_units]
+    if bad:
+        raise ValidationError(f"population unit index {bad[0]} out of range for {dataset.num_units} units")
     v_all = accumulate(dataset.weather, cfg)[:, :, m]
     customers = np.array([dataset.units[i].total_customers for i in range(dataset.num_units)], dtype=float)
     ratios = dataset.outages.counts / customers[:, None]
@@ -260,37 +264,97 @@ def fit_sigmoid_points(v, r, variable: str = "v") -> SigmoidFit:
         raise InsufficientDataError(
             f"sigmoid fit needs >= {MIN_SIGMOID_POINTS} points, got {v.size}"
         )
+    for name, x in (("exposure", v), ("ratio", r)):
+        if not np.isfinite(x).all():
+            raise ValidationError(f"non-finite {name} at point {int(np.flatnonzero(~np.isfinite(x))[0])}")
     a, c, L, rmse = _fit_sigmoid_points(v, r)
     return SigmoidFit(variable=variable, a=a, c=c, L=L, rmse=rmse, n_points=int(v.size))
 
 
-def _fit_sigmoid_points(v: np.ndarray, r: np.ndarray):
-    """Multi-start bounded least squares for (a, c, L); returns + rmse."""
-    from scipy.optimize import minimize
-    from scipy.special import expit
-
+def _sigmoid_starts(v: np.ndarray, r: np.ndarray):
+    """The SIGMOID_STARTS starting (a, c, L) rows and the lower and upper bounds."""
     v_lo, v_hi = float(v.min()), float(v.max())
     span = max(v_hi - v_lo, 1e-9)
     L0 = float(np.clip(r.max(), 1e-3, 1.0))
+    c_starts = np.maximum(np.quantile(v, np.linspace(0.1, 0.9, SIGMOID_STARTS // 2)), 0.0)
+    starts = np.array([(a0, c0, L0) for a0 in (1.0 / span * 4.0, 1.0 / span * 40.0) for c0 in c_starts])
+    lower = np.array([1e-8, 0.0, 1e-8])
+    upper = np.array([np.inf, max(v_hi * 2.0, 1.0), 1.0])
+    return starts, lower, upper
 
-    def loss(theta):
-        a, c, L = theta
-        resid = L * expit(a * (v - c)) - r
-        return float(np.dot(resid, resid))
 
-    c_starts = np.quantile(v, np.linspace(0.1, 0.9, SIGMOID_STARTS // 2))
-    starts = []
-    for a0 in (1.0 / span * 4.0, 1.0 / span * 40.0):
-        for c0 in c_starts:
-            starts.append((a0, max(c0, 0.0), L0))
-    bounds = [(1e-8, None), (0.0, max(v_hi * 2.0, 1.0)), (1e-8, 1.0)]
-    best = None
-    for idx, x0 in enumerate(starts):
-        res = minimize(loss, x0=np.array(x0), method="L-BFGS-B", bounds=bounds)
-        if best is None or res.fun < best.fun:
-            best = res
-    a, c, L = best.x
-    rmse = float(np.sqrt(best.fun / v.size))
+def _sigmoid_loss(theta, v: np.ndarray, r: np.ndarray) -> float:
+    """Sum of squared residuals of L * sigmoid(a (v - c)) against r."""
+    a, c, L = theta
+    resid = L * sigmoid(a * (v - c)) - r
+    return float(np.dot(resid, resid))
+
+
+def _sigmoid_jacobian(theta, v: np.ndarray, r: np.ndarray):
+    """Residuals (n,) and their analytic Jacobian (3, n) in (a, c, L)."""
+    a, c, L = theta
+    d = v - c
+    s = sigmoid(a * d)
+    ds = L * s * (1.0 - s)  # d(L s) / d(a (v - c))
+    return L * s - r, np.stack([ds * d, -a * ds, s])
+
+
+def _sigmoid_lm(theta, v: np.ndarray, r: np.ndarray, lower, upper):
+    """Levenberg-Marquardt from `theta`, each step projected onto the bounds.
+
+    The damping is scaled by the diagonal of J J^T and updated from the
+    ratio of actual to predicted gain (Madsen, Nielsen & Tingleff 2004,
+    sec. 3.2). A parameter at a bound whose gradient points out of the box is
+    held there for the step. Stops when the Gauss-Newton step on the free
+    parameters would lower the loss by at most SIGMOID_RTOL of it, when no
+    damping lowers it, or after SIGMOID_MAX_ITER steps. Returns (theta, loss).
+    """
+    theta = np.array(theta, dtype=np.float64)
+    resid, jac = _sigmoid_jacobian(theta, v, r)
+    loss = float(np.dot(resid, resid))
+    damping, growth = 1e-3, 2.0
+    for _ in range(SIGMOID_MAX_ITER):
+        grad = jac @ resid  # half the loss gradient
+        held = ((theta <= lower) & (grad > 0)) | ((theta >= upper) & (grad < 0))
+        free = np.flatnonzero(~held)
+        g, h = grad[free], jac[free] @ jac[free].T
+        if not g.any():
+            break
+        try:
+            gn_gain = float(g @ np.linalg.solve(h, g))
+        except np.linalg.LinAlgError:
+            gn_gain = np.inf
+        if gn_gain <= SIGMOID_RTOL * loss:
+            break
+        scale = np.diag(np.maximum(np.diag(h), 1e-12 * np.diag(h).max()))
+        while damping <= 1e16:
+            trial = theta.copy()
+            try:
+                trial[free] -= np.linalg.solve(h + damping * scale, g)
+            except np.linalg.LinAlgError:  # damping underflowed on a singular h
+                trial[free] = np.nan  # a rejected step
+            np.clip(trial, lower, upper, out=trial)
+            trial_loss = _sigmoid_loss(trial, v, r)
+            if trial_loss < loss:
+                break
+            damping, growth = damping * growth, growth * 2.0
+        else:
+            break
+        step = trial[free] - theta[free]
+        model_gain = -(2.0 * (g @ step) + step @ h @ step)  # of the linearised residuals
+        ratio = (loss - trial_loss) / model_gain if model_gain > 0 else 0.0
+        damping, growth = damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 2.0
+        theta, loss = trial, trial_loss
+        resid, jac = _sigmoid_jacobian(theta, v, r)
+    return theta, loss
+
+
+def _fit_sigmoid_points(v: np.ndarray, r: np.ndarray):
+    """Multi-start bounded least squares for (a, c, L); returns + rmse."""
+    starts, lower, upper = _sigmoid_starts(v, r)
+    # min keeps the first of equal losses: ties go to the earliest start
+    (a, c, L), loss = min((_sigmoid_lm(x0, v, r, lower, upper) for x0 in starts), key=lambda fit: fit[1])
+    rmse = float(np.sqrt(loss / v.size))
     return float(a), float(c), float(L), rmse
 
 
@@ -382,10 +446,10 @@ def write_predictions_csv(path, report: PredictionReport) -> None:
     units, slots = np.nonzero(~np.isnan(report.predicted))
     predicted = report.predicted[units, slots].astype(np.float64).tolist()
     actual = report.actual[units, slots].astype(np.float64).tolist()
+    rows = zip(units.tolist(), slots.tolist(), predicted, actual)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["unit", "slot", "predicted", "actual"])
-        wr.writerows(zip(units.tolist(), slots.tolist(), map(repr, predicted), map(repr, actual)))
+        fh.write("unit,slot,predicted,actual\n")
+        fh.write("".join(f"{u},{t},{p!r},{a!r}\n" for u, t, p, a in rows))
 
 
 def write_sigmoid_csv(path, fits: list) -> None:

@@ -47,6 +47,12 @@ def softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
 
 
+def sigmoid(z) -> np.ndarray:
+    """1 / (1 + e^-z), the derivative of softplus."""
+    with np.errstate(over="ignore"):  # exp(-z) = inf for z < -709 gives 0
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 @dataclass
 class MlpParams:
     """Weights of the weather-response network mu: R^M -> [0, inf).
@@ -174,9 +180,7 @@ def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray):
     dinput = np.empty_like(x)
     for chunk in _row_chunks(x.shape[0]):
         hiddens, z_out = _activations(mlp, x[chunk])
-        with np.errstate(over="ignore"):  # exp(-z) = inf for z < -709 gives sigmoid 0
-            sigmoid = 1.0 / (1.0 + np.exp(-z_out))  # softplus' = sigmoid
-        dz = (dmu[chunk] * sigmoid)[:, None]
+        dz = (dmu[chunk] * sigmoid(z_out))[:, None]  # softplus' = sigmoid
         for k in range(len(mlp.weights) - 1, -1, -1):
             grad_w[k] += hiddens[k].T @ dz
             grad_b[k] += dz.sum(axis=0)

@@ -1,13 +1,18 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from oracles import naive_intensity_field
 from synth import random_small_instance, wrap_dataset
 from gridshock.analyze import (
+    SIGMOID_STARTS,
     Decomposition,
     Episode,
     PredictionReport,
@@ -27,6 +32,7 @@ from gridshock.analyze import (
     write_sigmoid_csv,
     write_sweep_csv,
 )
+from gridshock.analyze import _sigmoid_loss, _sigmoid_starts
 from gridshock.errors import InsufficientDataError, ValidationError
 from gridshock.model import intensity_field
 from gridshock.weather_effect import DecayConfig
@@ -185,6 +191,37 @@ def test_fit_sigmoid_points_basics():
         fit_sigmoid_points(v[:5], r[:5])
 
 
+def test_fit_sigmoid_rejects_population_indices_out_of_range():
+    ds = _sigmoid_dataset(K=3)
+    cfg = DecayConfig(omega=np.zeros(1), window_slots=1)
+    for bad in (-1, 7):
+        with pytest.raises(ValidationError, match=f"population unit index {bad} out of range for 3 units"):
+            fit_sigmoid(ds, 0, cfg=cfg, population=[0, bad])
+
+
+def test_fit_sigmoid_points_rejects_non_finite_points():
+    rng = np.random.default_rng(4)
+    v = rng.uniform(0, 8, 50)
+    r = 0.5 * expit(v - 4.0)
+    v_nan = v.copy()
+    v_nan[7] = np.nan
+    with pytest.raises(ValidationError, match="non-finite exposure at point 7"):
+        fit_sigmoid_points(v_nan, r)
+    for bad in (np.inf, -np.inf, np.nan):
+        r_bad = r.copy()
+        r_bad[3] = bad
+        with pytest.raises(ValidationError, match="non-finite ratio at point 3"):
+            fit_sigmoid_points(v, r_bad)
+
+
+@pytest.mark.parametrize(
+    "field", [dict(a=np.nan), dict(c=np.nan), dict(L=np.nan), dict(rmse=np.nan), dict(rmse=np.inf), dict(c=-0.5)]
+)
+def test_sigmoid_fit_range_check_rejects_nan(field):
+    with pytest.raises(ValidationError, match="out of range"):
+        SigmoidFit(**{**dict(variable="v", a=1.0, c=2.0, L=0.5, rmse=0.1, n_points=10), **field})
+
+
 def test_sigmoid_fit_validation_and_predict():
     with pytest.raises(ValidationError, match="out of range"):
         SigmoidFit(variable="v", a=-1.0, c=2.0, L=0.5, rmse=0.0, n_points=10)
@@ -193,6 +230,98 @@ def test_sigmoid_fit_validation_and_predict():
     fit = SigmoidFit(variable="v", a=2.0, c=3.0, L=0.8, rmse=0.0, n_points=10)
     assert fit.predict(3.0) == pytest.approx(0.4)  # half-saturation at the threshold
     assert fit.predict(np.array([100.0]))[0] == pytest.approx(0.8)
+
+
+# -- the response-curve solver -----------------------------------------------------
+
+
+def _lbfgsb_sigmoid_loss(v, r):
+    """Loss of the best of the 8 starts under scipy's L-BFGS-B with finite-difference
+    gradients: the estimator the bounded least-squares solver replaced."""
+    v_lo, v_hi = float(v.min()), float(v.max())
+    span = max(v_hi - v_lo, 1e-9)
+    L0 = float(np.clip(r.max(), 1e-3, 1.0))
+
+    def loss(theta):
+        a, c, L = theta
+        resid = L * expit(a * (v - c)) - r
+        return float(np.dot(resid, resid))
+
+    c_starts = np.quantile(v, np.linspace(0.1, 0.9, SIGMOID_STARTS // 2))
+    starts = [(a0, max(c0, 0.0), L0) for a0 in (1.0 / span * 4.0, 1.0 / span * 40.0) for c0 in c_starts]
+    bounds = [(1e-8, None), (0.0, max(v_hi * 2.0, 1.0)), (1e-8, 1.0)]
+    best = min((minimize(loss, x0=np.array(x0), method="L-BFGS-B", bounds=bounds) for x0 in starts), key=lambda res: res.fun)
+    return _sigmoid_loss(best.x, v, r)
+
+
+def _fit_loss(fit, v, r):
+    return _sigmoid_loss((fit.a, fit.c, fit.L), v, r)
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(30, 300),
+    log_a=st.floats(np.log(0.5), np.log(5.0)),
+    c=st.floats(1.0, 9.0),
+    L=st.floats(0.05, 1.0),
+    noise=st.floats(0.0, 0.02),
+)
+def test_sigmoid_solver_loss_is_no_worse_than_lbfgsb(seed, n, log_a, c, L, noise):
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.0, 10.0, n)
+    r = L * expit(np.exp(log_a) * (v - c)) + rng.normal(0.0, noise * L, n)
+    fit = fit_sigmoid_points(v, r)
+    assert _fit_loss(fit, v, r) <= _lbfgsb_sigmoid_loss(v, r) * (1 + 1e-9)
+
+
+def _bound_cases():
+    rng = np.random.default_rng(21)
+    v = rng.uniform(0.0, 10.0, 120)
+    noise = rng.normal(0.0, 0.005, 120)
+    return {
+        "interior": (v, 0.7 * expit(1.5 * (v - 4.0)) + noise),
+        "L at its upper bound": (v, 1.3 * expit(2.0 * (v - 5.0)) + noise),
+        "c at its lower bound": (v, 0.4 * expit(0.8 * (v + 3.0)) + noise),
+        "a at its lower bound": (v, 0.5 - 0.03 * v + noise),
+        "large, flat exposures": (1e3 * v, 2e-4 * expit(0.01 * (1e3 * v - 4e3)) + 1e-5 * noise),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bound_cases()))
+def test_sigmoid_solver_meets_the_bound_constrained_optimality_conditions(case):
+    v, r = _bound_cases()[case]
+    fit = fit_sigmoid_points(v, r)
+    _, lower, upper = _sigmoid_starts(v, r)
+    theta = np.array([fit.a, fit.c, fit.L])
+    d = v - fit.c
+    s = expit(fit.a * d)
+    resid = fit.L * s - r
+    jac = np.stack([fit.L * s * (1 - s) * d, -fit.a * fit.L * s * (1 - s), s])
+    # each loss-gradient component, as a cosine between the residual and its Jacobian column
+    cos = (jac @ resid) / (np.linalg.norm(jac, axis=1) * np.linalg.norm(resid))
+    for k in range(3):
+        if theta[k] <= lower[k]:
+            assert cos[k] > -1e-5  # descent would leave the box downwards
+        elif theta[k] >= upper[k]:
+            assert cos[k] < 1e-5  # descent would leave the box upwards
+        else:
+            assert abs(cos[k]) < 1e-5
+    at_bound = {"L at its upper bound": 2, "c at its lower bound": 1, "a at its lower bound": 0}
+    if case in at_bound:
+        k = at_bound[case]
+        assert theta[k] in (lower[k], upper[k])
+
+
+@pytest.mark.parametrize("case", list(_bound_cases()))
+def test_sigmoid_solver_loss_is_no_worse_than_any_start(case):
+    v, r = _bound_cases()[case]
+    fit = fit_sigmoid_points(v, r)
+    starts, _, _ = _sigmoid_starts(v, r)
+    assert starts.shape == (SIGMOID_STARTS, 3)
+    best = _fit_loss(fit, v, r)
+    assert all(best <= _sigmoid_loss(x0, v, r) for x0 in starts)
+    assert fit.rmse == pytest.approx(np.sqrt(best / v.size), rel=1e-12)
 
 
 # -- restoration episodes ---------------------------------------------------------
@@ -268,6 +397,35 @@ def test_predictions_csv_skips_unevaluated_cells(tmp_path):
     path = tmp_path / "p.csv"
     write_predictions_csv(path, rep)
     assert path.read_text() == "unit,slot,predicted,actual\n0,1,0.75,1.0\n1,1,1.5,2.0\n"
+
+
+def _csv_writer_predictions(path, report):
+    """The csv.writer form of write_predictions_csv, as the reference for its bytes."""
+    units, slots = np.nonzero(~np.isnan(report.predicted))
+    predicted = report.predicted[units, slots].astype(np.float64).tolist()
+    actual = report.actual[units, slots].astype(np.float64).tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        wr = csv.writer(fh, lineterminator="\n")
+        wr.writerow(["unit", "slot", "predicted", "actual"])
+        wr.writerows(zip(units.tolist(), slots.tolist(), map(repr, predicted), map(repr, actual)))
+
+
+def test_predictions_csv_matches_the_csv_writer_bytes(tmp_path):
+    rng = np.random.default_rng(17)
+    predicted = rng.lognormal(0.0, 4.0, (5, 40))
+    predicted[:, :3] = np.nan
+    predicted[2, 10:15] = np.nan
+    predicted[0, 3:9] = [1e-20, 1.5e300, 5e-324, 1e16, 0.0001, 123456789012345680.0]
+    actual = rng.poisson(3.0, (5, 40)).astype(np.float64)
+    actual[1, 3:6] = [2.5e-7, 1e22, -0.0]
+    rep = PredictionReport(
+        horizon=3, predicted=predicted, actual=actual, mae=0.0, rmse=0.0, persistence_mae=0.0, per_unit_mae=np.zeros(5)
+    )
+    write_predictions_csv(tmp_path / "new.csv", rep)
+    _csv_writer_predictions(tmp_path / "ref.csv", rep)
+    out = (tmp_path / "new.csv").read_bytes()
+    assert out == (tmp_path / "ref.csv").read_bytes()
+    assert b"e-324" in out and b"e+300" in out and b"nan" not in out
 
 
 def test_sigmoid_and_episode_and_sweep_csv(tmp_path):

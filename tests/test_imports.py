@@ -1,5 +1,6 @@
-"""Only `analyze`'s response-curve fit uses scipy, so every other command,
-`fit` included, must start and run without loading it."""
+"""No `gridshock` command loads scipy: the network, the fit and the
+response-curve solver are numpy only. scipy is a test dependency, used as a
+reference in the tests."""
 
 import os
 import subprocess
@@ -38,3 +39,22 @@ def test_fitting_and_the_gradient_audit_do_not_import_scipy():
         "train.fd_audit(params, ds, max_coords=5)\n"
     )
     assert _scipy_modules_after(code) == "[]"
+
+
+def test_analyze_and_the_response_curve_do_not_import_scipy(tmp_path):
+    code = (
+        "import numpy as np\n"
+        "from synth import random_small_instance, wrap_dataset\n"
+        "from gridshock import cli, ingest, model\n"
+        "params, counts, weather = random_small_instance(np.random.default_rng(1), K=3, T=12, M=2, n_edges=2)\n"
+        "ds = wrap_dataset(counts, weather, variable_names=['wind_speed', 'precip_rate'])\n"
+        f"out = {str(tmp_path)!r}\n"
+        "ingest.save_dataset(ds, out + '/dataset.gshk')\n"
+        "model.serialize(params, out + '/model.gshk')\n"
+        "assert cli.main(['analyze', '--dataset', out + '/dataset.gshk', '--model', out + '/model.gshk',\n"
+        "                 '--output-dir', out, '--sigmoid-variable', 'wind_speed']) == 0\n"
+        "from gridshock.analyze import SigmoidFit\n"
+        "SigmoidFit(variable='v', a=1.0, c=0.5, L=0.5, rmse=0.0, n_points=10).predict(np.linspace(0.0, 1.0, 5))\n"
+    )
+    assert _scipy_modules_after(code) == "[]"
+    assert (tmp_path / "sigmoid.csv").read_text().startswith("variable,a,c,L,rmse,n_points\nwind_speed,")
