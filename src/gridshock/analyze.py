@@ -9,8 +9,10 @@ Covers four reporting surfaces:
                      whose threshold c is the disruption tolerance estimate
   * restoration_durations — outage episodes and how fast they clear
 
-All functions are pure; CSV writers live at the bottom and emit byte-stable
-output (fixed column order, shortest round-trip float formatting).
+All functions are pure. The CSV writers live at the bottom: `write_csv` is
+the one report dialect (UTF-8, "\n" line ends, shortest round-trip floats),
+also used by the CLI and the propagation map, so every report is byte-stable
+at a fixed thread count.
 """
 
 from __future__ import annotations
@@ -233,7 +235,8 @@ def fit_sigmoid(
     bad = [u for u in units if not 0 <= u < dataset.num_units]
     if bad:
         raise ValidationError(f"population unit index {bad[0]} out of range for {dataset.num_units} units")
-    v_all = accumulate(dataset.weather, cfg)[:, :, m]
+    v_all = accumulate(dataset.weather.values[:, :, m : m + 1], DecayConfig(cfg.omega[m : m + 1], cfg.window_slots))
+    v_all = v_all[:, :, 0]
     customers = np.array([dataset.units[i].total_customers for i in range(dataset.num_units)], dtype=float)
     ratios = dataset.outages.counts / customers[:, None]
     v_pts, r_pts = [], []
@@ -434,15 +437,22 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_decomposition_csv(path, decomp: Decomposition) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write one report: UTF-8, "\n" line ends, every float via :func:`_fmt`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["slot", "direct_total", "indirect_total", "observed_total"])
-        for t in range(decomp.slot_direct.shape[0]):
-            wr.writerow([t, _fmt(decomp.slot_direct[t]), _fmt(decomp.slot_indirect[t]), _fmt(decomp.slot_observed[t])])
+        wr.writerow(header)
+        wr.writerows([_fmt(x) if isinstance(x, float) else x for x in row] for row in rows)
+
+
+def write_decomposition_csv(path, decomp: Decomposition) -> None:
+    rows = zip(range(decomp.slot_direct.shape[0]), decomp.slot_direct, decomp.slot_indirect, decomp.slot_observed)
+    write_csv(path, ["slot", "direct_total", "indirect_total", "observed_total"], rows)
 
 
 def write_predictions_csv(path, report: PredictionReport) -> None:
+    """The report dialect of :func:`write_csv`, written as one joined string:
+    these files have a row per evaluated cell."""
     units, slots = np.nonzero(~np.isnan(report.predicted))
     predicted = report.predicted[units, slots].astype(np.float64).tolist()
     actual = report.actual[units, slots].astype(np.float64).tolist()
@@ -453,24 +463,14 @@ def write_predictions_csv(path, report: PredictionReport) -> None:
 
 
 def write_sigmoid_csv(path, fits: list) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["variable", "a", "c", "L", "rmse", "n_points"])
-        for f in fits:
-            wr.writerow([f.variable, _fmt(f.a), _fmt(f.c), _fmt(f.L), _fmt(f.rmse), f.n_points])
+    rows = ([f.variable, f.a, f.c, f.L, f.rmse, f.n_points] for f in fits)
+    write_csv(path, ["variable", "a", "c", "L", "rmse", "n_points"], rows)
 
 
 def write_episodes_csv(path, episodes: list) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["unit", "start", "end", "duration_slots", "max_outage"])
-        for e in episodes:
-            wr.writerow([e.unit, e.start_slot, e.end_slot, e.duration_slots, e.max_outage])
+    rows = ([e.unit, e.start_slot, e.end_slot, e.duration_slots, e.max_outage] for e in episodes)
+    write_csv(path, ["unit", "start", "end", "duration_slots", "max_outage"], rows)
 
 
 def write_sweep_csv(path, rows: list, axis1_name: str = "top_units", axis2_name: str = "edges_per_unit") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow([axis1_name, axis2_name, "reduction_pct", "std_err"])
-        for a1, a2, pct, se in rows:
-            wr.writerow([a1, a2, _fmt(pct), _fmt(se)])
+    write_csv(path, [axis1_name, axis2_name, "reduction_pct", "std_err"], rows)

@@ -10,8 +10,14 @@ Exit codes: 0 ok, 2 validation/config problem, 3 numeric failure
 
 `--threads N` pins the numeric thread pools; it must act before numpy is
 first imported, which is why this module and the package root import the
-numeric stack lazily. Results do not depend on the thread count; pinning
-just makes runs repeatable on machines with different core counts.
+numeric stack lazily. Artifacts are byte-stable at a fixed thread count;
+a few BLAS reductions (the response-curve fit in `analyze`) round
+differently across thread counts, so pinning is what makes reruns on
+machines with different core counts reproduce them.
+
+Each flag's argparse `dest` is the (dotted) config key it overrides, so the
+parser is the one table of flag -> key; `--seed` (two keys) and the sweep
+flags are the only flags applied by hand.
 """
 
 from __future__ import annotations
@@ -108,58 +114,35 @@ def effective_config(args) -> dict:
     overrides = {}
 
     def put(dotted, value):
-        if value is None:
-            return
         node = overrides
         keys = dotted.split(".")
         for k in keys[:-1]:
             node = node.setdefault(k, {})
         node[keys[-1]] = value
 
-    put("output_dir", getattr(args, "output_dir", None))
-    put("dataset", getattr(args, "dataset", None))
-    put("model", getattr(args, "model", None))
-    put("units_csv", getattr(args, "units", None))
-    put("outages_csv", getattr(args, "outages", None))
-    put("weather_csv", getattr(args, "weather", None))
-    put("grid.slot_seconds", getattr(args, "slot_seconds", None))
-    put("grid.start", getattr(args, "grid_start", None))
-    put("grid.num_slots", getattr(args, "num_slots", None))
-    put("aggregation", getattr(args, "aggregation", None))
-    put("graph.k_neighbors", getattr(args, "k_neighbors", None))
-    put("graph.max_km", getattr(args, "max_km", None))
-    put("fit.max_epochs", getattr(args, "epochs", None))
-    put("fit.step_size", getattr(args, "step_size", None))
-    put("fit.batch_slots", getattr(args, "batch_slots", None))
-    put("fit.optimizer", getattr(args, "optimizer", None))
-    put("predict.horizon", getattr(args, "horizon", None))
-    put("sim.replications", getattr(args, "replications", None))
-    put("sim.teacher_forced_until", getattr(args, "teacher_forced_until", None))
-    put("sim.baseline", getattr(args, "baseline", None))
-    put("scenario", getattr(args, "scenario", None))
-    put("analyze.zero_run_threshold", getattr(args, "zero_run_threshold", None))
-    if getattr(args, "sigmoid_variable", None):
-        put("analyze.sigmoid_variables", list(args.sigmoid_variable))
-    if getattr(args, "seed", None) is not None:
+    for dest, value in vars(args).items():
+        if value is not None and ("." in dest or dest in DEFAULTS):
+            put(dest, value)
+    if args.seed is not None:
         put("fit.seed", args.seed)
         put("sim.seed", args.seed)
-    if getattr(args, "sweep_units", None) or getattr(args, "sweep_edges", None):
-        sweep = dict(cfg.get("sweep") or {"mode": "edges", "axis1": [], "axis2": []})
-        if getattr(args, "sweep_mode", None):
-            sweep["mode"] = args.sweep_mode
-        if getattr(args, "sweep_units", None):
-            sweep["axis1"] = [int(x) for x in args.sweep_units.split(",")]
-        if getattr(args, "sweep_edges", None):
-            sweep["axis2"] = [int(x) for x in args.sweep_edges.split(",")]
-        overrides["sweep"] = sweep
-    return _deep_merge(cfg, overrides)
+    cfg = _deep_merge(cfg, overrides)
+    sweep = {key: getattr(args, f"sweep_{key}", None) for key in ("mode", "axis1", "axis2")}
+    if any(value is not None for value in sweep.values()):
+        base = cfg["sweep"] or {"mode": "edges", "axis1": [], "axis2": []}
+        cfg["sweep"] = {**base, **{key: value for key, value in sweep.items() if value is not None}}
+    return cfg
+
+
+def _output_dir(cfg: dict) -> Path:
+    out_dir = Path(cfg["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _echo_config(cfg: dict, command: str) -> None:
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"command": command, "config": cfg}
-    with open(out_dir / "effective_config.json", "w", encoding="utf-8") as fh:
+    with open(_output_dir(cfg) / "effective_config.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -175,6 +158,20 @@ def _require_file(path, kind: str):
     if not Path(path).is_file():
         raise ValidationError(f"{kind} file not found: {path}")
     return Path(path)
+
+
+def _raw_csvs(cfg: dict) -> dict:
+    """The units, outages and weather CSV paths `ingest` reads, by kind."""
+    return {kind: _require_file(_require(cfg, f"{kind}_csv", f"--{kind}"), f"{kind} CSV")
+            for kind in ("units", "outages", "weather")}
+
+
+def _load_inputs(cfg: dict):
+    """The dataset and the fitted model every command after `fit` reads."""
+    from . import ingest, model
+
+    ds = ingest.load_dataset(_require_file(_require(cfg, "dataset", "--dataset"), "dataset"))
+    return ds, model.deserialize(_require_file(_require(cfg, "model", "--model"), "model"))
 
 
 # -- ingest -------------------------------------------------------------------
@@ -212,23 +209,19 @@ def _resolve_grid(cfg: dict, outage_rows, weather_rows):
 def cmd_ingest(cfg: dict, args) -> int:
     from . import ingest
 
-    units_path = _require_file(_require(cfg, "units_csv", "--units"), "units CSV")
-    outages_path = _require_file(_require(cfg, "outages_csv", "--outages"), "outages CSV")
-    weather_path = _require_file(_require(cfg, "weather_csv", "--weather"), "weather CSV")
-    units = ingest.load_units(units_path)
-    variables, weather_rows = ingest.load_weather_rows(weather_path)
+    paths = _raw_csvs(cfg)
+    units = ingest.load_units(paths["units"])
+    variables, weather_rows = ingest.load_weather_rows(paths["weather"])
     # Each file is parsed once; the grid and the aggregation read the same rows.
-    outage_rows = list(ingest.load_outage_rows(outages_path))
+    outage_rows = list(ingest.load_outage_rows(paths["outages"]))
     weather_rows = list(weather_rows)
     grid = _resolve_grid(cfg, outage_rows, weather_rows)
     outages = ingest.aggregate_outages(outage_rows, units, grid, method=cfg["aggregation"])
     weather = ingest.aggregate_weather(weather_rows, units, grid, variables)
     ds = ingest.Dataset(units=units, grid=grid, outages=outages, weather=weather)
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(cfg)
     ds_path = Path(cfg["dataset"] or out_dir / "dataset.gshk")
     ingest.save_dataset(ds, ds_path)
-    _echo_config(cfg, "ingest")
     gaps = ingest.gap_report(ds)
     print(f"K={ds.num_units} T={ds.num_slots} M={ds.num_variables}")
     print(
@@ -265,11 +258,10 @@ def _fit_config(cfg: dict):
 
 
 def cmd_fit(cfg: dict, args) -> int:
-    import csv as _csv
-
     import numpy as np
 
     from . import ingest, model, topology, train
+    from .analyze import write_csv
 
     ds_path = _require_file(_require(cfg, "dataset", "--dataset"), "dataset")
     ds = ingest.load_dataset(ds_path)
@@ -277,21 +269,15 @@ def cmd_fit(cfg: dict, args) -> int:
     graph = topology.build_candidate_graph(
         ds.units, k_neighbors=int(cfg["graph"]["k_neighbors"]), max_km=float(cfg["graph"]["max_km"])
     )
-    if getattr(args, "check_gradients", False):
+    if args.check_gradients:
         params0 = train.initialize(ds, graph, seed=fit_cfg.seed, cfg=fit_cfg)
         worst = train.fd_audit(params0, ds, max_coords=40)
         print(f"gradient audit: max rel. err {worst:.3e} over 40 sampled coordinates")
     params, report = train.fit(ds, graph, fit_cfg)
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(cfg)
     model_path = Path(cfg["model"] or out_dir / "model.gshk")
     model.serialize(params, model_path)
-    with open(out_dir / "fit_report.csv", "w", newline="", encoding="utf-8") as fh:
-        wr = _csv.writer(fh, lineterminator="\n")
-        wr.writerow(["epoch", "loglik", "grad_norm", "projections"])
-        for epoch, ll, gn, pc in report.records():
-            wr.writerow([epoch, repr(float(ll)), repr(float(gn)), pc])
-    _echo_config(cfg, "fit")
+    write_csv(out_dir / "fit_report.csv", ["epoch", "loglik", "grad_norm", "projections"], report.records())
     params.check_invariants()
     w = params.alpha.w
     kept = w[w > 0]  # the no-loop projection stores the losing direction of a pair as 0
@@ -313,19 +299,16 @@ def cmd_fit(cfg: dict, args) -> int:
 
 
 def cmd_predict(cfg: dict, args) -> int:
-    from . import analyze, ingest, model
+    from . import analyze, model
 
-    ds = ingest.load_dataset(_require_file(_require(cfg, "dataset", "--dataset"), "dataset"))
-    params = model.deserialize(_require_file(_require(cfg, "model", "--model"), "model"))
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    ds, params = _load_inputs(cfg)
+    out_dir = _output_dir(cfg)
     direct = model.direct_from_weather(params, ds.weather)  # one weather term for both predictions
     in_sample = analyze.predict_in_sample(params, ds, direct=direct)
     analyze.write_predictions_csv(out_dir / "predictions_insample.csv", in_sample)
     horizon = int(cfg["predict"]["horizon"])
     ahead = analyze.predict_ahead(params, ds, horizon_slots=horizon, direct=direct)
     analyze.write_predictions_csv(out_dir / "predictions_ahead.csv", ahead)
-    _echo_config(cfg, "predict")
     print(f"in-sample: MAE={in_sample.mae:.4f} RMSE={in_sample.rmse:.4f}")
     print(
         f"{horizon}-slot ahead: MAE={ahead.mae:.4f} RMSE={ahead.rmse:.4f} "
@@ -338,12 +321,10 @@ def cmd_predict(cfg: dict, args) -> int:
 
 
 def cmd_simulate(cfg: dict, args) -> int:
-    import csv as _csv
+    from . import simulate
+    from .analyze import write_csv
 
-    from . import ingest, model, simulate
-
-    ds = ingest.load_dataset(_require_file(_require(cfg, "dataset", "--dataset"), "dataset"))
-    params = model.deserialize(_require_file(_require(cfg, "model", "--model"), "model"))
+    ds, params = _load_inputs(cfg)
     sim_cfg = cfg["sim"]
     result = simulate.simulate_paths(
         params,
@@ -354,24 +335,20 @@ def cmd_simulate(cfg: dict, args) -> int:
         teacher_forced_until=int(sim_cfg["teacher_forced_until"]),
         observed=ds.outages if int(sim_cfg["teacher_forced_until"]) > 0 else None,
     )
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "simulation_units.csv", "w", newline="", encoding="utf-8") as fh:
-        wr = _csv.writer(fh, lineterminator="\n")
-        wr.writerow(["unit", "total_mean"])
-        for i, m in enumerate(result.unit_total_mean):
-            wr.writerow([i, repr(float(m))])
+    out_dir = _output_dir(cfg)
+    write_csv(out_dir / "simulation_units.csv", ["unit", "total_mean"], enumerate(result.unit_total_mean))
     quantiles = result.total_quantiles()
-    with open(out_dir / "simulation_totals.csv", "w", newline="", encoding="utf-8") as fh:
-        wr = _csv.writer(fh, lineterminator="\n")
-        wr.writerow(["metric", "value"])
-        wr.writerow(["mean_total", repr(result.mean_total)])
-        wr.writerow(["std_err", repr(result.total_std_err)])
-        for q in sorted(quantiles):
-            wr.writerow([f"q{int(q * 100):02d}", repr(quantiles[q])])
-        wr.writerow(["replications", result.replications])
-        wr.writerow(["seed", result.seed])
-    _echo_config(cfg, "simulate")
+    write_csv(
+        out_dir / "simulation_totals.csv",
+        ["metric", "value"],
+        [
+            ["mean_total", result.mean_total],
+            ["std_err", result.total_std_err],
+            *([f"q{int(q * 100):02d}", quantiles[q]] for q in sorted(quantiles)),
+            ["replications", result.replications],
+            ["seed", result.seed],
+        ],
+    )
     print(
         f"simulated R={result.replications}: mean_total={result.mean_total:.2f} "
         f"(se {result.total_std_err:.2f}), observed_total={int(ds.outages.counts.sum())}"
@@ -383,15 +360,11 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 
 def cmd_enhance(cfg: dict, args) -> int:
-    import csv as _csv
+    from . import analyze, simulate
 
-    from . import analyze, ingest, model, simulate
-
-    ds = ingest.load_dataset(_require_file(_require(cfg, "dataset", "--dataset"), "dataset"))
-    params = model.deserialize(_require_file(_require(cfg, "model", "--model"), "model"))
+    ds, params = _load_inputs(cfg)
     sim_cfg = cfg["sim"]
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(cfg)
     R = int(sim_cfg["replications"])
     seed = int(sim_cfg["seed"])
     scenarios = []
@@ -415,19 +388,11 @@ def cmd_enhance(cfg: dict, args) -> int:
     )
     if scenarios:
         res = results[0]
-        with open(out_dir / "enhancement.csv", "w", newline="", encoding="utf-8") as fh:
-            wr = _csv.writer(fh, lineterminator="\n")
-            wr.writerow(["reduction_pct", "std_err_pct", "baseline_total", "scenario_total", "replications", "seed"])
-            wr.writerow(
-                [
-                    repr(res.reduction_pct),
-                    repr(res.std_err_pct),
-                    repr(res.baseline_total),
-                    repr(res.scenario_total),
-                    res.replications,
-                    res.seed,
-                ]
-            )
+        analyze.write_csv(
+            out_dir / "enhancement.csv",
+            ["reduction_pct", "std_err_pct", "baseline_total", "scenario_total", "replications", "seed"],
+            [[res.reduction_pct, res.std_err_pct, res.baseline_total, res.scenario_total, res.replications, res.seed]],
+        )
         print(f"scenario reduction: {res.reduction_pct:.2f}% +- {res.std_err_pct:.2f}% (R={R})")
     if cells:
         rows = [
@@ -436,7 +401,6 @@ def cmd_enhance(cfg: dict, args) -> int:
         names = ("top_units", "edges_per_unit") if mode == "edges" else ("margin_units", "recovery_units")
         analyze.write_sweep_csv(out_dir / "sweep.csv", rows, axis1_name=names[0], axis2_name=names[1])
         print(f"sweep: {len(rows)} cells written")
-    _echo_config(cfg, "enhance")
     return EXIT_OK
 
 
@@ -444,13 +408,10 @@ def cmd_enhance(cfg: dict, args) -> int:
 
 
 def cmd_analyze(cfg: dict, args) -> int:
-    from . import analyze, ingest, model
-    from .weather_effect import DecayConfig
+    from . import analyze
 
-    ds = ingest.load_dataset(_require_file(_require(cfg, "dataset", "--dataset"), "dataset"))
-    params = model.deserialize(_require_file(_require(cfg, "model", "--model"), "model"))
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    ds, params = _load_inputs(cfg)
+    out_dir = _output_dir(cfg)
     decomp = analyze.decompose(params, ds)
     analyze.write_decomposition_csv(out_dir / "decomposition.csv", decomp)
     episodes = analyze.restoration_durations(ds, zero_run_threshold=int(cfg["analyze"]["zero_run_threshold"]))
@@ -462,7 +423,6 @@ def cmd_analyze(cfg: dict, args) -> int:
         fits.append(analyze.fit_sigmoid(ds, var, cfg=params.decay, population=None))
     if fits:
         analyze.write_sigmoid_csv(out_dir / "sigmoid.csv", fits)
-    _echo_config(cfg, "analyze")
     print(
         f"decomposition: direct share {decomp.direct_share:.3f}, "
         f"cascade share {decomp.indirect_share:.3f}"
@@ -480,17 +440,13 @@ def cmd_analyze(cfg: dict, args) -> int:
 
 
 def cmd_export_map(cfg: dict, args) -> int:
-    from . import ingest, model, topology
+    from . import topology
 
-    ds = ingest.load_dataset(_require_file(_require(cfg, "dataset", "--dataset"), "dataset"))
-    params = model.deserialize(_require_file(_require(cfg, "model", "--model"), "model"))
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "propagation_map.csv"
+    ds, params = _load_inputs(cfg)
+    path = _output_dir(cfg) / "propagation_map.csv"
     mass = topology.triggering_totals(params.alpha, ds.outages, params)
     n = topology.export_propagation_map(params.alpha, ds.outages, params, path, mass=mass)
     scores = topology.criticality_scores(params.alpha, ds.outages, params, mass=mass)
-    _echo_config(cfg, "export-map")
     top = sorted(range(len(scores)), key=lambda j: (-scores[j], j))[:5]
     print(f"wrote {n} edges to {path}")
     for j in top:
@@ -519,8 +475,8 @@ def validate_only(cfg: dict, command: str) -> int:
     if command == "ingest":
         from .ingest import read_header
 
-        for kind in ("units", "outages", "weather"):
-            read_header(_require_file(_require(cfg, f"{kind}_csv", f"--{kind}"), f"{kind} CSV"), kind)
+        for kind, path in _raw_csvs(cfg).items():
+            read_header(path, kind)
     else:
         ds_path = _require_file(_require(cfg, "dataset", "--dataset"), "dataset")
         schema = peek_schema(ds_path)
@@ -542,7 +498,12 @@ def validate_only(cfg: dict, command: str) -> int:
 # -- parser / dispatch --------------------------------------------------------
 
 
+def int_list(text: str) -> list:
+    return [int(x) for x in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag that overrides a config value has that key as its `dest`."""
     parser = argparse.ArgumentParser(
         prog="gridshock",
         description="Estimate and analyze a graph-coupled Poisson model of weather-driven power outages.",
@@ -557,65 +518,57 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="validate config and input file schemas, then exit without computing",
     )
+    # the inputs of every command after fit
+    fitted = argparse.ArgumentParser(add_help=False, parents=[common])
+    fitted.add_argument("--dataset")
+    fitted.add_argument("--model")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", parents=[common], help="aggregate raw CSVs onto the slot grid")
-    p.add_argument("--units", help="units CSV (unit_id,lat,lon,total_customers)")
-    p.add_argument("--outages", help="outage samples CSV (unit_id,timestamp,customers_out)")
-    p.add_argument("--weather", help="weather samples CSV (unit_id,timestamp,<variables...>)")
+    p.add_argument("--units", dest="units_csv", help="units CSV (unit_id,lat,lon,total_customers)")
+    p.add_argument("--outages", dest="outages_csv", help="outage samples CSV (unit_id,timestamp,customers_out)")
+    p.add_argument("--weather", dest="weather_csv", help="weather samples CSV (unit_id,timestamp,<variables...>)")
     p.add_argument("--dataset", help="output dataset file")
-    p.add_argument("--slot-seconds", type=int, dest="slot_seconds")
-    p.add_argument("--grid-start", dest="grid_start", help="ISO timestamp or 'auto'")
-    p.add_argument("--num-slots", dest="num_slots", help="slot count or 'auto'")
+    p.add_argument("--slot-seconds", type=int, dest="grid.slot_seconds")
+    p.add_argument("--grid-start", dest="grid.start", help="ISO timestamp or 'auto'")
+    p.add_argument("--num-slots", dest="grid.num_slots", help="slot count or 'auto'")
     p.add_argument("--aggregation", choices=["mean", "max", "last"])
 
     p = sub.add_parser("fit", parents=[common], help="estimate model parameters")
     p.add_argument("--dataset", help="dataset file from ingest")
     p.add_argument("--model", help="output model file")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--step-size", type=float, dest="step_size")
-    p.add_argument("--batch-slots", type=int, dest="batch_slots")
-    p.add_argument("--optimizer", choices=["adaptive-moments", "plain-sgd"])
-    p.add_argument("--k-neighbors", type=int, dest="k_neighbors")
-    p.add_argument("--max-km", type=float, dest="max_km")
+    p.add_argument("--epochs", type=int, dest="fit.max_epochs")
+    p.add_argument("--step-size", type=float, dest="fit.step_size")
+    p.add_argument("--batch-slots", type=int, dest="fit.batch_slots")
+    p.add_argument("--optimizer", choices=["adaptive-moments", "plain-sgd"], dest="fit.optimizer")
+    p.add_argument("--k-neighbors", type=int, dest="graph.k_neighbors")
+    p.add_argument("--max-km", type=float, dest="graph.max_km")
     p.add_argument(
         "--check-gradients",
         action="store_true",
-        dest="check_gradients",
         help="audit analytic gradients against finite differences before fitting",
     )
 
-    p = sub.add_parser("predict", parents=[common], help="teacher-forced and h-slot-ahead prediction")
-    p.add_argument("--dataset")
-    p.add_argument("--model")
-    p.add_argument("--horizon", type=int)
+    p = sub.add_parser("predict", parents=[fitted], help="teacher-forced and h-slot-ahead prediction")
+    p.add_argument("--horizon", type=int, dest="predict.horizon")
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo rollout of the fitted process")
-    p.add_argument("--dataset")
-    p.add_argument("--model")
-    p.add_argument("--replications", type=int)
-    p.add_argument("--teacher-forced-until", type=int, dest="teacher_forced_until")
+    p = sub.add_parser("simulate", parents=[fitted], help="Monte Carlo rollout of the fitted process")
+    p.add_argument("--replications", type=int, dest="sim.replications")
+    p.add_argument("--teacher-forced-until", type=int, dest="sim.teacher_forced_until")
 
-    p = sub.add_parser("enhance", parents=[common], help="what-if scenario evaluation / sweep")
-    p.add_argument("--dataset")
-    p.add_argument("--model")
+    p = sub.add_parser("enhance", parents=[fitted], help="what-if scenario evaluation / sweep")
     p.add_argument("--scenario", help="scenario JSON file")
-    p.add_argument("--replications", type=int)
-    p.add_argument("--baseline", choices=["simulated_total", "observed_total"])
-    p.add_argument("--sweep-mode", choices=["edges", "margins"], dest="sweep_mode")
-    p.add_argument("--sweep-units", dest="sweep_units", help="comma list for axis 1")
-    p.add_argument("--sweep-edges", dest="sweep_edges", help="comma list for axis 2")
+    p.add_argument("--replications", type=int, dest="sim.replications")
+    p.add_argument("--baseline", choices=["simulated_total", "observed_total"], dest="sim.baseline")
+    p.add_argument("--sweep-mode", choices=["edges", "margins"])
+    p.add_argument("--sweep-units", type=int_list, dest="sweep_axis1", metavar="LIST", help="comma list for axis 1")
+    p.add_argument("--sweep-edges", type=int_list, dest="sweep_axis2", metavar="LIST", help="comma list for axis 2")
 
-    p = sub.add_parser("analyze", parents=[common], help="decomposition, episodes, sigmoid thresholds")
-    p.add_argument("--dataset")
-    p.add_argument("--model")
-    p.add_argument("--sigmoid-variable", action="append", dest="sigmoid_variable", help="repeatable")
-    p.add_argument("--zero-run-threshold", type=int, dest="zero_run_threshold")
+    p = sub.add_parser("analyze", parents=[fitted], help="decomposition, episodes, sigmoid thresholds")
+    p.add_argument("--sigmoid-variable", action="append", dest="analyze.sigmoid_variables", help="repeatable")
+    p.add_argument("--zero-run-threshold", type=int, dest="analyze.zero_run_threshold")
 
-    p = sub.add_parser("export-map", parents=[common], help="edge-level propagation table")
-    p.add_argument("--dataset")
-    p.add_argument("--model")
-
+    sub.add_parser("export-map", parents=[fitted], help="edge-level propagation table")
     return parser
 
 
@@ -646,7 +599,9 @@ def main(argv=None) -> int:
         cfg = effective_config(args)
         if args.validate_only:
             return validate_only(cfg, args.command)
-        return COMMANDS[args.command](cfg, args)
+        rc = COMMANDS[args.command](cfg, args)
+        _echo_config(cfg, args.command)  # only a finished command's directory describes its run
+        return rc
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -15,7 +15,6 @@ both orientations admitted as candidates.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -224,6 +223,8 @@ def export_propagation_map(weights: EdgeWeights, history, params, path, mass=Non
     score; `mass` is as in :func:`criticality_scores`. Returns the number of
     data rows written.
     """
+    from .analyze import write_csv  # analyze imports this module through model
+
     if mass is None:
         mass = triggering_totals(weights, history, params)
     rows = []
@@ -231,11 +232,7 @@ def export_propagation_map(weights: EdgeWeights, history, params, path, mass=Non
         rows.append((s, t, a, a * mass[s]))
     rows.sort(key=lambda r: (-r[3], r[0], r[1]))
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["source", "target", "alpha", "attributed_outages"])
-            for s, t, a, att in rows:
-                writer.writerow([s, t, repr(float(a)), repr(float(att))])
+        write_csv(path, ["source", "target", "alpha", "attributed_outages"], rows)
     except OSError as exc:
         raise OSError(f"could not write propagation map to {path}: {exc}") from exc
     return len(rows)

@@ -428,6 +428,34 @@ def test_predictions_csv_matches_the_csv_writer_bytes(tmp_path):
     assert b"e-324" in out and b"e+300" in out and b"nan" not in out
 
 
+def test_fit_sigmoid_accumulates_only_its_variable(monkeypatch):
+    """A response curve accumulates its own weather variable, not all M, and
+    fits exactly what it fits on a dataset holding that variable alone."""
+    import gridshock.analyze as analyze_module
+    from gridshock.weather_effect import accumulate
+
+    alone = _sigmoid_dataset()
+    K, T, _ = alone.weather.values.shape
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(0.0, 9.0, (K, T, 1)), alone.weather.values, rng.gamma(1.5, 2.0, (K, T, 1))], axis=2)
+    ds = wrap_dataset(alone.outages.counts, x, variable_names=["gust", "wind_speed", "precip"])
+    ds.units = alone.units
+    cfg = DecayConfig(omega=np.array([0.0, 0.3, 1.7]), window_slots=6)
+    seen = []
+
+    def recording(weather, decay):
+        seen.append((weather, decay))
+        return accumulate(weather, decay)
+
+    monkeypatch.setattr(analyze_module, "accumulate", recording)
+    fit = fit_sigmoid(ds, "wind_speed", cfg=cfg)
+    [(weather, decay)] = seen
+    assert np.shape(weather) == (K, T, 1)
+    assert decay.omega.tolist() == [0.3] and decay.window_slots == 6
+    assert_array_equal(accumulate(weather, decay)[:, :, 0], accumulate(ds.weather, cfg)[:, :, 1])
+    assert fit == fit_sigmoid(alone, "wind_speed", cfg=DecayConfig(omega=np.array([0.3]), window_slots=6))
+
+
 def test_sigmoid_and_episode_and_sweep_csv(tmp_path):
     fit = SigmoidFit(variable="wind_speed", a=2.0, c=3.5, L=0.9, rmse=0.01, n_points=42)
     sig = tmp_path / "s.csv"

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import json
@@ -420,6 +421,91 @@ def test_config_file_with_flag_override(pipeline):
     payload = json.loads((out / "effective_config.json").read_text())
     assert payload["config"]["fit"]["max_epochs"] == 7  # flag beats config file
     assert payload["config"]["fit"]["hidden_sizes"] == [8]  # config beats default
+
+
+def test_sweep_mode_flag_overrides_the_config_sweep(pipeline):
+    out = pipeline["root"] / "sweep_mode"
+    cfg_path = pipeline["root"] / "sweep.json"
+    cfg_path.write_text(json.dumps({"sweep": {"mode": "edges", "axis1": [0, 1], "axis2": [0]}}))
+    rc = cli.main(
+        [
+            "enhance",
+            "--config", str(cfg_path),
+            "--dataset", str(pipeline["dataset"]),
+            "--model", str(pipeline["model"]),
+            "--output-dir", str(out),
+            "--replications", "5",
+            "--sweep-mode", "margins",
+        ]
+    )
+    assert rc == 0
+    payload = json.loads((out / "effective_config.json").read_text())
+    assert payload["config"]["sweep"] == {"mode": "margins", "axis1": [0, 1], "axis2": [0]}
+    assert (out / "sweep.csv").read_text().startswith("margin_units,recovery_units,reduction_pct,std_err\n")
+
+
+# (command line, dotted config key, value it sets): every flag that overrides a config value
+FLAG_KEYS = [
+    (["ingest", "--output-dir", "o"], "output_dir", "o"),
+    (["ingest", "--units", "u.csv"], "units_csv", "u.csv"),
+    (["ingest", "--outages", "n.csv"], "outages_csv", "n.csv"),
+    (["ingest", "--weather", "w.csv"], "weather_csv", "w.csv"),
+    (["ingest", "--dataset", "d"], "dataset", "d"),
+    (["ingest", "--slot-seconds", "600"], "grid.slot_seconds", 600),
+    (["ingest", "--grid-start", "2023-01-01T00:00:00Z"], "grid.start", "2023-01-01T00:00:00Z"),
+    (["ingest", "--num-slots", "9"], "grid.num_slots", "9"),
+    (["ingest", "--aggregation", "max"], "aggregation", "max"),
+    (["fit", "--model", "m"], "model", "m"),
+    (["fit", "--epochs", "4"], "fit.max_epochs", 4),
+    (["fit", "--step-size", "0.5"], "fit.step_size", 0.5),
+    (["fit", "--batch-slots", "8"], "fit.batch_slots", 8),
+    (["fit", "--optimizer", "plain-sgd"], "fit.optimizer", "plain-sgd"),
+    (["fit", "--k-neighbors", "3"], "graph.k_neighbors", 3),
+    (["fit", "--max-km", "20"], "graph.max_km", 20.0),
+    (["fit", "--seed", "5"], "fit.seed", 5),
+    (["simulate", "--seed", "5"], "sim.seed", 5),
+    (["predict", "--horizon", "3"], "predict.horizon", 3),
+    (["simulate", "--replications", "7"], "sim.replications", 7),
+    (["simulate", "--teacher-forced-until", "2"], "sim.teacher_forced_until", 2),
+    (["enhance", "--replications", "7"], "sim.replications", 7),
+    (["enhance", "--baseline", "observed_total"], "sim.baseline", "observed_total"),
+    (["enhance", "--scenario", "s.json"], "scenario", "s.json"),
+    (["enhance", "--sweep-units", "1,2"], "sweep", {"mode": "edges", "axis1": [1, 2], "axis2": []}),
+    (["enhance", "--sweep-edges", "3"], "sweep", {"mode": "edges", "axis1": [], "axis2": [3]}),
+    (["enhance", "--sweep-mode", "margins"], "sweep", {"mode": "margins", "axis1": [], "axis2": []}),
+    (["analyze", "--sigmoid-variable", "a", "--sigmoid-variable", "b"], "analyze.sigmoid_variables", ["a", "b"]),
+    (["analyze", "--zero-run-threshold", "4"], "analyze.zero_run_threshold", 4),
+    (["export-map", "--model", "m"], "model", "m"),
+]
+
+
+@pytest.mark.parametrize("argv,key,value", FLAG_KEYS, ids=[" ".join(a[:2]) + f" {k}" for a, k, _ in FLAG_KEYS])
+def test_each_flag_overrides_its_config_key(argv, key, value):
+    cfg = cli.effective_config(cli.build_parser().parse_args(argv))
+    node, expected = cfg, json.loads(json.dumps(cli.DEFAULTS))
+    *parents, leaf = key.split(".")
+    for k in parents:
+        node, expected = node[k], expected[k]
+    assert node[leaf] == value
+    expected[leaf] = value
+    assert node == expected  # nothing else moved
+
+
+def test_every_flag_is_a_config_key_or_handled_by_name():
+    """A flag's dest is the config key it sets; a misspelt top-level key would
+    otherwise be dropped without an error."""
+    by_name = {"help", "command", "config", "threads", "seed", "validate_only", "check_gradients"}
+    by_name |= {"sweep_mode", "sweep_axis1", "sweep_axis2"}
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, command in sub.choices.items():
+        for action in command._actions:
+            if action.dest in by_name:
+                continue
+            node = cli.DEFAULTS
+            for k in action.dest.split("."):
+                assert isinstance(node, dict) and k in node, f"{name} {action.option_strings}: {action.dest}"
+                node = node[k]
 
 
 def test_validate_only_passes_without_computing(pipeline):

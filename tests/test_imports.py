@@ -1,6 +1,7 @@
 """No `gridshock` command loads scipy: the network, the fit and the
 response-curve solver are numpy only. scipy is a test dependency, used as a
-reference in the tests."""
+reference in the tests. The package root and the CLI load no numpy at all,
+so `--threads` can still pin the thread pools before numpy starts them."""
 
 import os
 import subprocess
@@ -11,13 +12,17 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
 
-def _scipy_modules_after(code: str) -> str:
-    """The scipy modules loaded once `code` has run in a fresh interpreter."""
-    code += "import sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+def _modules_after(code: str, package: str = "scipy") -> str:
+    """The modules of `package` loaded once `code` has run in a fresh interpreter."""
+    code += f"import sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
     path = os.pathsep.join([str(SRC), str(TESTS), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
     return done.stdout.strip().splitlines()[-1]
+
+
+def test_the_package_and_the_cli_do_not_import_numpy():
+    assert _modules_after("import gridshock, gridshock.cli\n", "numpy") == "[]"
 
 
 def test_forward_only_modules_do_not_import_scipy():
@@ -25,7 +30,7 @@ def test_forward_only_modules_do_not_import_scipy():
         "import gridshock.cli, gridshock.ingest, gridshock.model\n"
         "import gridshock.topology, gridshock.simulate, gridshock.analyze\n"
     )
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code) == "[]"
 
 
 def test_fitting_and_the_gradient_audit_do_not_import_scipy():
@@ -38,7 +43,7 @@ def test_fitting_and_the_gradient_audit_do_not_import_scipy():
         "train.fit(ds, params.graph, train.FitConfig(max_epochs=2, batch_slots=4, hidden_sizes=(3,)))\n"
         "train.fd_audit(params, ds, max_coords=5)\n"
     )
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code) == "[]"
 
 
 def test_analyze_and_the_response_curve_do_not_import_scipy(tmp_path):
@@ -56,5 +61,5 @@ def test_analyze_and_the_response_curve_do_not_import_scipy(tmp_path):
         "from gridshock.analyze import SigmoidFit\n"
         "SigmoidFit(variable='v', a=1.0, c=0.5, L=0.5, rmse=0.0, n_points=10).predict(np.linspace(0.0, 1.0, 5))\n"
     )
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code) == "[]"
     assert (tmp_path / "sigmoid.csv").read_text().startswith("variable,a,c,L,rmse,n_points\nwind_speed,")
