@@ -26,7 +26,7 @@ from .errors import InsufficientDataError, ValidationError
 from .ingest import Dataset
 from .model import Coupling, Kernel, ModelParams, direct_from_weather, intensity_field, sigmoid
 from .model import mlp_forward  # noqa: F401  (binding patched by perfbench/tracer.py)
-from .weather_effect import DecayConfig, accumulate
+from .weather_effect import DecayConfig, _per_lead, accumulate
 
 # -- decomposition ----------------------------------------------------------
 
@@ -119,9 +119,9 @@ def predict_in_sample(params: ModelParams, dataset: Dataset, direct: np.ndarray 
     )
 
 
-def _lambda_at(params, coupling, direct_col, P):
-    """Intensity column at a slot from its direct term and the kernel state P."""
-    return direct_col + coupling.apply(params.beta * P) + params.eps
+def _lambda_at(params, coupling, direct, P):
+    """Intensity columns from their direct terms and kernel states P (K x columns)."""
+    return direct + coupling.apply(_per_lead(params.beta, P) * P) + params.eps
 
 
 def predict_ahead(
@@ -132,7 +132,9 @@ def predict_ahead(
     step (a forecast assumption). Baseline: persistence N[t - h].
 
     The observed history's kernel state is rolled across the gap, so at h = 1
-    each predicted column is exactly the teacher-forced intensity.
+    each predicted column is exactly the teacher-forced intensity. All targets
+    cross their gaps together: column c predicts slot h + c, and gap step j
+    fills its slot c + 1 + j.
 
     Metrics cover slots t >= h only, so the model and the baseline see the
     same evaluation span. `direct` is as in :func:`predict_in_sample`.
@@ -149,18 +151,21 @@ def predict_ahead(
     kern = Kernel(params.beta, params.trig_window)
     coupling = Coupling(params.alpha)
 
+    L, n = kern.window, T - h
+    # kernel state before slot c + 1 over the observed counts, one column per target
+    P = kern.run(np.ascontiguousarray(counts.T), lag_sum=False)[0][1 : n + 1].T
+    padded = np.zeros((K, L + T))  # observed counts, zero before the series start
+    padded[:, L:] = counts
+    gap = []  # predicted means of gap slots that will still leave the window, oldest first
+    for j in range(h - 1):
+        lam = _lambda_at(params, coupling, direct[:, 1 + j : 1 + j + n], P)
+        # the count leaving the window is that of slot c + 1 + j - L
+        old = gap.pop(0) if j >= L else padded[:, 1 + j : 1 + j + n]
+        P = kern.step(P, lam, old)
+        if j + L < h - 1:
+            gap.append(lam)
     predicted = np.full((K, T), np.nan)
-    hist = counts.copy()  # observed counts, with the current gap holding predicted means
-    P_obs = np.zeros(K)  # kernel state before the first unobserved slot
-    for t in range(h, T):
-        first = t - h + 1
-        hist[:, first - 1] = counts[:, first - 1]  # a gap slot for the previous target, observed now
-        P_obs = kern.step_at(P_obs, hist, first - 1)
-        P = P_obs
-        for s in range(first, t):
-            hist[:, s] = _lambda_at(params, coupling, direct[:, s], P)
-            P = kern.step_at(P, hist, s)
-        predicted[:, t] = _lambda_at(params, coupling, direct[:, t], P)
+    predicted[:, h:] = _lambda_at(params, coupling, direct[:, h:], P)
 
     mae, rmse, per_unit = _metrics(predicted, counts, h)
     persistence_mae = float(np.abs(counts[:, : T - h] - counts[:, h:]).mean())

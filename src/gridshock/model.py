@@ -15,11 +15,14 @@ truncated at `trig_window` slots; with beta >= 0.1 the dropped tail is below
 e^-4 of the kernel mass.
 
 Each term has one implementation shared by fitting, simulation and
-prediction: `direct_field` evaluates the weather term, `Kernel` (the window
-filter that also accumulates the weather) rolls the truncated-kernel state
-forward, slot by slot or over a whole history, and `Coupling` adds
-sum_j alpha[i, j] R[j] over the graph's per-edge weights in a fixed order, so
-evaluation is bit-reproducible. `intensity` is the slow single-cell reference.
+prediction: the network runs MLP_CHUNK_ROWS rows at a time (`direct_field`
+forms the weather term from `mlp_forward`; fitting takes each chunk's mu from
+`mlp_backward`'s own forward step, so it needs one pass, with the same bits),
+`Kernel` (the window filter that also accumulates the weather) rolls the
+truncated-kernel state forward, slot by slot or over a whole history, and
+`Coupling` adds sum_j alpha[i, j] R[j] over the graph's per-edge weights in a
+fixed order, so evaluation is bit-reproducible. `intensity` is the slow
+single-cell reference.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ def mlp_forward(mlp: MlpParams, v: np.ndarray):
 
     Rows go through the network MLP_CHUNK_ROWS at a time, so no activation
     outlives its chunk; the cache is the 2-D input itself, from which
-    :func:`mlp_backward` recomputes the activations.
+    :func:`mlp_backward` computes the activations again, chunk by chunk.
     """
     v = np.asarray(v, dtype=np.float64)
     squeeze = v.ndim == 1
@@ -165,12 +168,16 @@ def mlp_forward(mlp: MlpParams, v: np.ndarray):
     return (float(mu[0]) if squeeze else mu), x
 
 
-def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray):
+def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray, on_chunk=None):
     """Backprop per-sample output gradients `dmu` (n,) through the network.
 
-    `cache` is the input rows that :func:`mlp_forward` returned. Each chunk's
-    activations are recomputed from it while they are still in the CPU cache
-    and consumed in place; the parameter gradients are summed chunk by chunk.
+    `cache` is the input rows, as :func:`mlp_forward` returns them. Each
+    chunk's activations are computed from it while they are still in the CPU
+    cache and consumed in place; the parameter gradients are summed chunk by
+    chunk. When `on_chunk` is given, `on_chunk(rows, mu)` is called with each
+    chunk's row slice and network output right after its forward step, and
+    may fill those rows of `dmu` before they are read: a caller whose
+    upstream gradient depends on mu then needs no separate forward pass.
     Returns (grad MlpParams, input gradient (n, M)).
     """
     x = cache
@@ -180,6 +187,8 @@ def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray):
     dinput = np.empty_like(x)
     for chunk in _row_chunks(x.shape[0]):
         hiddens, z_out = _activations(mlp, x[chunk])
+        if on_chunk is not None:
+            on_chunk(chunk, softplus(z_out))
         dz = (dmu[chunk] * sigmoid(z_out))[:, None]  # softplus' = sigmoid
         for k in range(len(mlp.weights) - 1, -1, -1):
             grad_w[k] += hiddens[k].T @ dz
@@ -269,11 +278,8 @@ class IntensityField:
 class Kernel(WindowFilter):
     """Truncated exponential triggering kernel of recovery rates beta: the
     state P is the window filter of the counts and the triggering mass is
-    R = beta * P. A state may carry trailing axes (one column per replication)."""
-
-    def step_at(self, P: np.ndarray, hist: np.ndarray, t: int) -> np.ndarray:
-        """:meth:`step` at slot t of the count history hist, one column per slot."""
-        return self.step(P, hist[:, t], hist[:, t - self.window] if t >= self.window else None)
+    R = beta * P. A state may carry trailing axes (one column per replication
+    or per prediction target)."""
 
 
 def kernel_matrix(counts: np.ndarray, beta: np.ndarray, trig_window: int) -> np.ndarray:
@@ -306,25 +312,43 @@ def kernel_mass_closed_form(beta: float, num_lags: int) -> float:
 
 class Coupling:
     """Snapshot of the active couplings alpha[i, j] != 0 as edge arrays in
-    (target, source) order; both sums add one edge's term at a time in that
-    order, so every caller gets the same bits."""
+    (target, source) order. Both sums add one edge's term at a time in that
+    order, so every caller gets the same bits; they do it one rank group
+    (:func:`_rank_groups`) per indexed add, as no unit appears twice in a group."""
 
     def __init__(self, alpha: EdgeWeights):
         g = alpha.graph
         active = alpha.w != 0.0
-        self.tgt, self.src, self.w = g.tgt[active], g.src[active], alpha.w[active]
+        tgt, src, self.w = g.tgt[active], g.src[active], alpha.w[active]
+        self._into_target = _rank_groups(tgt, src, self.w)
+        self._into_source = _rank_groups(src, tgt, self.w)
 
     def apply(self, R: np.ndarray) -> np.ndarray:
         """sum_j alpha[i, j] R[j] (alpha[i, i] = 1) for any R whose leading axis is K."""
-        out = R.copy()
-        np.add.at(out, self.tgt, _per_lead(self.w, R) * R[self.src])
-        return out
+        return _grouped_sum(R, self._into_target)
 
     def adjoint(self, W: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`apply`: U[j] = W[j] + sum_i alpha[i, j] W[i]."""
-        out = W.copy()
-        np.add.at(out, self.src, _per_lead(self.w, W) * W[self.tgt])
-        return out
+        return _grouped_sum(W, self._into_source)
+
+
+def _rank_groups(into: np.ndarray, frm: np.ndarray, w: np.ndarray) -> list:
+    """Edges frm[e] -> into[e] split by rank: group r holds (into, frm, w) of
+    every edge that is the r-th, in edge order, of the edges sharing its `into` unit."""
+    order = np.argsort(into, kind="stable")
+    ranked = into[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(into.size) - np.searchsorted(ranked, ranked)
+    groups = (rank == r for r in range(rank.max(initial=-1) + 1))
+    return [(into[sel], frm[sel], w[sel]) for sel in groups]
+
+
+def _grouped_sum(X: np.ndarray, groups: list) -> np.ndarray:
+    """X[i] + sum of w X[frm] over the edges into i, one rank group at a time."""
+    out = X.copy()
+    for into, frm, w in groups:
+        out[into] += _per_lead(w, X) * X[frm]
+    return out
 
 
 def indirect_field(alpha: EdgeWeights, R: np.ndarray) -> np.ndarray:
@@ -333,12 +357,10 @@ def indirect_field(alpha: EdgeWeights, R: np.ndarray) -> np.ndarray:
 
 
 def direct_field(params: ModelParams, v: np.ndarray):
-    """Weather term gamma_i mu(v[i,t]) for all cells; returns (direct, mu, cache),
-    where the cache for :func:`mlp_backward` is v as (K*T, M) rows."""
+    """Weather term gamma_i mu(v[i,t]) for all cells; returns (direct, mu)."""
     K, T, M = v.shape
-    mu_flat, cache = mlp_forward(params.mlp, v.reshape(K * T, M))
-    mu = mu_flat.reshape(K, T)
-    return params.gamma[:, None] * mu, mu, cache
+    mu = mlp_forward(params.mlp, v.reshape(K * T, M))[0].reshape(K, T)
+    return params.gamma[:, None] * mu, mu
 
 
 def weather_response(params: ModelParams, weather) -> np.ndarray:

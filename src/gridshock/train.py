@@ -36,7 +36,6 @@ from .model import (
     DEFAULT_TRIG_WINDOW,
     MlpParams,
     ModelParams,
-    direct_field,
     kernel_matrix_with_grad,
     mlp_backward,
     mlp_forward,  # noqa: F401  (binding patched by perfbench/tracer.py)
@@ -171,25 +170,38 @@ def _block_loglik_and_grads(
     R = R_full[:, t0 - s_tk :]
     dR = dR_full[:, t0 - s_tk :]
 
-    direct, mu, cache = direct_field(params, v)
-
-    coupling = Coupling(params.alpha)
-    lam = direct + coupling.apply(R) + params.eps
-    if not np.isfinite(lam).all():
-        i, t = np.argwhere(~np.isfinite(lam))[0]
-        raise NumericError(f"non-finite intensity at (unit={i}, slot={t0 + t})")
+    # One network pass: each chunk's mu goes straight into lambda = gamma mu +
+    # indirect + eps (formed in place of the indirect term), W = N / lambda - 1
+    # and the upstream gradient W gamma, while backprop still has its activations.
+    K, Tb = R.shape
     n_blk = counts[:, t0:t1]
+    coupling = Coupling(params.alpha)
+    lam = coupling.apply(R)
+    mu, W = np.empty((K, Tb)), np.empty((K, Tb))
+    dmu = np.empty(K * Tb)
+    lam_rows, mu_rows, W_rows = lam.reshape(-1), mu.reshape(-1), W.reshape(-1)
+
+    def on_chunk(rows, mu_chunk):
+        unit, slot = np.divmod(np.arange(rows.start, rows.stop), Tb)
+        gamma = params.gamma[unit]
+        lam_chunk = np.add(gamma * mu_chunk + lam_rows[rows], params.eps, out=lam_rows[rows])
+        if not np.isfinite(lam_chunk).all():
+            r = int(np.argmax(~np.isfinite(lam_chunk)))
+            raise NumericError(f"non-finite intensity at (unit={unit[r]}, slot={t0 + slot[r]})")
+        mu_rows[rows] = mu_chunk
+        W_chunk = np.subtract(counts[unit, t0 + slot] / lam_chunk, 1.0, out=W_rows[rows])
+        np.multiply(W_chunk, gamma, out=dmu[rows])
+
+    grad_mlp, dv = mlp_backward(params.mlp, v.reshape(K * Tb, v.shape[2]), dmu, on_chunk=on_chunk)
     ll = float(np.sum(-lam + n_blk * np.log(lam)))
-    W = n_blk / lam - 1.0
-
     grad_gamma = (W * mu).sum(axis=1)
+    grad_omega = np.einsum("itm,itm->m", dv.reshape(v.shape), dvdo)
 
-    dmu = (W * params.gamma[:, None]).ravel()
-    grad_mlp, dv = mlp_backward(params.mlp, cache, dmu)
-    dv = dv.reshape(v.shape)
-    grad_omega = np.einsum("itm,itm->m", dv, dvdo)
-
-    grad_alpha = np.vecdot(W[params.graph.tgt], R[params.graph.src])
+    # grad_alpha over K edges at a time, so no E x T gather exists
+    tgt, src = params.graph.tgt, params.graph.src
+    grad_alpha = np.empty(tgt.size)
+    for e in range(0, tgt.size, K):
+        grad_alpha[e : e + K] = np.vecdot(W[tgt[e : e + K]], R[src[e : e + K]])
     grad_beta = np.einsum("jt,jt->j", dR, coupling.adjoint(W))
 
     grads = Gradients(alpha=grad_alpha, beta=grad_beta, gamma=grad_gamma, omega=grad_omega, mlp=grad_mlp)

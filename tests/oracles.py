@@ -135,3 +135,14 @@ def poisson_loglik_cellwise(lam, counts):
     lam = np.asarray(lam, dtype=float)
     counts = np.asarray(counts, dtype=float)
     return float(np.sum(-lam + counts * np.log(lam)))
+
+
+def add_at_coupling(alpha, X, adjoint=False):
+    """The coupling sum X[i] + sum_j alpha[i, j] X[j] (or its transpose) as
+    one np.add.at over the active edges in (target, source) order."""
+    on = alpha.w != 0.0
+    tgt, src, w = alpha.graph.tgt[on], alpha.graph.src[on], alpha.w[on]
+    into, frm = (src, tgt) if adjoint else (tgt, src)
+    out = X.copy()
+    np.add.at(out, into, w.reshape((-1,) + (1,) * (X.ndim - 1)) * X[frm])
+    return out

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from oracles import naive_intensity_field
-from synth import random_small_instance, wrap_dataset
+from oracles import add_at_coupling, naive_intensity_field
+from synth import random_small_instance, random_small_params, wrap_dataset
 from gridshock.analyze import (
     SIGMOID_STARTS,
     Decomposition,
@@ -34,7 +34,7 @@ from gridshock.analyze import (
 )
 from gridshock.analyze import _sigmoid_loss, _sigmoid_starts
 from gridshock.errors import InsufficientDataError, ValidationError
-from gridshock.model import intensity_field
+from gridshock.model import Kernel, direct_from_weather, intensity_field
 from gridshock.weather_effect import DecayConfig
 
 
@@ -123,6 +123,52 @@ def test_two_step_ahead_rolls_the_gap_on_means(small):
         hist[:, t:] = 0.0
         lam_roll, _, _ = naive_intensity_field(params, hist, weather)
         assert_allclose(rep.predicted[:, t], lam_roll[:, t], rtol=1e-9)
+
+
+def _per_target_predictions(params, counts, direct, h):
+    """h-ahead predictions one target at a time: each target rolls its own gap
+    forward from the observed history's kernel state."""
+    K, T = counts.shape
+    kern = Kernel(params.beta, params.trig_window)
+    L = kern.window
+
+    def step_at(P, hist, t):
+        return kern.step(P, hist[:, t], hist[:, t - L] if t >= L else None)
+
+    def lam_at(t, P):
+        return direct[:, t] + add_at_coupling(params.alpha, params.beta * P) + params.eps
+
+    predicted = np.full((K, T), np.nan)
+    hist = counts.copy()
+    P_obs = np.zeros(K)
+    for t in range(h, T):
+        first = t - h + 1
+        hist[:, first - 1] = counts[:, first - 1]
+        P_obs = step_at(P_obs, hist, first - 1)
+        P = P_obs
+        for s in range(first, t):
+            hist[:, s] = lam_at(s, P)
+            P = step_at(P, hist, s)
+        predicted[:, t] = lam_at(t, P)
+    return predicted
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 6),
+    T=st.integers(2, 40),
+    trig_window=st.integers(1, 8),
+    horizon_share=st.floats(0.0, 1.0),
+)
+def test_predict_ahead_matches_the_per_target_loop(seed, K, T, trig_window, horizon_share):
+    rng = np.random.default_rng(seed)
+    params = random_small_params(rng, K=K, M=2, n_edges=2 * K, trig_window=trig_window)
+    counts = rng.integers(0, 5, (K, T))
+    weather = rng.normal(size=(K, T, 2))
+    h = 1 + min(int(horizon_share * (T - 1)), T - 2)  # horizons below and above trig_window
+    direct = direct_from_weather(params, weather)
+    rep = predict_ahead(params, wrap_dataset(counts, weather), horizon_slots=h, direct=direct)
+    assert_array_equal(rep.predicted, _per_target_predictions(params, counts.astype(np.float64), direct, h))
 
 
 def test_predict_ahead_rejects_bad_horizons(small):

@@ -4,12 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit
 
-from oracles import naive_intensity_field, naive_mu
+from oracles import add_at_coupling, naive_intensity_field, naive_mu
 from synth import random_small_instance, random_small_params
 from gridshock.errors import ValidationError
 from gridshock.model import (
@@ -287,6 +287,29 @@ def test_coupling_apply_matches_per_edge_loop(seed, K, T, n_edges):
     for X in (rng.uniform(0.0, 3.0, K), rng.uniform(-1.0, 3.0, (K, T))):
         assert_array_equal(indirect_field(w, X), _per_edge(w, X))
         assert_array_equal(Coupling(w).adjoint(X), _per_edge(w, X, adjoint=True))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 14),
+    density=st.floats(0.0, 1.0),
+    zero_share=st.floats(0.0, 1.0),
+    hub=st.booleans(),
+    trailing=st.sampled_from([(), (0,), (1,), (5,), (3, 2), (2, 0)]),
+)
+@example(seed=1, K=13, density=0.1, zero_share=0.0, hub=True, trailing=(4,))  # in- and out-degree 12
+def test_coupling_sums_match_np_add_at(seed, K, density, zero_share, hub, trailing):
+    rng = np.random.default_rng(seed)
+    edges = {(s, t) for s in range(K) for t in range(K) if s != t and rng.uniform() < density}
+    if hub:  # unit 0 sends to and receives from every other unit
+        edges |= {(s, 0) for s in range(1, K)} | {(0, t) for t in range(1, K)}
+    graph = Graph(num_nodes=K, edges=tuple(edges))
+    E = len(graph.edges)
+    alpha = EdgeWeights(graph, rng.uniform(0.0, 1.0, E) * (rng.uniform(size=E) >= zero_share))
+    X = rng.uniform(-1.0, 3.0, (K, *trailing))
+    coupling = Coupling(alpha)
+    assert_array_equal(coupling.apply(X), add_at_coupling(alpha, X), strict=True)
+    assert_array_equal(coupling.adjoint(X), add_at_coupling(alpha, X, adjoint=True), strict=True)
 
 
 # -- intensity ------------------------------------------------------------------

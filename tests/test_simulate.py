@@ -299,7 +299,7 @@ def _per_replication_reference(params, weather, T, reps, seed, cutoff=0, observe
                     )
                 path[:, t] = rng.poisson(lam_t)
                 hist[:, t] = obs[:, t] if t < cutoff else path[:, t]
-                P = kern.step_at(P, hist, t)
+                P = kern.step(P, hist[:, t], hist[:, t - kern.window] if t >= kern.window else None)
         rep_totals[k] = path.sum()
         unit_totals += path.sum(axis=1)
         cell_sum += path

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,13 +8,35 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import fd_gradient, naive_loglik, poisson_loglik_cellwise
-from synth import make_units, make_weather, random_small_instance, wrap_dataset
-from gridshock.errors import DivergenceError, ValidationError
-from gridshock.model import Coupling, MlpParams, ModelParams, direct_field, intensity_field, kernel_matrix_with_grad
+from oracles import add_at_coupling, fd_gradient, naive_loglik, poisson_loglik_cellwise
+from synth import make_units, make_weather, random_small_instance, random_small_params, wrap_dataset
+from gridshock import model
+from gridshock.errors import DivergenceError, NumericError, ValidationError
+from gridshock.model import (
+    MLP_CHUNK_ROWS,
+    Coupling,
+    MlpParams,
+    ModelParams,
+    direct_field,
+    intensity_field,
+    kernel_matrix_with_grad,
+    mlp_backward,
+    mlp_forward,
+)
 from gridshock.simulate import simulate_paths
 from gridshock.topology import EdgeWeights, Graph, build_candidate_graph
-from gridshock.train import FitConfig, FitReport, fd_audit, fit, gradients, initialize, log_likelihood, project
+from gridshock.train import (
+    FitConfig,
+    FitReport,
+    Gradients,
+    _block_loglik_and_grads,
+    fd_audit,
+    fit,
+    gradients,
+    initialize,
+    log_likelihood,
+    project,
+)
 from gridshock.weather_effect import DecayConfig, WeatherScaler, accumulate_with_grad
 
 
@@ -113,6 +137,142 @@ def test_alpha_gradient_is_the_per_edge_dot_product(seed, K, T, n_edges):
     edges = zip(params.graph.tgt.tolist(), params.graph.src.tolist())
     expected = np.array([np.dot(W[tgt], R[s]) for tgt, s in edges], dtype=np.float64)
     assert_array_equal(gradients(params, ds).alpha, expected, strict=True)
+
+
+def _two_pass_reference(params, counts, x_scaled, t0, t1):
+    """The block evaluator with a separate forward pass: mu and lambda over
+    the whole block first, then backprop of the finished upstream gradient."""
+    d = params.decay.window_slots
+    s_wx = max(0, t0 - (d - 1))
+    v_full, dvdo_full = accumulate_with_grad(x_scaled[:, s_wx:t1, :], params.decay)
+    v, dvdo = v_full[:, t0 - s_wx :, :], dvdo_full[:, t0 - s_wx :, :]
+    s_tk = max(0, t0 - params.trig_window)
+    R_full, dR_full = kernel_matrix_with_grad(counts[:, s_tk:t1], params.beta, params.trig_window)
+    R, dR = R_full[:, t0 - s_tk :], dR_full[:, t0 - s_tk :]
+    K, Tb, M = v.shape
+    mu_flat, cache = mlp_forward(params.mlp, v.reshape(K * Tb, M))
+    mu = mu_flat.reshape(K, Tb)
+    lam = params.gamma[:, None] * mu + add_at_coupling(params.alpha, R) + params.eps
+    if not np.isfinite(lam).all():
+        i, t = np.argwhere(~np.isfinite(lam))[0]
+        raise NumericError(f"non-finite intensity at (unit={i}, slot={t0 + t})")
+    n_blk = counts[:, t0:t1]
+    ll = float(np.sum(-lam + n_blk * np.log(lam)))
+    W = n_blk / lam - 1.0
+    grad_mlp, dv = mlp_backward(params.mlp, cache, (W * params.gamma[:, None]).ravel())
+    return ll, Gradients(
+        alpha=np.vecdot(W[params.graph.tgt], R[params.graph.src]),
+        beta=np.einsum("jt,jt->j", dR, add_at_coupling(params.alpha, W, adjoint=True)),
+        gamma=(W * mu).sum(axis=1),
+        omega=np.einsum("itm,itm->m", dv.reshape(v.shape), dvdo),
+        mlp=grad_mlp,
+    )
+
+
+def _evaluation(fn, params, counts, x_scaled, t0, t1):
+    """("raised", message) or ("ok", ll, every gradient group)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ll, g = fn(params, counts, x_scaled, t0, t1)
+    except NumericError as exc:
+        return ("raised", str(exc))
+    return ("ok", ll, g.alpha, g.beta, g.gamma, g.omega, g.mlp.flatten())
+
+
+def _assert_same_evaluation(params, counts, x_scaled, t0, t1):
+    got = _evaluation(_block_loglik_and_grads, params, counts, x_scaled, t0, t1)
+    expected = _evaluation(_two_pass_reference, params, counts, x_scaled, t0, t1)
+    assert got[0] == expected[0], (got[:2], expected[:2])
+    for a, b in zip(got[1:], expected[1:]):
+        assert_array_equal(a, b, strict=True)
+
+
+C = MLP_CHUNK_ROWS
+# (units, block slots) with K * (t1 - t0) at C - 1, C, C + 1 and 2C + 1 rows
+CHUNK_EDGE_BLOCKS = [(7, 73), (8, 64), (3, 171), (5, 205)]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    block=st.one_of(st.sampled_from(CHUNK_EDGE_BLOCKS), st.tuples(st.integers(1, 9), st.integers(1, 90))),
+    lead=st.integers(0, 60),
+    tail=st.integers(0, 4),
+    n_edges=st.integers(0, 20),
+)
+def test_block_evaluation_matches_the_two_pass_reference(seed, block, lead, tail, n_edges):
+    K, width = block
+    rng = np.random.default_rng(seed)
+    params, counts, weather = random_small_instance(
+        rng, K=K, T=lead + width + tail, M=2, n_edges=n_edges, hidden=(5, 3)
+    )
+    _assert_same_evaluation(params, counts.astype(np.float64), weather, lead, lead + width)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from(CHUNK_EDGE_BLOCKS),
+    bad=st.sampled_from([np.inf, -np.inf, np.nan]),
+    planted_in=st.sampled_from(["counts", "gamma"]),
+)
+def test_non_finite_intensity_raises_like_the_two_pass_reference(seed, block, bad, planted_in):
+    K, width = block
+    rng = np.random.default_rng(seed)
+    params, counts, weather = random_small_instance(rng, K=K, T=width + 10, M=2, n_edges=12, hidden=(4,))
+    counts = counts.astype(np.float64)
+    unit = int(rng.integers(K))
+    if planted_in == "counts":
+        counts[unit, int(rng.integers(width))] = bad
+    else:
+        params.gamma[unit] = bad
+    _assert_same_evaluation(params, counts, weather, 10, 10 + width)
+
+
+def test_one_evaluation_runs_the_network_once_per_chunk(monkeypatch):
+    rng = np.random.default_rng(4)
+    K, T = 9, 300  # 2700 rows: six chunks, the last one partial
+    params, counts, weather = random_small_instance(rng, K=K, T=T, M=2, n_edges=10, hidden=(5, 3))
+    calls = []
+
+    def counted(mlp, x):
+        calls.append(len(x))
+        return activations(mlp, x)
+
+    activations = model._activations
+    monkeypatch.setattr(model, "_activations", counted)
+    _block_loglik_and_grads(params, counts.astype(np.float64), weather, 0, T)
+    assert calls == [C] * 5 + [K * T - 5 * C]
+
+
+def _ring_params(K, k, M, rng):
+    """Random parameters on a ring graph where every unit is a candidate source
+    and target of its k nearest ring neighbours on each side."""
+    edges = {(s, (s + d) % K) for s in range(K) for d in range(-k, k + 1) if d}
+    graph = Graph(num_nodes=K, edges=tuple(edges))
+    params = random_small_params(rng, K=K, M=M, n_edges=1, hidden=(4,))
+    params.alpha = EdgeWeights(graph, rng.uniform(0.0, 0.1, len(graph.edges)))
+    return params
+
+
+def test_alpha_gradient_holds_no_edge_by_slot_array():
+    K, T, M = 60, 600, 2
+    rng = np.random.default_rng(12)
+    counts = rng.integers(0, 3, (K, T))
+    ds = wrap_dataset(counts, rng.normal(size=(K, T, M)))
+    peaks, num_edges = [], []
+    for k in (4, 8):
+        params = _ring_params(K, k, M, np.random.default_rng(5))
+        num_edges.append(len(params.graph.edges))
+        tracemalloc.start()
+        try:
+            gradients(params, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    # gathering W[tgt] and R[src] for every edge at once would add 2 * 8 bytes
+    # per extra edge and slot
+    assert peaks[1] - peaks[0] < (num_edges[1] - num_edges[0]) * T * 8, peaks
 
 
 # -- projection ----------------------------------------------------------------------
