@@ -45,7 +45,6 @@ _EXPORTS = {
     "load_units": "ingest",
     "aggregate_outages": "ingest",
     "aggregate_weather": "ingest",
-    "split_event_window": "ingest",
     "save_dataset": "ingest",
     "load_dataset": "ingest",
     # weather_effect
@@ -81,7 +80,6 @@ _EXPORTS = {
     "SimResult": "simulate",
     "simulate_paths": "simulate",
     "apply_scenario": "simulate",
-    "outage_reduction": "simulate",
     "outage_reductions": "simulate",
     "sweep": "simulate",
     "sweep_scenarios": "simulate",
@@ -91,7 +89,6 @@ _EXPORTS = {
     "predict_ahead": "analyze",
     "fit_sigmoid": "analyze",
     "fit_sigmoid_points": "analyze",
-    "estimate_dtc": "analyze",
     "restoration_durations": "analyze",
 }
 

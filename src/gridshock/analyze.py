@@ -366,11 +366,6 @@ def _fit_sigmoid_points(v: np.ndarray, r: np.ndarray):
     return float(a), float(c), float(L), rmse
 
 
-def estimate_dtc(fit: SigmoidFit) -> float:
-    """Disruption tolerance estimate: the fitted threshold c."""
-    return float(fit.c)
-
-
 # -- restoration episodes ----------------------------------------------------
 
 

@@ -48,7 +48,6 @@ DEFAULTS = {
     "graph": {"k_neighbors": 8, "max_km": 100.0},
     "fit": {
         "step_size": 0.01,
-        "step_decay": 1.0,
         "batch_slots": 32,
         "max_epochs": 200,
         "tol": 1e-6,
@@ -72,15 +71,8 @@ DEFAULTS = {
 }
 
 
-def _set_threads(n: int) -> None:
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        os.environ[var] = str(n)
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS")  # what `--threads N` sets to N
 
 
 def _deep_merge(base: dict, override: dict, path="") -> dict:
@@ -244,7 +236,6 @@ def _fit_config(cfg: dict):
     f = cfg["fit"]
     return FitConfig(
         step_size=float(f["step_size"]),
-        step_decay=float(f["step_decay"]),
         batch_slots=None if f["batch_slots"] in (None, "full") else int(f["batch_slots"]),
         max_epochs=int(f["max_epochs"]),
         tol=float(f["tol"]),
@@ -359,22 +350,30 @@ def cmd_simulate(cfg: dict, args) -> int:
 # -- enhance ------------------------------------------------------------------
 
 
+def _enhance_plan(cfg: dict):
+    """The scenario file's Scenario (if any), the sweep mode (default "edges")
+    and the sweep's cells: `enhance` and `enhance --validate-only` check them here."""
+    from .simulate import load_scenario, sweep_scenarios
+
+    scenarios = [load_scenario(_require_file(cfg["scenario"], "scenario"))] if cfg["scenario"] else []
+    sw = cfg["sweep"]
+    if sw is not None and (not isinstance(sw, dict) or set(sw) - {"mode", "axis1", "axis2"}):
+        raise ValidationError(f"sweep must be an object with keys mode, axis1 and axis2, got {sw!r}")
+    mode = (sw or {}).get("mode", "edges")
+    cells = [] if sw is None else sweep_scenarios(sw.get("axis1"), sw.get("axis2"), mode)
+    if not scenarios and not cells:
+        raise ValidationError("enhance needs a scenario file (--scenario) and/or a sweep grid in the config")
+    return scenarios, mode, cells
+
+
 def cmd_enhance(cfg: dict, args) -> int:
     from . import analyze, simulate
 
     ds, params = _load_inputs(cfg)
     sim_cfg = cfg["sim"]
-    out_dir = _output_dir(cfg)
     R = int(sim_cfg["replications"])
     seed = int(sim_cfg["seed"])
-    scenarios = []
-    if cfg.get("scenario"):
-        scenarios.append(simulate.load_scenario(_require_file(cfg["scenario"], "scenario")))
-    sw = cfg.get("sweep") or {}
-    mode = sw.get("mode", "edges")
-    cells = simulate.sweep_scenarios([int(a) for a in sw["axis1"]], [int(a) for a in sw["axis2"]], mode) if sw else []
-    if not scenarios and not cells:
-        raise ValidationError("enhance needs a scenario file (--scenario) and/or a sweep grid in the config")
+    scenarios, mode, cells = _enhance_plan(cfg)
     # One call, so the baseline and every repeated parameter set are simulated once.
     results = simulate.outage_reductions(
         params,
@@ -386,6 +385,7 @@ def cmd_enhance(cfg: dict, args) -> int:
         baseline=sim_cfg["baseline"],
         observed=ds.outages,
     )
+    out_dir = _output_dir(cfg)
     if scenarios:
         res = results[0]
         analyze.write_csv(
@@ -432,7 +432,7 @@ def cmd_analyze(cfg: dict, args) -> int:
         f"within {2 * ds.grid.slot_seconds // 3600} h"
     )
     for f in fits:
-        print(f"sigmoid {f.variable}: a={f.a:.4g} c={f.c:.4g} L={f.L:.4g} rmse={f.rmse:.4g} (dtc={analyze.estimate_dtc(f):.4g})")
+        print(f"sigmoid {f.variable}: a={f.a:.4g} c={f.c:.4g} L={f.L:.4g} rmse={f.rmse:.4g} (dtc={f.c:.4g})")
     return EXIT_OK
 
 
@@ -487,10 +487,8 @@ def validate_only(cfg: dict, command: str) -> int:
             schema = peek_schema(model_path)
             if schema != MODEL_SCHEMA:
                 raise FileFormatError(f"{model_path}: schema {schema!r}, expected {MODEL_SCHEMA!r}")
-    if command == "enhance" and cfg.get("scenario"):
-        from .simulate import load_scenario
-
-        load_scenario(_require_file(cfg["scenario"], "scenario"))
+    if command == "enhance":
+        _enhance_plan(cfg)
     print("validation ok")
     return EXIT_OK
 
@@ -511,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--output-dir", help="directory for artifacts and reports")
-    common.add_argument("--threads", type=int, help="pin numeric thread pools (default: all cores)")
+    common.add_argument("--threads", metavar="N", help="pin numeric thread pools to N >= 1 (default: all cores)")
     common.add_argument("--seed", type=int, help="seed for fitting and simulation")
     common.add_argument(
         "--validate-only",
@@ -584,16 +582,14 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # --threads must act before numpy is imported anywhere in the process.
-    if "--threads" in argv:
-        try:
-            _set_threads(int(argv[argv.index("--threads") + 1]))
-        except (IndexError, ValueError):
-            print("error: --threads expects an integer", file=sys.stderr)
+    args = build_parser().parse_args(argv)
+    # --threads must act before numpy is imported anywhere in the process;
+    # parsing imports none, and argparse reads `--threads N` and `--threads=N` alike.
+    if args.threads is not None:
+        if not args.threads.isdigit() or int(args.threads) < 1:
+            print(f"error: --threads expects an integer >= 1, got {args.threads!r}", file=sys.stderr)
             return EXIT_VALIDATION
-    parser = build_parser()
-    args = parser.parse_args(argv)
+        os.environ.update(dict.fromkeys(THREAD_VARS, str(int(args.threads))))
 
     try:
         cfg = effective_config(args)

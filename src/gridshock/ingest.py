@@ -91,9 +91,6 @@ class TimeGrid:
         slot = int(delta // self.slot_seconds)
         return slot if slot < self.num_slots else -1
 
-    def slot_start(self, slot: int) -> datetime:
-        return self.start + timedelta(seconds=self.slot_seconds * slot)
-
 
 @dataclass
 class OutageSeries:
@@ -179,9 +176,6 @@ class Dataset:
     @property
     def num_variables(self) -> int:
         return self.weather.num_variables
-
-    def unit_index(self) -> dict[str, int]:
-        return {u.unit_id: i for i, u in enumerate(self.units)}
 
 
 CSV_COLUMNS = {
@@ -412,44 +406,6 @@ def aggregate_weather(raw_rows, units: list[UnitMeta], grid: TimeGrid, variable_
     tensor = WeatherTensor(values=values, variable_names=list(variable_names), gap_mask=~covered)
     tensor.skipped_rows = int((~keep).sum())
     return tensor
-
-
-def split_event_window(ds: Dataset, event_start: datetime, event_end: datetime) -> tuple[Dataset, Dataset]:
-    """Split a dataset into an (event, baseline) pair at slot granularity.
-
-    The event window must butt against one end of the grid so that the
-    baseline remains a contiguous block (the study designs pair an event
-    half-month against the rest of the month).
-    """
-    lo = ds.grid.slot_of(event_start)
-    hi_ts = event_end
-    if hi_ts >= ds.grid.end:
-        hi = ds.grid.num_slots
-    else:
-        hi = ds.grid.slot_of(hi_ts)
-    if lo < 0 or hi < 0 or hi <= lo:
-        raise ValidationError("event window is empty or outside the grid span")
-    if lo == 0 and hi == ds.grid.num_slots:
-        raise ValidationError("event window covers the full span; baseline would be empty")
-    if lo != 0 and hi != ds.grid.num_slots:
-        raise ValidationError("event window must touch the grid start or end (baseline must stay contiguous)")
-
-    def _slice(a: int, b: int) -> Dataset:
-        grid = TimeGrid(start=ds.grid.slot_start(a), slot_seconds=ds.grid.slot_seconds, num_slots=b - a)
-        out = OutageSeries(
-            counts=ds.outages.counts[:, a:b].copy(),
-            gap_mask=None if ds.outages.gap_mask is None else ds.outages.gap_mask[:, a:b].copy(),
-        )
-        wx = WeatherTensor(
-            values=ds.weather.values[:, a:b, :].copy(),
-            variable_names=list(ds.weather.variable_names),
-            gap_mask=None if ds.weather.gap_mask is None else ds.weather.gap_mask[:, a:b].copy(),
-        )
-        return Dataset(units=ds.units, grid=grid, outages=out, weather=wx)
-
-    event = _slice(lo, hi)
-    baseline = _slice(hi, ds.grid.num_slots) if lo == 0 else _slice(0, lo)
-    return event, baseline
 
 
 def save_dataset(ds: Dataset, path) -> None:

@@ -14,9 +14,10 @@ are kept, so memory grows with R x K x trig_window, not with R x K x T.
 Scenario evaluation uses common random numbers: baseline and scenario
 simulations share the seed, so an identity scenario gives exactly 0%
 reduction and small parameter edits are not drowned in Monte Carlo noise.
-The same seed also means equal parameters give equal rollouts, so a set of
-scenarios (one scenario, a sweep, or both) simulates each distinct parameter
-set once, the baseline included.
+The same seed also means equal parameters give equal rollouts, so
+`outage_reductions` takes a list of scenarios (one scenario is a list of one,
+a sweep is its cells, `enhance` passes both) and simulates each distinct
+parameter set once, the baseline included.
 
 Poisson draws use numpy's Generator.poisson (inversion below mean 10, a
 transformed-rejection method above), so paths are reproducible across
@@ -42,7 +43,14 @@ from .weather_effect import accumulate  # noqa: F401  (binding patched by perfbe
 LAMBDA_OVERFLOW = 1e9
 
 MEAN = "mean"  # symbolic override value: population average
-CLAUSE_LISTS = ("edge_reweights", "gamma_overrides", "beta_overrides", "omega_overrides")
+CLAUSE_LISTS = {"edge_reweights": ("source", "target"), "gamma_overrides": ("unit",), "beta_overrides": ("unit",),
+                "omega_overrides": ("variable",)}  # a clause is these integer indices, then its value
+SELECTORS = ("top_k_units", "top_e_edges", "gamma_top_units", "beta_bottom_units")
+
+
+def _is_count(value) -> bool:
+    """An integer >= 0 (a unit or variable index, or a selector count); bools are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass
@@ -75,8 +83,21 @@ class Scenario:
 
     def __post_init__(self):
         values = [("edge_target", self.edge_target)]
-        for name in CLAUSE_LISTS:
-            values += [(name, clause[-1]) for clause in getattr(self, name)]
+        for name, indices in CLAUSE_LISTS.items():
+            clauses = getattr(self, name)
+            if not isinstance(clauses, (list, tuple)) or not all(
+                isinstance(c, (list, tuple)) and len(c) == len(indices) + 1 and all(map(_is_count, c[:-1]))
+                for c in clauses
+            ):
+                raise ValidationError(
+                    f"{name} must hold [{', '.join(indices)}, value] clauses with integer indices >= 0, got {clauses!r}"
+                )
+            setattr(self, name, [tuple(c) for c in clauses])
+            values += [(name, clause[-1]) for clause in clauses]
+        for name in SELECTORS:
+            count = getattr(self, name)
+            if count is not None and not _is_count(count):
+                raise ValidationError(f"{name} must be an integer >= 0, got {count!r}")
         for name, value in values:
             try:
                 ok = value == MEAN or (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0)
@@ -89,18 +110,14 @@ class Scenario:
 
     def is_identity(self) -> bool:
         selectors = ("top_k_units", "gamma_top_units", "beta_bottom_units")
-        return not any(getattr(self, name) for name in CLAUSE_LISTS + selectors)
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {**d, **{name: [list(c) for c in d[name]] for name in CLAUSE_LISTS}}
+        return not any(getattr(self, name) for name in (*CLAUSE_LISTS, *selectors))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown scenario field(s): {sorted(unknown)}")
-        return cls(**{**d, **{name: [tuple(c) for c in d.get(name, [])] for name in CLAUSE_LISTS}})
+        return cls(**d)
 
 
 def load_scenario(path) -> Scenario:
@@ -109,13 +126,9 @@ def load_scenario(path) -> Scenario:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"scenario file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"scenario file {path} must hold a JSON object")
     return Scenario.from_dict(payload)
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def top_k_units_by_max_outages(history, k: int) -> list:
@@ -176,22 +189,18 @@ def apply_scenario(params: ModelParams, scenario: Scenario, reference_history=No
         beta_clauses.extend((i, MEAN) for i in slowest)
 
     for s, t, value in edge_clauses:
-        s, t = int(s), int(t)
         if (s, t) not in params.graph.index:
             raise ValidationError(f"scenario re-weights edge ({s}, {t}) which is not in the graph")
         out.alpha.w[params.graph.index[s, t]] = edge_mean if value == MEAN else float(value)
     for i, value in gamma_clauses:
-        i = int(i)
         if not 0 <= i < K:
             raise ValidationError(f"scenario overrides gamma of unknown unit {i}")
         out.gamma[i] = gamma_mean if value == MEAN else float(value)
     for i, value in beta_clauses:
-        i = int(i)
         if not 0 <= i < K:
             raise ValidationError(f"scenario overrides beta of unknown unit {i}")
         out.beta[i] = beta_mean if value == MEAN else float(value)
     for m, value in scenario.omega_overrides:
-        m = int(m)
         if not 0 <= m < out.num_variables:
             raise ValidationError(f"scenario overrides omega of unknown variable {m}")
         if value == MEAN:
@@ -378,26 +387,6 @@ class ReductionResult:
     seed: int
 
 
-def outage_reduction(
-    params: ModelParams,
-    scenario: Scenario,
-    weather,
-    grid: TimeGrid,
-    R: int,
-    seed: int,
-    baseline: str = "simulated_total",
-    observed=None,
-) -> ReductionResult:
-    """Percent outage reduction of `scenario` vs the baseline, with std error.
-
-    baseline="simulated_total" simulates the unmodified model with the *same*
-    seed (common random numbers); "observed_total" compares against the
-    observed counts. Both simulations roll from empty history with the
-    observed weather replayed.
-    """
-    return outage_reductions(params, [scenario], weather, grid, R, seed, baseline, observed)[0]
-
-
 def outage_reductions(
     params: ModelParams,
     scenarios: list,
@@ -408,8 +397,13 @@ def outage_reductions(
     baseline: str = "simulated_total",
     observed=None,
 ) -> list:
-    """:func:`outage_reduction` of each scenario, simulating every distinct
-    parameter set once.
+    """Percent outage reduction of each scenario vs the baseline, with its
+    Monte Carlo standard error, simulating every distinct parameter set once.
+
+    baseline="simulated_total" simulates the unmodified model with the *same*
+    seed (common random numbers); "observed_total" compares against the
+    observed counts. All simulations roll from empty history with the
+    observed weather replayed.
 
     All rollouts share the seed, so a scenario whose applied parameters equal
     the baseline's (or an earlier scenario's) reuses that rollout: it is the
@@ -472,8 +466,8 @@ def sweep_scenarios(axis1: list, axis2: list, mode: str = "edges") -> list:
     average recovery rate. A cell with a 0 on an edges axis, or 0 on both
     margins axes, is the identity scenario.
     """
-    if not axis1 or not axis2:
-        raise ValidationError("sweep axes must be nonempty")
+    if not all(isinstance(axis, (list, tuple)) and axis and all(map(_is_count, axis)) for axis in (axis1, axis2)):
+        raise ValidationError(f"sweep axes must be nonempty lists of integers >= 0, got {axis1!r} and {axis2!r}")
     if mode not in ("edges", "margins"):
         raise ValidationError(f"sweep mode must be 'edges' or 'margins', got {mode!r}")
     cells = []

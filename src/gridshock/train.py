@@ -56,7 +56,6 @@ class FitConfig:
     """Optimizer settings plus the model-shape knobs a fit needs."""
 
     step_size: float = 0.01
-    step_decay: float = 1.0  # multiplicative per-epoch step decay
     batch_slots: int = 32  # contiguous slots per minibatch; None = full batch
     max_epochs: int = 200
     tol: float = 1e-6  # stop when |delta ell| over an epoch falls below
@@ -99,24 +98,9 @@ class FitReport:
     def epochs_run(self) -> int:
         return len(self.loglik_trace)
 
-    def records(self, include_seconds: bool = False):
-        """One (epoch, loglik, grad_norm, projections[, seconds]) tuple per epoch."""
-        rows = []
-        for e, (ll, gn, pc) in enumerate(
-            zip(self.loglik_trace, self.grad_norm_trace, self.projection_counts), start=1
-        ):
-            row = [e, ll, gn, pc]
-            if include_seconds:
-                row.append(self.seconds)
-            rows.append(tuple(row))
-        return rows
-
-    def format_lines(self) -> list:
-        lines = [f"fit seed={self.seed} epochs={self.epochs_run} converged={self.converged}"]
-        for e, ll, gn, pc in self.records():
-            lines.append(f"epoch {e:4d}  loglik {ll:.6f}  grad_norm {gn:.6e}  projections {pc}")
-        lines.append(f"wall_clock_seconds {self.seconds:.3f}")
-        return lines
+    def records(self) -> list:
+        """One (epoch, loglik, grad_norm, projections) tuple per epoch."""
+        return list(zip(range(1, self.epochs_run + 1), self.loglik_trace, self.grad_norm_trace, self.projection_counts))
 
 
 @dataclass
@@ -357,7 +341,6 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
     best_ll = -np.inf
     best_params = params.copy()
     prev_ll = None
-    lr = cfg.step_size
     for epoch in range(cfg.max_epochs):
         projections = 0
         for t0, t1 in blocks:
@@ -368,7 +351,7 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
                     f"optimizer left the finite region at epoch {epoch + 1} ({exc}); "
                     f"trace tail: {[f'{x:.4g}' for x in report.loglik_trace[-5:]]}"
                 ) from exc
-            _apply_update(params, grads, lr, adam)
+            _apply_update(params, grads, cfg.step_size, adam)
             params, n_proj = project(params)
             projections += n_proj
         ll, full_grads = _block_loglik_and_grads(params, counts, x_scaled, 0, T)
@@ -387,7 +370,6 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
             report.converged = True
             break
         prev_ll = ll
-        lr *= cfg.step_decay
     report.seconds = time.perf_counter() - t_start
     best_params.check_invariants()
     return best_params, report

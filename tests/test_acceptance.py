@@ -30,7 +30,7 @@ from conftest import SUPPORT_THRESHOLD
 from gridshock import cli
 from gridshock.analyze import decompose_counts, fit_sigmoid_points, predict_ahead
 from gridshock.model import intensity_field
-from gridshock.simulate import Scenario, outage_reduction, simulate_paths
+from gridshock.simulate import Scenario, outage_reductions, simulate_paths
 from gridshock.topology import criticality_scores
 from gridshock.train import gradients, log_likelihood
 from synth import standard_fit_config
@@ -242,7 +242,7 @@ def test_criterion_07_scenario_consistency(cascade_instance):
     p = cascade_instance.true_params
     ds = cascade_instance.dataset
 
-    identity = outage_reduction(p, Scenario(), ds.weather, ds.grid, R=50, seed=7)
+    identity = outage_reductions(p, [Scenario()], ds.weather, ds.grid, R=50, seed=7)[0]
     exact_zero = identity.reduction_pct == 0.0
 
     base = simulate_paths(p, ds.weather, ds.grid, R=400, seed=11)
@@ -251,7 +251,7 @@ def test_criterion_07_scenario_consistency(cascade_instance):
     cascade_share = 100.0 * i_sum / (d_sum + i_sum + p.eps * dec.direct.size)
 
     cut_all = Scenario(edge_reweights=[(s, t, 0.0) for s, t, _ in p.alpha.nonzero_edges()])
-    res = outage_reduction(p, cut_all, ds.weather, ds.grid, R=400, seed=11)
+    res = outage_reductions(p, [cut_all], ds.weather, ds.grid, R=400, seed=11)[0]
     gap = abs(res.reduction_pct - cascade_share)
     ok = exact_zero and gap <= 3.0 * res.std_err_pct
     _verdict(

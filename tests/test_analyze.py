@@ -20,7 +20,6 @@ from gridshock.analyze import (
     decompose,
     decompose_counts,
     episode_duration_summary,
-    estimate_dtc,
     fit_sigmoid,
     fit_sigmoid_points,
     predict_ahead,
@@ -200,7 +199,6 @@ def test_fit_sigmoid_recovers_response_curve():
     assert fit.c == pytest.approx(4.0, rel=0.05)
     assert fit.L == pytest.approx(0.6, rel=0.05)
     assert fit.rmse < 0.01
-    assert estimate_dtc(fit) == fit.c
 
 
 def test_fit_sigmoid_population_and_index_selection():

@@ -2,6 +2,7 @@ import argparse
 import csv
 import gc
 import json
+import os
 import warnings
 
 import numpy as np
@@ -695,3 +696,85 @@ def test_model_file_with_a_negative_rate_is_rejected_at_load(pipeline, tmp_path,
     assert rc == 2
     assert f"{field}[{index}] = -0.5" in capsys.readouterr().err
     assert not (tmp_path / "pred").exists()
+
+
+def test_config_file_rejects_the_removed_step_decay_key(pipeline, tmp_path, capsys):
+    # The step size is fixed for a whole fit; the per-epoch decay it had was always 1.0.
+    cfg_path = tmp_path / "decay.json"
+    cfg_path.write_text(json.dumps({"fit": {"step_decay": 0.9}}))
+    rc = cli.main(["fit", "--config", str(cfg_path), "--dataset", str(pipeline["dataset"]),
+                   "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "unknown config key 'fit.step_decay'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS")
+
+
+@pytest.mark.parametrize("flag", [["--threads", "3"], ["--threads=3"]], ids=["separate", "equals"])
+def test_threads_flag_pins_the_pools_in_either_spelling(pipeline, monkeypatch, flag):
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "untouched")
+    assert cli.main(["fit", "--dataset", str(pipeline["dataset"]), "--validate-only", *flag]) == 0
+    assert {var: os.environ[var] for var in THREAD_VARS} == dict.fromkeys(THREAD_VARS, "3")
+
+
+@pytest.mark.parametrize("flag", [["--threads", "0"], ["--threads=0"], ["--threads=-2"], ["--threads", "abc"]])
+def test_threads_below_one_is_a_validation_error(pipeline, monkeypatch, capsys, flag):
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "untouched")
+    assert cli.main(["fit", "--dataset", str(pipeline["dataset"]), "--validate-only", *flag]) == 2
+    assert "--threads expects an integer >= 1" in capsys.readouterr().err
+    assert {var: os.environ[var] for var in THREAD_VARS} == dict.fromkeys(THREAD_VARS, "untouched")
+
+
+def _enhance_exit_and_error(pipeline, out, extra, capsys):
+    """(exit code, stderr) of `enhance`, and of the same command with --validate-only."""
+    argv = ["enhance", "--dataset", str(pipeline["dataset"]), "--model", str(pipeline["model"]),
+            "--output-dir", str(out), "--replications", "5", *extra]
+    results = []
+    for validate in ([], ["--validate-only"]):
+        rc = cli.main([*argv, *validate])
+        results.append((rc, capsys.readouterr().err))
+    return results
+
+
+def test_a_malformed_scenario_file_exits_2(pipeline, tmp_path, capsys):
+    scen_path = tmp_path / "scenario.json"
+    scen_path.write_text(json.dumps({"gamma_top_units": -2}))
+    out = tmp_path / "out"
+    run, validate = _enhance_exit_and_error(pipeline, out, ["--scenario", str(scen_path)], capsys)
+    assert run == validate == (2, "error: gamma_top_units must be an integer >= 0, got -2\n")
+    assert not out.exists()
+
+
+AXES_ERROR = "sweep axes must be nonempty lists of integers >= 0"
+
+
+@pytest.mark.parametrize(
+    "sweep, flags, match",
+    [
+        ({"mode": "edges"}, [], f"{AXES_ERROR}, got None and None"),
+        ({"mode": "edges", "axis1": [1], "axis2": []}, [], f"{AXES_ERROR}, got [1] and []"),
+        ({"mode": "edges", "axis1": [1], "axis2": [0.5]}, [], f"{AXES_ERROR}, got [1] and [0.5]"),
+        ({"mode": "edges", "axis1": [True], "axis2": [1]}, [], f"{AXES_ERROR}, got [True] and [1]"),
+        ({"mode": "edges", "axis1": 2, "axis2": [1]}, [], f"{AXES_ERROR}, got 2 and [1]"),
+        ({"mode": "diagonal", "axis1": [1], "axis2": [1]}, [], "sweep mode must be 'edges' or 'margins'"),
+        ({"mode": "edges", "axis1": [1], "axis2": [1], "axis3": [1]}, [], "sweep must be an object with keys"),
+        ([1, 2], [], "sweep must be an object with keys"),
+        (None, ["--sweep-units=-1,2", "--sweep-edges", "1"], f"{AXES_ERROR}, got [-1, 2] and [1]"),
+        (None, ["--sweep-mode", "margins", "--sweep-units", "1"], f"{AXES_ERROR}, got [1] and []"),
+    ],
+    ids=["no-axes", "empty-axis", "float", "bool", "not-a-list", "mode", "extra-key", "not-an-object",
+         "negative-flag", "one-axis-flag"],
+)
+def test_a_malformed_sweep_exits_2(pipeline, tmp_path, capsys, sweep, flags, match):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"sweep": sweep}))
+    out = tmp_path / "out"
+    run, validate = _enhance_exit_and_error(pipeline, out, ["--config", str(cfg_path), *flags], capsys)
+    assert run == validate
+    assert run[0] == 2 and match in run[1]
+    assert not out.exists()

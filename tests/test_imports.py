@@ -63,3 +63,13 @@ def test_analyze_and_the_response_curve_do_not_import_scipy(tmp_path):
     )
     assert _modules_after(code) == "[]"
     assert (tmp_path / "sigmoid.csv").read_text().startswith("variable,a,c,L,rmse,n_points\nwind_speed,")
+
+
+def test_every_public_name_resolves_in_its_module():
+    """An `_EXPORTS` entry left naming a deleted function fails here, not in a user's import."""
+    import gridshock
+
+    for name in gridshock.__all__:
+        value = getattr(gridshock, name)
+        if name in gridshock._EXPORTS:
+            assert value.__module__ == f"gridshock.{gridshock._EXPORTS[name]}", name

@@ -22,7 +22,6 @@ from gridshock.ingest import (
     load_weather_rows,
     parse_timestamp,
     save_dataset,
-    split_event_window,
 )
 
 UTC = timezone.utc
@@ -300,7 +299,6 @@ def test_dataset_shape_checks():
     wx = WeatherTensor(values=np.zeros((2, 3, 1)), variable_names=["w"])
     ds = Dataset(units=units, grid=grid, outages=out, weather=wx)
     assert (ds.num_units, ds.num_slots, ds.num_variables) == (2, 3, 1)
-    assert ds.unit_index() == {"u0": 0, "u1": 1}
     with pytest.raises(ValidationError, match="outage matrix"):
         Dataset(units=units, grid=grid, outages=OutageSeries(counts=np.zeros((2, 4), dtype=int)), weather=wx)
 
@@ -389,32 +387,6 @@ def test_save_load_dataset_roundtrip(tmp_path):
     assert ds2.weather.variable_names == ds.weather.variable_names
     assert ds2.grid == ds.grid
     assert ds2.units == ds.units
-
-
-def test_split_event_window_at_start():
-    ds = _dataset()
-    event, baseline = split_event_window(ds, START, START + timedelta(seconds=10800 * 2))
-    assert event.num_slots == 2 and baseline.num_slots == 4
-    assert_array_equal(event.outages.counts, ds.outages.counts[:, :2])
-    assert_array_equal(baseline.outages.counts, ds.outages.counts[:, 2:])
-    assert baseline.grid.start == START + timedelta(seconds=10800 * 2)
-
-
-def test_split_event_window_at_end():
-    ds = _dataset()
-    event, baseline = split_event_window(ds, START + timedelta(seconds=10800 * 4), ds.grid.end)
-    assert event.num_slots == 2 and baseline.num_slots == 4
-    assert_array_equal(event.outages.counts, ds.outages.counts[:, 4:])
-
-
-def test_split_event_window_rejects_interior_and_full():
-    ds = _dataset()
-    with pytest.raises(ValidationError, match="touch the grid start or end"):
-        split_event_window(ds, _ts(1), _ts(3))
-    with pytest.raises(ValidationError, match="baseline would be empty"):
-        split_event_window(ds, START, ds.grid.end)
-    with pytest.raises(ValidationError, match="empty or outside"):
-        split_event_window(ds, _ts(3), _ts(3))
 
 
 def test_gap_report():

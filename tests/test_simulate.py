@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -30,8 +31,7 @@ from gridshock.simulate import (
     SimResult,
     apply_scenario,
     load_scenario,
-    outage_reduction,
-    save_scenario,
+    outage_reductions,
     simulate_paths,
     sweep,
     sweep_scenarios,
@@ -98,11 +98,37 @@ def test_scenario_roundtrip(tmp_path):
         gamma_top_units=1,
     )
     path = tmp_path / "scen.json"
-    save_scenario(scen, path)
-    again = load_scenario(path)
-    assert again.to_dict() == scen.to_dict()
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(dataclasses.asdict(scen), fh)
+    assert load_scenario(path) == scen
     with pytest.raises(ValidationError, match="unknown scenario field"):
         Scenario.from_dict({"bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        ([{"gamma_top_units": 1}], "must hold a JSON object"),
+        ({"edge_reweights": [[0, 1]]}, "edge_reweights must hold [source, target, value] clauses"),
+        ({"gamma_overrides": [[0, 0.5, 1]]}, "gamma_overrides must hold [unit, value] clauses"),
+        ({"beta_overrides": [0, 0.5]}, "beta_overrides must hold [unit, value] clauses"),
+        ({"omega_overrides": {"0": 0.5}}, "omega_overrides must hold [variable, value] clauses"),
+        ({"gamma_overrides": [["a", 0.5]]}, "with integer indices >= 0, got [['a', 0.5]]"),
+        ({"gamma_overrides": [[0.5, 0.5]]}, "with integer indices >= 0, got [[0.5, 0.5]]"),
+        ({"edge_reweights": [[0, -1, 0.0]]}, "with integer indices >= 0, got [[0, -1, 0.0]]"),
+        ({"omega_overrides": [[True, 0.7]]}, "with integer indices >= 0, got [[True, 0.7]]"),
+        ({"gamma_top_units": -2}, "gamma_top_units must be an integer >= 0, got -2"),
+        ({"beta_bottom_units": 1.5}, "beta_bottom_units must be an integer >= 0, got 1.5"),
+        ({"top_k_units": "2", "top_e_edges": 1}, "top_k_units must be an integer >= 0, got '2'"),
+    ],
+    ids=["list", "short-edge", "long-override", "flat-clauses", "object-clauses", "string-index",
+         "float-index", "negative-index", "bool-index", "negative-count", "float-count", "string-count"],
+)
+def test_scenario_file_structure_is_validated(tmp_path, payload, match):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError, match=re.escape(match)):
+        load_scenario(path)
 
 
 def test_scenario_file_must_be_json(tmp_path):
@@ -413,7 +439,7 @@ def test_simulation_diverges_loudly_when_unstable():
 def test_identity_scenario_reduces_nothing():
     params = _chain_params()
     ds = _shell(params, 20)
-    res = outage_reduction(params, Scenario(), ds.weather, ds.grid, R=30, seed=5)
+    res = outage_reductions(params, [Scenario()], ds.weather, ds.grid, R=30, seed=5)[0]
     assert isinstance(res, ReductionResult)
     assert res.reduction_pct == 0.0
     assert res.std_err_pct == 0.0
@@ -424,7 +450,7 @@ def test_cutting_couplings_reduces_outages():
     params = _chain_params(K=2, alphas=((0, 1, 2.0),), gamma=(1.5, 0.2))
     ds = _shell(params, 60)
     scen = Scenario(edge_reweights=[(0, 1, 0.0)])
-    res = outage_reduction(params, scen, ds.weather, ds.grid, R=200, seed=9)
+    res = outage_reductions(params, [scen], ds.weather, ds.grid, R=200, seed=9)[0]
     assert res.reduction_pct > 0.0
     assert res.scenario_total < res.baseline_total
 
@@ -434,17 +460,19 @@ def test_observed_baseline():
     T = 20
     observed = np.ones((2, T), dtype=np.int64)
     ds = wrap_dataset(observed, np.zeros((2, T, 1)))
-    res = outage_reduction(
-        params, Scenario(), ds.weather, ds.grid, R=50, seed=5, baseline="observed_total", observed=observed
-    )
+    res = outage_reductions(
+        params, [Scenario()], ds.weather, ds.grid, R=50, seed=5, baseline="observed_total", observed=observed
+    )[0]
     assert res.baseline_total == 2 * T
     with pytest.raises(ValidationError, match="observed_total baseline"):
-        outage_reduction(params, Scenario(), ds.weather, ds.grid, R=5, seed=5, baseline="observed_total")
+        outage_reductions(params, [Scenario()], ds.weather, ds.grid, R=5, seed=5, baseline="observed_total")[0]
     with pytest.raises(ValidationError, match="baseline must be"):
-        outage_reduction(params, Scenario(), ds.weather, ds.grid, R=5, seed=5, baseline="nope")
+        outage_reductions(params, [Scenario()], ds.weather, ds.grid, R=5, seed=5, baseline="nope")[0]
     zeros = np.zeros((2, T), dtype=np.int64)
     with pytest.raises(NumericError, match="undefined"):
-        outage_reduction(params, Scenario(), ds.weather, ds.grid, R=5, seed=5, baseline="observed_total", observed=zeros)
+        outage_reductions(
+            params, [Scenario()], ds.weather, ds.grid, R=5, seed=5, baseline="observed_total", observed=zeros
+        )[0]
 
 
 def test_sweep_grid():
@@ -488,7 +516,7 @@ def test_sweep_simulates_each_distinct_parameter_set_once(monkeypatch):
     assert len(calls) == 1 + (9 - identity)  # the baseline, then each non-identity cell
     one_by_one = [
         (a1, a2, *(lambda r: (r.reduction_pct, r.std_err_pct))(
-            outage_reduction(params, scen, ds.weather, ds.grid, R=20, seed=3, observed=observed)
+            outage_reductions(params, [scen], ds.weather, ds.grid, R=20, seed=3, observed=observed)[0]
         ))
         for a1, a2, scen in sweep_scenarios(**axes)
     ]

@@ -414,10 +414,7 @@ def test_fit_diverges_loudly_on_absurd_step():
 def test_fit_report_records():
     report = FitReport(seed=1, loglik_trace=[-5.0, -4.0], grad_norm_trace=[2.0, 1.0], projection_counts=[3, 0], seconds=0.5)
     assert report.records() == [(1, -5.0, 2.0, 3), (2, -4.0, 1.0, 0)]
-    assert report.records(include_seconds=True)[0][-1] == 0.5
     assert report.final_loglik == -4.0
-    lines = report.format_lines()
-    assert lines[0].startswith("fit seed=1") and "wall_clock_seconds" in lines[-1]
 
 
 def test_fd_audit_small():
