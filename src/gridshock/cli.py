@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -126,6 +127,53 @@ def effective_config(args) -> dict:
     return cfg
 
 
+# The type of each numeric config key: `_setting` reads them as that type and
+# `--validate-only` checks them all. `fit.batch_slots` (an integer, "full" or
+# null) and `grid.num_slots` (an integer or "auto") also take a word.
+SETTING_TYPES = {
+    "grid.slot_seconds": int,
+    "graph.k_neighbors": int,
+    "graph.max_km": float,
+    "fit.step_size": float,
+    "fit.max_epochs": int,
+    "fit.tol": float,
+    "fit.seed": int,
+    "fit.hidden_sizes": tuple,
+    "fit.window_slots": int,
+    "fit.trig_window": int,
+    "fit.eps": float,
+    "sim.replications": int,
+    "sim.seed": int,
+    "sim.teacher_forced_until": int,
+    "predict.horizon": int,
+    "analyze.zero_run_threshold": int,
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _setting(cfg: dict, key: str, kind=None):
+    """The value of the dotted config `key` as its SETTING_TYPES type: an
+    integer, a number (float) or a list of integers (tuple). A value of
+    another type, bools included, is a ValidationError, never a cast, so 2.7
+    replications is an error, not 2."""
+    kind = kind or SETTING_TYPES[key]
+    value = cfg
+    for part in key.split("."):
+        value = value[part]
+    if kind is tuple:
+        ok, expected = isinstance(value, (list, tuple)) and all(map(_is_int, value)), "a list of integers"
+    elif kind is int:
+        ok, expected = _is_int(value), "an integer"
+    else:
+        ok, expected = isinstance(value, numbers.Real) and not isinstance(value, bool), "a number"
+    if not ok:
+        raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
+    return tuple(map(int, value)) if kind is tuple else kind(value)
+
+
 def _output_dir(cfg: dict) -> Path:
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -175,7 +223,7 @@ def _resolve_grid(cfg: dict, outage_rows, weather_rows):
 
     from .ingest import TimeGrid, parse_timestamp
 
-    slot_seconds = int(cfg["grid"]["slot_seconds"])
+    slot_seconds = _setting(cfg, "grid.slot_seconds")
     start_cfg = cfg["grid"]["start"]
     slots_cfg = cfg["grid"]["num_slots"]
     if start_cfg == "auto" or slots_cfg == "auto":
@@ -191,11 +239,18 @@ def _resolve_grid(cfg: dict, outage_rows, weather_rows):
             span = (ts_max - start).total_seconds()
             num_slots = max(int(span // slot_seconds) + 1, 2)
         else:
-            num_slots = int(slots_cfg)
+            num_slots = _slot_count(cfg)
     else:
         start = parse_timestamp(start_cfg)
-        num_slots = int(slots_cfg)
+        num_slots = _slot_count(cfg)
     return TimeGrid(start=start, slot_seconds=slot_seconds, num_slots=num_slots)
+
+
+def _slot_count(cfg: dict) -> int:
+    value = cfg["grid"]["num_slots"]
+    if isinstance(value, str) and value.isascii() and value.isdigit():  # `--num-slots` hands over text
+        return int(value)
+    return _setting(cfg, "grid.num_slots", int)
 
 
 def cmd_ingest(cfg: dict, args) -> int:
@@ -233,18 +288,17 @@ def cmd_ingest(cfg: dict, args) -> int:
 def _fit_config(cfg: dict):
     from .train import FitConfig
 
-    f = cfg["fit"]
     return FitConfig(
-        step_size=float(f["step_size"]),
-        batch_slots=None if f["batch_slots"] in (None, "full") else int(f["batch_slots"]),
-        max_epochs=int(f["max_epochs"]),
-        tol=float(f["tol"]),
-        seed=int(f["seed"]),
-        optimizer=f["optimizer"],
-        hidden_sizes=tuple(int(h) for h in f["hidden_sizes"]),
-        window_slots=int(f["window_slots"]),
-        trig_window=int(f["trig_window"]),
-        eps=float(f["eps"]),
+        step_size=_setting(cfg, "fit.step_size"),
+        batch_slots=None if cfg["fit"]["batch_slots"] in (None, "full") else _setting(cfg, "fit.batch_slots", int),
+        max_epochs=_setting(cfg, "fit.max_epochs"),
+        tol=_setting(cfg, "fit.tol"),
+        seed=_setting(cfg, "fit.seed"),
+        optimizer=cfg["fit"]["optimizer"],
+        hidden_sizes=_setting(cfg, "fit.hidden_sizes"),
+        window_slots=_setting(cfg, "fit.window_slots"),
+        trig_window=_setting(cfg, "fit.trig_window"),
+        eps=_setting(cfg, "fit.eps"),
     )
 
 
@@ -258,7 +312,7 @@ def cmd_fit(cfg: dict, args) -> int:
     ds = ingest.load_dataset(ds_path)
     fit_cfg = _fit_config(cfg)
     graph = topology.build_candidate_graph(
-        ds.units, k_neighbors=int(cfg["graph"]["k_neighbors"]), max_km=float(cfg["graph"]["max_km"])
+        ds.units, k_neighbors=_setting(cfg, "graph.k_neighbors"), max_km=_setting(cfg, "graph.max_km")
     )
     if args.check_gradients:
         params0 = train.initialize(ds, graph, seed=fit_cfg.seed, cfg=fit_cfg)
@@ -297,7 +351,7 @@ def cmd_predict(cfg: dict, args) -> int:
     direct = model.direct_from_weather(params, ds.weather)  # one weather term for both predictions
     in_sample = analyze.predict_in_sample(params, ds, direct=direct)
     analyze.write_predictions_csv(out_dir / "predictions_insample.csv", in_sample)
-    horizon = int(cfg["predict"]["horizon"])
+    horizon = _setting(cfg, "predict.horizon")
     ahead = analyze.predict_ahead(params, ds, horizon_slots=horizon, direct=direct)
     analyze.write_predictions_csv(out_dir / "predictions_ahead.csv", ahead)
     print(f"in-sample: MAE={in_sample.mae:.4f} RMSE={in_sample.rmse:.4f}")
@@ -316,15 +370,15 @@ def cmd_simulate(cfg: dict, args) -> int:
     from .analyze import write_csv
 
     ds, params = _load_inputs(cfg)
-    sim_cfg = cfg["sim"]
+    cutoff = _setting(cfg, "sim.teacher_forced_until")
     result = simulate.simulate_paths(
         params,
         ds.weather,
         ds.grid,
-        R=int(sim_cfg["replications"]),
-        seed=int(sim_cfg["seed"]),
-        teacher_forced_until=int(sim_cfg["teacher_forced_until"]),
-        observed=ds.outages if int(sim_cfg["teacher_forced_until"]) > 0 else None,
+        R=_setting(cfg, "sim.replications"),
+        seed=_setting(cfg, "sim.seed"),
+        teacher_forced_until=cutoff,
+        observed=ds.outages if cutoff > 0 else None,
     )
     out_dir = _output_dir(cfg)
     write_csv(out_dir / "simulation_units.csv", ["unit", "total_mean"], enumerate(result.unit_total_mean))
@@ -370,9 +424,8 @@ def cmd_enhance(cfg: dict, args) -> int:
     from . import analyze, simulate
 
     ds, params = _load_inputs(cfg)
-    sim_cfg = cfg["sim"]
-    R = int(sim_cfg["replications"])
-    seed = int(sim_cfg["seed"])
+    R = _setting(cfg, "sim.replications")
+    seed = _setting(cfg, "sim.seed")
     scenarios, mode, cells = _enhance_plan(cfg)
     # One call, so the baseline and every repeated parameter set are simulated once.
     results = simulate.outage_reductions(
@@ -382,7 +435,7 @@ def cmd_enhance(cfg: dict, args) -> int:
         ds.grid,
         R,
         seed,
-        baseline=sim_cfg["baseline"],
+        baseline=cfg["sim"]["baseline"],
         observed=ds.outages,
     )
     out_dir = _output_dir(cfg)
@@ -414,7 +467,7 @@ def cmd_analyze(cfg: dict, args) -> int:
     out_dir = _output_dir(cfg)
     decomp = analyze.decompose(params, ds)
     analyze.write_decomposition_csv(out_dir / "decomposition.csv", decomp)
-    episodes = analyze.restoration_durations(ds, zero_run_threshold=int(cfg["analyze"]["zero_run_threshold"]))
+    episodes = analyze.restoration_durations(ds, zero_run_threshold=_setting(cfg, "analyze.zero_run_threshold"))
     analyze.write_episodes_csv(out_dir / "episodes.csv", episodes)
     summary = analyze.episode_duration_summary(episodes)
     variables = cfg["analyze"]["sigmoid_variables"] or []
@@ -464,12 +517,16 @@ def validate_only(cfg: dict, command: str) -> int:
     from .ingest import DATASET_SCHEMA
     from .model import MODEL_SCHEMA
 
+    for key in SETTING_TYPES:
+        _setting(cfg, key)
+    if cfg["grid"]["num_slots"] != "auto":
+        _slot_count(cfg)
     _fit_config(cfg)  # range-checks every fit field
-    if int(cfg["grid"]["slot_seconds"]) <= 0:
+    if _setting(cfg, "grid.slot_seconds") <= 0:
         raise ValidationError("grid.slot_seconds must be positive")
-    if int(cfg["sim"]["replications"]) < 1:
+    if _setting(cfg, "sim.replications") < 1:
         raise ValidationError("sim.replications must be >= 1")
-    if int(cfg["predict"]["horizon"]) < 1:
+    if _setting(cfg, "predict.horizon") < 1:
         raise ValidationError("predict.horizon must be >= 1")
 
     if command == "ingest":

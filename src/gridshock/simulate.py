@@ -5,23 +5,28 @@ together: at each slot the intensity of every replication is computed from
 its history so far (observed history before the teacher-forced cutoff,
 simulated history after), with lambda summed by model.py's kernel state and
 coupling in the order of `intensity_field`, so a path's intensity is exactly
-the path's own field. Each replication then draws its K counts for the slot
-from its own generator, seeded ``seed ^ r``, in the same order as if it ran
-alone; paths are therefore reproducible and do not depend on how many
-replications are stepped together. Only the counts inside the kernel window
-are kept, so memory grows with R x K x trig_window, not with R x K x T.
+the path's own field. Only the counts inside the kernel window are kept, so
+memory grows with R x K x trig_window, not with R x K x T.
+
+Draws are by inversion. Replication r owns the uniform stream
+default_rng(seed ^ r) and reads it K doubles per slot, slot after slot, so
+its uniform u[r, t, i] for unit i at slot t depends only on (seed, r, t, i);
+the count there is the Poisson(lambda) quantile of that uniform,
+`poisson_quantile`. Uniforms are drawn a few slots at a time for a block of
+replications, and each slot inverts the whole block at once, yet a path does
+not depend on the block, the chunking or how many replications run, and
+free and forced runs read the same uniforms. Paths depend on the seed, the
+bit generator (PCG64) and the rounding of numpy's exp and log, not on
+numpy's Poisson algorithms.
 
 Scenario evaluation uses common random numbers: baseline and scenario
 simulations share the seed, so an identity scenario gives exactly 0%
-reduction and small parameter edits are not drowned in Monte Carlo noise.
-The same seed also means equal parameters give equal rollouts, so
+reduction, and since inversion makes every count rise with its intensity,
+baseline and scenario paths move together and their difference has low
+variance. The same seed also means equal parameters give equal rollouts, so
 `outage_reductions` takes a list of scenarios (one scenario is a list of one,
 a sweep is its cells, `enhance` passes both) and simulates each distinct
 parameter set once, the baseline included.
-
-Poisson draws use numpy's Generator.poisson (inversion below mean 10, a
-transformed-rejection method above), so paths are reproducible across
-platforms for a fixed numpy generation.
 """
 
 from __future__ import annotations
@@ -319,50 +324,224 @@ def _weather_on_grid(params, weather, grid):
     return x[:, :T, :]
 
 
-def _forced_draws(lam, R, seed):
-    """Fully forced runs: replication r draws its whole (K, T) grid from `lam` at once."""
-    for r in range(R):
-        yield slice(r, r + 1), slice(None), np.random.default_rng(seed ^ r).poisson(lam)[None]
+# Below this mean the quantile search runs up from 0 (exp(-lam) underflows
+# past about 745); at and above it, the search starts from a normal guess.
+POISSON_GUESS_MIN = 32.0
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(64)])  # log k! below 64; Stirling above
+_GUESS_CELLS = 1 << 12  # cells searched from a guess at once
+_SUM_FLOATS = 1 << 16  # floats of pmf terms summed in one step
+
+
+def poisson_quantile(lam, u) -> np.ndarray:
+    """The Poisson quantile n = min{k : F_lam(k) >= u} of each cell, by
+    inversion of the CDF; `lam` and `u` broadcast, u in [0, 1).
+
+    Each cell's count depends only on its own (lam, u), and on the same bits
+    gives the same count whatever else is in the arrays. Under common
+    uniforms the counts rise with lam, except for u within rounding of 1,
+    where the count is wherever the running sum stops growing.
+
+    Below POISSON_GUESS_MIN the CDF is summed up from p_0 = exp(-lam) by
+    p_k = p_(k-1) * lam / k. At and above it, the search starts from a
+    normal-approximation guess and corrects it (Giles 2016, "Algorithm 955",
+    ACM TOMS 42(1)), at O(sqrt(lam)) cost per cell. Every search stops when a
+    further term no longer changes the running sum, so it ends for every
+    u < 1 and every lam up to LAMBDA_OVERFLOW; lam = 0 gives 0.
+    """
+    lam, u = np.broadcast_arrays(np.asarray(lam, dtype=np.float64), np.asarray(u, dtype=np.float64))
+    shape = lam.shape
+    lam, u = lam.ravel(), u.ravel()  # contiguous, so each cell's exp is the same wherever it sits
+    big = lam >= POISSON_GUESS_MIN
+    if not big.any():
+        return _search_up_from_zero(lam, u).reshape(shape)
+    n = np.empty(lam.size, dtype=np.int64)
+    n[~big] = _search_up_from_zero(lam[~big], u[~big])
+    big = np.flatnonzero(big)
+    for c in range(0, big.size, _GUESS_CELLS):  # bounds the search's temporaries
+        cells = big[c : c + _GUESS_CELLS]
+        n[cells] = _search_from_guess(lam[cells], u[cells])
+    return n.reshape(shape)
+
+
+def _search_up_from_zero(lam, u):
+    """Sum p_0, p_1, ... until the running CDF reaches u; only the cells
+    still searching take part in each step."""
+    n = np.zeros(lam.size, dtype=np.int64)
+    p = np.exp(-lam)
+    live = np.flatnonzero(p < u)
+    lam, u, F = lam[live], u[live], p[live]
+    p, k = F, 0
+    while live.size:
+        k += 1
+        p = p * lam / k
+        G = F + p
+        go = (G < u) & (G > F)
+        n[live[~go]] = k
+        live, lam, u, p, F = live[go], lam[go], u[go], p[go], G[go]
+    return n
+
+
+def _search_from_guess(lam, u):
+    """The quantile for lam >= POISSON_GUESS_MIN: guess k from the normal
+    quantile of u with Cornish-Fisher terms, form F(k) by summing the pmf
+    down from p_k, then step up while F(k) < u or down while F(k - 1) >= u."""
+    z = _normal_quantile_guess(u)
+    k = np.maximum(np.floor(lam + np.sqrt(lam) * z + (z * z + 2.0) / 6.0), 0.0)
+    p = np.exp(_log_pmf(k, lam))
+    F = _cdf_summed_down(k, p, lam)
+    n = k.copy()
+    up = np.flatnonzero(F < u)
+    kk, pp, FF, uu, ll = k[up], p[up], F[up], u[up], lam[up]
+    while up.size:
+        kk = kk + 1.0
+        pp = pp * ll / kk
+        G = FF + pp
+        go = (G < uu) & (G > FF)
+        n[up[~go]] = kk[~go]
+        up, kk, pp, FF, uu, ll = up[go], kk[go], pp[go], G[go], uu[go], ll[go]
+    G = F - p  # F(k - 1)
+    down = np.flatnonzero((G >= u) & (k > 0) & (u > 0.0))
+    kk, pp, FF, uu, ll = k[down], p[down], G[down], u[down], lam[down]
+    while down.size:
+        pp = pp * kk / ll  # p(k - 1)
+        kk = kk - 1.0
+        n[down] = kk
+        G = FF - pp
+        go = (G >= uu) & (kk > 0) & (G < FF)
+        down, kk, pp, FF, uu, ll = down[go], kk[go], pp[go], G[go], uu[go], ll[go]
+    n[u <= 0.0] = 0  # F(0) > 0 = u; the down steps lose F's precision long before k = 0
+    return n.astype(np.int64)
+
+
+def _normal_quantile_guess(u):
+    """Standard normal quantile of u to within 4.5e-4 (Abramowitz & Stegun
+    26.2.23); only a starting point, so u = 0 is read as 2**-60."""
+    q = np.maximum(np.minimum(u, 1.0 - u), 2.0**-60)
+    t = np.sqrt(-2.0 * np.log(q))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    return np.where(u < 0.5, -z, z)
+
+
+def _log_pmf(k, lam):
+    """log p_k for integer-valued k >= 0 and lam > 0: log k! from a table
+    for small k, else Stirling's series with k log(k/lam) taken by log1p."""
+    out = np.empty_like(lam)
+    small = k < _LOG_FACTORIAL.size
+    ks, ls = k[small], lam[small]
+    out[small] = ks * np.log(ls) - ls - _LOG_FACTORIAL[ks.astype(np.int64)]
+    kb, lb = k[~small], lam[~small]
+    d = kb - lb
+    inv2 = 1.0 / (kb * kb)
+    series = (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0)) / kb
+    out[~small] = d - kb * np.log1p(d / lb) - 0.5 * np.log(2.0 * np.pi * kb) - series
+    return out
+
+
+def _cdf_summed_down(k, p, lam):
+    """F(k) = p_k + p_(k-1) + ..., in blocks of pmf terms, until the terms
+    left, each below the last one and falling at least geometrically by
+    j/lam, cannot change the sum. Every cell takes the same blocks: 32 terms
+    at a time for the first 256 (the whole sum for lam up to a few hundred,
+    with little overshoot), then doubling up to 4096, so that even lam = 1e9
+    takes under 150 blocks."""
+    F = p.copy()
+    live = np.arange(k.size)
+    j, term, l, S = k, p, lam, p
+    blocks = 0
+    while live.size:
+        width = 32 if blocks < 8 else min(32 << (blocks - 7), 4096)
+        blocks += 1
+        rows = max(1, _SUM_FLOATS // width)
+        total, last = np.empty(live.size), np.empty(live.size)
+        m = np.arange(width, dtype=np.float64)
+        for c in range(0, live.size, rows):
+            # ratios[:, i] = p_(j-1-i) / p_(j-i); products of them are the block's terms over p_j
+            ratios = j[c : c + rows, None] - m
+            np.maximum(ratios, 0.0, out=ratios)
+            np.divide(ratios, l[c : c + rows, None], out=ratios)
+            np.cumprod(ratios, axis=1, out=ratios)
+            total[c : c + rows], last[c : c + rows] = ratios.sum(axis=1), ratios[:, -1]
+        S = S + term * total
+        term, j = term * last, j - width
+        with np.errstate(divide="ignore"):  # j == lam: the bound is infinite, so keep summing
+            go = (j > 0) & ((j >= l) | (S + term * j / (l - j) > S))
+        F[live[~go]] = S[~go]
+        live, j, term, l, S = live[go], j[go], term[go], l[go], S[go]
+    return F
 
 
 # Replications stepped together are cut into blocks so that the kernel's
-# count window and the coupling temporaries stay near this many floats.
+# count window, the uniforms and the coupling temporaries stay near this many
+# floats.
 BLOCK_FLOATS = 1 << 22
+# Uniforms are drawn this many slots at a time into one buffer per block.
+UNIFORM_SLOTS = 8
+
+
+def _uniforms(seed, reps, K, T):
+    """Yield (t0, u) for each chunk of at most UNIFORM_SLOTS slots, where
+    u[b, c, i] is replication reps[b]'s uniform for unit i at slot t0 + c.
+
+    Replication r reads K doubles per slot, slot after slot, from
+    default_rng(seed ^ r), so a uniform depends only on (seed, r, slot, unit),
+    not on the block or the chunking. `u` is one buffer, refilled in place.
+    """
+    rngs = [np.random.default_rng(seed ^ r) for r in reps]
+    buf = np.empty((len(rngs), min(UNIFORM_SLOTS, T), K))
+    for t0 in range(0, T, buf.shape[1]):
+        u = buf[:, : min(buf.shape[1], T - t0)]
+        for rng, rows in zip(rngs, u):
+            rng.random(out=rows)
+        yield t0, u
+
+
+def _forced_draws(lam, R, seed):
+    """Fully forced runs: every replication inverts the pinned intensity `lam`
+    with its own uniforms; yields (block, K, slots) draws per uniform chunk."""
+    K, T = lam.shape
+    # the sampler holds about eight copies of the (block, slots, K) uniforms
+    block = max(1, BLOCK_FLOATS // (8 * K * min(UNIFORM_SLOTS, T)))
+    for r0 in range(0, R, block):
+        reps = range(r0, min(r0 + block, R))
+        for t0, u in _uniforms(seed, reps, K, T):
+            slots = slice(t0, t0 + u.shape[1])
+            yield slice(r0, reps.stop), slots, poisson_quantile(lam[:, slots].T, u).transpose(0, 2, 1)
 
 
 def _rollout_draws(params, coupling, mu_direct, obs, cutoff, R, seed):
     """Free-running and partly forced runs, one slot at a time for a block of
     replications at once; yields each slot's (block, K, 1) draws.
 
-    The block's kernel state P is (K, block). Replication r still draws its
-    K-vector for every slot from its own generator, so its path does not
-    depend on which replications share its block. Only the counts inside the
-    kernel window are kept, in a ring of min(window + 1, T) slots.
+    The block's kernel state P is (K, block), and each slot inverts the whole
+    block's intensities at once. Replication r's draws come from its own
+    uniforms, so its path does not depend on which replications share its
+    block. Only the counts inside the kernel window are kept, in a ring of
+    min(window + 1, T) slots.
     """
     K, T = mu_direct.shape
     window = params.trig_window
     span = min(window + 1, T)
-    block = max(1, BLOCK_FLOATS // (K * (span + 2) + 2 * coupling.w.size))
+    block = max(1, BLOCK_FLOATS // (K * (span + 2 + UNIFORM_SLOTS) + 2 * coupling.w.size))
     kern = Kernel(params.beta, window)
     beta = params.beta[:, None]
     for r0 in range(0, R, block):
-        rngs = [np.random.default_rng(seed ^ r) for r in range(r0, min(r0 + block, R))]
-        reps = slice(r0, r0 + len(rngs))
-        ring = np.zeros((span, K, len(rngs)))
-        P = np.zeros((K, len(rngs)))
-        for t in range(T):
-            lam = mu_direct[:, t, None] + coupling.apply(beta * P) + params.eps
-            if (lam > LAMBDA_OVERFLOW).any():
-                b = int(np.argmax((lam > LAMBDA_OVERFLOW).any(axis=0)))
-                i = int(np.argmax(lam[:, b]))
-                raise DivergenceError(
-                    f"simulated intensity exploded at (unit={i}, slot={t}, replication={r0 + b}): {lam[i, b]:.3e}"
-                )
-            n = np.array([rng.poisson(lam[:, b]) for b, rng in enumerate(rngs)])
-            yield reps, slice(t, t + 1), n[:, :, None]
-            new = obs[:, t, None] if t < cutoff else n.T.astype(np.float64)
-            P = kern.step(P, new, ring[(t - window) % span] if t >= window else None)
-            ring[t % span] = new
+        reps = range(r0, min(r0 + block, R))
+        ring = np.zeros((span, K, len(reps)))
+        P = np.zeros((K, len(reps)))
+        for t0, u in _uniforms(seed, reps, K, T):
+            for t in range(t0, t0 + u.shape[1]):
+                lam = mu_direct[:, t, None] + coupling.apply(beta * P) + params.eps
+                if (lam > LAMBDA_OVERFLOW).any():
+                    b = int(np.argmax((lam > LAMBDA_OVERFLOW).any(axis=0)))
+                    i = int(np.argmax(lam[:, b]))
+                    raise DivergenceError(
+                        f"simulated intensity exploded at (unit={i}, slot={t}, replication={r0 + b}): {lam[i, b]:.3e}"
+                    )
+                n = poisson_quantile(lam, u[:, t - t0].T)
+                yield slice(r0, reps.stop), slice(t, t + 1), n.T[:, :, None]
+                new = obs[:, t, None] if t < cutoff else n.astype(np.float64)
+                P = kern.step(P, new, ring[(t - window) % span] if t >= window else None)
+                ring[t % span] = new
 
 
 def _lambda_given_history(params, coupling, hist, mu_direct):

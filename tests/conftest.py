@@ -10,6 +10,7 @@ from synth import (
     make_cascade_instance,
     make_standard_instance,
     make_weather,
+    numpy_poisson_path,
     standard_fit_config,
     wrap_dataset,
 )
@@ -53,13 +54,8 @@ def standard_fit(standard_instance):
 def held_out_event(standard_instance):
     """A fresh storm sequence from the same ground truth: new weather draw,
     new simulation seed, same units/graph/parameters."""
-    from gridshock.simulate import simulate_paths
-
     T2 = 200
     plan = {0: [(40, 80), (140, 180)], 1: [(60, 66), (100, 106), (160, 166)], 2: [(90, 105)]}
     weather = make_weather(10, T2, 3, seed=81, storm_plan=plan, storm_gain={0: 2.5, 1: 1.8, 2: 2.2})
-    shell = wrap_dataset(np.zeros((10, T2), dtype=np.int64), weather, variable_names=VARIABLE_NAMES, seed=7)
-    counts = simulate_paths(
-        standard_instance.true_params, shell.weather, shell.grid, R=1, seed=82, store_paths=True
-    ).paths[0]
+    counts = numpy_poisson_path(standard_instance.true_params, weather, seed=82)
     return wrap_dataset(counts, weather, variable_names=VARIABLE_NAMES, seed=7)

@@ -4,6 +4,10 @@ All generators are deterministic in their seed. The "standard" instance is a
 K=10, T=500, M=3 configuration whose data is one simulated path from a known
 parameter set; the "cascade" instance uses very fast recovery rates so that
 self-excitation mass is negligible and cross-unit coupling dominates.
+
+The paths are drawn by `numpy_poisson_path`, the suite's own rollout, not by
+`gridshock.simulate`, so a change to the package's sampler cannot change the
+data its tests fit and score.
 """
 
 from dataclasses import dataclass
@@ -12,8 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from gridshock.ingest import Dataset, OutageSeries, TimeGrid, UnitMeta, WeatherTensor
-from gridshock.model import MlpParams, ModelParams, kernel_mass_closed_form
-from gridshock.simulate import simulate_paths
+from gridshock.model import Coupling, Kernel, MlpParams, ModelParams, direct_from_weather, kernel_mass_closed_form
 from gridshock.topology import EdgeWeights, Graph, build_candidate_graph, enforce_no_loops
 from gridshock.weather_effect import DecayConfig, WeatherScaler
 
@@ -143,6 +146,26 @@ def _channel_network(slopes, thresholds, gains, out_bias, hidden=(32, 16)):
     return mlp
 
 
+def numpy_poisson_path(params, weather, seed):
+    """One free-running path (K x T counts) of the model over `weather`,
+    drawing slot t's K counts with numpy's Generator.poisson from
+    default_rng(seed), one slot after another; the intensity is summed by
+    model.py's kernel state and coupling, as in a rollout."""
+    x = np.asarray(weather, dtype=np.float64)
+    K, T = x.shape[:2]
+    rng = np.random.default_rng(seed)
+    mu_direct = direct_from_weather(params, x)
+    kern = Kernel(params.beta, params.trig_window)
+    coupling = Coupling(params.alpha)
+    path = np.zeros((K, T))
+    P = np.zeros(K)
+    for t in range(T):
+        lam_t = mu_direct[:, t] + coupling.apply(params.beta * P) + params.eps
+        path[:, t] = rng.poisson(lam_t)
+        P = kern.step(P, path[:, t], path[:, t - kern.window] if t >= kern.window else None)
+    return path.astype(np.int64)
+
+
 def make_standard_instance(seed=7, K=10, T=500, M=3):
     """The K=10, T=500, M=3 instance: one simulated path from known truth.
 
@@ -191,11 +214,10 @@ def make_standard_instance(seed=7, K=10, T=500, M=3):
     )
     params.check_invariants()
 
-    sim = simulate_paths(params, x, grid, R=1, seed=seed + 2, store_paths=True)
     dataset = Dataset(
         units=units,
         grid=grid,
-        outages=OutageSeries(counts=sim.paths[0]),
+        outages=OutageSeries(counts=numpy_poisson_path(params, x, seed + 2)),
         weather=WeatherTensor(values=x, variable_names=list(VARIABLE_NAMES[:M])),
     )
     return SynthInstance(
@@ -246,11 +268,10 @@ def make_cascade_instance(seed=21, K=6, T=240, cross_branching=0.25):
     )
     params.check_invariants()
 
-    sim = simulate_paths(params, x, grid, R=1, seed=seed + 2, store_paths=True)
     dataset = Dataset(
         units=units,
         grid=grid,
-        outages=OutageSeries(counts=sim.paths[0]),
+        outages=OutageSeries(counts=numpy_poisson_path(params, x, seed + 2)),
         weather=WeatherTensor(values=x, variable_names=["wind_speed", "precip_rate"]),
     )
     return SynthInstance(

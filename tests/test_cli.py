@@ -671,6 +671,42 @@ def test_exit_code_validation_errors(pipeline, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command, payload, match",
+    [
+        ("simulate", {"sim": {"replications": "abc"}}, "'sim.replications' must be an integer, got 'abc'"),
+        ("simulate", {"sim": {"replications": 2.7}}, "'sim.replications' must be an integer, got 2.7"),
+        ("simulate", {"sim": {"teacher_forced_until": True}}, "'sim.teacher_forced_until' must be an integer, got True"),
+        ("enhance", {"sim": {"seed": "7"}}, "'sim.seed' must be an integer, got '7'"),
+        ("fit", {"fit": {"hidden_sizes": 5}}, "'fit.hidden_sizes' must be a list of integers, got 5"),
+        ("fit", {"fit": {"hidden_sizes": [8, 2.5]}}, "'fit.hidden_sizes' must be a list of integers, got [8, 2.5]"),
+        ("fit", {"fit": {"step_size": "fast"}}, "'fit.step_size' must be a number, got 'fast'"),
+        ("fit", {"fit": {"eps": False}}, "'fit.eps' must be a number, got False"),
+        ("fit", {"graph": {"k_neighbors": 3.5}}, "'graph.k_neighbors' must be an integer, got 3.5"),
+        ("predict", {"predict": {"horizon": "2"}}, "'predict.horizon' must be an integer, got '2'"),
+        ("ingest", {"grid": {"num_slots": "many"}}, "'grid.num_slots' must be an integer, got 'many'"),
+    ],
+    ids=["string", "non-integral-float", "bool", "string-seed", "scalar-list", "float-in-list", "string-number",
+         "bool-number", "float-count", "string-horizon", "string-slots"],
+)
+@pytest.mark.parametrize("validate", [[], ["--validate-only"]], ids=["run", "validate-only"])
+def test_a_config_value_of_the_wrong_type_exits_2(pipeline, tmp_path, capsys, command, payload, match, validate):
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    if command == "ingest":
+        inputs = ["--units", str(pipeline["units"]), "--outages", str(pipeline["outages"]),
+                  "--weather", str(pipeline["weather"]), "--grid-start", "2023-06-01T00:00:00Z",
+                  "--dataset", str(out / "dataset.gshk")]
+    else:
+        inputs = ["--dataset", str(pipeline["dataset"]), "--model", str(pipeline["model"])]
+    extra = ["--sweep-units", "1", "--sweep-edges", "1"] if command == "enhance" else []
+    rc = cli.main([command, "--config", str(cfg_path), *inputs, "--output-dir", str(out), *extra, *validate])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"error: config key {match}" in err and "Traceback" not in err
+    assert not (out / "effective_config.json").exists()
+
+
 def test_config_file_rejects_the_removed_projection_cadence_key(pipeline, tmp_path, capsys):
     # Every optimizer step is projected: the kernel and weather filters need rates >= 0.
     cfg_path = tmp_path / "cadence.json"

@@ -26,12 +26,14 @@ from gridshock.model import (
 from gridshock.simulate import (
     LAMBDA_OVERFLOW,
     MEAN,
+    POISSON_GUESS_MIN,
     ReductionResult,
     Scenario,
     SimResult,
     apply_scenario,
     load_scenario,
     outage_reductions,
+    poisson_quantile,
     simulate_paths,
     sweep,
     sweep_scenarios,
@@ -200,6 +202,64 @@ def test_apply_scenario_selector_clauses():
     assert out.beta[1] == pytest.approx(np.mean([1.0, 0.5, 2.0]))  # slowest recovery reset
 
 
+# -- Poisson sampler ---------------------------------------------------------------
+
+# both sides of the switch from the search up from 0 to the search from a guess
+SAMPLER_LAMBDAS = [0.0, 1e-3, 0.5, float(np.nextafter(POISSON_GUESS_MIN, 0.0)), POISSON_GUESS_MIN, 100.0, 1e4]
+U_TOP = float(np.nextafter(1.0, 0.0))  # the largest double below 1
+
+
+def _poisson_pmf(lam, ks):
+    """Poisson pmf at the integers `ks`, from math.lgamma in log space."""
+    if lam == 0:
+        return np.array([float(k == 0) for k in ks])
+    return np.array([math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) for k in ks])
+
+
+@pytest.mark.parametrize("lam", SAMPLER_LAMBDAS)
+def test_quantile_matches_the_poisson_pmf(lam):
+    # N evenly spread uniforms land in bin k within one of N * pmf(k) times,
+    # as they do under the true quantile function
+    N = 20_000
+    n = poisson_quantile(np.full(N, lam), (np.arange(N) + 0.5) / N)
+    ks = np.arange(n.max() + 2)
+    pmf = _poisson_pmf(lam, ks)
+    assert np.abs(np.bincount(n, minlength=ks.size) - N * pmf).max() <= 1.0
+    # at every CDF step well inside (0, 1), u just below F(k) gives k and u
+    # just above it gives k + 1
+    F = np.cumsum(pmf)
+    edges = np.array(
+        [k for k in ks[:-1] if 1e-12 < F[k] < 1 - 1e-6 and min(pmf[k], pmf[k + 1]) > 1e-6 * F[k]], dtype=np.int64
+    )
+    assert edges.size or lam == 0.0
+    assert_array_equal(poisson_quantile(lam, F[edges] * (1 - 1e-9)), edges)
+    assert_array_equal(poisson_quantile(lam, F[edges] * (1 + 1e-9)), edges + 1)
+
+
+@pytest.mark.parametrize("lam", [*SAMPLER_LAMBDAS, 1e6, LAMBDA_OVERFLOW])
+def test_quantile_ends_at_both_extremes_of_u(lam):
+    n_zero, n_top = poisson_quantile(lam, [0.0, U_TOP])
+    assert n_zero == 0
+    # a finite count in the far upper tail: the sum stops once no term can change it
+    assert (n_top == 0) if lam == 0 else (lam <= n_top <= lam + 12 * math.sqrt(lam) + 40)
+
+
+def test_counts_rise_with_lambda_under_common_uniforms():
+    # (at u within rounding of 1 the count is where the running sum stops
+    # growing, which need not rise with lambda)
+    lams = np.sort(np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 120), SAMPLER_LAMBDAS]))
+    u = np.concatenate([[0.0, 1.0 - 1e-12], np.random.default_rng(3).random(98)])
+    n = poisson_quantile(lams[:, None], u[None, :])
+    assert (np.diff(n, axis=0) >= 0).all()
+
+
+@settings(max_examples=30)
+@given(cells=st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=40))
+def test_each_count_depends_only_on_its_own_cell(cells):
+    lam, u = map(np.array, zip(*cells))
+    assert_array_equal(poisson_quantile(lam, u), _invert_cellwise(lam, u))
+
+
 # -- simulation --------------------------------------------------------------------
 
 
@@ -240,8 +300,7 @@ def test_fully_forced_simulation_draws_from_pinned_intensity():
     lam = intensity_field(params, observed, ds.weather).lam
     res = simulate_paths(params, ds.weather, ds.grid, R=3, seed=99, teacher_forced_until=T, observed=observed, store_paths=True)
     for r in range(3):
-        expected = np.random.default_rng(99 ^ r).poisson(lam)
-        assert_array_equal(res.paths[r], expected)
+        assert_array_equal(res.paths[r], poisson_quantile(lam, _uniforms(99, r, 2, T).T))
 
 
 def test_partial_teacher_forcing_matches_pinned_intensity_up_to_cutoff():
@@ -279,22 +338,48 @@ def test_free_running_means_follow_the_linear_recursion():
 @settings(max_examples=30)
 @given(seed=st.integers(0, 2**16), K=st.integers(2, 5), T=st.integers(2, 25), window=st.integers(1, 6))
 def test_free_running_paths_are_draws_from_their_own_field(seed, K, T, window):
-    # slot t of replication r is Poisson(lambda[:, t]) from generator seed ^ r,
-    # where lambda is the teacher-forced field of the path itself
+    # cell (i, t) of replication r is the Poisson(lambda[i, t]) quantile of
+    # u[r, t, i], where lambda is the teacher-forced field of the path itself
     params, _, weather = random_small_instance(np.random.default_rng(seed), K=K, T=T, n_edges=2 * K)
     params.trig_window = window
     ds = _shell(params, T)
     res = simulate_paths(params, weather, ds.grid, R=3, seed=seed, store_paths=True)
     for r in range(3):
         lam = intensity_field(params, res.paths[r], weather).lam
-        rng = np.random.default_rng(seed ^ r)
-        redrawn = np.stack([rng.poisson(lam[:, t]) for t in range(T)], axis=1)
-        assert_array_equal(redrawn, res.paths[r])
+        assert_array_equal(poisson_quantile(lam, _uniforms(seed, r, K, T).T), res.paths[r])
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**16), K=st.integers(2, 5), T=st.integers(2, 25), window=st.integers(1, 6),
+       r=st.integers(0, 3))
+def test_forcing_a_free_path_reproduces_it(seed, K, T, window, r):
+    # a path's intensity is its own teacher-forced field and both runs read
+    # the same uniforms, so pinning the history to replication r's free path
+    # draws that path again
+    params, _, weather = random_small_instance(np.random.default_rng(seed), K=K, T=T, n_edges=2 * K)
+    params.trig_window = window
+    ds = _shell(params, T)
+    free = simulate_paths(params, weather, ds.grid, R=r + 1, seed=seed, store_paths=True)
+    forced = simulate_paths(
+        params, weather, ds.grid, R=r + 1, seed=seed, teacher_forced_until=T, observed=free.paths[r], store_paths=True
+    )
+    assert_array_equal(forced.paths[r], free.paths[r])
+
+
+def _uniforms(seed, r, K, T):
+    """u[r, t, i] for one replication: T slots of K doubles from default_rng(seed ^ r)."""
+    return np.random.default_rng(seed ^ r).random((T, K))
+
+
+def _invert_cellwise(lam, u):
+    """poisson_quantile one cell at a time, in the order of the arrays' cells."""
+    return np.array([poisson_quantile(l, v) for l, v in zip(lam.ravel(), u.ravel())], dtype=np.int64).reshape(lam.shape)
 
 
 def _per_replication_reference(params, weather, T, reps, seed, cutoff=0, observed=None, store_paths=False):
     """The rollout as it was before replications were stepped together: each
-    replication in `reps` walks the slots alone with its own full history."""
+    replication in `reps` walks the slots alone with its own full history and
+    inverts each cell's intensity alone at its uniform u[r, t, i]."""
     x = np.asarray(weather, dtype=np.float64)[:, :T, :]
     K, R = params.num_units, len(reps)
     obs = None if observed is None else np.asarray(observed, dtype=np.float64)
@@ -309,9 +394,9 @@ def _per_replication_reference(params, weather, T, reps, seed, cutoff=0, observe
     cell_sq = np.zeros((K, T))
     paths = np.zeros((R, K, T), dtype=np.int64) if store_paths else None
     for k, r in enumerate(reps):
-        rng = np.random.default_rng(seed ^ r)
+        u = _uniforms(seed, r, K, T)
         if cutoff >= T:
-            path = rng.poisson(lam_forced).astype(np.float64)
+            path = _invert_cellwise(lam_forced, u.T).astype(np.float64)
         else:
             path = np.zeros((K, T))
             hist = np.zeros((K, T))
@@ -323,7 +408,7 @@ def _per_replication_reference(params, weather, T, reps, seed, cutoff=0, observe
                     raise DivergenceError(
                         f"simulated intensity exploded at (unit={i}, slot={t}, replication={r}): {lam_t[i]:.3e}"
                     )
-                path[:, t] = rng.poisson(lam_t)
+                path[:, t] = _invert_cellwise(lam_t, u[t])
                 hist[:, t] = obs[:, t] if t < cutoff else path[:, t]
                 P = kern.step(P, hist[:, t], hist[:, t - kern.window] if t >= kern.window else None)
         rep_totals[k] = path.sum()

@@ -23,7 +23,6 @@ from gridshock.model import (
     mlp_backward,
     mlp_forward,
 )
-from gridshock.simulate import simulate_paths
 from gridshock.topology import EdgeWeights, Graph, build_candidate_graph
 from gridshock.train import (
     FitConfig,
