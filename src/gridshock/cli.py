@@ -82,7 +82,9 @@ def _deep_merge(base: dict, override: dict, path="") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ValidationError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ValidationError(f"config section {where!r} must be an object, got {value!r}")
             out[key] = _deep_merge(base[key], value, where)
         else:
             out[key] = copy.deepcopy(value)

@@ -114,7 +114,7 @@ def read_container(path, expected_schema: str):
         raise FileFormatError(
             f"{path}: schema {schema!r} is not compatible with expected {expected_schema!r}"
         )
-    body = blob[hstart + hlen :]
+    body = memoryview(blob)[hstart + hlen :]  # slices of a view copy nothing; each array is copied once
     arrays = {}
     for entry in header.get("arrays", []):
         dtype = entry["dtype"]

@@ -27,6 +27,9 @@ EARTH_RADIUS_KM = 6371.0088
 
 DEFAULT_K_NEIGHBORS = 8
 DEFAULT_MAX_KM = 100.0
+# Rows of the unit-to-unit distance matrix held at once while building the
+# candidate graph, so the build needs O(K) memory, not O(K^2).
+GRAPH_CHUNK_ROWS = 64
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
@@ -36,12 +39,6 @@ def haversine_km(lat1, lon1, lat2, lon2):
     dl = np.radians(lon2) - np.radians(lon1)
     a = np.sin(dp / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
-
-
-def distance_matrix_km(units: list[UnitMeta]) -> np.ndarray:
-    lat = np.array([u.centroid_lat for u in units])
-    lon = np.array([u.centroid_lon for u in units])
-    return haversine_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
 
 
 @dataclass(frozen=True)
@@ -157,19 +154,22 @@ def build_candidate_graph(
         raise ValidationError(f"k_neighbors must be in [1, {K - 1}], got {k_neighbors}")
     if max_km <= 0:
         raise ValidationError(f"max_km must be positive, got {max_km}")
-    dist = distance_matrix_km(units)
-    off = dist[~np.eye(K, dtype=bool)]
-    if np.max(off) == 0.0:
-        raise ValidationError("all unit centroids are co-located; distance-based graph is degenerate")
+    lat = np.array([u.centroid_lat for u in units])
+    lon = np.array([u.centroid_lon for u in units])
+    farthest = 0.0
     edges: set[tuple[int, int]] = set()
-    for u in range(K):
-        d = dist[u].copy()
-        d[u] = np.inf
-        nearest = np.argsort(d, kind="stable")[:k_neighbors]
-        for v in nearest:
-            if d[v] <= max_km:
-                edges.add((u, int(v)))
-                edges.add((int(v), u))
+    for r0 in range(0, K, GRAPH_CHUNK_ROWS):
+        rows = np.arange(r0, min(r0 + GRAPH_CHUNK_ROWS, K))
+        dist = haversine_km(lat[rows, None], lon[rows, None], lat[None, :], lon[None, :])
+        farthest = np.maximum(farthest, dist.max())  # a unit's distance to itself is 0
+        dist[rows - r0, rows] = np.inf
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k_neighbors]
+        within = np.take_along_axis(dist, nearest, axis=1) <= max_km
+        for u, v in zip((r0 + np.nonzero(within)[0]).tolist(), nearest[within].tolist()):
+            edges.add((u, v))
+            edges.add((v, u))
+    if farthest == 0.0:
+        raise ValidationError("all unit centroids are co-located; distance-based graph is degenerate")
     if not edges:
         warnings.warn(
             f"candidate graph is empty: no unit pair within {max_km} km", stacklevel=2

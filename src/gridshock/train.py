@@ -14,6 +14,14 @@ where R[j,t] is the truncated-kernel triggering mass of unit j. Minibatches
 are contiguous time blocks so lagged history stays exact: history before the
 block is read from the data, never re-simulated.
 
+A full-series evaluation (`log_likelihood`, `gradients`, `fd_audit` and
+the log-likelihood `fit` reports after each epoch) is the same block
+evaluation summed over consecutive blocks of at most EVAL_BLOCK_CELLS
+unit-slot cells, in block order, so its memory is bounded by that budget and
+does not grow with the number of slots. `fit` and `log_likelihood` use the
+one partition, so the log-likelihood a fit reports is the one its saved model
+scores, bit for bit.
+
 The optimizer works on one vector theta holding every free parameter
 (per-edge alpha, beta, gamma, omega, network weights; see `pack`).
 Constraints (non-negativity, no loops) are enforced by projection after
@@ -49,6 +57,12 @@ from .weather_effect import (
 )
 
 OPTIMIZERS = ("adaptive-moments", "plain-sgd")
+# Unit-slot cells per block of a full-series evaluation. One block holds about
+# 150 bytes per cell (v, dv/domega, R, dR/dbeta, lambda, mu, W, the network's
+# upstream and input gradients), so 2**15 cells keep it near 5 MB; each block
+# beyond the first also recomputes its weather and kernel history windows,
+# which is what makes much smaller blocks slower.
+EVAL_BLOCK_CELLS = 2**15
 
 
 @dataclass
@@ -119,6 +133,14 @@ class Gradients:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat()))
+
+    def add(self, other: "Gradients") -> None:
+        """Add `other` into this gradient, in place, group by group."""
+        for mine, theirs in zip(
+            (self.alpha, self.beta, self.gamma, self.omega, *self.mlp.weights, *self.mlp.biases),
+            (other.alpha, other.beta, other.gamma, other.omega, *other.mlp.weights, *other.mlp.biases),
+        ):
+            mine += theirs
 
 
 def pack(params: ModelParams) -> np.ndarray:
@@ -192,19 +214,46 @@ def _block_loglik_and_grads(
     return ll, grads
 
 
+def _eval_blocks(num_units: int, num_slots: int) -> list[tuple[int, int]]:
+    """The (t0, t1) blocks of a full-series evaluation: EVAL_BLOCK_CELLS // K
+    slots each (at least one), the last block taking what is left."""
+    width = max(1, EVAL_BLOCK_CELLS // num_units)
+    return [(t0, min(t0 + width, num_slots)) for t0 in range(0, num_slots, width)]
+
+
+def _series_loglik_and_grads(params: ModelParams, counts: np.ndarray, x_scaled: np.ndarray):
+    """(ell, Gradients) over every slot: the block evaluations of
+    :func:`_eval_blocks` summed in block order. A series within one block is
+    evaluated as that one block, with its bits."""
+    (t0, t1), *rest = _eval_blocks(*counts.shape)
+    ll, grads = _block_loglik_and_grads(params, counts, x_scaled, t0, t1)
+    for t0, t1 in rest:
+        block_ll, block_grads = _block_loglik_and_grads(params, counts, x_scaled, t0, t1)
+        ll += block_ll
+        grads.add(block_grads)
+    return ll, grads
+
+
 def log_likelihood(params: ModelParams, dataset: Dataset) -> float:
-    """Poisson log-likelihood of the dataset under `params` (log N! dropped)."""
+    """Poisson log-likelihood of the dataset under `params` (log N! dropped).
+
+    Summed over bounded time blocks (see :func:`_eval_blocks`), so memory
+    beyond the inputs does not grow with the number of slots.
+    """
     counts = np.asarray(dataset.outages.counts, dtype=np.float64)
     x_scaled = params.scaler.transform(dataset.weather)
-    ll, _ = _block_loglik_and_grads(params, counts, x_scaled, 0, counts.shape[1])
+    ll, _ = _series_loglik_and_grads(params, counts, x_scaled)
     return ll
 
 
 def gradients(params: ModelParams, dataset: Dataset) -> Gradients:
-    """Exact full-batch gradient of the log-likelihood for every group."""
+    """Exact full-batch gradient of the log-likelihood for every group.
+
+    Summed over the same bounded time blocks as :func:`log_likelihood`.
+    """
     counts = np.asarray(dataset.outages.counts, dtype=np.float64)
     x_scaled = params.scaler.transform(dataset.weather)
-    _, g = _block_loglik_and_grads(params, counts, x_scaled, 0, counts.shape[1])
+    _, g = _series_loglik_and_grads(params, counts, x_scaled)
     return g
 
 
@@ -315,6 +364,13 @@ def _apply_update(params: ModelParams, grads: Gradients, lr: float, adam: _AdamS
     unpack(params, pack(params) + (lr * g if adam is None else adam.step(g, lr)))
 
 
+def _left_finite_region(epoch: int, report: FitReport, exc: NumericError) -> DivergenceError:
+    return DivergenceError(
+        f"optimizer left the finite region at epoch {epoch + 1} ({exc}); "
+        f"trace tail: {[f'{x:.4g}' for x in report.loglik_trace[-5:]]}"
+    )
+
+
 def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, FitReport]:
     """Projected gradient ascent on the log-likelihood; returns best-ell params.
 
@@ -347,14 +403,14 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
             try:
                 _, grads = _block_loglik_and_grads(params, counts, x_scaled, t0, t1)
             except NumericError as exc:
-                raise DivergenceError(
-                    f"optimizer left the finite region at epoch {epoch + 1} ({exc}); "
-                    f"trace tail: {[f'{x:.4g}' for x in report.loglik_trace[-5:]]}"
-                ) from exc
+                raise _left_finite_region(epoch, report, exc) from exc
             _apply_update(params, grads, cfg.step_size, adam)
             params, n_proj = project(params)
             projections += n_proj
-        ll, full_grads = _block_loglik_and_grads(params, counts, x_scaled, 0, T)
+        try:
+            ll, full_grads = _series_loglik_and_grads(params, counts, x_scaled)
+        except NumericError as exc:
+            raise _left_finite_region(epoch, report, exc) from exc
         if not np.isfinite(ll):
             raise DivergenceError(
                 "log-likelihood became non-finite at epoch "

@@ -115,6 +115,36 @@ def brute_knn_edges(lats, lons, k, max_km):
     return edges
 
 
+def distance_matrix_km(units):
+    """Dense K x K great-circle distances, every pair at once, with the same
+    numpy operations as the library's haversine, so equal pairs tie alike."""
+    lat = np.array([u.centroid_lat for u in units])
+    lon = np.array([u.centroid_lon for u in units])
+    p1, p2 = np.radians(lat[:, None]), np.radians(lat[None, :])
+    dp = p2 - p1
+    dl = np.radians(lon[None, :]) - np.radians(lon[:, None])
+    a = np.sin(dp / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2.0) ** 2
+    return 2.0 * 6371.0088 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+
+
+def dense_candidate_edges(units, k, max_km):
+    """Candidate edge set from the dense distance matrix, one stable argsort per
+    row; None when every centroid is co-located (the build refuses those)."""
+    dist = distance_matrix_km(units)
+    K = len(units)
+    if np.max(dist[~np.eye(K, dtype=bool)]) == 0.0:
+        return None
+    edges = set()
+    for u in range(K):
+        d = dist[u].copy()
+        d[u] = np.inf
+        for v in np.argsort(d, kind="stable")[:k]:
+            if d[v] <= max_km:
+                edges.add((u, int(v)))
+                edges.add((int(v), u))
+    return edges
+
+
 def brute_criticality(alpha, beta, counts, edges):
     """score(j) via the full (i, t, t') triple loop."""
     counts = np.asarray(counts, dtype=float)

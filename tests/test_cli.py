@@ -707,6 +707,20 @@ def test_a_config_value_of_the_wrong_type_exits_2(pipeline, tmp_path, capsys, co
     assert not (out / "effective_config.json").exists()
 
 
+@pytest.mark.parametrize("command, section", [("simulate", "sim"), ("fit", "graph")])
+@pytest.mark.parametrize("validate", [[], ["--validate-only"]], ids=["run", "validate-only"])
+def test_a_scalar_config_section_exits_2(pipeline, tmp_path, capsys, command, section, validate):
+    cfg_path = tmp_path / "scalar.json"
+    cfg_path.write_text(json.dumps({section: 5}))
+    out = tmp_path / "out"
+    model_path = out / "model.gshk" if command == "fit" else pipeline["model"]  # fit writes its --model
+    rc = cli.main([command, "--config", str(cfg_path), "--dataset", str(pipeline["dataset"]),
+                   "--model", str(model_path), "--output-dir", str(out), *validate])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"error: config section '{section}' must be an object, got 5" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_config_file_rejects_the_removed_projection_cadence_key(pipeline, tmp_path, capsys):
     # Every optimizer step is projected: the kernel and weather filters need rates >= 0.
     cfg_path = tmp_path / "cadence.json"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,3 +110,21 @@ def test_float32_input_upcast(tmp_path):
     _, arrays = read_container(path, "s")
     assert arrays["x"].dtype == np.float64
     assert_array_equal(arrays["x"], [0.0, 1.0, 2.0])
+
+
+def test_read_copies_each_payload_once(tmp_path):
+    # the file's bytes plus one owned copy of every array, and nothing in between
+    rng = np.random.default_rng(3)
+    arrays = {"a": rng.normal(size=(200, 1000)), "b": rng.integers(0, 9, size=(100, 1000))}
+    path = tmp_path / "big.gshk"
+    write_container(path, "schema-x", {}, arrays)
+    tracemalloc.start()
+    try:
+        _, got = read_container(path, "schema-x")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * path.stat().st_size, (peak, path.stat().st_size)
+    for name in arrays:
+        assert_array_equal(got[name], arrays[name])
+        assert got[name].flags.owndata and got[name].flags.writeable

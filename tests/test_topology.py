@@ -1,12 +1,17 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import brute_criticality, brute_knn_edges
+from oracles import brute_criticality, brute_knn_edges, dense_candidate_edges, distance_matrix_km
 from synth import make_units, random_small_instance, random_small_params
+from gridshock import topology
 from gridshock.errors import ValidationError
+from gridshock.ingest import UnitMeta
 from gridshock.model import intensity_field, kernel_matrix
 from gridshock.topology import (
     EARTH_RADIUS_KM,
@@ -14,7 +19,6 @@ from gridshock.topology import (
     Graph,
     build_candidate_graph,
     criticality_scores,
-    distance_matrix_km,
     enforce_no_loops,
     export_propagation_map,
     haversine_km,
@@ -49,6 +53,43 @@ def test_candidate_graph_matches_brute_force():
         for k, cap in [(3, 60.0), (5, 25.0), (1, 1000.0)]:
             got = set(build_candidate_graph(units, k_neighbors=k, max_km=cap).edges)
             assert got == brute_knn_edges(lats, lons, k, cap)
+
+
+@given(data=st.data(), K=st.integers(2, 40), chunk=st.integers(1, 41), lattice=st.integers(1, 5))
+def test_row_chunked_graph_matches_the_dense_build(data, K, chunk, lattice):
+    # Centroids on a small lattice, so co-located pairs and exactly tied
+    # distances are common; max_km is often one of the distances themselves.
+    cells = data.draw(st.lists(st.tuples(st.integers(0, lattice - 1), st.integers(0, lattice - 1)),
+                               min_size=K, max_size=K))
+    units = [UnitMeta(f"u{i}", 42.0 + 0.05 * r, -71.0 + 0.05 * c, 1) for i, (r, c) in enumerate(cells)]
+    k = data.draw(st.integers(1, K - 1))
+    pairwise = distance_matrix_km(units).ravel()
+    max_km = data.draw(st.one_of(st.sampled_from(pairwise[pairwise > 0].tolist() or [1.0]),
+                                 st.floats(1e-3, 30.0)))
+    expected = dense_candidate_edges(units, k, max_km)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(topology, "GRAPH_CHUNK_ROWS", chunk)
+        warnings.simplefilter("ignore", UserWarning)
+        if expected is None:
+            with pytest.raises(ValidationError, match="co-located"):
+                build_candidate_graph(units, k_neighbors=k, max_km=max_km)
+        else:
+            assert set(build_candidate_graph(units, k_neighbors=k, max_km=max_km).edges) == expected
+
+
+def test_graph_build_memory_grows_linearly_in_units():
+    def build_peak(K):
+        units = make_units(K, seed=1)
+        tracemalloc.start()
+        try:
+            build_candidate_graph(units, k_neighbors=4, max_km=50.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = build_peak(250), build_peak(1000)
+    # K x K distances and their temporaries would make this ratio about 16
+    assert large < 6 * small, (small, large)
 
 
 def test_candidate_graph_is_symmetric():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import add_at_coupling, fd_gradient, naive_loglik, poisson_loglik_cellwise
 from synth import make_units, make_weather, random_small_instance, random_small_params, wrap_dataset
-from gridshock import model
+from gridshock import model, train
 from gridshock.errors import DivergenceError, NumericError, ValidationError
 from gridshock.model import (
     MLP_CHUNK_ROWS,
@@ -241,6 +242,106 @@ def test_one_evaluation_runs_the_network_once_per_chunk(monkeypatch):
     monkeypatch.setattr(model, "_activations", counted)
     _block_loglik_and_grads(params, counts.astype(np.float64), weather, 0, T)
     assert calls == [C] * 5 + [K * T - 5 * C]
+
+
+# -- full-series evaluation over bounded blocks ---------------------------------------
+
+
+def _groups(ll, g):
+    return [np.array([ll]), g.alpha, g.beta, g.gamma, g.omega, g.mlp.flatten()]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 6),
+    width=st.integers(1, 30),
+    full_blocks=st.integers(0, 6),
+    tail=st.one_of(st.just(1), st.integers(0, 29)),
+    spare=st.integers(0, 5),
+)
+def test_series_evaluation_sums_bounded_blocks(seed, K, width, full_blocks, tail, spare):
+    # T ranges from below the weather (24) and kernel (40) windows to many
+    # blocks, often with a last block of one slot.
+    T = full_blocks * width + tail % width or width
+    rng = np.random.default_rng(seed)
+    params, counts, weather = random_small_instance(rng, K=K, T=T, M=2, n_edges=8, hidden=(4,))
+    counts = counts.astype(np.float64)
+    x_scaled = params.scaler.transform(weather)
+    whole = _groups(*_block_loglik_and_grads(params, counts, x_scaled, 0, T))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train, "EVAL_BLOCK_CELLS", K * width + min(spare, K - 1))
+        assert train._eval_blocks(K, T)[-1][1] == T
+        streamed = _groups(*train._series_loglik_and_grads(params, counts, x_scaled))
+    for got, expected in zip(streamed, whole):
+        if T <= width:  # one block: the very same evaluation
+            assert_array_equal(got, expected, strict=True)
+        else:
+            assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max(initial=0.0))
+
+
+def test_eval_blocks_partition():
+    # the reference fit (K=10, T=500) and the demo (K=12, T=72) stay one block
+    assert train._eval_blocks(10, 500) == [(0, 500)]
+    assert train._eval_blocks(12, 72) == [(0, 72)]
+    assert train._eval_blocks(train.EVAL_BLOCK_CELLS + 1, 3) == [(0, 1), (1, 2), (2, 3)]
+    width = train.EVAL_BLOCK_CELLS // 400
+    assert train._eval_blocks(400, 3 * width + 5) == [(0, width), (width, 2 * width), (2 * width, 3 * width),
+                                                     (3 * width, 3 * width + 5)]
+
+
+def test_series_evaluation_memory_does_not_grow_with_slots():
+    K = 64
+    T = 2 * max(1, train.EVAL_BLOCK_CELLS // K)  # two blocks, the second with full history windows
+    peaks = []
+    for slots in (T, 4 * T):
+        rng = np.random.default_rng(8)
+        params, counts, weather = random_small_instance(rng, K=K, T=slots, M=2, n_edges=40, hidden=(8, 4))
+        counts = counts.astype(np.float64)
+        x_scaled = params.scaler.transform(weather)
+        tracemalloc.start()
+        try:
+            train._series_loglik_and_grads(params, counts, x_scaled)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def test_multi_block_fit_reports_the_saved_models_loglik(monkeypatch, tmp_path):
+    ds, graph = _fit_setup()
+    monkeypatch.setattr(train, "EVAL_BLOCK_CELLS", ds.num_units * 7)  # 60 slots: nine blocks
+    cfg = FitConfig(max_epochs=6, batch_slots=16, seed=2, hidden_sizes=(4,), window_slots=6, tol=1e-12)
+    params, report = fit(ds, graph, cfg)
+    model.serialize(params, tmp_path / "model.gshk")
+    saved = model.deserialize(tmp_path / "model.gshk")
+    assert log_likelihood(saved, ds) == max(report.loglik_trace)
+
+
+def _divergence_message(ds, graph, batch_slots, monkeypatch):
+    # every projection leaves unit 0's gamma infinite, so the next evaluation
+    # after the first update is the one that fails
+    def poisoned(params):
+        out, n = project(params)
+        out.gamma[0] = np.inf
+        return out, n
+
+    monkeypatch.setattr(train, "project", poisoned)
+    cfg = FitConfig(max_epochs=3, batch_slots=batch_slots, hidden_sizes=(3,), window_slots=6)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        fit(ds, graph, cfg)
+    assert isinstance(info.value.__cause__, NumericError)
+    return str(info.value)
+
+
+def test_epoch_end_divergence_reads_like_a_block_steps(monkeypatch):
+    ds, graph = _fit_setup()
+    at_block_step = _divergence_message(ds, graph, 16, monkeypatch)  # the second block fails
+    at_epoch_end = _divergence_message(ds, graph, None, monkeypatch)  # the only block is the epoch
+    pattern = (r"optimizer left the finite region at epoch 1 "
+               r"\(non-finite intensity at \(unit=0, slot=(\d+)\)\); trace tail: \[\]")
+    assert re.fullmatch(pattern, at_block_step).group(1) == "16"
+    assert re.fullmatch(pattern, at_epoch_end).group(1) == "0"
 
 
 def _ring_params(K, k, M, rng):
