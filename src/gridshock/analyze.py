@@ -450,16 +450,24 @@ def write_decomposition_csv(path, decomp: Decomposition) -> None:
     write_csv(path, ["slot", "direct_total", "indirect_total", "observed_total"], rows)
 
 
+# Rows per joined string of a predictions file: about 60 MB of Python strings
+# and floats at a time, whatever the number of cells.
+PREDICTION_CHUNK_ROWS = 2**16
+
+
 def write_predictions_csv(path, report: PredictionReport) -> None:
-    """The report dialect of :func:`write_csv`, written as one joined string:
-    these files have a row per evaluated cell."""
+    """The report dialect of :func:`write_csv`, one joined string per
+    PREDICTION_CHUNK_ROWS rows: these files have a row per evaluated cell, so
+    the strings of a whole file would hold hundreds of MB at scale."""
     units, slots = np.nonzero(~np.isnan(report.predicted))
-    predicted = report.predicted[units, slots].astype(np.float64).tolist()
-    actual = report.actual[units, slots].astype(np.float64).tolist()
-    rows = zip(units.tolist(), slots.tolist(), predicted, actual)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("unit,slot,predicted,actual\n")
-        fh.write("".join(f"{u},{t},{p!r},{a!r}\n" for u, t, p, a in rows))
+        for r0 in range(0, units.size, PREDICTION_CHUNK_ROWS):
+            cells = units[r0 : r0 + PREDICTION_CHUNK_ROWS], slots[r0 : r0 + PREDICTION_CHUNK_ROWS]
+            predicted = report.predicted[cells].astype(np.float64).tolist()
+            actual = report.actual[cells].astype(np.float64).tolist()
+            rows = zip(cells[0].tolist(), cells[1].tolist(), predicted, actual)
+            fh.write("".join(f"{u},{t},{p!r},{a!r}\n" for u, t, p, a in rows))
 
 
 def write_sigmoid_csv(path, fits: list) -> None:

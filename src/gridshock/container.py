@@ -11,6 +11,7 @@ timestamps, and array bytes are written verbatim.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,48 @@ def write_container(path, schema: str, meta: dict, arrays: dict) -> None:
             fh.write(raw)
 
 
+class _Entries(dict):
+    """A container's header objects and its arrays, keyed by name: a missing key
+    is a FileFormatError naming the file, not a KeyError."""
+
+    def __init__(self, path, items):
+        super().__init__(items)
+        self.path = path
+
+    def __missing__(self, key):
+        raise FileFormatError(f"{self.path}: container has no entry {key!r}")
+
+
+def _parse_header(path: Path, hbytes: bytes) -> dict:
+    try:
+        header = json.loads(hbytes.decode("utf-8"), object_hook=lambda obj: _Entries(path, obj))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FileFormatError(f"{path}: corrupt container header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FileFormatError(f"{path}: corrupt container header: not a JSON object")
+    return header
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _check_entry(path: Path, entry) -> None:
+    """Raise FileFormatError unless `entry` declares an array that its bytes can hold."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise FileFormatError(f"{path}: container array entry without a name: {entry!r}")
+    where = f"{path}: array {entry['name']!r}"
+    dtype, shape, offset, nbytes = (entry.get(key) for key in ("dtype", "shape", "offset", "nbytes"))
+    if not isinstance(dtype, str) or dtype not in _ALLOWED_DTYPES:
+        raise FileFormatError(f"{where}: illegal dtype {dtype!r} in container")
+    if not (isinstance(shape, list) and all(map(_is_count, shape))):
+        raise FileFormatError(f"{where}: shape {shape!r} is not a list of non-negative integers")
+    if not (_is_count(offset) and _is_count(nbytes)):
+        raise FileFormatError(f"{where}: offset {offset!r} and nbytes {nbytes!r} must be non-negative integers")
+    if nbytes != math.prod(shape) * np.dtype(dtype).itemsize:
+        raise FileFormatError(f"{where}: {nbytes} bytes do not hold shape {shape} of {dtype}")
+
+
 def peek_schema(path) -> str:
     """Schema tag of a container file, validating magic and header only."""
     path = Path(path)
@@ -82,18 +125,15 @@ def peek_schema(path) -> str:
         raise FileFormatError(f"cannot read container {path}: {exc}") from exc
     if len(hbytes) < hlen:
         raise FileFormatError(f"{path}: truncated container header")
-    try:
-        header = json.loads(hbytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path}: corrupt container header: {exc}") from exc
-    schema = header.get("schema")
+    schema = _parse_header(path, hbytes).get("schema")
     if not isinstance(schema, str):
         raise FileFormatError(f"{path}: container header missing schema tag")
     return schema
 
 
 def read_container(path, expected_schema: str):
-    """Read a container, returning (meta, arrays). Validates magic and schema."""
+    """Read a container, returning (meta, arrays). Validates magic, schema and
+    every array entry; a missing meta key or array is a FileFormatError."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -105,24 +145,22 @@ def read_container(path, expected_schema: str):
     hstart = len(MAGIC) + 8
     if hstart + hlen > len(blob):
         raise FileFormatError(f"{path}: truncated container header")
-    try:
-        header = json.loads(blob[hstart : hstart + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path}: corrupt container header: {exc}") from exc
+    header = _parse_header(path, blob[hstart : hstart + hlen])
     schema = header.get("schema")
     if schema != expected_schema:
         raise FileFormatError(
             f"{path}: schema {schema!r} is not compatible with expected {expected_schema!r}"
         )
+    meta, entries = header["meta"], header.get("arrays", [])
+    if not isinstance(meta, dict) or not isinstance(entries, list):
+        raise FileFormatError(f"{path}: container header needs a meta object and an arrays list")
     body = memoryview(blob)[hstart + hlen :]  # slices of a view copy nothing; each array is copied once
-    arrays = {}
-    for entry in header.get("arrays", []):
-        dtype = entry["dtype"]
-        if dtype not in _ALLOWED_DTYPES:
-            raise FileFormatError(f"{path}: illegal dtype {dtype!r} in container")
+    arrays = _Entries(path, {})
+    for entry in entries:
+        _check_entry(path, entry)
         start, nbytes = entry["offset"], entry["nbytes"]
         if start + nbytes > len(body):
             raise FileFormatError(f"{path}: truncated payload for array {entry['name']!r}")
-        arr = np.frombuffer(body[start : start + nbytes], dtype=dtype).reshape(entry["shape"])
+        arr = np.frombuffer(body[start : start + nbytes], dtype=entry["dtype"]).reshape(entry["shape"])
         arrays[entry["name"]] = arr.copy()
-    return header["meta"], arrays
+    return meta, arrays

@@ -17,7 +17,8 @@ e^-4 of the kernel mass.
 Each term has one implementation shared by fitting, simulation and
 prediction: the network runs MLP_CHUNK_ROWS rows at a time (`direct_field`
 forms the weather term from `mlp_forward`; fitting takes each chunk's mu from
-`mlp_backward`'s own forward step, so it needs one pass, with the same bits),
+`mlp_backward`'s own forward step, so it needs one pass, with the same bits,
+and gets the input gradient back already contracted with dv/domega),
 `Kernel` (the window filter that also accumulates the weather) rolls the
 truncated-kernel state forward, slot by slot or over a whole history, and
 `Coupling` adds sum_j alpha[i, j] R[j] over the graph's per-edge weights in a
@@ -168,37 +169,48 @@ def mlp_forward(mlp: MlpParams, v: np.ndarray):
     return (float(mu[0]) if squeeze else mu), x
 
 
-def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray, on_chunk=None):
+def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray, tangent: np.ndarray, on_chunk=None):
     """Backprop per-sample output gradients `dmu` (n,) through the network.
 
     `cache` is the input rows, as :func:`mlp_forward` returns them. Each
     chunk's activations are computed from it while they are still in the CPU
     cache and consumed in place; the parameter gradients are summed chunk by
-    chunk. When `on_chunk` is given, `on_chunk(rows, mu)` is called with each
-    chunk's row slice and network output right after its forward step, and
-    may fill those rows of `dmu` before they are read: a caller whose
-    upstream gradient depends on mu then needs no separate forward pass.
-    Returns (grad MlpParams, input gradient (n, M)).
+    chunk, the bias sums as BLAS products with a ones vector. When `on_chunk`
+    is given, `on_chunk(rows, mu)` is called with each chunk's row slice and
+    network output right after its forward step, and may fill those rows of
+    `dmu` before they are read: a caller whose upstream gradient depends on mu
+    then needs no separate forward pass.
+
+    The input gradient g[n, m] = dmu[n] d mu[n] / d x[n, m] comes back
+    contracted with `tangent` (n, M), laid out like the cache:
+    c[m] = sum_n g[n, m] tangent[n, m], summed as sum_j W0[m, j] (tangent^T dz)[m, j]
+    with dz the first layer's pre-activation gradient, so no (n, M) input
+    gradient is formed. Returns (grad MlpParams, c (M,)).
     """
     x = cache
     dmu = np.asarray(dmu, dtype=np.float64)
     grad_w = [np.zeros_like(w) for w in mlp.weights]
     grad_b = [np.zeros_like(b) for b in mlp.biases]
-    dinput = np.empty_like(x)
+    contracted = np.zeros_like(mlp.weights[0])
+    ones = np.ones(MLP_CHUNK_ROWS + 1)  # _row_chunks' last chunk may hold one row more
+    top = len(mlp.weights) - 1
     for chunk in _row_chunks(x.shape[0]):
         hiddens, z_out = _activations(mlp, x[chunk])
         if on_chunk is not None:
             on_chunk(chunk, softplus(z_out))
         dz = (dmu[chunk] * sigmoid(z_out))[:, None]  # softplus' = sigmoid
-        for k in range(len(mlp.weights) - 1, -1, -1):
+        for k in range(top, -1, -1):
             grad_w[k] += hiddens[k].T @ dz
-            grad_b[k] += dz.sum(axis=0)
-            dh = dz @ mlp.weights[k].T
-            if k > 0:  # tanh' = 1 - h^2, formed in place of the activation
-                h = np.subtract(1.0, np.square(hiddens[k], out=hiddens[k]), out=hiddens[k])
-                dz = np.multiply(dh, h, out=dh)
-        dinput[chunk] = dh
-    return MlpParams(weights=grad_w, biases=grad_b), dinput
+            grad_b[k] += ones[: len(dz)] @ dz
+            if k == 0:
+                break
+            # the output layer is one column wide: a broadcast product, not a GEMM
+            dh = dz * mlp.weights[k][:, 0] if k == top else dz @ mlp.weights[k].T
+            # tanh' = 1 - h^2, formed in place of the activation
+            h = np.subtract(1.0, np.square(hiddens[k], out=hiddens[k]), out=hiddens[k])
+            dz = np.multiply(dh, h, out=dh)
+        contracted += tangent[chunk].T @ dz
+    return MlpParams(weights=grad_w, biases=grad_b), (mlp.weights[0] * contracted).sum(axis=1)
 
 
 @dataclass

@@ -6,7 +6,8 @@ W[i,t] = N[i,t]/lambda[i,t] - 1:
 
   * d ell / d gamma_i    = sum_t W[i,t] mu[i,t]
   * phi (network)        : backprop with per-sample upstream weight W[i,t] gamma_i
-  * d ell / d omega_m    = sum_{i,t} (input-grad of mu)[i,t,m] * dv/domega[i,t,m]
+  * d ell / d omega_m    = sum_{i,t} (input-grad of mu)[i,t,m] * dv/domega[i,t,m],
+                           contracted inside the network's backward pass
   * d ell / d alpha_ij   = sum_t W[i,t] R[j,t]
   * d ell / d beta_j     = sum_t (dR[j,t]/dbeta_j) (W[j,t] + sum_i alpha_ij W[i,t])
 
@@ -58,8 +59,8 @@ from .weather_effect import (
 
 OPTIMIZERS = ("adaptive-moments", "plain-sgd")
 # Unit-slot cells per block of a full-series evaluation. One block holds about
-# 150 bytes per cell (v, dv/domega, R, dR/dbeta, lambda, mu, W, the network's
-# upstream and input gradients), so 2**15 cells keep it near 5 MB; each block
+# 140 bytes per cell (v, dv/domega, R, dR/dbeta, lambda, mu, W and the network's
+# upstream gradient), so 2**15 cells keep it under 5 MB; each block
 # beyond the first also recomputes its weather and kernel history windows,
 # which is what makes much smaller blocks slower.
 EVAL_BLOCK_CELLS = 2**15
@@ -167,9 +168,12 @@ def _block_loglik_and_grads(
     """
     d = params.decay.window_slots
     s_wx = max(0, t0 - (d - 1))
-    v_full, dvdo_full = accumulate_with_grad(x_scaled[:, s_wx:t1, :], params.decay)
-    v = v_full[:, t0 - s_wx :, :]
-    dvdo = dvdo_full[:, t0 - s_wx :, :]
+    # The in-block slots, copied out of the history-led arrays (which are then
+    # freed): the network reads v and dv/domega as contiguous (cell, M) rows.
+    v, dvdo = (
+        np.ascontiguousarray(a[:, t0 - s_wx :, :])
+        for a in accumulate_with_grad(x_scaled[:, s_wx:t1, :], params.decay)
+    )
 
     s_tk = max(0, t0 - params.trig_window)
     R_full, dR_full = kernel_matrix_with_grad(counts[:, s_tk:t1], params.beta, params.trig_window)
@@ -198,10 +202,12 @@ def _block_loglik_and_grads(
         W_chunk = np.subtract(counts[unit, t0 + slot] / lam_chunk, 1.0, out=W_rows[rows])
         np.multiply(W_chunk, gamma, out=dmu[rows])
 
-    grad_mlp, dv = mlp_backward(params.mlp, v.reshape(K * Tb, v.shape[2]), dmu, on_chunk=on_chunk)
+    M = v.shape[2]
+    grad_mlp, grad_omega = mlp_backward(
+        params.mlp, v.reshape(K * Tb, M), dmu, dvdo.reshape(K * Tb, M), on_chunk=on_chunk
+    )
     ll = float(np.sum(-lam + n_blk * np.log(lam)))
     grad_gamma = (W * mu).sum(axis=1)
-    grad_omega = np.einsum("itm,itm->m", dv.reshape(v.shape), dvdo)
 
     # grad_alpha over K edges at a time, so no E x T gather exists
     tgt, src = params.graph.tgt, params.graph.src

@@ -10,11 +10,13 @@ The paths are drawn by `numpy_poisson_path`, the suite's own rollout, not by
 data its tests fit and score.
 """
 
+import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
+from gridshock.container import MAGIC
 from gridshock.ingest import Dataset, OutageSeries, TimeGrid, UnitMeta, WeatherTensor
 from gridshock.model import Coupling, Kernel, MlpParams, ModelParams, direct_from_weather, kernel_mass_closed_form
 from gridshock.topology import EdgeWeights, Graph, build_candidate_graph, enforce_no_loops
@@ -327,3 +329,12 @@ def wrap_dataset(counts, weather, variable_names=None, seed=0):
         outages=OutageSeries(counts=counts),
         weather=WeatherTensor(values=np.asarray(weather, dtype=np.float64), variable_names=names),
     )
+
+
+def rewrite_container_header(path, edit):
+    """Replace the header of the container at `path` by `edit(header)`, keeping its payload."""
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[len(MAGIC) : len(MAGIC) + 8], "little")
+    start = len(MAGIC) + 8
+    hb = json.dumps(edit(json.loads(blob[start : start + hlen]))).encode()
+    path.write_bytes(MAGIC + len(hb).to_bytes(8, "little") + hb + blob[start + hlen :])

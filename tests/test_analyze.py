@@ -11,6 +11,7 @@ from scipy.special import expit
 
 from oracles import add_at_coupling, naive_intensity_field
 from synth import random_small_instance, random_small_params, wrap_dataset
+from gridshock import analyze as analyze_module
 from gridshock.analyze import (
     SIGMOID_STARTS,
     Decomposition,
@@ -454,7 +455,8 @@ def _csv_writer_predictions(path, report):
         wr.writerows(zip(units.tolist(), slots.tolist(), map(repr, predicted), map(repr, actual)))
 
 
-def test_predictions_csv_matches_the_csv_writer_bytes(tmp_path):
+def _awkward_predictions():
+    """A report with skipped cells, extreme floats and a signed zero."""
     rng = np.random.default_rng(17)
     predicted = rng.lognormal(0.0, 4.0, (5, 40))
     predicted[:, :3] = np.nan
@@ -462,9 +464,13 @@ def test_predictions_csv_matches_the_csv_writer_bytes(tmp_path):
     predicted[0, 3:9] = [1e-20, 1.5e300, 5e-324, 1e16, 0.0001, 123456789012345680.0]
     actual = rng.poisson(3.0, (5, 40)).astype(np.float64)
     actual[1, 3:6] = [2.5e-7, 1e22, -0.0]
-    rep = PredictionReport(
+    return PredictionReport(
         horizon=3, predicted=predicted, actual=actual, mae=0.0, rmse=0.0, persistence_mae=0.0, per_unit_mae=np.zeros(5)
     )
+
+
+def test_predictions_csv_matches_the_csv_writer_bytes(tmp_path):
+    rep = _awkward_predictions()
     write_predictions_csv(tmp_path / "new.csv", rep)
     _csv_writer_predictions(tmp_path / "ref.csv", rep)
     out = (tmp_path / "new.csv").read_bytes()
@@ -472,10 +478,18 @@ def test_predictions_csv_matches_the_csv_writer_bytes(tmp_path):
     assert b"e-324" in out and b"e+300" in out and b"nan" not in out
 
 
+@pytest.mark.parametrize("chunk_rows", [1, 2, 7, 64])
+def test_predictions_csv_chunks_write_the_one_chunk_bytes(tmp_path, monkeypatch, chunk_rows):
+    rep = _awkward_predictions()  # 180 rows
+    write_predictions_csv(tmp_path / "one.csv", rep)
+    monkeypatch.setattr(analyze_module, "PREDICTION_CHUNK_ROWS", chunk_rows)
+    write_predictions_csv(tmp_path / "chunked.csv", rep)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
 def test_fit_sigmoid_accumulates_only_its_variable(monkeypatch):
     """A response curve accumulates its own weather variable, not all M, and
     fits exactly what it fits on a dataset holding that variable alone."""
-    import gridshock.analyze as analyze_module
     from gridshock.weather_effect import accumulate
 
     alone = _sigmoid_dataset()

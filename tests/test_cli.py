@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from synth import rewrite_container_header
 from gridshock import cli, ingest, model, simulate, topology
 from gridshock.ingest import load_dataset
 from gridshock.model import deserialize
@@ -669,6 +670,45 @@ def test_exit_code_validation_errors(pipeline, tmp_path):
     rc = cli.main(["predict", "--dataset", str(pipeline["dataset"]), "--model", str(pipeline["model"]),
                    "--output-dir", str(tmp_path / "y"), "--horizon", "0", "--validate-only"])
     assert rc == 2
+
+
+def _drop_array(name):
+    def edit(header):
+        header["arrays"] = [e for e in header["arrays"] if e["name"] != name]
+        return header
+
+    return edit
+
+
+def _reshape_alpha(header):
+    (entry,) = (e for e in header["arrays"] if e["name"] == "alpha")
+    entry["shape"] = [UNITS + 1, UNITS]
+    return header
+
+
+def _drop_grid(header):
+    del header["meta"]["grid"]
+    return header
+
+
+@pytest.mark.parametrize(
+    "corrupt, edit, match",
+    [
+        ("model", _reshape_alpha, "array 'alpha': 128 bytes do not hold shape [5, 4]"),
+        ("model", _drop_array("beta"), "container has no entry 'beta'"),
+        ("dataset", _drop_array("counts"), "container has no entry 'counts'"),
+        ("dataset", _drop_grid, "container has no entry 'grid'"),
+    ],
+)
+def test_a_corrupt_container_exits_4(pipeline, tmp_path, capsys, corrupt, edit, match):
+    files = {"dataset": tmp_path / "dataset.gshk", "model": tmp_path / "model.gshk"}
+    for name, path in files.items():
+        path.write_bytes(pipeline[name].read_bytes())
+    rewrite_container_header(files[corrupt], edit)
+    rc = cli.main(["simulate", "--dataset", str(files["dataset"]), "--model", str(files["model"]),
+                   "--output-dir", str(tmp_path / "out"), "--replications", "2"])
+    assert rc == 4
+    assert f"file error: {files[corrupt]}: {match}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from synth import rewrite_container_header
 from gridshock.container import MAGIC, peek_schema, read_container, write_container
 from gridshock.errors import FileFormatError
 
@@ -102,6 +104,62 @@ def test_illegal_dtype_in_header_rejected(tmp_path):
     path.write_bytes(MAGIC + len(hb).to_bytes(8, "little") + hb + blob[start + hlen :])
     with pytest.raises(FileFormatError, match="dtype"):
         read_container(path, "s")
+
+
+def _edit_entry(**changes):
+    def edit(header):
+        entry = header["arrays"][0]
+        for key, value in changes.items():
+            if value is None:
+                del entry[key]
+            else:
+                entry[key] = value
+        return header
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (_edit_entry(shape=[101, 100]), r"array 'x': 80000 bytes do not hold shape \[101, 100\]"),
+        (_edit_entry(offset=None), "array 'x': offset None"),
+        (_edit_entry(offset=-8), "array 'x': offset -8"),
+        (_edit_entry(nbytes=79999), "array 'x': 79999 bytes"),
+        (_edit_entry(nbytes="80000"), "array 'x': offset 0 and nbytes '80000'"),
+        (_edit_entry(shape=None), "array 'x': shape None"),
+        (_edit_entry(shape=[100, -100]), "array 'x': shape"),
+        (_edit_entry(shape=[True, 10000]), "array 'x': shape"),
+        (_edit_entry(shape=100.0), "array 'x': shape"),
+        (_edit_entry(dtype=["<f8"]), "array 'x': illegal dtype"),
+        (_edit_entry(dtype=None), "array 'x': illegal dtype"),
+        (_edit_entry(name=None), "entry without a name"),
+        (lambda h: {**h, "arrays": [7]}, "entry without a name"),
+        (lambda h: {**h, "arrays": {"x": 1}}, "arrays list"),
+        (lambda h: {**h, "meta": [1, 2]}, "meta object"),
+        (lambda h: {k: v for k, v in h.items() if k != "meta"}, "no entry 'meta'"),
+        (lambda h: [h], "not a JSON object"),
+        (lambda h: "s", "not a JSON object"),
+    ],
+)
+def test_corrupt_header_is_a_file_format_error(tmp_path, edit, match):
+    path = tmp_path / "p.gshk"
+    write_container(path, "s", {}, {"x": np.zeros((100, 100))})
+    rewrite_container_header(path, edit)
+    with pytest.raises(FileFormatError, match=match) as info:
+        read_container(path, "s")
+    assert str(path) in str(info.value)
+
+
+def test_missing_array_or_meta_key_is_a_file_format_error(tmp_path):
+    path = tmp_path / "p.gshk"
+    write_container(path, "s", {"grid": {"slots": 3}}, {"x": np.zeros(2)})
+    meta, arrays = read_container(path, "s")
+    assert meta == {"grid": {"slots": 3}} and arrays.get("y") is None
+    for lookup, key in ((lambda: arrays["y"], "'y'"), (lambda: meta["units"], "'units'"),
+                        (lambda: meta["grid"]["start"], "'start'")):
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: container has no entry {key}")):
+            lookup()
 
 
 def test_float32_input_upcast(tmp_path):

@@ -86,7 +86,7 @@ def test_backward_matches_finite_differences():
         return float(dmu @ mu)
 
     _, cache = mlp_forward(mlp, v)
-    grads, dinput = mlp_backward(mlp, cache, dmu)
+    grads, _ = mlp_backward(mlp, cache, dmu, np.zeros_like(v))
     flat0 = mlp.flatten()
     g_flat = grads.flatten()
     h = 1e-6
@@ -95,13 +95,14 @@ def test_backward_matches_finite_differences():
         e[k] = h
         fd = (value(flat0 + e) - value(flat0 - e)) / (2 * h)
         assert fd == pytest.approx(g_flat[k], rel=1e-6, abs=1e-9)
-    # input gradient too
+    # input gradient too, read through a one-hot tangent
     for n, m in [(0, 0), (3, 1), (5, 0)]:
-        vp, vm = v.copy(), v.copy()
+        vp, vm, one_hot = v.copy(), v.copy(), np.zeros_like(v)
         vp[n, m] += h
         vm[n, m] -= h
+        one_hot[n, m] = 1.0
         fd = (float(dmu @ mlp_forward(mlp, vp)[0]) - float(dmu @ mlp_forward(mlp, vm)[0])) / (2 * h)
-        assert fd == pytest.approx(dinput[n, m], rel=1e-6, abs=1e-9)
+        assert fd == pytest.approx(mlp_backward(mlp, cache, dmu, one_hot)[1][m], rel=1e-6, abs=1e-9)
 
 
 def _whole_array_forward(mlp, v):
@@ -168,14 +169,16 @@ def test_chunked_backward_matches_the_whole_array_pass(seed, n_random, hidden, M
     for n in _row_counts(n_random):
         v = rng.normal(0, 3, (n, M))
         dmu = rng.normal(0, 2, n)
-        grads, dinput = mlp_backward(mlp, mlp_forward(mlp, v)[1], dmu)
+        tangent = rng.normal(0, 1, (n, M))
+        grads, contracted = mlp_backward(mlp, mlp_forward(mlp, v)[1], dmu, tangent)
         expected, scales, expected_dinput, dinput_scale = _whole_array_backward(mlp, v, dmu)
         for k, (gw, gb) in expected.items():
             sw, sb = scales[k]
             assert (np.abs(grads.weights[k] - gw) <= 1e-13 * sw).all()
             assert (np.abs(grads.biases[k] - gb) <= 1e-13 * sb).all()
-        # the sigmoid is numpy's 1 / (1 + e^-z), which can differ from scipy's in the last bit
-        assert (np.abs(dinput - expected_dinput) <= 4 * np.finfo(float).eps * dinput_scale).all()
+        expected_contracted = np.einsum("nm,nm->m", expected_dinput, tangent)
+        contracted_scale = np.einsum("nm,nm->m", dinput_scale, np.abs(tangent))
+        assert (np.abs(contracted - expected_contracted) <= 1e-13 * contracted_scale).all()
 
 
 @pytest.mark.parametrize("z_out", [800.0, -800.0])
@@ -187,8 +190,8 @@ def test_backward_is_finite_and_silent_at_extreme_outputs(z_out):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mu, cache = mlp_forward(mlp, v)
-        grads, dinput = mlp_backward(mlp, cache, np.ones(len(v)))
-    assert np.isfinite(mu).all() and np.isfinite(grads.flatten()).all() and np.isfinite(dinput).all()
+        grads, contracted = mlp_backward(mlp, cache, np.ones(len(v)), np.ones_like(v))
+    assert np.isfinite(mu).all() and np.isfinite(grads.flatten()).all() and np.isfinite(contracted).all()
     # softplus' is 1 far above zero and 0 far below it
     assert grads.biases[-1][0] == (len(v) if z_out > 0 else 0.0)
 

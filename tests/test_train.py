@@ -159,12 +159,13 @@ def _two_pass_reference(params, counts, x_scaled, t0, t1):
     n_blk = counts[:, t0:t1]
     ll = float(np.sum(-lam + n_blk * np.log(lam)))
     W = n_blk / lam - 1.0
-    grad_mlp, dv = mlp_backward(params.mlp, cache, (W * params.gamma[:, None]).ravel())
+    dmu, tangent = (W * params.gamma[:, None]).ravel(), dvdo.reshape(K * Tb, M)
+    grad_mlp, grad_omega = mlp_backward(params.mlp, cache, dmu, tangent)
     return ll, Gradients(
         alpha=np.vecdot(W[params.graph.tgt], R[params.graph.src]),
         beta=np.einsum("jt,jt->j", dR, add_at_coupling(params.alpha, W, adjoint=True)),
         gamma=(W * mu).sum(axis=1),
-        omega=np.einsum("itm,itm->m", dv.reshape(v.shape), dvdo),
+        omega=grad_omega,
         mlp=grad_mlp,
     )
 
