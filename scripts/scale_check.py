@@ -3,8 +3,9 @@
 
 Writes K=1000 units, T=2920 slots and M=4 weather variables of raw CSVs into
 OUT_DIR with the benchmark's seeded generators (`perfbench/gen.py`), then
-runs `ingest`, `fit --epochs 2`, `predict` and `simulate --replications 50`
-on them, each in a fresh child process with one numeric thread, and prints
+runs `ingest`, `fit --epochs 2`, `predict`, `simulate --replications 50` and
+`enhance --replications 50` (one scenario plus a 2x2 edges sweep) on them,
+each in a fresh child process with one numeric thread, and prints
 one line per command: wall seconds and peak RSS in MiB (`os.wait4`). This
 process never loads numpy, so it adds little to the children's peaks.
 
@@ -16,6 +17,7 @@ Usage: python3 scripts/scale_check.py OUT_DIR [--seed N]
 """
 
 import argparse
+import json
 import multiprocessing
 import os
 import subprocess
@@ -32,6 +34,10 @@ from workloads import SLOT_SECONDS, THREAD_VARS, THREADS  # noqa: E402
 K, T, M = 1000, 2920, 4
 EPOCHS = 2
 REPLICATIONS = 50
+# cut the two strongest out-edges of the 10 units with the largest peaks, and
+# reset the 10 largest design margins to the mean
+SCENARIO = {"top_k_units": 10, "top_e_edges": 2, "edge_target": 0.0, "gamma_top_units": 10}
+SWEEP = ["--sweep-units", "0,10", "--sweep-edges", "0,2"]
 
 
 def write_inputs(work: Path, seed: int) -> None:
@@ -47,6 +53,7 @@ def write_inputs(work: Path, seed: int) -> None:
     gen.write_units_csv(work / "units.csv", units)
     gen.VARIABLES = (*gen.VARIABLES[:3], "wind_speed_2")  # the column names write_raw_csvs uses
     gen.write_raw_csvs(work, units, counts, weather)
+    (work / "scenario.json").write_text(json.dumps(SCENARIO))
 
 
 def commands(work: Path) -> list[tuple[str, list[str]]]:
@@ -59,6 +66,8 @@ def commands(work: Path) -> list[tuple[str, list[str]]]:
         ("fit", ["fit", *io, "--epochs", str(EPOCHS), "--seed", "0"]),
         ("predict", ["predict", *io, "--horizon", "1"]),
         ("simulate", ["simulate", *io, "--replications", str(REPLICATIONS), "--seed", "0"]),
+        ("enhance", ["enhance", *io, "--scenario", str(work / "scenario.json"), *SWEEP,
+                     "--replications", str(REPLICATIONS), "--seed", "0"]),
     ]
 
 

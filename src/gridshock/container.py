@@ -95,6 +95,31 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
+# (check, description) kinds of meta values, for meta_value
+INTEGER = (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer")
+COUNT = (_is_count, "an integer >= 0")
+NUMBER = (lambda x: isinstance(x, (int, float)) and not isinstance(x, bool), "a number")
+TEXT = (lambda x: isinstance(x, str), "a string")
+OBJECT = (lambda x: isinstance(x, dict), "an object")
+OBJECTS = (lambda x: isinstance(x, list) and all(isinstance(v, dict) for v in x), "a list of objects")
+TEXTS = (lambda x: isinstance(x, list) and all(isinstance(v, str) for v in x), "a list of strings")
+PAIRS = (
+    lambda x: isinstance(x, list) and all(isinstance(v, list) and len(v) == 2 and all(map(_is_count, v)) for v in x),
+    "a list of [source, target] pairs of integers >= 0",
+)
+
+
+def meta_value(meta, key: str, kind: tuple, label: str | None = None):
+    """meta[key] of a container read by :func:`read_container`, checked to be
+    of `kind`; otherwise a FileFormatError naming the file and the key
+    (`label`, for a key nested in the meta)."""
+    check, expected = kind
+    value = meta[key]
+    if not check(value):
+        raise FileFormatError(f"{meta.path}: meta key {label or key!r} must be {expected}, got {value!r}")
+    return value
+
+
 def _check_entry(path: Path, entry) -> None:
     """Raise FileFormatError unless `entry` declares an array that its bytes can hold."""
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import COUNT, INTEGER, NUMBER, OBJECT, OBJECTS, TEXT, TEXTS, meta_value, read_container
+from .container import write_container
 from .errors import SchemaError, ValidationError
 
 DATASET_SCHEMA = "gridshock-ds-v1"
@@ -440,17 +441,18 @@ def load_dataset(path) -> Dataset:
     meta, arrays = read_container(path, DATASET_SCHEMA)
     units = [
         UnitMeta(
-            unit_id=u["unit_id"],
-            centroid_lat=u["lat"],
-            centroid_lon=u["lon"],
-            total_customers=u["total_customers"],
+            unit_id=meta_value(u, "unit_id", TEXT, f"units[{k}].unit_id"),
+            centroid_lat=meta_value(u, "lat", NUMBER, f"units[{k}].lat"),
+            centroid_lon=meta_value(u, "lon", NUMBER, f"units[{k}].lon"),
+            total_customers=meta_value(u, "total_customers", INTEGER, f"units[{k}].total_customers"),
         )
-        for u in meta["units"]
+        for k, u in enumerate(meta_value(meta, "units", OBJECTS))
     ]
+    grid = meta_value(meta, "grid", OBJECT)
     grid = TimeGrid(
-        start=parse_timestamp(meta["grid"]["start"]),
-        slot_seconds=meta["grid"]["slot_seconds"],
-        num_slots=meta["grid"]["num_slots"],
+        start=parse_timestamp(meta_value(grid, "start", TEXT, "grid.start")),
+        slot_seconds=meta_value(grid, "slot_seconds", COUNT, "grid.slot_seconds"),
+        num_slots=meta_value(grid, "num_slots", COUNT, "grid.num_slots"),
     )
     out_mask = arrays.get("outage_gap_mask")
     wx_mask = arrays.get("weather_gap_mask")
@@ -460,7 +462,7 @@ def load_dataset(path) -> Dataset:
     )
     weather = WeatherTensor(
         values=arrays["weather"],
-        variable_names=list(meta["variable_names"]),
+        variable_names=meta_value(meta, "variable_names", TEXTS),
         gap_mask=None if wx_mask is None else wx_mask.astype(bool),
     )
     return Dataset(units=units, grid=grid, outages=outages, weather=weather)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import COUNT, NUMBER, PAIRS, meta_value, read_container, write_container
 from .errors import ValidationError
 from .topology import EdgeWeights, Graph
 from .weather_effect import DecayConfig, WeatherScaler, WindowFilter, _per_lead, accumulate
@@ -291,7 +291,8 @@ class Kernel(WindowFilter):
     """Truncated exponential triggering kernel of recovery rates beta: the
     state P is the window filter of the counts and the triggering mass is
     R = beta * P. A state may carry trailing axes (one column per replication
-    or per prediction target)."""
+    or per prediction target); `step` also takes (K, S) rates, one column per
+    parameter set, for a (K, S, ...) state."""
 
 
 def kernel_matrix(counts: np.ndarray, beta: np.ndarray, trig_window: int) -> np.ndarray:
@@ -326,17 +327,24 @@ class Coupling:
     """Snapshot of the active couplings alpha[i, j] != 0 as edge arrays in
     (target, source) order. Both sums add one edge's term at a time in that
     order, so every caller gets the same bits; they do it one rank group
-    (:func:`_rank_groups`) per indexed add, as no unit appears twice in a group."""
+    (:func:`_rank_groups`) per indexed add, as no unit appears twice in a group.
 
-    def __init__(self, alpha: EdgeWeights):
-        g = alpha.graph
-        active = alpha.w != 0.0
-        tgt, src, self.w = g.tgt[active], g.src[active], alpha.w[active]
+    Given S weight sets on one graph, it keeps the union of their active
+    edges with an (edge, set) weight matrix and sums all sets at once over
+    arrays whose leading axes are (K, S). An edge a set does not use weighs
+    0.0 there and adds +0.0, so each set gets the bits of its own Coupling."""
+
+    def __init__(self, *alphas: EdgeWeights):
+        g = alphas[0].graph
+        w = alphas[0].w if len(alphas) == 1 else np.stack([a.w for a in alphas], axis=1)
+        active = w != 0.0 if w.ndim == 1 else (w != 0.0).any(axis=1)
+        tgt, src, self.w = g.tgt[active], g.src[active], w[active]
         self._into_target = _rank_groups(tgt, src, self.w)
         self._into_source = _rank_groups(src, tgt, self.w)
 
     def apply(self, R: np.ndarray) -> np.ndarray:
-        """sum_j alpha[i, j] R[j] (alpha[i, i] = 1) for any R whose leading axis is K."""
+        """sum_j alpha[i, j] R[j] (alpha[i, i] = 1) for any R whose leading axis
+        is K, or whose leading axes are (K, S) for S stacked sets."""
         return _grouped_sum(R, self._into_target)
 
     def adjoint(self, W: np.ndarray) -> np.ndarray:
@@ -457,9 +465,10 @@ def deserialize(path) -> ModelParams:
     """Load a gridshock-model-v1 file written by :func:`serialize`; raises
     ValidationError unless the parameters satisfy :meth:`ModelParams.check_invariants`."""
     meta, arrays = read_container(path, MODEL_SCHEMA)
-    graph = Graph(num_nodes=meta["num_nodes"], edges=tuple(tuple(e) for e in meta["edges"]))
+    edges = tuple(map(tuple, meta_value(meta, "edges", PAIRS)))
+    graph = Graph(num_nodes=meta_value(meta, "num_nodes", COUNT), edges=edges)
     weights = EdgeWeights(graph=graph, alpha=arrays["alpha"])
-    n_layers = meta["num_layers"]
+    n_layers = meta_value(meta, "num_layers", COUNT)
     mlp = MlpParams(
         weights=[arrays[f"mlp_w{k}"] for k in range(n_layers)],
         biases=[arrays[f"mlp_b{k}"] for k in range(n_layers)],
@@ -468,11 +477,11 @@ def deserialize(path) -> ModelParams:
         alpha=weights,
         beta=arrays["beta"],
         gamma=arrays["gamma"],
-        decay=DecayConfig(omega=arrays["omega"], window_slots=meta["window_slots"]),
+        decay=DecayConfig(omega=arrays["omega"], window_slots=meta_value(meta, "window_slots", COUNT)),
         mlp=mlp,
         scaler=WeatherScaler(mean=arrays["scaler_mean"], scale=arrays["scaler_scale"]),
-        eps=meta["eps"],
-        trig_window=meta["trig_window"],
+        eps=meta_value(meta, "eps", NUMBER),
+        trig_window=meta_value(meta, "trig_window", COUNT),
     )
     params.check_invariants()
     return params

@@ -27,6 +27,17 @@ variance. The same seed also means equal parameters give equal rollouts, so
 `outage_reductions` takes a list of scenarios (one scenario is a list of one,
 a sweep is its cells, `enhance` passes both) and simulates each distinct
 parameter set once, the baseline included.
+
+Those S distinct sets read the same uniforms, so they are rolled out in one
+slot loop: the kernel state is (K, S, block), and each slot makes one
+coupling sum over the union of the sets' active edges (weight 0.0 where a
+set lacks an edge, which leaves its bits unchanged), one overflow check, one
+inversion of the block's uniforms broadcast over S, and one kernel step. The
+network output is computed once per distinct omega and scaled by each set's
+gamma slot by slot, and only per-replication totals are kept, so memory
+grows with S x R x K x trig_window, not with S x K x T. Each set's totals
+are bit for bit those of a lone `simulate_paths`, which is the one-set
+caller of the same loop.
 """
 
 from __future__ import annotations
@@ -150,12 +161,13 @@ def top_e_edges_per_unit(params: ModelParams, units, e: int) -> list:
     Returns (source, target) pairs; within a unit, edges rank by coupling
     weight descending (ties: lower target index).
     """
+    g = params.graph
+    order = np.lexsort((g.tgt, -params.alpha.w, g.src))  # by source, then weight descending, then target
+    src, tgt = g.src[order], g.tgt[order]
     out = []
-    index, w = params.graph.index, params.alpha.w
     for j in units:
-        outgoing = [(s, t) for s, t in params.graph.edges if s == j]
-        outgoing.sort(key=lambda st: (-w[index[st]], st[1]))
-        out.extend(outgoing[: int(e)])
+        lo, hi = np.searchsorted(src, j, side="left"), np.searchsorted(src, j, side="right")
+        out.extend((int(j), int(t)) for t in tgt[lo : min(hi, lo + int(e))])
     return out
 
 
@@ -281,12 +293,14 @@ def simulate_paths(
 
     if mu is None:
         mu = weather_response(params, x)
-    mu_direct = params.gamma[:, None] * mu  # (K, T), the weather term alone
-    coupling = Coupling(params.alpha)
     if cutoff >= T:
-        draws = _forced_draws(_lambda_given_history(params, coupling, obs[:, :T], mu_direct), R, seed)
+        lam = _lambda_given_history(params, Coupling(params.alpha), obs[:, :T], params.gamma[:, None] * mu)
+        draws = _forced_draws(lam, R, seed)
     else:
-        draws = _rollout_draws(params, coupling, mu_direct, obs, cutoff, R, seed)
+        draws = (
+            (reps, slice(t, t + 1), n[:, 0].T[:, :, None])
+            for reps, t, n in _rollout_draws([params], [mu], [0], obs, cutoff, R, seed)
+        )
 
     # Counts are integer-valued, so these sums are exact in any order.
     rep_totals = np.zeros(R)
@@ -508,38 +522,49 @@ def _forced_draws(lam, R, seed):
             yield slice(r0, reps.stop), slots, poisson_quantile(lam[:, slots].T, u).transpose(0, 2, 1)
 
 
-def _rollout_draws(params, coupling, mu_direct, obs, cutoff, R, seed):
-    """Free-running and partly forced runs, one slot at a time for a block of
-    replications at once; yields each slot's (block, K, 1) draws.
+def _rollout_draws(sets, mus, which, obs, cutoff, R, seed, names=None):
+    """Free-running and partly forced runs of S parameter sets, one slot at a
+    time for a block of replications at once; yields (reps, t, n) with n the
+    slot's (K, S, block) counts.
 
-    The block's kernel state P is (K, block), and each slot inverts the whole
-    block's intensities at once. Replication r's draws come from its own
-    uniforms, so its path does not depend on which replications share its
-    block. Only the counts inside the kernel window are kept, in a ring of
-    min(window + 1, T) slots.
+    The sets differ only in the arrays a scenario edits (alpha, beta, gamma,
+    omega); set s takes its network output from mus[which[s]], so its weather
+    term gamma_s mu is formed slot by slot. The block's kernel state P is
+    (K, S, block), and each slot makes one coupling sum, one overflow check,
+    one inversion and one kernel step for all of it. Every set reads the same
+    uniforms, replication r's own, so its path depends neither on the other
+    sets nor on which replications share its block. Only the counts inside
+    the kernel window are kept, in a ring of min(window + 1, T) slots.
+    `names[s]` labels set s in a divergence error (None: a lone set).
     """
-    K, T = mu_direct.shape
-    window = params.trig_window
+    K, T = mus[0].shape
+    S, window, eps = len(sets), sets[0].trig_window, sets[0].eps
     span = min(window + 1, T)
-    block = max(1, BLOCK_FLOATS // (K * (span + 2 + UNIFORM_SLOTS) + 2 * coupling.w.size))
-    kern = Kernel(params.beta, window)
-    beta = params.beta[:, None]
+    coupling = Coupling(*(p.alpha for p in sets))
+    beta = np.stack([p.beta for p in sets], axis=1)  # (K, S)
+    gamma = np.stack([p.gamma for p in sets], axis=1)
+    kern = Kernel(beta, window)
+    rate = beta[:, :, None]
+    block = max(1, BLOCK_FLOATS // (K * (S * (span + 2) + UNIFORM_SLOTS) + 2 * coupling.w.size))
     for r0 in range(0, R, block):
         reps = range(r0, min(r0 + block, R))
-        ring = np.zeros((span, K, len(reps)))
-        P = np.zeros((K, len(reps)))
+        ring = np.zeros((span, K, S, len(reps)))
+        P = np.zeros((K, S, len(reps)))
         for t0, u in _uniforms(seed, reps, K, T):
             for t in range(t0, t0 + u.shape[1]):
-                lam = mu_direct[:, t, None] + coupling.apply(beta * P) + params.eps
+                mu = mus[0][:, t, None] if len(mus) == 1 else np.stack([m[:, t] for m in mus], axis=1)[:, which]
+                lam = (gamma * mu)[:, :, None] + coupling.apply(rate * P) + eps
                 if (lam > LAMBDA_OVERFLOW).any():
-                    b = int(np.argmax((lam > LAMBDA_OVERFLOW).any(axis=0)))
-                    i = int(np.argmax(lam[:, b]))
+                    s, b = np.unravel_index(np.argmax((lam > LAMBDA_OVERFLOW).any(axis=0)), (S, len(reps)))
+                    i = int(np.argmax(lam[:, s, b]))
+                    where = "" if names is None else f" in {names[s]}"
                     raise DivergenceError(
-                        f"simulated intensity exploded at (unit={i}, slot={t}, replication={r0 + b}): {lam[i, b]:.3e}"
+                        f"simulated intensity exploded{where} at (unit={i}, slot={t}, replication={r0 + b}): "
+                        f"{lam[i, s, b]:.3e}"
                     )
-                n = poisson_quantile(lam, u[:, t - t0].T)
-                yield slice(r0, reps.stop), slice(t, t + 1), n.T[:, :, None]
-                new = obs[:, t, None] if t < cutoff else n.astype(np.float64)
+                n = poisson_quantile(lam, u[:, t - t0].T[:, None, :])
+                yield slice(r0, reps.stop), t, n
+                new = obs[:, t, None, None] if t < cutoff else n.astype(np.float64)
                 P = kern.step(P, new, ring[(t - window) % span] if t >= window else None)
                 ring[t % span] = new
 
@@ -586,54 +611,74 @@ def outage_reductions(
 
     All rollouts share the seed, so a scenario whose applied parameters equal
     the baseline's (or an earlier scenario's) reuses that rollout: it is the
-    rollout a fresh simulation would produce. Scenarios never edit the scaler
-    or the network, so the network output mu is computed once per distinct
-    omega and each rollout scales it by its own gamma.
+    rollout a fresh simulation would produce. The distinct sets, the baseline
+    first, are stepped together in one rollout (:func:`_rollout_totals`).
     """
     if baseline not in ("simulated_total", "observed_total"):
         raise ValidationError(f"baseline must be simulated_total or observed_total, got {baseline!r}")
     if baseline == "observed_total" and observed is None:
         raise ValidationError("observed_total baseline requires observed counts")
     applied = [apply_scenario(params, scen, reference_history=observed) for scen in scenarios]
-    rollouts, responses = {}, {}
+    sets, names, index = [], [], {}
 
-    def rollout(p):
+    def set_of(p, name):
         # A scenario edits only these arrays of a copy of `params`; equal bits, equal rollout.
         key = b"".join(a.tobytes() for a in (p.alpha.w, p.beta, p.gamma, p.decay.omega))
-        if key not in rollouts:
-            omega = p.decay.omega.tobytes()
-            if omega not in responses:
-                responses[omega] = weather_response(p, _weather_on_grid(p, weather, grid))
-            rollouts[key] = simulate_paths(p, weather, grid, R, seed, mu=responses[omega])
-        return rollouts[key]
+        if key not in index:
+            index[key] = len(sets)
+            sets.append(p)
+            names.append(f"parameter set {len(sets) - 1} ({name})")
+        return index[key]
 
     if baseline == "simulated_total":
-        sim_base = rollout(params)
-        base_total = sim_base.mean_total
+        base = set_of(params, "the baseline")
+    rolled = [set_of(p, f"scenario {j}") for j, p in enumerate(applied)]
+    totals = _rollout_totals(sets, weather, grid, R, seed, names)
+    if baseline == "simulated_total":
+        base_total = float(totals[base].mean())
     else:
         base_total = float(np.asarray(getattr(observed, "counts", observed)).sum())
     if base_total == 0:
         raise NumericError("baseline total outages is zero; reduction percentage is undefined")
     results = []
-    for p in applied:
-        sim_scen = rollout(p)
-        if baseline == "simulated_total":
-            diff = sim_base.rep_totals - sim_scen.rep_totals
-            se_diff = diff.std(ddof=1) / np.sqrt(R) if R > 1 else 0.0
-        else:
-            se_diff = sim_scen.total_std_err
-        reduction = 100.0 * (base_total - sim_scen.mean_total) / base_total
+    for s in rolled:
+        spread = totals[base] - totals[s] if baseline == "simulated_total" else totals[s]
+        se_diff = spread.std(ddof=1) / np.sqrt(R) if R > 1 else 0.0
+        scenario_total = float(totals[s].mean())
         results.append(
             ReductionResult(
-                reduction_pct=float(reduction),
+                reduction_pct=float(100.0 * (base_total - scenario_total) / base_total),
                 std_err_pct=float(100.0 * se_diff / base_total),
-                baseline_total=float(base_total),
-                scenario_total=float(sim_scen.mean_total),
+                baseline_total=base_total,
+                scenario_total=scenario_total,
                 replications=R,
                 seed=seed,
             )
         )
     return results
+
+
+def _rollout_totals(sets, weather, grid, R, seed, names):
+    """(S, R) total outages of every replication of each parameter set in
+    `sets`, all rolled from empty history in one stacked rollout. Each row
+    is the `rep_totals` of a lone `simulate_paths` of that set, bit for bit;
+    no per-cell statistics are kept. Scenarios never edit the scaler or the
+    network, so the network output mu is computed once per distinct omega."""
+    totals = np.zeros((len(sets), R))
+    if not sets:
+        return totals
+    x = _weather_on_grid(sets[0], weather, grid)
+    responses, which = {}, []
+    for p in sets:
+        omega = p.decay.omega.tobytes()
+        if omega not in responses:
+            responses[omega] = len(responses), weather_response(p, x)
+        which.append(responses[omega][0])
+    mus = [mu for _, mu in responses.values()]
+    # Counts are integer-valued, so these sums are exact in any order.
+    for reps, _, n in _rollout_draws(sets, mus, which, None, 0, R, seed, names):
+        totals[:, reps] += n.sum(axis=0)
+    return totals
 
 
 def sweep_scenarios(axis1: list, axis2: list, mode: str = "edges") -> list:

@@ -63,10 +63,11 @@ class WindowFilter:
 
     with slots before the series counting 0. A slot's leading axis carries
     one rate per entry (per unit for the kernel, per variable for the
-    weather); further axes share it. Each step adds the newest slot and
-    subtracts the one leaving the window, so a step costs the same for any
-    window; for a negative rate that subtraction loses precision
-    exponentially in the series length, so rates must be >= 0.
+    weather); further axes share it. `step` also takes rates over a slot's
+    leading axes, (K, S) for S parameter sets rolled out together. Each step
+    adds the newest slot and subtracts the one leaving the window, so a step
+    costs the same for any window; for a negative rate that subtraction
+    loses precision exponentially in the series length, so rates must be >= 0.
     """
 
     def __init__(self, rate: np.ndarray, window: int):
@@ -102,8 +103,9 @@ class WindowFilter:
 
 
 def _per_lead(v: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The vector v shaped to broadcast along the leading axis of X."""
-    return v.reshape((-1,) + (1,) * (X.ndim - 1))
+    """v, whose shape is the leading axes of X (a vector for one leading
+    axis), shaped to broadcast along the trailing axes of X."""
+    return v.reshape(v.shape + (1,) * (X.ndim - v.ndim))
 
 
 def _accumulate(weather, cfg: DecayConfig, lag_sum: bool):

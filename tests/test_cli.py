@@ -201,14 +201,13 @@ def test_enhance_simulates_each_distinct_parameter_set_once(pipeline, monkeypatc
     s, t = next((s, t) for s, t in params.graph.edges if params.alpha.w[params.graph.index[s, t]] > 0)
     scen_path = pipeline["root"] / "scenario_once.json"
     scen_path.write_text(json.dumps({"edge_reweights": [[s, t, 0.0]]}))
-    rollouts = []
-    rollout = simulate.simulate_paths
+    calls, rollout = [], simulate._rollout_totals
 
-    def counting(p, *args, **kwargs):
-        rollouts.append(p)
-        return rollout(p, *args, **kwargs)
+    def recording(sets, *args, **kwargs):
+        calls.append((list(sets), rollout(sets, *args, **kwargs)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(simulate, "simulate_paths", counting)
+    monkeypatch.setattr(simulate, "_rollout_totals", recording)
     rc = cli.main(
         [
             "enhance",
@@ -223,16 +222,21 @@ def test_enhance_simulates_each_distinct_parameter_set_once(pipeline, monkeypatc
         ]
     )
     assert rc == 0
-    # one rollout per distinct parameter set among the baseline, the scenario and
-    # the six cells; a baseline-plus-scenario pair per cell would take 2 + 6 * 2
+    # one stacked rollout, stepping each distinct parameter set among the baseline,
+    # the scenario and the six cells once; a baseline-plus-scenario pair per cell
+    # would take 2 + 6 * 2
     applied = [params, simulate.apply_scenario(params, simulate.load_scenario(scen_path))]
     applied += [
         simulate.apply_scenario(params, scen, reference_history=ds.outages)
         for _, _, scen in simulate.sweep_scenarios([0, 1, 2], [0, 1])
     ]
     distinct = {tuple(p.alpha.w.tolist() + p.gamma.tolist() + p.beta.tolist()) for p in applied}
-    assert len(rollouts) == len(distinct) < 2 + 6 * 2
-    assert rollouts[0].alpha.w.tobytes() == params.alpha.w.tobytes()  # the baseline comes first
+    [(sets, totals)] = calls  # one stacked rollout
+    assert len(sets) == len(distinct) < 2 + 6 * 2
+    assert sets[0].alpha.w.tobytes() == params.alpha.w.tobytes()  # the baseline comes first
+    for p, row in zip(sets, totals):  # each set's totals are those of its own fresh rollout
+        fresh = simulate.simulate_paths(p, ds.weather, ds.grid, 10, 2)
+        assert row.tobytes() == fresh.rep_totals.tobytes()
 
 
 def test_enhance_needs_a_scenario_or_sweep(pipeline):
@@ -691,6 +695,19 @@ def _drop_grid(header):
     return header
 
 
+def _set_meta(path, value):
+    """Replace the meta value at `path` (a list of keys and indices) by `value`."""
+
+    def edit(header):
+        node = header["meta"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return header
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "corrupt, edit, match",
     [
@@ -698,6 +715,12 @@ def _drop_grid(header):
         ("model", _drop_array("beta"), "container has no entry 'beta'"),
         ("dataset", _drop_array("counts"), "container has no entry 'counts'"),
         ("dataset", _drop_grid, "container has no entry 'grid'"),
+        ("model", _set_meta(["num_layers"], "3"), "meta key 'num_layers' must be an integer >= 0, got '3'"),
+        ("model", _set_meta(["edges", 0], [0]), "meta key 'edges' must be a list of [source, target] pairs"),
+        ("model", _set_meta(["eps"], None), "meta key 'eps' must be a number, got None"),
+        ("dataset", _set_meta(["grid", "slot_seconds"], 3600.0), "meta key 'grid.slot_seconds' must be an integer"),
+        ("dataset", _set_meta(["units", 1, "lat"], "42.1"), "meta key 'units[1].lat' must be a number, got '42.1'"),
+        ("dataset", _set_meta(["units"], {}), "meta key 'units' must be a list of objects, got {}"),
     ],
 )
 def test_a_corrupt_container_exits_4(pipeline, tmp_path, capsys, corrupt, edit, match):
@@ -707,8 +730,9 @@ def test_a_corrupt_container_exits_4(pipeline, tmp_path, capsys, corrupt, edit, 
     rewrite_container_header(files[corrupt], edit)
     rc = cli.main(["simulate", "--dataset", str(files["dataset"]), "--model", str(files["model"]),
                    "--output-dir", str(tmp_path / "out"), "--replications", "2"])
-    assert rc == 4
-    assert f"file error: {files[corrupt]}: {match}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert rc == 4 and "Traceback" not in err
+    assert f"file error: {files[corrupt]}: {match}" in err
 
 
 @pytest.mark.parametrize(

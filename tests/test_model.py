@@ -16,6 +16,7 @@ from gridshock.model import (
     MLP_CHUNK_ROWS,
     Coupling,
     IntensityField,
+    Kernel,
     MlpParams,
     ModelParams,
     deserialize,
@@ -313,6 +314,38 @@ def test_coupling_sums_match_np_add_at(seed, K, density, zero_share, hub, traili
     coupling = Coupling(alpha)
     assert_array_equal(coupling.apply(X), add_at_coupling(alpha, X), strict=True)
     assert_array_equal(coupling.adjoint(X), add_at_coupling(alpha, X, adjoint=True), strict=True)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 10),
+    density=st.floats(0.0, 1.0),
+    S=st.integers(1, 4),
+    B=st.integers(0, 3),
+    window=st.integers(1, 6),
+)
+def test_stacked_sets_give_each_set_its_own_bits(seed, K, density, S, B, window):
+    # S weight sets on one graph, summed over the union of their active edges,
+    # and a kernel of (K, S) rates: column s is what set s alone computes
+    rng = np.random.default_rng(seed)
+    edges = tuple((s, t) for s in range(K) for t in range(K) if s != t and rng.uniform() < density)
+    graph = Graph(num_nodes=K, edges=edges)
+    E = len(graph.edges)
+    sets = [EdgeWeights(graph, rng.uniform(0.0, 1.0, E) * (rng.uniform(size=E) < 0.6)) for _ in range(S)]
+    beta = rng.uniform(0.0, 2.0, (K, S))
+    X, new, old = (rng.uniform(0.0, 3.0, (K, S, B)) for _ in range(3))
+    coupling, kern = Coupling(*sets), Kernel(beta, window)
+    for s, alpha in enumerate(sets):
+        alone = Coupling(alpha)
+        assert_array_equal(coupling.apply(X)[:, s], alone.apply(X[:, s]), strict=True)
+        assert_array_equal(coupling.adjoint(X)[:, s], alone.adjoint(X[:, s]), strict=True)
+        lone_kernel = Kernel(beta[:, s].copy(), window)
+        for gone in (None, old):
+            assert_array_equal(
+                kern.step(X, new, gone)[:, s],
+                lone_kernel.step(X[:, s], new[:, s], None if gone is None else gone[:, s]),
+                strict=True,
+            )
 
 
 # -- intensity ------------------------------------------------------------------

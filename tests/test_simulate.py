@@ -40,7 +40,7 @@ from gridshock.simulate import (
     top_e_edges_per_unit,
     top_k_units_by_max_outages,
 )
-from gridshock.topology import EdgeWeights, Graph
+from gridshock.topology import EdgeWeights, Graph, enforce_no_loops
 from gridshock.weather_effect import DecayConfig, WeatherScaler
 
 
@@ -190,6 +190,41 @@ def test_top_unit_and_edge_selectors():
     params = _chain_params(K=3, alphas=((0, 1, 0.4), (0, 2, 0.7), (1, 2, 0.2)), beta=(1, 1, 1), gamma=(0.1, 0.1, 0.1))
     assert top_e_edges_per_unit(params, [0], 1) == [(0, 2)]
     assert top_e_edges_per_unit(params, [0, 1], 2) == [(0, 2), (0, 1), (1, 2)]
+
+
+def _scan_every_edge(params, units, e):
+    """Reference: each unit's outgoing edges found by a scan of the whole edge list."""
+    out = []
+    index, w = params.graph.index, params.alpha.w
+    for j in units:
+        outgoing = [(s, t) for s, t in params.graph.edges if s == j]
+        outgoing.sort(key=lambda st: (-w[index[st]], st[1]))
+        out.extend(outgoing[:e])
+    return out
+
+
+@settings(max_examples=50)
+@given(
+    seed=st.integers(0, 2**16),
+    K=st.integers(1, 9),
+    n_edges=st.integers(0, 30),
+    levels=st.sampled_from([None, 1, 3]),
+    e=st.integers(0, 6),
+    units=st.lists(st.integers(0, 10), max_size=8),
+)
+def test_top_edges_match_a_scan_of_every_edge(seed, K, n_edges, levels, e, units):
+    # ties in weight (few weight levels, and the zeros the no-loop projection
+    # leaves) rank by target; units without edges, repeated or outside the
+    # graph select nothing more than the scan does
+    rng = np.random.default_rng(seed)
+    pairs = [(s, t) for s in range(K) for t in range(K) if s != t]
+    graph = Graph(num_nodes=K, edges=tuple(pairs[int(k)] for k in rng.permutation(len(pairs))[:n_edges]))
+    w = rng.uniform(0.0, 1.0, len(graph.edges))
+    if levels is not None:
+        w = np.round(w * levels) / levels
+    alpha = enforce_no_loops(EdgeWeights(graph, w))
+    params = mock.Mock(graph=graph, alpha=alpha)  # only the graph and its weights are read
+    assert top_e_edges_per_unit(params, units, e) == _scan_every_edge(params, units, e)
 
 
 def test_apply_scenario_selector_clauses():
@@ -577,6 +612,18 @@ def test_sweep_grid():
         sweep(params, ds.weather, ds.grid, axis1=[1], axis2=[1], R=5, seed=1, mode="blah")
 
 
+def _recording_rollouts(monkeypatch):
+    """Record (distinct parameter sets, (S, R) totals) of every stacked rollout."""
+    calls, rollout = [], simulate._rollout_totals
+
+    def recording(sets, *args, **kwargs):
+        calls.append((list(sets), rollout(sets, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(simulate, "_rollout_totals", recording)
+    return calls
+
+
 def test_sweep_simulates_each_distinct_parameter_set_once(monkeypatch):
     # every unit has out-edges of distinct weights, so the four cells that
     # touch edges give four distinct parameter sets
@@ -586,19 +633,17 @@ def test_sweep_simulates_each_distinct_parameter_set_once(monkeypatch):
     observed = np.zeros((4, T), dtype=np.int64)
     observed[:, 3] = [9, 7, 1, 0]  # unit 0 then unit 1 have the largest peaks
     ds = wrap_dataset(observed, np.zeros((4, T, 1)))
-    calls = []
-    rollout = simulate.simulate_paths
-
-    def counting(p, *args, **kwargs):
-        calls.append(p)
-        return rollout(p, *args, **kwargs)
-
-    monkeypatch.setattr(simulate, "simulate_paths", counting)
+    calls = _recording_rollouts(monkeypatch)
     axes = dict(axis1=[0, 1, 2], axis2=[0, 1, 2])
     rows = sweep(params, ds.weather, ds.grid, **axes, R=20, seed=3, observed=observed)
     identity = sum(scen.is_identity() for _, _, scen in sweep_scenarios(**axes))
     assert identity == 5
-    assert len(calls) == 1 + (9 - identity)  # the baseline, then each non-identity cell
+    # one stacked rollout of the baseline, then each non-identity cell
+    [(sets, totals)] = calls
+    assert len(sets) == 1 + (9 - identity) == totals.shape[0]
+    assert sets[0] is params
+    for p, row in zip(sets, totals):
+        _assert_same_bits(row, simulate_paths(p, ds.weather, ds.grid, 20, 3).rep_totals)
     one_by_one = [
         (a1, a2, *(lambda r: (r.reduction_pct, r.std_err_pct))(
             outage_reductions(params, [scen], ds.weather, ds.grid, R=20, seed=3, observed=observed)[0]
@@ -618,23 +663,153 @@ def test_reductions_compute_the_network_output_once_per_omega(monkeypatch):
         Scenario(omega_overrides=[(1, 0.7)]),
         Scenario(beta_overrides=[(2, MEAN)], omega_overrides=[(1, 0.7)]),
     ]
-    responses, rollouts = [], []
-    response, rollout = simulate.weather_response, simulate.simulate_paths
+    responses, response = [], simulate.weather_response
 
     def counting_response(p, *args, **kwargs):
         responses.append(p.decay.omega.copy())
         return response(p, *args, **kwargs)
 
-    def recording_rollout(p, *args, **kwargs):
-        rollouts.append((p, rollout(p, *args, **kwargs)))
-        return rollouts[-1][1]
-
     monkeypatch.setattr(simulate, "weather_response", counting_response)
-    monkeypatch.setattr(simulate, "simulate_paths", recording_rollout)
+    calls = _recording_rollouts(monkeypatch)
     simulate.outage_reductions(params, scenarios, ds.weather, ds.grid, R=6, seed=4)
     assert [om.tolist() for om in responses] == [params.decay.omega.tolist(), [params.decay.omega[0], 0.7]]
-    assert len(rollouts) == 4
-    for p, res in rollouts:  # each is the rollout that computes its own weather term
-        fresh = rollout(p, ds.weather, ds.grid, 6, 4)
-        assert res.cell_mean.tobytes() == fresh.cell_mean.tobytes()
-        assert res.rep_totals.tobytes() == fresh.rep_totals.tobytes()
+    [(sets, totals)] = calls
+    assert len(sets) == 4
+    for p, row in zip(sets, totals):  # each is the rollout that computes its own weather term
+        _assert_same_bits(row, simulate_paths(p, ds.weather, ds.grid, 6, 4).rep_totals)
+
+
+def _reductions_from_lone_rollouts(params, scenarios, weather, grid, R, seed, baseline, observed):
+    """outage_reductions as one simulate_paths per parameter set, no rollout shared."""
+    if baseline == "simulated_total":
+        base = simulate_paths(params, weather, grid, R, seed)
+        base_total = base.mean_total
+    else:
+        base_total = float(np.asarray(observed).sum())
+    if base_total == 0:
+        return None
+    out = []
+    for scen in scenarios:
+        lone = simulate_paths(apply_scenario(params, scen, reference_history=observed), weather, grid, R, seed)
+        if baseline == "simulated_total":
+            diff = base.rep_totals - lone.rep_totals
+            se_diff = diff.std(ddof=1) / np.sqrt(R) if R > 1 else 0.0
+        else:
+            se_diff = lone.total_std_err
+        out.append(ReductionResult(
+            reduction_pct=float(100.0 * (base_total - lone.mean_total) / base_total),
+            std_err_pct=float(100.0 * se_diff / base_total),
+            baseline_total=float(base_total),
+            scenario_total=float(lone.mean_total),
+            replications=R,
+            seed=seed,
+        ))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    K=st.integers(2, 5),
+    window=st.integers(1, 6),
+    extra=st.integers(1, 15),
+    R=st.integers(1, 5),
+    kinds=st.lists(
+        st.sampled_from(["identity", "cut", "add", "beta", "gamma", "omega", "mixed"]), min_size=1, max_size=6
+    ),
+    observed_baseline=st.booleans(),
+    one_per_block=st.booleans(),
+)
+def test_stacked_reductions_match_lone_rollouts(seed, K, window, extra, R, kinds, observed_baseline, one_per_block):
+    T = window + extra
+    rng = np.random.default_rng(seed)
+    params, observed, weather = random_small_instance(rng, K=K, T=T, n_edges=2 * K)
+    params.trig_window = window
+    ds = wrap_dataset(observed, weather)
+    w, edges = params.alpha.w, params.graph.edges
+    active = [e for e in edges if w[params.graph.index[e]] > 0]
+    idle = [e for e in edges if w[params.graph.index[e]] == 0]
+    unit = int(rng.integers(K))
+
+    def scenario(kind):
+        if kind == "cut":  # deactivates edges the baseline uses
+            return Scenario(edge_reweights=[(s, t, 0.0) for s, t in active[: 1 + seed % max(len(active), 1)]])
+        if kind == "add":  # activates a candidate edge the baseline does not use
+            return Scenario(edge_reweights=[(s, t, 0.3) for s, t in idle[:1]])
+        if kind == "beta":
+            return Scenario(beta_overrides=[(unit, float(rng.uniform(0.1, 2.0)))])
+        if kind == "gamma":
+            return Scenario(gamma_overrides=[(unit, MEAN)], gamma_top_units=1)
+        if kind == "omega":
+            return Scenario(omega_overrides=[(1, float(rng.uniform(0.0, 1.2)))])
+        if kind == "mixed":
+            return Scenario(top_k_units=1, top_e_edges=1, edge_target=0.0, beta_bottom_units=1,
+                            omega_overrides=[(0, 0.5)])
+        return Scenario()
+
+    scenarios = [scenario(kind) for kind in kinds]
+    baseline = "observed_total" if observed_baseline else "simulated_total"
+    want = _reductions_from_lone_rollouts(params, scenarios, ds.weather, ds.grid, R, seed, baseline, observed)
+    # BLOCK_FLOATS = 1 puts every replication in a block of its own
+    with mock.patch.object(simulate, "BLOCK_FLOATS", 1 if one_per_block else simulate.BLOCK_FLOATS):
+        if want is None:
+            with pytest.raises(NumericError, match="undefined"):
+                outage_reductions(params, scenarios, ds.weather, ds.grid, R, seed, baseline=baseline, observed=observed)
+            return
+        got = outage_reductions(params, scenarios, ds.weather, ds.grid, R, seed, baseline=baseline, observed=observed)
+    for g, v in zip(got, want, strict=True):
+        assert [np.float64(getattr(g, f.name)).tobytes() for f in dataclasses.fields(g)] == [
+            np.float64(getattr(v, f.name)).tobytes() for f in dataclasses.fields(v)
+        ]
+
+
+def test_stacked_divergence_names_the_parameter_set():
+    # the baseline is stable; the scenario's strong 3-cycle runs away, and the
+    # error is the one its lone rollout raises, with the set named
+    params = _chain_params(
+        K=3, alphas=((0, 1, 0.1), (1, 2, 0.1), (2, 0, 0.1)), beta=(2.0, 2.0, 2.0), gamma=(0.1, 0.1, 0.1)
+    )
+    T, R, seed = 40, 6, 16
+    ds = _shell(params, T)
+    strong = Scenario(edge_reweights=[(0, 1, 10.0), (1, 2, 10.0), (2, 0, 10.0)])
+    with pytest.raises(DivergenceError) as alone:
+        simulate_paths(apply_scenario(params, strong), ds.weather, ds.grid, R=R, seed=seed)
+    with pytest.raises(DivergenceError) as stacked:
+        outage_reductions(params, [Scenario(), strong], ds.weather, ds.grid, R=R, seed=seed)
+    assert str(stacked.value) == str(alone.value).replace(
+        "exploded at", "exploded in parameter set 1 (scenario 1) at"
+    )
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stacked_rollout_memory_does_not_grow_with_sets_times_slots():
+    # several distinct sets stepped together keep their kernel windows and
+    # per-replication totals only: the peak stays under the lone rollout's
+    # bound of R x K x T / 4 floats, and doubling T adds no more than the
+    # weather term's own arrays and one K x T network output, where an
+    # (S, K, T) array or per-cell statistics per set would add S of them
+    R, K = 60, 40
+    params = random_small_params(np.random.default_rng(5), K=K, M=1, n_edges=2 * K, trig_window=5)
+    params.gamma *= 0.01  # intensities below POISSON_GUESS_MIN, so the rollout stays quick
+    scenarios = [
+        Scenario(gamma_top_units=10),
+        Scenario(beta_bottom_units=10),
+        Scenario(edge_reweights=[(s, t, 0.0) for s, t in params.graph.edges[:40]]),
+    ]
+    peaks, weather_peaks = [], []
+    for T in (400, 800):
+        weather = np.zeros((K, T, 1))
+        grid = _shell(params, T).grid
+        peaks.append(_traced_peak(outage_reductions, params, scenarios, weather, grid, R=R, seed=1))
+        weather_peaks.append(_traced_peak(simulate.weather_response, params, weather))
+    assert peaks[1] < R * K * 800 * 8 / 4, f"peak {peaks[1]} bytes"
+    grown, weather_grown = peaks[1] - peaks[0], weather_peaks[1] - weather_peaks[0]
+    assert grown <= weather_grown + K * 400 * 8, f"peak grew by {grown} bytes, the weather term by {weather_grown}"
