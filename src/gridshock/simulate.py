@@ -34,10 +34,11 @@ coupling sum over the union of the sets' active edges (weight 0.0 where a
 set lacks an edge, which leaves its bits unchanged), one overflow check, one
 inversion of the block's uniforms broadcast over S, and one kernel step. The
 network output is computed once per distinct omega and scaled by each set's
-gamma slot by slot, and only per-replication totals are kept, so memory
-grows with S x R x K x trig_window, not with S x K x T. Each set's totals
-are bit for bit those of a lone `simulate_paths`, which is the one-set
-caller of the same loop.
+gamma a uniform chunk of slots at a time, and only per-replication totals
+are kept, so memory grows with S x R x K x trig_window, not with S x K x T,
+and the replications are cut into blocks sized for all S sets' windows and
+temporaries (BLOCK_FLOATS). Each set's totals are bit for bit those of a
+lone `simulate_paths`, which is the one-set caller of the same loop.
 """
 
 from __future__ import annotations
@@ -267,7 +268,6 @@ def simulate_paths(
     teacher_forced_until: int = 0,
     observed=None,
     store_paths: bool = False,
-    mu: np.ndarray | None = None,
 ) -> SimResult:
     """Roll the process forward R times over the grid, replaying `weather`.
 
@@ -275,8 +275,6 @@ def simulate_paths(
     history (lambda there is still evaluated, and counts still drawn, so
     fully forced runs measure the one-step distribution); slots after it feed
     the replication's own draws forward. Deterministic given the seed.
-    `mu` is the network output over the grid, model.weather_response of the
-    weather's first T slots, when the caller already has it for these params.
     """
     if R < 1:
         raise ValidationError(f"need at least one replication, got {R}")
@@ -291,15 +289,14 @@ def simulate_paths(
         if obs.shape[0] != K or obs.shape[1] < cutoff:
             raise ValidationError(f"observed history {obs.shape} does not cover the forced span")
 
-    if mu is None:
-        mu = weather_response(params, x)
+    mu = weather_response(params, x)
     if cutoff >= T:
         lam = _lambda_given_history(params, Coupling(params.alpha), obs[:, :T], params.gamma[:, None] * mu)
         draws = _forced_draws(lam, R, seed)
     else:
         draws = (
             (reps, slice(t, t + 1), n[:, 0].T[:, :, None])
-            for reps, t, n in _rollout_draws([params], [mu], [0], obs, cutoff, R, seed)
+            for reps, t, n in _rollout_draws([params], [mu], obs, cutoff, R, seed)
         )
 
     # Counts are integer-valued, so these sums are exact in any order.
@@ -488,6 +485,11 @@ def _cdf_summed_down(k, p, lam):
 # count window, the uniforms and the coupling temporaries stay near this many
 # floats.
 BLOCK_FLOATS = 1 << 22
+# Besides its count window, each (unit, replication, parameter set) of a
+# rollout holds about this many floats at the slot's peak (tracemalloc, with
+# lambda from 1 to 1e4): the kernel state, lambda, the counts, and the
+# inversion's copy of the uniforms and its search arrays.
+ROLLOUT_TEMPS = 16
 # Uniforms are drawn this many slots at a time into one buffer per block.
 UNIFORM_SLOTS = 8
 
@@ -522,16 +524,17 @@ def _forced_draws(lam, R, seed):
             yield slice(r0, reps.stop), slots, poisson_quantile(lam[:, slots].T, u).transpose(0, 2, 1)
 
 
-def _rollout_draws(sets, mus, which, obs, cutoff, R, seed, names=None):
+def _rollout_draws(sets, mus, obs, cutoff, R, seed, names=None):
     """Free-running and partly forced runs of S parameter sets, one slot at a
     time for a block of replications at once; yields (reps, t, n) with n the
     slot's (K, S, block) counts.
 
     The sets differ only in the arrays a scenario edits (alpha, beta, gamma,
-    omega); set s takes its network output from mus[which[s]], so its weather
-    term gamma_s mu is formed slot by slot. The block's kernel state P is
-    (K, S, block), and each slot makes one coupling sum, one overflow check,
-    one inversion and one kernel step for all of it. Every set reads the same
+    omega); mus[s] is set s's K x T network output (sets of one omega may
+    share it), and its weather term gamma_s mu is formed a uniform chunk of
+    slots at a time. The block's kernel state P is (K, S, block), and each
+    slot makes one coupling sum, one overflow check, one inversion and one
+    kernel step for all of it. Every set reads the same
     uniforms, replication r's own, so its path depends neither on the other
     sets nor on which replications share its block. Only the counts inside
     the kernel window are kept, in a ring of min(window + 1, T) slots.
@@ -545,15 +548,15 @@ def _rollout_draws(sets, mus, which, obs, cutoff, R, seed, names=None):
     gamma = np.stack([p.gamma for p in sets], axis=1)
     kern = Kernel(beta, window)
     rate = beta[:, :, None]
-    block = max(1, BLOCK_FLOATS // (K * (S * (span + 2) + UNIFORM_SLOTS) + 2 * coupling.w.size))
+    block = max(1, BLOCK_FLOATS // (K * (S * (span + ROLLOUT_TEMPS) + UNIFORM_SLOTS) + 2 * coupling.w.size))
     for r0 in range(0, R, block):
         reps = range(r0, min(r0 + block, R))
         ring = np.zeros((span, K, S, len(reps)))
         P = np.zeros((K, S, len(reps)))
         for t0, u in _uniforms(seed, reps, K, T):
+            direct = gamma[:, :, None] * np.stack([m[:, t0 : t0 + u.shape[1]] for m in mus], axis=1)
             for t in range(t0, t0 + u.shape[1]):
-                mu = mus[0][:, t, None] if len(mus) == 1 else np.stack([m[:, t] for m in mus], axis=1)[:, which]
-                lam = (gamma * mu)[:, :, None] + coupling.apply(rate * P) + eps
+                lam = direct[:, :, t - t0, None] + coupling.apply(rate * P) + eps
                 if (lam > LAMBDA_OVERFLOW).any():
                     s, b = np.unravel_index(np.argmax((lam > LAMBDA_OVERFLOW).any(axis=0)), (S, len(reps)))
                     i = int(np.argmax(lam[:, s, b]))
@@ -618,6 +621,12 @@ def outage_reductions(
         raise ValidationError(f"baseline must be simulated_total or observed_total, got {baseline!r}")
     if baseline == "observed_total" and observed is None:
         raise ValidationError("observed_total baseline requires observed counts")
+    if R < 1:
+        raise ValidationError(f"need at least one replication, got {R}")
+    if baseline == "observed_total":
+        base_total = float(np.asarray(getattr(observed, "counts", observed)).sum())
+        if base_total == 0:
+            raise NumericError("baseline total outages is zero; reduction percentage is undefined")
     applied = [apply_scenario(params, scen, reference_history=observed) for scen in scenarios]
     sets, names, index = [], [], {}
 
@@ -636,10 +645,8 @@ def outage_reductions(
     totals = _rollout_totals(sets, weather, grid, R, seed, names)
     if baseline == "simulated_total":
         base_total = float(totals[base].mean())
-    else:
-        base_total = float(np.asarray(getattr(observed, "counts", observed)).sum())
-    if base_total == 0:
-        raise NumericError("baseline total outages is zero; reduction percentage is undefined")
+        if base_total == 0:
+            raise NumericError("baseline total outages is zero; reduction percentage is undefined")
     results = []
     for s in rolled:
         spread = totals[base] - totals[s] if baseline == "simulated_total" else totals[s]
@@ -668,15 +675,14 @@ def _rollout_totals(sets, weather, grid, R, seed, names):
     if not sets:
         return totals
     x = _weather_on_grid(sets[0], weather, grid)
-    responses, which = {}, []
+    responses, mus = {}, []
     for p in sets:
         omega = p.decay.omega.tobytes()
         if omega not in responses:
-            responses[omega] = len(responses), weather_response(p, x)
-        which.append(responses[omega][0])
-    mus = [mu for _, mu in responses.values()]
+            responses[omega] = weather_response(p, x)
+        mus.append(responses[omega])
     # Counts are integer-valued, so these sums are exact in any order.
-    for reps, _, n in _rollout_draws(sets, mus, which, None, 0, R, seed, names):
+    for reps, _, n in _rollout_draws(sets, mus, None, 0, R, seed, names):
         totals[:, reps] += n.sum(axis=0)
     return totals
 

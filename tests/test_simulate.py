@@ -301,8 +301,13 @@ def test_each_count_depends_only_on_its_own_cell(cells):
 def test_simulate_validation():
     params = _chain_params()
     ds = _shell(params, 6)
-    with pytest.raises(ValidationError, match="replication"):
-        simulate_paths(params, ds.weather, ds.grid, R=0, seed=1)
+    for R in (0, -1):
+        with pytest.raises(ValidationError, match="replication"):
+            simulate_paths(params, ds.weather, ds.grid, R=R, seed=1)
+        with pytest.raises(ValidationError, match="replication"):
+            outage_reductions(params, [Scenario()], ds.weather, ds.grid, R=R, seed=1)
+        with pytest.raises(ValidationError, match="replication"):
+            sweep(params, ds.weather, ds.grid, axis1=[1], axis2=[1], R=R, seed=1)
     with pytest.raises(ValidationError, match="observed"):
         simulate_paths(params, ds.weather, ds.grid, R=2, seed=1, teacher_forced_until=3)
     with pytest.raises(ValidationError, match="does not cover"):
@@ -588,10 +593,15 @@ def test_observed_baseline():
         outage_reductions(params, [Scenario()], ds.weather, ds.grid, R=5, seed=5, baseline="observed_total")[0]
     with pytest.raises(ValidationError, match="baseline must be"):
         outage_reductions(params, [Scenario()], ds.weather, ds.grid, R=5, seed=5, baseline="nope")[0]
+    # a zero observed baseline is refused before any rollout, so a scenario
+    # that would diverge does not get to
     zeros = np.zeros((2, T), dtype=np.int64)
+    exploding = Scenario(gamma_overrides=[(0, 1e300)])
+    with pytest.raises(DivergenceError):
+        outage_reductions(params, [exploding], ds.weather, ds.grid, R=5, seed=5)
     with pytest.raises(NumericError, match="undefined"):
         outage_reductions(
-            params, [Scenario()], ds.weather, ds.grid, R=5, seed=5, baseline="observed_total", observed=zeros
+            params, [exploding], ds.weather, ds.grid, R=5, seed=5, baseline="observed_total", observed=zeros
         )[0]
 
 
@@ -790,26 +800,32 @@ def _traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_stacked_rollout_memory_does_not_grow_with_sets_times_slots():
-    # several distinct sets stepped together keep their kernel windows and
-    # per-replication totals only: the peak stays under the lone rollout's
-    # bound of R x K x T / 4 floats, and doubling T adds no more than the
-    # weather term's own arrays and one K x T network output, where an
-    # (S, K, T) array or per-cell statistics per set would add S of them
-    R, K = 60, 40
-    params = random_small_params(np.random.default_rng(5), K=K, M=1, n_edges=2 * K, trig_window=5)
-    params.gamma *= 0.01  # intensities below POISSON_GUESS_MIN, so the rollout stays quick
+def test_stacked_rollout_memory_stays_within_the_block_budget():
+    # the replications, slots, kernel window and parameters of the lone
+    # memory test, on fewer units so that four sets roll out in seconds. The
+    # block budget is lowered until it binds: below it every set keeps its
+    # own kernel window and temporaries, so a stacked rollout holds S times a
+    # lone one's state. Blocks sized for the per-set temporaries keep the
+    # peak of four distinct sets at or below the baseline's alone, under the
+    # lone test's bound of R x K x T / 4 floats, and doubling T adds no more
+    # than the weather term's own arrays and one K x T network output, where
+    # an (S, K, T) array or per-cell statistics per set would add S of them
+    R, K = 100, 40
+    params = random_small_params(np.random.default_rng(5), K=K, M=2, n_edges=2 * K, trig_window=5)
     scenarios = [
         Scenario(gamma_top_units=10),
         Scenario(beta_bottom_units=10),
         Scenario(edge_reweights=[(s, t, 0.0) for s, t in params.graph.edges[:40]]),
     ]
-    peaks, weather_peaks = [], []
-    for T in (400, 800):
-        weather = np.zeros((K, T, 1))
-        grid = _shell(params, T).grid
-        peaks.append(_traced_peak(outage_reductions, params, scenarios, weather, grid, R=R, seed=1))
-        weather_peaks.append(_traced_peak(simulate.weather_response, params, weather))
-    assert peaks[1] < R * K * 800 * 8 / 4, f"peak {peaks[1]} bytes"
-    grown, weather_grown = peaks[1] - peaks[0], weather_peaks[1] - weather_peaks[0]
-    assert grown <= weather_grown + K * 400 * 8, f"peak grew by {grown} bytes, the weather term by {weather_grown}"
+    peaks, weather_peaks = {}, {}
+    with mock.patch.object(simulate, "BLOCK_FLOATS", 1 << 17):
+        for T in (100, 200):
+            weather = np.zeros((K, T, 2))
+            grid = _shell(params, T).grid
+            peaks[T] = _traced_peak(outage_reductions, params, scenarios, weather, grid, R=R, seed=1)
+            weather_peaks[T] = _traced_peak(simulate.weather_response, params, weather)
+        alone = _traced_peak(outage_reductions, params, [Scenario()], weather, grid, R=R, seed=1)
+    assert peaks[200] <= alone, f"{len(scenarios) + 1} sets peak at {peaks[200]} bytes, the baseline alone at {alone}"
+    assert peaks[200] < R * K * 200 * 8 / 4, f"peak {peaks[200]} bytes"
+    grown, weather_grown = peaks[200] - peaks[100], weather_peaks[200] - weather_peaks[100]
+    assert grown <= weather_grown + K * 100 * 8, f"peak grew by {grown} bytes, the weather term by {weather_grown}"
