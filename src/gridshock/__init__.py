@@ -81,7 +81,6 @@ _EXPORTS = {
     "simulate_paths": "simulate",
     "apply_scenario": "simulate",
     "outage_reductions": "simulate",
-    "sweep": "simulate",
     "sweep_scenarios": "simulate",
     # analyze
     "decompose": "analyze",

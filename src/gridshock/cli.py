@@ -30,7 +30,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import FileFormatError, InsufficientDataError, NumericError, ValidationError
+from .errors import FileFormatError, InsufficientDataError, NumericError, ValidationError, is_int
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -129,9 +129,9 @@ def effective_config(args) -> dict:
     return cfg
 
 
-# The type of each numeric config key: `_setting` reads them as that type and
-# `--validate-only` checks them all. `fit.batch_slots` (an integer, "full" or
-# null) and `grid.num_slots` (an integer or "auto") also take a word.
+# The type of each numeric config key, read by `_setting` (NONNEGATIVE keys
+# also >= 0) and checked by `--validate-only`. `fit.batch_slots` (an integer,
+# "full" or null) and `grid.num_slots` (an integer or "auto") also take a word.
 SETTING_TYPES = {
     "grid.slot_seconds": int,
     "graph.k_neighbors": int,
@@ -150,10 +150,7 @@ SETTING_TYPES = {
     "predict.horizon": int,
     "analyze.zero_run_threshold": int,
 }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+NONNEGATIVE = {"sim.teacher_forced_until"}
 
 
 def _setting(cfg: dict, key: str, kind=None):
@@ -166,13 +163,15 @@ def _setting(cfg: dict, key: str, kind=None):
     for part in key.split("."):
         value = value[part]
     if kind is tuple:
-        ok, expected = isinstance(value, (list, tuple)) and all(map(_is_int, value)), "a list of integers"
+        ok, expected = isinstance(value, (list, tuple)) and all(map(is_int, value)), "a list of integers"
     elif kind is int:
-        ok, expected = _is_int(value), "an integer"
+        ok, expected = is_int(value), "an integer"
     else:
         ok, expected = isinstance(value, numbers.Real) and not isinstance(value, bool), "a number"
     if not ok:
         raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
+    if key in NONNEGATIVE and value < 0:
+        raise ValidationError(f"config key {key!r} must be an integer >= 0, got {value!r}")
     return tuple(map(int, value)) if kind is tuple else kind(value)
 
 

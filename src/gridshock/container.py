@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, is_count, is_int
 
 MAGIC = b"GSHKBIN\x00"
 
@@ -91,20 +91,16 @@ def _parse_header(path: Path, hbytes: bytes) -> dict:
     return header
 
 
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
 # (check, description) kinds of meta values, for meta_value
-INTEGER = (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer")
-COUNT = (_is_count, "an integer >= 0")
+INTEGER = (is_int, "an integer")
+COUNT = (is_count, "an integer >= 0")
 NUMBER = (lambda x: isinstance(x, (int, float)) and not isinstance(x, bool), "a number")
 TEXT = (lambda x: isinstance(x, str), "a string")
 OBJECT = (lambda x: isinstance(x, dict), "an object")
 OBJECTS = (lambda x: isinstance(x, list) and all(isinstance(v, dict) for v in x), "a list of objects")
 TEXTS = (lambda x: isinstance(x, list) and all(isinstance(v, str) for v in x), "a list of strings")
 PAIRS = (
-    lambda x: isinstance(x, list) and all(isinstance(v, list) and len(v) == 2 and all(map(_is_count, v)) for v in x),
+    lambda x: isinstance(x, list) and all(isinstance(v, list) and len(v) == 2 and all(map(is_count, v)) for v in x),
     "a list of [source, target] pairs of integers >= 0",
 )
 
@@ -128,9 +124,9 @@ def _check_entry(path: Path, entry) -> None:
     dtype, shape, offset, nbytes = (entry.get(key) for key in ("dtype", "shape", "offset", "nbytes"))
     if not isinstance(dtype, str) or dtype not in _ALLOWED_DTYPES:
         raise FileFormatError(f"{where}: illegal dtype {dtype!r} in container")
-    if not (isinstance(shape, list) and all(map(_is_count, shape))):
+    if not (isinstance(shape, list) and all(map(is_count, shape))):
         raise FileFormatError(f"{where}: shape {shape!r} is not a list of non-negative integers")
-    if not (_is_count(offset) and _is_count(nbytes)):
+    if not (is_count(offset) and is_count(nbytes)):
         raise FileFormatError(f"{where}: offset {offset!r} and nbytes {nbytes!r} must be non-negative integers")
     if nbytes != math.prod(shape) * np.dtype(dtype).itemsize:
         raise FileFormatError(f"{where}: {nbytes} bytes do not hold shape {shape} of {dtype}")

@@ -1,8 +1,20 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and integer checks shared across the package; no numpy,
+so the CLI can load it before `--threads` acts.
 
 The CLI maps these onto exit codes: validation problems exit 2, numeric
 failures exit 3, file/container problems exit 4.
 """
+
+import numbers
+
+
+def is_int(value) -> bool:
+    """An integer, Python's or numpy's; bools are not integers."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    return is_int(value) and value >= 0
 
 
 class GridshockError(Exception):

@@ -5,8 +5,9 @@ together: at each slot the intensity of every replication is computed from
 its history so far (observed history before the teacher-forced cutoff,
 simulated history after), with lambda summed by model.py's kernel state and
 coupling in the order of `intensity_field`, so a path's intensity is exactly
-the path's own field. Only the counts inside the kernel window are kept, so
-memory grows with R x K x trig_window, not with R x K x T.
+the path's own field. One loop serves free, partly forced and fully forced
+runs. Only the counts inside the kernel window are kept, so memory grows
+with R x K x trig_window, not with R x K x T.
 
 Draws are by inversion. Replication r owns the uniform stream
 default_rng(seed ^ r) and reads it K doubles per slot, slot after slot, so
@@ -50,10 +51,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DivergenceError, NumericError, ValidationError
+from .errors import DivergenceError, NumericError, ValidationError, is_count
 from .ingest import TimeGrid
-from .model import Coupling, Kernel, ModelParams, kernel_matrix, weather_response
-from .model import mlp_forward  # noqa: F401  (binding patched by perfbench/tracer.py)
+from .model import Coupling, Kernel, ModelParams, weather_response
+from .model import kernel_matrix, mlp_forward  # noqa: F401  (bindings patched by perfbench/tracer.py)
 from .topology import enforce_no_loops
 from .weather_effect import accumulate  # noqa: F401  (binding patched by perfbench/tracer.py)
 
@@ -63,11 +64,6 @@ MEAN = "mean"  # symbolic override value: population average
 CLAUSE_LISTS = {"edge_reweights": ("source", "target"), "gamma_overrides": ("unit",), "beta_overrides": ("unit",),
                 "omega_overrides": ("variable",)}  # a clause is these integer indices, then its value
 SELECTORS = ("top_k_units", "top_e_edges", "gamma_top_units", "beta_bottom_units")
-
-
-def _is_count(value) -> bool:
-    """An integer >= 0 (a unit or variable index, or a selector count); bools are not counts."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass
@@ -103,7 +99,7 @@ class Scenario:
         for name, indices in CLAUSE_LISTS.items():
             clauses = getattr(self, name)
             if not isinstance(clauses, (list, tuple)) or not all(
-                isinstance(c, (list, tuple)) and len(c) == len(indices) + 1 and all(map(_is_count, c[:-1]))
+                isinstance(c, (list, tuple)) and len(c) == len(indices) + 1 and all(map(is_count, c[:-1]))
                 for c in clauses
             ):
                 raise ValidationError(
@@ -113,7 +109,7 @@ class Scenario:
             values += [(name, clause[-1]) for clause in clauses]
         for name in SELECTORS:
             count = getattr(self, name)
-            if count is not None and not _is_count(count):
+            if count is not None and not is_count(count):
                 raise ValidationError(f"{name} must be an integer >= 0, got {count!r}")
         for name, value in values:
             try:
@@ -272,15 +268,17 @@ def simulate_paths(
     """Roll the process forward R times over the grid, replaying `weather`.
 
     Slots before `teacher_forced_until` feed *observed* counts into the
-    history (lambda there is still evaluated, and counts still drawn, so
-    fully forced runs measure the one-step distribution); slots after it feed
-    the replication's own draws forward. Deterministic given the seed.
+    history, later slots the replication's own draws. Every slot's counts are
+    drawn, so fully forced runs measure the one-step distribution; free,
+    partly and fully forced runs are one slot loop. Deterministic given the seed.
     """
     if R < 1:
         raise ValidationError(f"need at least one replication, got {R}")
+    if teacher_forced_until < 0:
+        raise ValidationError(f"teacher_forced_until must be >= 0, got {teacher_forced_until}")
     x = _weather_on_grid(params, weather, grid)
     K, T = x.shape[:2]
-    cutoff = int(np.clip(teacher_forced_until, 0, T))
+    cutoff = min(int(teacher_forced_until), T)
     obs = None
     if cutoff > 0:
         if observed is None:
@@ -290,27 +288,19 @@ def simulate_paths(
             raise ValidationError(f"observed history {obs.shape} does not cover the forced span")
 
     mu = weather_response(params, x)
-    if cutoff >= T:
-        lam = _lambda_given_history(params, Coupling(params.alpha), obs[:, :T], params.gamma[:, None] * mu)
-        draws = _forced_draws(lam, R, seed)
-    else:
-        draws = (
-            (reps, slice(t, t + 1), n[:, 0].T[:, :, None])
-            for reps, t, n in _rollout_draws([params], [mu], obs, cutoff, R, seed)
-        )
-
     # Counts are integer-valued, so these sums are exact in any order.
     rep_totals = np.zeros(R)
     cell_sum = np.zeros((K, T))
     cell_sq = np.zeros((K, T))
     paths = np.zeros((R, K, T), dtype=np.int64) if store_paths else None
-    for reps, slots, n in draws:  # n: (replications, K, slots) counts
+    for reps, t, n in _rollout_draws([params], [mu], obs, cutoff, R, seed):
+        n = n[:, 0]  # (K, block) counts of slot t
         if store_paths:
-            paths[reps, :, slots] = n
+            paths[reps, :, t] = n.T
         n = n.astype(np.float64)
-        rep_totals[reps] += n.sum(axis=(1, 2))
-        cell_sum[:, slots] += n.sum(axis=0)
-        cell_sq[:, slots] += (n * n).sum(axis=0)
+        rep_totals[reps] += n.sum(axis=0)
+        cell_sum[:, t] += n.sum(axis=1)
+        cell_sq[:, t] += (n * n).sum(axis=1)
 
     cell_mean = cell_sum / R
     cell_var = (cell_sq - R * cell_mean**2) / max(R - 1, 1)
@@ -511,33 +501,21 @@ def _uniforms(seed, reps, K, T):
         yield t0, u
 
 
-def _forced_draws(lam, R, seed):
-    """Fully forced runs: every replication inverts the pinned intensity `lam`
-    with its own uniforms; yields (block, K, slots) draws per uniform chunk."""
-    K, T = lam.shape
-    # the sampler holds about eight copies of the (block, slots, K) uniforms
-    block = max(1, BLOCK_FLOATS // (8 * K * min(UNIFORM_SLOTS, T)))
-    for r0 in range(0, R, block):
-        reps = range(r0, min(r0 + block, R))
-        for t0, u in _uniforms(seed, reps, K, T):
-            slots = slice(t0, t0 + u.shape[1])
-            yield slice(r0, reps.stop), slots, poisson_quantile(lam[:, slots].T, u).transpose(0, 2, 1)
-
-
 def _rollout_draws(sets, mus, obs, cutoff, R, seed, names=None):
-    """Free-running and partly forced runs of S parameter sets, one slot at a
-    time for a block of replications at once; yields (reps, t, n) with n the
-    slot's (K, S, block) counts.
+    """Free, partly forced and fully forced runs of S parameter sets, one
+    slot at a time for a block of replications at once; yields (reps, t, n)
+    with n the slot's (K, S, block) counts. Slots before `cutoff` feed
+    obs[:, t], not their draws, into the kernel state.
 
     The sets differ only in the arrays a scenario edits (alpha, beta, gamma,
     omega); mus[s] is set s's K x T network output (sets of one omega may
     share it), and its weather term gamma_s mu is formed a uniform chunk of
     slots at a time. The block's kernel state P is (K, S, block), and each
     slot makes one coupling sum, one overflow check, one inversion and one
-    kernel step for all of it. Every set reads the same
-    uniforms, replication r's own, so its path depends neither on the other
-    sets nor on which replications share its block. Only the counts inside
-    the kernel window are kept, in a ring of min(window + 1, T) slots.
+    kernel step for all of it. Every set reads the same uniforms, replication
+    r's own, so its path depends neither on the other sets nor on which
+    replications share its block. Only the counts inside the kernel window
+    are kept, in a ring of min(window + 1, T) slots.
     `names[s]` labels set s in a divergence error (None: a lone set).
     """
     K, T = mus[0].shape
@@ -570,16 +548,6 @@ def _rollout_draws(sets, mus, obs, cutoff, R, seed, names=None):
                 new = obs[:, t, None, None] if t < cutoff else n.astype(np.float64)
                 P = kern.step(P, new, ring[(t - window) % span] if t >= window else None)
                 ring[t % span] = new
-
-
-def _lambda_given_history(params, coupling, hist, mu_direct):
-    """Intensity at every slot when the full history is pinned to `hist`."""
-    R = kernel_matrix(hist, params.beta, params.trig_window)
-    lam = mu_direct + coupling.apply(R) + params.eps
-    if (lam > LAMBDA_OVERFLOW).any():
-        i, t = np.argwhere(lam > LAMBDA_OVERFLOW)[0]
-        raise DivergenceError(f"intensity exploded at (unit={i}, slot={t}): {lam[i, t]:.3e}")
-    return lam
 
 
 @dataclass
@@ -696,7 +664,7 @@ def sweep_scenarios(axis1: list, axis2: list, mode: str = "edges") -> list:
     average recovery rate. A cell with a 0 on an edges axis, or 0 on both
     margins axes, is the identity scenario.
     """
-    if not all(isinstance(axis, (list, tuple)) and axis and all(map(_is_count, axis)) for axis in (axis1, axis2)):
+    if not all(isinstance(axis, (list, tuple)) and axis and all(map(is_count, axis)) for axis in (axis1, axis2)):
         raise ValidationError(f"sweep axes must be nonempty lists of integers >= 0, got {axis1!r} and {axis2!r}")
     if mode not in ("edges", "margins"):
         raise ValidationError(f"sweep mode must be 'edges' or 'margins', got {mode!r}")
@@ -710,25 +678,3 @@ def sweep_scenarios(axis1: list, axis2: list, mode: str = "edges") -> list:
             cells.append((a1, a2, scen))
     return cells
 
-
-def sweep(
-    params: ModelParams,
-    weather,
-    grid: TimeGrid,
-    axis1: list,
-    axis2: list,
-    R: int,
-    seed: int,
-    mode: str = "edges",
-    observed=None,
-    baseline: str = "simulated_total",
-) -> list:
-    """Cartesian scenario grid -> rows of (axis1, axis2, reduction_pct, std_err_pct).
-
-    The cells are :func:`sweep_scenarios`; the baseline is simulated once.
-    """
-    cells = sweep_scenarios(axis1, axis2, mode)
-    results = outage_reductions(
-        params, [scen for _, _, scen in cells], weather, grid, R, seed, baseline=baseline, observed=observed
-    )
-    return [(a1, a2, res.reduction_pct, res.std_err_pct) for (a1, a2, _), res in zip(cells, results)]

@@ -741,6 +741,7 @@ def test_a_corrupt_container_exits_4(pipeline, tmp_path, capsys, corrupt, edit, 
         ("simulate", {"sim": {"replications": "abc"}}, "'sim.replications' must be an integer, got 'abc'"),
         ("simulate", {"sim": {"replications": 2.7}}, "'sim.replications' must be an integer, got 2.7"),
         ("simulate", {"sim": {"teacher_forced_until": True}}, "'sim.teacher_forced_until' must be an integer, got True"),
+        ("simulate", {"sim": {"teacher_forced_until": -3}}, "'sim.teacher_forced_until' must be an integer >= 0, got -3"),
         ("enhance", {"sim": {"seed": "7"}}, "'sim.seed' must be an integer, got '7'"),
         ("fit", {"fit": {"hidden_sizes": 5}}, "'fit.hidden_sizes' must be a list of integers, got 5"),
         ("fit", {"fit": {"hidden_sizes": [8, 2.5]}}, "'fit.hidden_sizes' must be a list of integers, got [8, 2.5]"),
@@ -750,7 +751,7 @@ def test_a_corrupt_container_exits_4(pipeline, tmp_path, capsys, corrupt, edit, 
         ("predict", {"predict": {"horizon": "2"}}, "'predict.horizon' must be an integer, got '2'"),
         ("ingest", {"grid": {"num_slots": "many"}}, "'grid.num_slots' must be an integer, got 'many'"),
     ],
-    ids=["string", "non-integral-float", "bool", "string-seed", "scalar-list", "float-in-list", "string-number",
+    ids=["string", "non-integral-float", "bool", "negative-cutoff", "string-seed", "scalar-list", "float-in-list", "string-number",
          "bool-number", "float-count", "string-horizon", "string-slots"],
 )
 @pytest.mark.parametrize("validate", [[], ["--validate-only"]], ids=["run", "validate-only"])

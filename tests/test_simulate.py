@@ -35,7 +35,6 @@ from gridshock.simulate import (
     outage_reductions,
     poisson_quantile,
     simulate_paths,
-    sweep,
     sweep_scenarios,
     top_e_edges_per_unit,
     top_k_units_by_max_outages,
@@ -85,6 +84,10 @@ def test_scenario_validation():
             Scenario.from_dict(json.loads(f'{{"beta_overrides": [[0, {text}]]}}'))
     with pytest.raises(ValidationError, match="together"):
         Scenario(top_k_units=2)
+    # numpy integers are integers in Python-API scenarios; bools are not
+    Scenario(gamma_overrides=[(np.int64(1), 0.5)], top_k_units=np.int32(2), top_e_edges=np.uint8(1))
+    with pytest.raises(ValidationError, match="integer"):
+        Scenario(gamma_top_units=np.bool_(True))
     assert Scenario().is_identity()
     assert not Scenario(gamma_overrides=[(0, 0.2)]).is_identity()
 
@@ -307,9 +310,12 @@ def test_simulate_validation():
         with pytest.raises(ValidationError, match="replication"):
             outage_reductions(params, [Scenario()], ds.weather, ds.grid, R=R, seed=1)
         with pytest.raises(ValidationError, match="replication"):
-            sweep(params, ds.weather, ds.grid, axis1=[1], axis2=[1], R=R, seed=1)
+            outage_reductions(params, [s for *_, s in sweep_scenarios([1], [1])], ds.weather, ds.grid, R=R, seed=1)
     with pytest.raises(ValidationError, match="observed"):
         simulate_paths(params, ds.weather, ds.grid, R=2, seed=1, teacher_forced_until=3)
+    for cutoff in (-1, np.int64(-3)):  # not clipped to a free run
+        with pytest.raises(ValidationError, match=f"teacher_forced_until must be >= 0, got {cutoff}"):
+            simulate_paths(params, ds.weather, ds.grid, R=2, seed=1, teacher_forced_until=cutoff, observed=ds.outages)
     with pytest.raises(ValidationError, match="does not cover"):
         simulate_paths(params, np.zeros((2, 3, 1)), ds.grid, R=2, seed=1)
 
@@ -531,6 +537,25 @@ def test_divergence_names_the_first_slot_and_replication_that_explode():
     assert rep == min(r for r in first if first[r] == slot)
 
 
+def test_fully_forced_divergence_names_the_earliest_slot_that_explodes():
+    # the pinned field explodes first at slot 5 in units 1 and 2 (unit 2 the
+    # larger), and in unit 0 only at slot 11: the run stops at the earliest
+    # such slot, names the unit of largest intensity there, and, as every
+    # replication shares the pinned field, replication 0
+    params = _chain_params(K=3, alphas=((0, 1, 0.1),), beta=(1.0, 1.0, 1.0), gamma=(0.5, 0.3, 0.2))
+    T = 16
+    observed = np.zeros((3, T), dtype=np.int64)
+    observed[1, 4], observed[2, 4], observed[0, 10] = 3 * 10**9, 4 * 10**9, 10**10
+    ds = wrap_dataset(observed, np.zeros((3, T, 1)))
+    lam = intensity_field(params, observed, ds.weather).lam
+    t = int(np.flatnonzero((lam > LAMBDA_OVERFLOW).any(axis=0))[0])
+    i = int(np.argmax(lam[:, t]))
+    assert (i, t) == (2, 5) and tuple(np.argwhere(lam > LAMBDA_OVERFLOW)[0]) == (0, 11)
+    with pytest.raises(DivergenceError) as exc:
+        simulate_paths(params, ds.weather, ds.grid, R=3, seed=4, teacher_forced_until=T, observed=observed)
+    assert str(exc.value) == f"simulated intensity exploded at (unit={i}, slot={t}, replication=0): {lam[i, t]:.3e}"
+
+
 def test_free_running_memory_does_not_grow_with_replications_times_slots():
     # only the counts inside the kernel window are kept: R x K x (window + 1)
     R, K, T = 100, 200, 200
@@ -605,21 +630,29 @@ def test_observed_baseline():
         )[0]
 
 
+def _sweep_rows(params, ds, axis1, axis2, R, seed, mode="edges", observed=None):
+    """(axis1, axis2, reduction_pct, std_err_pct) of every sweep cell, from one
+    `outage_reductions` call over the cells, as `enhance` builds sweep.csv."""
+    cells = sweep_scenarios(axis1, axis2, mode)
+    results = outage_reductions(params, [s for *_, s in cells], ds.weather, ds.grid, R, seed, observed=observed)
+    return [(a1, a2, res.reduction_pct, res.std_err_pct) for (a1, a2, _), res in zip(cells, results)]
+
+
 def test_sweep_grid():
     params = _chain_params(K=3, alphas=((0, 1, 0.6), (1, 2, 0.5)), beta=(1, 1, 1), gamma=(0.8, 0.5, 0.2))
     T = 30
     observed = np.random.default_rng(2).integers(0, 3, (3, T))
     ds = wrap_dataset(observed, np.zeros((3, T, 1)))
-    rows = sweep(params, ds.weather, ds.grid, axis1=[0, 1], axis2=[0, 1], R=40, seed=3, observed=observed)
+    rows = _sweep_rows(params, ds, axis1=[0, 1], axis2=[0, 1], R=40, seed=3, observed=observed)
     assert len(rows) == 4
     by_axes = {(a1, a2): pct for a1, a2, pct, _ in rows}
     assert by_axes[(0, 0)] == 0.0
-    rows_m = sweep(params, ds.weather, ds.grid, axis1=[0, 1], axis2=[0], R=20, seed=3, mode="margins")
+    rows_m = _sweep_rows(params, ds, axis1=[0, 1], axis2=[0], R=20, seed=3, mode="margins")
     assert len(rows_m) == 2
     with pytest.raises(ValidationError, match="nonempty"):
-        sweep(params, ds.weather, ds.grid, axis1=[], axis2=[1], R=5, seed=1)
+        _sweep_rows(params, ds, axis1=[], axis2=[1], R=5, seed=1)
     with pytest.raises(ValidationError, match="mode"):
-        sweep(params, ds.weather, ds.grid, axis1=[1], axis2=[1], R=5, seed=1, mode="blah")
+        _sweep_rows(params, ds, axis1=[1], axis2=[1], R=5, seed=1, mode="blah")
 
 
 def _recording_rollouts(monkeypatch):
@@ -645,7 +678,7 @@ def test_sweep_simulates_each_distinct_parameter_set_once(monkeypatch):
     ds = wrap_dataset(observed, np.zeros((4, T, 1)))
     calls = _recording_rollouts(monkeypatch)
     axes = dict(axis1=[0, 1, 2], axis2=[0, 1, 2])
-    rows = sweep(params, ds.weather, ds.grid, **axes, R=20, seed=3, observed=observed)
+    rows = _sweep_rows(params, ds, **axes, R=20, seed=3, observed=observed)
     identity = sum(scen.is_identity() for _, _, scen in sweep_scenarios(**axes))
     assert identity == 5
     # one stacked rollout of the baseline, then each non-identity cell
