@@ -8,6 +8,11 @@ result directory is self-describing and reruns are reproducible.
 Exit codes: 0 ok, 2 validation/config problem, 3 numeric failure
 (divergence, undefined statistic), 4 file/format problem.
 
+`--validate-only` reads the command's settings and inputs as the command
+would (`ingest`'s CSV headers, whole dataset and model containers), then
+stops before computing: it exits with the code and message the run would
+give. A config value of the wrong type or out of its range exits 2.
+
 `--threads N` pins the numeric thread pools; it must act before numpy is
 first imported, which is why this module and the package root import the
 numeric stack lazily. Artifacts are byte-stable at a fixed thread count;
@@ -25,12 +30,14 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import numbers
 import os
 import sys
+from datetime import datetime
 from pathlib import Path
 
-from .errors import FileFormatError, InsufficientDataError, NumericError, ValidationError, is_int
+from .errors import FileFormatError, InsufficientDataError, NumericError, ValidationError, is_int, read_json_object
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -91,21 +98,10 @@ def _deep_merge(base: dict, override: dict, path="") -> dict:
     return out
 
 
-def load_config(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"config file {path} must hold a JSON object")
-    return payload
-
-
 def effective_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if args.config:
-        cfg = _deep_merge(cfg, load_config(args.config))
+        cfg = _deep_merge(cfg, read_json_object(args.config, "config"))
     overrides = {}
 
     def put(dotted, value):
@@ -129,49 +125,84 @@ def effective_config(args) -> dict:
     return cfg
 
 
-# The type of each numeric config key, read by `_setting` (NONNEGATIVE keys
-# also >= 0) and checked by `--validate-only`. `fit.batch_slots` (an integer,
-# "full" or null) and `grid.num_slots` (an integer or "auto") also take a word.
+AGGREGATIONS = ("mean", "max", "last")  # also the choices of --aggregation
+BASELINES = ("simulated_total", "observed_total")  # and of --baseline
+
+# Each config key `_setting` reads, with its kind and range: (int, n) is an
+# integer >= n, (float, 0) a finite number > 0, (tuple, 1) a list of integers
+# >= 1, (str, words) one of the words and (datetime, None) an ISO timestamp.
+# WORDS are the words a key takes besides, returned as they are.
 SETTING_TYPES = {
-    "grid.slot_seconds": int,
-    "graph.k_neighbors": int,
-    "graph.max_km": float,
-    "fit.step_size": float,
-    "fit.max_epochs": int,
-    "fit.tol": float,
-    "fit.seed": int,
-    "fit.hidden_sizes": tuple,
-    "fit.window_slots": int,
-    "fit.trig_window": int,
-    "fit.eps": float,
-    "sim.replications": int,
-    "sim.seed": int,
-    "sim.teacher_forced_until": int,
-    "predict.horizon": int,
-    "analyze.zero_run_threshold": int,
+    "aggregation": (str, AGGREGATIONS),
+    "grid.start": (datetime, None),
+    "grid.slot_seconds": (int, 1),
+    "grid.num_slots": (int, 2),
+    "graph.k_neighbors": (int, 1),
+    "graph.max_km": (float, 0),
+    "fit.step_size": (float, 0),
+    "fit.batch_slots": (int, 1),
+    "fit.max_epochs": (int, 0),
+    "fit.tol": (float, 0),
+    "fit.seed": (int, 0),
+    "fit.hidden_sizes": (tuple, 1),
+    "fit.window_slots": (int, 1),
+    "fit.trig_window": (int, 1),
+    "fit.eps": (float, 0),
+    "sim.replications": (int, 1),
+    "sim.seed": (int, 0),
+    "sim.teacher_forced_until": (int, 0),
+    "sim.baseline": (str, BASELINES),
+    "predict.horizon": (int, 1),
+    "analyze.zero_run_threshold": (int, 1),
 }
-NONNEGATIVE = {"sim.teacher_forced_until"}
+WORDS = {"grid.start": ("auto",), "grid.num_slots": ("auto",), "fit.batch_slots": ("full", None)}
+# The settings each command reads: `main` reads them, through `_setting`,
+# before the command or `--validate-only` reads anything else.
+COMMAND_SETTINGS = {
+    "ingest": ("grid.start", "grid.slot_seconds", "grid.num_slots", "aggregation"),
+    "fit": ("fit.step_size", "fit.batch_slots", "fit.max_epochs", "fit.tol", "fit.seed", "fit.hidden_sizes",
+            "fit.window_slots", "fit.trig_window", "fit.eps", "graph.k_neighbors", "graph.max_km"),
+    "predict": ("predict.horizon",),
+    "simulate": ("sim.replications", "sim.seed", "sim.teacher_forced_until"),
+    "enhance": ("sim.replications", "sim.seed", "sim.baseline"),
+    "analyze": ("analyze.zero_run_threshold",),
+    "export-map": (),
+}
 
 
-def _setting(cfg: dict, key: str, kind=None):
-    """The value of the dotted config `key` as its SETTING_TYPES type: an
-    integer, a number (float) or a list of integers (tuple). A value of
-    another type, bools included, is a ValidationError, never a cast, so 2.7
-    replications is an error, not 2."""
-    kind = kind or SETTING_TYPES[key]
+def _setting(cfg: dict, key: str):
+    """The value of the dotted config `key`, of its SETTING_TYPES kind and in
+    its range, or one of its WORDS. A value of another type, bools included,
+    is a ValidationError, never a cast, so 2.7 replications is an error, not
+    2; so is a value out of range, such as 0 replications."""
+    kind, bound = SETTING_TYPES[key]
     value = cfg
     for part in key.split("."):
         value = value[part]
+    if value in WORDS.get(key, ()):
+        return value
+    if key == "grid.num_slots" and isinstance(value, str) and value.isascii() and value.isdigit():
+        value = int(value)  # `--num-slots` hands over text
     if kind is tuple:
         ok, expected = isinstance(value, (list, tuple)) and all(map(is_int, value)), "a list of integers"
     elif kind is int:
         ok, expected = is_int(value), "an integer"
-    else:
+    elif kind is float:
         ok, expected = isinstance(value, numbers.Real) and not isinstance(value, bool), "a number"
+    elif kind is str:
+        ok, expected = value in bound, "one of " + ", ".join(map(repr, bound))
+    else:
+        ok, expected = isinstance(value, str), "an ISO timestamp"
     if not ok:
         raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
-    if key in NONNEGATIVE and value < 0:
-        raise ValidationError(f"config key {key!r} must be an integer >= 0, got {value!r}")
+    if kind is datetime:
+        from .ingest import parse_timestamp
+
+        return parse_timestamp(value)
+    if kind is float and not (math.isfinite(value) and value > bound):
+        raise ValidationError(f"config key {key!r} must be a finite number > {bound}, got {value!r}")
+    if kind is int and value < bound or kind is tuple and min(value, default=bound) < bound:
+        raise ValidationError(f"config key {key!r} must be {expected} >= {bound}, got {value!r}")
     return tuple(map(int, value)) if kind is tuple else kind(value)
 
 
@@ -207,54 +238,43 @@ def _raw_csvs(cfg: dict) -> dict:
             for kind in ("units", "outages", "weather")}
 
 
+def _load_dataset(cfg: dict):
+    from .ingest import load_dataset
+
+    return load_dataset(_require_file(_require(cfg, "dataset", "--dataset"), "dataset"))
+
+
 def _load_inputs(cfg: dict):
     """The dataset and the fitted model every command after `fit` reads."""
-    from . import ingest, model
+    from .model import deserialize
 
-    ds = ingest.load_dataset(_require_file(_require(cfg, "dataset", "--dataset"), "dataset"))
-    return ds, model.deserialize(_require_file(_require(cfg, "model", "--model"), "model"))
+    return _load_dataset(cfg), deserialize(_require_file(_require(cfg, "model", "--model"), "model"))
 
 
 # -- ingest -------------------------------------------------------------------
 
 
-def _resolve_grid(cfg: dict, outage_rows, weather_rows):
+def _resolve_grid(s: dict, outage_rows, weather_rows):
     """Build the TimeGrid, deriving span from the data when set to "auto"."""
     from operator import itemgetter
 
-    from .ingest import TimeGrid, parse_timestamp
+    from .ingest import TimeGrid
 
-    slot_seconds = _setting(cfg, "grid.slot_seconds")
-    start_cfg = cfg["grid"]["start"]
-    slots_cfg = cfg["grid"]["num_slots"]
-    if start_cfg == "auto" or slots_cfg == "auto":
+    slot_seconds, start, num_slots = s["grid.slot_seconds"], s["grid.start"], s["grid.num_slots"]
+    if start == "auto" or num_slots == "auto":
         stamps = [*map(itemgetter(1), outage_rows), *map(itemgetter(1), weather_rows)]
         ts_min, ts_max = min(stamps, default=None), max(stamps, default=None)
         if ts_min is None:
             raise InsufficientDataError("cannot derive the time grid: no data rows")
-        if start_cfg == "auto":
+        if start == "auto":
             start = ts_min.replace(hour=0, minute=0, second=0, microsecond=0)
-        else:
-            start = parse_timestamp(start_cfg)
-        if slots_cfg == "auto":
+        if num_slots == "auto":
             span = (ts_max - start).total_seconds()
             num_slots = max(int(span // slot_seconds) + 1, 2)
-        else:
-            num_slots = _slot_count(cfg)
-    else:
-        start = parse_timestamp(start_cfg)
-        num_slots = _slot_count(cfg)
     return TimeGrid(start=start, slot_seconds=slot_seconds, num_slots=num_slots)
 
 
-def _slot_count(cfg: dict) -> int:
-    value = cfg["grid"]["num_slots"]
-    if isinstance(value, str) and value.isascii() and value.isdigit():  # `--num-slots` hands over text
-        return int(value)
-    return _setting(cfg, "grid.num_slots", int)
-
-
-def cmd_ingest(cfg: dict, args) -> int:
+def cmd_ingest(cfg: dict, s: dict, args) -> int:
     from . import ingest
 
     paths = _raw_csvs(cfg)
@@ -263,8 +283,8 @@ def cmd_ingest(cfg: dict, args) -> int:
     # Each file is parsed once; the grid and the aggregation read the same rows.
     outage_rows = list(ingest.load_outage_rows(paths["outages"]))
     weather_rows = list(weather_rows)
-    grid = _resolve_grid(cfg, outage_rows, weather_rows)
-    outages = ingest.aggregate_outages(outage_rows, units, grid, method=cfg["aggregation"])
+    grid = _resolve_grid(s, outage_rows, weather_rows)
+    outages = ingest.aggregate_outages(outage_rows, units, grid, method=s["aggregation"])
     weather = ingest.aggregate_weather(weather_rows, units, grid, variables)
     ds = ingest.Dataset(units=units, grid=grid, outages=outages, weather=weather)
     out_dir = _output_dir(cfg)
@@ -286,35 +306,32 @@ def cmd_ingest(cfg: dict, args) -> int:
 # -- fit ----------------------------------------------------------------------
 
 
-def _fit_config(cfg: dict):
+def _fit_config(cfg: dict, s: dict):
     from .train import FitConfig
 
     return FitConfig(
-        step_size=_setting(cfg, "fit.step_size"),
-        batch_slots=None if cfg["fit"]["batch_slots"] in (None, "full") else _setting(cfg, "fit.batch_slots", int),
-        max_epochs=_setting(cfg, "fit.max_epochs"),
-        tol=_setting(cfg, "fit.tol"),
-        seed=_setting(cfg, "fit.seed"),
+        step_size=s["fit.step_size"],
+        batch_slots=None if s["fit.batch_slots"] == "full" else s["fit.batch_slots"],
+        max_epochs=s["fit.max_epochs"],
+        tol=s["fit.tol"],
+        seed=s["fit.seed"],
         optimizer=cfg["fit"]["optimizer"],
-        hidden_sizes=_setting(cfg, "fit.hidden_sizes"),
-        window_slots=_setting(cfg, "fit.window_slots"),
-        trig_window=_setting(cfg, "fit.trig_window"),
-        eps=_setting(cfg, "fit.eps"),
+        hidden_sizes=s["fit.hidden_sizes"],
+        window_slots=s["fit.window_slots"],
+        trig_window=s["fit.trig_window"],
+        eps=s["fit.eps"],
     )
 
 
-def cmd_fit(cfg: dict, args) -> int:
+def cmd_fit(cfg: dict, s: dict, args) -> int:
     import numpy as np
 
-    from . import ingest, model, topology, train
+    from . import model, topology, train
     from .analyze import write_csv
 
-    ds_path = _require_file(_require(cfg, "dataset", "--dataset"), "dataset")
-    ds = ingest.load_dataset(ds_path)
-    fit_cfg = _fit_config(cfg)
-    graph = topology.build_candidate_graph(
-        ds.units, k_neighbors=_setting(cfg, "graph.k_neighbors"), max_km=_setting(cfg, "graph.max_km")
-    )
+    fit_cfg = _fit_config(cfg, s)
+    ds = _load_dataset(cfg)
+    graph = topology.build_candidate_graph(ds.units, k_neighbors=s["graph.k_neighbors"], max_km=s["graph.max_km"])
     if args.check_gradients:
         params0 = train.initialize(ds, graph, seed=fit_cfg.seed, cfg=fit_cfg)
         worst = train.fd_audit(params0, ds, max_coords=40)
@@ -344,7 +361,7 @@ def cmd_fit(cfg: dict, args) -> int:
 # -- predict ------------------------------------------------------------------
 
 
-def cmd_predict(cfg: dict, args) -> int:
+def cmd_predict(cfg: dict, s: dict, args) -> int:
     from . import analyze, model
 
     ds, params = _load_inputs(cfg)
@@ -352,7 +369,7 @@ def cmd_predict(cfg: dict, args) -> int:
     direct = model.direct_from_weather(params, ds.weather)  # one weather term for both predictions
     in_sample = analyze.predict_in_sample(params, ds, direct=direct)
     analyze.write_predictions_csv(out_dir / "predictions_insample.csv", in_sample)
-    horizon = _setting(cfg, "predict.horizon")
+    horizon = s["predict.horizon"]
     ahead = analyze.predict_ahead(params, ds, horizon_slots=horizon, direct=direct)
     analyze.write_predictions_csv(out_dir / "predictions_ahead.csv", ahead)
     print(f"in-sample: MAE={in_sample.mae:.4f} RMSE={in_sample.rmse:.4f}")
@@ -366,18 +383,18 @@ def cmd_predict(cfg: dict, args) -> int:
 # -- simulate -----------------------------------------------------------------
 
 
-def cmd_simulate(cfg: dict, args) -> int:
+def cmd_simulate(cfg: dict, s: dict, args) -> int:
     from . import simulate
     from .analyze import write_csv
 
     ds, params = _load_inputs(cfg)
-    cutoff = _setting(cfg, "sim.teacher_forced_until")
+    cutoff = s["sim.teacher_forced_until"]
     result = simulate.simulate_paths(
         params,
         ds.weather,
         ds.grid,
-        R=_setting(cfg, "sim.replications"),
-        seed=_setting(cfg, "sim.seed"),
+        R=s["sim.replications"],
+        seed=s["sim.seed"],
         teacher_forced_until=cutoff,
         observed=ds.outages if cutoff > 0 else None,
     )
@@ -421,12 +438,11 @@ def _enhance_plan(cfg: dict):
     return scenarios, mode, cells
 
 
-def cmd_enhance(cfg: dict, args) -> int:
+def cmd_enhance(cfg: dict, s: dict, args) -> int:
     from . import analyze, simulate
 
     ds, params = _load_inputs(cfg)
-    R = _setting(cfg, "sim.replications")
-    seed = _setting(cfg, "sim.seed")
+    R = s["sim.replications"]
     scenarios, mode, cells = _enhance_plan(cfg)
     # One call, so the baseline and every repeated parameter set are simulated once.
     results = simulate.outage_reductions(
@@ -435,8 +451,8 @@ def cmd_enhance(cfg: dict, args) -> int:
         ds.weather,
         ds.grid,
         R,
-        seed,
-        baseline=cfg["sim"]["baseline"],
+        s["sim.seed"],
+        baseline=s["sim.baseline"],
         observed=ds.outages,
     )
     out_dir = _output_dir(cfg)
@@ -461,14 +477,14 @@ def cmd_enhance(cfg: dict, args) -> int:
 # -- analyze ------------------------------------------------------------------
 
 
-def cmd_analyze(cfg: dict, args) -> int:
+def cmd_analyze(cfg: dict, s: dict, args) -> int:
     from . import analyze
 
     ds, params = _load_inputs(cfg)
     out_dir = _output_dir(cfg)
     decomp = analyze.decompose(params, ds)
     analyze.write_decomposition_csv(out_dir / "decomposition.csv", decomp)
-    episodes = analyze.restoration_durations(ds, zero_run_threshold=_setting(cfg, "analyze.zero_run_threshold"))
+    episodes = analyze.restoration_durations(ds, zero_run_threshold=s["analyze.zero_run_threshold"])
     analyze.write_episodes_csv(out_dir / "episodes.csv", episodes)
     summary = analyze.episode_duration_summary(episodes)
     variables = cfg["analyze"]["sigmoid_variables"] or []
@@ -493,7 +509,7 @@ def cmd_analyze(cfg: dict, args) -> int:
 # -- export-map ---------------------------------------------------------------
 
 
-def cmd_export_map(cfg: dict, args) -> int:
+def cmd_export_map(cfg: dict, s: dict, args) -> int:
     from . import topology
 
     ds, params = _load_inputs(cfg)
@@ -512,39 +528,19 @@ def cmd_export_map(cfg: dict, args) -> int:
 # -- validate-only ------------------------------------------------------------
 
 
-def validate_only(cfg: dict, command: str) -> int:
-    """Check config ranges and input file schemas without computing anything."""
-    from .container import peek_schema
-    from .ingest import DATASET_SCHEMA
-    from .model import MODEL_SCHEMA
-
-    for key in SETTING_TYPES:
-        _setting(cfg, key)
-    if cfg["grid"]["num_slots"] != "auto":
-        _slot_count(cfg)
-    _fit_config(cfg)  # range-checks every fit field
-    if _setting(cfg, "grid.slot_seconds") <= 0:
-        raise ValidationError("grid.slot_seconds must be positive")
-    if _setting(cfg, "sim.replications") < 1:
-        raise ValidationError("sim.replications must be >= 1")
-    if _setting(cfg, "predict.horizon") < 1:
-        raise ValidationError("predict.horizon must be >= 1")
-
+def validate_only(cfg: dict, s: dict, command: str) -> int:
+    """Read `command`'s inputs as the command would, `main` having read its
+    settings `s`, and stop before computing or writing anything."""
     if command == "ingest":
         from .ingest import read_header
 
         for kind, path in _raw_csvs(cfg).items():
             read_header(path, kind)
+    elif command == "fit":
+        _fit_config(cfg, s)
+        _load_dataset(cfg)
     else:
-        ds_path = _require_file(_require(cfg, "dataset", "--dataset"), "dataset")
-        schema = peek_schema(ds_path)
-        if schema != DATASET_SCHEMA:
-            raise FileFormatError(f"{ds_path}: schema {schema!r}, expected {DATASET_SCHEMA!r}")
-        if command != "fit":
-            model_path = _require_file(_require(cfg, "model", "--model"), "model")
-            schema = peek_schema(model_path)
-            if schema != MODEL_SCHEMA:
-                raise FileFormatError(f"{model_path}: schema {schema!r}, expected {MODEL_SCHEMA!r}")
+        _load_inputs(cfg)
     if command == "enhance":
         _enhance_plan(cfg)
     print("validation ok")
@@ -572,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--validate-only",
         action="store_true",
-        help="validate config and input file schemas, then exit without computing",
+        help="read the settings and inputs as the command would (whole files), then exit without computing",
     )
     # the inputs of every command after fit
     fitted = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -588,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slot-seconds", type=int, dest="grid.slot_seconds")
     p.add_argument("--grid-start", dest="grid.start", help="ISO timestamp or 'auto'")
     p.add_argument("--num-slots", dest="grid.num_slots", help="slot count or 'auto'")
-    p.add_argument("--aggregation", choices=["mean", "max", "last"])
+    p.add_argument("--aggregation", choices=AGGREGATIONS)
 
     p = sub.add_parser("fit", parents=[common], help="estimate model parameters")
     p.add_argument("--dataset", help="dataset file from ingest")
@@ -615,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enhance", parents=[fitted], help="what-if scenario evaluation / sweep")
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--replications", type=int, dest="sim.replications")
-    p.add_argument("--baseline", choices=["simulated_total", "observed_total"], dest="sim.baseline")
+    p.add_argument("--baseline", choices=BASELINES, dest="sim.baseline")
     p.add_argument("--sweep-mode", choices=["edges", "margins"])
     p.add_argument("--sweep-units", type=int_list, dest="sweep_axis1", metavar="LIST", help="comma list for axis 1")
     p.add_argument("--sweep-edges", type=int_list, dest="sweep_axis2", metavar="LIST", help="comma list for axis 2")
@@ -651,9 +647,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = effective_config(args)
+        settings = {key: _setting(cfg, key) for key in COMMAND_SETTINGS[args.command]}
         if args.validate_only:
-            return validate_only(cfg, args.command)
-        rc = COMMANDS[args.command](cfg, args)
+            return validate_only(cfg, settings, args.command)
+        rc = COMMANDS[args.command](cfg, settings, args)
         _echo_config(cfg, args.command)  # only a finished command's directory describes its run
         return rc
     except ValidationError as exc:

@@ -81,16 +81,6 @@ class _Entries(dict):
         raise FileFormatError(f"{self.path}: container has no entry {key!r}")
 
 
-def _parse_header(path: Path, hbytes: bytes) -> dict:
-    try:
-        header = json.loads(hbytes.decode("utf-8"), object_hook=lambda obj: _Entries(path, obj))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path}: corrupt container header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FileFormatError(f"{path}: corrupt container header: not a JSON object")
-    return header
-
-
 # (check, description) kinds of meta values, for meta_value
 INTEGER = (is_int, "an integer")
 COUNT = (is_count, "an integer >= 0")
@@ -132,26 +122,6 @@ def _check_entry(path: Path, entry) -> None:
         raise FileFormatError(f"{where}: {nbytes} bytes do not hold shape {shape} of {dtype}")
 
 
-def peek_schema(path) -> str:
-    """Schema tag of a container file, validating magic and header only."""
-    path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(len(MAGIC) + 8)
-            if len(head) < len(MAGIC) + 8 or head[: len(MAGIC)] != MAGIC:
-                raise FileFormatError(f"{path}: not a gridshock container (bad magic)")
-            hlen = int.from_bytes(head[len(MAGIC) :], "little")
-            hbytes = fh.read(hlen)
-    except OSError as exc:
-        raise FileFormatError(f"cannot read container {path}: {exc}") from exc
-    if len(hbytes) < hlen:
-        raise FileFormatError(f"{path}: truncated container header")
-    schema = _parse_header(path, hbytes).get("schema")
-    if not isinstance(schema, str):
-        raise FileFormatError(f"{path}: container header missing schema tag")
-    return schema
-
-
 def read_container(path, expected_schema: str):
     """Read a container, returning (meta, arrays). Validates magic, schema and
     every array entry; a missing meta key or array is a FileFormatError."""
@@ -166,7 +136,12 @@ def read_container(path, expected_schema: str):
     hstart = len(MAGIC) + 8
     if hstart + hlen > len(blob):
         raise FileFormatError(f"{path}: truncated container header")
-    header = _parse_header(path, blob[hstart : hstart + hlen])
+    try:
+        header = json.loads(blob[hstart : hstart + hlen].decode("utf-8"), object_hook=lambda obj: _Entries(path, obj))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FileFormatError(f"{path}: corrupt container header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FileFormatError(f"{path}: corrupt container header: not a JSON object")
     schema = header.get("schema")
     if schema != expected_schema:
         raise FileFormatError(

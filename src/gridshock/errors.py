@@ -1,10 +1,11 @@
-"""Exception hierarchy and integer checks shared across the package; no numpy,
-so the CLI can load it before `--threads` acts.
+"""Exception hierarchy, integer checks and the JSON-object file reader shared
+across the package; no numpy, so the CLI can load it before `--threads` acts.
 
 The CLI maps these onto exit codes: validation problems exit 2, numeric
 failures exit 3, file/container problems exit 4.
 """
 
+import json
 import numbers
 
 
@@ -43,3 +44,16 @@ class DivergenceError(NumericError):
 
 class FileFormatError(GridshockError):
     """A serialized container is corrupt, truncated, or wrongly versioned."""
+
+
+def read_json_object(path, kind: str) -> dict:
+    """The JSON object held by the `kind` ("config", "scenario") file at `path`;
+    text that is not JSON, or JSON that is not an object, is a ValidationError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{kind} file {path} must hold a JSON object")
+    return payload

@@ -44,14 +44,13 @@ lone `simulate_paths`, which is the one-set caller of the same loop.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DivergenceError, NumericError, ValidationError, is_count
+from .errors import DivergenceError, NumericError, ValidationError, is_count, read_json_object
 from .ingest import TimeGrid
 from .model import Coupling, Kernel, ModelParams, weather_response
 from .model import kernel_matrix, mlp_forward  # noqa: F401  (bindings patched by perfbench/tracer.py)
@@ -134,14 +133,7 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"scenario file {path} must hold a JSON object")
-    return Scenario.from_dict(payload)
+    return Scenario.from_dict(read_json_object(path, "scenario"))
 
 
 def top_k_units_by_max_outages(history, k: int) -> list:
@@ -274,6 +266,8 @@ def simulate_paths(
     """
     if R < 1:
         raise ValidationError(f"need at least one replication, got {R}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if teacher_forced_until < 0:
         raise ValidationError(f"teacher_forced_until must be >= 0, got {teacher_forced_until}")
     x = _weather_on_grid(params, weather, grid)
@@ -591,6 +585,8 @@ def outage_reductions(
         raise ValidationError("observed_total baseline requires observed counts")
     if R < 1:
         raise ValidationError(f"need at least one replication, got {R}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if baseline == "observed_total":
         base_total = float(np.asarray(getattr(observed, "counts", observed)).sum())
         if base_total == 0:

@@ -88,6 +88,8 @@ class FitConfig:
             raise ValidationError(f"tol must be positive, got {self.tol}")
         if self.max_epochs < 0:
             raise ValidationError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in OPTIMIZERS:
             raise ValidationError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.batch_slots is not None and self.batch_slots < 1:

@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import warnings
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -728,11 +729,12 @@ def test_a_corrupt_container_exits_4(pipeline, tmp_path, capsys, corrupt, edit, 
     for name, path in files.items():
         path.write_bytes(pipeline[name].read_bytes())
     rewrite_container_header(files[corrupt], edit)
-    rc = cli.main(["simulate", "--dataset", str(files["dataset"]), "--model", str(files["model"]),
-                   "--output-dir", str(tmp_path / "out"), "--replications", "2"])
-    err = capsys.readouterr().err
-    assert rc == 4 and "Traceback" not in err
-    assert f"file error: {files[corrupt]}: {match}" in err
+    for validate in ([], ["--validate-only"]):  # both read the containers whole
+        rc = cli.main(["simulate", "--dataset", str(files["dataset"]), "--model", str(files["model"]),
+                       "--output-dir", str(tmp_path / "out"), "--replications", "2", *validate])
+        err = capsys.readouterr().err
+        assert rc == 4 and "Traceback" not in err
+        assert f"file error: {files[corrupt]}: {match}" in err
 
 
 @pytest.mark.parametrize(
@@ -750,9 +752,17 @@ def test_a_corrupt_container_exits_4(pipeline, tmp_path, capsys, corrupt, edit, 
         ("fit", {"graph": {"k_neighbors": 3.5}}, "'graph.k_neighbors' must be an integer, got 3.5"),
         ("predict", {"predict": {"horizon": "2"}}, "'predict.horizon' must be an integer, got '2'"),
         ("ingest", {"grid": {"num_slots": "many"}}, "'grid.num_slots' must be an integer, got 'many'"),
+        ("simulate", {"sim": {"seed": -1}}, "'sim.seed' must be an integer >= 0, got -1"),
+        ("fit", {"fit": {"hidden_sizes": [-1]}}, "'fit.hidden_sizes' must be a list of integers >= 1, got [-1]"),
+        ("fit", {"fit": {"step_size": float("nan")}}, "'fit.step_size' must be a finite number > 0, got nan"),
+        ("fit", {"graph": {"max_km": 0}}, "'graph.max_km' must be a finite number > 0, got 0"),
+        ("fit", {"fit": {"window_slots": 0}}, "'fit.window_slots' must be an integer >= 1, got 0"),
+        ("analyze", {"analyze": {"zero_run_threshold": 0}}, "'analyze.zero_run_threshold' must be an integer >= 1, got 0"),
+        ("ingest", {"grid": {"slot_seconds": 0}}, "'grid.slot_seconds' must be an integer >= 1, got 0"),
     ],
     ids=["string", "non-integral-float", "bool", "negative-cutoff", "string-seed", "scalar-list", "float-in-list", "string-number",
-         "bool-number", "float-count", "string-horizon", "string-slots"],
+         "bool-number", "float-count", "string-horizon", "string-slots", "negative-seed", "negative-width", "nan-number",
+         "zero-number", "zero-window", "zero-threshold", "zero-slot-seconds"],
 )
 @pytest.mark.parametrize("validate", [[], ["--validate-only"]], ids=["run", "validate-only"])
 def test_a_config_value_of_the_wrong_type_exits_2(pipeline, tmp_path, capsys, command, payload, match, validate):
@@ -770,6 +780,33 @@ def test_a_config_value_of_the_wrong_type_exits_2(pipeline, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert rc == 2 and f"error: config key {match}" in err and "Traceback" not in err
     assert not (out / "effective_config.json").exists()
+
+
+def _out_of_range(kind, bound):
+    """A value of a setting's kind that its range refuses, for every kind of cli.SETTING_TYPES."""
+    if kind is int:
+        return bound - 1
+    return {float: 0.0, tuple: [8, 0], str: "bogus", datetime: "not-a-time"}[kind]
+
+
+@pytest.mark.parametrize("key", sorted(cli.SETTING_TYPES))
+def test_validate_only_rejects_an_out_of_range_value_of_every_setting(pipeline, tmp_path, capsys, key):
+    commands = [c for c, keys in cli.COMMAND_SETTINGS.items() if key in keys]
+    assert commands, f"no command reads {key!r}"
+    command, value = commands[0], _out_of_range(*cli.SETTING_TYPES[key])
+    section, _, leaf = key.rpartition(".")
+    cfg_path = tmp_path / "range.json"
+    cfg_path.write_text(json.dumps({section: {leaf: value}} if section else {key: value}))
+    out = tmp_path / "out"
+    if command == "ingest":
+        inputs = ["--units", str(pipeline["units"]), "--outages", str(pipeline["outages"]),
+                  "--weather", str(pipeline["weather"])]
+    else:
+        inputs = ["--dataset", str(pipeline["dataset"]), "--model", str(pipeline["model"])]
+    rc = cli.main([command, "--config", str(cfg_path), *inputs, "--output-dir", str(out), "--validate-only"])
+    err = capsys.readouterr().err
+    assert rc == 2 and repr(value) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, section", [("simulate", "sim"), ("fit", "graph")])
@@ -806,10 +843,11 @@ def test_model_file_with_a_negative_rate_is_rejected_at_load(pipeline, tmp_path,
         params.decay.omega[0] = -0.2  # the first bad field is the one named
     bad = tmp_path / "bad_model.gshk"
     model.serialize(params, bad)
-    rc = cli.main(["predict", "--dataset", str(pipeline["dataset"]), "--model", str(bad),
-                   "--output-dir", str(tmp_path / "pred")])
-    assert rc == 2
-    assert f"{field}[{index}] = -0.5" in capsys.readouterr().err
+    for validate in ([], ["--validate-only"]):
+        rc = cli.main(["predict", "--dataset", str(pipeline["dataset"]), "--model", str(bad),
+                       "--output-dir", str(tmp_path / "pred"), *validate])
+        assert rc == 2
+        assert f"{field}[{index}] = -0.5" in capsys.readouterr().err
     assert not (tmp_path / "pred").exists()
 
 

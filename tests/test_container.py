@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from synth import rewrite_container_header
-from gridshock.container import MAGIC, peek_schema, read_container, write_container
+from gridshock.container import MAGIC, read_container, write_container
 from gridshock.errors import FileFormatError
 
 
@@ -52,12 +52,6 @@ def test_bool_arrays_stored_as_bytes(tmp_path):
     assert_array_equal(arrays["mask"], [1, 0, 1])
 
 
-def test_peek_schema(tmp_path):
-    path = tmp_path / "p.gshk"
-    write_container(path, "gridshock-ds-v1", {}, {"x": np.zeros(2)})
-    assert peek_schema(path) == "gridshock-ds-v1"
-
-
 def test_schema_mismatch_rejected(tmp_path):
     path = tmp_path / "p.gshk"
     write_container(path, "schema-a", {}, {"x": np.zeros(2)})
@@ -70,8 +64,6 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
     with pytest.raises(FileFormatError, match="magic"):
         read_container(path, "s")
-    with pytest.raises(FileFormatError, match="magic"):
-        peek_schema(path)
 
 
 def test_truncated_header_rejected(tmp_path):

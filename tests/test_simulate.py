@@ -320,6 +320,16 @@ def test_simulate_validation():
         simulate_paths(params, np.zeros((2, 3, 1)), ds.grid, R=2, seed=1)
 
 
+def test_a_negative_seed_is_a_validation_error():
+    params = _chain_params()
+    ds = _shell(params, 6)
+    for seed in (-1, np.int64(-4)):  # not numpy's ValueError from default_rng
+        with pytest.raises(ValidationError, match=f"seed must be >= 0, got {seed}"):
+            simulate_paths(params, ds.weather, ds.grid, R=2, seed=seed)
+        with pytest.raises(ValidationError, match=f"seed must be >= 0, got {seed}"):
+            outage_reductions(params, [Scenario()], ds.weather, ds.grid, R=2, seed=seed)
+
+
 def test_simulate_deterministic_and_summary_consistent():
     params = _chain_params()
     ds = _shell(params, 10)

@@ -455,6 +455,8 @@ def test_fit_config_validation():
         FitConfig(optimizer="newton")
     with pytest.raises(ValidationError, match="batch_slots"):
         FitConfig(batch_slots=0)
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        FitConfig(seed=-1)  # not numpy's ValueError from default_rng, at the start of the fit
 
 
 # -- fitting ------------------------------------------------------------------------
