@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, ValidationError
+from .errors import INTEGER, InsufficientDataError, ValidationError, at_least, checked
 from .ingest import Dataset
 from .model import Coupling, Kernel, ModelParams, direct_from_weather, intensity_field, sigmoid
 from .model import mlp_forward  # noqa: F401  (binding patched by perfbench/tracer.py)
@@ -139,10 +139,8 @@ def predict_ahead(
     Metrics cover slots t >= h only, so the model and the baseline see the
     same evaluation span. `direct` is as in :func:`predict_in_sample`.
     """
-    h = int(horizon_slots)
+    h = checked(horizon_slots, at_least(1), "horizon_slots")
     K, T = dataset.outages.counts.shape
-    if h < 1:
-        raise ValidationError(f"horizon must be >= 1 slot, got {h}")
     if h >= T:
         raise ValidationError(f"horizon {h} must be smaller than the {T}-slot series")
     counts = dataset.outages.counts.astype(np.float64)
@@ -211,6 +209,19 @@ SIGMOID_MAX_ITER = 200  # Levenberg-Marquardt iterations per start
 SIGMOID_RTOL = 1e-12  # converged once a Gauss-Newton step gains at most this share of the loss
 
 
+def variable_index(weather, variable: int | str) -> int:
+    """The index of `variable`, a name or an index, among `weather`'s variables."""
+    names = weather.variable_names
+    if isinstance(variable, str):
+        if variable not in names:
+            raise ValidationError(f"unknown weather variable {variable!r}; have {names}")
+        return names.index(variable)
+    checked(variable, INTEGER, "weather variable index")
+    if not 0 <= variable < len(names):
+        raise ValidationError(f"weather variable index {variable} out of range")
+    return int(variable)
+
+
 def fit_sigmoid(
     dataset: Dataset,
     variable: int | str,
@@ -223,17 +234,7 @@ def fit_sigmoid(
     chosen units with ratio > 0; ratios use each unit's customer base. The
     best of >= 8 bounded least-squares starts wins (ties: earliest start).
     """
-    if isinstance(variable, str):
-        try:
-            m = dataset.weather.variable_names.index(variable)
-        except ValueError:
-            raise ValidationError(
-                f"unknown weather variable {variable!r}; have {dataset.weather.variable_names}"
-            ) from None
-    else:
-        m = int(variable)
-        if not 0 <= m < dataset.num_variables:
-            raise ValidationError(f"weather variable index {m} out of range")
+    m = variable_index(dataset.weather, variable)
     var_name = dataset.weather.variable_names[m]
     cfg = cfg or DecayConfig(omega=np.zeros(dataset.num_variables))
     units = list(range(dataset.num_units)) if population is None else [int(u) for u in population]
@@ -392,8 +393,7 @@ def restoration_durations(dataset_or_counts, zero_run_threshold: int = DEFAULT_Z
     separated by at least that many consecutive zero slots (or the series
     boundary). Episodes are disjoint and cover every nonzero slot.
     """
-    if zero_run_threshold < 1:
-        raise ValidationError(f"zero_run_threshold must be >= 1, got {zero_run_threshold}")
+    checked(zero_run_threshold, at_least(1), "zero_run_threshold")
     counts = np.asarray(getattr(getattr(dataset_or_counts, "outages", dataset_or_counts), "counts", dataset_or_counts))
     K, T = counts.shape
     episodes = []

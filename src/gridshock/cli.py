@@ -9,9 +9,10 @@ Exit codes: 0 ok, 2 validation/config problem, 3 numeric failure
 (divergence, undefined statistic), 4 file/format problem.
 
 `--validate-only` reads the command's settings and inputs as the command
-would (`ingest`'s CSV headers, whole dataset and model containers), then
-stops before computing: it exits with the code and message the run would
-give. A config value of the wrong type or out of its range exits 2.
+would (`ingest`'s CSV headers, whole dataset and model containers, `fit`'s
+candidate graph, `analyze`'s variable names), then stops before computing:
+it exits with the code and message the run would give. A config value of
+the wrong type or out of its range, NaN and infinities included, exits 2.
 
 `--threads N` pins the numeric thread pools; it must act before numpy is
 first imported, which is why this module and the package root import the
@@ -30,14 +31,12 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
-import numbers
 import os
 import sys
-from datetime import datetime
 from pathlib import Path
 
-from .errors import FileFormatError, InsufficientDataError, NumericError, ValidationError, is_int, read_json_object
+from .errors import COUNT, INTEGER, INTEGERS, NUMBER, OBJECT, POSITIVE, TEXT, TEXTS, at_least, checked, one_of
+from .errors import FileFormatError, InsufficientDataError, NumericError, ValidationError, read_json_object
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -90,9 +89,7 @@ def _deep_merge(base: dict, override: dict, path="") -> dict:
         if key not in base:
             raise ValidationError(f"unknown config key {where!r}")
         if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ValidationError(f"config section {where!r} must be an object, got {value!r}")
-            out[key] = _deep_merge(base[key], value, where)
+            out[key] = _deep_merge(base[key], checked(value, OBJECT, f"config section {where!r}"), where)
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -126,56 +123,63 @@ def effective_config(args) -> dict:
 
 
 AGGREGATIONS = ("mean", "max", "last")  # also the choices of --aggregation
-BASELINES = ("simulated_total", "observed_total")  # and of --baseline
+BASELINES = ("simulated_total", "observed_total")  # of --baseline
+OPTIMIZERS = ("adaptive-moments", "plain-sgd")  # and of --optimizer
+WIDTHS = (lambda x: INTEGERS[0](x) and min(x, default=1) >= 1, "a list of integers >= 1")
+TIMESTAMP = (TEXT[0], "an ISO timestamp")
+SWEEP = (lambda x: isinstance(x, dict) and set(x) <= {"mode", "axis1", "axis2"},
+         "an object with keys mode, axis1 and axis2")
 
-# Each config key `_setting` reads, with its kind and range: (int, n) is an
-# integer >= n, (float, 0) a finite number > 0, (tuple, 1) a list of integers
-# >= 1, (str, words) one of the words and (datetime, None) an ISO timestamp.
-# WORDS are the words a key takes besides, returned as they are.
+# The kinds (see gridshock.errors) of each config key `_setting` reads, checked
+# in order: its type, then its range. WORDS are the words a key takes
+# besides, returned as they are.
 SETTING_TYPES = {
-    "aggregation": (str, AGGREGATIONS),
-    "grid.start": (datetime, None),
-    "grid.slot_seconds": (int, 1),
-    "grid.num_slots": (int, 2),
-    "graph.k_neighbors": (int, 1),
-    "graph.max_km": (float, 0),
-    "fit.step_size": (float, 0),
-    "fit.batch_slots": (int, 1),
-    "fit.max_epochs": (int, 0),
-    "fit.tol": (float, 0),
-    "fit.seed": (int, 0),
-    "fit.hidden_sizes": (tuple, 1),
-    "fit.window_slots": (int, 1),
-    "fit.trig_window": (int, 1),
-    "fit.eps": (float, 0),
-    "sim.replications": (int, 1),
-    "sim.seed": (int, 0),
-    "sim.teacher_forced_until": (int, 0),
-    "sim.baseline": (str, BASELINES),
-    "predict.horizon": (int, 1),
-    "analyze.zero_run_threshold": (int, 1),
+    "aggregation": (one_of(AGGREGATIONS),),
+    "grid.start": (TIMESTAMP,),
+    "grid.slot_seconds": (INTEGER, at_least(1)),
+    "grid.num_slots": (INTEGER, at_least(2)),
+    "graph.k_neighbors": (INTEGER, at_least(1)),
+    "graph.max_km": (NUMBER, POSITIVE),
+    "fit.step_size": (NUMBER, POSITIVE),
+    "fit.batch_slots": (INTEGER, at_least(1)),
+    "fit.max_epochs": (INTEGER, COUNT),
+    "fit.tol": (NUMBER, POSITIVE),
+    "fit.seed": (INTEGER, COUNT),
+    "fit.optimizer": (one_of(OPTIMIZERS),),
+    "fit.hidden_sizes": (INTEGERS, WIDTHS),
+    "fit.window_slots": (INTEGER, at_least(1)),
+    "fit.trig_window": (INTEGER, at_least(1)),
+    "fit.eps": (NUMBER, POSITIVE),
+    "sim.replications": (INTEGER, at_least(1)),
+    "sim.seed": (INTEGER, COUNT),
+    "sim.teacher_forced_until": (INTEGER, COUNT),
+    "sim.baseline": (one_of(BASELINES),),
+    "predict.horizon": (INTEGER, at_least(1)),
+    "analyze.sigmoid_variables": (TEXTS,),
+    "analyze.zero_run_threshold": (INTEGER, at_least(1)),
 }
 WORDS = {"grid.start": ("auto",), "grid.num_slots": ("auto",), "fit.batch_slots": ("full", None)}
+CASTS = {INTEGER: int, NUMBER: float, INTEGERS: lambda v: tuple(map(int, v))}  # by type; other values as they are
 # The settings each command reads: `main` reads them, through `_setting`,
 # before the command or `--validate-only` reads anything else.
 COMMAND_SETTINGS = {
     "ingest": ("grid.start", "grid.slot_seconds", "grid.num_slots", "aggregation"),
-    "fit": ("fit.step_size", "fit.batch_slots", "fit.max_epochs", "fit.tol", "fit.seed", "fit.hidden_sizes",
-            "fit.window_slots", "fit.trig_window", "fit.eps", "graph.k_neighbors", "graph.max_km"),
+    "fit": ("fit.step_size", "fit.batch_slots", "fit.max_epochs", "fit.tol", "fit.seed", "fit.optimizer",
+            "fit.hidden_sizes", "fit.window_slots", "fit.trig_window", "fit.eps", "graph.k_neighbors", "graph.max_km"),
     "predict": ("predict.horizon",),
     "simulate": ("sim.replications", "sim.seed", "sim.teacher_forced_until"),
     "enhance": ("sim.replications", "sim.seed", "sim.baseline"),
-    "analyze": ("analyze.zero_run_threshold",),
+    "analyze": ("analyze.zero_run_threshold", "analyze.sigmoid_variables"),
     "export-map": (),
 }
 
 
 def _setting(cfg: dict, key: str):
-    """The value of the dotted config `key`, of its SETTING_TYPES kind and in
-    its range, or one of its WORDS. A value of another type, bools included,
-    is a ValidationError, never a cast, so 2.7 replications is an error, not
-    2; so is a value out of range, such as 0 replications."""
-    kind, bound = SETTING_TYPES[key]
+    """The value of the dotted config `key`, of each of its SETTING_TYPES
+    kinds, or one of its WORDS. A value of another type, bools included, is a
+    ValidationError, never a cast, so 2.7 replications is an error, not 2; so
+    is a value out of range, such as 0 replications."""
+    kinds = SETTING_TYPES[key]
     value = cfg
     for part in key.split("."):
         value = value[part]
@@ -183,27 +187,13 @@ def _setting(cfg: dict, key: str):
         return value
     if key == "grid.num_slots" and isinstance(value, str) and value.isascii() and value.isdigit():
         value = int(value)  # `--num-slots` hands over text
-    if kind is tuple:
-        ok, expected = isinstance(value, (list, tuple)) and all(map(is_int, value)), "a list of integers"
-    elif kind is int:
-        ok, expected = is_int(value), "an integer"
-    elif kind is float:
-        ok, expected = isinstance(value, numbers.Real) and not isinstance(value, bool), "a number"
-    elif kind is str:
-        ok, expected = value in bound, "one of " + ", ".join(map(repr, bound))
-    else:
-        ok, expected = isinstance(value, str), "an ISO timestamp"
-    if not ok:
-        raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
-    if kind is datetime:
+    for kind in kinds:
+        checked(value, kind, f"config key {key!r}")
+    if kinds[0] is TIMESTAMP:
         from .ingest import parse_timestamp
 
         return parse_timestamp(value)
-    if kind is float and not (math.isfinite(value) and value > bound):
-        raise ValidationError(f"config key {key!r} must be a finite number > {bound}, got {value!r}")
-    if kind is int and value < bound or kind is tuple and min(value, default=bound) < bound:
-        raise ValidationError(f"config key {key!r} must be {expected} >= {bound}, got {value!r}")
-    return tuple(map(int, value)) if kind is tuple else kind(value)
+    return CASTS.get(kinds[0], lambda v: v)(value)
 
 
 def _output_dir(cfg: dict) -> Path:
@@ -306,32 +296,29 @@ def cmd_ingest(cfg: dict, s: dict, args) -> int:
 # -- fit ----------------------------------------------------------------------
 
 
-def _fit_config(cfg: dict, s: dict):
+def _fit_config(s: dict):
+    """The FitConfig of the settings: each `fit.` key is the field of that name."""
     from .train import FitConfig
 
-    return FitConfig(
-        step_size=s["fit.step_size"],
-        batch_slots=None if s["fit.batch_slots"] == "full" else s["fit.batch_slots"],
-        max_epochs=s["fit.max_epochs"],
-        tol=s["fit.tol"],
-        seed=s["fit.seed"],
-        optimizer=cfg["fit"]["optimizer"],
-        hidden_sizes=s["fit.hidden_sizes"],
-        window_slots=s["fit.window_slots"],
-        trig_window=s["fit.trig_window"],
-        eps=s["fit.eps"],
-    )
+    fit = {key.removeprefix("fit."): value for key, value in s.items() if key.startswith("fit.")}
+    return FitConfig(**{**fit, "batch_slots": None if fit["batch_slots"] == "full" else fit["batch_slots"]})
+
+
+def _candidate_graph(ds, s: dict):
+    from .topology import build_candidate_graph
+
+    return build_candidate_graph(ds.units, k_neighbors=s["graph.k_neighbors"], max_km=s["graph.max_km"])
 
 
 def cmd_fit(cfg: dict, s: dict, args) -> int:
     import numpy as np
 
-    from . import model, topology, train
+    from . import model, train
     from .analyze import write_csv
 
-    fit_cfg = _fit_config(cfg, s)
+    fit_cfg = _fit_config(s)
     ds = _load_dataset(cfg)
-    graph = topology.build_candidate_graph(ds.units, k_neighbors=s["graph.k_neighbors"], max_km=s["graph.max_km"])
+    graph = _candidate_graph(ds, s)
     if args.check_gradients:
         params0 = train.initialize(ds, graph, seed=fit_cfg.seed, cfg=fit_cfg)
         worst = train.fd_audit(params0, ds, max_coords=40)
@@ -429,8 +416,8 @@ def _enhance_plan(cfg: dict):
 
     scenarios = [load_scenario(_require_file(cfg["scenario"], "scenario"))] if cfg["scenario"] else []
     sw = cfg["sweep"]
-    if sw is not None and (not isinstance(sw, dict) or set(sw) - {"mode", "axis1", "axis2"}):
-        raise ValidationError(f"sweep must be an object with keys mode, axis1 and axis2, got {sw!r}")
+    if sw is not None:
+        checked(sw, SWEEP, "sweep")
     mode = (sw or {}).get("mode", "edges")
     cells = [] if sw is None else sweep_scenarios(sw.get("axis1"), sw.get("axis2"), mode)
     if not scenarios and not cells:
@@ -477,20 +464,25 @@ def cmd_enhance(cfg: dict, s: dict, args) -> int:
 # -- analyze ------------------------------------------------------------------
 
 
+def _sigmoid_variables(ds, s: dict) -> list:
+    """The index of each weather variable `analyze` fits a response curve to."""
+    from .analyze import variable_index
+
+    return [variable_index(ds.weather, var) for var in s["analyze.sigmoid_variables"]]
+
+
 def cmd_analyze(cfg: dict, s: dict, args) -> int:
     from . import analyze
 
     ds, params = _load_inputs(cfg)
+    variables = _sigmoid_variables(ds, s)
     out_dir = _output_dir(cfg)
     decomp = analyze.decompose(params, ds)
     analyze.write_decomposition_csv(out_dir / "decomposition.csv", decomp)
     episodes = analyze.restoration_durations(ds, zero_run_threshold=s["analyze.zero_run_threshold"])
     analyze.write_episodes_csv(out_dir / "episodes.csv", episodes)
     summary = analyze.episode_duration_summary(episodes)
-    variables = cfg["analyze"]["sigmoid_variables"] or []
-    fits = []
-    for var in variables:
-        fits.append(analyze.fit_sigmoid(ds, var, cfg=params.decay, population=None))
+    fits = [analyze.fit_sigmoid(ds, m, cfg=params.decay, population=None) for m in variables]
     if fits:
         analyze.write_sigmoid_csv(out_dir / "sigmoid.csv", fits)
     print(
@@ -537,10 +529,12 @@ def validate_only(cfg: dict, s: dict, command: str) -> int:
         for kind, path in _raw_csvs(cfg).items():
             read_header(path, kind)
     elif command == "fit":
-        _fit_config(cfg, s)
-        _load_dataset(cfg)
+        _fit_config(s)
+        _candidate_graph(_load_dataset(cfg), s)
     else:
-        _load_inputs(cfg)
+        ds, _ = _load_inputs(cfg)
+        if command == "analyze":
+            _sigmoid_variables(ds, s)
     if command == "enhance":
         _enhance_plan(cfg)
     print("validation ok")
@@ -592,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, dest="fit.max_epochs")
     p.add_argument("--step-size", type=float, dest="fit.step_size")
     p.add_argument("--batch-slots", type=int, dest="fit.batch_slots")
-    p.add_argument("--optimizer", choices=["adaptive-moments", "plain-sgd"], dest="fit.optimizer")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, dest="fit.optimizer")
     p.add_argument("--k-neighbors", type=int, dest="graph.k_neighbors")
     p.add_argument("--max-km", type=float, dest="graph.max_km")
     p.add_argument(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError, is_count, is_int
+from .errors import FileFormatError, checked, is_count
 
 MAGIC = b"GSHKBIN\x00"
 
@@ -81,29 +81,11 @@ class _Entries(dict):
         raise FileFormatError(f"{self.path}: container has no entry {key!r}")
 
 
-# (check, description) kinds of meta values, for meta_value
-INTEGER = (is_int, "an integer")
-COUNT = (is_count, "an integer >= 0")
-NUMBER = (lambda x: isinstance(x, (int, float)) and not isinstance(x, bool), "a number")
-TEXT = (lambda x: isinstance(x, str), "a string")
-OBJECT = (lambda x: isinstance(x, dict), "an object")
-OBJECTS = (lambda x: isinstance(x, list) and all(isinstance(v, dict) for v in x), "a list of objects")
-TEXTS = (lambda x: isinstance(x, list) and all(isinstance(v, str) for v in x), "a list of strings")
-PAIRS = (
-    lambda x: isinstance(x, list) and all(isinstance(v, list) and len(v) == 2 and all(map(is_count, v)) for v in x),
-    "a list of [source, target] pairs of integers >= 0",
-)
-
-
 def meta_value(meta, key: str, kind: tuple, label: str | None = None):
     """meta[key] of a container read by :func:`read_container`, checked to be
-    of `kind`; otherwise a FileFormatError naming the file and the key
-    (`label`, for a key nested in the meta)."""
-    check, expected = kind
-    value = meta[key]
-    if not check(value):
-        raise FileFormatError(f"{meta.path}: meta key {label or key!r} must be {expected}, got {value!r}")
-    return value
+    of `kind` (see :mod:`gridshock.errors`); otherwise a FileFormatError naming
+    the file and the key (`label`, for a key nested in the meta)."""
+    return checked(meta[key], kind, f"{meta.path}: meta key {label or key!r}", FileFormatError)
 
 
 def _check_entry(path: Path, entry) -> None:

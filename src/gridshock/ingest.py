@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import COUNT, INTEGER, NUMBER, OBJECT, OBJECTS, TEXT, TEXTS, meta_value, read_container
-from .container import write_container
-from .errors import SchemaError, ValidationError
+from .container import meta_value, read_container, write_container
+from .errors import COUNT, INTEGER, NUMBER, OBJECT, OBJECTS, TEXT, TEXTS, SchemaError, ValidationError, at_least
+from .errors import checked, one_of
 
 DATASET_SCHEMA = "gridshock-ds-v1"
 DEFAULT_SLOT_SECONDS = 10800  # 3-hour slots
@@ -58,10 +58,7 @@ class UnitMeta:
             raise ValidationError(f"unit {self.unit_id!r}: latitude {self.centroid_lat} out of range")
         if not -180.0 <= self.centroid_lon <= 180.0:
             raise ValidationError(f"unit {self.unit_id!r}: longitude {self.centroid_lon} out of range")
-        if self.total_customers <= 0:
-            raise ValidationError(
-                f"unit {self.unit_id!r}: total_customers must be positive, got {self.total_customers}"
-            )
+        checked(self.total_customers, at_least(1), f"unit {self.unit_id!r}: total_customers")
 
 
 @dataclass(frozen=True)
@@ -73,10 +70,8 @@ class TimeGrid:
     num_slots: int = 0
 
     def __post_init__(self):
-        if self.slot_seconds <= 0:
-            raise ValidationError(f"slot_seconds must be positive, got {self.slot_seconds}")
-        if self.num_slots < 2:
-            raise ValidationError(f"num_slots must be >= 2, got {self.num_slots}")
+        checked(self.slot_seconds, at_least(1), "slot_seconds")
+        checked(self.num_slots, at_least(2), "num_slots")
         if self.start.tzinfo is None:
             object.__setattr__(self, "start", self.start.replace(tzinfo=timezone.utc))
 
@@ -351,8 +346,7 @@ def aggregate_outages(raw_rows, units: list[UnitMeta], grid: TimeGrid, method: s
     `last` keeps the sample with the latest timestamp; of equal timestamps,
     the later row.
     """
-    if method not in AGGREGATION_METHODS:
-        raise ValidationError(f"unknown aggregation method {method!r}; choose from {AGGREGATION_METHODS}")
+    checked(method, one_of(AGGREGATION_METHODS), "aggregation method")
     K, T = len(units), grid.num_slots
     unit, slot, rank, raw_values = _columns(raw_rows, units, grid, "outage")
     values = np.array(raw_values, dtype=np.float64)

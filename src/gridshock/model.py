@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import COUNT, NUMBER, PAIRS, meta_value, read_container, write_container
-from .errors import ValidationError
+from .container import meta_value, read_container, write_container
+from .errors import COUNT, NONNEGATIVE, NUMBER, PAIRS, POSITIVE, ValidationError, at_least, checked
 from .topology import EdgeWeights, Graph
 from .weather_effect import DecayConfig, WeatherScaler, WindowFilter, _per_lead, accumulate
 
@@ -234,10 +234,8 @@ class ModelParams:
             raise ValidationError(
                 f"beta/gamma must be length-{K} vectors, got {self.beta.shape} and {self.gamma.shape}"
             )
-        if self.eps <= 0:
-            raise ValidationError(f"intensity floor must be positive, got {self.eps}")
-        if self.trig_window < 1:
-            raise ValidationError(f"trig_window must be >= 1, got {self.trig_window}")
+        checked(self.eps, POSITIVE, "intensity floor eps")
+        checked(self.trig_window, at_least(1), "trig_window")
         if self.mlp.input_dim != self.decay.omega.shape[0]:
             raise ValidationError(
                 f"network input width {self.mlp.input_dim} != number of weather variables {self.decay.omega.shape[0]}"
@@ -259,9 +257,9 @@ class ModelParams:
         """Raise unless the constrained parameter space is respected."""
         rates = ("beta", "recovery rate", self.beta), ("gamma", "design-margin coefficient", self.gamma)
         for name, what, arr in (*rates, ("omega", "decay rate", self.decay.omega)):
-            if (arr < 0).any():
-                k = int(np.argmax(arr < 0))
-                raise ValidationError(f"negative {what} {name}[{k}] = {float(arr[k])!r}")
+            bad = np.flatnonzero(~(np.isfinite(arr) & (arr >= 0)))
+            if bad.size:
+                checked(float(arr[bad[0]]), NONNEGATIVE, f"{what} {name}[{bad[0]}]")
         self.alpha.check_invariants()
 
     def copy(self) -> "ModelParams":

@@ -45,12 +45,12 @@ lone `simulate_paths`, which is the one-set caller of the same loop.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DivergenceError, NumericError, ValidationError, is_count, read_json_object
+from .errors import COUNT, NONNEGATIVE, DivergenceError, NumericError, ValidationError, at_least, checked, is_count
+from .errors import one_of, read_json_object
 from .ingest import TimeGrid
 from .model import Coupling, Kernel, ModelParams, weather_response
 from .model import kernel_matrix, mlp_forward  # noqa: F401  (bindings patched by perfbench/tracer.py)
@@ -60,9 +60,24 @@ from .weather_effect import accumulate  # noqa: F401  (binding patched by perfbe
 LAMBDA_OVERFLOW = 1e9
 
 MEAN = "mean"  # symbolic override value: population average
-CLAUSE_LISTS = {"edge_reweights": ("source", "target"), "gamma_overrides": ("unit",), "beta_overrides": ("unit",),
-                "omega_overrides": ("variable",)}  # a clause is these integer indices, then its value
+OVERRIDE = (lambda x: x == MEAN or NONNEGATIVE[0](x), f"{NONNEGATIVE[1]} or {MEAN!r}")
+
+
+def _clauses(*indices) -> tuple:
+    """The kind of a list of [*indices, value] clauses with integer indices >= 0."""
+    def clause(c):
+        return isinstance(c, (list, tuple)) and len(c) == len(indices) + 1 and all(map(is_count, c[:-1]))
+
+    text = f"a list of [{', '.join(indices)}, value] clauses with integer indices >= 0"
+    return lambda x: isinstance(x, (list, tuple)) and all(map(clause, x)), text
+
+
+CLAUSE_LISTS = {"edge_reweights": _clauses("source", "target"), "gamma_overrides": _clauses("unit"),
+                "beta_overrides": _clauses("unit"), "omega_overrides": _clauses("variable")}
 SELECTORS = ("top_k_units", "top_e_edges", "gamma_top_units", "beta_bottom_units")
+BASELINES = ("simulated_total", "observed_total")
+SWEEP_AXIS = (lambda x: isinstance(x, (list, tuple)) and len(x) > 0 and all(map(is_count, x)),
+              "a nonempty list of integers >= 0")
 
 
 @dataclass
@@ -94,29 +109,15 @@ class Scenario:
     beta_bottom_units: int | None = None
 
     def __post_init__(self):
-        values = [("edge_target", self.edge_target)]
-        for name, indices in CLAUSE_LISTS.items():
-            clauses = getattr(self, name)
-            if not isinstance(clauses, (list, tuple)) or not all(
-                isinstance(c, (list, tuple)) and len(c) == len(indices) + 1 and all(map(is_count, c[:-1]))
-                for c in clauses
-            ):
-                raise ValidationError(
-                    f"{name} must hold [{', '.join(indices)}, value] clauses with integer indices >= 0, got {clauses!r}"
-                )
-            setattr(self, name, [tuple(c) for c in clauses])
-            values += [(name, clause[-1]) for clause in clauses]
+        checked(self.edge_target, OVERRIDE, "edge_target value")
+        for name, kind in CLAUSE_LISTS.items():
+            clauses = [tuple(c) for c in checked(getattr(self, name), kind, name)]
+            setattr(self, name, clauses)
+            for clause in clauses:
+                checked(clause[-1], OVERRIDE, f"{name} value")
         for name in SELECTORS:
-            count = getattr(self, name)
-            if count is not None and not is_count(count):
-                raise ValidationError(f"{name} must be an integer >= 0, got {count!r}")
-        for name, value in values:
-            try:
-                ok = value == MEAN or (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0)
-            except OverflowError:  # an integer beyond the float range
-                ok = False
-            if not ok:
-                raise ValidationError(f"{name} value must be a finite number >= 0 or {MEAN!r}, got {value!r}")
+            if getattr(self, name) is not None:
+                checked(getattr(self, name), COUNT, name)
         if (self.top_k_units is None) != (self.top_e_edges is None):
             raise ValidationError("top_k_units and top_e_edges must be given together")
 
@@ -264,12 +265,9 @@ def simulate_paths(
     drawn, so fully forced runs measure the one-step distribution; free,
     partly and fully forced runs are one slot loop. Deterministic given the seed.
     """
-    if R < 1:
-        raise ValidationError(f"need at least one replication, got {R}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    if teacher_forced_until < 0:
-        raise ValidationError(f"teacher_forced_until must be >= 0, got {teacher_forced_until}")
+    checked(R, at_least(1), "replications R")
+    checked(seed, COUNT, "seed")
+    checked(teacher_forced_until, COUNT, "teacher_forced_until")
     x = _weather_on_grid(params, weather, grid)
     K, T = x.shape[:2]
     cutoff = min(int(teacher_forced_until), T)
@@ -579,14 +577,11 @@ def outage_reductions(
     rollout a fresh simulation would produce. The distinct sets, the baseline
     first, are stepped together in one rollout (:func:`_rollout_totals`).
     """
-    if baseline not in ("simulated_total", "observed_total"):
-        raise ValidationError(f"baseline must be simulated_total or observed_total, got {baseline!r}")
+    checked(baseline, one_of(BASELINES), "baseline")
     if baseline == "observed_total" and observed is None:
         raise ValidationError("observed_total baseline requires observed counts")
-    if R < 1:
-        raise ValidationError(f"need at least one replication, got {R}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    checked(R, at_least(1), "replications R")
+    checked(seed, COUNT, "seed")
     if baseline == "observed_total":
         base_total = float(np.asarray(getattr(observed, "counts", observed)).sum())
         if base_total == 0:
@@ -660,10 +655,9 @@ def sweep_scenarios(axis1: list, axis2: list, mode: str = "edges") -> list:
     average recovery rate. A cell with a 0 on an edges axis, or 0 on both
     margins axes, is the identity scenario.
     """
-    if not all(isinstance(axis, (list, tuple)) and axis and all(map(is_count, axis)) for axis in (axis1, axis2)):
-        raise ValidationError(f"sweep axes must be nonempty lists of integers >= 0, got {axis1!r} and {axis2!r}")
-    if mode not in ("edges", "margins"):
-        raise ValidationError(f"sweep mode must be 'edges' or 'margins', got {mode!r}")
+    checked(axis1, SWEEP_AXIS, "sweep axis1")
+    checked(axis2, SWEEP_AXIS, "sweep axis2")
+    checked(mode, one_of(("edges", "margins")), "sweep mode")
     cells = []
     for a1 in axis1:
         for a2 in axis2:

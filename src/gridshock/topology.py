@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import POSITIVE, ValidationError, at_least, checked
 from .ingest import UnitMeta
 
 EARTH_RADIUS_KM = 6371.0088
@@ -150,10 +150,10 @@ def build_candidate_graph(
     K = len(units)
     if K < 2:
         raise ValidationError(f"need at least 2 units to build a graph, got {K}")
-    if not 1 <= k_neighbors < K:
+    checked(k_neighbors, at_least(1), "k_neighbors")
+    if k_neighbors >= K:
         raise ValidationError(f"k_neighbors must be in [1, {K - 1}], got {k_neighbors}")
-    if max_km <= 0:
-        raise ValidationError(f"max_km must be positive, got {max_km}")
+    checked(max_km, POSITIVE, "max_km")
     lat = np.array([u.centroid_lat for u in units])
     lon = np.array([u.centroid_lon for u in units])
     farthest = 0.0

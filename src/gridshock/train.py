@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, NumericError, ValidationError
+from .errors import COUNT, POSITIVE, DivergenceError, NumericError, ValidationError, at_least, checked, one_of
 from .ingest import Dataset
 from .model import (
     Coupling,
@@ -82,18 +82,13 @@ class FitConfig:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValidationError(f"step_size must be positive, got {self.step_size}")
-        if self.tol <= 0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-        if self.max_epochs < 0:
-            raise ValidationError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValidationError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.batch_slots is not None and self.batch_slots < 1:
-            raise ValidationError(f"batch_slots must be >= 1 or None, got {self.batch_slots}")
+        checked(self.step_size, POSITIVE, "step_size")
+        checked(self.tol, POSITIVE, "tol")
+        checked(self.max_epochs, COUNT, "max_epochs")
+        checked(self.seed, COUNT, "seed")
+        checked(self.optimizer, one_of(OPTIMIZERS), "optimizer")
+        if self.batch_slots is not None:
+            checked(self.batch_slots, at_least(1), "batch_slots")
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, at_least, checked
 
 DEFAULT_WINDOW_SLOTS = 24  # 3 days of 3-hour slots
 
@@ -40,8 +40,7 @@ class DecayConfig:
             raise ValidationError(f"omega must be a vector, got shape {self.omega.shape}")
         if not np.isfinite(self.omega).all():
             raise ValidationError("decay rates must be finite")
-        if self.window_slots < 1:
-            raise ValidationError(f"window_slots must be >= 1, got {self.window_slots}")
+        checked(self.window_slots, at_least(1), "window_slots")
 
 
 def _as_array(weather) -> np.ndarray:

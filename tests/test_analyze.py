@@ -173,8 +173,9 @@ def test_predict_ahead_matches_the_per_target_loop(seed, K, T, trig_window, hori
 
 def test_predict_ahead_rejects_bad_horizons(small):
     params, ds = small
-    with pytest.raises(ValidationError, match=">= 1"):
-        predict_ahead(params, ds, horizon_slots=0)
+    for bad in (0, 2.5):  # 2.5 is not cast to 2
+        with pytest.raises(ValidationError, match=">= 1"):
+            predict_ahead(params, ds, horizon_slots=bad)
     with pytest.raises(ValidationError, match="smaller than"):
         predict_ahead(params, ds, horizon_slots=ds.grid.num_slots)
 

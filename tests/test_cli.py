@@ -2,15 +2,16 @@ import argparse
 import csv
 import gc
 import json
+import math
 import os
 import warnings
-from datetime import datetime
 
 import numpy as np
 import pytest
 
 from synth import rewrite_container_header
 from gridshock import cli, ingest, model, simulate, topology
+from gridshock.errors import INTEGER, INTEGERS, NUMBER
 from gridshock.ingest import load_dataset
 from gridshock.model import deserialize
 
@@ -521,6 +522,7 @@ def test_validate_only_passes_without_computing(pipeline):
         [
             "fit",
             "--dataset", str(pipeline["dataset"]),
+            "--k-neighbors", "3",  # the default 8 is more than the 4 units have
             "--output-dir", str(out),
             "--validate-only",
         ]
@@ -782,30 +784,64 @@ def test_a_config_value_of_the_wrong_type_exits_2(pipeline, tmp_path, capsys, co
     assert not (out / "effective_config.json").exists()
 
 
-def _out_of_range(kind, bound):
-    """A value of a setting's kind that its range refuses, for every kind of cli.SETTING_TYPES."""
-    if kind is int:
-        return bound - 1
-    return {float: 0.0, tuple: [8, 0], str: "bogus", datetime: "not-a-time"}[kind]
+def _out_of_range(kinds):
+    """A value of a setting's type that its range refuses, for every setting of cli.SETTING_TYPES."""
+    if kinds[0] is INTEGER:
+        return max(n for n in (-1, 0, 1) if not kinds[1][0](n))
+    return {NUMBER: 0.0, INTEGERS: [8, 0], cli.TIMESTAMP: "not-a-time"}.get(kinds[0], "bogus")
 
 
 @pytest.mark.parametrize("key", sorted(cli.SETTING_TYPES))
 def test_validate_only_rejects_an_out_of_range_value_of_every_setting(pipeline, tmp_path, capsys, key):
     commands = [c for c, keys in cli.COMMAND_SETTINGS.items() if key in keys]
     assert commands, f"no command reads {key!r}"
-    command, value = commands[0], _out_of_range(*cli.SETTING_TYPES[key])
+    command = commands[0]
     section, _, leaf = key.rpartition(".")
-    cfg_path = tmp_path / "range.json"
-    cfg_path.write_text(json.dumps({section: {leaf: value}} if section else {key: value}))
     out = tmp_path / "out"
     if command == "ingest":
         inputs = ["--units", str(pipeline["units"]), "--outages", str(pipeline["outages"]),
                   "--weather", str(pipeline["weather"])]
     else:
         inputs = ["--dataset", str(pipeline["dataset"]), "--model", str(pipeline["model"])]
-    rc = cli.main([command, "--config", str(cfg_path), *inputs, "--output-dir", str(out), "--validate-only"])
-    err = capsys.readouterr().err
-    assert rc == 2 and repr(value) in err and "Traceback" not in err
+    for value in (_out_of_range(cli.SETTING_TYPES[key]), math.nan, True):
+        cfg_path = tmp_path / "range.json"
+        cfg_path.write_text(json.dumps({section: {leaf: value}} if section else {key: value}))
+        rc = cli.main([command, "--config", str(cfg_path), *inputs, "--output-dir", str(out), "--validate-only"])
+        err = capsys.readouterr().err
+        assert rc == 2 and repr(value) in err and "Traceback" not in err, (value, err)
+        assert not out.exists()
+
+
+def test_every_config_leaf_is_a_path_or_a_checked_setting():
+    """A config value that is neither an input/output path nor part of the
+    `enhance` plan is read through `_setting`, so it is type- and range-checked."""
+    paths = {"units_csv", "outages_csv", "weather_csv", "dataset", "model", "output_dir", "scenario", "sweep"}
+
+    def leaves(node, prefix=""):
+        for key, value in node.items():
+            yield from leaves(value, f"{prefix}{key}.") if isinstance(value, dict) else [prefix + key]
+
+    assert set(leaves(cli.DEFAULTS)) - paths == set(cli.SETTING_TYPES)
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (["analyze", "--sigmoid-variable", "bogus"], "error: unknown weather variable 'bogus'"),
+        (["fit", "--k-neighbors", str(UNITS)], f"error: k_neighbors must be in [1, {UNITS - 1}], got {UNITS}"),
+    ],
+    ids=["unknown-variable", "too-many-neighbors"],
+)
+def test_validate_only_makes_the_checks_that_need_the_data(pipeline, tmp_path, capsys, argv, match):
+    out = tmp_path / "out"
+    model_path = out / "model.gshk" if argv[0] == "fit" else pipeline["model"]  # fit writes its --model
+    results = []
+    for validate in ([], ["--validate-only"]):
+        rc = cli.main([*argv, "--dataset", str(pipeline["dataset"]), "--model", str(model_path),
+                       "--output-dir", str(out), *validate])
+        results.append((rc, capsys.readouterr().err))
+    assert results[0] == results[1]
+    assert results[0][0] == 2 and match in results[0][1]
     assert not out.exists()
 
 
@@ -838,16 +874,31 @@ def test_config_file_rejects_the_removed_projection_cadence_key(pipeline, tmp_pa
 def test_model_file_with_a_negative_rate_is_rejected_at_load(pipeline, tmp_path, capsys, field, index):
     params = deserialize(pipeline["model"])
     arr = params.decay.omega if field == "omega" else getattr(params, field)
-    arr[index] = -0.5
     if field == "beta":
         params.decay.omega[0] = -0.2  # the first bad field is the one named
+    # a non-finite omega is refused when the model is built, before this check
+    for value in (-0.5, math.nan, math.inf) if field != "omega" else (-0.5,):
+        arr[index] = value
+        bad = tmp_path / "bad_model.gshk"
+        model.serialize(params, bad)
+        for validate in ([], ["--validate-only"]):
+            rc = cli.main(["predict", "--dataset", str(pipeline["dataset"]), "--model", str(bad),
+                           "--output-dir", str(tmp_path / "pred"), *validate])
+            assert rc == 2
+            assert f"{field}[{index}] must be a finite number >= 0, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0])
+def test_model_file_with_a_bad_intensity_floor_is_rejected_at_load(pipeline, tmp_path, capsys, eps):
     bad = tmp_path / "bad_model.gshk"
-    model.serialize(params, bad)
+    bad.write_bytes(pipeline["model"].read_bytes())
+    rewrite_container_header(bad, _set_meta(["eps"], eps))
     for validate in ([], ["--validate-only"]):
         rc = cli.main(["predict", "--dataset", str(pipeline["dataset"]), "--model", str(bad),
                        "--output-dir", str(tmp_path / "pred"), *validate])
         assert rc == 2
-        assert f"{field}[{index}] = -0.5" in capsys.readouterr().err
+        assert f"error: intensity floor eps must be a finite number > 0, got {eps!r}" in capsys.readouterr().err
     assert not (tmp_path / "pred").exists()
 
 
@@ -870,7 +921,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NU
 def test_threads_flag_pins_the_pools_in_either_spelling(pipeline, monkeypatch, flag):
     for var in THREAD_VARS:
         monkeypatch.setenv(var, "untouched")
-    assert cli.main(["fit", "--dataset", str(pipeline["dataset"]), "--validate-only", *flag]) == 0
+    assert cli.main(["fit", "--dataset", str(pipeline["dataset"]), "--k-neighbors", "3", "--validate-only", *flag]) == 0
     assert {var: os.environ[var] for var in THREAD_VARS} == dict.fromkeys(THREAD_VARS, "3")
 
 
@@ -903,22 +954,22 @@ def test_a_malformed_scenario_file_exits_2(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-AXES_ERROR = "sweep axes must be nonempty lists of integers >= 0"
+AXES_ERROR = "must be a nonempty list of integers >= 0"
 
 
 @pytest.mark.parametrize(
     "sweep, flags, match",
     [
-        ({"mode": "edges"}, [], f"{AXES_ERROR}, got None and None"),
-        ({"mode": "edges", "axis1": [1], "axis2": []}, [], f"{AXES_ERROR}, got [1] and []"),
-        ({"mode": "edges", "axis1": [1], "axis2": [0.5]}, [], f"{AXES_ERROR}, got [1] and [0.5]"),
-        ({"mode": "edges", "axis1": [True], "axis2": [1]}, [], f"{AXES_ERROR}, got [True] and [1]"),
-        ({"mode": "edges", "axis1": 2, "axis2": [1]}, [], f"{AXES_ERROR}, got 2 and [1]"),
-        ({"mode": "diagonal", "axis1": [1], "axis2": [1]}, [], "sweep mode must be 'edges' or 'margins'"),
+        ({"mode": "edges"}, [], f"sweep axis1 {AXES_ERROR}, got None"),
+        ({"mode": "edges", "axis1": [1], "axis2": []}, [], f"sweep axis2 {AXES_ERROR}, got []"),
+        ({"mode": "edges", "axis1": [1], "axis2": [0.5]}, [], f"sweep axis2 {AXES_ERROR}, got [0.5]"),
+        ({"mode": "edges", "axis1": [True], "axis2": [1]}, [], f"sweep axis1 {AXES_ERROR}, got [True]"),
+        ({"mode": "edges", "axis1": 2, "axis2": [1]}, [], f"sweep axis1 {AXES_ERROR}, got 2"),
+        ({"mode": "diagonal", "axis1": [1], "axis2": [1]}, [], "sweep mode must be one of 'edges', 'margins'"),
         ({"mode": "edges", "axis1": [1], "axis2": [1], "axis3": [1]}, [], "sweep must be an object with keys"),
         ([1, 2], [], "sweep must be an object with keys"),
-        (None, ["--sweep-units=-1,2", "--sweep-edges", "1"], f"{AXES_ERROR}, got [-1, 2] and [1]"),
-        (None, ["--sweep-mode", "margins", "--sweep-units", "1"], f"{AXES_ERROR}, got [1] and []"),
+        (None, ["--sweep-units=-1,2", "--sweep-edges", "1"], f"sweep axis1 {AXES_ERROR}, got [-1, 2]"),
+        (None, ["--sweep-mode", "margins", "--sweep-units", "1"], f"sweep axis2 {AXES_ERROR}, got []"),
     ],
     ids=["no-axes", "empty-axis", "float", "bool", "not-a-list", "mode", "extra-key", "not-an-object",
          "negative-flag", "one-axis-flag"],

@@ -114,10 +114,10 @@ def test_scenario_roundtrip(tmp_path):
     "payload, match",
     [
         ([{"gamma_top_units": 1}], "must hold a JSON object"),
-        ({"edge_reweights": [[0, 1]]}, "edge_reweights must hold [source, target, value] clauses"),
-        ({"gamma_overrides": [[0, 0.5, 1]]}, "gamma_overrides must hold [unit, value] clauses"),
-        ({"beta_overrides": [0, 0.5]}, "beta_overrides must hold [unit, value] clauses"),
-        ({"omega_overrides": {"0": 0.5}}, "omega_overrides must hold [variable, value] clauses"),
+        ({"edge_reweights": [[0, 1]]}, "edge_reweights must be a list of [source, target, value] clauses"),
+        ({"gamma_overrides": [[0, 0.5, 1]]}, "gamma_overrides must be a list of [unit, value] clauses"),
+        ({"beta_overrides": [0, 0.5]}, "beta_overrides must be a list of [unit, value] clauses"),
+        ({"omega_overrides": {"0": 0.5}}, "omega_overrides must be a list of [variable, value] clauses"),
         ({"gamma_overrides": [["a", 0.5]]}, "with integer indices >= 0, got [['a', 0.5]]"),
         ({"gamma_overrides": [[0.5, 0.5]]}, "with integer indices >= 0, got [[0.5, 0.5]]"),
         ({"edge_reweights": [[0, -1, 0.0]]}, "with integer indices >= 0, got [[0, -1, 0.0]]"),
@@ -304,7 +304,7 @@ def test_each_count_depends_only_on_its_own_cell(cells):
 def test_simulate_validation():
     params = _chain_params()
     ds = _shell(params, 6)
-    for R in (0, -1):
+    for R in (0, -1, 2.5):  # not cast to 2
         with pytest.raises(ValidationError, match="replication"):
             simulate_paths(params, ds.weather, ds.grid, R=R, seed=1)
         with pytest.raises(ValidationError, match="replication"):
@@ -314,7 +314,8 @@ def test_simulate_validation():
     with pytest.raises(ValidationError, match="observed"):
         simulate_paths(params, ds.weather, ds.grid, R=2, seed=1, teacher_forced_until=3)
     for cutoff in (-1, np.int64(-3)):  # not clipped to a free run
-        with pytest.raises(ValidationError, match=f"teacher_forced_until must be >= 0, got {cutoff}"):
+        match = re.escape(f"teacher_forced_until must be an integer >= 0, got {cutoff!r}")
+        with pytest.raises(ValidationError, match=match):
             simulate_paths(params, ds.weather, ds.grid, R=2, seed=1, teacher_forced_until=cutoff, observed=ds.outages)
     with pytest.raises(ValidationError, match="does not cover"):
         simulate_paths(params, np.zeros((2, 3, 1)), ds.grid, R=2, seed=1)
@@ -324,9 +325,9 @@ def test_a_negative_seed_is_a_validation_error():
     params = _chain_params()
     ds = _shell(params, 6)
     for seed in (-1, np.int64(-4)):  # not numpy's ValueError from default_rng
-        with pytest.raises(ValidationError, match=f"seed must be >= 0, got {seed}"):
+        with pytest.raises(ValidationError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
             simulate_paths(params, ds.weather, ds.grid, R=2, seed=seed)
-        with pytest.raises(ValidationError, match=f"seed must be >= 0, got {seed}"):
+        with pytest.raises(ValidationError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
             outage_reductions(params, [Scenario()], ds.weather, ds.grid, R=2, seed=seed)
 
 

@@ -103,8 +103,9 @@ def test_candidate_graph_validation_and_empty_warning():
     units = make_units(5, seed=0)
     with pytest.raises(ValidationError, match="k_neighbors"):
         build_candidate_graph(units, k_neighbors=5)
-    with pytest.raises(ValidationError, match="max_km"):
-        build_candidate_graph(units, k_neighbors=2, max_km=0.0)
+    for bad in (0.0, np.nan):  # NaN would compare false to every distance and leave no edge
+        with pytest.raises(ValidationError, match="max_km"):
+            build_candidate_graph(units, k_neighbors=2, max_km=bad)
     with pytest.raises(ValidationError, match="at least 2"):
         build_candidate_graph(units[:1])
     with pytest.warns(UserWarning, match="empty"):

@@ -447,15 +447,16 @@ def test_initialize_respects_config_shape_knobs():
 
 
 def test_fit_config_validation():
-    with pytest.raises(ValidationError, match="step_size"):
-        FitConfig(step_size=0.0)
-    with pytest.raises(ValidationError, match="tol"):
-        FitConfig(tol=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="step_size"):
+            FitConfig(step_size=bad)
+        with pytest.raises(ValidationError, match="tol"):
+            FitConfig(tol=bad)
     with pytest.raises(ValidationError, match="optimizer"):
         FitConfig(optimizer="newton")
     with pytest.raises(ValidationError, match="batch_slots"):
         FitConfig(batch_slots=0)
-    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0, got -1"):
         FitConfig(seed=-1)  # not numpy's ValueError from default_rng, at the start of the fit
 
 
