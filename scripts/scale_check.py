@@ -3,9 +3,10 @@
 
 Writes K=1000 units, T=2920 slots and M=4 weather variables of raw CSVs into
 OUT_DIR with the benchmark's seeded generators (`perfbench/gen.py`), then
-runs `ingest`, `fit --epochs 2`, `predict`, `simulate --replications 50` and
-`enhance --replications 50` (one scenario plus a 2x2 edges sweep) on them,
-each in a fresh child process with one numeric thread, and prints
+runs `ingest`, `fit --epochs 2`, `predict`, `simulate --replications 50`,
+`enhance --replications 50` (one scenario plus a 2x2 edges sweep) and
+`analyze --sigmoid-variable wind_speed` on them, each in a fresh child
+process with one numeric thread, and prints
 one line per command: wall seconds and peak RSS in MiB (`os.wait4`). This
 process never loads numpy, so it adds little to the children's peaks.
 
@@ -68,6 +69,7 @@ def commands(work: Path) -> list[tuple[str, list[str]]]:
         ("simulate", ["simulate", *io, "--replications", str(REPLICATIONS), "--seed", "0"]),
         ("enhance", ["enhance", *io, "--scenario", str(work / "scenario.json"), *SWEEP,
                      "--replications", str(REPLICATIONS), "--seed", "0"]),
+        ("analyze", ["analyze", *io, "--sigmoid-variable", "wind_speed"]),
     ]
 
 

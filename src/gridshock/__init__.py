@@ -43,6 +43,7 @@ _EXPORTS = {
     "WeatherTensor": "ingest",
     "Dataset": "ingest",
     "load_units": "ingest",
+    "FeedColumns": "ingest",
     "aggregate_outages": "ingest",
     "aggregate_weather": "ingest",
     "save_dataset": "ingest",

@@ -103,6 +103,7 @@ def _metrics(pred: np.ndarray, actual: np.ndarray, t_from: int):
 def predict_in_sample(params: ModelParams, dataset: Dataset, direct: np.ndarray | None = None) -> PredictionReport:
     """Expected counts with fully observed (teacher-forced) history. `direct`
     is the weather term :func:`model.direct_from_weather`, when the caller has it."""
+    params.check_invariants()
     fld = intensity_field(params, dataset.outages, dataset.weather, direct=direct)
     actual = dataset.outages.counts.astype(np.float64)
     mae, rmse, per_unit = _metrics(fld.lam, actual, 0)

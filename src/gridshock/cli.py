@@ -9,7 +9,7 @@ Exit codes: 0 ok, 2 validation/config problem, 3 numeric failure
 (divergence, undefined statistic), 4 file/format problem.
 
 `--validate-only` reads the command's settings and inputs as the command
-would (`ingest`'s CSV headers, whole dataset and model containers, `fit`'s
+would (`ingest`'s CSVs and grid, whole dataset and model containers, `fit`'s
 candidate graph, `analyze`'s variable names), then stops before computing:
 it exits with the code and message the run would give. A config value of
 the wrong type or out of its range, NaN and infinities included, exits 2.
@@ -36,6 +36,7 @@ import sys
 from pathlib import Path
 
 from .errors import COUNT, INTEGER, INTEGERS, NUMBER, OBJECT, POSITIVE, TEXT, TEXTS, at_least, checked, one_of
+from .errors import AGGREGATIONS, BASELINES, OPTIMIZERS, SWEEP_MODES
 from .errors import FileFormatError, InsufficientDataError, NumericError, ValidationError, read_json_object
 
 EXIT_OK = 0
@@ -122,9 +123,6 @@ def effective_config(args) -> dict:
     return cfg
 
 
-AGGREGATIONS = ("mean", "max", "last")  # also the choices of --aggregation
-BASELINES = ("simulated_total", "observed_total")  # of --baseline
-OPTIMIZERS = ("adaptive-moments", "plain-sgd")  # and of --optimizer
 WIDTHS = (lambda x: INTEGERS[0](x) and min(x, default=1) >= 1, "a list of integers >= 1")
 TIMESTAMP = (TEXT[0], "an ISO timestamp")
 SWEEP = (lambda x: isinstance(x, dict) and set(x) <= {"mode", "axis1", "axis2"},
@@ -244,18 +242,16 @@ def _load_inputs(cfg: dict):
 # -- ingest -------------------------------------------------------------------
 
 
-def _resolve_grid(s: dict, outage_rows, weather_rows):
-    """Build the TimeGrid, deriving span from the data when set to "auto"."""
-    from operator import itemgetter
-
+def _resolve_grid(s: dict, *feeds):
+    """Build the TimeGrid, deriving span from the feeds' timestamps when set to "auto"."""
     from .ingest import TimeGrid
 
     slot_seconds, start, num_slots = s["grid.slot_seconds"], s["grid.start"], s["grid.num_slots"]
     if start == "auto" or num_slots == "auto":
-        stamps = [*map(itemgetter(1), outage_rows), *map(itemgetter(1), weather_rows)]
-        ts_min, ts_max = min(stamps, default=None), max(stamps, default=None)
-        if ts_min is None:
+        stamps = [ts for feed in feeds for ts in feed.stamps]
+        if not stamps:
             raise InsufficientDataError("cannot derive the time grid: no data rows")
+        ts_min, ts_max = min(stamps), max(stamps)
         if start == "auto":
             start = ts_min.replace(hour=0, minute=0, second=0, microsecond=0)
         if num_slots == "auto":
@@ -264,18 +260,27 @@ def _resolve_grid(s: dict, outage_rows, weather_rows):
     return TimeGrid(start=start, slot_seconds=slot_seconds, num_slots=num_slots)
 
 
+def _read_feeds(cfg: dict, s: dict):
+    """The units, the weather variable names, the outage and weather feeds as
+    columns (by kind), and the grid: everything `ingest` reads, each file
+    parsed once."""
+    from .ingest import FeedColumns, load_outage_rows, load_units, load_weather_rows
+
+    paths = _raw_csvs(cfg)
+    units = load_units(paths["units"])
+    variables, weather_rows = load_weather_rows(paths["weather"], units)
+    outages = FeedColumns.from_rows(load_outage_rows(paths["outages"], units))
+    weather = FeedColumns.from_rows(weather_rows, width=len(variables))
+    return units, variables, {"outages": outages, "weather": weather}, _resolve_grid(s, outages, weather)
+
+
 def cmd_ingest(cfg: dict, s: dict, args) -> int:
     from . import ingest
 
-    paths = _raw_csvs(cfg)
-    units = ingest.load_units(paths["units"])
-    variables, weather_rows = ingest.load_weather_rows(paths["weather"])
-    # Each file is parsed once; the grid and the aggregation read the same rows.
-    outage_rows = list(ingest.load_outage_rows(paths["outages"]))
-    weather_rows = list(weather_rows)
-    grid = _resolve_grid(s, outage_rows, weather_rows)
-    outages = ingest.aggregate_outages(outage_rows, units, grid, method=s["aggregation"])
-    weather = ingest.aggregate_weather(weather_rows, units, grid, variables)
+    units, variables, feeds, grid = _read_feeds(cfg, s)
+    # popped, so that each feed's columns are freed once aggregated
+    outages = ingest.aggregate_outages(feeds.pop("outages"), units, grid, method=s["aggregation"])
+    weather = ingest.aggregate_weather(feeds.pop("weather"), units, grid, variables)
     ds = ingest.Dataset(units=units, grid=grid, outages=outages, weather=weather)
     out_dir = _output_dir(cfg)
     ds_path = Path(cfg["dataset"] or out_dir / "dataset.gshk")
@@ -524,10 +529,7 @@ def validate_only(cfg: dict, s: dict, command: str) -> int:
     """Read `command`'s inputs as the command would, `main` having read its
     settings `s`, and stop before computing or writing anything."""
     if command == "ingest":
-        from .ingest import read_header
-
-        for kind, path in _raw_csvs(cfg).items():
-            read_header(path, kind)
+        _read_feeds(cfg, s)
     elif command == "fit":
         _fit_config(s)
         _candidate_graph(_load_dataset(cfg), s)
@@ -606,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--replications", type=int, dest="sim.replications")
     p.add_argument("--baseline", choices=BASELINES, dest="sim.baseline")
-    p.add_argument("--sweep-mode", choices=["edges", "margins"])
+    p.add_argument("--sweep-mode", choices=SWEEP_MODES)
     p.add_argument("--sweep-units", type=int_list, dest="sweep_axis1", metavar="LIST", help="comma list for axis 1")
     p.add_argument("--sweep-edges", type=int_list, dest="sweep_axis2", metavar="LIST", help="comma list for axis 2")
 

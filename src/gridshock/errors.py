@@ -54,6 +54,14 @@ def one_of(words: tuple) -> tuple:
     return lambda x: isinstance(x, str) and x in words, "one of " + ", ".join(map(repr, words))
 
 
+# The words of each word-valued setting, stated once: the CLI's choices and
+# config checks and the library's argument checks all read them here.
+AGGREGATIONS = ("mean", "max", "last")  # ingest's slot aggregation
+BASELINES = ("simulated_total", "observed_total")  # enhance's reduction baseline
+OPTIMIZERS = ("adaptive-moments", "plain-sgd")  # fit's update rule
+SWEEP_MODES = ("edges", "margins")  # enhance's sweep axes
+
+
 class GridshockError(Exception):
     """Base class for all errors raised by this package."""
 

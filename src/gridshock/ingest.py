@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -25,12 +26,10 @@ import numpy as np
 
 from .container import meta_value, read_container, write_container
 from .errors import COUNT, INTEGER, NUMBER, OBJECT, OBJECTS, TEXT, TEXTS, SchemaError, ValidationError, at_least
-from .errors import checked, one_of
+from .errors import AGGREGATIONS, checked, one_of
 
 DATASET_SCHEMA = "gridshock-ds-v1"
 DEFAULT_SLOT_SECONDS = 10800  # 3-hour slots
-
-AGGREGATION_METHODS = ("mean", "max", "last")
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -185,7 +184,7 @@ def read_header(path, kind: str) -> list[str]:
     """Header row of a units/outages/weather CSV, checked for its required columns.
 
     A weather header also needs at least one variable column. The loaders
-    check their files here, and so does `gridshock ingest --validate-only`.
+    check their files here.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -260,33 +259,48 @@ def load_units(path) -> list[UnitMeta]:
     return units
 
 
-def load_outage_rows(path):
-    """Yield (unit_id, timestamp, customers_out) triples from outages.csv.
+def _unit_names(units: list[UnitMeta]) -> _Memo:
+    """`names[raw]` is the index of the unit whose id is `raw` stripped."""
+    index = {u.unit_id: i for i, u in enumerate(units)}
 
-    customers_out must be a finite count in [0, 2**63), so it survives the
-    cast to an int64 count cell.
+    def resolve(raw: str) -> int:
+        uid = raw.strip()
+        if uid not in index:
+            raise ValidationError(f"unknown unit_id {uid!r}")
+        return index[uid]
+
+    return _Memo(resolve)
+
+
+def load_outage_rows(path, units: list[UnitMeta]):
+    """Yield (unit index, timestamp, customers_out) triples from outages.csv.
+
+    The unit index is the row's position in `units`. customers_out must be a
+    finite count in [0, 2**63), so it survives the cast to an int64 count cell.
     """
     path = Path(path)
     header = read_header(path, "outages")
     uid_col, ts_col, count_col = map(header.index, CSV_COLUMNS["outages"])
-    names, stamps = _Memo(str.strip), _Memo(parse_timestamp)
+    names, stamps = _unit_names(units), _Memo(parse_timestamp)
     for row_num, fields in _data_rows(path, len(header)):
         try:
             value = float(fields[count_col])
             if not 0 <= value < 2**63:
                 raise ValueError(f"customers_out must be a finite count in [0, 2**63), got {fields[count_col]!r}")
             ts = stamps[fields[ts_col]]
+            unit = names[fields[uid_col]]
         except (ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{row_num}: {exc}") from exc
-        yield names[fields[uid_col]], ts, value
+        yield unit, ts, value
 
 
-def load_weather_rows(path):
-    """Return (variable_names, row iterator of (unit_id, timestamp, values)).
+def load_weather_rows(path, units: list[UnitMeta]):
+    """Return (variable_names, row iterator of (unit index, timestamp, values)).
 
-    `values` is a tuple of floats, one per variable. The header is checked at
-    once; the iterator opens the file only when it is read, so an iterator
-    that is never read holds no open file.
+    The unit index is the row's position in `units`; `values` is a tuple of
+    floats, one per variable. The header is checked at once; the iterator
+    opens the file only when it is read, so an iterator that is never read
+    holds no open file.
     """
     path = Path(path)
     header = read_header(path, "weather")
@@ -294,7 +308,7 @@ def load_weather_rows(path):
     var_cols = [c for c, name in enumerate(header) if name not in CSV_COLUMNS["weather"]]
 
     def rows():
-        names, stamps = _Memo(str.strip), _Memo(parse_timestamp)
+        names, stamps = _unit_names(units), _Memo(parse_timestamp)
         for row_num, fields in _data_rows(path, len(header)):
             try:
                 vals = tuple(map(float, map(fields.__getitem__, var_cols)))
@@ -305,40 +319,74 @@ def load_weather_rows(path):
                 raise ValidationError(f"{path}:{row_num}: non-finite {header[bad]} value {fields[bad]!r}")
             try:
                 ts = stamps[fields[ts_col]]
+                unit = names[fields[uid_col]]
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{row_num}: {exc}") from exc
-            yield names[fields[uid_col]], ts, vals
+            yield unit, ts, vals
 
     return [header[c] for c in var_cols], rows()
 
 
-def _columns(raw_rows, units: list[UnitMeta], grid: TimeGrid, kind: str):
-    """One pass over (unit_id, timestamp, value) rows: integer unit and slot columns.
+@dataclass(frozen=True, eq=False)
+class FeedColumns:
+    """One feed's rows as compact columns, in row order.
 
-    Returns, per row: the unit index, the slot (-1 outside the grid span),
-    the timestamp's rank among the distinct timestamps (equal timestamps
-    share a rank), and the values as given. The slot and rank of each
-    distinct timestamp are computed once.
+    `unit` is the unit index (int32), `stamp` the id of the row's timestamp
+    (int32) and `values` the samples (float64; one per row, or a row of
+    `width` per row). `stamps` holds each distinct timestamp once, in order
+    of first appearance; equal instants share one id whatever their offset.
+    A row costs 8 bytes plus 8 per value.
     """
-    index = {u.unit_id: i for i, u in enumerate(units)}
-    ids: dict[datetime, int] = {}  # distinct timestamp -> id, in order of first appearance
-    unit_col, stamp_col, values = [], [], []
-    for uid, ts, value in raw_rows:
-        i = index.get(uid)
-        if i is None:
-            raise ValidationError(f"{kind} row references unknown unit_id {uid!r}")
-        unit_col.append(i)
-        stamp_col.append(ids.setdefault(ts, len(ids)))
-        values.append(value)
-    stamps = list(ids)
-    slot_of = np.array([grid.slot_of(ts) for ts in stamps], dtype=np.int64)
-    rank = np.empty(len(stamps), dtype=np.int64)
-    rank[sorted(range(len(stamps)), key=stamps.__getitem__)] = np.arange(len(stamps))
-    stamp_col = np.array(stamp_col, dtype=np.int64)
-    return np.array(unit_col, dtype=np.int64), slot_of[stamp_col], rank[stamp_col], values
+
+    unit: np.ndarray
+    stamp: np.ndarray
+    values: np.ndarray
+    stamps: list
+
+    @classmethod
+    def from_rows(cls, rows, width: int | None = None) -> "FeedColumns":
+        """Columns of (unit index, timestamp, value) rows, read in one pass;
+        with `width`, each value is a sequence of `width` floats."""
+        unit, stamp, values = array("i"), array("i"), array("d")
+        ids: dict[datetime, int] = {}
+        add_unit, add_stamp, add_value = unit.append, stamp.append, values.append if width is None else values.extend
+        for i, ts, value in rows:
+            add_unit(i)
+            add_stamp(ids.setdefault(ts, len(ids)))
+            add_value(value)
+        values = np.frombuffer(values, dtype=np.float64)
+        if width is not None:
+            if values.size != len(unit) * width:
+                raise ValidationError(f"{values.size} values for {len(unit)} rows of {width}")
+            values = values.reshape(len(unit), width)
+        return cls(np.frombuffer(unit, dtype=np.intc), np.frombuffer(stamp, dtype=np.intc), values, list(ids))
+
+    def cells(self, units: list[UnitMeta], grid: TimeGrid, kind: str):
+        """The cell unit * T + slot of each row inside the grid span, and those
+        rows: a mask, or `slice(None)` when every row is inside, so that taking
+        their values makes no copy. The slot of each distinct timestamp is
+        computed once."""
+        K = len(units)
+        if self.unit.size and not 0 <= self.unit.min() <= self.unit.max() < K:
+            bad = int(self.unit[(self.unit < 0) | (self.unit >= K)][0])
+            raise ValidationError(f"{kind} row references unknown unit index {bad}; there are {K} units")
+        slot_of = np.array([grid.slot_of(ts) for ts in self.stamps], dtype=np.int64)
+        cell = np.multiply(self.unit, grid.num_slots, dtype=np.int64)
+        slot = slot_of[self.stamp]
+        cell += slot
+        keep = slot >= 0
+        del slot  # a column's worth of memory, before the copy below
+        return (cell, slice(None)) if keep.all() else (cell[keep], keep)
+
+    def ranks(self) -> np.ndarray:
+        """Each row's timestamp rank among the distinct timestamps; equal
+        timestamps share a rank."""
+        rank = np.empty(len(self.stamps), dtype=np.int64)
+        rank[sorted(range(len(self.stamps)), key=self.stamps.__getitem__)] = np.arange(len(self.stamps))
+        return rank[self.stamp]
 
 
-def aggregate_outages(raw_rows, units: list[UnitMeta], grid: TimeGrid, method: str = "mean") -> OutageSeries:
+def aggregate_outages(columns: FeedColumns, units: list[UnitMeta], grid: TimeGrid, method: str = "mean") -> OutageSeries:
     """Bucket raw (unit, timestamp, customers_out) samples into grid slots.
 
     Slots with no samples are 0 and flagged in the returned gap mask.
@@ -346,60 +394,61 @@ def aggregate_outages(raw_rows, units: list[UnitMeta], grid: TimeGrid, method: s
     `last` keeps the sample with the latest timestamp; of equal timestamps,
     the later row.
     """
-    checked(method, one_of(AGGREGATION_METHODS), "aggregation method")
+    checked(method, one_of(AGGREGATIONS), "aggregation method")
     K, T = len(units), grid.num_slots
-    unit, slot, rank, raw_values = _columns(raw_rows, units, grid, "outage")
-    values = np.array(raw_values, dtype=np.float64)
-    negative = np.flatnonzero(values < 0)
+    cell, keep = columns.cells(units, grid, "outage")
+    negative = np.flatnonzero(columns.values < 0)
     if negative.size:
         j = negative[0]
-        raise ValidationError(f"negative customers_out {raw_values[j]} for unit {units[unit[j]].unit_id!r}")
-    keep = slot >= 0
-    cell, values, rank = unit[keep] * T + slot[keep], values[keep], rank[keep]
+        raise ValidationError(f"negative customers_out {columns.values[j]} for unit {units[columns.unit[j]].unit_id!r}")
+    values = columns.values[keep]
     counts = np.bincount(cell, minlength=K * T)
     if method == "mean":
-        # bincount adds the weights in row order, as a per-row `+=` would
-        sums = np.bincount(cell, weights=values, minlength=K * T)
-        agg = sums / np.maximum(counts, 1)
+        # bincount adds the weights in row order, as a per-row `+=` would; of no rows it returns ints
+        agg = np.bincount(cell, weights=values, minlength=K * T).astype(np.float64, copy=False)
+        agg /= np.maximum(counts, 1)
     elif method == "max":
         agg = np.zeros(K * T)
         np.maximum.at(agg, cell, values)
     else:
+        rank = columns.ranks()[keep]
         order = np.lexsort((rank, cell))  # stable: equal (cell, timestamp) keep row order
         is_last = np.ones(order.size, dtype=bool)
         is_last[:-1] = cell[order[1:]] != cell[order[:-1]]
         agg = np.zeros(K * T)
         agg[cell[order[is_last]]] = values[order[is_last]]
     covered = (counts > 0).reshape(K, T)
-    cells = np.floor(agg + 0.5).astype(np.int64).reshape(K, T)  # round half-up
+    agg += 0.5  # round half-up
+    cells = np.floor(agg, out=agg).astype(np.int64).reshape(K, T)
     cells[~covered] = 0
     series = OutageSeries(counts=cells, gap_mask=~covered)
-    series.skipped_rows = int((~keep).sum())
+    series.skipped_rows = columns.unit.size - cell.size
     return series
 
 
-def aggregate_weather(raw_rows, units: list[UnitMeta], grid: TimeGrid, variable_names: list[str]) -> WeatherTensor:
+def aggregate_weather(columns: FeedColumns, units: list[UnitMeta], grid: TimeGrid, variable_names: list[str]) -> WeatherTensor:
     """Per-cell, per-variable mean of raw samples; empty cells carry forward.
 
     A cell with no samples takes the previous slot's value for that unit
     (0 when the gap is at the start of the series) and is flagged.
     """
     K, T, M = len(units), grid.num_slots, len(variable_names)
-    unit, slot, _, raw_values = _columns(raw_rows, units, grid, "weather")
-    keep = slot >= 0
-    cell = unit[keep] * T + slot[keep]
-    samples = np.array(raw_values, dtype=np.float64).reshape(len(raw_values), M)[keep]
+    cell, keep = columns.cells(units, grid, "weather")
+    samples = columns.values.reshape(columns.unit.size, M)
     counts = np.bincount(cell, minlength=K * T).reshape(K, T)
-    # one bin per (cell, variable); bincount adds each bin's samples in row order
-    bins = (cell[:, None] * M + np.arange(M)).ravel()
-    sums = np.bincount(bins, weights=samples.ravel(), minlength=K * T * M).reshape(K, T, M)
+    # one bincount per variable adds each cell's samples in row order; an empty cell's sum is 0.0
+    values = np.empty((K * T, M))
+    for m in range(M):
+        values[:, m] = np.bincount(cell, weights=samples[keep, m], minlength=K * T)
+    values = values.reshape(K, T, M)
+    values /= np.maximum(counts, 1)[:, :, None]
     covered = counts > 0
-    values = np.where(covered[:, :, None], sums / np.maximum(counts, 1)[:, :, None], 0.0)
     # each gap takes the value of the unit's last covered slot; a leading gap takes slot 0's 0.0
     source = np.maximum.accumulate(np.where(covered, np.arange(T), 0), axis=1)
-    values = np.take_along_axis(values, source[:, :, None], axis=1)
+    unit, slot = np.nonzero(~covered)
+    values[unit, slot] = values[unit, source[unit, slot]]
     tensor = WeatherTensor(values=values, variable_names=list(variable_names), gap_mask=~covered)
-    tensor.skipped_rows = int((~keep).sum())
+    tensor.skipped_rows = columns.unit.size - cell.size
     return tensor
 
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import COUNT, NONNEGATIVE, DivergenceError, NumericError, ValidationError, at_least, checked, is_count
-from .errors import one_of, read_json_object
+from .errors import BASELINES, SWEEP_MODES, one_of, read_json_object
 from .ingest import TimeGrid
 from .model import Coupling, Kernel, ModelParams, weather_response
 from .model import kernel_matrix, mlp_forward  # noqa: F401  (bindings patched by perfbench/tracer.py)
@@ -75,7 +75,6 @@ def _clauses(*indices) -> tuple:
 CLAUSE_LISTS = {"edge_reweights": _clauses("source", "target"), "gamma_overrides": _clauses("unit"),
                 "beta_overrides": _clauses("unit"), "omega_overrides": _clauses("variable")}
 SELECTORS = ("top_k_units", "top_e_edges", "gamma_top_units", "beta_bottom_units")
-BASELINES = ("simulated_total", "observed_total")
 SWEEP_AXIS = (lambda x: isinstance(x, (list, tuple)) and len(x) > 0 and all(map(is_count, x)),
               "a nonempty list of integers >= 0")
 
@@ -268,6 +267,7 @@ def simulate_paths(
     checked(R, at_least(1), "replications R")
     checked(seed, COUNT, "seed")
     checked(teacher_forced_until, COUNT, "teacher_forced_until")
+    params.check_invariants()
     x = _weather_on_grid(params, weather, grid)
     K, T = x.shape[:2]
     cutoff = min(int(teacher_forced_until), T)
@@ -582,6 +582,7 @@ def outage_reductions(
         raise ValidationError("observed_total baseline requires observed counts")
     checked(R, at_least(1), "replications R")
     checked(seed, COUNT, "seed")
+    params.check_invariants()  # each scenario's set is checked by apply_scenario
     if baseline == "observed_total":
         base_total = float(np.asarray(getattr(observed, "counts", observed)).sum())
         if base_total == 0:
@@ -657,7 +658,7 @@ def sweep_scenarios(axis1: list, axis2: list, mode: str = "edges") -> list:
     """
     checked(axis1, SWEEP_AXIS, "sweep axis1")
     checked(axis2, SWEEP_AXIS, "sweep axis2")
-    checked(mode, one_of(("edges", "margins")), "sweep mode")
+    checked(mode, one_of(SWEEP_MODES), "sweep mode")
     cells = []
     for a1 in axis1:
         for a2 in axis2:

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import COUNT, POSITIVE, DivergenceError, NumericError, ValidationError, at_least, checked, one_of
+from .errors import OPTIMIZERS
 from .ingest import Dataset
 from .model import (
     Coupling,
@@ -57,7 +58,6 @@ from .weather_effect import (
     accumulate_with_grad,
 )
 
-OPTIMIZERS = ("adaptive-moments", "plain-sgd")
 # Unit-slot cells per block of a full-series evaluation. One block holds about
 # 140 bytes per cell (v, dv/domega, R, dR/dbeta, lambda, mu, W and the network's
 # upstream gradient), so 2**15 cells keep it under 5 MB; each block

@@ -82,6 +82,14 @@ def test_share_of_all_zero_history_is_all_direct():
 # -- prediction -------------------------------------------------------------------
 
 
+def test_predict_in_sample_refuses_a_non_finite_rate(small):
+    params, ds = small
+    params = params.copy()
+    params.beta[0] = np.nan
+    with pytest.raises(ValidationError, match=r"beta\[0\] must be a finite number >= 0, got nan"):
+        predict_in_sample(params, ds)
+
+
 def test_predict_in_sample_is_teacher_forced_intensity(small):
     params, ds = small
     rep = predict_in_sample(params, ds)

@@ -4,7 +4,9 @@ import gc
 import json
 import math
 import os
+import tracemalloc
 import warnings
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -602,13 +604,13 @@ def test_ingest_parses_each_file_once(pipeline, tmp_path, monkeypatch):
 
     load_outage_rows, load_weather_rows = ingest.load_outage_rows, ingest.load_weather_rows
 
-    def outage_rows(path):
+    def outage_rows(path, units):
         calls["outages"] += 1
-        return counted("outages", load_outage_rows(path))
+        return counted("outages", load_outage_rows(path, units))
 
-    def weather_rows(path):
+    def weather_rows(path, units):
         calls["weather"] += 1
-        variables, rows = load_weather_rows(path)
+        variables, rows = load_weather_rows(path, units)
         return variables, counted("weather", rows)
 
     monkeypatch.setattr(ingest, "load_outage_rows", outage_rows)
@@ -622,6 +624,44 @@ def test_ingest_parses_each_file_once(pipeline, tmp_path, monkeypatch):
     data_rows = {kind: len(pipeline[kind].read_text().splitlines()) - 1 for kind in yielded}
     assert yielded == data_rows
     assert (out / "dataset.gshk").read_bytes() == pipeline["dataset"].read_bytes()
+
+
+def _write_feeds(root, stamps, K=25, hours=12):
+    """Raw CSVs of K units, each with `stamps` outage and weather samples
+    spread evenly over `hours` hourly slots from 2023-06-01."""
+    start = datetime(2023, 6, 1, tzinfo=timezone.utc)
+    (root / "units.csv").write_text("unit_id,lat,lon,total_customers\n"
+                                    + "".join(f"u{i},{42 + i / 100},-71,1000\n" for i in range(K)))
+    times = [(start + timedelta(seconds=3600 * hours * j / stamps)).isoformat() for j in range(stamps)]
+    with open(root / "outages.csv", "w") as out, open(root / "weather.csv", "w") as wx:
+        out.write("unit_id,timestamp,customers_out\n")
+        wx.write("unit_id,timestamp,wind_speed,precip_rate\n")
+        for j, ts in enumerate(times):
+            for i in range(K):
+                out.write(f"u{i},{ts},{(i * j) % 7}\n")
+                wx.write(f"u{i},{ts},{(i + j) % 11 / 2},{j % 5 / 4}\n")
+    return 2 * K * stamps
+
+
+def test_ingest_memory_grows_by_at_most_128_bytes_per_row(tmp_path):
+    def traced_peak(stamps):
+        root = tmp_path / str(stamps)
+        root.mkdir()
+        rows = _write_feeds(root, stamps)
+        argv = ["ingest", *(f"--{kind}={root / f'{kind}.csv'}" for kind in ("units", "outages", "weather")),
+                "--output-dir", str(root), "--slot-seconds", "3600", "--grid-start", "2023-06-01T00:00:00Z",
+                "--num-slots", "12"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return rows, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(50)  # the first run imports what ingest needs
+    (rows, peak), (rows4, peak4) = traced_peak(200), traced_peak(800)
+    assert rows4 == 4 * rows
+    assert (peak4 - peak) / (rows4 - rows) <= 128
 
 
 @pytest.mark.parametrize("kind", ["outages", "weather"])
@@ -656,6 +696,37 @@ def test_validate_only_runs_the_loaders_header_checks(pipeline, tmp_path, capsys
     assert cli.main([*args, "--validate-only"]) == 2
     assert capsys.readouterr().err == ingest_err == f"error: {weather}: no weather variable columns\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("outages", lambda f: [f[0], f[1], "nan"], "customers_out must be a finite count in [0, 2**63), got 'nan'"),
+        ("weather", lambda f: [*f[:-1], "nan"], "non-finite {var} value 'nan'"),
+        ("outages", lambda f: f[:-1], "2 fields, the header has 3"),
+        ("weather", lambda f: f[:-1], "{short} fields, the header has {width}"),
+        ("outages", lambda f: ["zzz", *f[1:]], "unknown unit_id 'zzz'"),
+        ("weather", lambda f: ["zzz", *f[1:]], "unknown unit_id 'zzz'"),
+    ],
+    ids=["nan-count", "nan-weather", "short-outage-row", "short-weather-row", "unknown-unit-outages",
+         "unknown-unit-weather"],
+)
+def test_validate_only_reads_every_row_as_ingest_does(pipeline, tmp_path, capsys, kind, edit, message):
+    lines = pipeline[kind].read_text().splitlines()
+    header = lines[0].split(",")
+    lines[3] = ",".join(edit(lines[3].split(",")))
+    inputs = {"outages": pipeline["outages"], "weather": pipeline["weather"], kind: tmp_path / f"{kind}.csv"}
+    inputs[kind].write_text("\n".join(lines) + "\n")
+    message = message.format(var=header[-1], short=len(header) - 1, width=len(header))
+    out = tmp_path / "out"
+    results = []
+    for validate in ([], ["--validate-only"]):
+        rc = cli.main(["ingest", "--units", str(pipeline["units"]), "--outages", str(inputs["outages"]),
+                       "--weather", str(inputs["weather"]), "--output-dir", str(out), "--slot-seconds", "3600",
+                       *validate])
+        results.append((rc, capsys.readouterr().err))
+    assert results[0] == results[1] == (2, f"error: {inputs[kind]}:4: {message}\n")
+    assert not out.exists()
 
 
 def test_exit_code_validation_errors(pipeline, tmp_path):

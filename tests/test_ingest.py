@@ -9,6 +9,7 @@ from numpy.testing import assert_array_equal
 from gridshock.errors import SchemaError, ValidationError
 from gridshock.ingest import (
     Dataset,
+    FeedColumns,
     OutageSeries,
     TimeGrid,
     UnitMeta,
@@ -79,6 +80,13 @@ def test_unit_meta_validation():
 # -- outage aggregation -------------------------------------------------------
 
 
+def _columns(rows, units, width=None):
+    """The FeedColumns of (unit_id, timestamp, value) rows, with each unit_id
+    resolved to its index in `units` as the CSV loaders resolve it."""
+    index = {u.unit_id: i for i, u in enumerate(units)}
+    return FeedColumns.from_rows(((index[uid], ts, value) for uid, ts, value in rows), width)
+
+
 def _ts(slot, minutes=0):
     return START + timedelta(seconds=10800 * slot, minutes=minutes)
 
@@ -92,7 +100,7 @@ def test_aggregate_outages_mean_and_rounding():
         ("u0", _ts(1, 0), 3.0),
         ("u0", _ts(1, 30), 4.0),      # slot 1 mean 3.5 -> rounds half-up to 4
     ]
-    series = aggregate_outages(rows, units, grid, method="mean")
+    series = aggregate_outages(_columns(rows, units), units, grid, method="mean")
     assert_array_equal(series.counts, [[6, 4, 0]])
     assert_array_equal(series.gap_mask, [[False, False, True]])
 
@@ -101,7 +109,7 @@ def test_aggregate_outages_alternating_mean():
     units = _units(1)
     grid = _grid(num_slots=2)
     rows = [("u0", _ts(0, m), v) for m, v in [(0, 0.0), (15, 10.0), (30, 0.0), (45, 10.0)]]
-    series = aggregate_outages(rows, units, grid, method="mean")
+    series = aggregate_outages(_columns(rows, units), units, grid, method="mean")
     assert series.counts[0, 0] == 5
 
 
@@ -113,12 +121,12 @@ def test_aggregate_outages_max_and_last():
         ("u0", _ts(0, 10), 2.0),  # out of order on purpose
         ("u0", _ts(0, 50), 4.0),
     ]
-    assert aggregate_outages(rows, units, grid, method="max").counts[0, 0] == 9
-    assert aggregate_outages(rows, units, grid, method="last").counts[0, 0] == 4
+    assert aggregate_outages(_columns(rows, units), units, grid, method="max").counts[0, 0] == 9
+    assert aggregate_outages(_columns(rows, units), units, grid, method="last").counts[0, 0] == 4
     # of equal timestamps, in any UTC offset, the later row wins
     tied = _ts(0, 50).astimezone(timezone(timedelta(hours=-5)))
-    assert aggregate_outages([*rows, ("u0", tied, 6.0)], units, grid, method="last").counts[0, 0] == 6
-    assert aggregate_outages([("u0", tied, 6.0), *rows], units, grid, method="last").counts[0, 0] == 4
+    assert aggregate_outages(_columns([*rows, ("u0", tied, 6.0)], units), units, grid, method="last").counts[0, 0] == 6
+    assert aggregate_outages(_columns([("u0", tied, 6.0), *rows], units), units, grid, method="last").counts[0, 0] == 4
 
 
 def test_aggregate_outages_skips_out_of_span():
@@ -129,7 +137,7 @@ def test_aggregate_outages_skips_out_of_span():
         ("u0", _ts(0), 1.0),
         ("u0", grid.end + timedelta(hours=2), 7.0),
     ]
-    series = aggregate_outages(rows, units, grid)
+    series = aggregate_outages(_columns(rows, units), units, grid)
     assert series.skipped_rows == 2
     assert_array_equal(series.counts, [[1, 0]])
 
@@ -137,12 +145,13 @@ def test_aggregate_outages_skips_out_of_span():
 def test_aggregate_outages_rejects_bad_rows():
     units = _units(1)
     grid = _grid(num_slots=2)
-    with pytest.raises(ValidationError, match="unknown unit_id"):
-        aggregate_outages([("nope", _ts(0), 1.0)], units, grid)
+    # the loaders resolve unit ids (see test_loaders_reject_unknown_units); an index past the units fails here
+    with pytest.raises(ValidationError, match="unknown unit index 1"):
+        aggregate_outages(FeedColumns.from_rows([(1, _ts(0), 1.0)]), units, grid)
     with pytest.raises(ValidationError, match="negative"):
-        aggregate_outages([("u0", _ts(0), -1.0)], units, grid)
+        aggregate_outages(_columns([("u0", _ts(0), -1.0)], units), units, grid)
     with pytest.raises(ValidationError, match="aggregation method"):
-        aggregate_outages([], units, grid, method="median")
+        aggregate_outages(FeedColumns.from_rows([]), units, grid, method="median")
 
 
 # -- weather aggregation ------------------------------------------------------
@@ -157,7 +166,7 @@ def test_aggregate_weather_mean_and_carry_forward():
         ("u0", _ts(2, 0), np.array([6.0, 0.5])),
         # slots 1 and 3 have no samples
     ]
-    wx = aggregate_weather(rows, units, grid, ["wind", "rain"])
+    wx = aggregate_weather(_columns(rows, units, width=2), units, grid, ["wind", "rain"])
     assert_array_equal(wx.values[0, 0], [12.0, 2.0])
     assert_array_equal(wx.values[0, 1], [12.0, 2.0])  # carried forward
     assert_array_equal(wx.values[0, 2], [6.0, 0.5])
@@ -169,7 +178,7 @@ def test_aggregate_weather_leading_gap_is_zero():
     units = _units(1)
     grid = _grid(num_slots=3)
     rows = [("u0", _ts(1), np.array([4.0]))]
-    wx = aggregate_weather(rows, units, grid, ["wind"])
+    wx = aggregate_weather(_columns(rows, units, width=1), units, grid, ["wind"])
     assert_array_equal(wx.values[:, :, 0], [[0.0, 4.0, 4.0]])
     assert wx.gap_mask[0, 0]
 
@@ -264,12 +273,12 @@ def raw_feed(draw):
 def test_bucketing_matches_the_per_row_loops(feed):
     units, grid, M, outage_rows, weather_rows = feed
     for method in ("mean", "max", "last"):
-        series = aggregate_outages(outage_rows, units, grid, method=method)
+        series = aggregate_outages(_columns(outage_rows, units), units, grid, method=method)
         cells, gaps, skipped = _reference_outages(outage_rows, units, grid, method)
         assert_array_equal(series.counts, cells)
         assert_array_equal(series.gap_mask, gaps)
         assert series.skipped_rows == skipped
-    wx = aggregate_weather(weather_rows, units, grid, [f"v{m}" for m in range(M)])
+    wx = aggregate_weather(_columns(weather_rows, units, width=M), units, grid, [f"v{m}" for m in range(M)])
     values, gaps, skipped = _reference_weather(weather_rows, units, grid, M)
     assert wx.values.tobytes() == values.tobytes()
     assert_array_equal(wx.gap_mask, gaps)
@@ -317,15 +326,15 @@ def test_csv_loaders_roundtrip(tmp_path):
     out_csv.write_text(
         "unit_id,timestamp,customers_out\nu0,2023-03-01T00:10:00Z,5\nu1,2023-03-01T03:10:00Z,2\n"
     )
-    rows = list(load_outage_rows(out_csv))
-    assert rows[0][0] == "u0" and rows[0][2] == 5.0
+    rows = list(load_outage_rows(out_csv, units))
+    assert rows[0][0] == 0 and rows[0][2] == 5.0  # u0's index in units
 
     wx_csv = tmp_path / "weather.csv"
     wx_csv.write_text("unit_id,timestamp,wind,rain\nu0,2023-03-01T00:00:00Z,12.5,0.1\n")
-    variables, it = load_weather_rows(wx_csv)
+    variables, it = load_weather_rows(wx_csv, units)
     assert variables == ["wind", "rain"]
-    uid, ts, vals = next(iter(it))
-    assert uid == "u0" and ts == START
+    unit, ts, vals = next(iter(it))
+    assert unit == 0 and ts == START
     assert_array_equal(vals, [12.5, 0.1])
 
 
@@ -337,19 +346,31 @@ def test_csv_loaders_reject_bad_schema(tmp_path):
     bad_wx = tmp_path / "weather.csv"
     bad_wx.write_text("unit_id,timestamp\nu0,2023-03-01T00:00:00Z\n")
     with pytest.raises(SchemaError, match="no weather variable"):
-        load_weather_rows(bad_wx)
+        load_weather_rows(bad_wx, _units(1))
     # values that cannot become an int64 count fail at their row, not at the cast
     outages = tmp_path / "outages.csv"
     for bad_value in ("nan", "inf", "-inf", "1e30", str(2**63), "-1"):
         outages.write_text(f"unit_id,timestamp,customers_out\nu0,2023-03-01T00:00:00Z,3\nu0,2023-03-01T01:00:00Z,{bad_value}\n")
         with pytest.raises(ValidationError, match=f"outages.csv:3: customers_out must be a finite count"):
-            list(load_outage_rows(outages))
+            list(load_outage_rows(outages, _units(1)))
     outages.write_text(f"unit_id,timestamp,customers_out\nu0,2023-03-01T00:00:00Z,{2**63 - 1024}\n")
-    assert list(load_outage_rows(outages))[0][2] == 2**63 - 1024
+    assert list(load_outage_rows(outages, _units(1)))[0][2] == 2**63 - 1024
     for bad_value in ("nan", "inf", "-inf"):
         bad_wx.write_text(f"unit_id,timestamp,wind,rain\nu0,2023-03-01T00:00:00Z,1,2\nu0,2023-03-01T01:00:00Z,3,{bad_value}\n")
         with pytest.raises(ValidationError, match="weather.csv:3: non-finite rain value"):
-            list(load_weather_rows(bad_wx)[1])
+            list(load_weather_rows(bad_wx, _units(1))[1])
+
+
+def test_loaders_reject_unknown_units(tmp_path):
+    # a unit id missing from the units file fails at its file and line, after stripping
+    outages = tmp_path / "outages.csv"
+    outages.write_text("unit_id,timestamp,customers_out\n u0 ,2023-03-01T00:00:00Z,3\n\nzzz,2023-03-01T01:00:00Z,1\n")
+    with pytest.raises(ValidationError, match=r"outages.csv:4: unknown unit_id 'zzz'$"):
+        list(load_outage_rows(outages, _units(1)))
+    weather = tmp_path / "weather.csv"
+    weather.write_text("unit_id,timestamp,wind\nu1,2023-03-01T00:00:00Z,1\n")
+    with pytest.raises(ValidationError, match=r"weather.csv:2: unknown unit_id 'u1'$"):
+        list(load_weather_rows(weather, _units(1))[1])
 
 
 def test_load_units_rejects_duplicates(tmp_path):

@@ -331,6 +331,18 @@ def test_a_negative_seed_is_a_validation_error():
             outage_reductions(params, [Scenario()], ds.weather, ds.grid, R=2, seed=seed)
 
 
+@pytest.mark.parametrize("name, value", [("beta", np.nan), ("gamma", np.inf), ("beta", -1.0)])
+def test_non_finite_or_negative_parameters_built_in_memory_are_refused(name, value):
+    params = _chain_params()
+    ds = _shell(params, 6)
+    getattr(params, name)[0] = value
+    match = re.escape(f"{name}[0] must be a finite number >= 0, got {value!r}")
+    with pytest.raises(ValidationError, match=match):
+        simulate_paths(params, ds.weather, ds.grid, R=2, seed=1)
+    with pytest.raises(ValidationError, match=match):  # the baseline set, which no scenario edits
+        outage_reductions(params, [Scenario(gamma_top_units=1)], ds.weather, ds.grid, R=2, seed=1)
+
+
 def test_simulate_deterministic_and_summary_consistent():
     params = _chain_params()
     ds = _shell(params, 10)
