@@ -8,11 +8,14 @@ result directory is self-describing and reruns are reproducible.
 Exit codes: 0 ok, 2 validation/config problem, 3 numeric failure
 (divergence, undefined statistic), 4 file/format problem.
 
-`--validate-only` reads the command's settings and inputs as the command
-would (`ingest`'s CSVs and grid, whole dataset and model containers, `fit`'s
-candidate graph, `analyze`'s variable names), then stops before computing:
-it exits with the code and message the run would give. A config value of
-the wrong type or out of its range, NaN and infinities included, exits 2.
+Each command is a reader and a run (`COMMANDS`). The reader reads and
+checks everything the command takes in (`ingest`'s CSVs and grid, whole
+dataset and model containers, `fit`'s candidate graph, `enhance`'s scenario
+and sweep, `analyze`'s variable names); the run computes from what it read.
+`--validate-only` runs the command's own reader, then stops before
+computing: it exits with the code and message the run would give. A config
+value of the wrong type or out of its range, NaN and infinities included,
+exits 2.
 
 `--threads N` pins the numeric thread pools; it must act before numpy is
 first imported, which is why this module and the package root import the
@@ -35,7 +38,8 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import COUNT, INTEGER, INTEGERS, NUMBER, OBJECT, POSITIVE, TEXT, TEXTS, at_least, checked, one_of
+from .errors import COUNT, INTEGER, INTEGERS, NUMBER, OBJECT, POSITIVE, TEXT, TEXTS, WIDTHS
+from .errors import at_least, checked, one_of
 from .errors import AGGREGATIONS, BASELINES, OPTIMIZERS, SWEEP_MODES
 from .errors import FileFormatError, InsufficientDataError, NumericError, ValidationError, read_json_object
 
@@ -44,6 +48,64 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+TIMESTAMP = (TEXT[0], "an ISO timestamp")
+SWEEP = (lambda x: isinstance(x, dict) and set(x) <= {"mode", "axis1", "axis2"},
+         "an object with keys mode, axis1 and axis2")
+
+# Each setting `_setting` reads, by dotted config key: its default, then its
+# kinds (see gridshock.errors), checked in order: its type, then its range.
+# WORDS are the words a key takes besides, returned as they are.
+SETTINGS = {
+    "grid.start": ("auto", TIMESTAMP),
+    "grid.slot_seconds": (10800, INTEGER, at_least(1)),
+    "grid.num_slots": ("auto", INTEGER, at_least(2)),
+    "aggregation": ("mean", one_of(AGGREGATIONS)),
+    "graph.k_neighbors": (8, INTEGER, at_least(1)),
+    "graph.max_km": (100.0, NUMBER, POSITIVE),
+    "fit.step_size": (0.01, NUMBER, POSITIVE),
+    "fit.batch_slots": (32, INTEGER, at_least(1)),
+    "fit.max_epochs": (200, INTEGER, COUNT),
+    "fit.tol": (1e-6, NUMBER, POSITIVE),
+    "fit.seed": (0, INTEGER, COUNT),
+    "fit.optimizer": ("adaptive-moments", one_of(OPTIMIZERS)),
+    "fit.hidden_sizes": ([32, 16], INTEGERS, WIDTHS),
+    "fit.window_slots": (24, INTEGER, at_least(1)),
+    "fit.trig_window": (40, INTEGER, at_least(1)),
+    "fit.eps": (1e-3, NUMBER, POSITIVE),
+    "sim.replications": (1000, INTEGER, at_least(1)),
+    "sim.seed": (0, INTEGER, COUNT),
+    "sim.teacher_forced_until": (0, INTEGER, COUNT),
+    "sim.baseline": ("simulated_total", one_of(BASELINES)),
+    "predict.horizon": (1, INTEGER, at_least(1)),
+    "analyze.sigmoid_variables": ([], TEXTS),
+    "analyze.zero_run_threshold": (2, INTEGER, at_least(1)),
+}
+WORDS = {"grid.start": ("auto",), "grid.num_slots": ("auto",), "fit.batch_slots": ("full", None)}
+CASTS = {INTEGER: int, NUMBER: float, INTEGERS: lambda v: tuple(map(int, v))}  # by type; other values as they are
+# The settings each command reads: `main` reads them, through `_setting`,
+# before the command's reader reads anything else.
+COMMAND_SETTINGS = {
+    "ingest": ("grid.start", "grid.slot_seconds", "grid.num_slots", "aggregation"),
+    "fit": ("fit.step_size", "fit.batch_slots", "fit.max_epochs", "fit.tol", "fit.seed", "fit.optimizer",
+            "fit.hidden_sizes", "fit.window_slots", "fit.trig_window", "fit.eps", "graph.k_neighbors", "graph.max_km"),
+    "predict": ("predict.horizon",),
+    "simulate": ("sim.replications", "sim.seed", "sim.teacher_forced_until"),
+    "enhance": ("sim.replications", "sim.seed", "sim.baseline"),
+    "analyze": ("analyze.zero_run_threshold", "analyze.sigmoid_variables"),
+    "export-map": (),
+}
+
+
+def _put(node: dict, dotted: str, value) -> None:
+    """Set the value of the dotted key `dotted` in the nested dict `node`."""
+    *sections, leaf = dotted.split(".")
+    for key in sections:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+
+
+# The config: the input and output paths, the `enhance` plan and, from
+# SETTINGS, the default of every setting.
 DEFAULTS = {
     "units_csv": None,
     "outages_csv": None,
@@ -51,32 +113,11 @@ DEFAULTS = {
     "dataset": None,  # dataset file path (output of ingest, input elsewhere)
     "model": None,  # model file path (output of fit, input elsewhere)
     "output_dir": "out",
-    "grid": {"start": "auto", "slot_seconds": 10800, "num_slots": "auto"},
-    "aggregation": "mean",
-    "graph": {"k_neighbors": 8, "max_km": 100.0},
-    "fit": {
-        "step_size": 0.01,
-        "batch_slots": 32,
-        "max_epochs": 200,
-        "tol": 1e-6,
-        "seed": 0,
-        "optimizer": "adaptive-moments",
-        "hidden_sizes": [32, 16],
-        "window_slots": 24,
-        "trig_window": 40,
-        "eps": 1e-3,
-    },
-    "sim": {
-        "replications": 1000,
-        "seed": 0,
-        "teacher_forced_until": 0,
-        "baseline": "simulated_total",
-    },
-    "predict": {"horizon": 1},
-    "analyze": {"sigmoid_variables": [], "zero_run_threshold": 2},
     "scenario": None,  # scenario JSON path for `enhance`
     "sweep": None,  # {"mode": "edges"|"margins", "axis1": [...], "axis2": [...]}
 }
+for _key, _spec in SETTINGS.items():
+    _put(DEFAULTS, _key, _spec[0])
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
@@ -101,20 +142,12 @@ def effective_config(args) -> dict:
     if args.config:
         cfg = _deep_merge(cfg, read_json_object(args.config, "config"))
     overrides = {}
-
-    def put(dotted, value):
-        node = overrides
-        keys = dotted.split(".")
-        for k in keys[:-1]:
-            node = node.setdefault(k, {})
-        node[keys[-1]] = value
-
     for dest, value in vars(args).items():
         if value is not None and ("." in dest or dest in DEFAULTS):
-            put(dest, value)
+            _put(overrides, dest, value)
     if args.seed is not None:
-        put("fit.seed", args.seed)
-        put("sim.seed", args.seed)
+        _put(overrides, "fit.seed", args.seed)
+        _put(overrides, "sim.seed", args.seed)
     cfg = _deep_merge(cfg, overrides)
     sweep = {key: getattr(args, f"sweep_{key}", None) for key in ("mode", "axis1", "axis2")}
     if any(value is not None for value in sweep.values()):
@@ -123,61 +156,12 @@ def effective_config(args) -> dict:
     return cfg
 
 
-WIDTHS = (lambda x: INTEGERS[0](x) and min(x, default=1) >= 1, "a list of integers >= 1")
-TIMESTAMP = (TEXT[0], "an ISO timestamp")
-SWEEP = (lambda x: isinstance(x, dict) and set(x) <= {"mode", "axis1", "axis2"},
-         "an object with keys mode, axis1 and axis2")
-
-# The kinds (see gridshock.errors) of each config key `_setting` reads, checked
-# in order: its type, then its range. WORDS are the words a key takes
-# besides, returned as they are.
-SETTING_TYPES = {
-    "aggregation": (one_of(AGGREGATIONS),),
-    "grid.start": (TIMESTAMP,),
-    "grid.slot_seconds": (INTEGER, at_least(1)),
-    "grid.num_slots": (INTEGER, at_least(2)),
-    "graph.k_neighbors": (INTEGER, at_least(1)),
-    "graph.max_km": (NUMBER, POSITIVE),
-    "fit.step_size": (NUMBER, POSITIVE),
-    "fit.batch_slots": (INTEGER, at_least(1)),
-    "fit.max_epochs": (INTEGER, COUNT),
-    "fit.tol": (NUMBER, POSITIVE),
-    "fit.seed": (INTEGER, COUNT),
-    "fit.optimizer": (one_of(OPTIMIZERS),),
-    "fit.hidden_sizes": (INTEGERS, WIDTHS),
-    "fit.window_slots": (INTEGER, at_least(1)),
-    "fit.trig_window": (INTEGER, at_least(1)),
-    "fit.eps": (NUMBER, POSITIVE),
-    "sim.replications": (INTEGER, at_least(1)),
-    "sim.seed": (INTEGER, COUNT),
-    "sim.teacher_forced_until": (INTEGER, COUNT),
-    "sim.baseline": (one_of(BASELINES),),
-    "predict.horizon": (INTEGER, at_least(1)),
-    "analyze.sigmoid_variables": (TEXTS,),
-    "analyze.zero_run_threshold": (INTEGER, at_least(1)),
-}
-WORDS = {"grid.start": ("auto",), "grid.num_slots": ("auto",), "fit.batch_slots": ("full", None)}
-CASTS = {INTEGER: int, NUMBER: float, INTEGERS: lambda v: tuple(map(int, v))}  # by type; other values as they are
-# The settings each command reads: `main` reads them, through `_setting`,
-# before the command or `--validate-only` reads anything else.
-COMMAND_SETTINGS = {
-    "ingest": ("grid.start", "grid.slot_seconds", "grid.num_slots", "aggregation"),
-    "fit": ("fit.step_size", "fit.batch_slots", "fit.max_epochs", "fit.tol", "fit.seed", "fit.optimizer",
-            "fit.hidden_sizes", "fit.window_slots", "fit.trig_window", "fit.eps", "graph.k_neighbors", "graph.max_km"),
-    "predict": ("predict.horizon",),
-    "simulate": ("sim.replications", "sim.seed", "sim.teacher_forced_until"),
-    "enhance": ("sim.replications", "sim.seed", "sim.baseline"),
-    "analyze": ("analyze.zero_run_threshold", "analyze.sigmoid_variables"),
-    "export-map": (),
-}
-
-
 def _setting(cfg: dict, key: str):
-    """The value of the dotted config `key`, of each of its SETTING_TYPES
-    kinds, or one of its WORDS. A value of another type, bools included, is a
+    """The value of the dotted config `key`, of each of its SETTINGS kinds,
+    or one of its WORDS. A value of another type, bools included, is a
     ValidationError, never a cast, so 2.7 replications is an error, not 2; so
     is a value out of range, such as 0 replications."""
-    kinds = SETTING_TYPES[key]
+    kinds = SETTINGS[key][1:]
     value = cfg
     for part in key.split("."):
         value = value[part]
@@ -232,8 +216,10 @@ def _load_dataset(cfg: dict):
     return load_dataset(_require_file(_require(cfg, "dataset", "--dataset"), "dataset"))
 
 
-def _load_inputs(cfg: dict):
-    """The dataset and the fitted model every command after `fit` reads."""
+def _load_inputs(cfg: dict, s: dict):
+    """The dataset and the fitted model every command after `fit` reads: the
+    reader of `predict`, `simulate` and `export-map`. It reads no setting;
+    it takes `s` because every reader takes the config and the settings."""
     from .model import deserialize
 
     return _load_dataset(cfg), deserialize(_require_file(_require(cfg, "model", "--model"), "model"))
@@ -274,10 +260,9 @@ def _read_feeds(cfg: dict, s: dict):
     return units, variables, {"outages": outages, "weather": weather}, _resolve_grid(s, outages, weather)
 
 
-def cmd_ingest(cfg: dict, s: dict, args) -> int:
+def cmd_ingest(cfg: dict, s: dict, args, units, variables, feeds, grid) -> int:
     from . import ingest
 
-    units, variables, feeds, grid = _read_feeds(cfg, s)
     # popped, so that each feed's columns are freed once aggregated
     outages = ingest.aggregate_outages(feeds.pop("outages"), units, grid, method=s["aggregation"])
     weather = ingest.aggregate_weather(feeds.pop("weather"), units, grid, variables)
@@ -301,29 +286,24 @@ def cmd_ingest(cfg: dict, s: dict, args) -> int:
 # -- fit ----------------------------------------------------------------------
 
 
-def _fit_config(s: dict):
-    """The FitConfig of the settings: each `fit.` key is the field of that name."""
+def _read_fit(cfg: dict, s: dict):
+    """The FitConfig of the settings (each `fit.` key is the field of that
+    name), the dataset and its candidate graph."""
+    from .topology import build_candidate_graph
     from .train import FitConfig
 
     fit = {key.removeprefix("fit."): value for key, value in s.items() if key.startswith("fit.")}
-    return FitConfig(**{**fit, "batch_slots": None if fit["batch_slots"] == "full" else fit["batch_slots"]})
+    fit_cfg = FitConfig(**{**fit, "batch_slots": None if fit["batch_slots"] == "full" else fit["batch_slots"]})
+    ds = _load_dataset(cfg)
+    return fit_cfg, ds, build_candidate_graph(ds.units, k_neighbors=s["graph.k_neighbors"], max_km=s["graph.max_km"])
 
 
-def _candidate_graph(ds, s: dict):
-    from .topology import build_candidate_graph
-
-    return build_candidate_graph(ds.units, k_neighbors=s["graph.k_neighbors"], max_km=s["graph.max_km"])
-
-
-def cmd_fit(cfg: dict, s: dict, args) -> int:
+def cmd_fit(cfg: dict, s: dict, args, fit_cfg, ds, graph) -> int:
     import numpy as np
 
     from . import model, train
     from .analyze import write_csv
 
-    fit_cfg = _fit_config(s)
-    ds = _load_dataset(cfg)
-    graph = _candidate_graph(ds, s)
     if args.check_gradients:
         params0 = train.initialize(ds, graph, seed=fit_cfg.seed, cfg=fit_cfg)
         worst = train.fd_audit(params0, ds, max_coords=40)
@@ -353,10 +333,9 @@ def cmd_fit(cfg: dict, s: dict, args) -> int:
 # -- predict ------------------------------------------------------------------
 
 
-def cmd_predict(cfg: dict, s: dict, args) -> int:
+def cmd_predict(cfg: dict, s: dict, args, ds, params) -> int:
     from . import analyze, model
 
-    ds, params = _load_inputs(cfg)
     out_dir = _output_dir(cfg)
     direct = model.direct_from_weather(params, ds.weather)  # one weather term for both predictions
     in_sample = analyze.predict_in_sample(params, ds, direct=direct)
@@ -375,11 +354,10 @@ def cmd_predict(cfg: dict, s: dict, args) -> int:
 # -- simulate -----------------------------------------------------------------
 
 
-def cmd_simulate(cfg: dict, s: dict, args) -> int:
+def cmd_simulate(cfg: dict, s: dict, args, ds, params) -> int:
     from . import simulate
     from .analyze import write_csv
 
-    ds, params = _load_inputs(cfg)
     cutoff = s["sim.teacher_forced_until"]
     result = simulate.simulate_paths(
         params,
@@ -414,11 +392,12 @@ def cmd_simulate(cfg: dict, s: dict, args) -> int:
 # -- enhance ------------------------------------------------------------------
 
 
-def _enhance_plan(cfg: dict):
-    """The scenario file's Scenario (if any), the sweep mode (default "edges")
-    and the sweep's cells: `enhance` and `enhance --validate-only` check them here."""
+def _read_enhance(cfg: dict, s: dict):
+    """The dataset, the model, the scenario file's Scenario (if any), the
+    sweep mode (default "edges") and the sweep's cells."""
     from .simulate import load_scenario, sweep_scenarios
 
+    ds, params = _load_inputs(cfg, s)
     scenarios = [load_scenario(_require_file(cfg["scenario"], "scenario"))] if cfg["scenario"] else []
     sw = cfg["sweep"]
     if sw is not None:
@@ -427,15 +406,13 @@ def _enhance_plan(cfg: dict):
     cells = [] if sw is None else sweep_scenarios(sw.get("axis1"), sw.get("axis2"), mode)
     if not scenarios and not cells:
         raise ValidationError("enhance needs a scenario file (--scenario) and/or a sweep grid in the config")
-    return scenarios, mode, cells
+    return ds, params, scenarios, mode, cells
 
 
-def cmd_enhance(cfg: dict, s: dict, args) -> int:
+def cmd_enhance(cfg: dict, s: dict, args, ds, params, scenarios, mode, cells) -> int:
     from . import analyze, simulate
 
-    ds, params = _load_inputs(cfg)
     R = s["sim.replications"]
-    scenarios, mode, cells = _enhance_plan(cfg)
     # One call, so the baseline and every repeated parameter set are simulated once.
     results = simulate.outage_reductions(
         params,
@@ -469,18 +446,18 @@ def cmd_enhance(cfg: dict, s: dict, args) -> int:
 # -- analyze ------------------------------------------------------------------
 
 
-def _sigmoid_variables(ds, s: dict) -> list:
-    """The index of each weather variable `analyze` fits a response curve to."""
+def _read_analyze(cfg: dict, s: dict):
+    """The dataset, the model and the index of each weather variable `analyze`
+    fits a response curve to."""
     from .analyze import variable_index
 
-    return [variable_index(ds.weather, var) for var in s["analyze.sigmoid_variables"]]
+    ds, params = _load_inputs(cfg, s)
+    return ds, params, [variable_index(ds.weather, var) for var in s["analyze.sigmoid_variables"]]
 
 
-def cmd_analyze(cfg: dict, s: dict, args) -> int:
+def cmd_analyze(cfg: dict, s: dict, args, ds, params, variables) -> int:
     from . import analyze
 
-    ds, params = _load_inputs(cfg)
-    variables = _sigmoid_variables(ds, s)
     out_dir = _output_dir(cfg)
     decomp = analyze.decompose(params, ds)
     analyze.write_decomposition_csv(out_dir / "decomposition.csv", decomp)
@@ -506,10 +483,9 @@ def cmd_analyze(cfg: dict, s: dict, args) -> int:
 # -- export-map ---------------------------------------------------------------
 
 
-def cmd_export_map(cfg: dict, s: dict, args) -> int:
+def cmd_export_map(cfg: dict, s: dict, args, ds, params) -> int:
     from . import topology
 
-    ds, params = _load_inputs(cfg)
     path = _output_dir(cfg) / "propagation_map.csv"
     mass = topology.triggering_totals(params.alpha, ds.outages, params)
     n = topology.export_propagation_map(params.alpha, ds.outages, params, path, mass=mass)
@@ -519,27 +495,6 @@ def cmd_export_map(cfg: dict, s: dict, args) -> int:
     for j in top:
         if scores[j] > 0:
             print(f"critical unit {j} ({ds.units[j].unit_id}): exported intensity {scores[j]:.2f}")
-    return EXIT_OK
-
-
-# -- validate-only ------------------------------------------------------------
-
-
-def validate_only(cfg: dict, s: dict, command: str) -> int:
-    """Read `command`'s inputs as the command would, `main` having read its
-    settings `s`, and stop before computing or writing anything."""
-    if command == "ingest":
-        _read_feeds(cfg, s)
-    elif command == "fit":
-        _fit_config(s)
-        _candidate_graph(_load_dataset(cfg), s)
-    else:
-        ds, _ = _load_inputs(cfg)
-        if command == "analyze":
-            _sigmoid_variables(ds, s)
-    if command == "enhance":
-        _enhance_plan(cfg)
-    print("validation ok")
     return EXIT_OK
 
 
@@ -620,14 +575,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command's (reader, run). The reader reads and checks every input of the
+# command, its settings given; the run computes from what the reader returned.
 COMMANDS = {
-    "ingest": cmd_ingest,
-    "fit": cmd_fit,
-    "predict": cmd_predict,
-    "simulate": cmd_simulate,
-    "enhance": cmd_enhance,
-    "analyze": cmd_analyze,
-    "export-map": cmd_export_map,
+    "ingest": (_read_feeds, cmd_ingest),
+    "fit": (_read_fit, cmd_fit),
+    "predict": (_load_inputs, cmd_predict),
+    "simulate": (_load_inputs, cmd_simulate),
+    "enhance": (_read_enhance, cmd_enhance),
+    "analyze": (_read_analyze, cmd_analyze),
+    "export-map": (_load_inputs, cmd_export_map),
 }
 
 
@@ -644,9 +601,12 @@ def main(argv=None) -> int:
     try:
         cfg = effective_config(args)
         settings = {key: _setting(cfg, key) for key in COMMAND_SETTINGS[args.command]}
-        if args.validate_only:
-            return validate_only(cfg, settings, args.command)
-        rc = COMMANDS[args.command](cfg, settings, args)
+        read, run = COMMANDS[args.command]
+        inputs = read(cfg, settings)
+        if args.validate_only:  # stops where the run would start computing
+            print("validation ok")
+            return EXIT_OK
+        rc = run(cfg, settings, args, *inputs)
         _echo_config(cfg, args.command)  # only a finished command's directory describes its run
         return rc
     except ValidationError as exc:

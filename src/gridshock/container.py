@@ -41,32 +41,24 @@ def _canonical(arr: np.ndarray) -> np.ndarray:
 
 
 def write_container(path, schema: str, meta: dict, arrays: dict) -> None:
-    """Write `arrays` (name -> ndarray) plus JSON-serializable `meta`."""
+    """Write `arrays` (name -> ndarray) plus JSON-serializable `meta`. Each
+    array is written from its own buffer, so an array already in canonical
+    form is not copied."""
+    canonical = {name: _canonical(arrays[name]) for name in sorted(arrays)}
     entries = []
-    payloads = []
     offset = 0
-    for name in sorted(arrays):
-        a = _canonical(arrays[name])
-        raw = a.tobytes()
-        entries.append(
-            {
-                "name": name,
-                "dtype": a.dtype.str,
-                "shape": list(a.shape),
-                "offset": offset,
-                "nbytes": len(raw),
-            }
-        )
-        payloads.append(raw)
-        offset += len(raw)
+    for name, a in canonical.items():
+        entries.append({"name": name, "dtype": a.dtype.str, "shape": list(a.shape), "offset": offset,
+                        "nbytes": a.nbytes})
+        offset += a.nbytes
     header = {"schema": schema, "meta": meta, "arrays": entries}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(len(header_bytes).to_bytes(8, "little"))
         fh.write(header_bytes)
-        for raw in payloads:
-            fh.write(raw)
+        for a in canonical.values():
+            fh.write(a.data)
 
 
 class _Entries(dict):

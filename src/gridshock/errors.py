@@ -43,6 +43,7 @@ OBJECT = (lambda x: isinstance(x, dict), "an object")
 OBJECTS = (lambda x: isinstance(x, list) and all(isinstance(v, dict) for v in x), "a list of objects")
 TEXTS = (lambda x: isinstance(x, list) and all(isinstance(v, str) for v in x), "a list of strings")
 INTEGERS = (lambda x: isinstance(x, (list, tuple)) and all(map(is_int, x)), "a list of integers")
+WIDTHS = (lambda x: INTEGERS[0](x) and min(x, default=1) >= 1, "a list of integers >= 1")  # hidden layer sizes
 PAIRS = (
     lambda x: isinstance(x, list) and all(isinstance(v, list) and len(v) == 2 and all(map(is_count, v)) for v in x),
     "a list of [source, target] pairs of integers >= 0",

@@ -245,13 +245,16 @@ def load_units(path) -> list[UnitMeta]:
             raise ValidationError(f"{path}:{row_num}: duplicate unit_id {uid!r}")
         seen.add(uid)
         try:
+            customers = float(fields[customers_col])
+            if not customers.is_integer():  # inf and nan included
+                raise ValueError(f"total_customers must be a finite whole number, got {fields[customers_col]!r}")
             unit = UnitMeta(
                 unit_id=uid,
                 centroid_lat=float(fields[lat_col]),
                 centroid_lon=float(fields[lon_col]),
-                total_customers=int(float(fields[customers_col])),
+                total_customers=int(customers),
             )
-        except ValueError as exc:
+        except (ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{row_num}: {exc}") from exc
         units.append(unit)
     if not units:

@@ -357,21 +357,27 @@ def poisson_quantile(lam, u) -> np.ndarray:
 
 
 def _search_up_from_zero(lam, u):
-    """Sum p_0, p_1, ... until the running CDF reaches u; only the cells
-    still searching take part in each step."""
+    """Sum p_0, p_1, ... until the running CDF reaches u."""
     n = np.zeros(lam.size, dtype=np.int64)
     p = np.exp(-lam)
     live = np.flatnonzero(p < u)
-    lam, u, F = lam[live], u[live], p[live]
-    p, k = F, 0
+    _search_up(n, live, np.zeros(live.size), p[live], p[live], lam[live], u[live])
+    return n
+
+
+def _search_up(n, live, k, p, F, lam, u):
+    """Step the cells `live` of n up from their counts k, with p = p_k and
+    F = F(k) < u: add p_(k+1) = p_k lam / (k + 1) until the running CDF
+    reaches u or stops growing. Only the cells still searching take part in
+    each step, and each step sets their n, so n ends at the count each cell
+    stopped at."""
     while live.size:
-        k += 1
+        k = k + 1.0
         p = p * lam / k
         G = F + p
+        n[live] = k
         go = (G < u) & (G > F)
-        n[live[~go]] = k
-        live, lam, u, p, F = live[go], lam[go], u[go], p[go], G[go]
-    return n
+        live, k, p, F, lam, u = live[go], k[go], p[go], G[go], lam[go], u[go]
 
 
 def _search_from_guess(lam, u):
@@ -384,14 +390,7 @@ def _search_from_guess(lam, u):
     F = _cdf_summed_down(k, p, lam)
     n = k.copy()
     up = np.flatnonzero(F < u)
-    kk, pp, FF, uu, ll = k[up], p[up], F[up], u[up], lam[up]
-    while up.size:
-        kk = kk + 1.0
-        pp = pp * ll / kk
-        G = FF + pp
-        go = (G < uu) & (G > FF)
-        n[up[~go]] = kk[~go]
-        up, kk, pp, FF, uu, ll = up[go], kk[go], pp[go], G[go], uu[go], ll[go]
+    _search_up(n, up, k[up], p[up], F[up], lam[up], u[up])
     G = F - p  # F(k - 1)
     down = np.flatnonzero((G >= u) & (k > 0) & (u > 0.0))
     kk, pp, FF, uu, ll = k[down], p[down], G[down], u[down], lam[down]

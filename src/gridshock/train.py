@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import COUNT, POSITIVE, DivergenceError, NumericError, ValidationError, at_least, checked, one_of
+from .errors import COUNT, POSITIVE, WIDTHS, DivergenceError, NumericError, ValidationError, at_least, checked, one_of
 from .errors import OPTIMIZERS
 from .ingest import Dataset
 from .model import (
@@ -87,6 +87,7 @@ class FitConfig:
         checked(self.max_epochs, COUNT, "max_epochs")
         checked(self.seed, COUNT, "seed")
         checked(self.optimizer, one_of(OPTIMIZERS), "optimizer")
+        checked(self.hidden_sizes, WIDTHS, "hidden_sizes")
         if self.batch_slots is not None:
             checked(self.batch_slots, at_least(1), "batch_slots")
 

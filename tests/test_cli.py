@@ -1,6 +1,8 @@
 import argparse
 import csv
+import dataclasses
 import gc
+import inspect
 import json
 import math
 import os
@@ -12,10 +14,11 @@ import numpy as np
 import pytest
 
 from synth import rewrite_container_header
-from gridshock import cli, ingest, model, simulate, topology
+from gridshock import analyze, cli, ingest, model, simulate, topology
 from gridshock.errors import INTEGER, INTEGERS, NUMBER
 from gridshock.ingest import load_dataset
 from gridshock.model import deserialize
+from gridshock.train import FitConfig
 
 HOURS = 24
 UNITS = 4
@@ -707,21 +710,27 @@ def test_validate_only_runs_the_loaders_header_checks(pipeline, tmp_path, capsys
         ("weather", lambda f: f[:-1], "{short} fields, the header has {width}"),
         ("outages", lambda f: ["zzz", *f[1:]], "unknown unit_id 'zzz'"),
         ("weather", lambda f: ["zzz", *f[1:]], "unknown unit_id 'zzz'"),
+        ("units", lambda f: [*f[:3], "inf"], "total_customers must be a finite whole number, got 'inf'"),
+        ("units", lambda f: [*f[:3], "1.5"], "total_customers must be a finite whole number, got '1.5'"),
+        ("units", lambda f: [*f[:3], "0"], "unit 'town2': total_customers must be an integer >= 1, got 0"),
+        ("units", lambda f: [f[0], "95", *f[2:]], "unit 'town2': latitude 95.0 out of range"),
     ],
     ids=["nan-count", "nan-weather", "short-outage-row", "short-weather-row", "unknown-unit-outages",
-         "unknown-unit-weather"],
+         "unknown-unit-weather", "infinite-customers", "fractional-customers", "no-customers",
+         "latitude-out-of-range"],
 )
 def test_validate_only_reads_every_row_as_ingest_does(pipeline, tmp_path, capsys, kind, edit, message):
     lines = pipeline[kind].read_text().splitlines()
     header = lines[0].split(",")
     lines[3] = ",".join(edit(lines[3].split(",")))
-    inputs = {"outages": pipeline["outages"], "weather": pipeline["weather"], kind: tmp_path / f"{kind}.csv"}
+    inputs = {"units": pipeline["units"], "outages": pipeline["outages"], "weather": pipeline["weather"]}
+    inputs[kind] = tmp_path / f"{kind}.csv"
     inputs[kind].write_text("\n".join(lines) + "\n")
     message = message.format(var=header[-1], short=len(header) - 1, width=len(header))
     out = tmp_path / "out"
     results = []
     for validate in ([], ["--validate-only"]):
-        rc = cli.main(["ingest", "--units", str(pipeline["units"]), "--outages", str(inputs["outages"]),
+        rc = cli.main(["ingest", "--units", str(inputs["units"]), "--outages", str(inputs["outages"]),
                        "--weather", str(inputs["weather"]), "--output-dir", str(out), "--slot-seconds", "3600",
                        *validate])
         results.append((rc, capsys.readouterr().err))
@@ -856,13 +865,13 @@ def test_a_config_value_of_the_wrong_type_exits_2(pipeline, tmp_path, capsys, co
 
 
 def _out_of_range(kinds):
-    """A value of a setting's type that its range refuses, for every setting of cli.SETTING_TYPES."""
+    """A value of a setting's type that its range refuses, for every setting of cli.SETTINGS."""
     if kinds[0] is INTEGER:
         return max(n for n in (-1, 0, 1) if not kinds[1][0](n))
     return {NUMBER: 0.0, INTEGERS: [8, 0], cli.TIMESTAMP: "not-a-time"}.get(kinds[0], "bogus")
 
 
-@pytest.mark.parametrize("key", sorted(cli.SETTING_TYPES))
+@pytest.mark.parametrize("key", sorted(cli.SETTINGS))
 def test_validate_only_rejects_an_out_of_range_value_of_every_setting(pipeline, tmp_path, capsys, key):
     commands = [c for c, keys in cli.COMMAND_SETTINGS.items() if key in keys]
     assert commands, f"no command reads {key!r}"
@@ -874,7 +883,7 @@ def test_validate_only_rejects_an_out_of_range_value_of_every_setting(pipeline, 
                   "--weather", str(pipeline["weather"])]
     else:
         inputs = ["--dataset", str(pipeline["dataset"]), "--model", str(pipeline["model"])]
-    for value in (_out_of_range(cli.SETTING_TYPES[key]), math.nan, True):
+    for value in (_out_of_range(cli.SETTINGS[key][1:]), math.nan, True):
         cfg_path = tmp_path / "range.json"
         cfg_path.write_text(json.dumps({section: {leaf: value}} if section else {key: value}))
         rc = cli.main([command, "--config", str(cfg_path), *inputs, "--output-dir", str(out), "--validate-only"])
@@ -892,7 +901,34 @@ def test_every_config_leaf_is_a_path_or_a_checked_setting():
         for key, value in node.items():
             yield from leaves(value, f"{prefix}{key}.") if isinstance(value, dict) else [prefix + key]
 
-    assert set(leaves(cli.DEFAULTS)) - paths == set(cli.SETTING_TYPES)
+    assert set(leaves(cli.DEFAULTS)) - paths == set(cli.SETTINGS)
+
+
+def test_every_setting_default_is_the_library_default():
+    """The numpy-free CLI states its defaults itself; each must be the default
+    the library takes when the caller passes nothing."""
+
+    def default_of(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    fit = {f"fit.{field.name}": field.default for field in dataclasses.fields(FitConfig)}
+    library = {
+        **fit,
+        "fit.hidden_sizes": list(fit["fit.hidden_sizes"]),
+        "graph.k_neighbors": topology.DEFAULT_K_NEIGHBORS,
+        "graph.max_km": topology.DEFAULT_MAX_KM,
+        "grid.slot_seconds": ingest.DEFAULT_SLOT_SECONDS,
+        "analyze.zero_run_threshold": analyze.DEFAULT_ZERO_RUN,
+        "predict.horizon": default_of(analyze.predict_ahead, "horizon_slots"),
+        "sim.teacher_forced_until": default_of(simulate.simulate_paths, "teacher_forced_until"),
+        "sim.baseline": default_of(simulate.outage_reductions, "baseline"),
+        "aggregation": default_of(ingest.aggregate_outages, "method"),
+    }
+    # the library has no default for these: the grid's span, the replication
+    # count and seed of a simulation, the variables of the response curves
+    cli_only = {"grid.start", "grid.num_slots", "sim.replications", "sim.seed", "analyze.sigmoid_variables"}
+    assert set(library) | cli_only == set(cli.SETTINGS) and not set(library) & cli_only
+    assert {key: cli.SETTINGS[key][0] for key in library} == library
 
 
 @pytest.mark.parametrize(

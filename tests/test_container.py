@@ -35,6 +35,23 @@ def test_roundtrip_preserves_values_and_dtypes(tmp_path):
     assert arrays2["flags"].dtype == np.uint8
 
 
+def test_write_copies_no_canonical_array(tmp_path):
+    rng = np.random.default_rng(4)
+    arrays = {"a": rng.normal(size=(200, 1000)), "b": rng.integers(0, 9, size=(100, 1000))}
+    size = sum(a.nbytes for a in arrays.values())
+    path = tmp_path / "big.gshk"
+    tracemalloc.start()
+    try:
+        write_container(path, "schema-x", {"k": 1}, arrays)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 8, (peak, size)
+    _, got = read_container(path, "schema-x")
+    for name in arrays:
+        assert_array_equal(got[name], arrays[name])
+
+
 def test_write_is_byte_deterministic(tmp_path):
     rng = np.random.default_rng(1)
     arrays = _sample_arrays(rng)

@@ -458,6 +458,9 @@ def test_fit_config_validation():
         FitConfig(batch_slots=0)
     with pytest.raises(ValidationError, match="seed must be an integer >= 0, got -1"):
         FitConfig(seed=-1)  # not numpy's ValueError from default_rng, at the start of the fit
+    for bad in ((-1,), (0,), (8, 0), (2.5,), "ab", 16):  # not numpy's error, nor a silent width-0 layer
+        with pytest.raises(ValidationError, match=r"hidden_sizes must be a list of integers >= 1, got "):
+            FitConfig(hidden_sizes=bad)
 
 
 # -- fitting ------------------------------------------------------------------------
