@@ -4,9 +4,9 @@
 Writes K=1000 units, T=2920 slots and M=4 weather variables of raw CSVs into
 OUT_DIR with the benchmark's seeded generators (`perfbench/gen.py`), then
 runs `ingest`, `fit --epochs 2`, `predict`, `simulate --replications 50`,
-`enhance --replications 50` (one scenario plus a 2x2 edges sweep) and
-`analyze --sigmoid-variable wind_speed` on them, each in a fresh child
-process with one numeric thread, and prints
+`enhance --replications 50` (one scenario plus a 2x2 edges sweep),
+`analyze --sigmoid-variable wind_speed` and `export-map` on them, each in a
+fresh child process with one numeric thread, and prints
 one line per command: wall seconds and peak RSS in MiB (`os.wait4`). This
 process never loads numpy, so it adds little to the children's peaks.
 
@@ -70,6 +70,7 @@ def commands(work: Path) -> list[tuple[str, list[str]]]:
         ("enhance", ["enhance", *io, "--scenario", str(work / "scenario.json"), *SWEEP,
                      "--replications", str(REPLICATIONS), "--seed", "0"]),
         ("analyze", ["analyze", *io, "--sigmoid-variable", "wind_speed"]),
+        ("export-map", ["export-map", *io]),
     ]
 
 
@@ -95,10 +96,10 @@ def main(argv=None) -> int:
     if writer.exitcode != 0:
         print(f"writing the inputs exited {writer.exitcode}", file=sys.stderr)
         return 1
-    print(f"inputs   K={K} T={T} M={M} written in {time.perf_counter() - t0:.1f} s", flush=True)
+    print(f"inputs     K={K} T={T} M={M} written in {time.perf_counter() - t0:.1f} s", flush=True)
     for name, cmd in commands(args.out_dir):
         wall, rss, rc = run(cmd)
-        print(f"{name:<8} wall_s {wall:8.2f}  peak_rss_mib {rss:8.1f}", flush=True)
+        print(f"{name:<10} wall_s {wall:8.2f}  peak_rss_mib {rss:8.1f}", flush=True)
         if rc != 0:
             print(f"{name} exited {rc}", file=sys.stderr)
             return rc

@@ -92,12 +92,22 @@ class PredictionReport:
         return self.mae < self.persistence_mae
 
 
-def _metrics(pred: np.ndarray, actual: np.ndarray, t_from: int):
-    err = pred[:, t_from:] - actual[:, t_from:]
-    mae = float(np.abs(err).mean())
-    rmse = float(np.sqrt((err**2).mean()))
-    per_unit = np.abs(err).mean(axis=1)
-    return mae, rmse, per_unit
+def _report(horizon: int, predicted: np.ndarray, actual: np.ndarray) -> PredictionReport:
+    """Score slots t >= horizon against the counts, and persistence N[t - lag]
+    with lag max(horizon, 1) over the slots it can predict."""
+    lag = max(horizon, 1)
+    persistence_mae = float(np.abs(actual[:, :-lag] - actual[:, lag:]).mean())
+    err = predicted[:, horizon:] - actual[:, horizon:]
+    np.abs(err, out=err)
+    return PredictionReport(
+        horizon=horizon,
+        predicted=predicted,
+        actual=actual,
+        mae=float(err.mean()),
+        rmse=float(np.sqrt((err**2).mean())),
+        persistence_mae=persistence_mae,
+        per_unit_mae=err.mean(axis=1),
+    )
 
 
 def predict_in_sample(params: ModelParams, dataset: Dataset, direct: np.ndarray | None = None) -> PredictionReport:
@@ -105,19 +115,7 @@ def predict_in_sample(params: ModelParams, dataset: Dataset, direct: np.ndarray 
     is the weather term :func:`model.direct_from_weather`, when the caller has it."""
     params.check_invariants()
     fld = intensity_field(params, dataset.outages, dataset.weather, direct=direct)
-    actual = dataset.outages.counts.astype(np.float64)
-    mae, rmse, per_unit = _metrics(fld.lam, actual, 0)
-    persistence = actual[:, :-1]
-    persistence_mae = float(np.abs(persistence - actual[:, 1:]).mean())
-    return PredictionReport(
-        horizon=0,
-        predicted=fld.lam,
-        actual=actual,
-        mae=mae,
-        rmse=rmse,
-        persistence_mae=persistence_mae,
-        per_unit_mae=per_unit,
-    )
+    return _report(0, fld.lam, dataset.outages.counts.astype(np.float64))
 
 
 def _lambda_at(params, coupling, direct, P):
@@ -166,17 +164,7 @@ def predict_ahead(
     predicted = np.full((K, T), np.nan)
     predicted[:, h:] = _lambda_at(params, coupling, direct[:, h:], P)
 
-    mae, rmse, per_unit = _metrics(predicted, counts, h)
-    persistence_mae = float(np.abs(counts[:, : T - h] - counts[:, h:]).mean())
-    return PredictionReport(
-        horizon=h,
-        predicted=predicted,
-        actual=counts,
-        mae=mae,
-        rmse=rmse,
-        persistence_mae=persistence_mae,
-        per_unit_mae=per_unit,
-    )
+    return _report(h, predicted, counts)
 
 
 # -- sigmoid response / disruption tolerance --------------------------------
@@ -277,8 +265,11 @@ def fit_sigmoid_points(v, r, variable: str = "v") -> SigmoidFit:
     for name, x in (("exposure", v), ("ratio", r)):
         if not np.isfinite(x).all():
             raise ValidationError(f"non-finite {name} at point {int(np.flatnonzero(~np.isfinite(x))[0])}")
-    a, c, L, rmse = _fit_sigmoid_points(v, r)
-    return SigmoidFit(variable=variable, a=a, c=c, L=L, rmse=rmse, n_points=int(v.size))
+    starts, lower, upper = _sigmoid_starts(v, r)
+    # min keeps the first of equal losses: ties go to the earliest start
+    (a, c, L), loss = min((_sigmoid_lm(x0, v, r, lower, upper) for x0 in starts), key=lambda fit: fit[1])
+    rmse = float(np.sqrt(loss / v.size))
+    return SigmoidFit(variable=variable, a=float(a), c=float(c), L=float(L), rmse=rmse, n_points=int(v.size))
 
 
 def _sigmoid_starts(v: np.ndarray, r: np.ndarray):
@@ -359,15 +350,6 @@ def _sigmoid_lm(theta, v: np.ndarray, r: np.ndarray, lower, upper):
     return theta, loss
 
 
-def _fit_sigmoid_points(v: np.ndarray, r: np.ndarray):
-    """Multi-start bounded least squares for (a, c, L); returns + rmse."""
-    starts, lower, upper = _sigmoid_starts(v, r)
-    # min keeps the first of equal losses: ties go to the earliest start
-    (a, c, L), loss = min((_sigmoid_lm(x0, v, r, lower, upper) for x0 in starts), key=lambda fit: fit[1])
-    rmse = float(np.sqrt(loss / v.size))
-    return float(a), float(c), float(L), rmse
-
-
 # -- restoration episodes ----------------------------------------------------
 
 
@@ -386,6 +368,7 @@ class Episode:
 
 
 DEFAULT_ZERO_RUN = 2
+EPISODE_WINDOW_SLOTS = 2  # the summary's share of episodes that clear within this many slots
 
 
 def restoration_durations(dataset_or_counts, zero_run_threshold: int = DEFAULT_ZERO_RUN) -> list:
@@ -396,30 +379,17 @@ def restoration_durations(dataset_or_counts, zero_run_threshold: int = DEFAULT_Z
     """
     checked(zero_run_threshold, at_least(1), "zero_run_threshold")
     counts = np.asarray(getattr(getattr(dataset_or_counts, "outages", dataset_or_counts), "counts", dataset_or_counts))
-    K, T = counts.shape
     episodes = []
-    for i in range(K):
-        row = counts[i]
+    for i, row in enumerate(counts):
         nz = np.flatnonzero(row)
-        if nz.size == 0:
-            continue
-        start = int(nz[0])
-        prev = int(nz[0])
-        for s in nz[1:]:
-            s = int(s)
-            if s - prev - 1 >= zero_run_threshold:
-                episodes.append(
-                    Episode(unit=i, start_slot=start, end_slot=prev, max_outage=int(row[start : prev + 1].max()))
-                )
-                start = s
-            prev = s
-        episodes.append(
-            Episode(unit=i, start_slot=start, end_slot=prev, max_outage=int(row[start : prev + 1].max()))
-        )
+        # an episode ends where the gap to the next nonzero slot holds zero_run_threshold or more zeros
+        for run in np.split(nz, np.flatnonzero(np.diff(nz) > zero_run_threshold) + 1) if nz.size else ():
+            start, end = int(run[0]), int(run[-1])
+            episodes.append(Episode(unit=i, start_slot=start, end_slot=end, max_outage=int(row[start : end + 1].max())))
     return episodes
 
 
-def episode_duration_summary(episodes: list, within_slots: int = 2) -> dict:
+def episode_duration_summary(episodes: list, within_slots: int = EPISODE_WINDOW_SLOTS) -> dict:
     """Share of episodes clearing within `within_slots` plus basic stats."""
     if not episodes:
         return {"episodes": 0, "within_share": float("nan"), "median_slots": float("nan")}

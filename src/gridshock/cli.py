@@ -473,7 +473,7 @@ def cmd_analyze(cfg: dict, s: dict, args, ds, params, variables) -> int:
     )
     print(
         f"episodes: {summary['episodes']} total, {summary['within_share'] * 100 if summary['episodes'] else 0:.1f}% "
-        f"within {2 * ds.grid.slot_seconds // 3600} h"
+        f"within {analyze.EPISODE_WINDOW_SLOTS * ds.grid.slot_seconds / 3600:g} h"
     )
     for f in fits:
         print(f"sigmoid {f.variable}: a={f.a:.4g} c={f.c:.4g} L={f.L:.4g} rmse={f.rmse:.4g} (dtc={f.c:.4g})")

@@ -23,21 +23,17 @@ MAGIC = b"GSHKBIN\x00"
 _ALLOWED_DTYPES = {"<f8", "<i8", "|u1"}
 
 
+# The stored dtype of an array, by its dtype string, else by its dtype kind:
+# uint8 and bool stay bytes, every other integer widens to int64, every real float to float64.
+_CANONICAL = {"|u1": "|u1", "b": "|u1", "i": "<i8", "u": "<i8", "f": "<f8"}
+
+
 def _canonical(arr: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(arr)
-    if a.dtype == np.float64:
-        return a.astype("<f8", copy=False)
-    if a.dtype == np.int64:
-        return a.astype("<i8", copy=False)
-    if a.dtype == np.uint8:
-        return a.astype("|u1", copy=False)
-    if np.issubdtype(a.dtype, np.floating):
-        return a.astype("<f8")
-    if np.issubdtype(a.dtype, np.integer):
-        return a.astype("<i8")
-    if a.dtype == np.bool_:
-        return a.astype("|u1")
-    raise FileFormatError(f"unsupported array dtype for container: {a.dtype}")
+    dtype = _CANONICAL.get(a.dtype.str) or _CANONICAL.get(a.dtype.kind)
+    if dtype is None:
+        raise FileFormatError(f"unsupported array dtype for container: {a.dtype}")
+    return a.astype(dtype, copy=False)
 
 
 def write_container(path, schema: str, meta: dict, arrays: dict) -> None:

@@ -15,8 +15,8 @@ truncated at `trig_window` slots; with beta >= 0.1 the dropped tail is below
 e^-4 of the kernel mass.
 
 Each term has one implementation shared by fitting, simulation and
-prediction: the network runs MLP_CHUNK_ROWS rows at a time (`direct_field`
-forms the weather term from `mlp_forward`; fitting takes each chunk's mu from
+prediction: the network runs MLP_CHUNK_ROWS rows at a time (`weather_response`
+forms mu from `mlp_forward`; fitting takes each chunk's mu from
 `mlp_backward`'s own forward step, so it needs one pass, with the same bits,
 and gets the input gradient back already contracted with dv/domega),
 `Kernel` (the window filter that also accumulates the weather) rolls the
@@ -374,23 +374,20 @@ def indirect_field(alpha: EdgeWeights, R: np.ndarray) -> np.ndarray:
     return Coupling(alpha).apply(R)
 
 
-def direct_field(params: ModelParams, v: np.ndarray):
-    """Weather term gamma_i mu(v[i,t]) for all cells; returns (direct, mu)."""
-    K, T, M = v.shape
-    mu = mlp_forward(params.mlp, v.reshape(K * T, M))[0].reshape(K, T)
-    return params.gamma[:, None] * mu, mu
-
-
 def weather_response(params: ModelParams, weather) -> np.ndarray:
     """Network output mu(v) over the K x T grid from raw weather: standardized,
     accumulated, then the network. It depends on omega, the scaler and the
     network only, not on gamma."""
-    return direct_field(params, accumulate(params.scaler.transform(weather), params.decay))[1]
+    v = accumulate(params.scaler.transform(weather), params.decay)
+    K, T, M = v.shape
+    return mlp_forward(params.mlp, v.reshape(K * T, M))[0].reshape(K, T)
 
 
 def direct_from_weather(params: ModelParams, weather) -> np.ndarray:
-    """Weather term gamma_i mu(v[i,t]) from raw weather; the same bits as :func:`direct_field`."""
-    return params.gamma[:, None] * weather_response(params, weather)
+    """Weather term gamma_i mu(v[i,t]) from raw weather."""
+    direct = weather_response(params, weather)
+    direct *= params.gamma[:, None]
+    return direct
 
 
 def intensity(params: ModelParams, history, v: np.ndarray, i: int, t: int):

@@ -173,8 +173,6 @@ def apply_scenario(params: ModelParams, scenario: Scenario, reference_history=No
     w = params.alpha.w
     nonzero = w[w > 0]  # (target, source) order, as in a row-major scan of alpha
     edge_mean = float(nonzero.mean()) if nonzero.size else 0.0
-    gamma_mean = float(params.gamma.mean())
-    beta_mean = float(params.beta.mean())
 
     edge_clauses = list(scenario.edge_reweights)
     if scenario.top_k_units is not None:
@@ -184,28 +182,24 @@ def apply_scenario(params: ModelParams, scenario: Scenario, reference_history=No
         for s, t in top_e_edges_per_unit(params, units, scenario.top_e_edges):
             edge_clauses.append((s, t, scenario.edge_target))
 
-    gamma_clauses = list(scenario.gamma_overrides)
+    unit_clauses = {"gamma": list(scenario.gamma_overrides), "beta": list(scenario.beta_overrides)}
     if scenario.gamma_top_units is not None:
         worst = sorted(range(K), key=lambda i: (-params.gamma[i], i))[: scenario.gamma_top_units]
-        gamma_clauses.extend((i, MEAN) for i in worst)
-
-    beta_clauses = list(scenario.beta_overrides)
+        unit_clauses["gamma"].extend((i, MEAN) for i in worst)
     if scenario.beta_bottom_units is not None:
         slowest = sorted(range(K), key=lambda i: (params.beta[i], i))[: scenario.beta_bottom_units]
-        beta_clauses.extend((i, MEAN) for i in slowest)
+        unit_clauses["beta"].extend((i, MEAN) for i in slowest)
 
     for s, t, value in edge_clauses:
         if (s, t) not in params.graph.index:
             raise ValidationError(f"scenario re-weights edge ({s}, {t}) which is not in the graph")
         out.alpha.w[params.graph.index[s, t]] = edge_mean if value == MEAN else float(value)
-    for i, value in gamma_clauses:
-        if not 0 <= i < K:
-            raise ValidationError(f"scenario overrides gamma of unknown unit {i}")
-        out.gamma[i] = gamma_mean if value == MEAN else float(value)
-    for i, value in beta_clauses:
-        if not 0 <= i < K:
-            raise ValidationError(f"scenario overrides beta of unknown unit {i}")
-        out.beta[i] = beta_mean if value == MEAN else float(value)
+    for name, clauses in unit_clauses.items():
+        mean = float(getattr(params, name).mean())
+        for i, value in clauses:
+            if not 0 <= i < K:
+                raise ValidationError(f"scenario overrides {name} of unknown unit {i}")
+            getattr(out, name)[i] = mean if value == MEAN else float(value)
     for m, value in scenario.omega_overrides:
         if not 0 <= m < out.num_variables:
             raise ValidationError(f"scenario overrides omega of unknown variable {m}")
@@ -268,8 +262,7 @@ def simulate_paths(
     checked(seed, COUNT, "seed")
     checked(teacher_forced_until, COUNT, "teacher_forced_until")
     params.check_invariants()
-    x = _weather_on_grid(params, weather, grid)
-    K, T = x.shape[:2]
+    K, T = params.num_units, grid.num_slots
     cutoff = min(int(teacher_forced_until), T)
     obs = None
     if cutoff > 0:
@@ -279,13 +272,13 @@ def simulate_paths(
         if obs.shape[0] != K or obs.shape[1] < cutoff:
             raise ValidationError(f"observed history {obs.shape} does not cover the forced span")
 
-    mu = weather_response(params, x)
+    mus = _responses([params], weather, grid)
     # Counts are integer-valued, so these sums are exact in any order.
     rep_totals = np.zeros(R)
     cell_sum = np.zeros((K, T))
     cell_sq = np.zeros((K, T))
     paths = np.zeros((R, K, T), dtype=np.int64) if store_paths else None
-    for reps, t, n in _rollout_draws([params], [mu], obs, cutoff, R, seed):
+    for reps, t, n in _rollout_draws([params], mus, obs, cutoff, R, seed):
         n = n[:, 0]  # (K, block) counts of slot t
         if store_paths:
             paths[reps, :, t] = n.T
@@ -308,13 +301,17 @@ def simulate_paths(
     )
 
 
-def _weather_on_grid(params, weather, grid):
-    """`weather` as a K x T x M array over the grid's T slots."""
+def _responses(sets, weather, grid) -> list:
+    """The K x T network output mu of each parameter set over the grid's T
+    slots of `weather`. Scenarios never edit the scaler or the network, so
+    sets of one omega share one array, computed once."""
     x = np.asarray(getattr(weather, "values", weather), dtype=np.float64)
-    K, T = params.num_units, grid.num_slots
+    K, T = sets[0].num_units, grid.num_slots
     if x.shape[0] != K or x.shape[1] < T:
         raise ValidationError(f"weather shape {x.shape} does not cover {K} units x {T} slots")
-    return x[:, :T, :]
+    by_omega = {p.decay.omega.tobytes(): p for p in sets}
+    responses = {omega: weather_response(p, x[:, :T, :]) for omega, p in by_omega.items()}
+    return [responses[p.decay.omega.tobytes()] for p in sets]
 
 
 # Below this mean the quantile search runs up from 0 (exp(-lam) underflows
@@ -628,20 +625,12 @@ def _rollout_totals(sets, weather, grid, R, seed, names):
     """(S, R) total outages of every replication of each parameter set in
     `sets`, all rolled from empty history in one stacked rollout. Each row
     is the `rep_totals` of a lone `simulate_paths` of that set, bit for bit;
-    no per-cell statistics are kept. Scenarios never edit the scaler or the
-    network, so the network output mu is computed once per distinct omega."""
+    no per-cell statistics are kept."""
     totals = np.zeros((len(sets), R))
     if not sets:
         return totals
-    x = _weather_on_grid(sets[0], weather, grid)
-    responses, mus = {}, []
-    for p in sets:
-        omega = p.decay.omega.tobytes()
-        if omega not in responses:
-            responses[omega] = weather_response(p, x)
-        mus.append(responses[omega])
     # Counts are integer-valued, so these sums are exact in any order.
-    for reps, _, n in _rollout_draws(sets, mus, None, 0, R, seed, names):
+    for reps, _, n in _rollout_draws(sets, _responses(sets, weather, grid), None, 0, R, seed, names):
         totals[:, reps] += n.sum(axis=0)
     return totals
 

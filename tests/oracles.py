@@ -176,3 +176,23 @@ def add_at_coupling(alpha, X, adjoint=False):
     out = X.copy()
     np.add.at(out, into, w.reshape((-1,) + (1,) * (X.ndim - 1)) * X[frm])
     return out
+
+
+def scan_episodes(counts, zero_run_threshold):
+    """Outage episodes as (unit, start, end, max_outage), by a scan over each
+    unit's nonzero slots that closes an episode at a gap of
+    `zero_run_threshold` or more zero slots."""
+    episodes = []
+    for i, row in enumerate(np.asarray(counts)):
+        nz = np.flatnonzero(row)
+        if nz.size == 0:
+            continue
+        start = prev = int(nz[0])
+        for s in nz[1:]:
+            s = int(s)
+            if s - prev - 1 >= zero_run_threshold:
+                episodes.append((i, start, prev, int(row[start : prev + 1].max())))
+                start = s
+            prev = s
+        episodes.append((i, start, prev, int(row[start : prev + 1].max())))
+    return episodes

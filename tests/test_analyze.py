@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from oracles import add_at_coupling, naive_intensity_field
+from oracles import add_at_coupling, naive_intensity_field, scan_episodes
 from synth import random_small_instance, random_small_params, wrap_dataset
 from gridshock import analyze as analyze_module
 from gridshock.analyze import (
@@ -397,6 +397,20 @@ def test_restoration_durations_boundaries_and_empty():
     assert restoration_durations(np.zeros((2, 6), dtype=int)) == []
     with pytest.raises(ValidationError, match=">= 1"):
         restoration_durations(counts, zero_run_threshold=0)
+
+
+# a unit's counts as runs of (value, length); value 0 is a run of zeros, no runs an all-zero unit
+_UNIT_RUNS = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 7)), max_size=8)
+
+
+@given(units=st.lists(_UNIT_RUNS, min_size=1, max_size=5), threshold=st.integers(1, 5))
+def test_restoration_durations_match_the_slot_scan(units, threshold):
+    rows = [[value for value, length in runs for _ in range(length)] for runs in units]
+    counts = np.zeros((len(rows), max(1, *map(len, rows))), dtype=np.int64)
+    for i, row in enumerate(rows):
+        counts[i, : len(row)] = row
+    episodes = restoration_durations(counts, zero_run_threshold=threshold)
+    assert [(e.unit, e.start_slot, e.end_slot, e.max_outage) for e in episodes] == scan_episodes(counts, threshold)
 
 
 def test_restoration_durations_accepts_dataset(small):

@@ -277,6 +277,19 @@ def test_analyze_command(pipeline):
     assert rows[1][0] == "wind_speed"
 
 
+@pytest.mark.parametrize("slot_seconds, hours", [(900, "0.5"), (2700, "1.5")])
+def test_analyze_prints_the_episode_window_in_exact_hours(pipeline, tmp_path, capsys, slot_seconds, hours):
+    dataset = tmp_path / "dataset.gshk"
+    feeds = ["--units", str(pipeline["units"]), "--outages", str(pipeline["outages"]),
+             "--weather", str(pipeline["weather"])]
+    io = ["--dataset", str(dataset), "--output-dir", str(tmp_path)]
+    assert cli.main(["ingest", *feeds, *io, "--slot-seconds", str(slot_seconds)]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", *io, "--model", str(pipeline["model"])]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("episodes:"))
+    assert line.endswith(f"within {hours} h")
+
+
 def test_export_map_command(pipeline):
     out = pipeline["root"] / "map"
     rc = cli.main(

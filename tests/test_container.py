@@ -35,6 +35,25 @@ def test_roundtrip_preserves_values_and_dtypes(tmp_path):
     assert arrays2["flags"].dtype == np.uint8
 
 
+@pytest.mark.parametrize(
+    "dtype, stored",
+    [("<f4", "<f8"), (">f8", "<f8"), ("|i1", "<i8"), ("<i4", "<i8"), ("<u2", "<i8"), ("|u1", "|u1"), ("|b1", "|u1")],
+)
+def test_each_dtype_is_stored_in_its_canonical_form(tmp_path, dtype, stored):
+    values = np.array([[0, 1, 1], [1, 0, 1]], dtype=dtype)
+    path = tmp_path / "d.gshk"
+    write_container(path, "s", {}, {"x": values})
+    _, arrays = read_container(path, "s")
+    assert arrays["x"].dtype.str == stored
+    assert_array_equal(arrays["x"], values)
+
+
+@pytest.mark.parametrize("values", [np.array([1 + 2j, 3j]), np.array(["a", "bc"])], ids=["complex", "str"])
+def test_an_array_of_an_unsupported_dtype_is_refused(tmp_path, values):
+    with pytest.raises(FileFormatError, match="unsupported array dtype"):
+        write_container(tmp_path / "d.gshk", "s", {}, {"x": values})
+
+
 def test_write_copies_no_canonical_array(tmp_path):
     rng = np.random.default_rng(4)
     arrays = {"a": rng.normal(size=(200, 1000)), "b": rng.integers(0, 9, size=(100, 1000))}

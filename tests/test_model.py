@@ -20,7 +20,6 @@ from gridshock.model import (
     MlpParams,
     ModelParams,
     deserialize,
-    direct_field,
     indirect_field,
     intensity,
     intensity_field,
@@ -197,13 +196,13 @@ def test_backward_is_finite_and_silent_at_extreme_outputs(z_out):
     assert grads.biases[-1][0] == (len(v) if z_out > 0 else 0.0)
 
 
-def test_direct_field_holds_no_activations():
+def test_mlp_forward_holds_no_activations():
     K, T, M = 40, 1000, 3
     params = random_small_params(np.random.default_rng(8), K=K, M=M, hidden=(32, 16))
-    v = np.random.default_rng(9).normal(size=(K, T, M))
+    v = np.random.default_rng(9).normal(size=(K * T, M))
     tracemalloc.start()
     try:
-        direct_field(params, v)
+        mlp_forward(params.mlp, v)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -398,7 +397,8 @@ def test_intensity_field_agrees_with_single_cell():
     rng = np.random.default_rng(9)
     params, counts, _ = random_small_instance(rng, K=4, T=9, M=2, n_edges=4)
     v = rng.normal(size=(4, 9, 2))
-    field = intensity_field(params, counts, None, direct=direct_field(params, v)[0])
+    direct = params.gamma[:, None] * mlp_forward(params.mlp, v.reshape(4 * 9, 2))[0].reshape(4, 9)
+    field = intensity_field(params, counts, None, direct=direct)
     assert isinstance(field, IntensityField)
     for i in range(4):
         for t in range(9):

@@ -321,6 +321,20 @@ def test_simulate_validation():
         simulate_paths(params, np.zeros((2, 3, 1)), ds.grid, R=2, seed=1)
 
 
+@pytest.mark.parametrize("observed", [None, "short", "wrong units"])
+def test_simulate_checks_the_observed_history_before_any_weather_term(monkeypatch, observed):
+    params = _chain_params()
+    ds = _shell(params, 6)
+    history = {None: None, "short": np.zeros((2, 3)), "wrong units": np.zeros((3, 6))}[observed]
+
+    def no_weather_yet(*args, **kwargs):
+        raise AssertionError("weather term computed before the observed history was checked")
+
+    monkeypatch.setattr(simulate, "weather_response", no_weather_yet)
+    with pytest.raises(ValidationError, match="observed"):
+        simulate_paths(params, ds.weather, ds.grid, R=2, seed=1, teacher_forced_until=4, observed=history)
+
+
 def test_a_negative_seed_is_a_validation_error():
     params = _chain_params()
     ds = _shell(params, 6)

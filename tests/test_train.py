@@ -18,7 +18,6 @@ from gridshock.model import (
     Coupling,
     MlpParams,
     ModelParams,
-    direct_field,
     intensity_field,
     kernel_matrix_with_grad,
     mlp_backward,
@@ -132,7 +131,8 @@ def test_alpha_gradient_is_the_per_edge_dot_product(seed, K, T, n_edges):
     # W = N / lambda - 1 and R as the full-series evaluation forms them
     v, _ = accumulate_with_grad(params.scaler.transform(ds.weather), params.decay)
     R, _ = kernel_matrix_with_grad(counts, params.beta, params.trig_window)
-    lam = direct_field(params, v)[0] + Coupling(params.alpha).apply(R) + params.eps
+    direct = params.gamma[:, None] * mlp_forward(params.mlp, v.reshape(K * T, 2))[0].reshape(K, T)
+    lam = direct + Coupling(params.alpha).apply(R) + params.eps
     W = counts / lam - 1.0
     edges = zip(params.graph.tgt.tolist(), params.graph.src.tolist())
     expected = np.array([np.dot(W[tgt], R[s]) for tgt, s in edges], dtype=np.float64)
