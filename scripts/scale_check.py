@@ -7,8 +7,11 @@ runs `ingest`, `fit --epochs 2`, `predict`, `simulate --replications 50`,
 `enhance --replications 50` (one scenario plus a 2x2 edges sweep),
 `analyze --sigmoid-variable wind_speed` and `export-map` on them, each in a
 fresh child process with one numeric thread, and prints
-one line per command: wall seconds and peak RSS in MiB (`os.wait4`). This
-process never loads numpy, so it adds little to the children's peaks.
+one line per command: wall seconds and peak RSS in MiB (`os.wait4`). The
+`load` line, after `fit`, is a child that only loads the dataset and the
+model files (`load_dataset` and `deserialize`), the floor under every
+command that reads them. This process never loads numpy, so it adds little
+to the children's peaks.
 
 This is a record, not a gate: it exits 0 whenever every command does. Run
 it on two checkouts, one after the other, to compare how they scale. Needs
@@ -39,6 +42,8 @@ REPLICATIONS = 50
 # reset the 10 largest design margins to the mean
 SCENARIO = {"top_k_units": 10, "top_e_edges": 2, "edge_target": 0.0, "gamma_top_units": 10}
 SWEEP = ["--sweep-units", "0,10", "--sweep-edges", "0,2"]
+LOAD = ("import sys; from gridshock.ingest import load_dataset; from gridshock.model import deserialize; "
+        "load_dataset(sys.argv[1]); deserialize(sys.argv[2])")
 
 
 def write_inputs(work: Path, seed: int) -> None:
@@ -58,27 +63,30 @@ def write_inputs(work: Path, seed: int) -> None:
 
 
 def commands(work: Path) -> list[tuple[str, list[str]]]:
+    """(name, the child's interpreter arguments) of each measured step, in order."""
     out = str(work / "out")
     io = ["--dataset", f"{out}/dataset.gshk", "--model", f"{out}/model.gshk", "--output-dir", out]
+    cli = ["-m", "gridshock.cli"]
     return [
-        ("ingest", ["ingest", "--units", str(work / "units.csv"), "--outages", str(work / "outages.csv"),
+        ("ingest", [*cli, "ingest", "--units", str(work / "units.csv"), "--outages", str(work / "outages.csv"),
                     "--weather", str(work / "weather.csv"), "--dataset", f"{out}/dataset.gshk",
                     "--output-dir", out, "--slot-seconds", str(SLOT_SECONDS)]),
-        ("fit", ["fit", *io, "--epochs", str(EPOCHS), "--seed", "0"]),
-        ("predict", ["predict", *io, "--horizon", "1"]),
-        ("simulate", ["simulate", *io, "--replications", str(REPLICATIONS), "--seed", "0"]),
-        ("enhance", ["enhance", *io, "--scenario", str(work / "scenario.json"), *SWEEP,
+        ("fit", [*cli, "fit", *io, "--epochs", str(EPOCHS), "--seed", "0"]),
+        ("load", ["-c", LOAD, f"{out}/dataset.gshk", f"{out}/model.gshk"]),
+        ("predict", [*cli, "predict", *io, "--horizon", "1"]),
+        ("simulate", [*cli, "simulate", *io, "--replications", str(REPLICATIONS), "--seed", "0"]),
+        ("enhance", [*cli, "enhance", *io, "--scenario", str(work / "scenario.json"), *SWEEP,
                      "--replications", str(REPLICATIONS), "--seed", "0"]),
-        ("analyze", ["analyze", *io, "--sigmoid-variable", "wind_speed"]),
-        ("export-map", ["export-map", *io]),
+        ("analyze", [*cli, "analyze", *io, "--sigmoid-variable", "wind_speed"]),
+        ("export-map", [*cli, "export-map", *io]),
     ]
 
 
 def run(argv: list[str]) -> tuple[float, float, int]:
-    """(wall seconds, peak RSS MiB, exit code) of one `gridshock` command."""
+    """(wall seconds, peak RSS MiB, exit code) of one child interpreter run with `argv`."""
     env = {**os.environ, **dict.fromkeys(THREAD_VARS, str(THREADS)), "PYTHONPATH": str(ROOT / "src")}
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "gridshock.cli", *argv], env=env, stdout=subprocess.DEVNULL)
+    proc = subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     return time.perf_counter() - start, usage.ru_maxrss / 1024.0, os.waitstatus_to_exitcode(status)
 

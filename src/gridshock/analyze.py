@@ -113,7 +113,6 @@ def _report(horizon: int, predicted: np.ndarray, actual: np.ndarray) -> Predicti
 def predict_in_sample(params: ModelParams, dataset: Dataset, direct: np.ndarray | None = None) -> PredictionReport:
     """Expected counts with fully observed (teacher-forced) history. `direct`
     is the weather term :func:`model.direct_from_weather`, when the caller has it."""
-    params.check_invariants()
     fld = intensity_field(params, dataset.outages, dataset.weather, direct=direct)
     return _report(0, fld.lam, dataset.outages.counts.astype(np.float64))
 
@@ -138,6 +137,7 @@ def predict_ahead(
     Metrics cover slots t >= h only, so the model and the baseline see the
     same evaluation span. `direct` is as in :func:`predict_in_sample`.
     """
+    params.check_invariants()
     h = checked(horizon_slots, at_least(1), "horizon_slots")
     K, T = dataset.outages.counts.shape
     if h >= T:
@@ -230,17 +230,11 @@ def fit_sigmoid(
     bad = [u for u in units if not 0 <= u < dataset.num_units]
     if bad:
         raise ValidationError(f"population unit index {bad[0]} out of range for {dataset.num_units} units")
-    v_all = accumulate(dataset.weather.values[:, :, m : m + 1], DecayConfig(cfg.omega[m : m + 1], cfg.window_slots))
-    v_all = v_all[:, :, 0]
-    customers = np.array([dataset.units[i].total_customers for i in range(dataset.num_units)], dtype=float)
-    ratios = dataset.outages.counts / customers[:, None]
-    v_pts, r_pts = [], []
-    for u in units:
-        sel = ratios[u] > 0
-        v_pts.append(v_all[u][sel])
-        r_pts.append(ratios[u][sel])
-    v = np.concatenate(v_pts) if v_pts else np.zeros(0)
-    r = np.concatenate(r_pts) if r_pts else np.zeros(0)
+    v_all = accumulate(dataset.weather.values[:, :, m : m + 1], DecayConfig(cfg.omega[m : m + 1], cfg.window_slots))[:, :, 0]
+    customers = np.array([dataset.units[u].total_customers for u in units], dtype=float).reshape(-1, 1)
+    ratios = dataset.outages.counts[units] / customers
+    sel = ratios > 0  # boolean indexing walks the units in population order, each unit's slots in order
+    v, r = v_all[units][sel], ratios[sel]
     if v.size < MIN_SIGMOID_POINTS:
         raise InsufficientDataError(
             f"sigmoid fit needs >= {MIN_SIGMOID_POINTS} positive-ratio points, got {v.size}"

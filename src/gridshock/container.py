@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -94,20 +95,27 @@ def _check_entry(path: Path, entry) -> None:
 
 def read_container(path, expected_schema: str):
     """Read a container, returning (meta, arrays). Validates magic, schema and
-    every array entry; a missing meta key or array is a FileFormatError."""
+    every array entry; a missing meta key or array is a FileFormatError. Each
+    array is read straight into its own buffer, so the file is never held whole."""
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as fh:
+            return _read_open(path, fh, expected_schema)
     except OSError as exc:
         raise FileFormatError(f"cannot read container {path}: {exc}") from exc
-    if len(blob) < len(MAGIC) + 8 or blob[: len(MAGIC)] != MAGIC:
+
+
+def _read_open(path: Path, fh, expected_schema: str):
+    """:func:`read_container` on `fh`, the file at `path` opened for reading."""
+    size, hstart = os.fstat(fh.fileno()).st_size, len(MAGIC) + 8
+    head = fh.read(hstart)
+    if len(head) < hstart or head[: len(MAGIC)] != MAGIC:
         raise FileFormatError(f"{path}: not a gridshock container (bad magic)")
-    hlen = int.from_bytes(blob[len(MAGIC) : len(MAGIC) + 8], "little")
-    hstart = len(MAGIC) + 8
-    if hstart + hlen > len(blob):
+    hlen = int.from_bytes(head[len(MAGIC) :], "little")
+    if hstart + hlen > size:
         raise FileFormatError(f"{path}: truncated container header")
     try:
-        header = json.loads(blob[hstart : hstart + hlen].decode("utf-8"), object_hook=lambda obj: _Entries(path, obj))
+        header = json.loads(fh.read(hlen).decode("utf-8"), object_hook=lambda obj: _Entries(path, obj))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: corrupt container header: {exc}") from exc
     if not isinstance(header, dict):
@@ -120,13 +128,13 @@ def read_container(path, expected_schema: str):
     meta, entries = header["meta"], header.get("arrays", [])
     if not isinstance(meta, dict) or not isinstance(entries, list):
         raise FileFormatError(f"{path}: container header needs a meta object and an arrays list")
-    body = memoryview(blob)[hstart + hlen :]  # slices of a view copy nothing; each array is copied once
     arrays = _Entries(path, {})
     for entry in entries:
         _check_entry(path, entry)
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(body):
+        start, nbytes = hstart + hlen + entry["offset"], entry["nbytes"]
+        arr = np.empty(entry["shape"], dtype=entry["dtype"]) if start + nbytes <= size else None
+        # seek returns the new position; readinto, the bytes read, which fall short if the file shrank
+        if arr is None or fh.seek(start) != start or fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
             raise FileFormatError(f"{path}: truncated payload for array {entry['name']!r}")
-        arr = np.frombuffer(body[start : start + nbytes], dtype=entry["dtype"]).reshape(entry["shape"])
-        arrays[entry["name"]] = arr.copy()
+        arrays[entry["name"]] = arr
     return meta, arrays

@@ -16,6 +16,7 @@ Conventions:
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -214,22 +215,6 @@ def _data_rows(path, width: int):
             yield reader.line_num, fields
 
 
-class _Memo(dict):
-    """`memo[key]` is `fn(key)`, computed on the first lookup of each distinct key.
-
-    Raw feeds repeat each timestamp once per unit and each unit id once per
-    timestamp, so the loaders parse each distinct string once.
-    """
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def load_units(path) -> list[UnitMeta]:
     """Read units.csv (unit_id, lat, lon, total_customers), preserving row order."""
     path = Path(path)
@@ -262,8 +247,9 @@ def load_units(path) -> list[UnitMeta]:
     return units
 
 
-def _unit_names(units: list[UnitMeta]) -> _Memo:
-    """`names[raw]` is the index of the unit whose id is `raw` stripped."""
+def _unit_names(units: list[UnitMeta]):
+    """`names(raw)` is the index of the unit whose id is `raw` stripped. Like the
+    loaders' timestamps, it is cached: feeds repeat each id and timestamp string."""
     index = {u.unit_id: i for i, u in enumerate(units)}
 
     def resolve(raw: str) -> int:
@@ -272,7 +258,7 @@ def _unit_names(units: list[UnitMeta]) -> _Memo:
             raise ValidationError(f"unknown unit_id {uid!r}")
         return index[uid]
 
-    return _Memo(resolve)
+    return functools.cache(resolve)
 
 
 def load_outage_rows(path, units: list[UnitMeta]):
@@ -284,14 +270,14 @@ def load_outage_rows(path, units: list[UnitMeta]):
     path = Path(path)
     header = read_header(path, "outages")
     uid_col, ts_col, count_col = map(header.index, CSV_COLUMNS["outages"])
-    names, stamps = _unit_names(units), _Memo(parse_timestamp)
+    names, stamps = _unit_names(units), functools.cache(parse_timestamp)
     for row_num, fields in _data_rows(path, len(header)):
         try:
             value = float(fields[count_col])
             if not 0 <= value < 2**63:
                 raise ValueError(f"customers_out must be a finite count in [0, 2**63), got {fields[count_col]!r}")
-            ts = stamps[fields[ts_col]]
-            unit = names[fields[uid_col]]
+            ts = stamps(fields[ts_col])
+            unit = names(fields[uid_col])
         except (ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{row_num}: {exc}") from exc
         yield unit, ts, value
@@ -311,7 +297,7 @@ def load_weather_rows(path, units: list[UnitMeta]):
     var_cols = [c for c, name in enumerate(header) if name not in CSV_COLUMNS["weather"]]
 
     def rows():
-        names, stamps = _unit_names(units), _Memo(parse_timestamp)
+        names, stamps = _unit_names(units), functools.cache(parse_timestamp)
         for row_num, fields in _data_rows(path, len(header)):
             try:
                 vals = tuple(map(float, map(fields.__getitem__, var_cols)))
@@ -321,8 +307,8 @@ def load_weather_rows(path, units: list[UnitMeta]):
                 bad = next(c for c, v in zip(var_cols, vals) if not math.isfinite(v))
                 raise ValidationError(f"{path}:{row_num}: non-finite {header[bad]} value {fields[bad]!r}")
             try:
-                ts = stamps[fields[ts_col]]
-                unit = names[fields[uid_col]]
+                ts = stamps(fields[ts_col])
+                unit = names(fields[uid_col])
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{row_num}: {exc}") from exc
             yield unit, ts, vals

@@ -15,15 +15,15 @@ truncated at `trig_window` slots; with beta >= 0.1 the dropped tail is below
 e^-4 of the kernel mass.
 
 Each term has one implementation shared by fitting, simulation and
-prediction: the network runs MLP_CHUNK_ROWS rows at a time (`weather_response`
-forms mu from `mlp_forward`; fitting takes each chunk's mu from
-`mlp_backward`'s own forward step, so it needs one pass, with the same bits,
-and gets the input gradient back already contracted with dv/domega),
-`Kernel` (the window filter that also accumulates the weather) rolls the
+prediction: the network maps (n, M) rows to mu, MLP_CHUNK_ROWS at a time
+(`weather_response` forms mu from `mlp_forward`; fitting takes each chunk's mu
+from `mlp_backward`'s own forward step, so it needs one pass, with the same
+bits, and gets the input gradient back already contracted with dv/domega),
+`Kernel` is the window filter that also accumulates the weather, rolling the
 truncated-kernel state forward, slot by slot or over a whole history, and
 `Coupling` adds sum_j alpha[i, j] R[j] over the graph's per-edge weights in a
 fixed order, so evaluation is bit-reproducible. `intensity` is the slow
-single-cell reference.
+single-cell reference, one row through the same network.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import meta_value, read_container, write_container
-from .errors import COUNT, NONNEGATIVE, NUMBER, PAIRS, POSITIVE, ValidationError, at_least, checked
+from .errors import COUNT, NONNEGATIVE, NUMBER, PAIRS, POSITIVE, FileFormatError, ValidationError, at_least, checked
 from .topology import EdgeWeights, Graph
 from .weather_effect import DecayConfig, WeatherScaler, WindowFilter, _per_lead, accumulate
 
@@ -151,31 +151,25 @@ def _activations(mlp: MlpParams, x: np.ndarray):
     return hiddens, (hiddens[-1] @ mlp.weights[-1] + mlp.biases[-1])[:, 0]
 
 
-def mlp_forward(mlp: MlpParams, v: np.ndarray):
-    """Batched forward pass: v (n, M) -> (mu (n,), cache for backprop).
-
-    Rows go through the network MLP_CHUNK_ROWS at a time, so no activation
-    outlives its chunk; the cache is the 2-D input itself, from which
-    :func:`mlp_backward` computes the activations again, chunk by chunk.
-    """
+def mlp_forward(mlp: MlpParams, v: np.ndarray) -> np.ndarray:
+    """Batched forward pass: rows v (n, M) -> mu (n,), MLP_CHUNK_ROWS rows at a
+    time, so no activation outlives its chunk."""
     v = np.asarray(v, dtype=np.float64)
-    squeeze = v.ndim == 1
-    x = v[None, :] if squeeze else v
-    if x.shape[1] != mlp.input_dim:
-        raise ValidationError(f"network expects {mlp.input_dim} inputs, got {x.shape[1]}")
-    mu = np.empty(x.shape[0])
-    for chunk in _row_chunks(x.shape[0]):
-        mu[chunk] = softplus(_activations(mlp, x[chunk])[1])
-    return (float(mu[0]) if squeeze else mu), x
+    if v.ndim != 2 or v.shape[1] != mlp.input_dim:
+        raise ValidationError(f"network expects rows of {mlp.input_dim} inputs, got shape {v.shape}")
+    mu = np.empty(v.shape[0])
+    for chunk in _row_chunks(v.shape[0]):
+        mu[chunk] = softplus(_activations(mlp, v[chunk])[1])
+    return mu
 
 
 def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray, tangent: np.ndarray, on_chunk=None):
     """Backprop per-sample output gradients `dmu` (n,) through the network.
 
-    `cache` is the input rows, as :func:`mlp_forward` returns them. Each
-    chunk's activations are computed from it while they are still in the CPU
-    cache and consumed in place; the parameter gradients are summed chunk by
-    chunk, the bias sums as BLAS products with a ones vector. When `on_chunk`
+    `cache` is the input rows (n, M), as :func:`mlp_forward` takes them. Each
+    chunk's activations are computed from them again, while they are still in
+    the CPU cache, and consumed in place; the parameter gradients are summed
+    chunk by chunk, the bias sums as BLAS products with a ones vector. When `on_chunk`
     is given, `on_chunk(rows, mu)` is called with each chunk's row slice and
     network output right after its forward step, and may fill those rows of
     `dmu` before they are read: a caller whose upstream gradient depends on mu
@@ -285,12 +279,7 @@ class IntensityField:
     eps: float
 
 
-class Kernel(WindowFilter):
-    """Truncated exponential triggering kernel of recovery rates beta: the
-    state P is the window filter of the counts and the triggering mass is
-    R = beta * P. A state may carry trailing axes (one column per replication
-    or per prediction target); `step` also takes (K, S) rates, one column per
-    parameter set, for a (K, S, ...) state."""
+Kernel = WindowFilter  # of the counts at recovery rates beta; the triggering mass is R = beta * P
 
 
 def kernel_matrix(counts: np.ndarray, beta: np.ndarray, trig_window: int) -> np.ndarray:
@@ -380,7 +369,7 @@ def weather_response(params: ModelParams, weather) -> np.ndarray:
     network only, not on gamma."""
     v = accumulate(params.scaler.transform(weather), params.decay)
     K, T, M = v.shape
-    return mlp_forward(params.mlp, v.reshape(K * T, M))[0].reshape(K, T)
+    return mlp_forward(params.mlp, v.reshape(K * T, M)).reshape(K, T)
 
 
 def direct_from_weather(params: ModelParams, weather) -> np.ndarray:
@@ -400,8 +389,7 @@ def intensity(params: ModelParams, history, v: np.ndarray, i: int, t: int):
     K, T = counts.shape
     if not (0 <= i < K and 0 <= t < T):
         raise ValidationError(f"cell ({i}, {t}) outside {K} x {T} grid")
-    mu_val, _ = mlp_forward(params.mlp, v[i, t])
-    direct = float(params.gamma[i] * mu_val)
+    direct = float(params.gamma[i] * mlp_forward(params.mlp, v[i, t : t + 1])[0])
     indirect = 0.0
     alpha = params.alpha.alpha
     sources = [i] + sorted(s for s, tgt in params.graph.edges if tgt == i)
@@ -420,6 +408,7 @@ def intensity(params: ModelParams, history, v: np.ndarray, i: int, t: int):
 def intensity_field(params: ModelParams, history, weather, direct: np.ndarray | None = None) -> IntensityField:
     """Vectorized intensity over all cells. The weather term is
     :func:`direct_from_weather` of `weather` unless the caller passes it as `direct`."""
+    params.check_invariants()
     counts = np.asarray(getattr(history, "counts", history), dtype=np.float64)
     if direct is None:
         direct = direct_from_weather(params, weather)
@@ -457,12 +446,17 @@ def serialize(params: ModelParams, path) -> None:
 
 
 def deserialize(path) -> ModelParams:
-    """Load a gridshock-model-v1 file written by :func:`serialize`; raises
+    """Load a gridshock-model-v1 file written by :func:`serialize`; raises FileFormatError on a
+    stored alpha cell that is neither a candidate edge nor the unit diagonal, and
     ValidationError unless the parameters satisfy :meth:`ModelParams.check_invariants`."""
     meta, arrays = read_container(path, MODEL_SCHEMA)
     edges = tuple(map(tuple, meta_value(meta, "edges", PAIRS)))
     graph = Graph(num_nodes=meta_value(meta, "num_nodes", COUNT), edges=edges)
     weights = EdgeWeights(graph=graph, alpha=arrays["alpha"])
+    dense = weights.alpha  # NaN only on a candidate edge, which check_invariants refuses
+    for i, j in np.argwhere((arrays["alpha"] != dense) & ~np.isnan(dense))[:1]:  # the first stray cell
+        where = "the diagonal is fixed at 1" if i == j else f"({j}, {i}) is not a candidate edge"
+        raise FileFormatError(f"{meta.path}: alpha[{i}, {j}] is {float(arrays['alpha'][i, j])!r}, but {where}")
     n_layers = meta_value(meta, "num_layers", COUNT)
     mlp = MlpParams(
         weights=[arrays[f"mlp_w{k}"] for k in range(n_layers)],

@@ -244,9 +244,8 @@ def log_likelihood(params: ModelParams, dataset: Dataset) -> float:
     Summed over bounded time blocks (see :func:`_eval_blocks`), so memory
     beyond the inputs does not grow with the number of slots.
     """
-    counts = np.asarray(dataset.outages.counts, dtype=np.float64)
-    x_scaled = params.scaler.transform(dataset.weather)
-    ll, _ = _series_loglik_and_grads(params, counts, x_scaled)
+    params.check_invariants()
+    ll, _ = _series_loglik_and_grads(params, *_series_inputs(params, dataset))
     return ll
 
 
@@ -255,10 +254,14 @@ def gradients(params: ModelParams, dataset: Dataset) -> Gradients:
 
     Summed over the same bounded time blocks as :func:`log_likelihood`.
     """
-    counts = np.asarray(dataset.outages.counts, dtype=np.float64)
-    x_scaled = params.scaler.transform(dataset.weather)
-    _, g = _series_loglik_and_grads(params, counts, x_scaled)
+    params.check_invariants()
+    _, g = _series_loglik_and_grads(params, *_series_inputs(params, dataset))
     return g
+
+
+def _series_inputs(params: ModelParams, dataset: Dataset):
+    """(counts as floats, standardized weather) of `dataset`, as the block evaluations read them."""
+    return np.asarray(dataset.outages.counts, dtype=np.float64), params.scaler.transform(dataset.weather)
 
 
 def project(params: ModelParams) -> tuple[ModelParams, int]:
@@ -318,9 +321,10 @@ def fd_audit(params: ModelParams, dataset: Dataset, max_coords: int = 40, h: flo
     Samples up to `max_coords` coordinates of theta (see :func:`pack`), across
     all five groups, and returns the worst relative error (absolute error
     where the gradient is tiny). Pure likelihood evaluations on perturbed
-    copies; nothing is mutated.
+    copies, which may step just outside the constraint set; nothing is mutated.
     """
     g = gradients(params, dataset).flat()
+    inputs = _series_inputs(params, dataset)
     theta = pack(params)
     rng = np.random.default_rng(seed)
     coords = range(theta.size)
@@ -331,7 +335,7 @@ def fd_audit(params: ModelParams, dataset: Dataset, max_coords: int = 40, h: flo
         p, th = params.copy(), theta.copy()
         th[k] += delta
         unpack(p, th)
-        return log_likelihood(p, dataset)
+        return _series_loglik_and_grads(p, *inputs)[0]
 
     worst = 0.0
     for k in coords:
@@ -386,12 +390,7 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
     t_start = time.perf_counter()
     params = initialize(dataset, graph, seed=cfg.seed, cfg=cfg)
     report = FitReport(seed=cfg.seed)
-    if cfg.max_epochs == 0:
-        report.seconds = time.perf_counter() - t_start
-        return params, report
-
-    counts = np.asarray(dataset.outages.counts, dtype=np.float64)
-    x_scaled = params.scaler.transform(dataset.weather)
+    counts, x_scaled = _series_inputs(params, dataset)
     T = counts.shape[1]
     bs = cfg.batch_slots or T
     blocks = [(t0, min(t0 + bs, T)) for t0 in range(0, T, bs)]

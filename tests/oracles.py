@@ -196,3 +196,16 @@ def scan_episodes(counts, zero_run_threshold):
             prev = s
         episodes.append((i, start, prev, int(row[start : prev + 1].max())))
     return episodes
+
+
+def per_unit_sigmoid_points(v_all, counts, customers, units):
+    """Response-curve points (exposure, ratio) gathered one unit at a time:
+    each chosen unit's slots with a positive outage ratio, units in
+    population order (repeats included), each unit's slots in order."""
+    ratios = np.asarray(counts) / np.asarray(customers, dtype=float)[:, None]
+    v_pts, r_pts = [], []
+    for u in units:
+        sel = ratios[u] > 0
+        v_pts.append(v_all[u][sel])
+        r_pts.append(ratios[u][sel])
+    return (np.concatenate(v_pts) if v_pts else np.zeros(0)), (np.concatenate(r_pts) if r_pts else np.zeros(0))

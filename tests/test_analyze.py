@@ -9,10 +9,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from oracles import add_at_coupling, naive_intensity_field, scan_episodes
+from oracles import add_at_coupling, naive_intensity_field, per_unit_sigmoid_points, scan_episodes
 from synth import random_small_instance, random_small_params, wrap_dataset
 from gridshock import analyze as analyze_module
 from gridshock.analyze import (
+    MIN_SIGMOID_POINTS,
     SIGMOID_STARTS,
     Decomposition,
     Episode,
@@ -35,7 +36,8 @@ from gridshock.analyze import (
 from gridshock.analyze import _sigmoid_loss, _sigmoid_starts
 from gridshock.errors import InsufficientDataError, ValidationError
 from gridshock.model import Kernel, direct_from_weather, intensity_field
-from gridshock.weather_effect import DecayConfig
+from gridshock.train import gradients, log_likelihood
+from gridshock.weather_effect import DecayConfig, accumulate
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +90,27 @@ def test_predict_in_sample_refuses_a_non_finite_rate(small):
     params.beta[0] = np.nan
     with pytest.raises(ValidationError, match=r"beta\[0\] must be a finite number >= 0, got nan"):
         predict_in_sample(params, ds)
+
+
+FORWARD_ENTRIES = {
+    "intensity_field": lambda params, ds: intensity_field(params, ds.outages.counts, ds.weather),
+    "decompose": decompose,
+    "decompose_counts": lambda params, ds: decompose_counts(params, ds.outages.counts, ds.weather),
+    "predict_in_sample": predict_in_sample,
+    "predict_ahead": lambda params, ds: predict_ahead(params, ds, horizon_slots=2),
+    "log_likelihood": log_likelihood,
+    "gradients": gradients,
+}
+
+
+@pytest.mark.parametrize("field, value", [("beta", np.nan), ("gamma", np.nan), ("beta", -0.5)])
+@pytest.mark.parametrize("entry", list(FORWARD_ENTRIES))
+def test_a_forward_entry_refuses_parameters_outside_the_constraint_set(small, entry, field, value):
+    params, ds = small
+    params = params.copy()
+    getattr(params, field)[0] = value
+    with pytest.raises(ValidationError, match=rf"{field}\[0\] must be a finite number >= 0, got {value}$"):
+        FORWARD_ENTRIES[entry](params, ds)
 
 
 def test_predict_in_sample_is_teacher_forced_intensity(small):
@@ -220,6 +243,28 @@ def test_fit_sigmoid_population_and_index_selection():
     assert sub.n_points == expected_pts
     assert full.n_points > sub.n_points
     assert sub.c == pytest.approx(full.c, rel=0.1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    population=st.none() | st.lists(st.integers(0, 3), max_size=9),
+    omega=st.floats(0.0, 2.0),
+    window=st.integers(1, 6),
+)
+def test_fit_sigmoid_fits_the_points_of_the_per_unit_loop(seed, population, omega, window):
+    ds = _sigmoid_dataset(K=4, T=40, seed=seed)
+    customers = np.random.default_rng(seed).integers(12000, 40000, 4)
+    ds.units = [replace(u, total_customers=int(c)) for u, c in zip(ds.units, customers)]
+    cfg = DecayConfig(omega=np.array([omega]), window_slots=window)
+    units = range(4) if population is None else population
+    v_all = accumulate(ds.weather.values, cfg)[:, :, 0]
+    v, r = per_unit_sigmoid_points(v_all, ds.outages.counts, customers, units)
+    if v.size < MIN_SIGMOID_POINTS:
+        with pytest.raises(InsufficientDataError):
+            fit_sigmoid(ds, 0, cfg=cfg, population=population)
+    else:
+        assert fit_sigmoid(ds, 0, cfg=cfg, population=population) == fit_sigmoid_points(v, r, variable="wind_speed")
 
 
 def test_fit_sigmoid_unknown_variable(small):
@@ -513,8 +558,6 @@ def test_predictions_csv_chunks_write_the_one_chunk_bytes(tmp_path, monkeypatch,
 def test_fit_sigmoid_accumulates_only_its_variable(monkeypatch):
     """A response curve accumulates its own weather variable, not all M, and
     fits exactly what it fits on a dataset holding that variable alone."""
-    from gridshock.weather_effect import accumulate
-
     alone = _sigmoid_dataset()
     K, T, _ = alone.weather.values.shape
     rng = np.random.default_rng(5)

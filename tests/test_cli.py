@@ -15,6 +15,7 @@ import pytest
 
 from synth import rewrite_container_header
 from gridshock import analyze, cli, ingest, model, simulate, topology
+from gridshock.container import read_container, write_container
 from gridshock.errors import INTEGER, INTEGERS, NUMBER
 from gridshock.ingest import load_dataset
 from gridshock.model import deserialize
@@ -817,13 +818,22 @@ def _set_meta(path, value):
         ("dataset", _set_meta(["grid", "slot_seconds"], 3600.0), "meta key 'grid.slot_seconds' must be an integer"),
         ("dataset", _set_meta(["units", 1, "lat"], "42.1"), "meta key 'units[1].lat' must be a number, got '42.1'"),
         ("dataset", _set_meta(["units"], {}), "meta key 'units' must be a list of objects, got {}"),
+        ("model", ((0, 0), 5.0), "alpha[0, 0] is 5.0, but the diagonal is fixed at 1"),
+        ("model", ((0, 1), 7.0), "alpha[0, 1] is 7.0, but (1, 0) is not a candidate edge"),
     ],
 )
 def test_a_corrupt_container_exits_4(pipeline, tmp_path, capsys, corrupt, edit, match):
     files = {"dataset": tmp_path / "dataset.gshk", "model": tmp_path / "model.gshk"}
     for name, path in files.items():
         path.write_bytes(pipeline[name].read_bytes())
-    rewrite_container_header(files[corrupt], edit)
+    if isinstance(edit, tuple):  # a stray cell of the stored dense alpha, its pair dropped from the graph
+        (i, j), value = edit
+        meta, arrays = read_container(files[corrupt], model.MODEL_SCHEMA)
+        meta["edges"] = [e for e in meta["edges"] if e != [j, i]]
+        arrays["alpha"][i, j] = value
+        write_container(files[corrupt], model.MODEL_SCHEMA, meta, arrays)
+    else:
+        rewrite_container_header(files[corrupt], edit)
     for validate in ([], ["--validate-only"]):  # both read the containers whole
         rc = cli.main(["simulate", "--dataset", str(files["dataset"]), "--model", str(files["model"]),
                        "--output-dir", str(tmp_path / "out"), "--replications", "2", *validate])

@@ -1,12 +1,14 @@
 import json
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from synth import rewrite_container_header
+from gridshock import container
 from gridshock.container import MAGIC, read_container, write_container
 from gridshock.errors import FileFormatError
 
@@ -117,6 +119,16 @@ def test_truncated_payload_rejected(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-16])
     with pytest.raises(FileFormatError, match="truncated payload"):
+        read_container(path, "s")
+
+
+def test_a_payload_that_shrinks_after_the_open_is_truncated(tmp_path, monkeypatch):
+    path = tmp_path / "p.gshk"
+    write_container(path, "s", {}, {"x": np.arange(100, dtype=np.float64)})
+    size_at_open = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-16])
+    monkeypatch.setattr(container.os, "fstat", lambda fd: SimpleNamespace(st_size=size_at_open))
+    with pytest.raises(FileFormatError, match="truncated payload for array 'x'"):
         read_container(path, "s")
 
 

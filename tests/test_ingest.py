@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from gridshock import ingest
 from gridshock.errors import SchemaError, ValidationError
 from gridshock.ingest import (
     Dataset,
@@ -371,6 +372,27 @@ def test_loaders_reject_unknown_units(tmp_path):
     weather.write_text("unit_id,timestamp,wind\nu1,2023-03-01T00:00:00Z,1\n")
     with pytest.raises(ValidationError, match=r"weather.csv:2: unknown unit_id 'u1'$"):
         list(load_weather_rows(weather, _units(1))[1])
+
+
+def test_each_distinct_timestamp_string_is_parsed_once(tmp_path, monkeypatch):
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_timestamp(text)
+
+    monkeypatch.setattr(ingest, "parse_timestamp", counting)
+    stamps = ["2023-03-01T00:00:00Z", "2023-03-01T03:00:00Z", "2023-03-01 03:00:00"]
+    lines = [f"{uid},{ts}" for ts in stamps for uid in ("u0", "u1")]
+    outages = tmp_path / "outages.csv"
+    outages.write_text("unit_id,timestamp,customers_out\n" + "".join(f"{line},1\n" for line in lines * 2))
+    weather = tmp_path / "weather.csv"
+    weather.write_text("unit_id,timestamp,wind\n" + "".join(f"{line},2.5\n" for line in lines))
+    expected = [(int(uid[1]), parse_timestamp(ts)) for uid, ts in (line.split(",") for line in lines)]
+    for rows, repeats in ((load_outage_rows(outages, _units(2)), 2), (load_weather_rows(weather, _units(2))[1], 1)):
+        parsed.clear()
+        assert [(unit, ts) for unit, ts, _ in rows] == expected * repeats
+        assert sorted(parsed) == sorted(stamps)
 
 
 def test_load_units_rejects_duplicates(tmp_path):

@@ -41,13 +41,13 @@ def test_zero_network_outputs_ln2():
     assert softplus(np.array(0.0)) == pytest.approx(math.log(2.0), rel=1e-15)
     mlp = MlpParams.zeros(3, hidden=(4, 2))
     for v in (np.zeros(3), np.array([5.0, -2.0, 0.1])):
-        mu, _ = mlp_forward(mlp, v)
+        (mu,) = mlp_forward(mlp, v[None, :])
         assert mu == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_one_hidden_unit_hand_forward():
     mlp = MlpParams(weights=[np.array([[2.0]]), np.array([[1.5]])], biases=[np.array([0.5]), np.array([-0.2])])
-    mu, _ = mlp_forward(mlp, np.array([0.3]))
+    (mu,) = mlp_forward(mlp, np.array([[0.3]]))
     z = 1.5 * math.tanh(2.0 * 0.3 + 0.5) - 0.2
     assert mu == pytest.approx(math.log1p(math.exp(z)), rel=1e-14)
 
@@ -57,7 +57,7 @@ def test_network_output_nonnegative():
     for _ in range(20):
         mlp = MlpParams.init_random(2, hidden=(5,), seed=int(rng.integers(1 << 30)))
         v = rng.normal(0, 5, (17, 2))
-        mu, _ = mlp_forward(mlp, v)
+        mu = mlp_forward(mlp, v)
         assert (mu >= 0).all()
 
 
@@ -66,11 +66,11 @@ def test_forward_matches_naive_oracle():
     for _ in range(10):
         mlp = MlpParams.init_random(3, hidden=(4, 3), seed=int(rng.integers(1 << 30)))
         v = rng.normal(0, 2, (9, 3))
-        mu, _ = mlp_forward(mlp, v)
+        mu = mlp_forward(mlp, v)
         expected = [naive_mu(mlp.weights, mlp.biases, row) for row in v]
         assert_allclose(mu, expected, rtol=1e-13, atol=1e-13)
-        # single-vector call agrees with the batched one
-        single, _ = mlp_forward(mlp, v[4])
+        # single-row call agrees with the batched one
+        (single,) = mlp_forward(mlp, v[4:5])
         assert single == pytest.approx(mu[4], rel=1e-15)
 
 
@@ -82,11 +82,9 @@ def test_backward_matches_finite_differences():
 
     def value(flat):
         candidate = mlp.unflatten_like(flat)
-        mu, _ = mlp_forward(candidate, v)
-        return float(dmu @ mu)
+        return float(dmu @ mlp_forward(candidate, v))
 
-    _, cache = mlp_forward(mlp, v)
-    grads, _ = mlp_backward(mlp, cache, dmu, np.zeros_like(v))
+    grads, _ = mlp_backward(mlp, v, dmu, np.zeros_like(v))
     flat0 = mlp.flatten()
     g_flat = grads.flatten()
     h = 1e-6
@@ -101,8 +99,8 @@ def test_backward_matches_finite_differences():
         vp[n, m] += h
         vm[n, m] -= h
         one_hot[n, m] = 1.0
-        fd = (float(dmu @ mlp_forward(mlp, vp)[0]) - float(dmu @ mlp_forward(mlp, vm)[0])) / (2 * h)
-        assert fd == pytest.approx(mlp_backward(mlp, cache, dmu, one_hot)[1][m], rel=1e-6, abs=1e-9)
+        fd = (float(dmu @ mlp_forward(mlp, vp)) - float(dmu @ mlp_forward(mlp, vm))) / (2 * h)
+        assert fd == pytest.approx(mlp_backward(mlp, v, dmu, one_hot)[1][m], rel=1e-6, abs=1e-9)
 
 
 def _whole_array_forward(mlp, v):
@@ -150,10 +148,8 @@ def test_chunked_forward_is_bit_identical_to_the_whole_array_pass(seed, n_random
     mlp.biases = [rng.normal(0, 1, b.shape) for b in mlp.biases]
     for n in _row_counts(n_random):
         v = rng.normal(0, 3, (n, M))
-        mu, cache = mlp_forward(mlp, v)
-        assert_array_equal(mu, _whole_array_forward(mlp, v)[0])
-        assert_array_equal(cache, v)
-    single, _ = mlp_forward(mlp, v[-1])
+        assert_array_equal(mlp_forward(mlp, v), _whole_array_forward(mlp, v)[0])
+    (single,) = mlp_forward(mlp, v[-1:])
     assert single == _whole_array_forward(mlp, v[-1:])[0][0]
 
 
@@ -170,7 +166,7 @@ def test_chunked_backward_matches_the_whole_array_pass(seed, n_random, hidden, M
         v = rng.normal(0, 3, (n, M))
         dmu = rng.normal(0, 2, n)
         tangent = rng.normal(0, 1, (n, M))
-        grads, contracted = mlp_backward(mlp, mlp_forward(mlp, v)[1], dmu, tangent)
+        grads, contracted = mlp_backward(mlp, v, dmu, tangent)
         expected, scales, expected_dinput, dinput_scale = _whole_array_backward(mlp, v, dmu)
         for k, (gw, gb) in expected.items():
             sw, sb = scales[k]
@@ -189,8 +185,8 @@ def test_backward_is_finite_and_silent_at_extreme_outputs(z_out):
     v = np.linspace(-3.0, 3.0, 2 * MLP_CHUNK_ROWS + 3)[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mu, cache = mlp_forward(mlp, v)
-        grads, contracted = mlp_backward(mlp, cache, np.ones(len(v)), np.ones_like(v))
+        mu = mlp_forward(mlp, v)
+        grads, contracted = mlp_backward(mlp, v, np.ones(len(v)), np.ones_like(v))
     assert np.isfinite(mu).all() and np.isfinite(grads.flatten()).all() and np.isfinite(contracted).all()
     # softplus' is 1 far above zero and 0 far below it
     assert grads.biases[-1][0] == (len(v) if z_out > 0 else 0.0)
@@ -397,7 +393,7 @@ def test_intensity_field_agrees_with_single_cell():
     rng = np.random.default_rng(9)
     params, counts, _ = random_small_instance(rng, K=4, T=9, M=2, n_edges=4)
     v = rng.normal(size=(4, 9, 2))
-    direct = params.gamma[:, None] * mlp_forward(params.mlp, v.reshape(4 * 9, 2))[0].reshape(4, 9)
+    direct = params.gamma[:, None] * mlp_forward(params.mlp, v.reshape(4 * 9, 2)).reshape(4, 9)
     field = intensity_field(params, counts, None, direct=direct)
     assert isinstance(field, IntensityField)
     for i in range(4):

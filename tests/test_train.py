@@ -23,7 +23,7 @@ from gridshock.model import (
     mlp_backward,
     mlp_forward,
 )
-from gridshock.topology import EdgeWeights, Graph, build_candidate_graph
+from gridshock.topology import EdgeWeights, Graph, build_candidate_graph, enforce_no_loops
 from gridshock.train import (
     FitConfig,
     FitReport,
@@ -34,6 +34,7 @@ from gridshock.train import (
     gradients,
     initialize,
     log_likelihood,
+    pack,
     project,
 )
 from gridshock.weather_effect import DecayConfig, WeatherScaler, accumulate_with_grad
@@ -131,7 +132,7 @@ def test_alpha_gradient_is_the_per_edge_dot_product(seed, K, T, n_edges):
     # W = N / lambda - 1 and R as the full-series evaluation forms them
     v, _ = accumulate_with_grad(params.scaler.transform(ds.weather), params.decay)
     R, _ = kernel_matrix_with_grad(counts, params.beta, params.trig_window)
-    direct = params.gamma[:, None] * mlp_forward(params.mlp, v.reshape(K * T, 2))[0].reshape(K, T)
+    direct = params.gamma[:, None] * mlp_forward(params.mlp, v.reshape(K * T, 2)).reshape(K, T)
     lam = direct + Coupling(params.alpha).apply(R) + params.eps
     W = counts / lam - 1.0
     edges = zip(params.graph.tgt.tolist(), params.graph.src.tolist())
@@ -150,8 +151,8 @@ def _two_pass_reference(params, counts, x_scaled, t0, t1):
     R_full, dR_full = kernel_matrix_with_grad(counts[:, s_tk:t1], params.beta, params.trig_window)
     R, dR = R_full[:, t0 - s_tk :], dR_full[:, t0 - s_tk :]
     K, Tb, M = v.shape
-    mu_flat, cache = mlp_forward(params.mlp, v.reshape(K * Tb, M))
-    mu = mu_flat.reshape(K, Tb)
+    rows = v.reshape(K * Tb, M)
+    mu = mlp_forward(params.mlp, rows).reshape(K, Tb)
     lam = params.gamma[:, None] * mu + add_at_coupling(params.alpha, R) + params.eps
     if not np.isfinite(lam).all():
         i, t = np.argwhere(~np.isfinite(lam))[0]
@@ -160,7 +161,7 @@ def _two_pass_reference(params, counts, x_scaled, t0, t1):
     ll = float(np.sum(-lam + n_blk * np.log(lam)))
     W = n_blk / lam - 1.0
     dmu, tangent = (W * params.gamma[:, None]).ravel(), dvdo.reshape(K * Tb, M)
-    grad_mlp, grad_omega = mlp_backward(params.mlp, cache, dmu, tangent)
+    grad_mlp, grad_omega = mlp_backward(params.mlp, rows, dmu, tangent)
     return ll, Gradients(
         alpha=np.vecdot(W[params.graph.tgt], R[params.graph.src]),
         beta=np.einsum("jt,jt->j", dR, add_at_coupling(params.alpha, W, adjoint=True)),
@@ -347,11 +348,12 @@ def test_epoch_end_divergence_reads_like_a_block_steps(monkeypatch):
 
 def _ring_params(K, k, M, rng):
     """Random parameters on a ring graph where every unit is a candidate source
-    and target of its k nearest ring neighbours on each side."""
+    and target of its k nearest ring neighbours on each side; of each two-way
+    pair the larger weight is kept, so the parameters satisfy every constraint."""
     edges = {(s, (s + d) % K) for s in range(K) for d in range(-k, k + 1) if d}
     graph = Graph(num_nodes=K, edges=tuple(edges))
     params = random_small_params(rng, K=K, M=M, n_edges=1, hidden=(4,))
-    params.alpha = EdgeWeights(graph, rng.uniform(0.0, 0.1, len(graph.edges)))
+    params.alpha = enforce_no_loops(EdgeWeights(graph, rng.uniform(0.0, 0.1, len(graph.edges))))
     return params
 
 
@@ -509,6 +511,18 @@ def test_fit_convergence_flag_and_zero_epochs():
     assert report0.epochs_run == 0 and not report0.converged
     assert math.isnan(report0.final_loglik)
     assert_array_equal(params.gamma, np.full(4, 0.1))
+
+
+def test_a_zero_epoch_fit_returns_the_initial_parameters_bit_for_bit():
+    ds, graph = _fit_setup()
+    cfg = FitConfig(max_epochs=0, hidden_sizes=(3, 2), window_slots=6, seed=5)
+    params, report = fit(ds, graph, cfg)
+    start = initialize(ds, graph, seed=cfg.seed, cfg=cfg)
+    assert_array_equal(pack(params), pack(start), strict=True)
+    assert_array_equal(params.scaler.mean, start.scaler.mean, strict=True)
+    assert_array_equal(params.scaler.scale, start.scaler.scale, strict=True)
+    assert (params.decay.window_slots, params.eps, params.trig_window) == (6, start.eps, start.trig_window)
+    assert report.records() == [] and not report.converged
 
 
 def test_fit_diverges_loudly_on_absurd_step():
