@@ -250,13 +250,12 @@ def _read_feeds(cfg: dict, s: dict):
     """The units, the weather variable names, the outage and weather feeds as
     columns (by kind), and the grid: everything `ingest` reads, each file
     parsed once."""
-    from .ingest import FeedColumns, load_outage_rows, load_units, load_weather_rows
+    from .ingest import load_units, read_feed
 
     paths = _raw_csvs(cfg)
     units = load_units(paths["units"])
-    variables, weather_rows = load_weather_rows(paths["weather"], units)
-    outages = FeedColumns.from_rows(load_outage_rows(paths["outages"], units))
-    weather = FeedColumns.from_rows(weather_rows, width=len(variables))
+    _, outages = read_feed(paths["outages"], units, "outages")
+    variables, weather = read_feed(paths["weather"], units, "weather")
     return units, variables, {"outages": outages, "weather": weather}, _resolve_grid(s, outages, weather)
 
 

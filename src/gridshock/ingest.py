@@ -18,9 +18,12 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import re
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +264,15 @@ def _unit_names(units: list[UnitMeta]):
     return functools.cache(resolve)
 
 
+def _feed_columns(header: list[str], kind: str):
+    """(unit_id column, timestamp column, value columns) of an outages or
+    weather header: a weather feed's values are all its other columns."""
+    uid_col, ts_col = map(header.index, CSV_COLUMNS["weather"])
+    if kind == "outages":
+        return uid_col, ts_col, [header.index("customers_out")]
+    return uid_col, ts_col, [c for c, name in enumerate(header) if name not in CSV_COLUMNS["weather"]]
+
+
 def load_outage_rows(path, units: list[UnitMeta]):
     """Yield (unit index, timestamp, customers_out) triples from outages.csv.
 
@@ -269,7 +281,7 @@ def load_outage_rows(path, units: list[UnitMeta]):
     """
     path = Path(path)
     header = read_header(path, "outages")
-    uid_col, ts_col, count_col = map(header.index, CSV_COLUMNS["outages"])
+    uid_col, ts_col, (count_col,) = _feed_columns(header, "outages")
     names, stamps = _unit_names(units), functools.cache(parse_timestamp)
     for row_num, fields in _data_rows(path, len(header)):
         try:
@@ -293,8 +305,7 @@ def load_weather_rows(path, units: list[UnitMeta]):
     """
     path = Path(path)
     header = read_header(path, "weather")
-    uid_col, ts_col = map(header.index, CSV_COLUMNS["weather"])
-    var_cols = [c for c, name in enumerate(header) if name not in CSV_COLUMNS["weather"]]
+    uid_col, ts_col, var_cols = _feed_columns(header, "weather")
 
     def rows():
         names, stamps = _unit_names(units), functools.cache(parse_timestamp)
@@ -343,6 +354,12 @@ class FeedColumns:
             add_unit(i)
             add_stamp(ids.setdefault(ts, len(ids)))
             add_value(value)
+        return cls._of_arrays(unit, stamp, values, ids, width)
+
+    @classmethod
+    def _of_arrays(cls, unit: array, stamp: array, values: array, ids: dict, width: int | None) -> "FeedColumns":
+        """Columns over the buffers of filled `array`s, without copying them;
+        `ids` maps each distinct timestamp to its id, in id order."""
         values = np.frombuffer(values, dtype=np.float64)
         if width is not None:
             if values.size != len(unit) * width:
@@ -373,6 +390,77 @@ class FeedColumns:
         rank = np.empty(len(self.stamps), dtype=np.int64)
         rank[sorted(range(len(self.stamps)), key=self.stamps.__getitem__)] = np.arange(len(self.stamps))
         return rank[self.stamp]
+
+
+# lines per np.loadtxt call. It bounds the parse's transient memory; the allocator keeps about one
+# chunk's worth after the parse, and larger chunks parsed no faster.
+CHUNK_ROWS = 1024
+# characters on which np.loadtxt may split or convert a field otherwise than csv.reader and float():
+# quotes, and \x1c-\x1f, which numpy strips from around a number and float() does not
+_DEFERRED_CHARS = re.compile('["\x1c-\x1f]')
+
+
+def read_feed(path, units: list[UnitMeta], kind: str) -> tuple[list[str], FeedColumns]:
+    """(value column names, columns) of an outages or weather CSV: the
+    columns that `FeedColumns.from_rows` makes of `load_outage_rows` or
+    `load_weather_rows`, bit for bit, read by numpy's C parser
+    `CHUNK_ROWS` lines at a time. An outage feed's one value column is
+    `customers_out`; its values are one per row.
+
+    The row loaders stay the definition. The fast path gives up on anything
+    that it might read otherwise than they do (a quote or a 0x1c-0x1f control, a
+    line longer than `csv.field_size_limit()`, a field count other than the
+    header's, a `loadtxt` error or warning) or that they reject (a value out
+    of range, an unknown unit, a bad timestamp). The file is then read again
+    through the row loaders, which return their columns or raise their
+    file-and-line error.
+    """
+    path = Path(path)
+    header = read_header(path, kind)
+    columns = _feed_columns(header, kind)
+    names = [header[c] for c in columns[2]]
+    width = None if kind == "outages" else len(names)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return names, _parse_chunks(path, units, len(header), columns, width)
+    except (ValueError, OverflowError, ValidationError, Warning):  # UnicodeDecodeError is a ValueError
+        pass
+    rows = load_outage_rows(path, units) if kind == "outages" else load_weather_rows(path, units)[1]
+    return names, FeedColumns.from_rows(rows, width=width)
+
+
+def _parse_chunks(path: Path, units: list[UnitMeta], fields_per_row: int, columns, width: int | None) -> FeedColumns:
+    """`read_feed`'s fast path over a header of `fields_per_row` fields and
+    its `_feed_columns`; raises on what it does not vouch for."""
+    uid_col, ts_col, value_cols = columns
+    last = fields_per_row - 1  # loadtxt fails on a row too short for a column it reads: read the last one
+    text_cols = [uid_col, ts_col] + ([last] if last not in (uid_col, ts_col, *value_cols) else [])
+    names, stamps = _unit_names(units), functools.cache(parse_timestamp)
+    unit, stamp, values = array("i"), array("i"), array("d")
+    ids: dict[datetime, int] = {}
+    with open(path, encoding="utf-8") as fh:  # universal newlines split lines where csv.reader ends rows
+        if '"' in next(fh):
+            raise ValueError("quoted header")
+        while lines := list(islice(fh, CHUNK_ROWS)):
+            text = "".join(lines)
+            rows = len(lines) - lines.count("\n")  # csv.reader skips empty lines, as loadtxt does
+            if (_DEFERRED_CHARS.search(text) or text.count(",") != rows * last
+                    or max(map(len, lines)) > csv.field_size_limit()):
+                raise ValueError("a chunk the row reader must read")
+            fields = np.loadtxt(lines, dtype=object, delimiter=",", comments=None, usecols=text_cols, ndmin=2)
+            sample = np.loadtxt(lines, delimiter=",", comments=None, usecols=value_cols, ndmin=2)
+            valid = (sample >= 0) & (sample < 2.0**63) if width is None else np.isfinite(sample)
+            if not valid.all():
+                raise ValueError("a value the row reader rejects")
+            unit.extend(map(names, fields[:, 0].tolist()))
+            texts = fields[:, 1].tolist()
+            chunk_ids = dict.fromkeys(texts)  # distinct strings in order of first appearance
+            for ts in chunk_ids:
+                chunk_ids[ts] = ids.setdefault(stamps(ts), len(ids))
+            stamp.extend(map(chunk_ids.__getitem__, texts))
+            values.frombytes(sample.tobytes())
+    return FeedColumns._of_arrays(unit, stamp, values, ids, width)
 
 
 def aggregate_outages(columns: FeedColumns, units: list[UnitMeta], grid: TimeGrid, method: str = "mean") -> OutageSeries:

@@ -610,36 +610,43 @@ def test_ingest_reports_the_row_of_a_bad_count(pipeline, tmp_path, capsys):
     assert not (tmp_path / "out" / "dataset.gshk").exists()
 
 
-def test_ingest_parses_each_file_once(pipeline, tmp_path, monkeypatch):
-    calls = {"outages": 0, "weather": 0}
-    yielded = {"outages": 0, "weather": 0}
+@pytest.mark.parametrize("quoted", [False, True])
+def test_ingest_parses_each_file_once(pipeline, tmp_path, monkeypatch, quoted):
+    """Clean feeds are read once each through numpy's parser and never by the
+    row loaders; a quoted field sends its file, and only it, through the row
+    loader, once. Either way every data row lands in the columns once."""
+    feeds = dict(outages=pipeline["outages"], weather=pipeline["weather"])
+    if quoted:  # csv.reader reads `"town0"` as town0, so the dataset is the same
+        feeds["outages"] = tmp_path / "outages.csv"
+        feeds["outages"].write_text(pipeline["outages"].read_text().replace("town0,", '"town0",', 1))
+    reads, loads, columns = [], {"outages": 0, "weather": 0}, {}
+    read_feed, load_outage_rows, load_weather_rows = ingest.read_feed, ingest.load_outage_rows, ingest.load_weather_rows
 
-    def counted(kind, rows):
-        for row in rows:
-            yielded[kind] += 1
-            yield row
-
-    load_outage_rows, load_weather_rows = ingest.load_outage_rows, ingest.load_weather_rows
+    def counted_read(path, units, kind):
+        reads.append(kind)
+        variables, columns[kind] = read_feed(path, units, kind)
+        return variables, columns[kind]
 
     def outage_rows(path, units):
-        calls["outages"] += 1
-        return counted("outages", load_outage_rows(path, units))
+        loads["outages"] += 1
+        return load_outage_rows(path, units)
 
     def weather_rows(path, units):
-        calls["weather"] += 1
-        variables, rows = load_weather_rows(path, units)
-        return variables, counted("weather", rows)
+        loads["weather"] += 1
+        return load_weather_rows(path, units)
 
+    monkeypatch.setattr(ingest, "read_feed", counted_read)
     monkeypatch.setattr(ingest, "load_outage_rows", outage_rows)
     monkeypatch.setattr(ingest, "load_weather_rows", weather_rows)
     out = tmp_path / "out"
-    rc = cli.main(["ingest", "--units", str(pipeline["units"]), "--outages", str(pipeline["outages"]),
-                   "--weather", str(pipeline["weather"]), "--output-dir", str(out), "--slot-seconds", "3600",
+    rc = cli.main(["ingest", "--units", str(pipeline["units"]), "--outages", str(feeds["outages"]),
+                   "--weather", str(feeds["weather"]), "--output-dir", str(out), "--slot-seconds", "3600",
                    "--grid-start", "auto", "--num-slots", "auto"])
     assert rc == 0
-    assert calls == {"outages": 1, "weather": 1}
-    data_rows = {kind: len(pipeline[kind].read_text().splitlines()) - 1 for kind in yielded}
-    assert yielded == data_rows
+    assert sorted(reads) == ["outages", "weather"]
+    assert loads == {"outages": int(quoted), "weather": 0}
+    data_rows = {kind: len(path.read_text().splitlines()) - 1 for kind, path in feeds.items()}
+    assert {kind: cols.unit.size for kind, cols in columns.items()} == data_rows
     assert (out / "dataset.gshk").read_bytes() == pipeline["dataset"].read_bytes()
 
 

@@ -1,4 +1,7 @@
+import csv
+import tracemalloc
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from gridshock.ingest import (
     load_units,
     load_weather_rows,
     parse_timestamp,
+    read_feed,
     save_dataset,
 )
 
@@ -393,6 +397,196 @@ def test_each_distinct_timestamp_string_is_parsed_once(tmp_path, monkeypatch):
         parsed.clear()
         assert [(unit, ts) for unit, ts, _ in rows] == expected * repeats
         assert sorted(parsed) == sorted(stamps)
+
+
+def _row_reader(path, units, kind):
+    """What `read_feed` must give: the row loaders' rows as columns."""
+    if kind == "outages":
+        return FeedColumns.from_rows(load_outage_rows(path, units))
+    variables, rows = load_weather_rows(path, units)
+    return FeedColumns.from_rows(rows, width=len(variables))
+
+
+def _outcome(read, *args):
+    """The columns' bytes, dtypes, shapes and timestamps, or the error's type and text."""
+    try:
+        cols = read(*args)
+    except Exception as exc:  # any error the row reader raises is the answer
+        return type(exc), str(exc)
+    if isinstance(cols, tuple):
+        cols = cols[1]
+    return [(a.dtype, a.shape, a.tobytes()) for a in (cols.unit, cols.stamp, cols.values)], cols.stamps
+
+
+def _read_feed_deferring(path, units, kind):
+    """`read_feed`'s outcome, and whether it read the file again through the row loader."""
+    loads = []
+    loader = "load_outage_rows" if kind == "outages" else "load_weather_rows"
+    original = getattr(ingest, loader)
+    with mock.patch.object(ingest, loader, lambda *a: loads.append(a) or original(*a)):
+        outcome = _outcome(read_feed, path, units, kind)
+    return outcome, len(loads)
+
+
+HEADERS = {
+    "outages": ["unit_id,timestamp,customers_out", "customers_out,timestamp,unit_id", "unit_id,timestamp,customers_out,note"],
+    "weather": ["unit_id,timestamp,wind,rain", "wind,unit_id,timestamp", "unit_id,timestamp,wind"],
+}
+# fields that both readers take, and fields that the fast path must defer on or that the row reader rejects
+CLEAN_FIELDS = {
+    "unit_id": st.sampled_from(["u0", "u1", "u2", " u1 ", "u2\t"]),
+    "timestamp": st.sampled_from(["2023-03-01T00:00:00Z", "2023-03-01T03:00:00Z", "2023-03-01T01:00:00+01:00",
+                                  "2023-02-28T21:00:00-06:00", " 2023-03-01 03:00:00 ", "2023-03-01T00:00:00.5"]),
+    "value": st.one_of(st.sampled_from(["0", "1", "2.5", " 4 ", "-0", "+7", ".5", "1.e1", "1E3", "0.1\u2003"]),
+                       st.floats(0, 1e18).map(repr)),
+}
+ODD_FIELDS = {
+    "unit_id": st.sampled_from(['"u0"', 'u"0', "u9", "", "\ufeffu0", "u0\x00", "u0\x1c", "\x1cu0"]),
+    "timestamp": st.sampled_from(["2023-13-01T00:00:00Z", "0001-01-01T00:00:00+01:00", "", '"2023-03-01T00:00:00Z"']),
+    "value": st.sampled_from(["1_0", "nan", "inf", "-inf", "1e30", "1e400", "-1", "-1e-300", "0x10", "\uff11", "1\x1c",
+                              "\x1c1", "1\x00", "1\x85", "1e", "", "9223372036854775808", "9223372036854774784"]),
+}
+FIELD_NOISE = st.text(st.sampled_from('u0 1.,"\t\x00\x1c\x85\u2003\ufeff:-Z'), max_size=6)
+
+
+@st.composite
+def csv_feed(draw):
+    """A header and data rows, with blank lines and both common line ends; in
+    a noisy feed about one field or line in ten is odd (see ODD_FIELDS), is
+    random text, or has a field too few or too many."""
+    kind = draw(st.sampled_from(sorted(HEADERS)))
+    header = draw(st.sampled_from(HEADERS[kind]))
+    noisy = draw(st.booleans())
+    odd = (lambda: draw(st.integers(0, 9)) == 0) if noisy else (lambda: False)
+
+    def field(name):
+        if name == "note":
+            return "x"
+        name = name if name in ODD_FIELDS else "value"
+        return draw(st.one_of(ODD_FIELDS[name], FIELD_NOISE) if odd() else CLEAN_FIELDS[name])
+
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        fields = [field(name) for name in header.split(",")]
+        shape = draw(st.sampled_from(["space", "short", "long", "cr"])) if odd() else "row"
+        line = {"row": ",".join(fields), "space": draw(st.sampled_from([" ", "\t"])), "short": ",".join(fields[:-1]),
+                "long": ",".join(fields + ["1"]), "cr": ",".join(fields[:-1]) + "\r" + fields[-1]}[shape]
+        lines.extend([line] + [""] * draw(st.integers(0, 1)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + end for line in [header, *lines])
+    return kind, text[: -len(end)] if draw(st.booleans()) else text  # with or without a last line end
+
+
+@given(csv_feed(), st.sampled_from([1, 2, 3, 4096]))
+def test_read_feed_gives_the_row_readers_columns_or_its_error(tmp_path_factory, feed, chunk_rows):
+    kind, text = feed
+    path = tmp_path_factory.getbasetemp() / f"{kind}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+        assert _outcome(read_feed, path, _units(3), kind) == _outcome(_row_reader, path, _units(3), kind)
+
+
+H = "unit_id,timestamp,customers_out\n"
+
+
+@pytest.mark.parametrize(
+    "text, deferred, expected",
+    [
+        # csv.reader unquotes the id; the fast path leaves quoting to it
+        (H + '"u0",2023-03-01T00:00:00Z,3\nu1,2023-03-01T00:00:00Z,4\n', True, ([0, 1], [0, 0], [3.0, 4.0])),
+        ('unit_id,"timestamp",customers_out\nu0,2023-03-01T00:00:00Z,3\n', True, ([0], [0], [3.0])),
+        (H + "u0,2023-03-01T00:00:00Z,3\r\nu1,2023-03-01T03:00:00Z,4\r\n", False, ([0, 1], [0, 1], [3.0, 4.0])),
+        # a blank line is no row, for csv.reader as for loadtxt; a whitespace-only line is a row of one field
+        (H + "u0,2023-03-01T00:00:00Z,3\n\n\nu1,2023-03-01T00:00:00Z,4\n", False, ([0, 1], [0, 0], [3.0, 4.0])),
+        (H + "u0,2023-03-01T00:00:00Z,3\n \nu1,2023-03-01T00:00:00Z,4\n", True, "outages.csv:3: 1 fields, the header has 3"),
+        (H + "u0,2023-03-01T00:00:00Z,3\n\t\n", True, "outages.csv:3: 1 fields, the header has 3"),
+        (H + "\ufeffu0,2023-03-01T00:00:00Z,3\n", True, "outages.csv:2: unknown unit_id '\\ufeffu0'"),
+        (H + " u0 ,2023-03-01T00:00:00Z, 3 \n", False, ([0], [0], [3.0])),
+        # loadtxt ignores fields past the columns it reads, and a short row then a long one keep the comma count
+        (H + "u0,2023-03-01T00:00:00Z,3,\n", True, "outages.csv:2: 4 fields, the header has 3"),
+        ("unit_id,timestamp,customers_out,note\nu0,2023-03-01T00:00:00Z,3\nu1,2023-03-01T00:00:00Z,4,x,y\n", True,
+         "outages.csv:2: 3 fields, the header has 4"),
+        # a quoted field may hold a line end: csv.reader reads one row here, loadtxt would read two
+        ('unit_id,timestamp,customers_out,note\nu0,2023-03-01T00:00:00Z,3,"a\nu1,2023-03-01T00:00:00Z,4,b"\n', True,
+         ([0], [0], [3.0])),
+        # float() reads digit groups; numpy's parser does not
+        (H + "u0,2023-03-01T00:00:00Z,1_0\n", True, ([0], [0], [10.0])),
+        (H + "u0,2023-03-01T00:00:00Z,nan\n", True, "outages.csv:2: customers_out must be a finite count in [0, 2**63), got 'nan'"),
+        (H + "u0,2023-03-01T00:00:00Z,inf\n", True, "outages.csv:2: customers_out must be a finite count in [0, 2**63), got 'inf'"),
+        (H + "u0,2023-03-01T00:00:00Z,1e30\n", True, "outages.csv:2: customers_out must be a finite count in [0, 2**63), got '1e30'"),
+        # numpy strips \x1c-\x1f around a number, where float() does not
+        (H + "u0,2023-03-01T00:00:00Z,\x1c1\n", True, "outages.csv:2: could not convert string to float: '\\x1c1'"),
+        # one instant, two offsets: one timestamp id
+        (H + "u0,2023-03-01T00:00:00Z,3\nu1,2023-03-01T01:00:00+01:00,4\n", False, ([0, 1], [0, 0], [3.0, 4.0])),
+        # ids in order of first appearance, not of time
+        (H + "u0,2023-03-01T03:00:00Z,3\nu0,2023-03-01T00:00:00Z,4\nu1,2023-03-01T03:00:00Z,5\n", False,
+         ([0, 0, 1], [0, 1, 0], [3.0, 4.0, 5.0])),
+    ],
+)
+def test_read_feed_pinned_against_csv_reader_and_float(tmp_path, text, deferred, expected):
+    path = tmp_path / "outages.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcome, loads = _read_feed_deferring(path, _units(2), "outages")
+    assert loads == int(deferred)
+    assert outcome == _outcome(_row_reader, path, _units(2), "outages")
+    if isinstance(expected, str):
+        assert outcome == (ValidationError, str(path.parent / expected))
+    else:
+        _, cols = read_feed(path, _units(2), "outages")
+        assert (cols.unit.tolist(), cols.stamp.tolist(), cols.values.tolist()) == expected
+
+
+def test_read_feed_weather_values_and_over_long_fields(tmp_path):
+    weather = tmp_path / "weather.csv"
+    weather.write_text("unit_id,timestamp,wind,rain\nu0,2023-03-01T00:00:00Z,1_0,0.5\n")
+    assert _read_feed_deferring(weather, _units(1), "weather")[1] == 1
+    assert read_feed(weather, _units(1), "weather")[1].values.tolist() == [[10.0, 0.5]]
+    for bad in ("inf", "-inf", "1e400"):
+        weather.write_text(f"unit_id,timestamp,wind,rain\nu0,2023-03-01T00:00:00Z,1,{bad}\n")
+        with pytest.raises(ValidationError, match=f"weather.csv:2: non-finite rain value '{bad}'"):
+            read_feed(weather, _units(1), "weather")
+    # csv.reader refuses a field longer than csv.field_size_limit(); loadtxt would read it
+    outages = tmp_path / "outages.csv"
+    outages.write_text(H + "u0,2023-03-01T00:00:00Z," + "0" * csv.field_size_limit() + "1\n")
+    assert _read_feed_deferring(outages, _units(1), "outages") == ((csv.Error, str(_field_limit_error())), 1)
+
+
+def _field_limit_error():
+    try:
+        next(csv.reader(["x" * (csv.field_size_limit() + 1)]))
+    except csv.Error as exc:
+        return exc
+
+
+def test_read_feed_schema_errors_and_a_leading_bom(tmp_path):
+    # a BOM belongs to the first header field, which then is no known column
+    path = tmp_path / "outages.csv"
+    path.write_bytes(("\ufeff" + H + "u0,2023-03-01T00:00:00Z,3\n").encode("utf-8"))
+    with pytest.raises(SchemaError, match=r"missing required column\(s\) \['unit_id'\]"):
+        read_feed(path, _units(1), "outages")
+    path.write_text("unit_id,timestamp\nu0,2023-03-01T00:00:00Z\n")
+    with pytest.raises(SchemaError, match="no weather variable"):
+        read_feed(path, _units(1), "weather")
+
+
+def test_read_feed_memory_does_not_grow_with_rows(tmp_path):
+    """The feed is parsed CHUNK_ROWS lines at a time: beyond the columns it
+    returns, reading 4N rows takes no more memory than reading N."""
+
+    def extra_bytes(repeats):
+        path = tmp_path / f"weather{repeats}.csv"
+        rows = "".join(f"u{i},2023-03-01T0{t}:00:00Z,1.5,2.5\n" for i in range(4) for t in range(5))
+        path.write_text("unit_id,timestamp,wind,rain\n" + rows * repeats)
+        tracemalloc.start()
+        try:
+            _, cols = read_feed(path, _units(4), "weather")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(a.nbytes for a in (cols.unit, cols.stamp, cols.values))
+
+    n = 4 * ingest.CHUNK_ROWS // 20  # four chunks of 20-row blocks
+    assert extra_bytes(4 * n) < 1.1 * extra_bytes(n)
 
 
 def test_load_units_rejects_duplicates(tmp_path):
