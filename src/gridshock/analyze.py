@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import INTEGER, InsufficientDataError, ValidationError, at_least, checked
 from .ingest import Dataset
-from .model import Coupling, Kernel, ModelParams, direct_from_weather, intensity_field, sigmoid
+from .model import Coupling, Kernel, ModelParams, _per_lead, direct_from_weather, intensity_field, sigmoid
 from .model import mlp_forward  # noqa: F401  (binding patched by perfbench/tracer.py)
-from .weather_effect import DecayConfig, _per_lead, accumulate
+from .weather_effect import DecayConfig, accumulate
 
 # -- decomposition ----------------------------------------------------------
 

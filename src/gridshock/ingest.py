@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import re
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -40,11 +39,10 @@ def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
     try:
         ts = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
-    except ValueError as exc:
+        # a date at the edge of datetime's range may leave it in UTC
+        return ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
         raise ValidationError(f"bad timestamp {text!r}: {exc}") from exc
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -397,7 +395,7 @@ class FeedColumns:
 CHUNK_ROWS = 1024
 # characters on which np.loadtxt may split or convert a field otherwise than csv.reader and float():
 # quotes, and \x1c-\x1f, which numpy strips from around a number and float() does not
-_DEFERRED_CHARS = re.compile('["\x1c-\x1f]')
+_DEFERRED_CHARS = '"\x1c\x1d\x1e\x1f'
 
 
 def read_feed(path, units: list[UnitMeta], kind: str) -> tuple[list[str], FeedColumns]:
@@ -445,7 +443,7 @@ def _parse_chunks(path: Path, units: list[UnitMeta], fields_per_row: int, column
         while lines := list(islice(fh, CHUNK_ROWS)):
             text = "".join(lines)
             rows = len(lines) - lines.count("\n")  # csv.reader skips empty lines, as loadtxt does
-            if (_DEFERRED_CHARS.search(text) or text.count(",") != rows * last
+            if (any(c in text for c in _DEFERRED_CHARS) or text.count(",") != rows * last
                     or max(map(len, lines)) > csv.field_size_limit()):
                 raise ValueError("a chunk the row reader must read")
             fields = np.loadtxt(lines, dtype=object, delimiter=",", comments=None, usecols=text_cols, ndmin=2)

@@ -19,10 +19,10 @@ prediction: the network maps (n, M) rows to mu, MLP_CHUNK_ROWS at a time
 (`weather_response` forms mu from `mlp_forward`; fitting takes each chunk's mu
 from `mlp_backward`'s own forward step, so it needs one pass, with the same
 bits, and gets the input gradient back already contracted with dv/domega),
-`Kernel` is the window filter that also accumulates the weather, rolling the
-truncated-kernel state forward, slot by slot or over a whole history, and
-`Coupling` adds sum_j alpha[i, j] R[j] over the graph's per-edge weights in a
-fixed order, so evaluation is bit-reproducible. `intensity` is the slow
+`Kernel` rolls the truncated-kernel state forward, slot by slot or over a
+whole history (the weather's windowed sums are fresh sums, in weather_effect),
+and `Coupling` adds sum_j alpha[i, j] R[j] over the graph's per-edge weights
+in a fixed order, so evaluation is bit-reproducible. `intensity` is the slow
 single-cell reference, one row through the same network.
 """
 
@@ -35,7 +35,7 @@ import numpy as np
 from .container import meta_value, read_container, write_container
 from .errors import COUNT, NONNEGATIVE, NUMBER, PAIRS, POSITIVE, FileFormatError, ValidationError, at_least, checked
 from .topology import EdgeWeights, Graph
-from .weather_effect import DecayConfig, WeatherScaler, WindowFilter, _per_lead, accumulate
+from .weather_effect import DecayConfig, WeatherScaler, accumulate
 
 MODEL_SCHEMA = "gridshock-model-v1"
 
@@ -188,6 +188,8 @@ def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray, tangent: np.ndarray, on
     contracted = np.zeros_like(mlp.weights[0])
     ones = np.ones(MLP_CHUNK_ROWS + 1)  # _row_chunks' last chunk may hold one row more
     top = len(mlp.weights) - 1
+    # the hidden layers' weights transposed once, so each chunk's dz @ w_t[k] reads a contiguous operand
+    w_t = {k: np.ascontiguousarray(mlp.weights[k].T) for k in range(1, top)}
     for chunk in _row_chunks(x.shape[0]):
         hiddens, z_out = _activations(mlp, x[chunk])
         if on_chunk is not None:
@@ -199,7 +201,7 @@ def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray, tangent: np.ndarray, on
             if k == 0:
                 break
             # the output layer is one column wide: a broadcast product, not a GEMM
-            dh = dz * mlp.weights[k][:, 0] if k == top else dz @ mlp.weights[k].T
+            dh = dz * mlp.weights[k][:, 0] if k == top else dz @ w_t[k]
             # tanh' = 1 - h^2, formed in place of the activation
             h = np.subtract(1.0, np.square(hiddens[k], out=hiddens[k]), out=hiddens[k])
             dz = np.multiply(dh, h, out=dh)
@@ -279,7 +281,57 @@ class IntensityField:
     eps: float
 
 
-Kernel = WindowFilter  # of the counts at recovery rates beta; the triggering mass is R = beta * P
+class Kernel:
+    """Windowed exponential sums of the counts at recovery rates beta (the
+    triggering mass is R = beta P), rolled forward slot by slot:
+
+        P[t]  = sum_{lag = 1..window} x[t-lag] e^{-rate lag}
+        S1[t] = sum_{lag = 1..window} lag x[t-lag] e^{-rate lag}   (-dP/drate)
+
+    with slots before the series counting 0. A slot's leading axis carries
+    one rate per unit; further axes share it. `step` also takes rates over a
+    slot's leading axes, (K, S) for S parameter sets rolled out together. Each
+    step adds the newest slot and subtracts the one leaving the window, so a
+    step costs the same for any window; for a negative rate that subtraction
+    loses precision exponentially in the series length, so rates must be >= 0.
+    """
+
+    def __init__(self, rate: np.ndarray, window: int):
+        self.rate = np.asarray(rate, dtype=np.float64)
+        self.window = window
+        self.decay = np.exp(-self.rate)
+        self.drop = np.exp(-self.rate * (window + 1))
+
+    def step(self, P: np.ndarray, new: np.ndarray, old: np.ndarray | None = None) -> np.ndarray:
+        """P before the next slot, from P before this slot, this slot's x
+        (`new`) and the x that ages out of the window (`old`, x[t - window];
+        None while the window is filling)."""
+        P = _per_lead(self.decay, P) * (new + P)
+        if old is not None:
+            P -= old * _per_lead(self.drop, P)
+        return P
+
+    def run(self, x: np.ndarray, lag_sum: bool = True):
+        """(P, S1) at every slot of x, one slot per row of axis 0; S1 is None
+        unless `lag_sum`."""
+        L, lead = self.window, (-1,) + (1,) * (x.ndim - 2)
+        decay, drop = self.decay.reshape(lead), self.drop.reshape(lead)
+        P = np.zeros_like(x)
+        S1 = np.zeros_like(x) if lag_sum else None
+        for t in range(x.shape[0] - 1):
+            old = x[t - L] if t >= L else None
+            P[t + 1] = self.step(P[t], x[t], old)
+            if lag_sum:
+                S1[t + 1] = decay * (x[t] + P[t] + S1[t])
+                if old is not None:
+                    S1[t + 1] -= (L + 1) * old * drop
+        return P, S1
+
+
+def _per_lead(v: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """v, whose shape is the leading axes of X (a vector for one leading
+    axis), shaped to broadcast along the trailing axes of X."""
+    return v.reshape(v.shape + (1,) * (X.ndim - v.ndim))
 
 
 def kernel_matrix(counts: np.ndarray, beta: np.ndarray, trig_window: int) -> np.ndarray:
@@ -291,7 +343,7 @@ def kernel_matrix(counts: np.ndarray, beta: np.ndarray, trig_window: int) -> np.
 
 def kernel_matrix_with_grad(counts: np.ndarray, beta: np.ndarray, trig_window: int):
     """Return (R, dR/dbeta), both K x T: R = beta P and dR/dbeta = P - beta S1
-    with the window filter's sums P and S1, computed one slot per row."""
+    with the kernel's sums P and S1, computed one slot per row."""
     kern = Kernel(beta, trig_window)
     P, S1 = kern.run(_time_major(counts))
     return np.ascontiguousarray((kern.rate * P).T), np.ascontiguousarray((P - kern.rate * S1).T)

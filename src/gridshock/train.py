@@ -61,8 +61,9 @@ from .weather_effect import (
 # Unit-slot cells per block of a full-series evaluation. One block holds about
 # 140 bytes per cell (v, dv/domega, R, dR/dbeta, lambda, mu, W and the network's
 # upstream gradient), so 2**15 cells keep it under 5 MB; each block
-# beyond the first also recomputes its weather and kernel history windows,
-# which is what makes much smaller blocks slower.
+# beyond the first also recomputes its kernel history window and the weather
+# chunks that it shares with the block before it, which is what makes much
+# smaller blocks slower.
 EVAL_BLOCK_CELLS = 2**15
 
 
@@ -160,18 +161,12 @@ def _block_loglik_and_grads(
 ):
     """(ell, Gradients) over slots [t0, t1), with exact out-of-block history.
 
-    Weather accumulation and kernel recursions are run on just enough leading
-    history (the decay window / truncation window) to make in-block values
-    identical to a full-series evaluation.
+    The weather is accumulated at the block's slots only, reading its history
+    from `x_scaled`, and the kernel recursion runs on just enough leading
+    history (the truncation window), so in-block values are identical to a
+    full-series evaluation.
     """
-    d = params.decay.window_slots
-    s_wx = max(0, t0 - (d - 1))
-    # The in-block slots, copied out of the history-led arrays (which are then
-    # freed): the network reads v and dv/domega as contiguous (cell, M) rows.
-    v, dvdo = (
-        np.ascontiguousarray(a[:, t0 - s_wx :, :])
-        for a in accumulate_with_grad(x_scaled[:, s_wx:t1, :], params.decay)
-    )
+    v, dvdo = accumulate_with_grad(x_scaled, params.decay, t0, t1)
 
     s_tk = max(0, t0 - params.trig_window)
     R_full, dR_full = kernel_matrix_with_grad(counts[:, s_tk:t1], params.beta, params.trig_window)
@@ -190,14 +185,16 @@ def _block_loglik_and_grads(
     lam_rows, mu_rows, W_rows = lam.reshape(-1), mu.reshape(-1), W.reshape(-1)
 
     def on_chunk(rows, mu_chunk):
-        unit, slot = np.divmod(np.arange(rows.start, rows.stop), Tb)
-        gamma = params.gamma[unit]
+        # the rows of units u0..u1-1 that the chunk spans, as a span of their slots
+        u0, u1 = rows.start // Tb, (rows.stop - 1) // Tb + 1
+        span = slice(rows.start - u0 * Tb, rows.stop - u0 * Tb)
+        gamma = np.repeat(params.gamma[u0:u1], Tb)[span]
         lam_chunk = np.add(gamma * mu_chunk + lam_rows[rows], params.eps, out=lam_rows[rows])
         if not np.isfinite(lam_chunk).all():
-            r = int(np.argmax(~np.isfinite(lam_chunk)))
-            raise NumericError(f"non-finite intensity at (unit={unit[r]}, slot={t0 + slot[r]})")
+            unit, slot = divmod(rows.start + int(np.argmax(~np.isfinite(lam_chunk))), Tb)
+            raise NumericError(f"non-finite intensity at (unit={unit}, slot={t0 + slot})")
         mu_rows[rows] = mu_chunk
-        W_chunk = np.subtract(counts[unit, t0 + slot] / lam_chunk, 1.0, out=W_rows[rows])
+        W_chunk = np.subtract(n_blk[u0:u1].reshape(-1)[span] / lam_chunk, 1.0, out=W_rows[rows])
         np.multiply(W_chunk, gamma, out=dmu[rows])
 
     M = v.shape[2]

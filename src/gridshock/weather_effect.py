@@ -1,4 +1,4 @@
-"""Cumulative weather effect, and the windowed exponential filter behind it.
+"""Cumulative weather effect: fresh windowed sums, one GEMM per chunk of slots.
 
 The model does not react to instantaneous weather alone; stress accumulates.
 For unit i, slot t, variable m the effect is
@@ -8,8 +8,14 @@ For unit i, slot t, variable m the effect is
 i.e. a length-d window where older samples are discounted at a per-variable
 rate omega_m. omega is learned jointly with the rest of the model, so the
 sensitivity dv/domega is computed here as well. Slots before the start of the
-series contribute nothing (the window is truncated, not padded). v and the
-triggering kernel of model.py are both sums of a :class:`WindowFilter`.
+series contribute nothing (the window is truncated, not padded).
+
+Every v[i,t,m] is a fresh sum of its own window, never a running one, so its
+rounding error is relative to that window and the rate's sign does not matter.
+Output slots are cut into chunks of CHUNK_SLOTS on a grid that starts at slot 0
+of the series, and each chunk is one matrix product per variable; a slot
+range [t0, t1) computes the chunks that it touches, so its values are the
+whole series' values at those slots, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ import numpy as np
 from .errors import ValidationError, at_least, checked
 
 DEFAULT_WINDOW_SLOTS = 24  # 3 days of 3-hour slots
+# Output slots per matrix product: at K=400, 32 (the default minibatch width) beat 16 and 64.
+CHUNK_SLOTS = 32
 
 
 @dataclass
@@ -28,7 +36,7 @@ class DecayConfig:
     """Per-variable decay rates omega (M-vector) and window length d.
 
     The constrained model space requires omega >= 0, which
-    ModelParams.check_invariants enforces; :class:`WindowFilter` needs it.
+    ModelParams.check_invariants enforces.
     """
 
     omega: np.ndarray
@@ -43,84 +51,65 @@ class DecayConfig:
         checked(self.window_slots, at_least(1), "window_slots")
 
 
-def _as_array(weather) -> np.ndarray:
+def _as_array(weather, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """`weather` as a float K x T x M array; its slots [start, stop) must be finite."""
     x = getattr(weather, "values", weather)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ValidationError(f"expected a K x T x M tensor, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        i, t, m = np.argwhere(~np.isfinite(x))[0]
-        raise ValidationError(f"non-finite weather input at (unit={i}, slot={t}, var={m})")
+    if not np.isfinite(x[:, start:stop]).all():
+        i, t, m = np.argwhere(~np.isfinite(x[:, start:stop]))[0]
+        raise ValidationError(f"non-finite weather input at (unit={i}, slot={start + t}, var={m})")
     return x
 
 
-class WindowFilter:
-    """Windowed exponential sums of a series x, rolled forward slot by slot:
+def _band(omega: np.ndarray, d: int, lag_sum: bool) -> np.ndarray:
+    """The (M, C + d - 1, C) weights of one chunk, C = CHUNK_SLOTS: slot r of
+    the chunk's input window (its d - 1 history slots first) feeds output slot
+    c at lag c + d - 1 - r, with weight e^{-omega lag} when 0 <= lag < d. With
+    `lag_sum`, C more columns hold -lag e^{-omega lag}, the weights of dv/domega."""
+    C, lag = CHUNK_SLOTS, np.arange(d)
+    w = np.exp(-np.multiply.outer(omega, lag))
+    table = np.concatenate([w, -lag * w, np.zeros((omega.shape[0], 1))], axis=1)  # its last column is 0
+    at = np.arange(C) + (d - 1) - np.arange(C + d - 1)[:, None]  # the lag of each (input, output) pair
+    at = np.where((at >= 0) & (at < d), at, -1)
+    return table[:, np.concatenate([at, np.where(at >= 0, at + d, -1)], axis=1) if lag_sum else at]
 
-        P[t]  = sum_{lag = 1..window} x[t-lag] e^{-rate lag}
-        S1[t] = sum_{lag = 1..window} lag x[t-lag] e^{-rate lag}   (-dP/drate)
 
-    with slots before the series counting 0. A slot's leading axis carries
-    one rate per entry (per unit for the kernel, per variable for the
-    weather); further axes share it. `step` also takes rates over a slot's
-    leading axes, (K, S) for S parameter sets rolled out together. Each step
-    adds the newest slot and subtracts the one leaving the window, so a step
-    costs the same for any window; for a negative rate that subtraction
-    loses precision exponentially in the series length, so rates must be >= 0.
-    """
-
-    def __init__(self, rate: np.ndarray, window: int):
-        self.rate = np.asarray(rate, dtype=np.float64)
-        self.window = window
-        self.decay = np.exp(-self.rate)
-        self.drop = np.exp(-self.rate * (window + 1))
-
-    def step(self, P: np.ndarray, new: np.ndarray, old: np.ndarray | None = None) -> np.ndarray:
-        """P before the next slot, from P before this slot, this slot's x
-        (`new`) and the x that ages out of the window (`old`, x[t - window];
-        None while the window is filling)."""
-        P = _per_lead(self.decay, P) * (new + P)
-        if old is not None:
-            P -= old * _per_lead(self.drop, P)
-        return P
-
-    def run(self, x: np.ndarray, lag_sum: bool = True):
-        """(P, S1) at every slot of x, one slot per row of axis 0; S1 is None
-        unless `lag_sum`."""
-        L, lead = self.window, (-1,) + (1,) * (x.ndim - 2)
-        decay, drop = self.decay.reshape(lead), self.drop.reshape(lead)
-        P = np.zeros_like(x)
-        S1 = np.zeros_like(x) if lag_sum else None
-        for t in range(x.shape[0] - 1):
-            old = x[t - L] if t >= L else None
-            P[t + 1] = self.step(P[t], x[t], old)
+def _accumulate(weather, cfg: DecayConfig, lag_sum: bool, t0: int = 0, t1: int | None = None):
+    """(v, dv/domega) of `weather` at slots [t0, t1) (default: to the end) as
+    C-contiguous K x (t1 - t0) x M arrays; dv/domega is None unless `lag_sum`."""
+    C, d = CHUNK_SLOTS, cfg.window_slots
+    # the chunk at c computes slots [c, c + C) from its window, slots [c - d + 1, c + C)
+    first = t0 - t0 % C  # the chunk holding t0
+    x = _as_array(weather, max(first - (d - 1), 0), None if t1 is None else t1 + -t1 % C)  # every slot read
+    K, T, M = x.shape
+    t1 = T if t1 is None else t1
+    if not 0 <= t0 <= t1 <= T:
+        raise ValidationError(f"slot range [{t0}, {t1}) is not within the {T} slots of the weather")
+    if cfg.omega.shape[0] != M:
+        raise ValidationError(f"omega has {cfg.omega.shape[0]} entries for {M} weather variables")
+    band = _band(cfg.omega, d, lag_sum)
+    # One chunk's input window at a time, as an (M, K, slot) copy that is zero
+    # outside the series: every chunk is then the same product, of operands
+    # that BLAS reads as they are, and no copy of the whole range is made.
+    window = np.empty((M, K, C + d - 1))
+    out = np.empty((K, band.shape[2]))
+    v = np.empty((K, t1 - t0, M))
+    dv = np.empty_like(v) if lag_sum else None
+    for c in range(first, t1, C):
+        w0 = c - (d - 1)
+        a, b = max(w0, 0) - w0, min(c + C, T) - w0  # the part of the window within the series
+        window[:, :, :a] = 0.0
+        window[:, :, a:b] = x[:, w0 + a : w0 + b].transpose(2, 0, 1)
+        window[:, :, b:] = 0.0
+        s, e = max(c, t0) - c, min(c + C, t1) - c  # the chunk's slots within [t0, t1)
+        for m in range(M):
+            np.matmul(window[m], band[m], out=out)
+            v[:, c + s - t0 : c + e - t0, m] = out[:, s:e]
             if lag_sum:
-                S1[t + 1] = decay * (x[t] + P[t] + S1[t])
-                if old is not None:
-                    S1[t + 1] -= (L + 1) * old * drop
-        return P, S1
-
-
-def _per_lead(v: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """v, whose shape is the leading axes of X (a vector for one leading
-    axis), shaped to broadcast along the trailing axes of X."""
-    return v.reshape(v.shape + (1,) * (X.ndim - v.ndim))
-
-
-def _accumulate(weather, cfg: DecayConfig, lag_sum: bool):
-    """(v, -S1) of `weather` as C-contiguous K x T x M arrays; -S1 is None unless `lag_sum`."""
-    x = _as_array(weather)
-    if cfg.omega.shape[0] != x.shape[2]:
-        raise ValidationError(f"omega has {cfg.omega.shape[0]} entries for {x.shape[2]} weather variables")
-    # v = x + P over lags 0..d-1. The filter runs on a (T, M, K) copy, so the
-    # per-variable rate sits on each slot's leading axis; each time-major array
-    # is freed as soon as it is used, which keeps a fit's peak memory where it was.
-    xt = np.ascontiguousarray(x.transpose(1, 2, 0))
-    P, S1 = WindowFilter(cfg.omega, cfg.window_slots - 1).run(xt, lag_sum)
-    del xt
-    v = np.add(x, P.transpose(2, 0, 1), out=np.empty_like(x))
-    del P
-    return v, (np.negative(S1.transpose(2, 0, 1), out=np.empty_like(x)) if lag_sum else None)
+                dv[:, c + s - t0 : c + e - t0, m] = out[:, C + s : C + e]
+    return v, dv
 
 
 def accumulate(weather, cfg: DecayConfig) -> np.ndarray:
@@ -128,12 +117,13 @@ def accumulate(weather, cfg: DecayConfig) -> np.ndarray:
     return _accumulate(weather, cfg, lag_sum=False)[0]
 
 
-def accumulate_with_grad(weather, cfg: DecayConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Return (v, dv/domega), both K x T x M.
+def accumulate_with_grad(weather, cfg: DecayConfig, t0: int = 0, t1: int | None = None):
+    """Return (v, dv/domega) at slots [t0, t1) (default: every slot), both
+    K x (t1 - t0) x M, equal bit for bit to the whole series' at those slots.
 
-    dv[i,t,m]/domega_m = sum_tau -(t - tau) * x[i,tau,m] * exp(-omega_m (t - tau)) = -S1.
+    dv[i,t,m]/domega_m = sum_tau -(t - tau) * x[i,tau,m] * exp(-omega_m (t - tau)).
     """
-    return _accumulate(weather, cfg, lag_sum=True)
+    return _accumulate(weather, cfg, lag_sum=True, t0=t0, t1=t1)
 
 
 @dataclass

@@ -759,6 +759,28 @@ def test_validate_only_reads_every_row_as_ingest_does(pipeline, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-05:00"])
+@pytest.mark.parametrize("validate", [[], ["--validate-only"]], ids=["run", "validate-only"])
+def test_a_timestamp_whose_utc_instant_leaves_datetimes_range_exits_2(pipeline, tmp_path, capsys, stamp, validate):
+    """Valid ISO text whose UTC conversion overflows is a bad timestamp, in a
+    CSV row (with its file and line) and in `--grid-start`."""
+    lines = pipeline["outages"].read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[lines[0].split(",").index("timestamp")] = stamp
+    lines[3] = ",".join(fields)
+    outages = tmp_path / "outages.csv"
+    outages.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    inputs = ["--units", str(pipeline["units"]), "--weather", str(pipeline["weather"]), "--output-dir", str(out)]
+    bad = f"bad timestamp {stamp!r}: date value out of range"
+    assert cli.main(["ingest", *inputs, "--outages", str(outages), *validate]) == 2
+    assert capsys.readouterr().err == f"error: {outages}:4: {bad}\n"
+    assert cli.main(["ingest", *inputs, "--outages", str(pipeline["outages"]), "--grid-start", stamp, *validate]) == 2
+    err = capsys.readouterr().err
+    assert bad in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_exit_code_validation_errors(pipeline, tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{oops")

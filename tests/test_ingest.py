@@ -486,6 +486,30 @@ def test_read_feed_gives_the_row_readers_columns_or_its_error(tmp_path_factory, 
         assert _outcome(read_feed, path, _units(3), kind) == _outcome(_row_reader, path, _units(3), kind)
 
 
+@given(st.sampled_from(sorted(HEADERS)), st.sampled_from('"\x1c\x1d\x1e\x1f'), st.integers(1, 3), st.data())
+def test_a_deferred_character_in_a_later_chunk_sends_the_file_to_the_row_reader(
+    tmp_path_factory, kind, char, chunk_rows, data
+):
+    """Each character that `read_feed` leaves to the row reader is found in any
+    chunk, not only in the first: placed in a line past the first chunk, at
+    a field's edge (where numpy strips \x1c-\x1f from a number) or anywhere,
+    the file is read again by the row loader and gives its outcome."""
+    header = HEADERS[kind][0]
+    lines = [",".join([f"u{i % 3}", f"2023-03-01T0{i % 8}:00:00Z", *[f"{i}.5"] * (header.count(",") - 1)])
+             for i in range(data.draw(st.integers(chunk_rows + 1, 3 * chunk_rows + 1)))]
+    row = data.draw(st.integers(chunk_rows, len(lines) - 1))
+    commas = [i for i, c in enumerate(lines[row]) if c == ","]
+    edges = [0, len(lines[row]), *commas, *(i + 1 for i in commas)]
+    pos = data.draw(st.one_of(st.sampled_from(edges), st.integers(0, len(lines[row]))))
+    lines[row] = lines[row][:pos] + char + lines[row][pos:]
+    path = tmp_path_factory.getbasetemp() / f"{kind}.csv"
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+        outcome, loads = _read_feed_deferring(path, _units(3), kind)
+    assert loads == 1
+    assert outcome == _outcome(_row_reader, path, _units(3), kind)
+
+
 H = "unit_id,timestamp,customers_out\n"
 
 

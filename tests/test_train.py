@@ -142,11 +142,10 @@ def test_alpha_gradient_is_the_per_edge_dot_product(seed, K, T, n_edges):
 
 def _two_pass_reference(params, counts, x_scaled, t0, t1):
     """The block evaluator with a separate forward pass: mu and lambda over
-    the whole block first, then backprop of the finished upstream gradient."""
-    d = params.decay.window_slots
-    s_wx = max(0, t0 - (d - 1))
-    v_full, dvdo_full = accumulate_with_grad(x_scaled[:, s_wx:t1, :], params.decay)
-    v, dvdo = v_full[:, t0 - s_wx :, :], dvdo_full[:, t0 - s_wx :, :]
+    the whole block first, then backprop of the finished upstream gradient.
+    Its weather is the whole series' v and dv/domega, sliced at the block."""
+    v_all, dvdo_all = accumulate_with_grad(x_scaled, params.decay)
+    v, dvdo = v_all[:, t0:t1], dvdo_all[:, t0:t1]
     s_tk = max(0, t0 - params.trig_window)
     R_full, dR_full = kernel_matrix_with_grad(counts[:, s_tk:t1], params.beta, params.trig_window)
     R, dR = R_full[:, t0 - s_tk :], dR_full[:, t0 - s_tk :]

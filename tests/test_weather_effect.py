@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import naive_accumulate
 from gridshock.errors import ValidationError
 from gridshock.model import kernel_matrix, kernel_matrix_with_grad
-from gridshock.weather_effect import DecayConfig, WeatherScaler, accumulate, accumulate_with_grad
+from gridshock.weather_effect import CHUNK_SLOTS, DecayConfig, WeatherScaler, accumulate, accumulate_with_grad
 
 
 def test_accumulate_hand_values():
@@ -111,12 +111,12 @@ def test_scaler_dimension_mismatch():
         scaler.transform(np.zeros((1, 4, 3)))
 
 
-# -- the windowed exponential filter against the sums it replaced -------------------
+# -- the fresh windowed sums against the lag loop, and slot ranges against the whole series --
 
 
 def _lag_loop(x, omega, d):
-    """(v, dv/domega) summed lag by lag, as the weather term was computed
-    before the rolling filter replaced it."""
+    """(v, dv/domega) summed lag by lag over whole arrays: the definition,
+    with no chunks and no matrix products."""
     K, T, M = x.shape
     v = np.zeros_like(x)
     dv = np.zeros_like(x)
@@ -163,21 +163,59 @@ def _weather_case(draw):
 
 @settings(max_examples=60)
 @given(case=_weather_case())
-def test_filter_matches_the_lag_loop_and_the_oracle(case):
+def test_windowed_sums_match_the_lag_loop_and_the_oracle(case):
     x, omega, d = case
     cfg = DecayConfig(omega=omega, window_slots=d)
     v, dv = accumulate_with_grad(x, cfg)
     assert v.flags.c_contiguous and dv.flags.c_contiguous
-    # The recursion adds each slot once and subtracts it when it leaves the
-    # window, so its rounding error is relative to the sum of |x| over all
-    # earlier slots at the same discount, not to the window's own sum (which
-    # may be 0 after a calm run). At omega = 0 nothing decays and that sum is
-    # the whole history's.
-    v_abs, dv_abs = _lag_loop(np.abs(x), omega, x.shape[1])
+    # Each sum is fresh, so its rounding error is relative to the sum of |x|
+    # over its own window, which is 0 after a calm run: then v is exactly 0.
+    v_abs, dv_abs = _lag_loop(np.abs(x), omega, d)
     v_ref, dv_ref = _lag_loop(x, omega, d)
     assert (np.abs(v - v_ref) <= 1e-12 * v_abs).all()
     assert (np.abs(dv - dv_ref) <= 1e-12 * np.abs(dv_abs)).all()
     assert (np.abs(v - naive_accumulate(x, omega, d)) <= 1e-12 * v_abs).all()
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**16),
+    K=st.integers(1, 12),
+    T=st.integers(1, 3 * CHUNK_SLOTS + 20),
+    M=st.integers(1, 3),
+    d=st.integers(1, 40),
+    data=st.data(),
+)
+def test_a_slot_range_is_the_whole_series_sliced_bit_for_bit(seed, K, T, M, d, data):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 10.0, size=(K, T, M))
+    omega = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=M, max_size=M)))
+    t0 = data.draw(st.integers(0, T - 1))
+    t1 = data.draw(st.one_of(st.just(T), st.integers(t0 + 1, T)))
+    cfg = DecayConfig(omega=omega, window_slots=d)
+    v_all, dv_all = accumulate_with_grad(x, cfg)
+    v, dv = accumulate_with_grad(x, cfg, t0, t1)
+    assert v.flags.c_contiguous and dv.flags.c_contiguous
+    assert v.tobytes() == np.ascontiguousarray(v_all[:, t0:t1]).tobytes()
+    assert dv.tobytes() == np.ascontiguousarray(dv_all[:, t0:t1]).tobytes()
+
+
+def test_a_slot_range_reads_only_the_chunks_that_it_touches():
+    """Slots outside the chunks of a range, and outside their windows' history, are never read."""
+    rng = np.random.default_rng(3)
+    C, d = CHUNK_SLOTS, 5
+    x = rng.normal(size=(2, 4 * C, 2))
+    cfg = DecayConfig(omega=[0.2, 0.0], window_slots=d)
+    expected = accumulate_with_grad(x, cfg)[0][:, C + 3 : 2 * C - 1]
+    x[:, : C - (d - 1)] = np.nan
+    x[:, 2 * C :] = np.nan
+    v, _ = accumulate_with_grad(x, cfg, C + 3, 2 * C - 1)
+    assert v.tobytes() == np.ascontiguousarray(expected).tobytes()
+    with pytest.raises(ValidationError, match=f"slot={2 * C}, "):
+        accumulate_with_grad(x, cfg, C + 3, 2 * C + 1)
+    for t0, t1 in ((5, 4 * C + 1), (-1, 3), (6, 5)):
+        with pytest.raises(ValidationError, match=rf"slot range \[{t0}, {t1}\) is not within the {4 * C} slots"):
+            accumulate_with_grad(np.zeros_like(x), cfg, t0, t1)
 
 
 @settings(max_examples=40)
