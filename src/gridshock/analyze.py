@@ -150,7 +150,7 @@ def predict_ahead(
 
     L, n = kern.window, T - h
     # kernel state before slot c + 1 over the observed counts, one column per target
-    P = kern.run(np.ascontiguousarray(counts.T), lag_sum=False)[0][1 : n + 1].T
+    P = kern.run(counts, lag_sum=False)[0][1 : n + 1].T
     padded = np.zeros((K, L + T))  # observed counts, zero before the series start
     padded[:, L:] = counts
     gap = []  # predicted means of gap slots that will still leave the window, oldest first

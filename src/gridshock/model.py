@@ -20,10 +20,10 @@ prediction: the network maps (n, M) rows to mu, MLP_CHUNK_ROWS at a time
 from `mlp_backward`'s own forward step, so it needs one pass, with the same
 bits, and gets the input gradient back already contracted with dv/domega),
 `Kernel` rolls the truncated-kernel state forward, slot by slot or over a
-whole history (the weather's windowed sums are fresh sums, in weather_effect),
-and `Coupling` adds sum_j alpha[i, j] R[j] over the graph's per-edge weights
-in a fixed order, so evaluation is bit-reproducible. `intensity` is the slow
-single-cell reference, one row through the same network.
+whole K x T history (the weather's windowed sums are fresh sums, in weather_effect),
+and `Coupling` adds sum_j alpha[i, j] R[j] over the graph's per-edge weights in a
+fixed order, so evaluation is bit-reproducible. Whole-series passes walk the blocks of
+`time_blocks`. `intensity` is the slow single-cell reference, one row through the network.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .container import meta_value, read_container, write_container
 from .errors import COUNT, NONNEGATIVE, NUMBER, PAIRS, POSITIVE, FileFormatError, ValidationError, at_least, checked
 from .topology import EdgeWeights, Graph
-from .weather_effect import DecayConfig, WeatherScaler, accumulate
+from .weather_effect import CHUNK_SLOTS, DecayConfig, WeatherScaler, accumulate, as_weather_array
 
 MODEL_SCHEMA = "gridshock-model-v1"
 
@@ -45,6 +45,10 @@ DEFAULT_TRIG_WINDOW = 40  # 5 days of 3-hour slots
 # Rows per network pass: one chunk's activations stay in the CPU cache. A multiple
 # of the BLAS kernels' row unroll, so each row's sums match a whole-array pass.
 MLP_CHUNK_ROWS = 512
+# Unit-slot cells per block of a whole-series pass: a fit's block holds about 140
+# bytes per cell, under 5 MB in all; each block beyond the first recomputes its
+# kernel history window, which is what makes much smaller blocks slower.
+BLOCK_CELLS = 2**15
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -311,20 +315,19 @@ class Kernel:
             P -= old * _per_lead(self.drop, P)
         return P
 
-    def run(self, x: np.ndarray, lag_sum: bool = True):
-        """(P, S1) at every slot of x, one slot per row of axis 0; S1 is None
-        unless `lag_sum`."""
-        L, lead = self.window, (-1,) + (1,) * (x.ndim - 2)
-        decay, drop = self.decay.reshape(lead), self.drop.reshape(lead)
-        P = np.zeros_like(x)
+    def run(self, counts: np.ndarray, lag_sum: bool = True):
+        """(P, S1) at every slot of the K x T history `counts`, as T x K float
+        arrays, one slot per row; S1 is None unless `lag_sum`."""
+        x = np.ascontiguousarray(np.transpose(counts), dtype=np.float64)  # one contiguous row per slot
+        P, L = np.zeros_like(x), self.window
         S1 = np.zeros_like(x) if lag_sum else None
         for t in range(x.shape[0] - 1):
             old = x[t - L] if t >= L else None
             P[t + 1] = self.step(P[t], x[t], old)
             if lag_sum:
-                S1[t + 1] = decay * (x[t] + P[t] + S1[t])
+                S1[t + 1] = self.decay * (x[t] + P[t] + S1[t])
                 if old is not None:
-                    S1[t + 1] -= (L + 1) * old * drop
+                    S1[t + 1] -= (L + 1) * old * self.drop
         return P, S1
 
 
@@ -337,21 +340,18 @@ def _per_lead(v: np.ndarray, X: np.ndarray) -> np.ndarray:
 def kernel_matrix(counts: np.ndarray, beta: np.ndarray, trig_window: int) -> np.ndarray:
     """R[j, t] = sum over lags 1..trig_window of N[j, t-lag] beta_j e^{-beta_j lag}."""
     kern = Kernel(beta, trig_window)
-    P, _ = kern.run(_time_major(counts), lag_sum=False)
+    P, _ = kern.run(counts, lag_sum=False)
     return np.ascontiguousarray((kern.rate * P).T)
 
 
-def kernel_matrix_with_grad(counts: np.ndarray, beta: np.ndarray, trig_window: int):
-    """Return (R, dR/dbeta), both K x T: R = beta P and dR/dbeta = P - beta S1
-    with the kernel's sums P and S1, computed one slot per row."""
+def kernel_matrix_with_grad(counts: np.ndarray, beta: np.ndarray, trig_window: int, t0: int = 0, t1: int | None = None):
+    """Return (R, dR/dbeta) at slots [t0, t1) (default: all), both K x (t1 - t0): R = beta P and
+    dR/dbeta = P - beta S1 with the kernel's sums P and S1, run from the trig_window slots before t0."""
+    start = max(0, t0 - trig_window)
     kern = Kernel(beta, trig_window)
-    P, S1 = kern.run(_time_major(counts))
+    P, S1 = kern.run(counts[:, start:t1])
+    P, S1 = P[t0 - start :], S1[t0 - start :]
     return np.ascontiguousarray((kern.rate * P).T), np.ascontiguousarray((P - kern.rate * S1).T)
-
-
-def _time_major(counts) -> np.ndarray:
-    """A K x T count history as a T x K array, one contiguous row per slot."""
-    return np.ascontiguousarray(np.asarray(counts, dtype=np.float64).T)
 
 
 def kernel_mass_closed_form(beta: float, num_lags: int) -> float:
@@ -415,13 +415,26 @@ def indirect_field(alpha: EdgeWeights, R: np.ndarray) -> np.ndarray:
     return Coupling(alpha).apply(R)
 
 
+def time_blocks(num_units: int, num_slots: int) -> list[tuple[int, int]]:
+    """The (t0, t1) blocks of a whole-series pass: as many whole weather chunks as fit
+    in BLOCK_CELLS // K slots, at least one, so no two blocks compute one chunk."""
+    width = max(1, BLOCK_CELLS // num_units // CHUNK_SLOTS) * CHUNK_SLOTS
+    return [(t0, min(t0 + width, num_slots)) for t0 in range(0, num_slots, width)]
+
+
 def weather_response(params: ModelParams, weather) -> np.ndarray:
     """Network output mu(v) over the K x T grid from raw weather: standardized,
-    accumulated, then the network. It depends on omega, the scaler and the
-    network only, not on gamma."""
-    v = accumulate(params.scaler.transform(weather), params.decay)
-    K, T, M = v.shape
-    return mlp_forward(params.mlp, v.reshape(K * T, M)).reshape(K, T)
+    accumulated, then the network, one block of :func:`time_blocks` at a time,
+    each standardizing only the chunks of slots that it reads, so no K x T x M
+    array is formed. It depends on omega, the scaler and the network, not on gamma."""
+    x = as_weather_array(weather)
+    K, T, M = x.shape
+    mu = np.empty((K, T))
+    for t0, t1 in time_blocks(K, T):
+        s = max(t0 - (params.decay.window_slots - 1), 0) // CHUNK_SLOTS * CHUNK_SLOTS  # its first history chunk
+        v = accumulate(params.scaler.transform(x, s, t1), params.decay, t0 - s, t1 - s)
+        mu[:, t0:t1] = mlp_forward(params.mlp, v.reshape(-1, M)).reshape(K, t1 - t0)
+    return mu
 
 
 def direct_from_weather(params: ModelParams, weather) -> np.ndarray:
@@ -461,7 +474,7 @@ def intensity_field(params: ModelParams, history, weather, direct: np.ndarray | 
     """Vectorized intensity over all cells. The weather term is
     :func:`direct_from_weather` of `weather` unless the caller passes it as `direct`."""
     params.check_invariants()
-    counts = np.asarray(getattr(history, "counts", history), dtype=np.float64)
+    counts = np.asarray(getattr(history, "counts", history))
     if direct is None:
         direct = direct_from_weather(params, weather)
     if direct.shape != counts.shape:

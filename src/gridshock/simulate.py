@@ -287,8 +287,9 @@ def simulate_paths(
         cell_sum[:, t] += n.sum(axis=1)
         cell_sq[:, t] += (n * n).sum(axis=1)
 
-    cell_mean = cell_sum / R
-    cell_var = (cell_sq - R * cell_mean**2) / max(R - 1, 1)
+    unit_total_mean = cell_sum.sum(axis=1) / R
+    cell_mean = np.divide(cell_sum, R, out=cell_sum)
+    cell_var = np.divide(np.subtract(cell_sq, R * cell_mean**2, out=cell_sq), max(R - 1, 1), out=cell_sq)
     np.maximum(cell_var, 0.0, out=cell_var)
     return SimResult(
         replications=R,
@@ -296,7 +297,7 @@ def simulate_paths(
         rep_totals=rep_totals,
         cell_mean=cell_mean,
         cell_var=cell_var,
-        unit_total_mean=cell_sum.sum(axis=1) / R,
+        unit_total_mean=unit_total_mean,
         paths=paths,
     )
 

@@ -193,7 +193,7 @@ def triggering_totals(weights: EdgeWeights, history, params) -> np.ndarray:
     """Per-unit sum over the window of the model's truncated triggering mass R[j, t]."""
     from .model import kernel_matrix  # model imports this module
 
-    counts = np.asarray(getattr(history, "counts", history), dtype=np.float64)
+    counts = np.asarray(getattr(history, "counts", history))
     beta = np.asarray(params.beta, dtype=np.float64)
     K = weights.num_nodes
     if counts.shape[0] != K or beta.shape[0] != K:

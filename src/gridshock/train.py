@@ -17,11 +17,10 @@ block is read from the data, never re-simulated.
 
 A full-series evaluation (`log_likelihood`, `gradients`, `fd_audit` and
 the log-likelihood `fit` reports after each epoch) is the same block
-evaluation summed over consecutive blocks of at most EVAL_BLOCK_CELLS
-unit-slot cells, in block order, so its memory is bounded by that budget and
-does not grow with the number of slots. `fit` and `log_likelihood` use the
-one partition, so the log-likelihood a fit reports is the one its saved model
-scores, bit for bit.
+evaluation summed over the blocks of `model.time_blocks`, in block order, so
+its memory is bounded by the block budget and does not grow with the number
+of slots. `fit` and `log_likelihood` use the one partition, so the
+log-likelihood a fit reports is the one its saved model scores, bit for bit.
 
 The optimizer works on one vector theta holding every free parameter
 (per-edge alpha, beta, gamma, omega, network weights; see `pack`).
@@ -49,6 +48,7 @@ from .model import (
     kernel_matrix_with_grad,
     mlp_backward,
     mlp_forward,  # noqa: F401  (binding patched by perfbench/tracer.py)
+    time_blocks,
 )
 from .topology import EdgeWeights, Graph, enforce_no_loops
 from .weather_effect import (
@@ -57,15 +57,6 @@ from .weather_effect import (
     WeatherScaler,
     accumulate_with_grad,
 )
-
-# Unit-slot cells per block of a full-series evaluation. One block holds about
-# 140 bytes per cell (v, dv/domega, R, dR/dbeta, lambda, mu, W and the network's
-# upstream gradient), so 2**15 cells keep it under 5 MB; each block
-# beyond the first also recomputes its kernel history window and the weather
-# chunks that it shares with the block before it, which is what makes much
-# smaller blocks slower.
-EVAL_BLOCK_CELLS = 2**15
-
 
 @dataclass
 class FitConfig:
@@ -161,17 +152,12 @@ def _block_loglik_and_grads(
 ):
     """(ell, Gradients) over slots [t0, t1), with exact out-of-block history.
 
-    The weather is accumulated at the block's slots only, reading its history
-    from `x_scaled`, and the kernel recursion runs on just enough leading
-    history (the truncation window), so in-block values are identical to a
-    full-series evaluation.
+    The weather sums and the kernel are computed at the block's slots only,
+    reading their history from `x_scaled` and `counts`, so in-block values are
+    identical to a full-series evaluation.
     """
     v, dvdo = accumulate_with_grad(x_scaled, params.decay, t0, t1)
-
-    s_tk = max(0, t0 - params.trig_window)
-    R_full, dR_full = kernel_matrix_with_grad(counts[:, s_tk:t1], params.beta, params.trig_window)
-    R = R_full[:, t0 - s_tk :]
-    dR = dR_full[:, t0 - s_tk :]
+    R, dR = kernel_matrix_with_grad(counts, params.beta, params.trig_window, t0, t1)
 
     # One network pass: each chunk's mu goes straight into lambda = gamma mu +
     # indirect + eps (formed in place of the indirect term), W = N / lambda - 1
@@ -215,18 +201,11 @@ def _block_loglik_and_grads(
     return ll, grads
 
 
-def _eval_blocks(num_units: int, num_slots: int) -> list[tuple[int, int]]:
-    """The (t0, t1) blocks of a full-series evaluation: EVAL_BLOCK_CELLS // K
-    slots each (at least one), the last block taking what is left."""
-    width = max(1, EVAL_BLOCK_CELLS // num_units)
-    return [(t0, min(t0 + width, num_slots)) for t0 in range(0, num_slots, width)]
-
-
 def _series_loglik_and_grads(params: ModelParams, counts: np.ndarray, x_scaled: np.ndarray):
     """(ell, Gradients) over every slot: the block evaluations of
-    :func:`_eval_blocks` summed in block order. A series within one block is
+    :func:`model.time_blocks` summed in block order. A series within one block is
     evaluated as that one block, with its bits."""
-    (t0, t1), *rest = _eval_blocks(*counts.shape)
+    (t0, t1), *rest = time_blocks(*counts.shape)
     ll, grads = _block_loglik_and_grads(params, counts, x_scaled, t0, t1)
     for t0, t1 in rest:
         block_ll, block_grads = _block_loglik_and_grads(params, counts, x_scaled, t0, t1)
@@ -238,7 +217,7 @@ def _series_loglik_and_grads(params: ModelParams, counts: np.ndarray, x_scaled: 
 def log_likelihood(params: ModelParams, dataset: Dataset) -> float:
     """Poisson log-likelihood of the dataset under `params` (log N! dropped).
 
-    Summed over bounded time blocks (see :func:`_eval_blocks`), so memory
+    Summed over bounded time blocks (see :func:`model.time_blocks`), so memory
     beyond the inputs does not grow with the number of slots.
     """
     params.check_invariants()
@@ -257,8 +236,8 @@ def gradients(params: ModelParams, dataset: Dataset) -> Gradients:
 
 
 def _series_inputs(params: ModelParams, dataset: Dataset):
-    """(counts as floats, standardized weather) of `dataset`, as the block evaluations read them."""
-    return np.asarray(dataset.outages.counts, dtype=np.float64), params.scaler.transform(dataset.weather)
+    """(counts, standardized weather) of `dataset`, as the block evaluations read them."""
+    return dataset.outages.counts, params.scaler.transform(dataset.weather)
 
 
 def project(params: ModelParams) -> tuple[ModelParams, int]:

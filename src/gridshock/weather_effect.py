@@ -51,14 +51,18 @@ class DecayConfig:
         checked(self.window_slots, at_least(1), "window_slots")
 
 
-def _as_array(weather, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """`weather` as a float K x T x M array; its slots [start, stop) must be finite."""
-    x = getattr(weather, "values", weather)
-    x = np.asarray(x, dtype=np.float64)
+def as_weather_array(weather) -> np.ndarray:
+    """`weather` (K x T x M array or WeatherTensor) as a float K x T x M array."""
+    x = np.asarray(getattr(weather, "values", weather), dtype=np.float64)
     if x.ndim != 3:
         raise ValidationError(f"expected a K x T x M tensor, got shape {x.shape}")
-    if not np.isfinite(x[:, start:stop]).all():
-        i, t, m = np.argwhere(~np.isfinite(x[:, start:stop]))[0]
+    return x
+
+
+def _finite(x: np.ndarray, start: int = 0) -> np.ndarray:
+    """The weather slots x (K x slots x M, from slot `start`), once checked finite."""
+    if not np.isfinite(x).all():
+        i, t, m = np.argwhere(~np.isfinite(x))[0]
         raise ValidationError(f"non-finite weather input at (unit={i}, slot={start + t}, var={m})")
     return x
 
@@ -82,11 +86,13 @@ def _accumulate(weather, cfg: DecayConfig, lag_sum: bool, t0: int = 0, t1: int |
     C, d = CHUNK_SLOTS, cfg.window_slots
     # the chunk at c computes slots [c, c + C) from its window, slots [c - d + 1, c + C)
     first = t0 - t0 % C  # the chunk holding t0
-    x = _as_array(weather, max(first - (d - 1), 0), None if t1 is None else t1 + -t1 % C)  # every slot read
+    x = as_weather_array(weather)
     K, T, M = x.shape
     t1 = T if t1 is None else t1
     if not 0 <= t0 <= t1 <= T:
         raise ValidationError(f"slot range [{t0}, {t1}) is not within the {T} slots of the weather")
+    read = max(first - (d - 1), 0)
+    _finite(x[:, read : t1 + -t1 % C], read)  # every slot read
     if cfg.omega.shape[0] != M:
         raise ValidationError(f"omega has {cfg.omega.shape[0]} entries for {M} weather variables")
     band = _band(cfg.omega, d, lag_sum)
@@ -112,9 +118,9 @@ def _accumulate(weather, cfg: DecayConfig, lag_sum: bool, t0: int = 0, t1: int |
     return v, dv
 
 
-def accumulate(weather, cfg: DecayConfig) -> np.ndarray:
-    """Discounted windowed sum v of `weather` (K x T x M array or WeatherTensor)."""
-    return _accumulate(weather, cfg, lag_sum=False)[0]
+def accumulate(weather, cfg: DecayConfig, t0: int = 0, t1: int | None = None) -> np.ndarray:
+    """Discounted windowed sum v of `weather` at slots [t0, t1), as in :func:`accumulate_with_grad`."""
+    return _accumulate(weather, cfg, lag_sum=False, t0=t0, t1=t1)[0]
 
 
 def accumulate_with_grad(weather, cfg: DecayConfig, t0: int = 0, t1: int | None = None):
@@ -140,19 +146,20 @@ class WeatherScaler:
 
     @classmethod
     def fit(cls, weather) -> "WeatherScaler":
-        x = _as_array(weather)
+        x = _finite(as_weather_array(weather))
         mean = x.mean(axis=(0, 1))
         std = x.std(axis=(0, 1))
         scale = np.where(std > 0, std, 1.0)
         return cls(mean=mean, scale=scale)
 
-    def transform(self, weather) -> np.ndarray:
-        x = _as_array(weather)
+    def transform(self, weather, t0: int = 0, t1: int | None = None) -> np.ndarray:
+        """(x - mean) / scale at slots [t0, t1) of `weather`, in one new array."""
+        x = as_weather_array(weather)
         if x.shape[2] != self.mean.shape[0]:
-            raise ValidationError(
-                f"scaler was fit on {self.mean.shape[0]} variables, input has {x.shape[2]}"
-            )
-        return (x - self.mean) / self.scale
+            raise ValidationError(f"scaler was fit on {self.mean.shape[0]} variables, input has {x.shape[2]}")
+        z = np.subtract(x[:, t0:t1], self.mean)
+        z /= self.scale
+        return _finite(z, t0)
 
     def __eq__(self, other):
         if not isinstance(other, WeatherScaler):

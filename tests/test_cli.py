@@ -13,13 +13,14 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from synth import rewrite_container_header
-from gridshock import analyze, cli, ingest, model, simulate, topology
+from synth import make_weather, rewrite_container_header, wrap_dataset
+from gridshock import analyze, cli, ingest, model, simulate, topology, train
 from gridshock.container import read_container, write_container
 from gridshock.errors import INTEGER, INTEGERS, NUMBER
 from gridshock.ingest import load_dataset
 from gridshock.model import deserialize
 from gridshock.train import FitConfig
+from gridshock.weather_effect import CHUNK_SLOTS
 
 HOURS = 24
 UNITS = 4
@@ -422,6 +423,46 @@ def test_fit_rerun_is_byte_identical(pipeline):
         assert rc == 0
     assert (out_a / "model.gshk").read_bytes() == (out_b / "model.gshk").read_bytes()
     assert (out_a / "fit_report.csv").read_bytes() == (out_b / "fit_report.csv").read_bytes()
+
+
+def test_commands_write_the_same_artifacts_over_many_blocks(tmp_path, monkeypatch):
+    # five one-chunk blocks once BLOCK_CELLS is cut to K x 32 cells; one block otherwise
+    K, T = 4, 4 * CHUNK_SLOTS + 11
+    weather = make_weather(K, T, 2, seed=5, storm_plan={0: [(30, 70)], 1: [(90, 120)]})
+    counts = np.random.default_rng(5).poisson(0.5, (K, T))
+    dataset = tmp_path / "dataset.gshk"
+    ingest.save_dataset(wrap_dataset(counts, weather, variable_names=["wind_speed", "precip_rate"]), dataset)
+    (tmp_path / "scenario.json").write_text('{"gamma_top_units": 2}\n', encoding="utf-8")
+    shared = tmp_path / "model.gshk"
+    fit = ["fit", "--dataset", str(dataset), "--epochs", "6", "--seed", "2", "--k-neighbors", "2"]
+    assert cli.main([*fit, "--model", str(shared), "--output-dir", str(tmp_path)]) == 0
+    commands = {
+        "predict": ["--horizon", "3"],
+        "simulate": ["--replications", "40", "--seed", "7", "--teacher-forced-until", "50"],
+        "enhance": ["--scenario", str(tmp_path / "scenario.json"), "--replications", "30", "--seed", "7"],
+        "analyze": ["--sigmoid-variable", "wind_speed"],
+    }
+
+    def run_all(out):
+        for command, extra in commands.items():
+            assert cli.main([command, "--dataset", str(dataset), "--model", str(shared), "--output-dir", str(out),
+                             *extra]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+
+    one_block = run_all(tmp_path / "one")
+    assert model.time_blocks(K, T) == [(0, T)]
+    monkeypatch.setattr(model, "BLOCK_CELLS", K * CHUNK_SLOTS)
+    assert len(model.time_blocks(K, T)) == 5
+    assert run_all(tmp_path / "many") == one_block
+    assert {"predictions_insample.csv", "predictions_ahead.csv", "simulation_units.csv", "enhancement.csv",
+            "decomposition.csv", "sigmoid.csv"} <= set(one_block)
+    # a many-block fit reports, for its best epoch, the log-likelihood its saved model scores
+    out = tmp_path / "fit_many"
+    assert cli.main([*fit, "--model", str(out / "model.gshk"), "--output-dir", str(out)]) == 0
+    with open(out / "fit_report.csv", newline="") as fh:
+        reported = [float(row["loglik"]) for row in csv.DictReader(fh)]
+    saved = deserialize(out / "model.gshk")
+    assert train.log_likelihood(saved, load_dataset(dataset)) == max(reported)
 
 
 def test_config_file_with_flag_override(pipeline):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit
@@ -29,9 +29,12 @@ from gridshock.model import (
     mlp_forward,
     serialize,
     softplus,
+    time_blocks,
+    weather_response,
 )
+from gridshock import model as model_module
 from gridshock.topology import EdgeWeights, Graph
-from gridshock.weather_effect import DecayConfig, WeatherScaler
+from gridshock.weather_effect import CHUNK_SLOTS, DecayConfig, WeatherScaler, accumulate
 
 
 # -- weather-response network --------------------------------------------------
@@ -204,6 +207,60 @@ def test_mlp_forward_holds_no_activations():
         tracemalloc.stop()
     # the whole-array pass cached 32 + 16 hidden floats per row; now the outputs dominate
     assert peak < K * T * 48 * 8 / 8, f"peak {peak} bytes"
+
+
+def _response_params(rng, K, M, omega, d):
+    """Parameters that the weather term reads (network, scaler, decay) on an edgeless graph."""
+    return ModelParams(
+        alpha=EdgeWeights(graph=Graph(num_nodes=K, edges=())),
+        beta=np.ones(K),
+        gamma=np.ones(K),
+        decay=DecayConfig(omega=omega, window_slots=d),
+        mlp=MlpParams.init_random(M, hidden=(5, 3), seed=int(rng.integers(0, 2**31))),
+        scaler=WeatherScaler(mean=rng.normal(size=M), scale=rng.uniform(0.5, 2.0, M)),
+    )
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**16),
+    K=st.one_of(st.integers(1, 12), st.integers(1025, 1500)),
+    T=st.integers(1, 4 * CHUNK_SLOTS + 20),
+    M=st.integers(1, 3),
+    d=st.integers(1, 60),
+    chunks=st.integers(1, 3),
+    data=st.data(),
+)
+def test_blocked_weather_response_is_the_whole_series_chain(seed, K, T, M, d, chunks, data):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 10.0, size=(K, T, M))
+    omega = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=M, max_size=M)))
+    params = _response_params(rng, K, M, omega, d)
+    v = accumulate(params.scaler.transform(x), params.decay)
+    expected = mlp_forward(params.mlp, v.reshape(K * T, M)).reshape(K, T)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "BLOCK_CELLS", K * chunks * CHUNK_SLOTS)  # blocks of `chunks` weather chunks
+        assert len(time_blocks(K, T)) == -(-T // (chunks * CHUNK_SLOTS))
+        got = weather_response(params, x)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_weather_response_memory_grows_only_by_its_output():
+    K, T, M = 256, 512, 4  # 128-slot blocks
+    rng = np.random.default_rng(12)
+    params = _response_params(rng, K, M, rng.uniform(0.0, 1.0, M), 24)
+    peaks = []
+    for slots in (T, 4 * T):
+        x = rng.normal(size=(K, slots, M))
+        tracemalloc.start()
+        try:
+            weather_response(params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    # a whole-series chain would add the standardized weather and v, 2 M floats per cell
+    assert peaks[1] - peaks[0] <= K * 3 * T * 8 + 64 * 1024, peaks
 
 
 def test_flatten_roundtrip_and_validation():

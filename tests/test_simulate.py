@@ -374,6 +374,25 @@ def test_simulate_deterministic_and_summary_consistent():
     assert not np.array_equal(a.rep_totals, c.rep_totals)
 
 
+def test_cell_statistics_are_the_formula_bit_for_bit():
+    rng = np.random.default_rng(45)
+    params = _chain_params()
+    T, R = 9, 7
+    observed = rng.integers(0, 4, (2, T))
+    ds = wrap_dataset(observed, np.zeros((2, T, 1)))
+    for forced in (0, T):
+        res = simulate_paths(params, ds.weather, ds.grid, R=R, seed=3, teacher_forced_until=forced,
+                             observed=observed, store_paths=True)
+        paths = res.paths.astype(np.float64)
+        # integer sums, exact in any order
+        cell_sum, cell_sq = paths.sum(axis=0), (paths * paths).sum(axis=0)
+        cell_mean = cell_sum / R
+        cell_var = np.maximum((cell_sq - R * cell_mean**2) / max(R - 1, 1), 0.0)
+        assert res.cell_mean.tobytes() == cell_mean.tobytes()
+        assert res.cell_var.tobytes() == cell_var.tobytes()
+        assert res.unit_total_mean.tobytes() == (cell_sum.sum(axis=1) / R).tobytes()
+
+
 def test_fully_forced_simulation_draws_from_pinned_intensity():
     rng = np.random.default_rng(41)
     params = _chain_params()

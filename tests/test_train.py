@@ -37,7 +37,7 @@ from gridshock.train import (
     pack,
     project,
 )
-from gridshock.weather_effect import DecayConfig, WeatherScaler, accumulate_with_grad
+from gridshock.weather_effect import CHUNK_SLOTS, DecayConfig, WeatherScaler, accumulate_with_grad
 
 
 # -- log-likelihood --------------------------------------------------------------
@@ -255,23 +255,23 @@ def _groups(ll, g):
 @given(
     seed=st.integers(0, 2**32 - 1),
     K=st.integers(1, 6),
-    width=st.integers(1, 30),
-    full_blocks=st.integers(0, 6),
-    tail=st.one_of(st.just(1), st.integers(0, 29)),
+    chunks=st.integers(1, 2),
+    full_blocks=st.integers(0, 5),
+    tail=st.one_of(st.just(1), st.integers(0, 2 * CHUNK_SLOTS - 1)),
     spare=st.integers(0, 5),
 )
-def test_series_evaluation_sums_bounded_blocks(seed, K, width, full_blocks, tail, spare):
+def test_series_evaluation_sums_bounded_blocks(seed, K, chunks, full_blocks, tail, spare):
     # T ranges from below the weather (24) and kernel (40) windows to many
-    # blocks, often with a last block of one slot.
+    # blocks of one or two weather chunks, often with a last block of one slot.
+    width = chunks * CHUNK_SLOTS
     T = full_blocks * width + tail % width or width
     rng = np.random.default_rng(seed)
     params, counts, weather = random_small_instance(rng, K=K, T=T, M=2, n_edges=8, hidden=(4,))
-    counts = counts.astype(np.float64)
     x_scaled = params.scaler.transform(weather)
     whole = _groups(*_block_loglik_and_grads(params, counts, x_scaled, 0, T))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(train, "EVAL_BLOCK_CELLS", K * width + min(spare, K - 1))
-        assert train._eval_blocks(K, T)[-1][1] == T
+        mp.setattr(model, "BLOCK_CELLS", K * width + min(spare, K - 1))
+        assert model.time_blocks(K, T)[-1][1] == T
         streamed = _groups(*train._series_loglik_and_grads(params, counts, x_scaled))
     for got, expected in zip(streamed, whole):
         if T <= width:  # one block: the very same evaluation
@@ -282,22 +282,26 @@ def test_series_evaluation_sums_bounded_blocks(seed, K, width, full_blocks, tail
 
 def test_eval_blocks_partition():
     # the reference fit (K=10, T=500) and the demo (K=12, T=72) stay one block
-    assert train._eval_blocks(10, 500) == [(0, 500)]
-    assert train._eval_blocks(12, 72) == [(0, 72)]
-    assert train._eval_blocks(train.EVAL_BLOCK_CELLS + 1, 3) == [(0, 1), (1, 2), (2, 3)]
-    width = train.EVAL_BLOCK_CELLS // 400
-    assert train._eval_blocks(400, 3 * width + 5) == [(0, width), (width, 2 * width), (2 * width, 3 * width),
-                                                     (3 * width, 3 * width + 5)]
+    C = CHUNK_SLOTS
+    assert model.time_blocks(10, 500) == [(0, 500)]
+    assert model.time_blocks(12, 72) == [(0, 72)]
+    # past BLOCK_CELLS // C units a block is one weather chunk, never less
+    assert model.time_blocks(model.BLOCK_CELLS + 1, 3 * C) == [(0, C), (C, 2 * C), (2 * C, 3 * C)]
+    assert model.time_blocks(2000, 3) == [(0, 3)]
+    assert model.time_blocks(1000, 2920)[:2] == [(0, C), (C, 2 * C)]
+    width = model.BLOCK_CELLS // 400 // C * C  # 64: whole chunks within 81 slots
+    assert model.time_blocks(400, 3 * width + 5) == [(0, width), (width, 2 * width), (2 * width, 3 * width),
+                                                    (3 * width, 3 * width + 5)]
+    assert model.time_blocks(100, 600) == [(0, 320), (320, 600)]
 
 
 def test_series_evaluation_memory_does_not_grow_with_slots():
     K = 64
-    T = 2 * max(1, train.EVAL_BLOCK_CELLS // K)  # two blocks, the second with full history windows
+    T = 2 * model.time_blocks(K, model.BLOCK_CELLS)[0][1]  # two blocks, the second with full history windows
     peaks = []
     for slots in (T, 4 * T):
         rng = np.random.default_rng(8)
         params, counts, weather = random_small_instance(rng, K=K, T=slots, M=2, n_edges=40, hidden=(8, 4))
-        counts = counts.astype(np.float64)
         x_scaled = params.scaler.transform(weather)
         tracemalloc.start()
         try:
@@ -310,8 +314,9 @@ def test_series_evaluation_memory_does_not_grow_with_slots():
 
 
 def test_multi_block_fit_reports_the_saved_models_loglik(monkeypatch, tmp_path):
-    ds, graph = _fit_setup()
-    monkeypatch.setattr(train, "EVAL_BLOCK_CELLS", ds.num_units * 7)  # 60 slots: nine blocks
+    ds = _tiny_dataset(seed=23, T=4 * CHUNK_SLOTS + 9)
+    graph = build_candidate_graph(ds.units, k_neighbors=2, max_km=200.0)
+    monkeypatch.setattr(model, "BLOCK_CELLS", ds.num_units * 7)  # one chunk per block: five blocks
     cfg = FitConfig(max_epochs=6, batch_slots=16, seed=2, hidden_sizes=(4,), window_slots=6, tol=1e-12)
     params, report = fit(ds, graph, cfg)
     model.serialize(params, tmp_path / "model.gshk")

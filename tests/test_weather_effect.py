@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,36 @@ def test_scaler_constant_variable_passes_through_as_zeros():
     assert_allclose(scaler.transform(x)[:, :, 0], 0.0, atol=1e-15)
 
 
+def test_scaler_standardizes_into_one_array():
+    rng = np.random.default_rng(4)
+    x = rng.normal(3.0, 5.0, size=(40, 300, 3))
+    scaler = WeatherScaler(mean=rng.normal(size=3), scale=rng.uniform(0.5, 2.0, 3))
+    tracemalloc.start()
+    try:
+        z = scaler.transform(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert z.tobytes() == ((x - scaler.mean) / scaler.scale).tobytes()
+    # the result and its finiteness mask (one byte per float): no second array
+    assert peak <= x.nbytes * 9 // 8 + 64 * 1024, peak
+    part = scaler.transform(x, 70, 230)
+    assert part.flags.c_contiguous
+    assert part.tobytes() == np.ascontiguousarray(z[:, 70:230]).tobytes()
+
+
+def test_scaler_names_the_slot_of_a_non_finite_result():
+    x = np.zeros((2, 10, 2))
+    x[1, 7, 0] = np.nan
+    scaler = WeatherScaler(mean=np.zeros(2), scale=np.ones(2))
+    for t0 in (0, 5):
+        with pytest.raises(ValidationError, match=r"\(unit=1, slot=7, var=0\)"):
+            scaler.transform(x, t0, 9)
+    x[1, 7, 0] = 1e308  # finite, but not once standardized
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match=r"\(unit=1, slot=7, var=0\)"):
+        WeatherScaler(mean=np.array([-1e308, 0.0]), scale=np.ones(2)).transform(x, 5)
+
+
 def test_scaler_dimension_mismatch():
     scaler = WeatherScaler.fit(np.zeros((1, 4, 2)) + 1.0)
     with pytest.raises(ValidationError, match="fit on 2 variables"):
@@ -198,6 +230,9 @@ def test_a_slot_range_is_the_whole_series_sliced_bit_for_bit(seed, K, T, M, d, d
     assert v.flags.c_contiguous and dv.flags.c_contiguous
     assert v.tobytes() == np.ascontiguousarray(v_all[:, t0:t1]).tobytes()
     assert dv.tobytes() == np.ascontiguousarray(dv_all[:, t0:t1]).tobytes()
+    v_fwd = accumulate(x, cfg, t0, t1)
+    assert v_fwd.flags.c_contiguous
+    assert v_fwd.tobytes() == np.ascontiguousarray(accumulate(x, cfg)[:, t0:t1]).tobytes()
 
 
 def test_a_slot_range_reads_only_the_chunks_that_it_touches():
@@ -246,3 +281,29 @@ def test_kernel_is_bit_identical_to_the_column_recursion(seed, K, T, L, zero_rat
     assert R.tobytes() == R_ref.tobytes()
     assert dR.tobytes() == dR_ref.tobytes()
     assert kernel_matrix(counts, beta, L).tobytes() == R_ref.tobytes()
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**16),
+    K=st.integers(1, 6),
+    T=st.integers(1, 120),
+    L=st.integers(0, 50),
+    data=st.data(),
+)
+def test_a_kernel_slot_range_is_the_hand_sliced_history(seed, K, T, L, data):
+    """The kernel at [t0, t1) runs from the L slots before t0, as a block
+    evaluation used to cut that history out by hand."""
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(rng.uniform(0.1, 3.0), size=(K, T)).astype(np.int64)
+    beta = rng.uniform(0.0, 3.0, K)
+    t0 = data.draw(st.integers(0, T - 1))
+    t1 = data.draw(st.one_of(st.just(T), st.integers(t0 + 1, T)))
+    start = max(0, t0 - L)
+    R_hand, dR_hand = kernel_matrix_with_grad(counts[:, start:t1], beta, L)
+    R_ref, dR_ref = _kernel_recursion(counts[:, start:t1].astype(np.float64), beta, L)
+    R, dR = kernel_matrix_with_grad(counts, beta, L, t0, t1)
+    assert R.flags.c_contiguous and dR.flags.c_contiguous
+    for got, hand, ref in ((R, R_hand, R_ref), (dR, dR_hand, dR_ref)):
+        assert got.tobytes() == np.ascontiguousarray(hand[:, t0 - start :]).tobytes()
+        assert got.tobytes() == np.ascontiguousarray(ref[:, t0 - start :]).tobytes()
