@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import INTEGER, InsufficientDataError, ValidationError, at_least, checked
 from .ingest import Dataset
-from .model import Coupling, Kernel, ModelParams, _per_lead, direct_from_weather, intensity_field, sigmoid
+from .model import Coupling, Kernel, ModelParams, direct_from_weather, intensity_field, sigmoid, time_blocks
+from .model import intensity_from_state as _lambda_at  # the name perfbench/tracer.py patches
 from .model import mlp_forward  # noqa: F401  (binding patched by perfbench/tracer.py)
 from .weather_effect import DecayConfig, accumulate
 
@@ -55,20 +56,15 @@ class Decomposition:
 
 def decompose(params: ModelParams, dataset: Dataset) -> Decomposition:
     """Direct/cascade decomposition of the intensity over the dataset."""
-    return decompose_counts(params, dataset.outages.counts, dataset.weather)
-
-
-def decompose_counts(params: ModelParams, counts, weather) -> Decomposition:
-    """Decomposition from raw (possibly non-integer) counts and weather."""
-    counts = np.asarray(getattr(counts, "counts", counts), dtype=np.float64)
-    fld = intensity_field(params, counts, weather)
+    counts = dataset.outages.counts
+    fld = intensity_field(params, counts, dataset.weather)
     return Decomposition(
         direct=fld.direct,
         indirect=fld.indirect,
         eps=params.eps,
         slot_direct=fld.direct.sum(axis=0),
         slot_indirect=fld.indirect.sum(axis=0),
-        slot_observed=counts.sum(axis=0),
+        slot_observed=counts.sum(axis=0, dtype=np.float64),  # integer sums, exact in any order
     )
 
 
@@ -96,30 +92,28 @@ def _report(horizon: int, predicted: np.ndarray, actual: np.ndarray) -> Predicti
     """Score slots t >= horizon against the counts, and persistence N[t - lag]
     with lag max(horizon, 1) over the slots it can predict."""
     lag = max(horizon, 1)
-    persistence_mae = float(np.abs(actual[:, :-lag] - actual[:, lag:]).mean())
+    diff = actual[:, :-lag] - actual[:, lag:]
+    persistence_mae = float(np.abs(diff, out=diff).mean())
+    del diff  # before the error array is made
     err = predicted[:, horizon:] - actual[:, horizon:]
     np.abs(err, out=err)
+    mae, per_unit_mae = float(err.mean()), err.mean(axis=1)
     return PredictionReport(
         horizon=horizon,
         predicted=predicted,
         actual=actual,
-        mae=float(err.mean()),
-        rmse=float(np.sqrt((err**2).mean())),
+        mae=mae,
+        rmse=float(np.sqrt(np.square(err, out=err).mean())),
         persistence_mae=persistence_mae,
-        per_unit_mae=err.mean(axis=1),
+        per_unit_mae=per_unit_mae,
     )
 
 
 def predict_in_sample(params: ModelParams, dataset: Dataset, direct: np.ndarray | None = None) -> PredictionReport:
     """Expected counts with fully observed (teacher-forced) history. `direct`
     is the weather term :func:`model.direct_from_weather`, when the caller has it."""
-    fld = intensity_field(params, dataset.outages, dataset.weather, direct=direct)
-    return _report(0, fld.lam, dataset.outages.counts.astype(np.float64))
-
-
-def _lambda_at(params, coupling, direct, P):
-    """Intensity columns from their direct terms and kernel states P (K x columns)."""
-    return direct + coupling.apply(_per_lead(params.beta, P) * P) + params.eps
+    lam = intensity_field(params, dataset.outages, dataset.weather, direct=direct).lam
+    return _report(0, lam, dataset.outages.counts.astype(np.float64))
 
 
 def predict_ahead(
@@ -130,9 +124,10 @@ def predict_ahead(
     step (a forecast assumption). Baseline: persistence N[t - h].
 
     The observed history's kernel state is rolled across the gap, so at h = 1
-    each predicted column is exactly the teacher-forced intensity. All targets
-    cross their gaps together: column c predicts slot h + c, and gap step j
-    fills its slot c + 1 + j.
+    each predicted column is exactly the teacher-forced intensity. The states
+    come from one kernel roll over the blocks of :func:`model.time_blocks`: the
+    state before slot s starts the gap of target s + h - 1, and all targets of
+    a block cross their gaps together, gap step j filling slot s + j.
 
     Metrics cover slots t >= h only, so the model and the baseline see the
     same evaluation span. `direct` is as in :func:`predict_in_sample`.
@@ -147,24 +142,30 @@ def predict_ahead(
         direct = direct_from_weather(params, dataset.weather)
     kern = Kernel(params.beta, params.trig_window)
     coupling = Coupling(params.alpha)
-
-    L, n = kern.window, T - h
-    # kernel state before slot c + 1 over the observed counts, one column per target
-    P = kern.run(counts, lag_sum=False)[0][1 : n + 1].T
-    padded = np.zeros((K, L + T))  # observed counts, zero before the series start
-    padded[:, L:] = counts
-    gap = []  # predicted means of gap slots that will still leave the window, oldest first
-    for j in range(h - 1):
-        lam = _lambda_at(params, coupling, direct[:, 1 + j : 1 + j + n], P)
-        # the count leaving the window is that of slot c + 1 + j - L
-        old = gap.pop(0) if j >= L else padded[:, 1 + j : 1 + j + n]
-        P = kern.step(P, lam, old)
-        if j + L < h - 1:
-            gap.append(lam)
-    predicted = np.full((K, T), np.nan)
-    predicted[:, h:] = _lambda_at(params, coupling, direct[:, h:], P)
-
+    L, predicted = kern.window, np.full((K, T), np.nan)
+    blocks = time_blocks(K, T - h + 1)
+    for (s0, s1), (P, _) in zip(blocks, kern.run(counts, blocks, lag_sum=False)):
+        if s0 == 0:  # slot 0 starts no target
+            P, s0 = P[1:], 1
+        P = P.T
+        gap = []  # predicted means of gap slots that will still leave the window, oldest first
+        for j in range(h - 1):
+            lam = _lambda_at(direct[:, s0 + j : s1 + j], coupling, params.beta, P, params.eps)
+            # the count leaving the window is that of slot s + j - L
+            old = gap.pop(0) if j >= L else _observed(counts, s0 + j - L, s1 + j - L)
+            P = kern.step(P, lam, old)
+            if j + L < h - 1:
+                gap.append(lam)
+        targets = slice(s0 + h - 1, s1 + h - 1)
+        predicted[:, targets] = _lambda_at(direct[:, targets], coupling, params.beta, P, params.eps)
     return _report(h, predicted, counts)
+
+
+def _observed(counts: np.ndarray, t0: int, t1: int) -> np.ndarray:
+    """counts[:, t0:t1], with the slots before the series start counted as 0."""
+    out = np.zeros((counts.shape[0], t1 - t0))
+    out[:, max(0, -t0) :] = counts[:, max(t0, 0) : max(t1, 0)]
+    return out
 
 
 # -- sigmoid response / disruption tolerance --------------------------------
@@ -421,17 +422,19 @@ PREDICTION_CHUNK_ROWS = 2**16
 
 
 def write_predictions_csv(path, report: PredictionReport) -> None:
-    """The report dialect of :func:`write_csv`, one joined string per
-    PREDICTION_CHUNK_ROWS rows: these files have a row per evaluated cell, so
-    the strings of a whole file would hold hundreds of MB at scale."""
-    units, slots = np.nonzero(~np.isnan(report.predicted))
+    """The report dialect of :func:`write_csv`, one joined string per run of whole
+    units of about PREDICTION_CHUNK_ROWS cells (one unit at least): these files have
+    a row per evaluated cell, so the strings of a whole file would hold hundreds of
+    MB at scale, and so would the indices of every cell at once."""
+    K, T = report.predicted.shape
+    step = max(1, PREDICTION_CHUNK_ROWS // max(T, 1))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("unit,slot,predicted,actual\n")
-        for r0 in range(0, units.size, PREDICTION_CHUNK_ROWS):
-            cells = units[r0 : r0 + PREDICTION_CHUNK_ROWS], slots[r0 : r0 + PREDICTION_CHUNK_ROWS]
-            predicted = report.predicted[cells].astype(np.float64).tolist()
-            actual = report.actual[cells].astype(np.float64).tolist()
-            rows = zip(cells[0].tolist(), cells[1].tolist(), predicted, actual)
+        for u0 in range(0, K, step):
+            predicted, actual = report.predicted[u0 : u0 + step], report.actual[u0 : u0 + step]
+            cells = np.nonzero(~np.isnan(predicted))
+            values = (a[cells].astype(np.float64).tolist() for a in (predicted, actual))
+            rows = zip((cells[0] + u0).tolist(), cells[1].tolist(), *values)
             fh.write("".join(f"{u},{t},{p!r},{a!r}\n" for u, t, p, a in rows))
 
 

@@ -460,16 +460,15 @@ def cmd_analyze(cfg: dict, s: dict, args, ds, params, variables) -> int:
     out_dir = _output_dir(cfg)
     decomp = analyze.decompose(params, ds)
     analyze.write_decomposition_csv(out_dir / "decomposition.csv", decomp)
+    shares = decomp.direct_share, decomp.indirect_share
+    del decomp  # its two K x T fields need not outlive the sigmoid fits
     episodes = analyze.restoration_durations(ds, zero_run_threshold=s["analyze.zero_run_threshold"])
     analyze.write_episodes_csv(out_dir / "episodes.csv", episodes)
     summary = analyze.episode_duration_summary(episodes)
     fits = [analyze.fit_sigmoid(ds, m, cfg=params.decay, population=None) for m in variables]
     if fits:
         analyze.write_sigmoid_csv(out_dir / "sigmoid.csv", fits)
-    print(
-        f"decomposition: direct share {decomp.direct_share:.3f}, "
-        f"cascade share {decomp.indirect_share:.3f}"
-    )
+    print(f"decomposition: direct share {shares[0]:.3f}, cascade share {shares[1]:.3f}")
     print(
         f"episodes: {summary['episodes']} total, {summary['within_share'] * 100 if summary['episodes'] else 0:.1f}% "
         f"within {analyze.EPISODE_WINDOW_SLOTS * ds.grid.slot_seconds / 3600:g} h"

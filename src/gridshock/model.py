@@ -19,11 +19,15 @@ prediction: the network maps (n, M) rows to mu, MLP_CHUNK_ROWS at a time
 (`weather_response` forms mu from `mlp_forward`; fitting takes each chunk's mu
 from `mlp_backward`'s own forward step, so it needs one pass, with the same
 bits, and gets the input gradient back already contracted with dv/domega),
-`Kernel` rolls the truncated-kernel state forward, slot by slot or over a
-whole K x T history (the weather's windowed sums are fresh sums, in weather_effect),
-and `Coupling` adds sum_j alpha[i, j] R[j] over the graph's per-edge weights in a
-fixed order, so evaluation is bit-reproducible. Whole-series passes walk the blocks of
-`time_blocks`. `intensity` is the slow single-cell reference, one row through the network.
+`Kernel` rolls the truncated-kernel state forward, slot by slot or as one roll
+carried across the blocks of a pass (the weather's windowed sums are fresh sums, in
+weather_effect), and `Coupling` adds sum_j alpha[i, j] R[j] over the graph's per-edge
+weights in a fixed order, so evaluation is bit-reproducible; `intensity_from_state`
+forms lambda from a kernel state for prediction and the rollouts. Whole-series passes
+(the intensity field, prediction's start states, fit's full-series evaluation) walk
+the blocks of `time_blocks` on one kernel roll from slot 0, so each slot gets the same
+bits in all of them; a minibatch restarts the roll at its own window. `intensity` is
+the slow single-cell reference, one row through the network.
 """
 
 from __future__ import annotations
@@ -315,20 +319,40 @@ class Kernel:
             P -= old * _per_lead(self.drop, P)
         return P
 
-    def run(self, counts: np.ndarray, lag_sum: bool = True):
-        """(P, S1) at every slot of the K x T history `counts`, as T x K float
-        arrays, one slot per row; S1 is None unless `lag_sum`."""
-        x = np.ascontiguousarray(np.transpose(counts), dtype=np.float64)  # one contiguous row per slot
-        P, L = np.zeros_like(x), self.window
-        S1 = np.zeros_like(x) if lag_sum else None
-        for t in range(x.shape[0] - 1):
-            old = x[t - L] if t >= L else None
-            P[t + 1] = self.step(P[t], x[t], old)
+    def run(self, counts: np.ndarray, blocks: list, lag_sum: bool = True):
+        """Yield (P, S1) at the slots of each (t0, t1) of `blocks`, consecutive slot
+        ranges of the K x T history `counts`, as (t1 - t0) x K float arrays, one
+        slot per row; S1 is None unless `lag_sum`. One roll serves every block: it
+        starts, with both sums 0, `window` slots before the first block and carries
+        its state from block to block, so a slot's sums do not depend on where the
+        blocks are cut. Each block copies only the counts that it reads, and no
+        array of a block outlives the caller's references to it."""
+        start = max(0, blocks[0][0] - self.window)  # the roll's first slot
+        carry = []  # each sum's row at the last slot rolled so far
+        for t0, t1 in blocks:
+            yield self._roll(counts, start, t0, t1, carry, lag_sum)
+
+    def _roll(self, counts, start: int, t0: int, t1: int, carry: list, lag_sum: bool):
+        """(P, S1) at slots [t0, t1) of the roll from slot `start`, continued from the
+        rows in `carry` (none for its first block), which end at the sums of slot t1 - 1."""
+        K, L = counts.shape[0], self.window
+        first = t0 - 1 if carry else start  # the slot of the sums' first row
+        lo = max(start, first - L)
+        x = np.ascontiguousarray(np.transpose(counts[:, lo:t1]), dtype=np.float64)  # one row per slot
+        P = np.zeros((t1 - first, K))
+        S1 = np.zeros_like(P) if lag_sum else None
+        for sums, row in zip((P, S1), carry):
+            sums[:1] = row
+        for t in range(first, t1 - 1):
+            i = t - first
+            old = x[t - L - lo] if t - L >= start else None
+            P[i + 1] = self.step(P[i], x[t - lo], old)
             if lag_sum:
-                S1[t + 1] = self.decay * (x[t] + P[t] + S1[t])
+                S1[i + 1] = self.decay * (x[t - lo] + P[i] + S1[i])
                 if old is not None:
-                    S1[t + 1] -= (L + 1) * old * self.drop
-        return P, S1
+                    S1[i + 1] -= (L + 1) * old * self.drop
+        carry[:] = [sums[-1:].copy() for sums in (P, S1) if sums is not None]
+        return P[t0 - first :], None if S1 is None else S1[t0 - first :]
 
 
 def _per_lead(v: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -337,21 +361,32 @@ def _per_lead(v: np.ndarray, X: np.ndarray) -> np.ndarray:
     return v.reshape(v.shape + (1,) * (X.ndim - v.ndim))
 
 
+def kernel_blocks(counts: np.ndarray, beta: np.ndarray, trig_window: int, blocks: list, grad: bool = True):
+    """Yield (R, dR/dbeta) at each (t0, t1) of `blocks`, both K x (t1 - t0), from
+    one :meth:`Kernel.run` roll: R = beta P and dR/dbeta = P - beta S1; dR is None
+    unless `grad`. dR is formed in S1's buffer and R in P's before the transposed copies."""
+    kern = Kernel(beta, trig_window)
+    for P, S1 in kern.run(counts, blocks, lag_sum=grad):
+        if grad:
+            np.subtract(P, np.multiply(S1, kern.rate, out=S1), out=S1)
+        R = np.ascontiguousarray(np.multiply(P, kern.rate, out=P).T)
+        dR = None if S1 is None else np.ascontiguousarray(S1.T)
+        del P, S1  # the caller holds only the copies
+        yield R, dR
+        del R, dR  # before the roll moves on to the next block
+
+
 def kernel_matrix(counts: np.ndarray, beta: np.ndarray, trig_window: int) -> np.ndarray:
     """R[j, t] = sum over lags 1..trig_window of N[j, t-lag] beta_j e^{-beta_j lag}."""
-    kern = Kernel(beta, trig_window)
-    P, _ = kern.run(counts, lag_sum=False)
-    return np.ascontiguousarray((kern.rate * P).T)
+    ((R, _),) = kernel_blocks(counts, beta, trig_window, [(0, counts.shape[1])], grad=False)
+    return R
 
 
 def kernel_matrix_with_grad(counts: np.ndarray, beta: np.ndarray, trig_window: int, t0: int = 0, t1: int | None = None):
-    """Return (R, dR/dbeta) at slots [t0, t1) (default: all), both K x (t1 - t0): R = beta P and
-    dR/dbeta = P - beta S1 with the kernel's sums P and S1, run from the trig_window slots before t0."""
-    start = max(0, t0 - trig_window)
-    kern = Kernel(beta, trig_window)
-    P, S1 = kern.run(counts[:, start:t1])
-    P, S1 = P[t0 - start :], S1[t0 - start :]
-    return np.ascontiguousarray((kern.rate * P).T), np.ascontiguousarray((P - kern.rate * S1).T)
+    """Return (R, dR/dbeta) at slots [t0, t1) (default: all), both K x (t1 - t0), with the
+    kernel run from the trig_window slots before t0: :func:`kernel_blocks` of that one block."""
+    ((R, dR),) = kernel_blocks(counts, beta, trig_window, [(t0, counts.shape[1] if t1 is None else t1)])
+    return R, dR
 
 
 def kernel_mass_closed_form(beta: float, num_lags: int) -> float:
@@ -408,6 +443,12 @@ def _grouped_sum(X: np.ndarray, groups: list) -> np.ndarray:
     for into, frm, w in groups:
         out[into] += _per_lead(w, X) * X[frm]
     return out
+
+
+def intensity_from_state(direct, coupling: Coupling, beta: np.ndarray, P: np.ndarray, eps: float) -> np.ndarray:
+    """lambda = direct + sum_j alpha[i, j] beta_j P[j] + eps from the kernel state P, whose
+    leading axes are those of beta: (K,), or (K, S) for S sets stacked in `coupling`."""
+    return direct + coupling.apply(_per_lead(beta, P) * P) + eps
 
 
 def indirect_field(alpha: EdgeWeights, R: np.ndarray) -> np.ndarray:
@@ -471,7 +512,8 @@ def intensity(params: ModelParams, history, v: np.ndarray, i: int, t: int):
 
 
 def intensity_field(params: ModelParams, history, weather, direct: np.ndarray | None = None) -> IntensityField:
-    """Vectorized intensity over all cells. The weather term is
+    """Vectorized intensity over all cells, the triggering term filled one block of
+    :func:`time_blocks` at a time from one kernel roll. The weather term is
     :func:`direct_from_weather` of `weather` unless the caller passes it as `direct`."""
     params.check_invariants()
     counts = np.asarray(getattr(history, "counts", history))
@@ -479,9 +521,13 @@ def intensity_field(params: ModelParams, history, weather, direct: np.ndarray | 
         direct = direct_from_weather(params, weather)
     if direct.shape != counts.shape:
         raise ValidationError(f"weather term shape {direct.shape} does not match counts {counts.shape}")
-    R = kernel_matrix(counts, params.beta, params.trig_window)
-    indirect = indirect_field(params.alpha, R)
-    lam = direct + indirect + params.eps
+    coupling, blocks = Coupling(params.alpha), time_blocks(*counts.shape)
+    sums = kernel_blocks(counts, params.beta, params.trig_window, blocks, grad=False)  # one (R, None) per block
+    indirect = np.empty(counts.shape)
+    for t0, t1 in blocks:
+        indirect[:, t0:t1] = coupling.apply(next(sums)[0])
+    lam = direct + indirect
+    lam += params.eps
     return IntensityField(lam=lam, direct=direct, indirect=indirect, eps=params.eps)
 
 

@@ -52,7 +52,7 @@ import numpy as np
 from .errors import COUNT, NONNEGATIVE, DivergenceError, NumericError, ValidationError, at_least, checked, is_count
 from .errors import BASELINES, SWEEP_MODES, one_of, read_json_object
 from .ingest import TimeGrid
-from .model import Coupling, Kernel, ModelParams, weather_response
+from .model import Coupling, Kernel, ModelParams, intensity_from_state, weather_response
 from .model import kernel_matrix, mlp_forward  # noqa: F401  (bindings patched by perfbench/tracer.py)
 from .topology import enforce_no_loops
 from .weather_effect import accumulate  # noqa: F401  (binding patched by perfbench/tracer.py)
@@ -514,7 +514,6 @@ def _rollout_draws(sets, mus, obs, cutoff, R, seed, names=None):
     beta = np.stack([p.beta for p in sets], axis=1)  # (K, S)
     gamma = np.stack([p.gamma for p in sets], axis=1)
     kern = Kernel(beta, window)
-    rate = beta[:, :, None]
     block = max(1, BLOCK_FLOATS // (K * (S * (span + ROLLOUT_TEMPS) + UNIFORM_SLOTS) + 2 * coupling.w.size))
     for r0 in range(0, R, block):
         reps = range(r0, min(r0 + block, R))
@@ -523,7 +522,7 @@ def _rollout_draws(sets, mus, obs, cutoff, R, seed, names=None):
         for t0, u in _uniforms(seed, reps, K, T):
             direct = gamma[:, :, None] * np.stack([m[:, t0 : t0 + u.shape[1]] for m in mus], axis=1)
             for t in range(t0, t0 + u.shape[1]):
-                lam = direct[:, :, t - t0, None] + coupling.apply(rate * P) + eps
+                lam = intensity_from_state(direct[:, :, t - t0, None], coupling, beta, P, eps)
                 if (lam > LAMBDA_OVERFLOW).any():
                     s, b = np.unravel_index(np.argmax((lam > LAMBDA_OVERFLOW).any(axis=0)), (S, len(reps)))
                     i = int(np.argmax(lam[:, s, b]))

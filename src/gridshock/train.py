@@ -45,6 +45,7 @@ from .model import (
     DEFAULT_TRIG_WINDOW,
     MlpParams,
     ModelParams,
+    kernel_blocks,
     kernel_matrix_with_grad,
     mlp_backward,
     mlp_forward,  # noqa: F401  (binding patched by perfbench/tracer.py)
@@ -150,14 +151,19 @@ def unpack(params: ModelParams, theta: np.ndarray) -> None:
 def _block_loglik_and_grads(
     params: ModelParams, counts: np.ndarray, x_scaled: np.ndarray, t0: int, t1: int
 ):
-    """(ell, Gradients) over slots [t0, t1), with exact out-of-block history.
+    """(ell, Gradients) over slots [t0, t1), with exact out-of-block history: a
+    minibatch, whose kernel runs from the trig_window slots before t0."""
+    R, dR = kernel_matrix_with_grad(counts, params.beta, params.trig_window, t0, t1)
+    return _evaluate_block(params, counts, x_scaled, t0, t1, R, dR)
 
-    The weather sums and the kernel are computed at the block's slots only,
-    reading their history from `x_scaled` and `counts`, so in-block values are
-    identical to a full-series evaluation.
+
+def _evaluate_block(params: ModelParams, counts: np.ndarray, x_scaled: np.ndarray, t0: int, t1: int, R, dR):
+    """(ell, Gradients) over slots [t0, t1), given the block's kernel sums R and dR/dbeta.
+
+    The weather sums are computed at the block's slots only, reading their
+    history from `x_scaled`, so in-block values are identical to a full-series pass.
     """
     v, dvdo = accumulate_with_grad(x_scaled, params.decay, t0, t1)
-    R, dR = kernel_matrix_with_grad(counts, params.beta, params.trig_window, t0, t1)
 
     # One network pass: each chunk's mu goes straight into lambda = gamma mu +
     # indirect + eps (formed in place of the indirect term), W = N / lambda - 1
@@ -202,13 +208,15 @@ def _block_loglik_and_grads(
 
 
 def _series_loglik_and_grads(params: ModelParams, counts: np.ndarray, x_scaled: np.ndarray):
-    """(ell, Gradients) over every slot: the block evaluations of
-    :func:`model.time_blocks` summed in block order. A series within one block is
-    evaluated as that one block, with its bits."""
-    (t0, t1), *rest = time_blocks(*counts.shape)
-    ll, grads = _block_loglik_and_grads(params, counts, x_scaled, t0, t1)
+    """(ell, Gradients) over every slot: the blocks of :func:`model.time_blocks`,
+    evaluated in order on one kernel roll carried across them and summed. Its
+    kernel sums are those of every forward pass, whatever the block size."""
+    blocks = time_blocks(*counts.shape)
+    sums = kernel_blocks(counts, params.beta, params.trig_window, blocks)  # one (R, dR) per block
+    (t0, t1), *rest = blocks
+    ll, grads = _evaluate_block(params, counts, x_scaled, t0, t1, *next(sums))
     for t0, t1 in rest:
-        block_ll, block_grads = _block_loglik_and_grads(params, counts, x_scaled, t0, t1)
+        block_ll, block_grads = _evaluate_block(params, counts, x_scaled, t0, t1, *next(sums))
         ll += block_ll
         grads.add(block_grads)
     return ll, grads

@@ -28,7 +28,7 @@ from synth import (
 from test_cli import _write_demo_csvs
 from conftest import SUPPORT_THRESHOLD
 from gridshock import cli
-from gridshock.analyze import decompose_counts, fit_sigmoid_points, predict_ahead
+from gridshock.analyze import fit_sigmoid_points, predict_ahead
 from gridshock.model import intensity_field
 from gridshock.simulate import Scenario, outage_reductions, simulate_paths
 from gridshock.topology import criticality_scores
@@ -246,7 +246,7 @@ def test_criterion_07_scenario_consistency(cascade_instance):
     exact_zero = identity.reduction_pct == 0.0
 
     base = simulate_paths(p, ds.weather, ds.grid, R=400, seed=11)
-    dec = decompose_counts(p, base.cell_mean, ds.weather)
+    dec = intensity_field(p, base.cell_mean, ds.weather)  # the decomposition of the mean path
     d_sum, i_sum = dec.direct.sum(), dec.indirect.sum()
     cascade_share = 100.0 * i_sum / (d_sum + i_sum + p.eps * dec.direct.size)
 

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,6 @@ from gridshock.analyze import (
     PredictionReport,
     SigmoidFit,
     decompose,
-    decompose_counts,
     episode_duration_summary,
     fit_sigmoid,
     fit_sigmoid_points,
@@ -35,9 +35,10 @@ from gridshock.analyze import (
 )
 from gridshock.analyze import _sigmoid_loss, _sigmoid_starts
 from gridshock.errors import InsufficientDataError, ValidationError
-from gridshock.model import Kernel, direct_from_weather, intensity_field
+from gridshock import model, train
+from gridshock.model import Coupling, Kernel, direct_from_weather, intensity_field
 from gridshock.train import gradients, log_likelihood
-from gridshock.weather_effect import DecayConfig, accumulate
+from gridshock.weather_effect import CHUNK_SLOTS, DecayConfig, accumulate
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +65,10 @@ def test_decompose_matches_intensity_components(small):
     assert 0 < dec.indirect_share < 1
 
 
-def test_decompose_counts_accepts_raw_means(small):
+def test_intensity_field_decomposes_raw_means(small):
     params, ds = small
     means = ds.outages.counts * 0.5  # non-integer "expected count" history
-    dec = decompose_counts(params, means, ds.weather)
+    dec = intensity_field(params, means, ds.weather)
     _, direct, indirect = naive_intensity_field(params, means, ds.weather.values)
     assert_allclose(dec.direct, direct, rtol=1e-10)
     assert_allclose(dec.indirect, indirect, rtol=1e-10)
@@ -76,7 +77,7 @@ def test_decompose_counts_accepts_raw_means(small):
 def test_share_of_all_zero_history_is_all_direct():
     rng = np.random.default_rng(5)
     params, _, weather = random_small_instance(rng, K=3, T=10, M=1, n_edges=3)
-    dec = decompose_counts(params, np.zeros((3, 10)), weather)
+    dec = decompose(params, wrap_dataset(np.zeros((3, 10), dtype=np.int64), weather))
     assert dec.indirect_share == 0.0
     assert dec.direct_share == 1.0
 
@@ -95,7 +96,6 @@ def test_predict_in_sample_refuses_a_non_finite_rate(small):
 FORWARD_ENTRIES = {
     "intensity_field": lambda params, ds: intensity_field(params, ds.outages.counts, ds.weather),
     "decompose": decompose,
-    "decompose_counts": lambda params, ds: decompose_counts(params, ds.outages.counts, ds.weather),
     "predict_in_sample": predict_in_sample,
     "predict_ahead": lambda params, ds: predict_ahead(params, ds, horizon_slots=2),
     "log_likelihood": log_likelihood,
@@ -190,16 +190,84 @@ def _per_target_predictions(params, counts, direct, h):
     T=st.integers(2, 40),
     trig_window=st.integers(1, 8),
     horizon_share=st.floats(0.0, 1.0),
+    extra_blocks=st.integers(0, 2),
 )
-def test_predict_ahead_matches_the_per_target_loop(seed, K, T, trig_window, horizon_share):
+def test_predict_ahead_matches_the_per_target_loop(seed, K, T, trig_window, horizon_share, extra_blocks):
+    h = 1 + min(int(horizon_share * (T - 1)), T - 2)  # horizons below and above trig_window
+    T += extra_blocks * CHUNK_SLOTS  # the targets' start states then come from up to four blocks
     rng = np.random.default_rng(seed)
     params = random_small_params(rng, K=K, M=2, n_edges=2 * K, trig_window=trig_window)
     counts = rng.integers(0, 5, (K, T))
     weather = rng.normal(size=(K, T, 2))
-    h = 1 + min(int(horizon_share * (T - 1)), T - 2)  # horizons below and above trig_window
     direct = direct_from_weather(params, weather)
-    rep = predict_ahead(params, wrap_dataset(counts, weather), horizon_slots=h, direct=direct)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "BLOCK_CELLS", K * CHUNK_SLOTS)  # blocks of one weather chunk
+        rep = predict_ahead(params, wrap_dataset(counts, weather), horizon_slots=h, direct=direct)
     assert_array_equal(rep.predicted, _per_target_predictions(params, counts.astype(np.float64), direct, h))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 6),
+    blocks=st.integers(2, 5),
+    tail=st.integers(1, CHUNK_SLOTS),
+    n_edges=st.integers(1, 12),
+)
+def test_the_scored_lambda_is_the_predicted_lambda_over_many_blocks(seed, K, blocks, tail, n_edges):
+    """The lambda that the log-likelihood scores, the in-sample prediction and
+    the one-slot-ahead columns are the same bits on a series of several blocks."""
+    T = (blocks - 1) * CHUNK_SLOTS + tail
+    rng = np.random.default_rng(seed)
+    params, counts, weather = random_small_instance(rng, K=K, T=T, M=2, n_edges=n_edges, hidden=(4,))
+    ds = wrap_dataset(counts, weather)
+    scored = []
+
+    class Recording(Coupling):
+        def apply(self, R):
+            out = super().apply(R)
+            scored.append(out)  # a block evaluation forms its lambda in place of this sum
+            return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "BLOCK_CELLS", K * CHUNK_SLOTS)  # blocks of one weather chunk
+        plan = model.time_blocks(K, T)
+        mp.setattr(train, "Coupling", Recording)
+        log_likelihood(params, ds)
+        in_sample = predict_in_sample(params, ds).predicted
+        ahead = predict_ahead(params, ds, horizon_slots=1).predicted
+    assert len(plan) == blocks and [lam.shape[1] for lam in scored] == [t1 - t0 for t0, t1 in plan]
+    assert np.concatenate(scored, axis=1).tobytes() == in_sample.tobytes()
+    assert ahead[:, 1:].tobytes() == in_sample[:, 1:].tobytes()
+
+
+# K x T float arrays alive at each entry's peak, with the weather as an input
+FORWARD_ARRAYS = {
+    # lambda, its weather term and its triggering term
+    "intensity_field": (3, lambda params, ds: intensity_field(params, ds.outages.counts, ds.weather)),
+    # the predictions, the counts as floats, the weather term and the absolute error being scored
+    "predict_ahead": (4, lambda params, ds: predict_ahead(params, ds, horizon_slots=3)),
+}
+
+
+@pytest.mark.parametrize("entry", list(FORWARD_ARRAYS))
+def test_forward_memory_grows_only_by_its_k_by_t_arrays(entry):
+    arrays, run = FORWARD_ARRAYS[entry]
+    K, widths = 100, (2400, 7200)  # 8 and 23 blocks of model.time_blocks
+    peaks = []
+    for T in widths:
+        rng = np.random.default_rng(21)
+        params, counts, weather = random_small_instance(rng, K=K, T=T, M=2, n_edges=150, hidden=(8,))
+        ds = wrap_dataset(counts, weather)
+        tracemalloc.start()
+        try:
+            run(params, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    # a whole-series kernel state, history copy or gap intensity would add whole arrays
+    per_array = K * (widths[1] - widths[0]) * 8
+    assert peaks[1] - peaks[0] < (arrays + 0.1) * per_array, (peaks, (peaks[1] - peaks[0]) / per_array)
 
 
 def test_predict_ahead_rejects_bad_horizons(small):
@@ -546,9 +614,9 @@ def test_predictions_csv_matches_the_csv_writer_bytes(tmp_path):
     assert b"e-324" in out and b"e+300" in out and b"nan" not in out
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 2, 7, 64])
+@pytest.mark.parametrize("chunk_rows", [1, 2, 7, 39, 40, 64, 120, 2**20])
 def test_predictions_csv_chunks_write_the_one_chunk_bytes(tmp_path, monkeypatch, chunk_rows):
-    rep = _awkward_predictions()  # 180 rows
+    rep = _awkward_predictions()  # 180 rows; a chunk is one or more whole units of 40 slots
     write_predictions_csv(tmp_path / "one.csv", rep)
     monkeypatch.setattr(analyze_module, "PREDICTION_CHUNK_ROWS", chunk_rows)
     write_predictions_csv(tmp_path / "chunked.csv", rep)

@@ -310,6 +310,19 @@ def test_kernel_truncation_drops_old_events():
     assert_allclose(R[0, 6:], 0.0, atol=1e-15)
 
 
+def test_kernel_matrix_holds_at_most_two_results():
+    K, T = 200, 2000
+    counts = np.random.default_rng(7).poisson(1.0, (K, T))
+    tracemalloc.start()
+    try:
+        R = kernel_matrix(counts, np.full(K, 0.5), 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the float history copy and the sums during the roll, then the sums and their transposed copy
+    assert peak < 2.1 * R.nbytes, peak / R.nbytes
+
+
 def test_kernel_mass_closed_form():
     for beta, L in [(0.7, 40), (2.0, 5), (10.0, 40)]:
         direct = sum(beta * math.exp(-beta * s) for s in range(1, L + 1))

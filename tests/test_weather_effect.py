@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import naive_accumulate
 from gridshock.errors import ValidationError
-from gridshock.model import kernel_matrix, kernel_matrix_with_grad
+from gridshock.model import Kernel, kernel_blocks, kernel_matrix, kernel_matrix_with_grad
 from gridshock.weather_effect import CHUNK_SLOTS, DecayConfig, WeatherScaler, accumulate, accumulate_with_grad
 
 
@@ -307,3 +307,38 @@ def test_a_kernel_slot_range_is_the_hand_sliced_history(seed, K, T, L, data):
     for got, hand, ref in ((R, R_hand, R_ref), (dR, dR_hand, dR_ref)):
         assert got.tobytes() == np.ascontiguousarray(hand[:, t0 - start :]).tobytes()
         assert got.tobytes() == np.ascontiguousarray(ref[:, t0 - start :]).tobytes()
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**16),
+    K=st.integers(1, 6),
+    T=st.integers(1, 120),
+    L=st.integers(0, 50),
+    lag_sum=st.booleans(),
+    data=st.data(),
+)
+def test_the_roll_over_any_cut_of_its_slots_is_the_one_block_roll(seed, K, T, L, lag_sum, data):
+    """One roll carried across consecutive blocks of [t0, T) gives every slot the
+    bits of the single block [t0, T), whatever the cut, and so do R and dR/dbeta,
+    which are formed in place in the roll's buffers."""
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(rng.uniform(0.1, 3.0), size=(K, T)).astype(np.int64)
+    beta = rng.uniform(0.0, 3.0, K)
+    t0 = data.draw(st.integers(0, T - 1))
+    edges = [t0, *sorted(data.draw(st.sets(st.integers(t0 + 1, T), max_size=8)) - {T}), T]
+    blocks = list(zip(edges[:-1], edges[1:]))
+    kern = Kernel(beta, L)
+    ((P, S1),) = kern.run(counts, [(t0, T)], lag_sum=lag_sum)
+    pieces = list(kern.run(counts, blocks, lag_sum=lag_sum))
+    assert [len(p) for p, _ in pieces] == [t1 - b0 for b0, t1 in blocks]
+    assert np.concatenate([p for p, _ in pieces]).tobytes() == P.tobytes()
+    if lag_sum:
+        assert np.concatenate([s for _, s in pieces]).tobytes() == S1.tobytes()
+    else:
+        assert S1 is None and all(s is None for _, s in pieces)
+    R, dR = kernel_matrix_with_grad(counts, beta, L, t0, T)
+    sums = list(kernel_blocks(counts, beta, L, blocks, grad=lag_sum))
+    assert np.concatenate([r for r, _ in sums], axis=1).tobytes() == R.tobytes()
+    if lag_sum:
+        assert np.concatenate([d for _, d in sums], axis=1).tobytes() == dR.tobytes()
