@@ -233,9 +233,14 @@ def fit_sigmoid(
         raise ValidationError(f"population unit index {bad[0]} out of range for {dataset.num_units} units")
     v_all = accumulate(dataset.weather.values[:, :, m : m + 1], DecayConfig(cfg.omega[m : m + 1], cfg.window_slots))[:, :, 0]
     customers = np.array([dataset.units[u].total_customers for u in units], dtype=float).reshape(-1, 1)
-    ratios = dataset.outages.counts[units] / customers
+    counts = dataset.outages.counts
+    if population is not None:  # the chosen rows; all units read the arrays as they are
+        counts, v_all = counts[units], v_all[units]
+    ratios = counts / customers
     sel = ratios > 0  # boolean indexing walks the units in population order, each unit's slots in order
-    v, r = v_all[units][sel], ratios[sel]
+    r = ratios[sel]
+    del ratios  # before the exposures are gathered
+    v = v_all[sel]
     if v.size < MIN_SIGMOID_POINTS:
         raise InsufficientDataError(
             f"sigmoid fit needs >= {MIN_SIGMOID_POINTS} positive-ratio points, got {v.size}"

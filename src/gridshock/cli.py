@@ -311,7 +311,7 @@ def cmd_fit(cfg: dict, s: dict, args, fit_cfg, ds, graph) -> int:
     out_dir = _output_dir(cfg)
     model_path = Path(cfg["model"] or out_dir / "model.gshk")
     model.serialize(params, model_path)
-    write_csv(out_dir / "fit_report.csv", ["epoch", "loglik", "grad_norm", "projections"], report.records())
+    write_csv(out_dir / "fit_report.csv", ["epoch", "loglik", "minibatch_grad_norm", "projections"], report.records())
     params.check_invariants()
     w = params.alpha.w
     kept = w[w > 0]  # the no-loop projection stores the losing direction of a pair as 0
@@ -339,10 +339,11 @@ def cmd_predict(cfg: dict, s: dict, args, ds, params) -> int:
     direct = model.direct_from_weather(params, ds.weather)  # one weather term for both predictions
     in_sample = analyze.predict_in_sample(params, ds, direct=direct)
     analyze.write_predictions_csv(out_dir / "predictions_insample.csv", in_sample)
+    print(f"in-sample: MAE={in_sample.mae:.4f} RMSE={in_sample.rmse:.4f}")
+    del in_sample  # its two K x T arrays, before the ahead prediction makes its own
     horizon = s["predict.horizon"]
     ahead = analyze.predict_ahead(params, ds, horizon_slots=horizon, direct=direct)
     analyze.write_predictions_csv(out_dir / "predictions_ahead.csv", ahead)
-    print(f"in-sample: MAE={in_sample.mae:.4f} RMSE={in_sample.rmse:.4f}")
     print(
         f"{horizon}-slot ahead: MAE={ahead.mae:.4f} RMSE={ahead.rmse:.4f} "
         f"persistence_MAE={ahead.persistence_mae:.4f} beats_persistence={ahead.beats_persistence}"

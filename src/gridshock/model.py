@@ -16,18 +16,20 @@ e^-4 of the kernel mass.
 
 Each term has one implementation shared by fitting, simulation and
 prediction: the network maps (n, M) rows to mu, MLP_CHUNK_ROWS at a time
-(`weather_response` forms mu from `mlp_forward`; fitting takes each chunk's mu
-from `mlp_backward`'s own forward step, so it needs one pass, with the same
-bits, and gets the input gradient back already contracted with dv/domega),
+(`block_response` forms a block's mu from `mlp_forward`; a gradient evaluation takes
+each chunk's mu from `mlp_backward`'s own forward step, so it needs one pass, with the
+same bits, and gets the input gradient back already contracted with dv/domega),
 `Kernel` rolls the truncated-kernel state forward, slot by slot or as one roll
 carried across the blocks of a pass (the weather's windowed sums are fresh sums, in
 weather_effect), and `Coupling` adds sum_j alpha[i, j] R[j] over the graph's per-edge
 weights in a fixed order, so evaluation is bit-reproducible; `intensity_from_state`
-forms lambda from a kernel state for prediction and the rollouts. Whole-series passes
-(the intensity field, prediction's start states, fit's full-series evaluation) walk
-the blocks of `time_blocks` on one kernel roll from slot 0, so each slot gets the same
-bits in all of them; a minibatch restarts the roll at its own window. `intensity` is
-the slow single-cell reference, one row through the network.
+forms lambda from a kernel state for prediction and the rollouts, and
+`intensity_blocks` from a block's kernel sums for the intensity field and fit's
+forward-only log-likelihood. Whole-series passes (the intensity field, prediction's
+start states, fit's full-series evaluations) walk the blocks of `time_blocks` on one
+kernel roll from slot 0, so each slot gets the same bits in all of them; a minibatch
+restarts the roll at its own window. `intensity` is the slow single-cell reference,
+one row through the network.
 """
 
 from __future__ import annotations
@@ -463,18 +465,29 @@ def time_blocks(num_units: int, num_slots: int) -> list[tuple[int, int]]:
     return [(t0, min(t0 + width, num_slots)) for t0 in range(0, num_slots, width)]
 
 
-def weather_response(params: ModelParams, weather) -> np.ndarray:
-    """Network output mu(v) over the K x T grid from raw weather: standardized,
-    accumulated, then the network, one block of :func:`time_blocks` at a time,
-    each standardizing only the chunks of slots that it reads, so no K x T x M
-    array is formed. It depends on omega, the scaler and the network, not on gamma."""
+def block_response(params: ModelParams, weather, t0: int, t1: int, scaled: bool = False) -> np.ndarray:
+    """Network output mu(v) at slots [t0, t1), K x (t1 - t0). `weather` is raw, and only
+    the chunks of slots that the range reads are standardized, or is standardized already
+    (`scaled`); the values are the whole series' bit for bit either way."""
     x = as_weather_array(weather)
-    K, T, M = x.shape
+    K, _, M = x.shape
+    s = 0
+    if not scaled:
+        s = max(t0 - (params.decay.window_slots - 1), 0) // CHUNK_SLOTS * CHUNK_SLOTS  # its first history chunk
+        x = params.scaler.transform(x, s, t1)
+    v = accumulate(x, params.decay, t0 - s, t1 - s)
+    return mlp_forward(params.mlp, v.reshape(-1, M)).reshape(K, t1 - t0)
+
+
+def weather_response(params: ModelParams, weather) -> np.ndarray:
+    """Network output mu(v) over the K x T grid from raw weather, one block of
+    :func:`time_blocks` at a time (:func:`block_response`), so no K x T x M array
+    is formed. It depends on omega, the scaler and the network, not on gamma."""
+    x = as_weather_array(weather)
+    K, T, _ = x.shape
     mu = np.empty((K, T))
     for t0, t1 in time_blocks(K, T):
-        s = max(t0 - (params.decay.window_slots - 1), 0) // CHUNK_SLOTS * CHUNK_SLOTS  # its first history chunk
-        v = accumulate(params.scaler.transform(x, s, t1), params.decay, t0 - s, t1 - s)
-        mu[:, t0:t1] = mlp_forward(params.mlp, v.reshape(-1, M)).reshape(K, t1 - t0)
+        mu[:, t0:t1] = block_response(params, x, t0, t1)
     return mu
 
 
@@ -511,23 +524,36 @@ def intensity(params: ModelParams, history, v: np.ndarray, i: int, t: int):
     return lam, direct, indirect
 
 
+def intensity_blocks(params: ModelParams, counts: np.ndarray, coupling: Coupling, direct, indirect=None):
+    """Yield (t0, t1, lambda) for each block of :func:`time_blocks`: lambda =
+    (direct + indirect) + eps at slots [t0, t1), a new K x (t1 - t0) array, its
+    triggering term from one kernel roll and `coupling`. `direct(t0, t1)` gives the
+    block's weather term; when `indirect` (K x T) is given, each block's triggering
+    term is written into it. The parameters are not checked, so perturbed copies
+    just outside the model space can be scored."""
+    blocks = time_blocks(*counts.shape)
+    sums = kernel_blocks(counts, params.beta, params.trig_window, blocks, grad=False)  # one (R, None) per block
+    for t0, t1 in blocks:
+        lam = coupling.apply(next(sums)[0])  # the triggering term, with lambda formed in its place
+        if indirect is not None:
+            indirect[:, t0:t1] = lam
+        yield t0, t1, np.add(direct(t0, t1) + lam, params.eps, out=lam)
+
+
 def intensity_field(params: ModelParams, history, weather, direct: np.ndarray | None = None) -> IntensityField:
-    """Vectorized intensity over all cells, the triggering term filled one block of
-    :func:`time_blocks` at a time from one kernel roll. The weather term is
-    :func:`direct_from_weather` of `weather` unless the caller passes it as `direct`."""
+    """Vectorized intensity over all cells, filled one block of :func:`intensity_blocks`
+    at a time. The weather term is :func:`direct_from_weather` of `weather` unless
+    the caller passes it as `direct`."""
     params.check_invariants()
     counts = np.asarray(getattr(history, "counts", history))
     if direct is None:
         direct = direct_from_weather(params, weather)
     if direct.shape != counts.shape:
         raise ValidationError(f"weather term shape {direct.shape} does not match counts {counts.shape}")
-    coupling, blocks = Coupling(params.alpha), time_blocks(*counts.shape)
-    sums = kernel_blocks(counts, params.beta, params.trig_window, blocks, grad=False)  # one (R, None) per block
-    indirect = np.empty(counts.shape)
-    for t0, t1 in blocks:
-        indirect[:, t0:t1] = coupling.apply(next(sums)[0])
-    lam = direct + indirect
-    lam += params.eps
+    lam, indirect = np.empty(counts.shape), np.empty(counts.shape)
+    blocks = intensity_blocks(params, counts, Coupling(params.alpha), lambda t0, t1: direct[:, t0:t1], indirect)
+    for t0, t1, block in blocks:
+        lam[:, t0:t1] = block
     return IntensityField(lam=lam, direct=direct, indirect=indirect, eps=params.eps)
 
 

@@ -15,12 +15,18 @@ where R[j,t] is the truncated-kernel triggering mass of unit j. Minibatches
 are contiguous time blocks so lagged history stays exact: history before the
 block is read from the data, never re-simulated.
 
-A full-series evaluation (`log_likelihood`, `gradients`, `fd_audit` and
-the log-likelihood `fit` reports after each epoch) is the same block
-evaluation summed over the blocks of `model.time_blocks`, in block order, so
-its memory is bounded by the block budget and does not grow with the number
-of slots. `fit` and `log_likelihood` use the one partition, so the
-log-likelihood a fit reports is the one its saved model scores, bit for bit.
+A full-series evaluation walks the blocks of `model.time_blocks` on one
+kernel roll and sums the blocks' terms in block order, so its memory is
+bounded by the block budget and does not grow with the number of slots. The
+exact gradient (`gradients`, the analytic side of `fd_audit`) sums the block
+evaluation above. The log-likelihood alone (`log_likelihood`, the score `fit`
+takes after each epoch, `fd_audit`'s perturbed evaluations) runs no backward
+pass: each block's lambda comes from `model.intensity_blocks`, as `predict`'s
+does, with the block evaluation's bits, so the log-likelihood a fit reports
+is the one its saved model scores.
+
+The gradient norm `fit` reports per epoch is that of the sum of the epoch's
+minibatch gradients (see `FitReport`), which the update steps computed anyway.
 
 The optimizer works on one vector theta holding every free parameter
 (per-edge alpha, beta, gamma, omega, network weights; see `pack`).
@@ -45,6 +51,8 @@ from .model import (
     DEFAULT_TRIG_WINDOW,
     MlpParams,
     ModelParams,
+    block_response,
+    intensity_blocks,
     kernel_blocks,
     kernel_matrix_with_grad,
     mlp_backward,
@@ -87,7 +95,12 @@ class FitConfig:
 
 @dataclass
 class FitReport:
-    """Per-epoch fitting trace."""
+    """Per-epoch fitting trace: the log-likelihood at the end of each epoch, the
+    norm of the sum of that epoch's minibatch gradients and the number of
+    coordinates its projections changed. Each minibatch gradient is taken at
+    the parameters of its own update step, so the sum is the full-series
+    gradient only at fixed parameters; in full-batch mode it is exactly the
+    gradient at the epoch's starting parameters."""
 
     seed: int
     loglik_trace: list = field(default_factory=list)
@@ -105,7 +118,7 @@ class FitReport:
         return len(self.loglik_trace)
 
     def records(self) -> list:
-        """One (epoch, loglik, grad_norm, projections) tuple per epoch."""
+        """One (epoch, loglik, minibatch_grad_norm, projections) tuple per epoch."""
         return list(zip(range(1, self.epochs_run + 1), self.loglik_trace, self.grad_norm_trace, self.projection_counts))
 
 
@@ -222,15 +235,34 @@ def _series_loglik_and_grads(params: ModelParams, counts: np.ndarray, x_scaled: 
     return ll, grads
 
 
+def _series_loglik(params: ModelParams, counts: np.ndarray, weather, scaled: bool = True) -> float:
+    """ell over every slot with no backward pass: each block's lambda from
+    :func:`model.intensity_blocks`, its weather term read from standardized
+    weather (`scaled`) or standardized block by block from raw weather, and the
+    blocks' sums added in order, so it is :func:`_series_loglik_and_grads`' ell bit for bit."""
+
+    def direct(t0, t1):
+        return params.gamma[:, None] * block_response(params, weather, t0, t1, scaled)
+
+    ll = 0.0
+    for t0, t1, lam in intensity_blocks(params, counts, Coupling(params.alpha), direct):
+        finite = np.isfinite(lam)
+        if not finite.all():
+            unit, slot = divmod(int(np.argmax(~finite)), t1 - t0)
+            raise NumericError(f"non-finite intensity at (unit={unit}, slot={t0 + slot})")
+        ll += float(np.sum(-lam + counts[:, t0:t1] * np.log(lam)))
+    return ll
+
+
 def log_likelihood(params: ModelParams, dataset: Dataset) -> float:
     """Poisson log-likelihood of the dataset under `params` (log N! dropped).
 
-    Summed over bounded time blocks (see :func:`model.time_blocks`), so memory
-    beyond the inputs does not grow with the number of slots.
+    A forward pass over bounded time blocks (see :func:`model.time_blocks`), each
+    standardizing only the weather it reads, so memory beyond the inputs does not
+    grow with the number of slots.
     """
     params.check_invariants()
-    ll, _ = _series_loglik_and_grads(params, *_series_inputs(params, dataset))
-    return ll
+    return _series_loglik(params, dataset.outages.counts, dataset.weather, scaled=False)
 
 
 def gradients(params: ModelParams, dataset: Dataset) -> Gradients:
@@ -319,7 +351,7 @@ def fd_audit(params: ModelParams, dataset: Dataset, max_coords: int = 40, h: flo
         p, th = params.copy(), theta.copy()
         th[k] += delta
         unpack(p, th)
-        return _series_loglik_and_grads(p, *inputs)[0]
+        return _series_loglik(p, *inputs)
 
     worst = 0.0
     for k in coords:
@@ -350,6 +382,13 @@ class _AdamState:
         return lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def minibatches(num_slots: int, batch_slots: int | None) -> list[tuple[int, int]]:
+    """The (t0, t1) minibatches of one epoch: consecutive blocks of `batch_slots`
+    slots (one block of every slot when None), the last one possibly shorter."""
+    width = batch_slots or num_slots
+    return [(t0, min(t0 + width, num_slots)) for t0 in range(0, num_slots, width)]
+
+
 def _apply_update(params: ModelParams, grads: Gradients, lr: float, adam: _AdamState | None) -> None:
     """In-place ascent step on theta (plain when adam is None)."""
     g = grads.flat()
@@ -375,9 +414,7 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
     params = initialize(dataset, graph, seed=cfg.seed, cfg=cfg)
     report = FitReport(seed=cfg.seed)
     counts, x_scaled = _series_inputs(params, dataset)
-    T = counts.shape[1]
-    bs = cfg.batch_slots or T
-    blocks = [(t0, min(t0 + bs, T)) for t0 in range(0, T, bs)]
+    blocks = minibatches(counts.shape[1], cfg.batch_slots)
 
     adam = _AdamState(pack(params).shape) if cfg.optimizer == "adaptive-moments" else None
 
@@ -394,8 +431,12 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
             _apply_update(params, grads, cfg.step_size, adam)
             params, n_proj = project(params)
             projections += n_proj
+            if t0 == 0:
+                epoch_grads = grads
+            else:
+                epoch_grads.add(grads)
         try:
-            ll, full_grads = _series_loglik_and_grads(params, counts, x_scaled)
+            ll = _series_loglik(params, counts, x_scaled)
         except NumericError as exc:
             raise _left_finite_region(epoch, report, exc) from exc
         if not np.isfinite(ll):
@@ -404,7 +445,7 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
                 f"{epoch + 1}; trace tail: {[f'{x:.4g}' for x in report.loglik_trace[-5:]]}"
             )
         report.loglik_trace.append(ll)
-        report.grad_norm_trace.append(full_grads.norm())
+        report.grad_norm_trace.append(epoch_grads.norm())
         report.projection_counts.append(projections)
         if ll > best_ll:
             best_ll = ll

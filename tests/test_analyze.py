@@ -648,6 +648,25 @@ def test_fit_sigmoid_accumulates_only_its_variable(monkeypatch):
     assert fit == fit_sigmoid(alone, "wind_speed", cfg=DecayConfig(omega=np.array([0.3]), window_slots=6))
 
 
+def test_fit_sigmoid_points_hold_at_most_three_k_by_t_arrays(monkeypatch):
+    """Over every unit the points are read from the counts and the accumulated
+    variable as they are, with no copy of their rows."""
+    K, T = 200, 600
+    rng = np.random.default_rng(6)
+    counts = rng.poisson(0.5, (K, T))  # about 39% of the cells have an outage
+    ds = wrap_dataset(counts, rng.uniform(0.0, 10.0, (K, T, 2)))
+    # the solver's cost follows the number of points, not K x T: it is left out
+    monkeypatch.setattr(analyze_module, "fit_sigmoid_points", lambda v, r, variable: (v.size, r.size))
+    tracemalloc.start()
+    try:
+        sizes = fit_sigmoid(ds, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sizes == (np.count_nonzero(counts), np.count_nonzero(counts))
+    assert peak < 3 * K * T * 8, peak / (K * T * 8)
+
+
 def test_sigmoid_and_episode_and_sweep_csv(tmp_path):
     fit = SigmoidFit(variable="wind_speed", a=2.0, c=3.5, L=0.9, rmse=0.01, n_points=42)
     sig = tmp_path / "s.csv"

@@ -115,7 +115,7 @@ def test_fit_artifacts(pipeline):
     params.check_invariants()
     with open(pipeline["out"] / "fit_report.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["epoch", "loglik", "grad_norm", "projections"]
+    assert rows[0] == ["epoch", "loglik", "minibatch_grad_norm", "projections"]
     assert len(rows) == 31  # header + one record per epoch
     lls = [float(r[1]) for r in rows[1:]]
     assert lls[-1] > lls[0]

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -227,6 +228,21 @@ def test_non_finite_intensity_raises_like_the_two_pass_reference(seed, block, ba
     else:
         params.gamma[unit] = bad
     _assert_same_evaluation(params, counts, weather, 10, 10 + width)
+    # the forward-only series score stops at the same cell, with the whole-series slot
+    T = width + 10
+    assert model.time_blocks(K, T) == [(0, T)]
+    reference = _evaluation(_two_pass_reference, params, counts, weather, 0, T)
+    assert _forward_evaluation(params, counts, weather) == reference[:2]
+
+
+def _forward_evaluation(params, counts, x_scaled):
+    """("raised", message) or ("ok", ell) of the forward-only series score."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return ("ok", train._series_loglik(params, counts, x_scaled))
+    except NumericError as exc:
+        return ("raised", str(exc))
 
 
 def test_one_evaluation_runs_the_network_once_per_chunk(monkeypatch):
@@ -311,6 +327,119 @@ def test_series_evaluation_memory_does_not_grow_with_slots():
             tracemalloc.stop()
         peaks.append(peak)
     assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+# -- the forward-only score and the reported gradient norm ----------------------------
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 6),
+    blocks=st.integers(1, 5),
+    tail=st.integers(1, CHUNK_SLOTS),
+    n_edges=st.integers(1, 12),
+)
+def test_forward_loglik_is_the_series_evaluations_bit_for_bit(seed, K, blocks, tail, n_edges):
+    T = (blocks - 1) * CHUNK_SLOTS + tail
+    rng = np.random.default_rng(seed)
+    params, counts, weather = random_small_instance(rng, K=K, T=T, M=2, n_edges=n_edges, hidden=(4,))
+    params.scaler = WeatherScaler(mean=rng.normal(size=2), scale=rng.uniform(0.5, 2.0, 2))
+    x_scaled = params.scaler.transform(weather)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "BLOCK_CELLS", K * CHUNK_SLOTS)  # blocks of one weather chunk
+        assert len(model.time_blocks(K, T)) == blocks
+        expected = train._series_loglik_and_grads(params, counts, x_scaled)[0].hex()
+        assert train._series_loglik(params, counts, x_scaled).hex() == expected
+        # raw weather, standardized block by block, gives the same bits
+        assert train._series_loglik(params, counts, weather, scaled=False).hex() == expected
+
+
+def test_scores_run_no_backward_pass(monkeypatch):
+    rng = np.random.default_rng(31)
+    params, counts, weather = random_small_instance(rng, K=3, T=40, M=2, n_edges=3, hidden=(3,))
+    ds = wrap_dataset(counts, weather)
+    ll, g = log_likelihood(params, ds), gradients(params, ds)
+    worst = fd_audit(params, ds, max_coords=12)
+
+    def no_backward(*args, **kwargs):
+        raise AssertionError("a score ran a backward pass")
+
+    monkeypatch.setattr(train, "mlp_backward", no_backward)
+    assert log_likelihood(params, ds) == ll
+    monkeypatch.setattr(train, "gradients", lambda params, dataset: g)  # fd_audit's analytic side
+    assert fd_audit(params, ds, max_coords=12) == worst
+
+
+def test_fit_runs_one_backward_pass_per_minibatch(monkeypatch):
+    ds, graph = _fit_setup()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return mlp_backward(*args, **kwargs)
+
+    monkeypatch.setattr(train, "mlp_backward", counted)
+    cfg = FitConfig(max_epochs=3, batch_slots=16, hidden_sizes=(3,), window_slots=6, tol=1e-12)
+    _, report = fit(ds, graph, cfg)
+    assert report.epochs_run == 3
+    assert calls == [ds.num_units * (t1 - t0) for t0, t1 in train.minibatches(ds.num_slots, 16)] * 3
+
+
+def test_log_likelihood_memory_does_not_grow_with_slots():
+    K = 64
+    T = 2 * model.time_blocks(K, model.BLOCK_CELLS)[0][1]
+    peaks = []
+    for slots in (T, 4 * T):
+        rng = np.random.default_rng(8)
+        params, counts, weather = random_small_instance(rng, K=K, T=slots, M=2, n_edges=40, hidden=(8, 4))
+        ds = wrap_dataset(counts, weather)
+        tracemalloc.start()
+        try:
+            log_likelihood(params, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 1.1 * peaks[0], peaks  # no standardized K x T x M copy, no K x T field
+
+
+@pytest.mark.parametrize("batch_slots", [7, 16, 32, None])
+def test_minibatch_gradients_sum_to_the_series_gradient_at_fixed_parameters(batch_slots):
+    ds, graph = _fit_setup()
+    params = initialize(ds, graph, seed=3, cfg=FitConfig(hidden_sizes=(4,), window_slots=6))
+    counts, x_scaled = train._series_inputs(params, ds)
+    (t0, t1), *rest = train.minibatches(ds.num_slots, batch_slots)
+    total = _block_loglik_and_grads(params, counts, x_scaled, t0, t1)[1]
+    for t0, t1 in rest:
+        total.add(_block_loglik_and_grads(params, counts, x_scaled, t0, t1)[1])
+    for got, expected in zip(_groups(0.0, total)[1:], _groups(0.0, gradients(params, ds))[1:]):
+        assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max(initial=0.0))
+
+
+def test_full_batch_epoch_reports_the_gradient_at_its_start():
+    ds, graph = _fit_setup()
+    assert model.time_blocks(ds.num_units, ds.num_slots) == [(0, ds.num_slots)]
+    cfg = FitConfig(max_epochs=2, batch_slots=None, hidden_sizes=(3,), window_slots=6)
+    _, report = fit(ds, graph, cfg)
+    start = initialize(ds, graph, seed=cfg.seed, cfg=cfg)
+    assert report.grad_norm_trace[0] == gradients(start, ds).norm()
+
+
+def test_reported_gradient_norm_is_that_of_the_epochs_summed_steps(monkeypatch):
+    ds, graph = _fit_setup()
+    steps = []
+    apply_update = train._apply_update
+
+    def recording(params, grads, lr, adam):
+        steps.append(grads.flat())
+        apply_update(params, grads, lr, adam)
+
+    monkeypatch.setattr(train, "_apply_update", recording)
+    cfg = FitConfig(max_epochs=3, batch_slots=16, hidden_sizes=(4,), window_slots=6, tol=1e-12)
+    _, report = fit(ds, graph, cfg)
+    n = len(train.minibatches(ds.num_slots, 16))
+    sums = [functools.reduce(np.add, steps[e * n : (e + 1) * n]) for e in range(report.epochs_run)]
+    assert report.grad_norm_trace == [float(np.linalg.norm(g)) for g in sums]
 
 
 def test_multi_block_fit_reports_the_saved_models_loglik(monkeypatch, tmp_path):
