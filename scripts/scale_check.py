@@ -10,8 +10,8 @@ fresh child process with one numeric thread, and prints
 one line per command: wall seconds and peak RSS in MiB (`os.wait4`). The
 `load` line, after `fit`, is a child that only loads the dataset and the
 model files (`load_dataset` and `deserialize`), the floor under every
-command that reads them. This process never loads numpy, so it adds little
-to the children's peaks.
+command that reads them; it also prints the two files' sizes in MiB. This
+process never loads numpy, so it adds little to the children's peaks.
 
 This is a record, not a gate: it exits 0 whenever every command does. Run
 it on two checkouts, one after the other, to compare how they scale. Needs
@@ -107,7 +107,11 @@ def main(argv=None) -> int:
     print(f"inputs     K={K} T={T} M={M} written in {time.perf_counter() - t0:.1f} s", flush=True)
     for name, cmd in commands(args.out_dir):
         wall, rss, rc = run(cmd)
-        print(f"{name:<10} wall_s {wall:8.2f}  peak_rss_mib {rss:8.1f}", flush=True)
+        line = f"{name:<10} wall_s {wall:8.2f}  peak_rss_mib {rss:8.1f}"
+        if name == "load":  # the file formats' footprint
+            line += "".join(f"  {f} {(args.out_dir / 'out' / f).stat().st_size / 2**20:.2f} MiB"
+                            for f in ("model.gshk", "dataset.gshk"))
+        print(line, flush=True)
         if rc != 0:
             print(f"{name} exited {rc}", file=sys.stderr)
             return rc

@@ -77,6 +77,14 @@ def meta_value(meta, key: str, kind: tuple, label: str | None = None):
     return checked(meta[key], kind, f"{meta.path}: meta key {label or key!r}", FileFormatError)
 
 
+def integer_array(arrays, name: str) -> np.ndarray:
+    """arrays[name] of a container read by :func:`read_container`, if it holds
+    integers; otherwise a FileFormatError naming the file and the array."""
+    if arrays[name].dtype.kind not in "iu":
+        raise FileFormatError(f"{arrays.path}: array {name!r} must hold integers, got dtype {arrays[name].dtype}")
+    return arrays[name]
+
+
 def _check_entry(path: Path, entry) -> None:
     """Raise FileFormatError unless `entry` declares an array that its bytes can hold."""
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
@@ -122,9 +130,7 @@ def _read_open(path: Path, fh, expected_schema: str):
         raise FileFormatError(f"{path}: corrupt container header: not a JSON object")
     schema = header.get("schema")
     if schema != expected_schema:
-        raise FileFormatError(
-            f"{path}: schema {schema!r} is not compatible with expected {expected_schema!r}"
-        )
+        raise FileFormatError(f"{path}: schema {schema!r} is not compatible with expected {expected_schema!r}")
     meta, entries = header["meta"], header.get("arrays", [])
     if not isinstance(meta, dict) or not isinstance(entries, list):
         raise FileFormatError(f"{path}: container header needs a meta object and an arrays list")

@@ -36,6 +36,7 @@ def _is_finite(value) -> bool:
         return False
 
 
+FINITE = (_is_finite, "a finite number")
 POSITIVE = (lambda x: _is_finite(x) and x > 0, "a finite number > 0")
 NONNEGATIVE = (lambda x: _is_finite(x) and x >= 0, "a finite number >= 0")
 TEXT = (lambda x: isinstance(x, str), "a string")
@@ -44,10 +45,6 @@ OBJECTS = (lambda x: isinstance(x, list) and all(isinstance(v, dict) for v in x)
 TEXTS = (lambda x: isinstance(x, list) and all(isinstance(v, str) for v in x), "a list of strings")
 INTEGERS = (lambda x: isinstance(x, (list, tuple)) and all(map(is_int, x)), "a list of integers")
 WIDTHS = (lambda x: INTEGERS[0](x) and min(x, default=1) >= 1, "a list of integers >= 1")  # hidden layer sizes
-PAIRS = (
-    lambda x: isinstance(x, list) and all(isinstance(v, list) and len(v) == 2 and all(map(is_count, v)) for v in x),
-    "a list of [source, target] pairs of integers >= 0",
-)
 
 
 def one_of(words: tuple) -> tuple:

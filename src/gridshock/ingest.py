@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import meta_value, read_container, write_container
+from .container import integer_array, meta_value, read_container, write_container
 from .errors import COUNT, INTEGER, NUMBER, OBJECT, OBJECTS, TEXT, TEXTS, SchemaError, ValidationError, at_least
 from .errors import AGGREGATIONS, checked, one_of
 
@@ -575,7 +575,7 @@ def load_dataset(path) -> Dataset:
     out_mask = arrays.get("outage_gap_mask")
     wx_mask = arrays.get("weather_gap_mask")
     outages = OutageSeries(
-        counts=arrays["counts"],
+        counts=integer_array(arrays, "counts"),
         gap_mask=None if out_mask is None else out_mask.astype(bool),
     )
     weather = WeatherTensor(

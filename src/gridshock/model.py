@@ -38,12 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import meta_value, read_container, write_container
-from .errors import COUNT, NONNEGATIVE, NUMBER, PAIRS, POSITIVE, FileFormatError, ValidationError, at_least, checked
+from .container import integer_array, meta_value, read_container, write_container
+from .errors import COUNT, FINITE, NONNEGATIVE, NUMBER, POSITIVE, FileFormatError, ValidationError, at_least, checked
 from .topology import EdgeWeights, Graph
 from .weather_effect import CHUNK_SLOTS, DecayConfig, WeatherScaler, accumulate, as_weather_array
 
-MODEL_SCHEMA = "gridshock-model-v1"
+MODEL_SCHEMA = "gridshock-model-v2"
 
 DEFAULT_HIDDEN = (32, 16)
 DEFAULT_EPS = 1e-3
@@ -237,15 +237,13 @@ class ModelParams:
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
         K = self.alpha.num_nodes
         if self.beta.shape != (K,) or self.gamma.shape != (K,):
-            raise ValidationError(
-                f"beta/gamma must be length-{K} vectors, got {self.beta.shape} and {self.gamma.shape}"
-            )
+            raise ValidationError(f"beta/gamma must be length-{K} vectors, got {self.beta.shape} and {self.gamma.shape}")
         checked(self.eps, POSITIVE, "intensity floor eps")
         checked(self.trig_window, at_least(1), "trig_window")
-        if self.mlp.input_dim != self.decay.omega.shape[0]:
-            raise ValidationError(
-                f"network input width {self.mlp.input_dim} != number of weather variables {self.decay.omega.shape[0]}"
-            )
+        M, mean, scale = self.decay.omega.shape[0], np.shape(self.scaler.mean), np.shape(self.scaler.scale)
+        if self.mlp.input_dim != M or mean != (M,) or scale != (M,):
+            raise ValidationError(f"network input width {self.mlp.input_dim} and scaler mean/scale shapes {mean} "
+                                  f"and {scale} must match the {M} weather variables")
 
     @property
     def graph(self) -> Graph:
@@ -261,11 +259,16 @@ class ModelParams:
 
     def check_invariants(self) -> None:
         """Raise unless the constrained parameter space is respected."""
-        rates = ("beta", "recovery rate", self.beta), ("gamma", "design-margin coefficient", self.gamma)
-        for name, what, arr in (*rates, ("omega", "decay rate", self.decay.omega)):
-            bad = np.flatnonzero(~(np.isfinite(arr) & (arr >= 0)))
+        for label, arr, kind, ok in (
+            ("recovery rate beta", self.beta, NONNEGATIVE, self.beta >= 0),
+            ("design-margin coefficient gamma", self.gamma, NONNEGATIVE, self.gamma >= 0),
+            ("decay rate omega", self.decay.omega, NONNEGATIVE, self.decay.omega >= 0),
+            ("weather mean scaler_mean", self.scaler.mean, FINITE, True),
+            ("weather scale scaler_scale", self.scaler.scale, POSITIVE, np.greater(self.scaler.scale, 0)),
+        ):
+            bad = np.flatnonzero(~(np.isfinite(arr) & ok))
             if bad.size:
-                checked(float(arr[bad[0]]), NONNEGATIVE, f"{what} {name}[{bad[0]}]")
+                checked(float(arr[bad[0]]), kind, f"{label}[{bad[0]}]")
         self.alpha.check_invariants()
 
     def copy(self) -> "ModelParams":
@@ -509,13 +512,8 @@ def intensity(params: ModelParams, history, v: np.ndarray, i: int, t: int):
     if not (0 <= i < K and 0 <= t < T):
         raise ValidationError(f"cell ({i}, {t}) outside {K} x {T} grid")
     direct = float(params.gamma[i] * mlp_forward(params.mlp, v[i, t : t + 1])[0])
-    indirect = 0.0
-    alpha = params.alpha.alpha
-    sources = [i] + sorted(s for s, tgt in params.graph.edges if tgt == i)
-    for j in sources:
-        a = alpha[i, j]
-        if a == 0.0:
-            continue
+    indirect, into = 0.0, (params.graph.tgt == i) & (params.alpha.w != 0)  # unit i's active in-edges
+    for j, a in [(i, 1.0), *zip(params.graph.src[into].tolist(), params.alpha.w[into])]:  # in source order
         acc = 0.0
         for lag in range(1, min(t, params.trig_window) + 1):
             acc += counts[j, t - lag] * params.beta[j] * np.exp(-params.beta[j] * lag)
@@ -558,53 +556,50 @@ def intensity_field(params: ModelParams, history, weather, direct: np.ndarray | 
 
 
 def serialize(params: ModelParams, path) -> None:
-    """Write a gridshock-model-v1 file (bit-faithful float round-trip)."""
+    """Write a gridshock-model-v2 file (bit-faithful float round-trip): the graph as
+    int64 `edge_source` and `edge_target` in its (target, source) order and one
+    float64 `edge_weight` per edge, as the model holds them; no array is K x K."""
     meta = {
         "num_nodes": params.num_units,
-        "edges": [list(e) for e in params.graph.edges],
-        "hidden_sizes": [int(w.shape[1]) for w in params.mlp.weights[:-1]],
         "num_layers": len(params.mlp.weights),
         "window_slots": params.decay.window_slots,
         "eps": params.eps,
         "trig_window": params.trig_window,
     }
     arrays = {
-        "alpha": params.alpha.alpha,
+        "edge_source": params.graph.src,
+        "edge_target": params.graph.tgt,
+        "edge_weight": params.alpha.w,
         "beta": params.beta,
         "gamma": params.gamma,
         "omega": params.decay.omega,
         "scaler_mean": params.scaler.mean,
         "scaler_scale": params.scaler.scale,
+        **{f"mlp_w{k}": w for k, w in enumerate(params.mlp.weights)},
+        **{f"mlp_b{k}": b for k, b in enumerate(params.mlp.biases)},
     }
-    for k, (w, b) in enumerate(zip(params.mlp.weights, params.mlp.biases)):
-        arrays[f"mlp_w{k}"] = w
-        arrays[f"mlp_b{k}"] = b
     write_container(path, MODEL_SCHEMA, meta, arrays)
 
 
 def deserialize(path) -> ModelParams:
-    """Load a gridshock-model-v1 file written by :func:`serialize`; raises FileFormatError on a
-    stored alpha cell that is neither a candidate edge nor the unit diagonal, and
-    ValidationError unless the parameters satisfy :meth:`ModelParams.check_invariants`."""
+    """Load a gridshock-model-v2 file written by :func:`serialize`. Edge arrays that are
+    not integer vectors of one length in (target, source) order are a FileFormatError;
+    `Graph` refuses self, out-of-range and duplicate edges, and ValidationError follows
+    unless the parameters satisfy :meth:`ModelParams.check_invariants`."""
     meta, arrays = read_container(path, MODEL_SCHEMA)
-    edges = tuple(map(tuple, meta_value(meta, "edges", PAIRS)))
-    graph = Graph(num_nodes=meta_value(meta, "num_nodes", COUNT), edges=edges)
-    weights = EdgeWeights(graph=graph, alpha=arrays["alpha"])
-    dense = weights.alpha  # NaN only on a candidate edge, which check_invariants refuses
-    for i, j in np.argwhere((arrays["alpha"] != dense) & ~np.isnan(dense))[:1]:  # the first stray cell
-        where = "the diagonal is fixed at 1" if i == j else f"({j}, {i}) is not a candidate edge"
-        raise FileFormatError(f"{meta.path}: alpha[{i}, {j}] is {float(arrays['alpha'][i, j])!r}, but {where}")
-    n_layers = meta_value(meta, "num_layers", COUNT)
-    mlp = MlpParams(
-        weights=[arrays[f"mlp_w{k}"] for k in range(n_layers)],
-        biases=[arrays[f"mlp_b{k}"] for k in range(n_layers)],
-    )
+    src, tgt = integer_array(arrays, "edge_source"), integer_array(arrays, "edge_target")
+    pairs = zip(src.tolist(), tgt.tolist()) if src.ndim == tgt.ndim == 1 else ()
+    graph = Graph(num_nodes=meta_value(meta, "num_nodes", COUNT), edges=tuple(pairs))
+    if not (np.array_equal(graph.src, src) and np.array_equal(graph.tgt, tgt)):  # unequal lengths too
+        raise FileFormatError(f"{meta.path}: edge_source and edge_target must be vectors of one length "
+                              "in (target, source) order")
+    layers = range(meta_value(meta, "num_layers", COUNT))
     params = ModelParams(
-        alpha=weights,
+        alpha=EdgeWeights(graph=graph, w=arrays["edge_weight"]),
         beta=arrays["beta"],
         gamma=arrays["gamma"],
         decay=DecayConfig(omega=arrays["omega"], window_slots=meta_value(meta, "window_slots", COUNT)),
-        mlp=mlp,
+        mlp=MlpParams(weights=[arrays[f"mlp_w{k}"] for k in layers], biases=[arrays[f"mlp_b{k}"] for k in layers]),
         scaler=WeatherScaler(mean=arrays["scaler_mean"], scale=arrays["scaler_scale"]),
         eps=meta_value(meta, "eps", NUMBER),
         trig_window=meta_value(meta, "trig_window", COUNT),

@@ -76,8 +76,8 @@ class EdgeWeights:
     """Coupling weights over a candidate graph, stored per edge.
 
     w[e] is alpha[tgt[e], src[e]]. The dense K x K `alpha` (unit diagonal,
-    zero off the candidate set) is a derived read-only view; the constructor
-    also accepts one via `alpha=`, keeping only its candidate entries.
+    zero off the candidate set) is a read-only view for tests and benchmarks;
+    the constructor also accepts one via `alpha=`, keeping its candidate entries.
     """
 
     def __init__(self, graph: Graph, w=None, *, alpha=None):

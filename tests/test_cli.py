@@ -24,6 +24,7 @@ from gridshock.weather_effect import CHUNK_SLOTS
 
 HOURS = 24
 UNITS = 4
+EDGES = UNITS * (UNITS - 1)  # the demo fit's candidate graph: 3 neighbours of each of the 4 units
 
 
 def _write_demo_csvs(root, rng):
@@ -851,9 +852,35 @@ def _drop_array(name):
     return edit
 
 
-def _reshape_alpha(header):
-    (entry,) = (e for e in header["arrays"] if e["name"] == "alpha")
-    entry["shape"] = [UNITS + 1, UNITS]
+def _lengthen_edge_weight(header):
+    (entry,) = (e for e in header["arrays"] if e["name"] == "edge_weight")
+    entry["shape"] = [entry["shape"][0] + 1]
+    return header
+
+
+def _rewrite_arrays(change):
+    """A corruption of the stored arrays: `change(arrays)` edits them in place, and
+    the container is written again with its meta."""
+    return "arrays", change
+
+
+def _float_edges(arrays):
+    for name in ("edge_source", "edge_target"):
+        arrays[name] = arrays[name].astype(np.float64)
+
+
+def _reverse_edges(arrays):
+    for name in ("edge_source", "edge_target", "edge_weight"):
+        arrays[name] = arrays[name][::-1]
+
+
+def _float_counts(arrays):
+    arrays["counts"] = arrays["counts"].astype(np.float64)
+    arrays["counts"][0, 0] = 2.7
+
+
+def _v1_schema(header):
+    header["schema"] = "gridshock-model-v1"
     return header
 
 
@@ -878,30 +905,31 @@ def _set_meta(path, value):
 @pytest.mark.parametrize(
     "corrupt, edit, match",
     [
-        ("model", _reshape_alpha, "array 'alpha': 128 bytes do not hold shape [5, 4]"),
+        ("model", _lengthen_edge_weight, f"array 'edge_weight': {8 * EDGES} bytes do not hold shape [{EDGES + 1}]"),
         ("model", _drop_array("beta"), "container has no entry 'beta'"),
         ("dataset", _drop_array("counts"), "container has no entry 'counts'"),
         ("dataset", _drop_grid, "container has no entry 'grid'"),
         ("model", _set_meta(["num_layers"], "3"), "meta key 'num_layers' must be an integer >= 0, got '3'"),
-        ("model", _set_meta(["edges", 0], [0]), "meta key 'edges' must be a list of [source, target] pairs"),
+        ("model", _rewrite_arrays(_float_edges), "array 'edge_source' must hold integers, got dtype float64"),
+        ("model", _rewrite_arrays(_reverse_edges),
+         "edge_source and edge_target must be vectors of one length in (target, source) order"),
+        ("model", _v1_schema, "schema 'gridshock-model-v1' is not compatible with expected 'gridshock-model-v2'"),
+        ("dataset", _rewrite_arrays(_float_counts), "array 'counts' must hold integers, got dtype float64"),
         ("model", _set_meta(["eps"], None), "meta key 'eps' must be a number, got None"),
         ("dataset", _set_meta(["grid", "slot_seconds"], 3600.0), "meta key 'grid.slot_seconds' must be an integer"),
         ("dataset", _set_meta(["units", 1, "lat"], "42.1"), "meta key 'units[1].lat' must be a number, got '42.1'"),
         ("dataset", _set_meta(["units"], {}), "meta key 'units' must be a list of objects, got {}"),
-        ("model", ((0, 0), 5.0), "alpha[0, 0] is 5.0, but the diagonal is fixed at 1"),
-        ("model", ((0, 1), 7.0), "alpha[0, 1] is 7.0, but (1, 0) is not a candidate edge"),
     ],
 )
 def test_a_corrupt_container_exits_4(pipeline, tmp_path, capsys, corrupt, edit, match):
     files = {"dataset": tmp_path / "dataset.gshk", "model": tmp_path / "model.gshk"}
     for name, path in files.items():
         path.write_bytes(pipeline[name].read_bytes())
-    if isinstance(edit, tuple):  # a stray cell of the stored dense alpha, its pair dropped from the graph
-        (i, j), value = edit
-        meta, arrays = read_container(files[corrupt], model.MODEL_SCHEMA)
-        meta["edges"] = [e for e in meta["edges"] if e != [j, i]]
-        arrays["alpha"][i, j] = value
-        write_container(files[corrupt], model.MODEL_SCHEMA, meta, arrays)
+    if isinstance(edit, tuple):
+        schema = model.MODEL_SCHEMA if corrupt == "model" else ingest.DATASET_SCHEMA
+        meta, arrays = read_container(files[corrupt], schema)
+        edit[1](arrays)
+        write_container(files[corrupt], schema, meta, arrays)
     else:
         rewrite_container_header(files[corrupt], edit)
     for validate in ([], ["--validate-only"]):  # both read the containers whole
@@ -1086,6 +1114,33 @@ def test_model_file_with_a_negative_rate_is_rejected_at_load(pipeline, tmp_path,
                            "--output-dir", str(tmp_path / "pred"), *validate])
             assert rc == 2
             assert f"{field}[{index}] must be a finite number >= 0, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize(
+    "field, index, value, match",
+    [
+        ("scale", 1, -2.0, "scaler_scale[1] must be a finite number > 0, got -2.0"),
+        ("scale", 0, 0.0, "scaler_scale[0] must be a finite number > 0, got 0.0"),
+        ("scale", 1, math.nan, "scaler_scale[1] must be a finite number > 0, got nan"),
+        ("mean", 0, math.inf, "scaler_mean[0] must be a finite number, got inf"),
+        ("scale", None, None, "scaler mean/scale shapes (2,) and (1,) must match the 2 weather variables"),
+    ],
+)
+def test_model_file_with_a_bad_weather_scaler_is_rejected_at_load(pipeline, tmp_path, capsys, field, index, value,
+                                                                   match):
+    params = deserialize(pipeline["model"])
+    if index is None:  # one entry for two variables would broadcast
+        params.scaler.scale = params.scaler.scale[:1]
+    else:
+        getattr(params.scaler, field)[index] = value
+    bad = tmp_path / "bad_model.gshk"
+    model.serialize(params, bad)
+    for validate in ([], ["--validate-only"]):
+        rc = cli.main(["predict", "--dataset", str(pipeline["dataset"]), "--model", str(bad),
+                       "--output-dir", str(tmp_path / "pred"), *validate])
+        err = capsys.readouterr().err
+        assert rc == 2 and match in err and "weather input" not in err
     assert not (tmp_path / "pred").exists()
 
 

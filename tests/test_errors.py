@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridshock import errors
-from gridshock.errors import COUNT, INTEGER, NONNEGATIVE, NUMBER, POSITIVE, FileFormatError, ValidationError
+from gridshock.errors import COUNT, FINITE, INTEGER, NONNEGATIVE, NUMBER, POSITIVE, FileFormatError, ValidationError
 
 EDGE_VALUES = [math.nan, math.inf, -math.inf, 10**400, -(10**400), True, False, np.bool_(True), np.bool_(False),
                np.int64(-3), np.int64(0), np.int64(7), np.float64(math.nan), np.float64(2.5), np.float64(-0.0),
@@ -23,8 +23,8 @@ VALUES = st.one_of(
     st.lists(st.integers(-3, 3), max_size=3),
 )
 KINDS = st.one_of(
-    st.sampled_from([errors.INTEGER, errors.COUNT, errors.NUMBER, errors.POSITIVE, errors.NONNEGATIVE, errors.TEXT,
-                     errors.OBJECT, errors.OBJECTS, errors.TEXTS, errors.INTEGERS, errors.PAIRS]),
+    st.sampled_from([errors.INTEGER, errors.COUNT, errors.NUMBER, errors.FINITE, errors.POSITIVE, errors.NONNEGATIVE,
+                     errors.TEXT, errors.OBJECT, errors.OBJECTS, errors.TEXTS, errors.INTEGERS]),
     st.builds(errors.at_least, st.integers(-2, 3)),
     st.builds(errors.one_of, st.lists(st.text(max_size=2), min_size=1, max_size=3).map(tuple)),
 )
@@ -60,5 +60,6 @@ def test_the_numeric_kinds_refuse_bools_and_non_finite_numbers(value):
     assert COUNT[0](value) == (integral and value >= 0)
     assert errors.at_least(2)[0](value) == (integral and value >= 2)
     assert NUMBER[0](value) == (number is not None)
+    assert FINITE[0](value) == finite
     assert POSITIVE[0](value) == (finite and number > 0)
     assert NONNEGATIVE[0](value) == (finite and number >= 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -11,9 +12,11 @@ from scipy.special import expit
 
 from oracles import add_at_coupling, naive_intensity_field, naive_mu
 from synth import random_small_instance, random_small_params
+from gridshock.container import read_container
 from gridshock.errors import ValidationError
 from gridshock.model import (
     MLP_CHUNK_ROWS,
+    MODEL_SCHEMA,
     Coupling,
     IntensityField,
     Kernel,
@@ -33,7 +36,7 @@ from gridshock.model import (
     weather_response,
 )
 from gridshock import model as model_module
-from gridshock.topology import EdgeWeights, Graph
+from gridshock.topology import EdgeWeights, Graph, enforce_no_loops
 from gridshock.weather_effect import CHUNK_SLOTS, DecayConfig, WeatherScaler, accumulate
 
 
@@ -533,29 +536,64 @@ def test_params_copy_is_deep():
     assert params.mlp.weights[0][0, 0] != clone.mlp.weights[0][0, 0]
 
 
-def test_serialize_roundtrip(tmp_path):
-    rng = np.random.default_rng(13)
-    params = random_small_params(rng, K=4, M=2, n_edges=5, hidden=(3, 2))
-    path = tmp_path / "model.gshk"
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**16), K=st.integers(2, 12), data=st.data())
+def test_serialize_roundtrip(tmp_path_factory, seed, K, data):
+    rng = np.random.default_rng(seed)
+    pairs = [(s, t) for s in range(K) for t in range(K) if s != t]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))  # any subset, even none
+    graph = Graph(num_nodes=K, edges=tuple(e for e, k in zip(pairs, keep) if k))
+    weights = enforce_no_loops(EdgeWeights(graph, rng.uniform(0.05, 0.6, len(graph.edges))))  # zeros on loop pairs
+    params = random_small_params(rng, K=K, M=2, hidden=(3, 2))
+    params = dataclasses.replace(params, alpha=weights,
+                                 scaler=WeatherScaler(mean=rng.normal(size=2), scale=rng.uniform(0.5, 2.0, 2)))
+    path = tmp_path_factory.mktemp("model") / "model.gshk"
     serialize(params, path)
     again = deserialize(path)
-    assert again.alpha.w.tobytes() == params.alpha.w.tobytes()
-    assert_array_equal(again.alpha.alpha, params.alpha.alpha)
-    serialize(again, tmp_path / "again.gshk")
-    assert (tmp_path / "again.gshk").read_bytes() == path.read_bytes()
     assert again.graph.edges == params.graph.edges
-    assert_array_equal(again.beta, params.beta)
-    assert_array_equal(again.gamma, params.gamma)
-    assert_array_equal(again.decay.omega, params.decay.omega)
+    for got, want in [(again.alpha.w, params.alpha.w), (again.beta, params.beta), (again.gamma, params.gamma),
+                      (again.decay.omega, params.decay.omega), (again.scaler.mean, params.scaler.mean),
+                      (again.scaler.scale, params.scaler.scale), *zip(again.mlp.weights, params.mlp.weights),
+                      *zip(again.mlp.biases, params.mlp.biases)]:
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
     assert again.decay.window_slots == params.decay.window_slots
     assert again.eps == params.eps and again.trig_window == params.trig_window
-    assert again.scaler == params.scaler
-    for w1, w2 in zip(again.mlp.weights, params.mlp.weights):
-        assert_array_equal(w1, w2)
+    serialize(again, path.with_name("again.gshk"))
+    assert path.with_name("again.gshk").read_bytes() == path.read_bytes()
+    meta, arrays = read_container(path, MODEL_SCHEMA)
+    assert "edges" not in meta
+    assert all(a.ndim == 1 for name, a in arrays.items() if not name.startswith("mlp_w"))  # no K x K array
     # identical intensities on fresh data
-    counts = rng.integers(0, 3, (4, 6))
-    weather = rng.normal(size=(4, 6, 2))
+    counts = rng.integers(0, 3, (K, 6))
+    weather = rng.normal(size=(K, 6, 2))
     assert_array_equal(intensity_field(again, counts, weather).lam, intensity_field(params, counts, weather).lam)
+
+
+def test_model_file_save_and_load_memory_grows_with_edges_and_units(tmp_path):
+    K, M = 3000, 4
+    # each unit coupled both ways with the next four: 24000 candidate edges, loops pruned
+    edges = tuple((s, (s + d) % K) for s in range(K) for d in (1, 2, 3, 4)) + tuple(
+        ((s + d) % K, s) for s in range(K) for d in (1, 2, 3, 4))
+    rng = np.random.default_rng(21)
+    params = ModelParams(
+        alpha=enforce_no_loops(EdgeWeights(Graph(num_nodes=K, edges=edges), rng.uniform(0.05, 0.6, len(edges)))),
+        beta=rng.uniform(0.3, 2.0, K),
+        gamma=rng.uniform(0.1, 1.5, K),
+        decay=DecayConfig(omega=rng.uniform(0.0, 1.2, M)),
+        mlp=MlpParams.init_random(M, hidden=(32, 16), seed=21),
+        scaler=WeatherScaler(mean=np.zeros(M), scale=np.ones(M)),
+    )
+    path = tmp_path / "model.gshk"
+    tracemalloc.start()
+    try:
+        serialize(params, path)
+        again = deserialize(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again.alpha.w.tobytes() == params.alpha.w.tobytes()
+    # a dense K x K coupling alone would be 8 K^2 bytes, 72 MB here
+    assert peak < 1024 * (len(edges) + K), f"peak {peak} bytes for {len(edges)} edges and {K} units"
 
 
 def test_deserialize_rejects_wrong_schema(tmp_path):
