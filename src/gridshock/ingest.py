@@ -29,7 +29,7 @@ import numpy as np
 
 from .container import integer_array, meta_value, read_container, write_container
 from .errors import COUNT, INTEGER, NUMBER, OBJECT, OBJECTS, TEXT, TEXTS, SchemaError, ValidationError, at_least
-from .errors import AGGREGATIONS, checked, one_of
+from .errors import AGGREGATIONS, FileFormatError, checked, one_of
 
 DATASET_SCHEMA = "gridshock-ds-v1"
 DEFAULT_SLOT_SECONDS = 10800  # 3-hour slots
@@ -555,7 +555,8 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Load a gridshock-ds-v1 container written by :func:`save_dataset`."""
+    """Load a gridshock-ds-v1 container written by :func:`save_dataset`. A gap mask
+    that is not K x T is a FileFormatError naming the file and the array."""
     meta, arrays = read_container(path, DATASET_SCHEMA)
     units = [
         UnitMeta(
@@ -572,16 +573,18 @@ def load_dataset(path) -> Dataset:
         slot_seconds=meta_value(grid, "slot_seconds", COUNT, "grid.slot_seconds"),
         num_slots=meta_value(grid, "num_slots", COUNT, "grid.num_slots"),
     )
-    out_mask = arrays.get("outage_gap_mask")
-    wx_mask = arrays.get("weather_gap_mask")
-    outages = OutageSeries(
-        counts=integer_array(arrays, "counts"),
-        gap_mask=None if out_mask is None else out_mask.astype(bool),
-    )
+    masks = {}
+    for name in ("outage_gap_mask", "weather_gap_mask"):
+        mask = arrays.get(name)
+        if mask is not None and mask.shape != (len(units), grid.num_slots):
+            raise FileFormatError(f"{arrays.path}: array {name!r} must be K x T = {len(units)} x {grid.num_slots}, "
+                                  f"got shape {list(mask.shape)}")
+        masks[name] = None if mask is None else mask.astype(bool)
+    outages = OutageSeries(counts=integer_array(arrays, "counts"), gap_mask=masks["outage_gap_mask"])
     weather = WeatherTensor(
         values=arrays["weather"],
         variable_names=meta_value(meta, "variable_names", TEXTS),
-        gap_mask=None if wx_mask is None else wx_mask.astype(bool),
+        gap_mask=masks["weather_gap_mask"],
     )
     return Dataset(units=units, grid=grid, outages=outages, weather=weather)
 

@@ -22,14 +22,14 @@ same bits, and gets the input gradient back already contracted with dv/domega),
 `Kernel` rolls the truncated-kernel state forward, slot by slot or as one roll
 carried across the blocks of a pass (the weather's windowed sums are fresh sums, in
 weather_effect), and `Coupling` adds sum_j alpha[i, j] R[j] over the graph's per-edge
-weights in a fixed order, so evaluation is bit-reproducible; `intensity_from_state`
-forms lambda from a kernel state for prediction and the rollouts, and
-`intensity_blocks` from a block's kernel sums for the intensity field and fit's
-forward-only log-likelihood. Whole-series passes (the intensity field, prediction's
-start states, fit's full-series evaluations) walk the blocks of `time_blocks` on one
-kernel roll from slot 0, so each slot gets the same bits in all of them; a minibatch
-restarts the roll at its own window. `intensity` is the slow single-cell reference,
-one row through the network.
+weights in a fixed order, so evaluation is bit-reproducible. Every lambda is formed by
+`intensity_from_trigger`, in place of its triggering term: from a kernel state
+(`intensity_from_state`: prediction, rollouts), from a block of `trigger_blocks` (the
+intensity field, fit's forward-only score) or per network chunk of a gradient evaluation.
+Whole-series passes (the intensity field, prediction's start states, fit's full-series
+evaluations) walk the blocks of `time_blocks` on one kernel roll from slot 0, so each
+slot gets the same bits in all of them; a minibatch restarts the roll at its own
+window. `intensity` is the slow single-cell reference, one row through the network.
 """
 
 from __future__ import annotations
@@ -450,10 +450,16 @@ def _grouped_sum(X: np.ndarray, groups: list) -> np.ndarray:
     return out
 
 
+def intensity_from_trigger(trigger: np.ndarray, direct, eps: float) -> np.ndarray:
+    """lambda = (direct + trigger) + eps, formed in place of the triggering term `trigger`
+    and returned; `direct` broadcasts against it. Every lambda of the model is formed here."""
+    return np.add(np.add(direct, trigger, out=trigger), eps, out=trigger)
+
+
 def intensity_from_state(direct, coupling: Coupling, beta: np.ndarray, P: np.ndarray, eps: float) -> np.ndarray:
     """lambda = direct + sum_j alpha[i, j] beta_j P[j] + eps from the kernel state P, whose
     leading axes are those of beta: (K,), or (K, S) for S sets stacked in `coupling`."""
-    return direct + coupling.apply(_per_lead(beta, P) * P) + eps
+    return intensity_from_trigger(coupling.apply(_per_lead(beta, P) * P), direct, eps)
 
 
 def indirect_field(alpha: EdgeWeights, R: np.ndarray) -> np.ndarray:
@@ -522,24 +528,19 @@ def intensity(params: ModelParams, history, v: np.ndarray, i: int, t: int):
     return lam, direct, indirect
 
 
-def intensity_blocks(params: ModelParams, counts: np.ndarray, coupling: Coupling, direct, indirect=None):
-    """Yield (t0, t1, lambda) for each block of :func:`time_blocks`: lambda =
-    (direct + indirect) + eps at slots [t0, t1), a new K x (t1 - t0) array, its
-    triggering term from one kernel roll and `coupling`. `direct(t0, t1)` gives the
-    block's weather term; when `indirect` (K x T) is given, each block's triggering
-    term is written into it. The parameters are not checked, so perturbed copies
+def trigger_blocks(params: ModelParams, counts: np.ndarray, coupling: Coupling):
+    """Yield (t0, t1, trigger) for each block of :func:`time_blocks`: the triggering
+    term sum_j alpha[i, j] R[j] at slots [t0, t1), a new K x (t1 - t0) array, from one
+    kernel roll and `coupling`. The parameters are not checked, so perturbed copies
     just outside the model space can be scored."""
     blocks = time_blocks(*counts.shape)
     sums = kernel_blocks(counts, params.beta, params.trig_window, blocks, grad=False)  # one (R, None) per block
     for t0, t1 in blocks:
-        lam = coupling.apply(next(sums)[0])  # the triggering term, with lambda formed in its place
-        if indirect is not None:
-            indirect[:, t0:t1] = lam
-        yield t0, t1, np.add(direct(t0, t1) + lam, params.eps, out=lam)
+        yield t0, t1, coupling.apply(next(sums)[0])
 
 
 def intensity_field(params: ModelParams, history, weather, direct: np.ndarray | None = None) -> IntensityField:
-    """Vectorized intensity over all cells, filled one block of :func:`intensity_blocks`
+    """Vectorized intensity over all cells, filled one block of :func:`trigger_blocks`
     at a time. The weather term is :func:`direct_from_weather` of `weather` unless
     the caller passes it as `direct`."""
     params.check_invariants()
@@ -549,9 +550,9 @@ def intensity_field(params: ModelParams, history, weather, direct: np.ndarray | 
     if direct.shape != counts.shape:
         raise ValidationError(f"weather term shape {direct.shape} does not match counts {counts.shape}")
     lam, indirect = np.empty(counts.shape), np.empty(counts.shape)
-    blocks = intensity_blocks(params, counts, Coupling(params.alpha), lambda t0, t1: direct[:, t0:t1], indirect)
-    for t0, t1, block in blocks:
-        lam[:, t0:t1] = block
+    for t0, t1, trigger in trigger_blocks(params, counts, Coupling(params.alpha)):
+        indirect[:, t0:t1] = trigger
+        lam[:, t0:t1] = intensity_from_trigger(trigger, direct[:, t0:t1], params.eps)
     return IntensityField(lam=lam, direct=direct, indirect=indirect, eps=params.eps)
 
 

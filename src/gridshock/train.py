@@ -21,9 +21,10 @@ bounded by the block budget and does not grow with the number of slots. The
 exact gradient (`gradients`, the analytic side of `fd_audit`) sums the block
 evaluation above. The log-likelihood alone (`log_likelihood`, the score `fit`
 takes after each epoch, `fd_audit`'s perturbed evaluations) runs no backward
-pass: each block's lambda comes from `model.intensity_blocks`, as `predict`'s
-does, with the block evaluation's bits, so the log-likelihood a fit reports
-is the one its saved model scores.
+pass: each block's triggering term comes from `model.trigger_blocks`, as
+`predict`'s does. Both evaluations form lambda in `model.intensity_from_trigger`,
+with the same bits, so the log-likelihood a fit reports is the one its saved
+model scores.
 
 The gradient norm `fit` reports per epoch is that of the sum of the epoch's
 minibatch gradients (see `FitReport`), which the update steps computed anyway.
@@ -52,12 +53,13 @@ from .model import (
     MlpParams,
     ModelParams,
     block_response,
-    intensity_blocks,
+    intensity_from_trigger,
     kernel_blocks,
     kernel_matrix_with_grad,
     mlp_backward,
     mlp_forward,  # noqa: F401  (binding patched by perfbench/tracer.py)
     time_blocks,
+    trigger_blocks,
 )
 from .topology import EdgeWeights, Graph, enforce_no_loops
 from .weather_effect import (
@@ -167,40 +169,37 @@ def _block_loglik_and_grads(
     """(ell, Gradients) over slots [t0, t1), with exact out-of-block history: a
     minibatch, whose kernel runs from the trig_window slots before t0."""
     R, dR = kernel_matrix_with_grad(counts, params.beta, params.trig_window, t0, t1)
-    return _evaluate_block(params, counts, x_scaled, t0, t1, R, dR)
+    return _evaluate_block(params, counts, x_scaled, t0, t1, R, dR, Coupling(params.alpha))
 
 
-def _evaluate_block(params: ModelParams, counts: np.ndarray, x_scaled: np.ndarray, t0: int, t1: int, R, dR):
-    """(ell, Gradients) over slots [t0, t1), given the block's kernel sums R and dR/dbeta.
+def _evaluate_block(params: ModelParams, counts: np.ndarray, x_scaled: np.ndarray, t0: int, t1: int, R, dR, coupling):
+    """(ell, Gradients) over slots [t0, t1), given the block's kernel sums R and dR/dbeta
+    and the Coupling of `params.alpha`.
 
     The weather sums are computed at the block's slots only, reading their
     history from `x_scaled`, so in-block values are identical to a full-series pass.
     """
     v, dvdo = accumulate_with_grad(x_scaled, params.decay, t0, t1)
 
-    # One network pass: each chunk's mu goes straight into lambda = gamma mu +
-    # indirect + eps (formed in place of the indirect term), W = N / lambda - 1
-    # and the upstream gradient W gamma, while backprop still has its activations.
+    # One network pass: each chunk's mu goes straight into lambda (formed in place of
+    # the triggering term), W = N / lambda - 1 and the upstream gradient W gamma, while
+    # backprop still has its activations. Rows are (unit, slot) cells, unit-major.
     K, Tb = R.shape
     n_blk = counts[:, t0:t1]
-    coupling = Coupling(params.alpha)
+    n_rows, gamma_rows = n_blk.reshape(-1), np.repeat(params.gamma, Tb)
     lam = coupling.apply(R)
     mu, W = np.empty((K, Tb)), np.empty((K, Tb))
     dmu = np.empty(K * Tb)
     lam_rows, mu_rows, W_rows = lam.reshape(-1), mu.reshape(-1), W.reshape(-1)
 
     def on_chunk(rows, mu_chunk):
-        # the rows of units u0..u1-1 that the chunk spans, as a span of their slots
-        u0, u1 = rows.start // Tb, (rows.stop - 1) // Tb + 1
-        span = slice(rows.start - u0 * Tb, rows.stop - u0 * Tb)
-        gamma = np.repeat(params.gamma[u0:u1], Tb)[span]
-        lam_chunk = np.add(gamma * mu_chunk + lam_rows[rows], params.eps, out=lam_rows[rows])
+        lam_chunk = intensity_from_trigger(lam_rows[rows], gamma_rows[rows] * mu_chunk, params.eps)
         if not np.isfinite(lam_chunk).all():
             unit, slot = divmod(rows.start + int(np.argmax(~np.isfinite(lam_chunk))), Tb)
             raise NumericError(f"non-finite intensity at (unit={unit}, slot={t0 + slot})")
         mu_rows[rows] = mu_chunk
-        W_chunk = np.subtract(n_blk[u0:u1].reshape(-1)[span] / lam_chunk, 1.0, out=W_rows[rows])
-        np.multiply(W_chunk, gamma, out=dmu[rows])
+        W_chunk = np.subtract(n_rows[rows] / lam_chunk, 1.0, out=W_rows[rows])
+        np.multiply(W_chunk, gamma_rows[rows], out=dmu[rows])
 
     M = v.shape[2]
     grad_mlp, grad_omega = mlp_backward(
@@ -222,30 +221,28 @@ def _evaluate_block(params: ModelParams, counts: np.ndarray, x_scaled: np.ndarra
 
 def _series_loglik_and_grads(params: ModelParams, counts: np.ndarray, x_scaled: np.ndarray):
     """(ell, Gradients) over every slot: the blocks of :func:`model.time_blocks`,
-    evaluated in order on one kernel roll carried across them and summed. Its
-    kernel sums are those of every forward pass, whatever the block size."""
-    blocks = time_blocks(*counts.shape)
+    evaluated in order on one kernel roll carried across them and one Coupling,
+    and summed. Its kernel sums are those of every forward pass, whatever the block size."""
+    blocks, coupling = time_blocks(*counts.shape), Coupling(params.alpha)
     sums = kernel_blocks(counts, params.beta, params.trig_window, blocks)  # one (R, dR) per block
     (t0, t1), *rest = blocks
-    ll, grads = _evaluate_block(params, counts, x_scaled, t0, t1, *next(sums))
+    ll, grads = _evaluate_block(params, counts, x_scaled, t0, t1, *next(sums), coupling)
     for t0, t1 in rest:
-        block_ll, block_grads = _evaluate_block(params, counts, x_scaled, t0, t1, *next(sums))
+        block_ll, block_grads = _evaluate_block(params, counts, x_scaled, t0, t1, *next(sums), coupling)
         ll += block_ll
         grads.add(block_grads)
     return ll, grads
 
 
 def _series_loglik(params: ModelParams, counts: np.ndarray, weather, scaled: bool = True) -> float:
-    """ell over every slot with no backward pass: each block's lambda from
-    :func:`model.intensity_blocks`, its weather term read from standardized
-    weather (`scaled`) or standardized block by block from raw weather, and the
-    blocks' sums added in order, so it is :func:`_series_loglik_and_grads`' ell bit for bit."""
-
-    def direct(t0, t1):
-        return params.gamma[:, None] * block_response(params, weather, t0, t1, scaled)
-
+    """ell over every slot with no backward pass: each block's lambda from its
+    triggering term of :func:`model.trigger_blocks` and its weather term, read from
+    standardized weather (`scaled`) or standardized block by block from raw weather,
+    and the blocks' sums added in order, so it is :func:`_series_loglik_and_grads`' ell bit for bit."""
     ll = 0.0
-    for t0, t1, lam in intensity_blocks(params, counts, Coupling(params.alpha), direct):
+    for t0, t1, trigger in trigger_blocks(params, counts, Coupling(params.alpha)):
+        direct = params.gamma[:, None] * block_response(params, weather, t0, t1, scaled)
+        lam = intensity_from_trigger(trigger, direct, params.eps)
         finite = np.isfinite(lam)
         if not finite.all():
             unit, slot = divmod(int(np.argmax(~finite)), t1 - t0)

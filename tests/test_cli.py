@@ -940,6 +940,23 @@ def test_a_corrupt_container_exits_4(pipeline, tmp_path, capsys, corrupt, edit, 
         assert f"file error: {files[corrupt]}: {match}" in err
 
 
+@pytest.mark.parametrize("mask", ["outage_gap_mask", "weather_gap_mask"])
+@pytest.mark.parametrize("validate", [[], ["--validate-only"]], ids=["run", "validate-only"])
+def test_a_gap_mask_that_is_not_k_by_t_exits_4(pipeline, tmp_path, capsys, mask, validate):
+    # one slot short of the grid, a mask that `predict` used to read without a word
+    bad = tmp_path / "dataset.gshk"
+    meta, arrays = read_container(pipeline["dataset"], ingest.DATASET_SCHEMA)
+    arrays[mask] = arrays[mask][:, :-1]
+    write_container(bad, ingest.DATASET_SCHEMA, meta, arrays)
+    rc = cli.main(["predict", "--dataset", str(bad), "--model", str(pipeline["model"]),
+                   "--output-dir", str(tmp_path / "out"), *validate])
+    err = capsys.readouterr().err
+    assert rc == 4 and "Traceback" not in err
+    assert (f"file error: {bad}: array '{mask}' must be K x T = {UNITS} x {HOURS}, "
+            f"got shape [{UNITS}, {HOURS - 1}]") in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, payload, match",
     [

@@ -26,6 +26,7 @@ from gridshock.model import (
     indirect_field,
     intensity,
     intensity_field,
+    intensity_from_trigger,
     kernel_mass_closed_form,
     kernel_matrix,
     mlp_backward,
@@ -417,6 +418,36 @@ def test_stacked_sets_give_each_set_its_own_bits(seed, K, density, S, B, window)
 
 
 # -- intensity ------------------------------------------------------------------
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 6),
+    S=st.integers(1, 3),
+    B=st.integers(1, 40),
+    caller=st.sampled_from(["block", "rows", "stacked"]),
+)
+def test_intensity_from_trigger_forms_lambda_in_place_of_the_triggering_term(seed, K, S, B, caller):
+    # the shapes its callers pass: a block's K x Tb terms, a network chunk's
+    # rows (a view into the block's triggering term) and the rollout's (K, S, 1)
+    # weather term against its (K, S, B) sums; values span many exponents
+    rng = np.random.default_rng(seed)
+    trigger_shape, direct_shape = {
+        "block": ((K, B), (K, B)),
+        "rows": ((K * B,), (K * B,)),
+        "stacked": ((K, S, B), (K, S, 1)),
+    }[caller]
+    n = math.prod(trigger_shape)
+    buffer = rng.uniform(0.0, 3.0, n + 2) * 10.0 ** rng.integers(-9, 4, n + 2)
+    before = buffer.copy()
+    trigger = buffer[1 : n + 1].reshape(trigger_shape)
+    direct = rng.uniform(0.0, 5.0, direct_shape) * 10.0 ** rng.integers(-9, 4, direct_shape)
+    eps = float(rng.uniform(1e-4, 1e-2))
+    expected = direct + trigger + eps
+    lam = intensity_from_trigger(trigger, direct, eps)
+    assert lam is trigger
+    assert_array_equal(lam, expected, strict=True)
+    assert_array_equal(buffer[[0, -1]], before[[0, -1]], strict=True)  # nothing beyond the term is written
 
 
 def _two_unit_params(alpha_01=0.5):

@@ -442,6 +442,28 @@ def test_reported_gradient_norm_is_that_of_the_epochs_summed_steps(monkeypatch):
     assert report.grad_norm_trace == [float(np.linalg.norm(g)) for g in sums]
 
 
+def test_series_passes_build_one_coupling(monkeypatch):
+    # the rank groups of alpha are built once per parameter set and whole-series
+    # pass, not once per block
+    rng = np.random.default_rng(41)
+    K, T = 3, 3 * CHUNK_SLOTS + 5
+    params, counts, weather = random_small_instance(rng, K=K, T=T, M=2, n_edges=4, hidden=(3,))
+    ds = wrap_dataset(counts, weather)
+    monkeypatch.setattr(model, "BLOCK_CELLS", K * CHUNK_SLOTS)  # blocks of one weather chunk
+    assert len(model.time_blocks(K, T)) == 4
+    built = []
+
+    def counted(*alphas):
+        built.append(alphas)
+        return Coupling(*alphas)
+
+    monkeypatch.setattr(train, "Coupling", counted)
+    gradients(params, ds)
+    assert len(built) == 1
+    log_likelihood(params, ds)
+    assert len(built) == 2
+
+
 def test_multi_block_fit_reports_the_saved_models_loglik(monkeypatch, tmp_path):
     ds = _tiny_dataset(seed=23, T=4 * CHUNK_SLOTS + 9)
     graph = build_candidate_graph(ds.units, k_neighbors=2, max_km=200.0)
