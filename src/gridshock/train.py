@@ -183,23 +183,23 @@ def _evaluate_block(params: ModelParams, counts: np.ndarray, x_scaled: np.ndarra
 
     # One network pass: each chunk's mu goes straight into lambda (formed in place of
     # the triggering term), W = N / lambda - 1 and the upstream gradient W gamma, while
-    # backprop still has its activations. Rows are (unit, slot) cells, unit-major.
+    # backprop still has its activations. Rows are (unit, slot) cells, unit-major; W
+    # starts as the counts and dmu as each row's gamma, replaced chunk by chunk.
     K, Tb = R.shape
     n_blk = counts[:, t0:t1]
-    n_rows, gamma_rows = n_blk.reshape(-1), np.repeat(params.gamma, Tb)
-    lam = coupling.apply(R)
-    mu, W = np.empty((K, Tb)), np.empty((K, Tb))
-    dmu = np.empty(K * Tb)
+    lam, mu = coupling.apply(R), np.empty((K, Tb))
+    W, dmu = n_blk.astype(np.float64, order="C"), np.repeat(params.gamma, Tb)
     lam_rows, mu_rows, W_rows = lam.reshape(-1), mu.reshape(-1), W.reshape(-1)
 
     def on_chunk(rows, mu_chunk):
-        lam_chunk = intensity_from_trigger(lam_rows[rows], gamma_rows[rows] * mu_chunk, params.eps)
+        gamma = dmu[rows]
+        lam_chunk = intensity_from_trigger(lam_rows[rows], gamma * mu_chunk, params.eps)
         if not np.isfinite(lam_chunk).all():
             unit, slot = divmod(rows.start + int(np.argmax(~np.isfinite(lam_chunk))), Tb)
             raise NumericError(f"non-finite intensity at (unit={unit}, slot={t0 + slot})")
         mu_rows[rows] = mu_chunk
-        W_chunk = np.subtract(n_rows[rows] / lam_chunk, 1.0, out=W_rows[rows])
-        np.multiply(W_chunk, gamma_rows[rows], out=dmu[rows])
+        W_chunk = np.subtract(W_rows[rows] / lam_chunk, 1.0, out=W_rows[rows])
+        np.multiply(W_chunk, gamma, out=gamma)
 
     M = v.shape[2]
     grad_mlp, grad_omega = mlp_backward(
@@ -241,8 +241,8 @@ def _series_loglik(params: ModelParams, counts: np.ndarray, weather, scaled: boo
     and the blocks' sums added in order, so it is :func:`_series_loglik_and_grads`' ell bit for bit."""
     ll = 0.0
     for t0, t1, trigger in trigger_blocks(params, counts, Coupling(params.alpha)):
-        direct = params.gamma[:, None] * block_response(params, weather, t0, t1, scaled)
-        lam = intensity_from_trigger(trigger, direct, params.eps)
+        lam = intensity_from_trigger(trigger, params.gamma[:, None] * block_response(params, weather, t0, t1, scaled),
+                                     params.eps)
         finite = np.isfinite(lam)
         if not finite.all():
             unit, slot = divmod(int(np.argmax(~finite)), t1 - t0)
