@@ -217,12 +217,17 @@ def _load_dataset(cfg: dict):
 
 
 def _load_inputs(cfg: dict, s: dict):
-    """The dataset and the fitted model every command after `fit` reads: the
-    reader of `predict`, `simulate` and `export-map`. It reads no setting;
-    it takes `s` because every reader takes the config and the settings."""
+    """The dataset and the fitted model every command after `fit` reads, with the same
+    unit count K and weather variable count M: the reader of `predict`, `simulate` and
+    `export-map`. It reads no setting; it takes `s` as every reader takes the settings."""
     from .model import deserialize
 
-    return _load_dataset(cfg), deserialize(_require_file(_require(cfg, "model", "--model"), "model"))
+    ds = _load_dataset(cfg)
+    params = deserialize(_require_file(_require(cfg, "model", "--model"), "model"))
+    if (params.num_units, params.num_variables) != (ds.num_units, ds.num_variables):
+        raise ValidationError(f"the model has K={params.num_units} units and M={params.num_variables} weather "
+                              f"variables, the dataset K={ds.num_units} and M={ds.num_variables}")
+    return ds, params
 
 
 # -- ingest -------------------------------------------------------------------

@@ -20,12 +20,13 @@ prediction: the network maps (n, M) rows to mu, MLP_CHUNK_ROWS at a time
 each chunk's mu from `mlp_backward`'s own forward step, so it needs one pass, with the
 same bits, and gets the input gradient back already contracted with dv/domega),
 `Kernel` rolls the truncated-kernel state forward, slot by slot or as one roll
-carried across the blocks of a pass (the weather's windowed sums are fresh sums, in
-weather_effect), and `Coupling` adds sum_j alpha[i, j] R[j] over the graph's per-edge
-weights in a fixed order, so evaluation is bit-reproducible. Every lambda is formed by
-`intensity_from_trigger`, in place of its triggering term: from a kernel state
-(`intensity_from_state`: prediction, rollouts), from a block of `trigger_blocks` (the
-intensity field, fit's forward-only score) or per network chunk of a gradient evaluation.
+carried across the blocks of a pass (the weather's windowed sums are fresh sums of raw
+weather standardized as they read it, in weather_effect), and `Coupling` adds
+sum_j alpha[i, j] R[j] over the graph's per-edge weights in a fixed order, so evaluation
+is bit-reproducible. Every lambda is formed by `intensity_from_trigger`, in place of its
+triggering term: from a kernel state (`intensity_from_state`: prediction, rollouts), from a
+block of `trigger_blocks` (the intensity field, fit's forward-only score) or per network
+chunk of a gradient evaluation.
 Whole-series passes (the intensity field, prediction's start states, fit's full-series
 evaluations) walk the blocks of `time_blocks` on one kernel roll from slot 0, so each
 slot gets the same bits in all of them; a minibatch restarts the roll at its own
@@ -474,17 +475,11 @@ def time_blocks(num_units: int, num_slots: int) -> list[tuple[int, int]]:
     return [(t0, min(t0 + width, num_slots)) for t0 in range(0, num_slots, width)]
 
 
-def block_response(params: ModelParams, weather, t0: int, t1: int, scaled: bool = False) -> np.ndarray:
-    """Network output mu(v) at slots [t0, t1), K x (t1 - t0). `weather` is raw, and only
-    the chunks of slots that the range reads are standardized, or is standardized already
-    (`scaled`); the values are the whole series' bit for bit either way."""
-    x = as_weather_array(weather)
-    K, _, M = x.shape
-    s = 0
-    if not scaled:
-        s = max(t0 - (params.decay.window_slots - 1), 0) // CHUNK_SLOTS * CHUNK_SLOTS  # its first history chunk
-        x = params.scaler.transform(x, s, t1)
-    v = accumulate(x, params.decay, t0 - s, t1 - s)
+def block_response(params: ModelParams, weather, t0: int, t1: int) -> np.ndarray:
+    """Network output mu(v) at slots [t0, t1) of raw `weather`, K x (t1 - t0): the
+    whole series' values bit for bit, from the standardized sums of those slots only."""
+    v = accumulate(weather, params.decay, t0, t1, scaler=params.scaler)
+    K, _, M = v.shape
     return mlp_forward(params.mlp, v.reshape(-1, M)).reshape(K, t1 - t0)
 
 

@@ -24,7 +24,8 @@ takes after each epoch, `fd_audit`'s perturbed evaluations) runs no backward
 pass: each block's triggering term comes from `model.trigger_blocks`, as
 `predict`'s does. Both evaluations form lambda in `model.intensity_from_trigger`,
 with the same bits, so the log-likelihood a fit reports is the one its saved
-model scores.
+model scores. Every evaluation, minibatches included, reads the dataset's raw weather,
+which the weather sums standardize slot by slot, so no standardized series exists.
 
 The gradient norm `fit` reports per epoch is that of the sum of the epoch's
 minibatch gradients (see `FitReport`), which the update steps computed anyway.
@@ -163,23 +164,21 @@ def unpack(params: ModelParams, theta: np.ndarray) -> None:
     params.mlp.weights, params.mlp.biases = new_mlp.weights, new_mlp.biases
 
 
-def _block_loglik_and_grads(
-    params: ModelParams, counts: np.ndarray, x_scaled: np.ndarray, t0: int, t1: int
-):
+def _block_loglik_and_grads(params: ModelParams, counts: np.ndarray, weather, t0: int, t1: int):
     """(ell, Gradients) over slots [t0, t1), with exact out-of-block history: a
     minibatch, whose kernel runs from the trig_window slots before t0."""
     R, dR = kernel_matrix_with_grad(counts, params.beta, params.trig_window, t0, t1)
-    return _evaluate_block(params, counts, x_scaled, t0, t1, R, dR, Coupling(params.alpha))
+    return _evaluate_block(params, counts, weather, t0, t1, R, dR, Coupling(params.alpha))
 
 
-def _evaluate_block(params: ModelParams, counts: np.ndarray, x_scaled: np.ndarray, t0: int, t1: int, R, dR, coupling):
+def _evaluate_block(params: ModelParams, counts: np.ndarray, weather, t0: int, t1: int, R, dR, coupling):
     """(ell, Gradients) over slots [t0, t1), given the block's kernel sums R and dR/dbeta
     and the Coupling of `params.alpha`.
 
-    The weather sums are computed at the block's slots only, reading their
-    history from `x_scaled`, so in-block values are identical to a full-series pass.
+    The weather sums are computed at the block's slots only, standardizing the raw `weather`
+    that they read, history included, so in-block values are identical to a full-series pass.
     """
-    v, dvdo = accumulate_with_grad(x_scaled, params.decay, t0, t1)
+    v, dvdo = accumulate_with_grad(weather, params.decay, t0, t1, scaler=params.scaler)
 
     # One network pass: each chunk's mu goes straight into lambda (formed in place of
     # the triggering term), W = N / lambda - 1 and the upstream gradient W gamma, while
@@ -219,29 +218,29 @@ def _evaluate_block(params: ModelParams, counts: np.ndarray, x_scaled: np.ndarra
     return ll, grads
 
 
-def _series_loglik_and_grads(params: ModelParams, counts: np.ndarray, x_scaled: np.ndarray):
+def _series_loglik_and_grads(params: ModelParams, counts: np.ndarray, weather):
     """(ell, Gradients) over every slot: the blocks of :func:`model.time_blocks`,
     evaluated in order on one kernel roll carried across them and one Coupling,
     and summed. Its kernel sums are those of every forward pass, whatever the block size."""
     blocks, coupling = time_blocks(*counts.shape), Coupling(params.alpha)
     sums = kernel_blocks(counts, params.beta, params.trig_window, blocks)  # one (R, dR) per block
     (t0, t1), *rest = blocks
-    ll, grads = _evaluate_block(params, counts, x_scaled, t0, t1, *next(sums), coupling)
+    ll, grads = _evaluate_block(params, counts, weather, t0, t1, *next(sums), coupling)
     for t0, t1 in rest:
-        block_ll, block_grads = _evaluate_block(params, counts, x_scaled, t0, t1, *next(sums), coupling)
+        block_ll, block_grads = _evaluate_block(params, counts, weather, t0, t1, *next(sums), coupling)
         ll += block_ll
         grads.add(block_grads)
     return ll, grads
 
 
-def _series_loglik(params: ModelParams, counts: np.ndarray, weather, scaled: bool = True) -> float:
+def _series_loglik(params: ModelParams, counts: np.ndarray, weather) -> float:
     """ell over every slot with no backward pass: each block's lambda from its
-    triggering term of :func:`model.trigger_blocks` and its weather term, read from
-    standardized weather (`scaled`) or standardized block by block from raw weather,
-    and the blocks' sums added in order, so it is :func:`_series_loglik_and_grads`' ell bit for bit."""
+    triggering term of :func:`model.trigger_blocks` and its weather term of raw
+    `weather` (:func:`model.block_response`), and the blocks' sums added in order,
+    so it is :func:`_series_loglik_and_grads`' ell bit for bit."""
     ll = 0.0
     for t0, t1, trigger in trigger_blocks(params, counts, Coupling(params.alpha)):
-        lam = intensity_from_trigger(trigger, params.gamma[:, None] * block_response(params, weather, t0, t1, scaled),
+        lam = intensity_from_trigger(trigger, params.gamma[:, None] * block_response(params, weather, t0, t1),
                                      params.eps)
         finite = np.isfinite(lam)
         if not finite.all():
@@ -259,22 +258,18 @@ def log_likelihood(params: ModelParams, dataset: Dataset) -> float:
     grow with the number of slots.
     """
     params.check_invariants()
-    return _series_loglik(params, dataset.outages.counts, dataset.weather, scaled=False)
+    return _series_loglik(params, dataset.outages.counts, dataset.weather)
 
 
 def gradients(params: ModelParams, dataset: Dataset) -> Gradients:
     """Exact full-batch gradient of the log-likelihood for every group.
 
-    Summed over the same bounded time blocks as :func:`log_likelihood`.
+    Summed over the same bounded time blocks as :func:`log_likelihood`, so its memory
+    does not grow with the number of slots either.
     """
     params.check_invariants()
-    _, g = _series_loglik_and_grads(params, *_series_inputs(params, dataset))
+    _, g = _series_loglik_and_grads(params, dataset.outages.counts, dataset.weather)
     return g
-
-
-def _series_inputs(params: ModelParams, dataset: Dataset):
-    """(counts, standardized weather) of `dataset`, as the block evaluations read them."""
-    return dataset.outages.counts, params.scaler.transform(dataset.weather)
 
 
 def project(params: ModelParams) -> tuple[ModelParams, int]:
@@ -337,7 +332,6 @@ def fd_audit(params: ModelParams, dataset: Dataset, max_coords: int = 40, h: flo
     copies, which may step just outside the constraint set; nothing is mutated.
     """
     g = gradients(params, dataset).flat()
-    inputs = _series_inputs(params, dataset)
     theta = pack(params)
     rng = np.random.default_rng(seed)
     coords = range(theta.size)
@@ -348,7 +342,7 @@ def fd_audit(params: ModelParams, dataset: Dataset, max_coords: int = 40, h: flo
         p, th = params.copy(), theta.copy()
         th[k] += delta
         unpack(p, th)
-        return _series_loglik(p, *inputs)
+        return _series_loglik(p, dataset.outages.counts, dataset.weather)
 
     worst = 0.0
     for k in coords:
@@ -410,7 +404,7 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
     t_start = time.perf_counter()
     params = initialize(dataset, graph, seed=cfg.seed, cfg=cfg)
     report = FitReport(seed=cfg.seed)
-    counts, x_scaled = _series_inputs(params, dataset)
+    counts, weather = dataset.outages.counts, dataset.weather
     blocks = minibatches(counts.shape[1], cfg.batch_slots)
 
     adam = _AdamState(pack(params).shape) if cfg.optimizer == "adaptive-moments" else None
@@ -422,7 +416,7 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
         projections = 0
         for t0, t1 in blocks:
             try:
-                _, grads = _block_loglik_and_grads(params, counts, x_scaled, t0, t1)
+                _, grads = _block_loglik_and_grads(params, counts, weather, t0, t1)
             except NumericError as exc:
                 raise _left_finite_region(epoch, report, exc) from exc
             _apply_update(params, grads, cfg.step_size, adam)
@@ -433,7 +427,7 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
             else:
                 epoch_grads.add(grads)
         try:
-            ll = _series_loglik(params, counts, x_scaled)
+            ll = _series_loglik(params, counts, weather)
         except NumericError as exc:
             raise _left_finite_region(epoch, report, exc) from exc
         if not np.isfinite(ll):

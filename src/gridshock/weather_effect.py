@@ -15,7 +15,9 @@ rounding error is relative to that window and the rate's sign does not matter.
 Output slots are cut into chunks of CHUNK_SLOTS on a grid that starts at slot 0
 of the series, and each chunk is one matrix product per variable; a slot
 range [t0, t1) computes the chunks that it touches, so its values are the
-whole series' values at those slots, bit for bit.
+whole series' values at those slots, bit for bit. Given a `WeatherScaler`, the sums
+standardize each raw slot, x = (raw - mean) / scale, as they copy it into a chunk's
+input window, the only standardized weather there is; without one they sum raw values.
 """
 
 from __future__ import annotations
@@ -80,9 +82,9 @@ def _band(omega: np.ndarray, d: int, lag_sum: bool) -> np.ndarray:
     return table[:, np.concatenate([at, np.where(at >= 0, at + d, -1)], axis=1) if lag_sum else at]
 
 
-def _accumulate(weather, cfg: DecayConfig, lag_sum: bool, t0: int = 0, t1: int | None = None):
-    """(v, dv/domega) of `weather` at slots [t0, t1) (default: to the end) as
-    C-contiguous K x (t1 - t0) x M arrays; dv/domega is None unless `lag_sum`."""
+def _accumulate(weather, cfg: DecayConfig, lag_sum: bool, t0: int, t1: int | None, scaler):
+    """(v, dv/domega) of `weather`, standardized by `scaler` unless it is None, at slots [t0, t1)
+    (default: to the end) as C-contiguous K x (t1 - t0) x M arrays; dv/domega is None unless `lag_sum`."""
     C, d = CHUNK_SLOTS, cfg.window_slots
     # the chunk at c computes slots [c, c + C) from its window, slots [c - d + 1, c + C)
     first = t0 - t0 % C  # the chunk holding t0
@@ -91,24 +93,30 @@ def _accumulate(weather, cfg: DecayConfig, lag_sum: bool, t0: int = 0, t1: int |
     t1 = T if t1 is None else t1
     if not 0 <= t0 <= t1 <= T:
         raise ValidationError(f"slot range [{t0}, {t1}) is not within the {T} slots of the weather")
-    read = max(first - (d - 1), 0)
-    _finite(x[:, read : t1 + -t1 % C], read)  # every slot read
+    if scaler is not None:
+        if scaler.mean.shape[0] != M:
+            raise ValidationError(f"scaler was fit on {scaler.mean.shape[0]} variables, input has {M}")
+        mean, scale = scaler.mean[:, None, None], scaler.scale[:, None, None]
     if cfg.omega.shape[0] != M:
         raise ValidationError(f"omega has {cfg.omega.shape[0]} entries for {M} weather variables")
     band = _band(cfg.omega, d, lag_sum)
     # One chunk's input window at a time, as an (M, K, slot) copy that is zero
     # outside the series: every chunk is then the same product, of operands
     # that BLAS reads as they are, and no copy of the whole range is made.
-    window = np.empty((M, K, C + d - 1))
+    window = np.zeros((M, K, C + d - 1))
     out = np.empty((K, band.shape[2]))
     v = np.empty((K, t1 - t0, M))
     dv = np.empty_like(v) if lag_sum else None
     for c in range(first, t1, C):
         w0 = c - (d - 1)
         a, b = max(w0, 0) - w0, min(c + C, T) - w0  # the part of the window within the series
-        window[:, :, :a] = 0.0
         window[:, :, a:b] = x[:, w0 + a : w0 + b].transpose(2, 0, 1)
+        if scaler is not None:  # in place over the whole window, which is contiguous, so no temporary
+            window -= mean
+            window /= scale
+        window[:, :, :a] = 0.0
         window[:, :, b:] = 0.0
+        _finite(window.transpose(1, 2, 0), w0)  # its zeros outside the series are finite
         s, e = max(c, t0) - c, min(c + C, t1) - c  # the chunk's slots within [t0, t1)
         for m in range(M):
             np.matmul(window[m], band[m], out=out)
@@ -118,27 +126,29 @@ def _accumulate(weather, cfg: DecayConfig, lag_sum: bool, t0: int = 0, t1: int |
     return v, dv
 
 
-def accumulate(weather, cfg: DecayConfig, t0: int = 0, t1: int | None = None) -> np.ndarray:
+def accumulate(weather, cfg: DecayConfig, t0: int = 0, t1: int | None = None, *, scaler=None) -> np.ndarray:
     """Discounted windowed sum v of `weather` at slots [t0, t1), as in :func:`accumulate_with_grad`."""
-    return _accumulate(weather, cfg, lag_sum=False, t0=t0, t1=t1)[0]
+    return _accumulate(weather, cfg, False, t0, t1, scaler)[0]
 
 
-def accumulate_with_grad(weather, cfg: DecayConfig, t0: int = 0, t1: int | None = None):
+def accumulate_with_grad(weather, cfg: DecayConfig, t0: int = 0, t1: int | None = None, *, scaler=None):
     """Return (v, dv/domega) at slots [t0, t1) (default: every slot), both
-    K x (t1 - t0) x M, equal bit for bit to the whole series' at those slots.
+    K x (t1 - t0) x M, equal bit for bit to the whole series' at those slots, of the weather
+    standardized by `scaler` if given. A non-finite value read, raw or standardized, is an error.
 
     dv[i,t,m]/domega_m = sum_tau -(t - tau) * x[i,tau,m] * exp(-omega_m (t - tau)).
     """
-    return _accumulate(weather, cfg, lag_sum=True, t0=t0, t1=t1)
+    return _accumulate(weather, cfg, True, t0, t1, scaler)
 
 
 @dataclass
 class WeatherScaler:
     """Per-variable z-score standardization, fit on the training span.
 
-    Applied to raw weather *before* accumulation; persisted alongside the
-    model so held-out data is scaled identically. Constant variables get a
-    unit scale so they pass through as zeros rather than dividing by zero.
+    `accumulate` and `accumulate_with_grad` apply it to raw weather as they
+    read each slot; it is persisted alongside the model so held-out data is
+    scaled identically. Constant variables get a unit scale so they pass
+    through as zeros rather than dividing by zero.
     """
 
     mean: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -151,15 +161,6 @@ class WeatherScaler:
         std = x.std(axis=(0, 1))
         scale = np.where(std > 0, std, 1.0)
         return cls(mean=mean, scale=scale)
-
-    def transform(self, weather, t0: int = 0, t1: int | None = None) -> np.ndarray:
-        """(x - mean) / scale at slots [t0, t1) of `weather`, in one new array."""
-        x = as_weather_array(weather)
-        if x.shape[2] != self.mean.shape[0]:
-            raise ValidationError(f"scaler was fit on {self.mean.shape[0]} variables, input has {x.shape[2]}")
-        z = np.subtract(x[:, t0:t1], self.mean)
-        z /= self.scale
-        return _finite(z, t0)
 
     def __eq__(self, other):
         if not isinstance(other, WeatherScaler):

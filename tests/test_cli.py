@@ -13,7 +13,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from synth import make_weather, rewrite_container_header, wrap_dataset
+from synth import make_weather, random_small_params, rewrite_container_header, wrap_dataset
 from gridshock import analyze, cli, ingest, model, simulate, topology, train
 from gridshock.container import read_container, write_container
 from gridshock.errors import INTEGER, INTEGERS, NUMBER
@@ -1215,6 +1215,24 @@ def _enhance_exit_and_error(pipeline, out, extra, capsys):
         rc = cli.main([*argv, *validate])
         results.append((rc, capsys.readouterr().err))
     return results
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("predict", []), ("simulate", ["--replications", "2"]), ("enhance", ["--sweep-units", "0", "--sweep-edges", "0"]),
+    ("analyze", []), ("export-map", []),
+])
+@pytest.mark.parametrize("validate", [[], ["--validate-only"]], ids=["run", "validate-only"])
+@pytest.mark.parametrize("K, M", [(UNITS + 1, 2), (UNITS, 3)], ids=["units", "variables"])
+def test_a_model_of_another_size_than_the_dataset_exits_2(pipeline, tmp_path, capsys, command, extra, validate, K, M):
+    model_path = tmp_path / "model.gshk"
+    model.serialize(random_small_params(np.random.default_rng(K * M), K=K, M=M), model_path)
+    out = tmp_path / "out"
+    rc = cli.main([command, "--dataset", str(pipeline["dataset"]), "--model", str(model_path),
+                   "--output-dir", str(out), *extra, *validate])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"the model has K={K} units and M={M} weather variables, the dataset K={UNITS} and M=2" in err
+    assert not out.exists()
 
 
 def test_a_malformed_scenario_file_exits_2(pipeline, tmp_path, capsys):

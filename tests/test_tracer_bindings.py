@@ -13,7 +13,7 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # The leading parameters that the tracer's span labels and counters read, by
 # position, from each call of the function bound under that name.
 TRACED_ARGUMENTS = {
-    "_block_loglik_and_grads": ["params", "counts", "x_scaled", "t0", "t1"],
+    "_block_loglik_and_grads": ["params", "counts", "weather", "t0", "t1"],
     "mlp_forward": ["mlp", "v"],
     "mlp_backward": ["mlp", "cache", "dmu"],
     "simulate_paths": ["params", "weather", "grid", "R", "seed"],

@@ -131,7 +131,7 @@ def test_alpha_gradient_is_the_per_edge_dot_product(seed, K, T, n_edges):
         params.alpha = EdgeWeights(graph=Graph(num_nodes=K, edges=()))
     ds = wrap_dataset(counts, weather)
     # W = N / lambda - 1 and R as the full-series evaluation forms them
-    v, _ = accumulate_with_grad(params.scaler.transform(ds.weather), params.decay)
+    v, _ = accumulate_with_grad(ds.weather, params.decay, scaler=params.scaler)
     R, _ = kernel_matrix_with_grad(counts, params.beta, params.trig_window)
     direct = params.gamma[:, None] * mlp_forward(params.mlp, v.reshape(K * T, 2)).reshape(K, T)
     lam = direct + Coupling(params.alpha).apply(R) + params.eps
@@ -141,11 +141,13 @@ def test_alpha_gradient_is_the_per_edge_dot_product(seed, K, T, n_edges):
     assert_array_equal(gradients(params, ds).alpha, expected, strict=True)
 
 
-def _two_pass_reference(params, counts, x_scaled, t0, t1):
+def _two_pass_reference(params, counts, weather, t0, t1):
     """The block evaluator with a separate forward pass: mu and lambda over
     the whole block first, then backprop of the finished upstream gradient.
-    Its weather is the whole series' v and dv/domega, sliced at the block."""
-    v_all, dvdo_all = accumulate_with_grad(x_scaled, params.decay)
+    Its weather is the whole series' v and dv/domega of the weather standardized
+    by the formula, sliced at the block."""
+    z = (weather - params.scaler.mean) / params.scaler.scale
+    v_all, dvdo_all = accumulate_with_grad(z, params.decay)
     v, dvdo = v_all[:, t0:t1], dvdo_all[:, t0:t1]
     s_tk = max(0, t0 - params.trig_window)
     R_full, dR_full = kernel_matrix_with_grad(counts[:, s_tk:t1], params.beta, params.trig_window)
@@ -171,20 +173,20 @@ def _two_pass_reference(params, counts, x_scaled, t0, t1):
     )
 
 
-def _evaluation(fn, params, counts, x_scaled, t0, t1):
+def _evaluation(fn, params, counts, weather, t0, t1):
     """("raised", message) or ("ok", ll, every gradient group)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            ll, g = fn(params, counts, x_scaled, t0, t1)
+            ll, g = fn(params, counts, weather, t0, t1)
     except NumericError as exc:
         return ("raised", str(exc))
     return ("ok", ll, g.alpha, g.beta, g.gamma, g.omega, g.mlp.flatten())
 
 
-def _assert_same_evaluation(params, counts, x_scaled, t0, t1):
-    got = _evaluation(_block_loglik_and_grads, params, counts, x_scaled, t0, t1)
-    expected = _evaluation(_two_pass_reference, params, counts, x_scaled, t0, t1)
+def _assert_same_evaluation(params, counts, weather, t0, t1):
+    got = _evaluation(_block_loglik_and_grads, params, counts, weather, t0, t1)
+    expected = _evaluation(_two_pass_reference, params, counts, weather, t0, t1)
     assert got[0] == expected[0], (got[:2], expected[:2])
     for a, b in zip(got[1:], expected[1:]):
         assert_array_equal(a, b, strict=True)
@@ -235,12 +237,12 @@ def test_non_finite_intensity_raises_like_the_two_pass_reference(seed, block, ba
     assert _forward_evaluation(params, counts, weather) == reference[:2]
 
 
-def _forward_evaluation(params, counts, x_scaled):
+def _forward_evaluation(params, counts, weather):
     """("raised", message) or ("ok", ell) of the forward-only series score."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return ("ok", train._series_loglik(params, counts, x_scaled))
+            return ("ok", train._series_loglik(params, counts, weather))
     except NumericError as exc:
         return ("raised", str(exc))
 
@@ -283,12 +285,11 @@ def test_series_evaluation_sums_bounded_blocks(seed, K, chunks, full_blocks, tai
     T = full_blocks * width + tail % width or width
     rng = np.random.default_rng(seed)
     params, counts, weather = random_small_instance(rng, K=K, T=T, M=2, n_edges=8, hidden=(4,))
-    x_scaled = params.scaler.transform(weather)
-    whole = _groups(*_block_loglik_and_grads(params, counts, x_scaled, 0, T))
+    whole = _groups(*_block_loglik_and_grads(params, counts, weather, 0, T))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "BLOCK_CELLS", K * width + min(spare, K - 1))
         assert model.time_blocks(K, T)[-1][1] == T
-        streamed = _groups(*train._series_loglik_and_grads(params, counts, x_scaled))
+        streamed = _groups(*train._series_loglik_and_grads(params, counts, weather))
     for got, expected in zip(streamed, whole):
         if T <= width:  # one block: the very same evaluation
             assert_array_equal(got, expected, strict=True)
@@ -318,10 +319,9 @@ def test_series_evaluation_memory_does_not_grow_with_slots():
     for slots in (T, 4 * T):
         rng = np.random.default_rng(8)
         params, counts, weather = random_small_instance(rng, K=K, T=slots, M=2, n_edges=40, hidden=(8, 4))
-        x_scaled = params.scaler.transform(weather)
         tracemalloc.start()
         try:
-            train._series_loglik_and_grads(params, counts, x_scaled)
+            train._series_loglik_and_grads(params, counts, weather)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -344,14 +344,16 @@ def test_forward_loglik_is_the_series_evaluations_bit_for_bit(seed, K, blocks, t
     rng = np.random.default_rng(seed)
     params, counts, weather = random_small_instance(rng, K=K, T=T, M=2, n_edges=n_edges, hidden=(4,))
     params.scaler = WeatherScaler(mean=rng.normal(size=2), scale=rng.uniform(0.5, 2.0, 2))
-    x_scaled = params.scaler.transform(weather)
+    identity = params.copy()
+    identity.scaler = WeatherScaler(mean=np.zeros(2), scale=np.ones(2))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "BLOCK_CELLS", K * CHUNK_SLOTS)  # blocks of one weather chunk
         assert len(model.time_blocks(K, T)) == blocks
-        expected = train._series_loglik_and_grads(params, counts, x_scaled)[0].hex()
-        assert train._series_loglik(params, counts, x_scaled).hex() == expected
-        # raw weather, standardized block by block, gives the same bits
-        assert train._series_loglik(params, counts, weather, scaled=False).hex() == expected
+        expected = train._series_loglik_and_grads(params, counts, weather)[0].hex()
+        assert train._series_loglik(params, counts, weather).hex() == expected
+        # weather standardized whole by the formula first, and left as it is, gives the same bits
+        z = (weather - params.scaler.mean) / params.scaler.scale
+        assert train._series_loglik(identity, counts, z).hex() == expected
 
 
 def test_scores_run_no_backward_pass(monkeypatch):
@@ -385,7 +387,8 @@ def test_fit_runs_one_backward_pass_per_minibatch(monkeypatch):
     assert calls == [ds.num_units * (t1 - t0) for t0, t1 in train.minibatches(ds.num_slots, 16)] * 3
 
 
-def test_log_likelihood_memory_does_not_grow_with_slots():
+def _dataset_score_peaks(score):
+    """tracemalloc peaks of `score(params, dataset)` at two blocks' worth of slots and at four times as many."""
     K = 64
     T = 2 * model.time_blocks(K, model.BLOCK_CELLS)[0][1]
     peaks = []
@@ -395,23 +398,33 @@ def test_log_likelihood_memory_does_not_grow_with_slots():
         ds = wrap_dataset(counts, weather)
         tracemalloc.start()
         try:
-            log_likelihood(params, ds)
+            score(params, ds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         peaks.append(peak)
+    return peaks
+
+
+def test_log_likelihood_memory_does_not_grow_with_slots():
+    peaks = _dataset_score_peaks(log_likelihood)
     assert peaks[1] < 1.1 * peaks[0], peaks  # no standardized K x T x M copy, no K x T field
+
+
+def test_gradients_memory_does_not_grow_with_slots():
+    peaks = _dataset_score_peaks(gradients)
+    assert peaks[1] < 1.1 * peaks[0], peaks  # no standardized K x T x M copy
 
 
 @pytest.mark.parametrize("batch_slots", [7, 16, 32, None])
 def test_minibatch_gradients_sum_to_the_series_gradient_at_fixed_parameters(batch_slots):
     ds, graph = _fit_setup()
     params = initialize(ds, graph, seed=3, cfg=FitConfig(hidden_sizes=(4,), window_slots=6))
-    counts, x_scaled = train._series_inputs(params, ds)
+    counts, weather = ds.outages.counts, ds.weather
     (t0, t1), *rest = train.minibatches(ds.num_slots, batch_slots)
-    total = _block_loglik_and_grads(params, counts, x_scaled, t0, t1)[1]
+    total = _block_loglik_and_grads(params, counts, weather, t0, t1)[1]
     for t0, t1 in rest:
-        total.add(_block_loglik_and_grads(params, counts, x_scaled, t0, t1)[1])
+        total.add(_block_loglik_and_grads(params, counts, weather, t0, t1)[1])
     for got, expected in zip(_groups(0.0, total)[1:], _groups(0.0, gradients(params, ds))[1:]):
         assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max(initial=0.0))
 

@@ -90,11 +90,17 @@ def test_accumulate_rejects_bad_inputs():
         accumulate(np.zeros((1, 2, 3)), DecayConfig(omega=[0.1]))
 
 
+def _standardized(x, scaler, t0=0, t1=None):
+    """The standardized weather at slots [t0, t1), through the sums: a window of one
+    slot weighs that slot by e^0 = 1 and every other by 0, so each sum is its slot."""
+    return accumulate(x, DecayConfig(omega=np.zeros(x.shape[2]), window_slots=1), t0, t1, scaler=scaler)
+
+
 def test_scaler_standardizes_and_roundtrips():
     rng = np.random.default_rng(23)
     x = rng.normal(3.0, 2.5, size=(4, 50, 2))
     scaler = WeatherScaler.fit(x)
-    z = scaler.transform(x)
+    z = _standardized(x, scaler)
     assert_allclose(z.mean(axis=(0, 1)), 0.0, atol=1e-12)
     assert_allclose(z.std(axis=(0, 1)), 1.0, rtol=1e-12)
     assert scaler == WeatherScaler(mean=scaler.mean.copy(), scale=scaler.scale.copy())
@@ -104,7 +110,7 @@ def test_scaler_constant_variable_passes_through_as_zeros():
     x = np.concatenate([np.full((2, 8, 1), 7.0), np.random.default_rng(1).normal(size=(2, 8, 1))], axis=2)
     scaler = WeatherScaler.fit(x)
     assert scaler.scale[0] == 1.0
-    assert_allclose(scaler.transform(x)[:, :, 0], 0.0, atol=1e-15)
+    assert_allclose(_standardized(x, scaler)[:, :, 0], 0.0, atol=1e-15)
 
 
 def test_scaler_standardizes_into_one_array():
@@ -113,14 +119,14 @@ def test_scaler_standardizes_into_one_array():
     scaler = WeatherScaler(mean=rng.normal(size=3), scale=rng.uniform(0.5, 2.0, 3))
     tracemalloc.start()
     try:
-        z = scaler.transform(x)
+        z = _standardized(x, scaler)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert z.tobytes() == ((x - scaler.mean) / scaler.scale).tobytes()
-    # the result and its finiteness mask (one byte per float): no second array
+    # the result and one chunk's window: no standardized copy of the series
     assert peak <= x.nbytes * 9 // 8 + 64 * 1024, peak
-    part = scaler.transform(x, 70, 230)
+    part = _standardized(x, scaler, 70, 230)
     assert part.flags.c_contiguous
     assert part.tobytes() == np.ascontiguousarray(z[:, 70:230]).tobytes()
 
@@ -131,16 +137,18 @@ def test_scaler_names_the_slot_of_a_non_finite_result():
     scaler = WeatherScaler(mean=np.zeros(2), scale=np.ones(2))
     for t0 in (0, 5):
         with pytest.raises(ValidationError, match=r"\(unit=1, slot=7, var=0\)"):
-            scaler.transform(x, t0, 9)
+            _standardized(x, scaler, t0, 9)
     x[1, 7, 0] = 1e308  # finite, but not once standardized
     with np.errstate(over="ignore"), pytest.raises(ValidationError, match=r"\(unit=1, slot=7, var=0\)"):
-        WeatherScaler(mean=np.array([-1e308, 0.0]), scale=np.ones(2)).transform(x, 5)
+        _standardized(x, WeatherScaler(mean=np.array([-1e308, 0.0]), scale=np.ones(2)), 5)
 
 
 def test_scaler_dimension_mismatch():
     scaler = WeatherScaler.fit(np.zeros((1, 4, 2)) + 1.0)
     with pytest.raises(ValidationError, match="fit on 2 variables"):
-        scaler.transform(np.zeros((1, 4, 3)))
+        _standardized(np.zeros((1, 4, 3)), scaler)
+    with pytest.raises(ValidationError, match="fit on 2 variables, input has 3"):
+        accumulate_with_grad(np.zeros((1, 4, 3)), DecayConfig(omega=np.zeros(3)), scaler=scaler)
 
 
 # -- the fresh windowed sums against the lag loop, and slot ranges against the whole series --
@@ -233,6 +241,34 @@ def test_a_slot_range_is_the_whole_series_sliced_bit_for_bit(seed, K, T, M, d, d
     v_fwd = accumulate(x, cfg, t0, t1)
     assert v_fwd.flags.c_contiguous
     assert v_fwd.tobytes() == np.ascontiguousarray(accumulate(x, cfg)[:, t0:t1]).tobytes()
+
+
+@settings(max_examples=100)
+@given(
+    seed=st.integers(0, 2**16),
+    K=st.integers(1, 8),
+    T=st.integers(1, 3 * CHUNK_SLOTS + 20),
+    M=st.integers(1, 3),
+    d=st.integers(1, 40),
+    data=st.data(),
+)
+def test_scaled_sums_at_a_slot_range_are_the_standardized_series_sliced(seed, K, T, M, d, data):
+    """Standardizing each slot as a chunk reads it gives the bits of standardizing
+    the whole series by the formula first, at any slot range."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(3.0, 10.0, size=(K, T, M))
+    x[rng.random(x.shape) < 0.3] = 0.0
+    scaler = WeatherScaler(mean=rng.normal(0.0, 5.0, M), scale=rng.uniform(0.1, 10.0, M))
+    omega = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=M, max_size=M)))
+    t0 = data.draw(st.integers(0, T - 1))
+    t1 = data.draw(st.one_of(st.just(T), st.integers(t0 + 1, T)))
+    cfg = DecayConfig(omega=omega, window_slots=d)
+    z = (x - scaler.mean) / scaler.scale
+    v_all, dv_all = accumulate_with_grad(z, cfg)
+    v, dv = accumulate_with_grad(x, cfg, t0, t1, scaler=scaler)
+    assert v.tobytes() == np.ascontiguousarray(v_all[:, t0:t1]).tobytes()
+    assert dv.tobytes() == np.ascontiguousarray(dv_all[:, t0:t1]).tobytes()
+    assert accumulate(x, cfg, t0, t1, scaler=scaler).tobytes() == v.tobytes()
 
 
 def test_a_slot_range_reads_only_the_chunks_that_it_touches():
