@@ -58,8 +58,6 @@ _EXPORTS = {
     "EdgeWeights": "topology",
     "build_candidate_graph": "topology",
     "enforce_no_loops": "topology",
-    "criticality_scores": "topology",
-    "export_propagation_map": "topology",
     # model
     "MlpParams": "model",
     "ModelParams": "model",
@@ -90,6 +88,8 @@ _EXPORTS = {
     "fit_sigmoid": "analyze",
     "fit_sigmoid_points": "analyze",
     "restoration_durations": "analyze",
+    "criticality_scores": "analyze",
+    "export_propagation_map": "analyze",
 }
 
 __all__ = ["__version__", *sorted(_SUBMODULES), *sorted(_EXPORTS)]

@@ -1,6 +1,6 @@
 """Downstream analyses of a fitted model and its data.
 
-Covers four reporting surfaces:
+Covers five reporting surfaces:
   * decompose      — split expected outages into weather-driven vs cascade
   * predict_*      — teacher-forced and h-slot-ahead count predictions with
                      MAE/RMSE and a persistence baseline; both sum the
@@ -8,11 +8,12 @@ Covers four reporting surfaces:
   * fit_sigmoid    — outage-ratio response curves against cumulative weather,
                      whose threshold c is the disruption tolerance estimate
   * restoration_durations — outage episodes and how fast they clear
+  * criticality_scores, export_propagation_map — the cascade intensity
+                     each unit and each active edge exports
 
 All functions are pure. The CSV writers live at the bottom: `write_csv` is
 the one report dialect (UTF-8, "\n" line ends, shortest round-trip floats),
-also used by the CLI and the propagation map, so every report is byte-stable
-at a fixed thread count.
+also used by the CLI, so every report is byte-stable at a fixed thread count.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ import numpy as np
 from .errors import INTEGER, InsufficientDataError, ValidationError, at_least, checked
 from .ingest import Dataset
 from .model import Coupling, Kernel, ModelParams, direct_from_weather, intensity_field, sigmoid, time_blocks
+from .model import kernel_matrix
 from .model import intensity_from_state as _lambda_at  # the name perfbench/tracer.py patches
 from .model import mlp_forward  # noqa: F401  (binding patched by perfbench/tracer.py)
+from .topology import EdgeWeights
 from .weather_effect import DecayConfig, accumulate
 
 # -- decomposition ----------------------------------------------------------
@@ -38,7 +41,6 @@ class Decomposition:
 
     direct: np.ndarray  # (K, T) weather-driven intensity
     indirect: np.ndarray  # (K, T) cascade intensity
-    eps: float
     slot_direct: np.ndarray  # (T,) direct summed over units
     slot_indirect: np.ndarray  # (T,)
     slot_observed: np.ndarray  # (T,)
@@ -61,7 +63,6 @@ def decompose(params: ModelParams, dataset: Dataset) -> Decomposition:
     return Decomposition(
         direct=fld.direct,
         indirect=fld.indirect,
-        eps=params.eps,
         slot_direct=fld.direct.sum(axis=0),
         slot_indirect=fld.indirect.sum(axis=0),
         slot_observed=counts.sum(axis=0, dtype=np.float64),  # integer sums, exact in any order
@@ -399,6 +400,54 @@ def episode_duration_summary(episodes: list, within_slots: int = EPISODE_WINDOW_
         "within_share": float((durations <= within_slots).mean()),
         "median_slots": float(np.median(durations)),
     }
+
+
+# -- propagation map ---------------------------------------------------------
+
+
+def triggering_totals(weights: EdgeWeights, history, params) -> np.ndarray:
+    """Per-unit sum over the window of the model's truncated triggering mass R[j, t]."""
+    counts = np.asarray(getattr(history, "counts", history))
+    beta = np.asarray(params.beta, dtype=np.float64)
+    K = weights.num_nodes
+    if counts.shape[0] != K or beta.shape[0] != K:
+        raise ValidationError(
+            f"dimension mismatch: {K} graph nodes, {counts.shape[0]} history rows, {beta.shape[0]} beta entries"
+        )
+    return kernel_matrix(counts, beta, params.trig_window).sum(axis=1)
+
+
+def criticality_scores(weights: EdgeWeights, history, params, mass=None) -> np.ndarray:
+    """Outage intensity each unit exports to its direct neighbors.
+
+    score(j) = (sum of alpha[i, j] over targets i != j) x (sum over slots of
+    unit j's truncated triggering mass R[j, t]), so the scores add up to the
+    cascade intensity the model attributes to cross-unit edges. Units that
+    influence nobody score 0. `mass`, when given, is the already computed
+    :func:`triggering_totals` of the same history.
+    """
+    export_weight = np.bincount(weights.graph.src, weights=weights.w, minlength=weights.num_nodes)
+    return export_weight * (triggering_totals(weights, history, params) if mass is None else mass)
+
+
+def export_propagation_map(weights: EdgeWeights, history, params, path, mass=None) -> int:
+    """Write `source,target,alpha,attributed_outages` rows, largest first.
+
+    attributed_outages is the per-edge share of the source unit's criticality
+    score; `mass` is as in :func:`criticality_scores`. Returns the number of
+    data rows written.
+    """
+    if mass is None:
+        mass = triggering_totals(weights, history, params)
+    rows = []
+    for s, t, a in weights.nonzero_edges():
+        rows.append((s, t, a, a * mass[s]))
+    rows.sort(key=lambda r: (-r[3], r[0], r[1]))
+    try:
+        write_csv(path, ["source", "target", "alpha", "attributed_outages"], rows)
+    except OSError as exc:
+        raise OSError(f"could not write propagation map to {path}: {exc}") from exc
+    return len(rows)
 
 
 # -- CSV writers -------------------------------------------------------------

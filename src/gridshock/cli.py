@@ -488,12 +488,12 @@ def cmd_analyze(cfg: dict, s: dict, args, ds, params, variables) -> int:
 
 
 def cmd_export_map(cfg: dict, s: dict, args, ds, params) -> int:
-    from . import topology
+    from . import analyze
 
     path = _output_dir(cfg) / "propagation_map.csv"
-    mass = topology.triggering_totals(params.alpha, ds.outages, params)
-    n = topology.export_propagation_map(params.alpha, ds.outages, params, path, mass=mass)
-    scores = topology.criticality_scores(params.alpha, ds.outages, params, mass=mass)
+    mass = analyze.triggering_totals(params.alpha, ds.outages, params)
+    n = analyze.export_propagation_map(params.alpha, ds.outages, params, path, mass=mass)
+    scores = analyze.criticality_scores(params.alpha, ds.outages, params, mass=mass)
     top = sorted(range(len(scores)), key=lambda j: (-scores[j], j))[:5]
     print(f"wrote {n} edges to {path}")
     for j in top:

@@ -103,14 +103,6 @@ class OutageSeries:
         if (self.counts < 0).any():
             raise ValidationError("outage counts must be non-negative")
 
-    @property
-    def num_units(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def num_slots(self) -> int:
-        return self.counts.shape[1]
-
 
 @dataclass
 class WeatherTensor:

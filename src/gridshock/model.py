@@ -292,7 +292,6 @@ class IntensityField:
     lam: np.ndarray
     direct: np.ndarray
     indirect: np.ndarray
-    eps: float
 
 
 class Kernel:
@@ -548,7 +547,7 @@ def intensity_field(params: ModelParams, history, weather, direct: np.ndarray | 
     for t0, t1, trigger in trigger_blocks(params, counts, Coupling(params.alpha)):
         indirect[:, t0:t1] = trigger
         lam[:, t0:t1] = intensity_from_trigger(trigger, direct[:, t0:t1], params.eps)
-    return IntensityField(lam=lam, direct=direct, indirect=indirect, eps=params.eps)
+    return IntensityField(lam=lam, direct=direct, indirect=indirect)
 
 
 def serialize(params: ModelParams, path) -> None:

@@ -56,6 +56,7 @@ from .model import Coupling, Kernel, ModelParams, intensity_from_state, weather_
 from .model import kernel_matrix, mlp_forward  # noqa: F401  (bindings patched by perfbench/tracer.py)
 from .topology import enforce_no_loops
 from .weather_effect import accumulate  # noqa: F401  (binding patched by perfbench/tracer.py)
+from .weather_effect import as_weather_array
 
 LAMBDA_OVERFLOW = 1e9
 
@@ -119,10 +120,6 @@ class Scenario:
                 checked(getattr(self, name), COUNT, name)
         if (self.top_k_units is None) != (self.top_e_edges is None):
             raise ValidationError("top_k_units and top_e_edges must be given together")
-
-    def is_identity(self) -> bool:
-        selectors = ("top_k_units", "gamma_top_units", "beta_bottom_units")
-        return not any(getattr(self, name) for name in (*CLAUSE_LISTS, *selectors))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
@@ -214,7 +211,7 @@ def apply_scenario(params: ModelParams, scenario: Scenario, reference_history=No
 
 @dataclass
 class SimResult:
-    """Summary of R replications (full paths kept only on request)."""
+    """Summary of R replications."""
 
     replications: int
     seed: int
@@ -222,7 +219,6 @@ class SimResult:
     cell_mean: np.ndarray  # (K, T) per-cell empirical mean
     cell_var: np.ndarray  # (K, T) per-cell sample variance (ddof=1)
     unit_total_mean: np.ndarray  # (K,) mean per-unit totals
-    paths: np.ndarray | None = None  # (R, K, T) when store_paths was set
 
     @property
     def mean_total(self) -> float:
@@ -237,9 +233,6 @@ class SimResult:
     def total_quantiles(self, qs=(0.05, 0.5, 0.95)) -> dict:
         return {q: float(np.quantile(self.rep_totals, q)) for q in qs}
 
-    def cell_std_err(self) -> np.ndarray:
-        return np.sqrt(self.cell_var / max(self.replications, 1))
-
 
 def simulate_paths(
     params: ModelParams,
@@ -249,7 +242,6 @@ def simulate_paths(
     seed: int,
     teacher_forced_until: int = 0,
     observed=None,
-    store_paths: bool = False,
 ) -> SimResult:
     """Roll the process forward R times over the grid, replaying `weather`.
 
@@ -277,12 +269,8 @@ def simulate_paths(
     rep_totals = np.zeros(R)
     cell_sum = np.zeros((K, T))
     cell_sq = np.zeros((K, T))
-    paths = np.zeros((R, K, T), dtype=np.int64) if store_paths else None
     for reps, t, n in _rollout_draws([params], mus, obs, cutoff, R, seed):
-        n = n[:, 0]  # (K, block) counts of slot t
-        if store_paths:
-            paths[reps, :, t] = n.T
-        n = n.astype(np.float64)
+        n = n[:, 0].astype(np.float64)  # (K, block) counts of slot t
         rep_totals[reps] += n.sum(axis=0)
         cell_sum[:, t] += n.sum(axis=1)
         cell_sq[:, t] += (n * n).sum(axis=1)
@@ -298,7 +286,6 @@ def simulate_paths(
         cell_mean=cell_mean,
         cell_var=cell_var,
         unit_total_mean=unit_total_mean,
-        paths=paths,
     )
 
 
@@ -306,7 +293,7 @@ def _responses(sets, weather, grid) -> list:
     """The K x T network output mu of each parameter set over the grid's T
     slots of `weather`. Scenarios never edit the scaler or the network, so
     sets of one omega share one array, computed once."""
-    x = np.asarray(getattr(weather, "values", weather), dtype=np.float64)
+    x = as_weather_array(weather)
     K, T = sets[0].num_units, grid.num_slots
     if x.shape[0] != K or x.shape[1] < T:
         raise ValidationError(f"weather shape {x.shape} does not cover {K} units x {T} slots")

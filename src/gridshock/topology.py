@@ -1,4 +1,4 @@
-"""Candidate influence graph, coupling weights, and propagation analytics.
+"""Candidate influence graph, coupling weights, and the no-loop rule.
 
 Edges are directed: edge (source=j, target=i) says outages in unit j can
 trigger outages in unit i, with learned weight alpha[i, j] (target row,
@@ -187,52 +187,3 @@ def enforce_no_loops(weights: EdgeWeights) -> EdgeWeights:
     back = np.where(g.rev >= 0, w[g.rev], 0.0)
     lose = (w > 0) & (back > 0) & ((back > w) | ((back == w) & (g.tgt < g.src)))
     return EdgeWeights(g, np.where(lose, 0.0, w))
-
-
-def triggering_totals(weights: EdgeWeights, history, params) -> np.ndarray:
-    """Per-unit sum over the window of the model's truncated triggering mass R[j, t]."""
-    from .model import kernel_matrix  # model imports this module
-
-    counts = np.asarray(getattr(history, "counts", history))
-    beta = np.asarray(params.beta, dtype=np.float64)
-    K = weights.num_nodes
-    if counts.shape[0] != K or beta.shape[0] != K:
-        raise ValidationError(
-            f"dimension mismatch: {K} graph nodes, {counts.shape[0]} history rows, {beta.shape[0]} beta entries"
-        )
-    return kernel_matrix(counts, beta, params.trig_window).sum(axis=1)
-
-
-def criticality_scores(weights: EdgeWeights, history, params, mass=None) -> np.ndarray:
-    """Outage intensity each unit exports to its direct neighbors.
-
-    score(j) = (sum of alpha[i, j] over targets i != j) x (sum over slots of
-    unit j's truncated triggering mass R[j, t]), so the scores add up to the
-    cascade intensity the model attributes to cross-unit edges. Units that
-    influence nobody score 0. `mass`, when given, is the already computed
-    :func:`triggering_totals` of the same history.
-    """
-    export_weight = np.bincount(weights.graph.src, weights=weights.w, minlength=weights.num_nodes)
-    return export_weight * (triggering_totals(weights, history, params) if mass is None else mass)
-
-
-def export_propagation_map(weights: EdgeWeights, history, params, path, mass=None) -> int:
-    """Write `source,target,alpha,attributed_outages` rows, largest first.
-
-    attributed_outages is the per-edge share of the source unit's criticality
-    score; `mass` is as in :func:`criticality_scores`. Returns the number of
-    data rows written.
-    """
-    from .analyze import write_csv  # analyze imports this module through model
-
-    if mass is None:
-        mass = triggering_totals(weights, history, params)
-    rows = []
-    for s, t, a in weights.nonzero_edges():
-        rows.append((s, t, a, a * mass[s]))
-    rows.sort(key=lambda r: (-r[3], r[0], r[1]))
-    try:
-        write_csv(path, ["source", "target", "alpha", "attributed_outages"], rows)
-    except OSError as exc:
-        raise OSError(f"could not write propagation map to {path}: {exc}") from exc
-    return len(rows)

@@ -386,13 +386,6 @@ def _apply_update(params: ModelParams, grads: Gradients, lr: float, adam: _AdamS
     unpack(params, pack(params) + (lr * g if adam is None else adam.step(g, lr)))
 
 
-def _left_finite_region(epoch: int, report: FitReport, exc: NumericError) -> DivergenceError:
-    return DivergenceError(
-        f"optimizer left the finite region at epoch {epoch + 1} ({exc}); "
-        f"trace tail: {[f'{x:.4g}' for x in report.loglik_trace[-5:]]}"
-    )
-
-
 def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, FitReport]:
     """Projected gradient ascent on the log-likelihood; returns best-ell params.
 
@@ -414,27 +407,24 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
     prev_ll = None
     for epoch in range(cfg.max_epochs):
         projections = 0
-        for t0, t1 in blocks:
-            try:
-                _, grads = _block_loglik_and_grads(params, counts, weather, t0, t1)
-            except NumericError as exc:
-                raise _left_finite_region(epoch, report, exc) from exc
-            _apply_update(params, grads, cfg.step_size, adam)
-            params, n_proj = project(params)
-            projections += n_proj
-            if t0 == 0:
-                epoch_grads = grads
-            else:
-                epoch_grads.add(grads)
         try:
+            for t0, t1 in blocks:
+                _, grads = _block_loglik_and_grads(params, counts, weather, t0, t1)
+                _apply_update(params, grads, cfg.step_size, adam)
+                params, n_proj = project(params)
+                projections += n_proj
+                if t0 == 0:
+                    epoch_grads = grads
+                else:
+                    epoch_grads.add(grads)
             ll = _series_loglik(params, counts, weather)
+            if not np.isfinite(ll):
+                raise NumericError("non-finite log-likelihood")
         except NumericError as exc:
-            raise _left_finite_region(epoch, report, exc) from exc
-        if not np.isfinite(ll):
             raise DivergenceError(
-                "log-likelihood became non-finite at epoch "
-                f"{epoch + 1}; trace tail: {[f'{x:.4g}' for x in report.loglik_trace[-5:]]}"
-            )
+                f"optimizer left the finite region at epoch {epoch + 1} ({exc}); "
+                f"trace tail: {[f'{x:.4g}' for x in report.loglik_trace[-5:]]}"
+            ) from exc
         report.loglik_trace.append(ll)
         report.grad_norm_trace.append(epoch_grads.norm())
         report.projection_counts.append(projections)

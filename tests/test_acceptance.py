@@ -28,10 +28,9 @@ from synth import (
 from test_cli import _write_demo_csvs
 from conftest import SUPPORT_THRESHOLD
 from gridshock import cli
-from gridshock.analyze import fit_sigmoid_points, predict_ahead
+from gridshock.analyze import criticality_scores, fit_sigmoid_points, predict_ahead
 from gridshock.model import intensity_field
 from gridshock.simulate import Scenario, outage_reductions, simulate_paths
-from gridshock.topology import criticality_scores
 from gridshock.train import gradients, log_likelihood
 from synth import standard_fit_config
 

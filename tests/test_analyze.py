@@ -57,7 +57,6 @@ def test_decompose_matches_intensity_components(small):
     fld = intensity_field(params, ds.outages.counts, ds.weather)
     assert_array_equal(dec.direct, fld.direct)
     assert_array_equal(dec.indirect, fld.indirect)
-    assert dec.eps == params.eps
     assert_allclose(dec.slot_direct, fld.direct.sum(axis=0))
     assert_allclose(dec.slot_indirect, fld.indirect.sum(axis=0))
     assert_array_equal(dec.slot_observed, ds.outages.counts.sum(axis=0))
@@ -553,7 +552,6 @@ def test_decomposition_csv_bytes(tmp_path):
     dec = Decomposition(
         direct=np.array([[0.5, 1.0]]),
         indirect=np.array([[0.25, 0.0]]),
-        eps=0.001,
         slot_direct=np.array([0.5, 1.0]),
         slot_indirect=np.array([0.25, 0.0]),
         slot_observed=np.array([1.0, 2.0]),

@@ -315,13 +315,13 @@ def test_export_map_runs_the_kernel_once(pipeline, monkeypatch, capsys):
     ds = load_dataset(pipeline["dataset"])
     out = pipeline["root"] / "map_once"
     calls = []
-    kernel_matrix = model.kernel_matrix
+    kernel_matrix = analyze.kernel_matrix
 
     def counting(*args, **kwargs):
         calls.append(1)
         return kernel_matrix(*args, **kwargs)
 
-    monkeypatch.setattr(model, "kernel_matrix", counting)
+    monkeypatch.setattr(analyze, "kernel_matrix", counting)
     rc = cli.main(
         [
             "export-map",
@@ -335,9 +335,9 @@ def test_export_map_runs_the_kernel_once(pipeline, monkeypatch, capsys):
     printed = capsys.readouterr().out
     # the shared totals give the same table and scores as separate passes
     reference = pipeline["root"] / "map_reference.csv"
-    topology.export_propagation_map(params.alpha, ds.outages, params, reference)
+    analyze.export_propagation_map(params.alpha, ds.outages, params, reference)
     assert (out / "propagation_map.csv").read_bytes() == reference.read_bytes()
-    scores = topology.criticality_scores(params.alpha, ds.outages, params)
+    scores = analyze.criticality_scores(params.alpha, ds.outages, params)
     for line in printed.splitlines()[1:]:
         j = int(line.split()[2])
         assert line.endswith(f"exported intensity {scores[j]:.2f}")

@@ -88,8 +88,6 @@ def test_scenario_validation():
     Scenario(gamma_overrides=[(np.int64(1), 0.5)], top_k_units=np.int32(2), top_e_edges=np.uint8(1))
     with pytest.raises(ValidationError, match="integer"):
         Scenario(gamma_top_units=np.bool_(True))
-    assert Scenario().is_identity()
-    assert not Scenario(gamma_overrides=[(0, 0.2)]).is_identity()
 
 
 def test_scenario_roundtrip(tmp_path):
@@ -321,6 +319,18 @@ def test_simulate_validation():
         simulate_paths(params, np.zeros((2, 3, 1)), ds.grid, R=2, seed=1)
 
 
+def test_a_weather_matrix_is_refused_as_a_validation_error():
+    # a K x T array has no variable axis: the rollouts refuse it by name, not with an IndexError
+    params = _chain_params()
+    ds = _shell(params, 6)
+    for run in (
+        lambda w: simulate_paths(params, w, ds.grid, R=2, seed=1),
+        lambda w: outage_reductions(params, [Scenario(gamma_top_units=1)], w, ds.grid, R=2, seed=1),
+    ):
+        with pytest.raises(ValidationError, match=r"expected a K x T x M tensor, got shape \(2, 6\)"):
+            run(np.zeros((2, 6)))
+
+
 @pytest.mark.parametrize("observed", [None, "short", "wrong units"])
 def test_simulate_checks_the_observed_history_before_any_weather_term(monkeypatch, observed):
     params = _chain_params()
@@ -360,14 +370,15 @@ def test_non_finite_or_negative_parameters_built_in_memory_are_refused(name, val
 def test_simulate_deterministic_and_summary_consistent():
     params = _chain_params()
     ds = _shell(params, 10)
-    a = simulate_paths(params, ds.weather, ds.grid, R=40, seed=11, store_paths=True)
+    a = simulate_paths(params, ds.weather, ds.grid, R=40, seed=11)
     b = simulate_paths(params, ds.weather, ds.grid, R=40, seed=11)
+    paths = _paths(params, ds.weather, ds.grid, R=40, seed=11)
     assert isinstance(a, SimResult)
     assert_array_equal(a.rep_totals, b.rep_totals)
-    assert_allclose(a.rep_totals, a.paths.sum(axis=(1, 2)))
-    assert_allclose(a.unit_total_mean, a.paths.sum(axis=2).mean(axis=0))
-    assert_allclose(a.cell_mean, a.paths.mean(axis=0))
-    assert_allclose(a.cell_var, a.paths.var(axis=0, ddof=1), atol=1e-10)
+    assert_allclose(a.rep_totals, paths.sum(axis=(1, 2)))
+    assert_allclose(a.unit_total_mean, paths.sum(axis=2).mean(axis=0))
+    assert_allclose(a.cell_mean, paths.mean(axis=0))
+    assert_allclose(a.cell_var, paths.var(axis=0, ddof=1), atol=1e-10)
     q = a.total_quantiles()
     assert set(q) == {0.05, 0.5, 0.95} and q[0.05] <= q[0.5] <= q[0.95]
     c = simulate_paths(params, ds.weather, ds.grid, R=40, seed=12)
@@ -381,9 +392,8 @@ def test_cell_statistics_are_the_formula_bit_for_bit():
     observed = rng.integers(0, 4, (2, T))
     ds = wrap_dataset(observed, np.zeros((2, T, 1)))
     for forced in (0, T):
-        res = simulate_paths(params, ds.weather, ds.grid, R=R, seed=3, teacher_forced_until=forced,
-                             observed=observed, store_paths=True)
-        paths = res.paths.astype(np.float64)
+        res = simulate_paths(params, ds.weather, ds.grid, R=R, seed=3, teacher_forced_until=forced, observed=observed)
+        paths = _paths(params, ds.weather, ds.grid, R, 3, forced, observed).astype(np.float64)
         # integer sums, exact in any order
         cell_sum, cell_sq = paths.sum(axis=0), (paths * paths).sum(axis=0)
         cell_mean = cell_sum / R
@@ -400,9 +410,9 @@ def test_fully_forced_simulation_draws_from_pinned_intensity():
     observed = rng.integers(0, 4, (2, T))
     ds = wrap_dataset(observed, np.zeros((2, T, 1)))
     lam = intensity_field(params, observed, ds.weather).lam
-    res = simulate_paths(params, ds.weather, ds.grid, R=3, seed=99, teacher_forced_until=T, observed=observed, store_paths=True)
+    paths = _paths(params, ds.weather, ds.grid, R=3, seed=99, cutoff=T, observed=observed)
     for r in range(3):
-        assert_array_equal(res.paths[r], poisson_quantile(lam, _uniforms(99, r, 2, T).T))
+        assert_array_equal(paths[r], poisson_quantile(lam, _uniforms(99, r, 2, T).T))
 
 
 def test_partial_teacher_forcing_matches_pinned_intensity_up_to_cutoff():
@@ -413,7 +423,7 @@ def test_partial_teacher_forcing_matches_pinned_intensity_up_to_cutoff():
     ds = wrap_dataset(observed, np.zeros((2, T, 1)))
     lam = intensity_field(params, observed, ds.weather).lam
     res = simulate_paths(params, ds.weather, ds.grid, R=4000, seed=7, teacher_forced_until=cutoff, observed=observed)
-    se = res.cell_std_err()[:, :cutoff]
+    se = np.sqrt(res.cell_var / 4000)[:, :cutoff]
     gap = np.abs(res.cell_mean[:, :cutoff] - lam[:, :cutoff])
     assert (gap <= 5 * se + 1e-3).all()
 
@@ -433,7 +443,7 @@ def test_free_running_means_follow_the_linear_recursion():
             M += expected[:, t - lag] * params.beta * np.exp(-params.beta * lag)
         expected[:, t] = direct + params.eps + M + A @ M
     res = simulate_paths(params, ds.weather, ds.grid, R=3000, seed=17)
-    se = res.cell_std_err()
+    se = np.sqrt(res.cell_var / 3000)
     assert (np.abs(res.cell_mean - expected) <= 5 * se + 1e-3).all()
 
 
@@ -445,10 +455,10 @@ def test_free_running_paths_are_draws_from_their_own_field(seed, K, T, window):
     params, _, weather = random_small_instance(np.random.default_rng(seed), K=K, T=T, n_edges=2 * K)
     params.trig_window = window
     ds = _shell(params, T)
-    res = simulate_paths(params, weather, ds.grid, R=3, seed=seed, store_paths=True)
+    paths = _paths(params, weather, ds.grid, R=3, seed=seed)
     for r in range(3):
-        lam = intensity_field(params, res.paths[r], weather).lam
-        assert_array_equal(poisson_quantile(lam, _uniforms(seed, r, K, T).T), res.paths[r])
+        lam = intensity_field(params, paths[r], weather).lam
+        assert_array_equal(poisson_quantile(lam, _uniforms(seed, r, K, T).T), paths[r])
 
 
 @settings(max_examples=30)
@@ -461,11 +471,20 @@ def test_forcing_a_free_path_reproduces_it(seed, K, T, window, r):
     params, _, weather = random_small_instance(np.random.default_rng(seed), K=K, T=T, n_edges=2 * K)
     params.trig_window = window
     ds = _shell(params, T)
-    free = simulate_paths(params, weather, ds.grid, R=r + 1, seed=seed, store_paths=True)
-    forced = simulate_paths(
-        params, weather, ds.grid, R=r + 1, seed=seed, teacher_forced_until=T, observed=free.paths[r], store_paths=True
-    )
-    assert_array_equal(forced.paths[r], free.paths[r])
+    free = _paths(params, weather, ds.grid, R=r + 1, seed=seed)
+    forced = _paths(params, weather, ds.grid, R=r + 1, seed=seed, cutoff=T, observed=free[r])
+    assert_array_equal(forced[r], free[r])
+
+
+def _paths(params, weather, grid, R, seed, cutoff=0, observed=None):
+    """The (R, K, T) counts of a lone rollout, as the slot loop that
+    `simulate_paths` summarises draws them."""
+    obs = None if observed is None else np.asarray(observed, dtype=np.float64)
+    paths = np.zeros((R, params.num_units, grid.num_slots), dtype=np.int64)
+    mus = simulate._responses([params], weather, grid)
+    for reps, t, n in simulate._rollout_draws([params], mus, obs, cutoff, R, seed):
+        paths[reps, :, t] = n[:, 0].T
+    return paths
 
 
 def _uniforms(seed, r, K, T):
@@ -478,10 +497,11 @@ def _invert_cellwise(lam, u):
     return np.array([poisson_quantile(l, v) for l, v in zip(lam.ravel(), u.ravel())], dtype=np.int64).reshape(lam.shape)
 
 
-def _per_replication_reference(params, weather, T, reps, seed, cutoff=0, observed=None, store_paths=False):
+def _per_replication_reference(params, weather, T, reps, seed, cutoff=0, observed=None):
     """The rollout as it was before replications were stepped together: each
     replication in `reps` walks the slots alone with its own full history and
-    inverts each cell's intensity alone at its uniform u[r, t, i]."""
+    inverts each cell's intensity alone at its uniform u[r, t, i]. Returns the
+    SimResult and the (R, K, T) paths."""
     x = np.asarray(weather, dtype=np.float64)[:, :T, :]
     K, R = params.num_units, len(reps)
     obs = None if observed is None else np.asarray(observed, dtype=np.float64)
@@ -494,7 +514,7 @@ def _per_replication_reference(params, weather, T, reps, seed, cutoff=0, observe
     unit_totals = np.zeros(K)
     cell_sum = np.zeros((K, T))
     cell_sq = np.zeros((K, T))
-    paths = np.zeros((R, K, T), dtype=np.int64) if store_paths else None
+    paths = np.zeros((R, K, T), dtype=np.int64)
     for k, r in enumerate(reps):
         u = _uniforms(seed, r, K, T)
         if cutoff >= T:
@@ -517,12 +537,11 @@ def _per_replication_reference(params, weather, T, reps, seed, cutoff=0, observe
         unit_totals += path.sum(axis=1)
         cell_sum += path
         cell_sq += path * path
-        if store_paths:
-            paths[k] = path.astype(np.int64)
+        paths[k] = path.astype(np.int64)
     cell_mean = cell_sum / R
     cell_var = (cell_sq - R * cell_mean**2) / max(R - 1, 1)
     np.maximum(cell_var, 0.0, out=cell_var)
-    return SimResult(R, seed, rep_totals, cell_mean, cell_var, unit_totals / R, paths)
+    return SimResult(R, seed, rep_totals, cell_mean, cell_var, unit_totals / R), paths
 
 
 def _assert_same_bits(a, b):
@@ -537,12 +556,9 @@ def _assert_same_bits(a, b):
     extra=st.integers(1, 20),
     R=st.integers(1, 5),
     forcing=st.sampled_from(["free", "partial", "full"]),
-    store_paths=st.booleans(),
     one_per_block=st.booleans(),
 )
-def test_batched_rollout_matches_per_replication_reference(
-    seed, K, window, extra, R, forcing, store_paths, one_per_block
-):
+def test_batched_rollout_matches_per_replication_reference(seed, K, window, extra, R, forcing, one_per_block):
     T = window + extra
     params, observed, weather = random_small_instance(np.random.default_rng(seed), K=K, T=T, n_edges=2 * K)
     params.trig_window = window
@@ -551,17 +567,14 @@ def test_batched_rollout_matches_per_replication_reference(
     # BLOCK_FLOATS = 1 puts every replication in a block of its own
     with mock.patch.object(simulate, "BLOCK_FLOATS", 1 if one_per_block else simulate.BLOCK_FLOATS):
         got = simulate_paths(
-            params, weather, ds.grid, R, seed, teacher_forced_until=cutoff,
-            observed=observed if cutoff else None, store_paths=store_paths,
+            params, weather, ds.grid, R, seed, teacher_forced_until=cutoff, observed=observed if cutoff else None
         )
-    want = _per_replication_reference(params, weather, T, range(R), seed, cutoff, observed, store_paths)
+        got_paths = _paths(params, weather, ds.grid, R, seed, cutoff, observed if cutoff else None)
+    want, want_paths = _per_replication_reference(params, weather, T, range(R), seed, cutoff, observed)
     assert (got.replications, got.seed) == (want.replications, want.seed)
     for name in ("rep_totals", "cell_mean", "cell_var", "unit_total_mean"):
         _assert_same_bits(getattr(got, name), getattr(want, name))
-    if store_paths:
-        _assert_same_bits(got.paths, want.paths)
-    else:
-        assert got.paths is None
+    _assert_same_bits(got_paths, want_paths)
 
 
 def test_divergence_names_the_first_slot_and_replication_that_explode():
@@ -624,7 +637,7 @@ def test_free_running_memory_does_not_grow_with_replications_times_slots():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.paths is None and res.rep_totals.shape == (R,)
+    assert res.rep_totals.shape == (R,)
     assert peak < R * K * T * 8 / 4, f"peak {peak} bytes"
 
 
@@ -735,7 +748,7 @@ def test_sweep_simulates_each_distinct_parameter_set_once(monkeypatch):
     calls = _recording_rollouts(monkeypatch)
     axes = dict(axis1=[0, 1, 2], axis2=[0, 1, 2])
     rows = _sweep_rows(params, ds, **axes, R=20, seed=3, observed=observed)
-    identity = sum(scen.is_identity() for _, _, scen in sweep_scenarios(**axes))
+    identity = sum(scen == Scenario() for _, _, scen in sweep_scenarios(**axes))
     assert identity == 5
     # one stacked rollout of the baseline, then each non-identity cell
     [(sets, totals)] = calls

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import brute_criticality, brute_knn_edges, dense_candidate_edges, distance_matrix_km
 from synth import make_units, random_small_instance, random_small_params
 from gridshock import topology
+from gridshock.analyze import criticality_scores, export_propagation_map
 from gridshock.errors import ValidationError
 from gridshock.ingest import UnitMeta
 from gridshock.model import intensity_field, kernel_matrix
@@ -18,9 +19,7 @@ from gridshock.topology import (
     EdgeWeights,
     Graph,
     build_candidate_graph,
-    criticality_scores,
     enforce_no_loops,
-    export_propagation_map,
     haversine_km,
 )
 

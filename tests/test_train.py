@@ -514,6 +514,16 @@ def test_epoch_end_divergence_reads_like_a_block_steps(monkeypatch):
     assert re.fullmatch(pattern, at_epoch_end).group(1) == "0"
 
 
+def test_non_finite_epoch_score_is_a_divergence(monkeypatch):
+    ds, graph = _fit_setup()
+    monkeypatch.setattr(train, "_series_loglik", lambda *a: -np.inf)
+    cfg = FitConfig(max_epochs=3, batch_slots=16, hidden_sizes=(3,), window_slots=6)
+    message = re.escape("optimizer left the finite region at epoch 1 (non-finite log-likelihood); trace tail: []")
+    with pytest.raises(DivergenceError, match=f"^{message}$") as info:
+        fit(ds, graph, cfg)
+    assert isinstance(info.value.__cause__, NumericError)
+
+
 def _ring_params(K, k, M, rng):
     """Random parameters on a ring graph where every unit is a candidate source
     and target of its k nearest ring neighbours on each side; of each two-way
