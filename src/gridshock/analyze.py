@@ -213,32 +213,20 @@ def variable_index(weather, variable: int | str) -> int:
     return int(variable)
 
 
-def fit_sigmoid(
-    dataset: Dataset,
-    variable: int | str,
-    cfg: DecayConfig | None = None,
-    population=None,
-) -> SigmoidFit:
+def fit_sigmoid(dataset: Dataset, variable: int | str, cfg: DecayConfig | None = None) -> SigmoidFit:
     """Fit the outage-ratio response curve for one weather variable.
 
-    Points are (cumulative raw weather, outage ratio) over all cells of the
-    chosen units with ratio > 0; ratios use each unit's customer base. The
-    best of >= 8 bounded least-squares starts wins (ties: earliest start).
+    Points are (cumulative raw weather, outage ratio) over all cells with
+    ratio > 0; ratios use each unit's customer base. The best of >= 8
+    bounded least-squares starts wins (ties: earliest start).
     """
     m = variable_index(dataset.weather, variable)
     var_name = dataset.weather.variable_names[m]
     cfg = cfg or DecayConfig(omega=np.zeros(dataset.num_variables))
-    units = list(range(dataset.num_units)) if population is None else [int(u) for u in population]
-    bad = [u for u in units if not 0 <= u < dataset.num_units]
-    if bad:
-        raise ValidationError(f"population unit index {bad[0]} out of range for {dataset.num_units} units")
     v_all = accumulate(dataset.weather.values[:, :, m : m + 1], DecayConfig(cfg.omega[m : m + 1], cfg.window_slots))[:, :, 0]
-    customers = np.array([dataset.units[u].total_customers for u in units], dtype=float).reshape(-1, 1)
-    counts = dataset.outages.counts
-    if population is not None:  # the chosen rows; all units read the arrays as they are
-        counts, v_all = counts[units], v_all[units]
-    ratios = counts / customers
-    sel = ratios > 0  # boolean indexing walks the units in population order, each unit's slots in order
+    customers = np.array([u.total_customers for u in dataset.units], dtype=float).reshape(-1, 1)
+    ratios = dataset.outages.counts / customers
+    sel = ratios > 0  # boolean indexing walks the units in order, each unit's slots in order
     r = ratios[sel]
     del ratios  # before the exposures are gathered
     v = v_all[sel]

@@ -309,7 +309,7 @@ def cmd_fit(cfg: dict, s: dict, args, fit_cfg, ds, graph) -> int:
     from .analyze import write_csv
 
     if args.check_gradients:
-        params0 = train.initialize(ds, graph, seed=fit_cfg.seed, cfg=fit_cfg)
+        params0 = train.initialize(ds, graph, cfg=fit_cfg)
         worst = train.fd_audit(params0, ds, max_coords=40)
         print(f"gradient audit: max rel. err {worst:.3e} over 40 sampled coordinates")
     params, report = train.fit(ds, graph, fit_cfg)
@@ -471,7 +471,7 @@ def cmd_analyze(cfg: dict, s: dict, args, ds, params, variables) -> int:
     episodes = analyze.restoration_durations(ds, zero_run_threshold=s["analyze.zero_run_threshold"])
     analyze.write_episodes_csv(out_dir / "episodes.csv", episodes)
     summary = analyze.episode_duration_summary(episodes)
-    fits = [analyze.fit_sigmoid(ds, m, cfg=params.decay, population=None) for m in variables]
+    fits = [analyze.fit_sigmoid(ds, m, cfg=params.decay) for m in variables]
     if fits:
         analyze.write_sigmoid_csv(out_dir / "sigmoid.csv", fits)
     print(f"decomposition: direct share {shares[0]:.3f}, cascade share {shares[1]:.3f}")

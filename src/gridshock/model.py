@@ -124,11 +124,7 @@ class MlpParams:
         return MlpParams(weights=[w.copy() for w in self.weights], biases=[b.copy() for b in self.biases])
 
     def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return _interleaved(self.weights, self.biases)
 
     def unflatten_like(self, vec: np.ndarray) -> "MlpParams":
         out_w, out_b = [], []
@@ -139,6 +135,11 @@ class MlpParams:
             out_b.append(vec[pos : pos + b.size].copy())
             pos += b.size
         return MlpParams(weights=out_w, biases=out_b)
+
+
+def _interleaved(weights: list, biases: list) -> np.ndarray:
+    """Layer by layer, its weights then its bias, in one vector: `MlpParams.flatten`'s layout."""
+    return np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer])
 
 
 def _row_chunks(n: int) -> list:
@@ -190,7 +191,8 @@ def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray, tangent: np.ndarray, on
     contracted with `tangent` (n, M), laid out like the cache:
     c[m] = sum_n g[n, m] tangent[n, m], summed as sum_j W0[m, j] (tangent^T dz)[m, j]
     with dz the first layer's pre-activation gradient, so no (n, M) input
-    gradient is formed. Returns (grad MlpParams, c (M,)).
+    gradient is formed. Returns (the parameter gradient laid out as by
+    :meth:`MlpParams.flatten`, c (M,)), finite or not.
     """
     x = cache
     dmu = np.asarray(dmu, dtype=np.float64)
@@ -217,7 +219,7 @@ def mlp_backward(mlp: MlpParams, cache, dmu: np.ndarray, tangent: np.ndarray, on
             h = np.subtract(1.0, np.square(hiddens[k], out=hiddens[k]), out=hiddens[k])
             dz = np.multiply(dh, h, out=dh)
         contracted += tangent[chunk].T @ dz
-    return MlpParams(weights=grad_w, biases=grad_b), (mlp.weights[0] * contracted).sum(axis=1)
+    return _interleaved(grad_w, grad_b), (mlp.weights[0] * contracted).sum(axis=1)
 
 
 @dataclass

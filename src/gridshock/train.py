@@ -31,9 +31,11 @@ The gradient norm `fit` reports per epoch is that of the sum of the epoch's
 minibatch gradients (see `FitReport`), which the update steps computed anyway.
 
 The optimizer works on one vector theta holding every free parameter
-(per-edge alpha, beta, gamma, omega, network weights; see `pack`).
-Constraints (non-negativity, no loops) are enforced by projection after
-every update step; alpha_ii = 1 holds by construction.
+(per-edge alpha, beta, gamma, omega, network weights; see `pack`), and every
+gradient, from a block's evaluation to the update, is one vector in the same
+layout. An update that leaves theta non-finite is a divergence, as a
+non-finite log-likelihood is. Constraints (non-negativity, no loops) are
+enforced by projection after every update step; alpha_ii = 1 holds by construction.
 """
 
 from __future__ import annotations
@@ -125,32 +127,6 @@ class FitReport:
         return list(zip(range(1, self.epochs_run + 1), self.loglik_trace, self.grad_norm_trace, self.projection_counts))
 
 
-@dataclass
-class Gradients:
-    """d ell / d theta, arranged like the parameters themselves."""
-
-    alpha: np.ndarray  # (E,), one entry per graph edge in (target, source) order
-    beta: np.ndarray
-    gamma: np.ndarray
-    omega: np.ndarray
-    mlp: MlpParams
-
-    def flat(self) -> np.ndarray:
-        """The gradient laid out like :func:`pack`'s theta."""
-        return np.concatenate([self.alpha, self.beta, self.gamma, self.omega, self.mlp.flatten()])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.flat()))
-
-    def add(self, other: "Gradients") -> None:
-        """Add `other` into this gradient, in place, group by group."""
-        for mine, theirs in zip(
-            (self.alpha, self.beta, self.gamma, self.omega, *self.mlp.weights, *self.mlp.biases),
-            (other.alpha, other.beta, other.gamma, other.omega, *other.mlp.weights, *other.mlp.biases),
-        ):
-            mine += theirs
-
-
 def pack(params: ModelParams) -> np.ndarray:
     """All free parameters as one vector theta: alpha, beta, gamma, omega, mlp."""
     return np.concatenate([params.alpha.w, params.beta, params.gamma, params.decay.omega, params.mlp.flatten()])
@@ -165,15 +141,15 @@ def unpack(params: ModelParams, theta: np.ndarray) -> None:
 
 
 def _block_loglik_and_grads(params: ModelParams, counts: np.ndarray, weather, t0: int, t1: int):
-    """(ell, Gradients) over slots [t0, t1), with exact out-of-block history: a
+    """(ell, d ell / d theta) over slots [t0, t1), with exact out-of-block history: a
     minibatch, whose kernel runs from the trig_window slots before t0."""
     R, dR = kernel_matrix_with_grad(counts, params.beta, params.trig_window, t0, t1)
     return _evaluate_block(params, counts, weather, t0, t1, R, dR, Coupling(params.alpha))
 
 
 def _evaluate_block(params: ModelParams, counts: np.ndarray, weather, t0: int, t1: int, R, dR, coupling):
-    """(ell, Gradients) over slots [t0, t1), given the block's kernel sums R and dR/dbeta
-    and the Coupling of `params.alpha`.
+    """(ell, d ell / d theta laid out as by :func:`pack`) over slots [t0, t1), given the
+    block's kernel sums R and dR/dbeta and the Coupling of `params.alpha`.
 
     The weather sums are computed at the block's slots only, standardizing the raw `weather`
     that they read, history included, so in-block values are identical to a full-series pass.
@@ -213,24 +189,21 @@ def _evaluate_block(params: ModelParams, counts: np.ndarray, weather, t0: int, t
     for e in range(0, tgt.size, K):
         grad_alpha[e : e + K] = np.vecdot(W[tgt[e : e + K]], R[src[e : e + K]])
     grad_beta = np.einsum("jt,jt->j", dR, coupling.adjoint(W))
-
-    grads = Gradients(alpha=grad_alpha, beta=grad_beta, gamma=grad_gamma, omega=grad_omega, mlp=grad_mlp)
-    return ll, grads
+    return ll, np.concatenate([grad_alpha, grad_beta, grad_gamma, grad_omega, grad_mlp])
 
 
 def _series_loglik_and_grads(params: ModelParams, counts: np.ndarray, weather):
-    """(ell, Gradients) over every slot: the blocks of :func:`model.time_blocks`,
+    """(ell, d ell / d theta) over every slot: the blocks of :func:`model.time_blocks`,
     evaluated in order on one kernel roll carried across them and one Coupling,
     and summed. Its kernel sums are those of every forward pass, whatever the block size."""
     blocks, coupling = time_blocks(*counts.shape), Coupling(params.alpha)
     sums = kernel_blocks(counts, params.beta, params.trig_window, blocks)  # one (R, dR) per block
-    (t0, t1), *rest = blocks
-    ll, grads = _evaluate_block(params, counts, weather, t0, t1, *next(sums), coupling)
-    for t0, t1 in rest:
-        block_ll, block_grads = _evaluate_block(params, counts, weather, t0, t1, *next(sums), coupling)
+    ll, grad = 0.0, 0.0  # the first block's terms make grad a vector
+    for (t0, t1), (R, dR) in zip(blocks, sums):
+        block_ll, block_grad = _evaluate_block(params, counts, weather, t0, t1, R, dR, coupling)
         ll += block_ll
-        grads.add(block_grads)
-    return ll, grads
+        grad += block_grad
+    return ll, grad
 
 
 def _series_loglik(params: ModelParams, counts: np.ndarray, weather) -> float:
@@ -261,8 +234,8 @@ def log_likelihood(params: ModelParams, dataset: Dataset) -> float:
     return _series_loglik(params, dataset.outages.counts, dataset.weather)
 
 
-def gradients(params: ModelParams, dataset: Dataset) -> Gradients:
-    """Exact full-batch gradient of the log-likelihood for every group.
+def gradients(params: ModelParams, dataset: Dataset) -> np.ndarray:
+    """Exact full-batch gradient of the log-likelihood, one vector laid out as by :func:`pack`.
 
     Summed over the same bounded time blocks as :func:`log_likelihood`, so its memory
     does not grow with the number of slots either.
@@ -293,17 +266,19 @@ def project(params: ModelParams) -> tuple[ModelParams, int]:
 def initialize(
     dataset: Dataset,
     graph: Graph,
-    seed: int = 0,
+    seed: int | None = None,
     cfg: FitConfig | None = None,
 ) -> ModelParams:
     """Default starting point: gamma 0.1, beta 0.5, candidate alpha 0.01, omega 0.1.
 
-    Network weights are fan-in-scaled Gaussians from the given seed; the
-    weather scaler is fit on the dataset. The two-way 0.01 couplings are
-    pruned by the tie-break (smaller source index survives) so the start
-    point already satisfies every constraint.
+    Network weights are fan-in-scaled Gaussians from `seed`, which defaults to
+    `cfg.seed` and may not differ from it; the weather scaler is fit on the
+    dataset. The two-way 0.01 couplings are pruned by the tie-break (smaller
+    source index survives) so the start point already satisfies every constraint.
     """
-    cfg = cfg or FitConfig(seed=seed)
+    cfg = cfg or FitConfig(seed=seed or 0)
+    if seed is not None and seed != cfg.seed:
+        raise ValidationError(f"seed {seed} disagrees with the config's seed {cfg.seed}")
     K = dataset.num_units
     M = dataset.num_variables
     if graph.num_nodes != K:
@@ -314,7 +289,7 @@ def initialize(
         beta=np.full(K, 0.5),
         gamma=np.full(K, 0.1),
         decay=DecayConfig(omega=np.full(M, 0.1), window_slots=cfg.window_slots),
-        mlp=MlpParams.init_random(M, hidden=cfg.hidden_sizes, seed=seed),
+        mlp=MlpParams.init_random(M, hidden=cfg.hidden_sizes, seed=cfg.seed),
         scaler=WeatherScaler.fit(dataset.weather),
         eps=cfg.eps,
         trig_window=cfg.trig_window,
@@ -331,7 +306,7 @@ def fd_audit(params: ModelParams, dataset: Dataset, max_coords: int = 40, h: flo
     where the gradient is tiny). Pure likelihood evaluations on perturbed
     copies, which may step just outside the constraint set; nothing is mutated.
     """
-    g = gradients(params, dataset).flat()
+    g = gradients(params, dataset)
     theta = pack(params)
     rng = np.random.default_rng(seed)
     coords = range(theta.size)
@@ -380,10 +355,14 @@ def minibatches(num_slots: int, batch_slots: int | None) -> list[tuple[int, int]
     return [(t0, min(t0 + width, num_slots)) for t0 in range(0, num_slots, width)]
 
 
-def _apply_update(params: ModelParams, grads: Gradients, lr: float, adam: _AdamState | None) -> None:
-    """In-place ascent step on theta (plain when adam is None)."""
-    g = grads.flat()
-    unpack(params, pack(params) + (lr * g if adam is None else adam.step(g, lr)))
+def _apply_update(params: ModelParams, grad: np.ndarray, lr: float, adam: _AdamState | None) -> None:
+    """In-place ascent step on theta (plain when adam is None); NumericError if it leaves theta non-finite."""
+    with np.errstate(over="ignore"):  # an overflow is reported below, as a divergence
+        theta = pack(params) + (lr * grad if adam is None else adam.step(grad, lr))
+    bad = ~np.isfinite(theta)
+    if bad.any():
+        raise NumericError(f"non-finite parameter update at theta[{int(np.argmax(bad))}]")
+    unpack(params, theta)
 
 
 def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, FitReport]:
@@ -392,31 +371,29 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
     Minibatches are contiguous time blocks walked in order; every update is
     followed by a projection. Stops at the epoch cap or when the full-data
     log-likelihood moves less than cfg.tol across an epoch. Raises
-    DivergenceError (with the trace in the message) if ell turns non-finite.
+    DivergenceError (with the trace in the message) if ell or theta turns non-finite.
     """
     t_start = time.perf_counter()
-    params = initialize(dataset, graph, seed=cfg.seed, cfg=cfg)
+    params = initialize(dataset, graph, cfg=cfg)
     report = FitReport(seed=cfg.seed)
     counts, weather = dataset.outages.counts, dataset.weather
     blocks = minibatches(counts.shape[1], cfg.batch_slots)
 
-    adam = _AdamState(pack(params).shape) if cfg.optimizer == "adaptive-moments" else None
+    size = pack(params).size
+    adam = _AdamState(size) if cfg.optimizer == "adaptive-moments" else None
 
     best_ll = -np.inf
     best_params = params.copy()
     prev_ll = None
     for epoch in range(cfg.max_epochs):
-        projections = 0
+        projections, epoch_grad = 0, np.zeros(size)
         try:
             for t0, t1 in blocks:
-                _, grads = _block_loglik_and_grads(params, counts, weather, t0, t1)
-                _apply_update(params, grads, cfg.step_size, adam)
+                _, grad = _block_loglik_and_grads(params, counts, weather, t0, t1)
+                _apply_update(params, grad, cfg.step_size, adam)
                 params, n_proj = project(params)
                 projections += n_proj
-                if t0 == 0:
-                    epoch_grads = grads
-                else:
-                    epoch_grads.add(grads)
+                epoch_grad += grad
             ll = _series_loglik(params, counts, weather)
             if not np.isfinite(ll):
                 raise NumericError("non-finite log-likelihood")
@@ -426,7 +403,7 @@ def fit(dataset: Dataset, graph: Graph, cfg: FitConfig) -> tuple[ModelParams, Fi
                 f"trace tail: {[f'{x:.4g}' for x in report.loglik_trace[-5:]]}"
             ) from exc
         report.loglik_trace.append(ll)
-        report.grad_norm_trace.append(epoch_grads.norm())
+        report.grad_norm_trace.append(float(np.linalg.norm(epoch_grad)))
         report.projection_counts.append(projections)
         if ll > best_ll:
             best_ll = ll

@@ -200,8 +200,7 @@ def scan_episodes(counts, zero_run_threshold):
 
 def per_unit_sigmoid_points(v_all, counts, customers, units):
     """Response-curve points (exposure, ratio) gathered one unit at a time:
-    each chosen unit's slots with a positive outage ratio, units in
-    population order (repeats included), each unit's slots in order."""
+    each unit of `units` in turn, its slots with a positive outage ratio in order."""
     ratios = np.asarray(counts) / np.asarray(customers, dtype=float)[:, None]
     v_pts, r_pts = [], []
     for u in units:

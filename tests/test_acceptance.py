@@ -56,7 +56,9 @@ def _audit_instance(seed: int):
     ll_naive = naive_loglik(params, counts, weather)
     assert abs(ll_pkg - ll_naive) <= 1e-9 * max(1.0, abs(ll_naive))
 
-    grads = gradients(params, ds)
+    # the gradient vector cut into pack's groups
+    ends = np.cumsum([params.alpha.w.size, K, K, M])
+    g_alpha, g_beta, g_gamma, g_omega, mlp_grad = np.split(gradients(params, ds), ends)
     h = 1e-5
 
     def fd(setter):
@@ -70,19 +72,18 @@ def _audit_instance(seed: int):
     coords = []
     for s, t in params.graph.edges:
         e = params.graph.index[s, t]
-        coords.append((grads.alpha[e], fd(lambda p, d, e=e: p.alpha.w.__setitem__(e, p.alpha.w[e] + d))))
+        coords.append((g_alpha[e], fd(lambda p, d, e=e: p.alpha.w.__setitem__(e, p.alpha.w[e] + d))))
     for i in range(K):
-        coords.append((grads.beta[i], fd(lambda p, d, i=i: p.beta.__setitem__(i, p.beta[i] + d))))
-        coords.append((grads.gamma[i], fd(lambda p, d, i=i: p.gamma.__setitem__(i, p.gamma[i] + d))))
+        coords.append((g_beta[i], fd(lambda p, d, i=i: p.beta.__setitem__(i, p.beta[i] + d))))
+        coords.append((g_gamma[i], fd(lambda p, d, i=i: p.gamma.__setitem__(i, p.gamma[i] + d))))
     for m in range(M):
-        coords.append((grads.omega[m], fd(lambda p, d, m=m: p.decay.omega.__setitem__(m, p.decay.omega[m] + d))))
+        coords.append((g_omega[m], fd(lambda p, d, m=m: p.decay.omega.__setitem__(m, p.decay.omega[m] + d))))
 
     def bump_mlp(p, d, k):
         flat = p.mlp.flatten()
         flat[k] += d
         p.mlp = p.mlp.unflatten_like(flat)
 
-    mlp_grad = grads.mlp.flatten()
     for k in range(mlp_grad.size):
         coords.append((mlp_grad[k], fd(lambda p, d, k=k: bump_mlp(p, d, k))))
 

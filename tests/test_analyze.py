@@ -301,37 +301,32 @@ def test_fit_sigmoid_recovers_response_curve():
     assert fit.rmse < 0.01
 
 
-def test_fit_sigmoid_population_and_index_selection():
+def test_fit_sigmoid_index_selection():
     ds = _sigmoid_dataset()
     cfg = DecayConfig(omega=np.zeros(1), window_slots=1)
     full = fit_sigmoid(ds, 0, cfg=cfg)
-    sub = fit_sigmoid(ds, 0, cfg=cfg, population=[0])
-    expected_pts = int((ds.outages.counts[0] > 0).sum())
-    assert sub.n_points == expected_pts
-    assert full.n_points > sub.n_points
-    assert sub.c == pytest.approx(full.c, rel=0.1)
+    assert full == fit_sigmoid(ds, "wind_speed", cfg=cfg)
+    assert full.n_points == int((ds.outages.counts > 0).sum())
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    population=st.none() | st.lists(st.integers(0, 3), max_size=9),
     omega=st.floats(0.0, 2.0),
     window=st.integers(1, 6),
 )
-def test_fit_sigmoid_fits_the_points_of_the_per_unit_loop(seed, population, omega, window):
+def test_fit_sigmoid_fits_the_points_of_the_per_unit_loop(seed, omega, window):
     ds = _sigmoid_dataset(K=4, T=40, seed=seed)
     customers = np.random.default_rng(seed).integers(12000, 40000, 4)
     ds.units = [replace(u, total_customers=int(c)) for u, c in zip(ds.units, customers)]
     cfg = DecayConfig(omega=np.array([omega]), window_slots=window)
-    units = range(4) if population is None else population
     v_all = accumulate(ds.weather.values, cfg)[:, :, 0]
-    v, r = per_unit_sigmoid_points(v_all, ds.outages.counts, customers, units)
+    v, r = per_unit_sigmoid_points(v_all, ds.outages.counts, customers, range(4))
     if v.size < MIN_SIGMOID_POINTS:
         with pytest.raises(InsufficientDataError):
-            fit_sigmoid(ds, 0, cfg=cfg, population=population)
+            fit_sigmoid(ds, 0, cfg=cfg)
     else:
-        assert fit_sigmoid(ds, 0, cfg=cfg, population=population) == fit_sigmoid_points(v, r, variable="wind_speed")
+        assert fit_sigmoid(ds, 0, cfg=cfg) == fit_sigmoid_points(v, r, variable="wind_speed")
 
 
 def test_fit_sigmoid_unknown_variable(small):
@@ -355,14 +350,6 @@ def test_fit_sigmoid_points_basics():
         fit_sigmoid_points(v, r[:-1])
     with pytest.raises(InsufficientDataError, match=">= 10"):
         fit_sigmoid_points(v[:5], r[:5])
-
-
-def test_fit_sigmoid_rejects_population_indices_out_of_range():
-    ds = _sigmoid_dataset(K=3)
-    cfg = DecayConfig(omega=np.zeros(1), window_slots=1)
-    for bad in (-1, 7):
-        with pytest.raises(ValidationError, match=f"population unit index {bad} out of range for 3 units"):
-            fit_sigmoid(ds, 0, cfg=cfg, population=[0, bad])
 
 
 def test_fit_sigmoid_points_rejects_non_finite_points():

@@ -844,6 +844,16 @@ def test_exit_code_validation_errors(pipeline, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("optimizer", ["plain-sgd", "adaptive-moments"])
+def test_a_step_that_overflows_theta_exits_3_as_a_divergence(pipeline, tmp_path, capsys, optimizer):
+    rc = cli.main(["fit", "--dataset", str(pipeline["dataset"]), "--output-dir", str(tmp_path),
+                   "--step-size", "1.7e308", "--optimizer", optimizer, "--epochs", "2", "--k-neighbors", "3"])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert "optimizer left the finite region at epoch 1 (non-finite parameter update at theta[" in err
+    assert not (tmp_path / "model.gshk").exists()
+
+
 def _drop_array(name):
     def edit(header):
         header["arrays"] = [e for e in header["arrays"] if e["name"] != name]

@@ -28,7 +28,6 @@ from gridshock.topology import EdgeWeights, Graph, build_candidate_graph, enforc
 from gridshock.train import (
     FitConfig,
     FitReport,
-    Gradients,
     _block_loglik_and_grads,
     fd_audit,
     fit,
@@ -77,12 +76,17 @@ def test_loglik_matches_cellwise_formula_and_oracle():
 # -- gradients ---------------------------------------------------------------------
 
 
+def _split(params, g):
+    """The gradient vector `g` cut at :func:`pack`'s group ends: alpha, beta, gamma, omega, network."""
+    return np.split(g, np.cumsum([params.alpha.w.size, params.num_units, params.num_units, params.num_variables]))
+
+
 def test_gradients_match_finite_differences_of_oracle():
     rng = np.random.default_rng(19)
     for _ in range(3):
         params, counts, weather = random_small_instance(rng, K=3, T=7, M=2, n_edges=3, hidden=(3,))
         ds = wrap_dataset(counts, weather)
-        g = gradients(params, ds)
+        _, g_beta, _, g_omega, g_mlp = _split(params, gradients(params, ds))
 
         flat0 = params.mlp.flatten()
 
@@ -92,35 +96,36 @@ def test_gradients_match_finite_differences_of_oracle():
             q.mlp.weights, q.mlp.biases = new.weights, new.biases
             return naive_loglik(q, counts, weather)
 
-        assert_allclose(g.mlp.flatten(), fd_gradient(mlp_ll, flat0), rtol=2e-5, atol=1e-7)
+        assert_allclose(g_mlp, fd_gradient(mlp_ll, flat0), rtol=2e-5, atol=1e-7)
 
         def omega_ll(om):
             q = params.copy()
             q.decay.omega[:] = om
             return naive_loglik(q, counts, weather)
 
-        assert_allclose(g.omega, fd_gradient(omega_ll, params.decay.omega.copy()), rtol=2e-5, atol=1e-7)
+        assert_allclose(g_omega, fd_gradient(omega_ll, params.decay.omega.copy()), rtol=2e-5, atol=1e-7)
 
         def beta_ll(b):
             q = params.copy()
             q.beta[:] = b
             return naive_loglik(q, counts, weather)
 
-        assert_allclose(g.beta, fd_gradient(beta_ll, params.beta.copy()), rtol=2e-5, atol=1e-7)
+        assert_allclose(g_beta, fd_gradient(beta_ll, params.beta.copy()), rtol=2e-5, atol=1e-7)
 
 
 def test_gradient_norm_covers_all_groups():
     rng = np.random.default_rng(20)
     params, counts, weather = random_small_instance(rng, K=3, T=6, M=1, n_edges=3)
     g = gradients(params, wrap_dataset(counts, weather))
+    alpha, beta, gamma, omega, mlp = _split(params, g)
     manual = math.sqrt(
-        float((g.alpha**2).sum())
-        + float((g.beta**2).sum())
-        + float((g.gamma**2).sum())
-        + float((g.omega**2).sum())
-        + float((g.mlp.flatten() ** 2).sum())
+        float((alpha**2).sum())
+        + float((beta**2).sum())
+        + float((gamma**2).sum())
+        + float((omega**2).sum())
+        + float((mlp**2).sum())
     )
-    assert g.norm() == pytest.approx(manual, rel=1e-12)
+    assert np.linalg.norm(g) == pytest.approx(manual, rel=1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 8), T=st.integers(2, 40), n_edges=st.integers(0, 12))
@@ -138,7 +143,7 @@ def test_alpha_gradient_is_the_per_edge_dot_product(seed, K, T, n_edges):
     W = counts / lam - 1.0
     edges = zip(params.graph.tgt.tolist(), params.graph.src.tolist())
     expected = np.array([np.dot(W[tgt], R[s]) for tgt, s in edges], dtype=np.float64)
-    assert_array_equal(gradients(params, ds).alpha, expected, strict=True)
+    assert_array_equal(_split(params, gradients(params, ds))[0], expected, strict=True)
 
 
 def _two_pass_reference(params, counts, weather, t0, t1):
@@ -164,13 +169,13 @@ def _two_pass_reference(params, counts, weather, t0, t1):
     W = n_blk / lam - 1.0
     dmu, tangent = (W * params.gamma[:, None]).ravel(), dvdo.reshape(K * Tb, M)
     grad_mlp, grad_omega = mlp_backward(params.mlp, rows, dmu, tangent)
-    return ll, Gradients(
-        alpha=np.vecdot(W[params.graph.tgt], R[params.graph.src]),
-        beta=np.einsum("jt,jt->j", dR, add_at_coupling(params.alpha, W, adjoint=True)),
-        gamma=(W * mu).sum(axis=1),
-        omega=grad_omega,
-        mlp=grad_mlp,
-    )
+    return ll, np.concatenate([
+        np.vecdot(W[params.graph.tgt], R[params.graph.src]),
+        np.einsum("jt,jt->j", dR, add_at_coupling(params.alpha, W, adjoint=True)),
+        (W * mu).sum(axis=1),
+        grad_omega,
+        grad_mlp,
+    ])
 
 
 def _evaluation(fn, params, counts, weather, t0, t1):
@@ -181,7 +186,7 @@ def _evaluation(fn, params, counts, weather, t0, t1):
             ll, g = fn(params, counts, weather, t0, t1)
     except NumericError as exc:
         return ("raised", str(exc))
-    return ("ok", ll, g.alpha, g.beta, g.gamma, g.omega, g.mlp.flatten())
+    return ("ok", ll, *_split(params, g))
 
 
 def _assert_same_evaluation(params, counts, weather, t0, t1):
@@ -266,8 +271,8 @@ def test_one_evaluation_runs_the_network_once_per_chunk(monkeypatch):
 # -- full-series evaluation over bounded blocks ---------------------------------------
 
 
-def _groups(ll, g):
-    return [np.array([ll]), g.alpha, g.beta, g.gamma, g.omega, g.mlp.flatten()]
+def _groups(params, ll, g):
+    return [np.array([ll]), *_split(params, g)]
 
 
 @given(
@@ -285,11 +290,11 @@ def test_series_evaluation_sums_bounded_blocks(seed, K, chunks, full_blocks, tai
     T = full_blocks * width + tail % width or width
     rng = np.random.default_rng(seed)
     params, counts, weather = random_small_instance(rng, K=K, T=T, M=2, n_edges=8, hidden=(4,))
-    whole = _groups(*_block_loglik_and_grads(params, counts, weather, 0, T))
+    whole = _groups(params, *_block_loglik_and_grads(params, counts, weather, 0, T))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "BLOCK_CELLS", K * width + min(spare, K - 1))
         assert model.time_blocks(K, T)[-1][1] == T
-        streamed = _groups(*train._series_loglik_and_grads(params, counts, weather))
+        streamed = _groups(params, *train._series_loglik_and_grads(params, counts, weather))
     for got, expected in zip(streamed, whole):
         if T <= width:  # one block: the very same evaluation
             assert_array_equal(got, expected, strict=True)
@@ -419,13 +424,13 @@ def test_gradients_memory_does_not_grow_with_slots():
 @pytest.mark.parametrize("batch_slots", [7, 16, 32, None])
 def test_minibatch_gradients_sum_to_the_series_gradient_at_fixed_parameters(batch_slots):
     ds, graph = _fit_setup()
-    params = initialize(ds, graph, seed=3, cfg=FitConfig(hidden_sizes=(4,), window_slots=6))
+    params = initialize(ds, graph, cfg=FitConfig(seed=3, hidden_sizes=(4,), window_slots=6))
     counts, weather = ds.outages.counts, ds.weather
     (t0, t1), *rest = train.minibatches(ds.num_slots, batch_slots)
     total = _block_loglik_and_grads(params, counts, weather, t0, t1)[1]
     for t0, t1 in rest:
-        total.add(_block_loglik_and_grads(params, counts, weather, t0, t1)[1])
-    for got, expected in zip(_groups(0.0, total)[1:], _groups(0.0, gradients(params, ds))[1:]):
+        total += _block_loglik_and_grads(params, counts, weather, t0, t1)[1]
+    for got, expected in zip(_split(params, total), _split(params, gradients(params, ds))):
         assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max(initial=0.0))
 
 
@@ -435,7 +440,7 @@ def test_full_batch_epoch_reports_the_gradient_at_its_start():
     cfg = FitConfig(max_epochs=2, batch_slots=None, hidden_sizes=(3,), window_slots=6)
     _, report = fit(ds, graph, cfg)
     start = initialize(ds, graph, seed=cfg.seed, cfg=cfg)
-    assert report.grad_norm_trace[0] == gradients(start, ds).norm()
+    assert report.grad_norm_trace[0] == float(np.linalg.norm(gradients(start, ds)))
 
 
 def test_reported_gradient_norm_is_that_of_the_epochs_summed_steps(monkeypatch):
@@ -443,9 +448,9 @@ def test_reported_gradient_norm_is_that_of_the_epochs_summed_steps(monkeypatch):
     steps = []
     apply_update = train._apply_update
 
-    def recording(params, grads, lr, adam):
-        steps.append(grads.flat())
-        apply_update(params, grads, lr, adam)
+    def recording(params, grad, lr, adam):
+        steps.append(grad.copy())
+        apply_update(params, grad, lr, adam)
 
     monkeypatch.setattr(train, "_apply_update", recording)
     cfg = FitConfig(max_epochs=3, batch_slots=16, hidden_sizes=(4,), window_slots=6, tol=1e-12)
@@ -614,6 +619,17 @@ def test_initialize_defaults():
     assert params.scaler == WeatherScaler.fit(ds.weather)
     other = initialize(ds, graph, seed=4)
     assert not np.array_equal(params.mlp.weights[0], other.mlp.weights[0])
+
+
+def test_initialize_seeds_the_network_from_the_config():
+    ds = _tiny_dataset()
+    graph = build_candidate_graph(ds.units, k_neighbors=2, max_km=200.0)
+    from_cfg = initialize(ds, graph, cfg=FitConfig(seed=5))
+    assert_array_equal(pack(from_cfg), pack(initialize(ds, graph, seed=5)), strict=True)
+    assert_array_equal(pack(from_cfg), pack(initialize(ds, graph, seed=5, cfg=FitConfig(seed=5))), strict=True)
+    assert not np.array_equal(pack(from_cfg), pack(initialize(ds, graph, cfg=FitConfig(seed=0))))
+    with pytest.raises(ValidationError, match="^seed 3 disagrees with the config's seed 0$"):
+        initialize(ds, graph, seed=3, cfg=FitConfig(seed=0))
 
 
 def test_initialize_respects_config_shape_knobs():
