@@ -458,9 +458,11 @@ def write_decomposition_csv(path, decomp: Decomposition) -> None:
     write_csv(path, ["slot", "direct_total", "indirect_total", "observed_total"], rows)
 
 
-# Rows per joined string of a predictions file: about 60 MB of Python strings
-# and floats at a time, whatever the number of cells.
-PREDICTION_CHUNK_ROWS = 2**16
+# Rows per joined string of a predictions file, rounded down to whole units. At
+# K=100, T=600 a chunk of 4096 rows holds about 0.8 MiB of Python strings and
+# floats (tracemalloc), where one of 65536 rows held 12.9 MiB; fewer rows per
+# write did not cost time, but one unit per write was 3.3x slower at T=3.
+PREDICTION_CHUNK_ROWS = 4096
 
 
 def write_predictions_csv(path, report: PredictionReport) -> None:
@@ -470,6 +472,7 @@ def write_predictions_csv(path, report: PredictionReport) -> None:
     MB at scale, and so would the indices of every cell at once."""
     K, T = report.predicted.shape
     step = max(1, PREDICTION_CHUNK_ROWS // max(T, 1))
+    slots = [f",{t}," for t in range(T)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("unit,slot,predicted,actual\n")
         for u0 in range(0, K, step):
@@ -477,7 +480,7 @@ def write_predictions_csv(path, report: PredictionReport) -> None:
             cells = np.nonzero(~np.isnan(predicted))
             values = (a[cells].astype(np.float64).tolist() for a in (predicted, actual))
             rows = zip((cells[0] + u0).tolist(), cells[1].tolist(), *values)
-            fh.write("".join(f"{u},{t},{p!r},{a!r}\n" for u, t, p, a in rows))
+            fh.write("".join([f"{u}{slots[t]}{p!r},{a!r}\n" for u, t, p, a in rows]))
 
 
 def write_sigmoid_csv(path, fits: list) -> None:

@@ -31,6 +31,9 @@ from .errors import ValidationError, at_least, checked
 DEFAULT_WINDOW_SLOTS = 24  # 3 days of 3-hour slots
 # Output slots per matrix product: at K=400, 32 (the default minibatch width) beat 16 and 64.
 CHUNK_SLOTS = 32
+# Units per chunk of WeatherScaler.fit's passes over the weather: its temporaries
+# are this many units' slots, not a second K x T x M array.
+SCALER_CHUNK_UNITS = 8
 
 
 @dataclass
@@ -61,11 +64,11 @@ def as_weather_array(weather) -> np.ndarray:
     return x
 
 
-def _finite(x: np.ndarray, start: int = 0) -> np.ndarray:
-    """The weather slots x (K x slots x M, from slot `start`), once checked finite."""
+def _finite(x: np.ndarray, unit: int = 0, slot: int = 0) -> np.ndarray:
+    """The weather x (units x slots x M, from `unit` and `slot` of the whole series), once checked finite."""
     if not np.isfinite(x).all():
         i, t, m = np.argwhere(~np.isfinite(x))[0]
-        raise ValidationError(f"non-finite weather input at (unit={i}, slot={start + t}, var={m})")
+        raise ValidationError(f"non-finite weather input at (unit={unit + i}, slot={slot + t}, var={m})")
     return x
 
 
@@ -116,7 +119,7 @@ def _accumulate(weather, cfg: DecayConfig, lag_sum: bool, t0: int, t1: int | Non
             window /= scale
         window[:, :, :a] = 0.0
         window[:, :, b:] = 0.0
-        _finite(window.transpose(1, 2, 0), w0)  # its zeros outside the series are finite
+        _finite(window.transpose(1, 2, 0), slot=w0)  # its zeros outside the series are finite
         s, e = max(c, t0) - c, min(c + C, t1) - c  # the chunk's slots within [t0, t1)
         for m in range(M):
             np.matmul(window[m], band[m], out=out)
@@ -156,9 +159,29 @@ class WeatherScaler:
 
     @classmethod
     def fit(cls, weather) -> "WeatherScaler":
-        x = _finite(as_weather_array(weather))
+        """The mean and standard deviation of each variable over all units and slots,
+        bit for bit numpy's, with temporaries of SCALER_CHUNK_UNITS units."""
+        x = as_weather_array(weather)
+        K, T, M = x.shape
+        chunks = [(u0, x[u0 : u0 + SCALER_CHUNK_UNITS]) for u0 in range(0, K, SCALER_CHUNK_UNITS)]
+        for u0, chunk in chunks:
+            _finite(chunk, unit=u0)
         mean = x.mean(axis=(0, 1))
-        std = x.std(axis=(0, 1))
+        if M < 2 or x.size == 0 or not x.flags.c_contiguous:
+            std = x.std(axis=(0, 1))  # numpy sums M = 1 pairwise, and other layouts in other orders
+        else:
+            # numpy reduces a C-contiguous K x T x M array over its first two axes one
+            # cell at a time in memory order, so each chunk's sum, with the sum so far
+            # added into its first cell, is the running sum of x.std's squares.
+            acc, buf = np.zeros(M), np.empty_like(chunks[0][1])
+            for _, chunk in chunks:
+                sq = buf[: chunk.shape[0]]
+                for m in range(M):  # a broadcast mean makes numpy buffer up to 8192 values of the chunk
+                    np.subtract(chunk[:, :, m], mean[m], out=sq[:, :, m])
+                sq *= sq
+                sq[0, 0] += acc
+                acc = sq.sum(axis=(0, 1))
+            std = np.sqrt(acc / (K * T))
         scale = np.where(std > 0, std, 1.0)
         return cls(mean=mean, scale=scale)
 

@@ -608,6 +608,43 @@ def test_predictions_csv_chunks_write_the_one_chunk_bytes(tmp_path, monkeypatch,
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
+def _lognormal_predictions(K, T, horizon, seed=0):
+    """A report shaped like predict's: lognormal rates, Poisson counts, the first `horizon` slots skipped."""
+    rng = np.random.default_rng(seed)
+    predicted = rng.lognormal(-1.0, 1.5, (K, T))
+    actual = rng.poisson(predicted).astype(np.float64)
+    predicted[:, :horizon] = np.nan
+    return PredictionReport(
+        horizon=horizon, predicted=predicted, actual=actual, mae=0.0, rmse=0.0, persistence_mae=0.0,
+        per_unit_mae=np.zeros(K),
+    )
+
+
+def test_predictions_csv_holds_one_chunk_of_strings(tmp_path):
+    rep = _lognormal_predictions(100, 600, 6)  # the ingest_forecast benchmark's shape
+    tracemalloc.start()
+    try:
+        write_predictions_csv(tmp_path / "new.csv", rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _csv_writer_predictions(tmp_path / "ref.csv", rep)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # the strings of 65536 rows, which is nearly all 59400 of this file, held 12.9 MiB
+    assert peak < 2 * 2**20, peak / 2**20
+
+
+def test_predictions_csv_bytes_with_many_units_and_an_unevaluated_unit(tmp_path):
+    many = _lognormal_predictions(5000, 2, 1, seed=3)  # a chunk is 2048 units of one evaluated slot
+    skipped = _awkward_predictions()
+    skipped.predicted[3] = np.nan  # unit 3 writes no row
+    for name, rep in (("many", many), ("skipped", skipped)):
+        write_predictions_csv(tmp_path / f"{name}.csv", rep)
+        _csv_writer_predictions(tmp_path / f"{name}_ref.csv", rep)
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+    assert b"\n3," not in (tmp_path / "skipped.csv").read_bytes()
+
+
 def test_fit_sigmoid_accumulates_only_its_variable(monkeypatch):
     """A response curve accumulates its own weather variable, not all M, and
     fits exactly what it fits on a dataset holding that variable alone."""

@@ -143,6 +143,45 @@ def test_scaler_names_the_slot_of_a_non_finite_result():
         _standardized(x, WeatherScaler(mean=np.array([-1e308, 0.0]), scale=np.ones(2)), 5)
 
 
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**16),
+    K=st.integers(1, 40),
+    T=st.integers(1, 300),
+    M=st.integers(1, 5),
+    layout=st.sampled_from(["C", "every other slot", "Fortran"]),
+)
+def test_scaler_is_numpy_mean_and_std_bit_for_bit(seed, K, T, M, layout):
+    """The chunked fit follows numpy's own reduction order: M = 1 and views
+    that are not C-contiguous take numpy's std, which sums them pairwise."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(rng.normal(0.0, 20.0), rng.uniform(0.01, 50.0), (K, T, M))
+    x = {"C": x, "every other slot": x[:, ::2], "Fortran": np.asfortranarray(x)}[layout]
+    scaler = WeatherScaler.fit(x)
+    std = x.std(axis=(0, 1))
+    assert scaler.mean.tobytes() == x.mean(axis=(0, 1)).tobytes()
+    assert scaler.scale.tobytes() == np.where(std > 0, std, 1.0).tobytes()
+
+
+def test_scaler_fit_holds_no_copy_of_the_weather():
+    x = np.random.default_rng(8).normal(2.0, 3.0, (64, 256, 3))
+    tracemalloc.start()
+    try:
+        WeatherScaler.fit(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # numpy's std makes a K x T x M temporary, and the finiteness check a K x T x M bool array
+    assert peak < x.nbytes // 4, peak / x.nbytes
+
+
+def test_scaler_fit_names_the_cell_of_a_non_finite_value():
+    x = np.ones((20, 10, 2))
+    x[11, 7, 1] = np.nan  # in the second chunk of units
+    with pytest.raises(ValidationError, match=r"\(unit=11, slot=7, var=1\)"):
+        WeatherScaler.fit(x)
+
+
 def test_scaler_dimension_mismatch():
     scaler = WeatherScaler.fit(np.zeros((1, 4, 2)) + 1.0)
     with pytest.raises(ValidationError, match="fit on 2 variables"):
