@@ -88,8 +88,8 @@ _EXPORTS = {
     "fit_sigmoid": "analyze",
     "fit_sigmoid_points": "analyze",
     "restoration_durations": "analyze",
-    "criticality_scores": "analyze",
-    "export_propagation_map": "analyze",
+    "propagation": "analyze",
+    "write_propagation_csv": "analyze",
 }
 
 __all__ = ["__version__", *sorted(_SUBMODULES), *sorted(_EXPORTS)]

@@ -8,8 +8,8 @@ Covers five reporting surfaces:
   * fit_sigmoid    — outage-ratio response curves against cumulative weather,
                      whose threshold c is the disruption tolerance estimate
   * restoration_durations — outage episodes and how fast they clear
-  * criticality_scores, export_propagation_map — the cascade intensity
-                     each unit and each active edge exports
+  * propagation    — the cascade intensity each unit and each active edge
+                     exports
 
 All functions are pure. The CSV writers live at the bottom: `write_csv` is
 the one report dialect (UTF-8, "\n" line ends, shortest round-trip floats),
@@ -29,7 +29,6 @@ from .model import Coupling, Kernel, ModelParams, direct_from_weather, intensity
 from .model import kernel_matrix
 from .model import intensity_from_state as _lambda_at  # the name perfbench/tracer.py patches
 from .model import mlp_forward  # noqa: F401  (binding patched by perfbench/tracer.py)
-from .topology import EdgeWeights
 from .weather_effect import DecayConfig, accumulate
 
 # -- decomposition ----------------------------------------------------------
@@ -113,7 +112,7 @@ def _report(horizon: int, predicted: np.ndarray, actual: np.ndarray) -> Predicti
 def predict_in_sample(params: ModelParams, dataset: Dataset, direct: np.ndarray | None = None) -> PredictionReport:
     """Expected counts with fully observed (teacher-forced) history. `direct`
     is the weather term :func:`model.direct_from_weather`, when the caller has it."""
-    lam = intensity_field(params, dataset.outages, dataset.weather, direct=direct).lam
+    lam = intensity_field(params, dataset.outages.counts, dataset.weather, direct=direct).lam
     return _report(0, lam, dataset.outages.counts.astype(np.float64))
 
 
@@ -360,16 +359,15 @@ DEFAULT_ZERO_RUN = 2
 EPISODE_WINDOW_SLOTS = 2  # the summary's share of episodes that clear within this many slots
 
 
-def restoration_durations(dataset_or_counts, zero_run_threshold: int = DEFAULT_ZERO_RUN) -> list:
-    """Outage episodes per unit: runs of N > 0; zero gaps shorter than
+def restoration_durations(counts, zero_run_threshold: int = DEFAULT_ZERO_RUN) -> list:
+    """Outage episodes per unit of the K x T `counts`: runs of N > 0; zero gaps shorter than
     `zero_run_threshold` are absorbed (telemetry flickers), so episodes are
     separated by at least that many consecutive zero slots (or the series
     boundary). Episodes are disjoint and cover every nonzero slot.
     """
     checked(zero_run_threshold, at_least(1), "zero_run_threshold")
-    counts = np.asarray(getattr(getattr(dataset_or_counts, "outages", dataset_or_counts), "counts", dataset_or_counts))
     episodes = []
-    for i, row in enumerate(counts):
+    for i, row in enumerate(np.asarray(counts)):
         nz = np.flatnonzero(row)
         # an episode ends where the gap to the next nonzero slot holds zero_run_threshold or more zeros
         for run in np.split(nz, np.flatnonzero(np.diff(nz) > zero_run_threshold) + 1) if nz.size else ():
@@ -393,49 +391,29 @@ def episode_duration_summary(episodes: list, within_slots: int = EPISODE_WINDOW_
 # -- propagation map ---------------------------------------------------------
 
 
-def triggering_totals(weights: EdgeWeights, history, params) -> np.ndarray:
-    """Per-unit sum over the window of the model's truncated triggering mass R[j, t]."""
-    counts = np.asarray(getattr(history, "counts", history))
-    beta = np.asarray(params.beta, dtype=np.float64)
+def propagation(params: ModelParams, counts) -> tuple:
+    """The outage intensity each unit and each active edge exports, from one
+    :func:`model.kernel_matrix` pass over the K x T `counts`.
+
+    Returns (scores, edges). score(j) = (sum of alpha[i, j] over targets i != j)
+    x (sum over slots of unit j's truncated triggering mass R[j, t]), so the
+    scores add up to the cascade intensity the model attributes to cross-unit
+    edges; units that influence nobody score 0. `edges` are the
+    (source, target, alpha, attributed_outages) rows of the active edges, each
+    attributing alpha times its source's mass, so a unit's rows add up to its
+    score; sorted by (-attributed_outages, source, target).
+    """
+    counts = np.asarray(counts)
+    weights, beta = params.alpha, np.asarray(params.beta, dtype=np.float64)
     K = weights.num_nodes
     if counts.shape[0] != K or beta.shape[0] != K:
         raise ValidationError(
             f"dimension mismatch: {K} graph nodes, {counts.shape[0]} history rows, {beta.shape[0]} beta entries"
         )
-    return kernel_matrix(counts, beta, params.trig_window).sum(axis=1)
-
-
-def criticality_scores(weights: EdgeWeights, history, params, mass=None) -> np.ndarray:
-    """Outage intensity each unit exports to its direct neighbors.
-
-    score(j) = (sum of alpha[i, j] over targets i != j) x (sum over slots of
-    unit j's truncated triggering mass R[j, t]), so the scores add up to the
-    cascade intensity the model attributes to cross-unit edges. Units that
-    influence nobody score 0. `mass`, when given, is the already computed
-    :func:`triggering_totals` of the same history.
-    """
-    export_weight = np.bincount(weights.graph.src, weights=weights.w, minlength=weights.num_nodes)
-    return export_weight * (triggering_totals(weights, history, params) if mass is None else mass)
-
-
-def export_propagation_map(weights: EdgeWeights, history, params, path, mass=None) -> int:
-    """Write `source,target,alpha,attributed_outages` rows, largest first.
-
-    attributed_outages is the per-edge share of the source unit's criticality
-    score; `mass` is as in :func:`criticality_scores`. Returns the number of
-    data rows written.
-    """
-    if mass is None:
-        mass = triggering_totals(weights, history, params)
-    rows = []
-    for s, t, a in weights.nonzero_edges():
-        rows.append((s, t, a, a * mass[s]))
-    rows.sort(key=lambda r: (-r[3], r[0], r[1]))
-    try:
-        write_csv(path, ["source", "target", "alpha", "attributed_outages"], rows)
-    except OSError as exc:
-        raise OSError(f"could not write propagation map to {path}: {exc}") from exc
-    return len(rows)
+    mass = kernel_matrix(counts, beta, params.trig_window).sum(axis=1)
+    scores = np.bincount(weights.graph.src, weights=weights.w, minlength=K) * mass
+    edges = sorted(((s, t, a, a * mass[s]) for s, t, a in weights.nonzero_edges()), key=lambda r: (-r[3], r[0], r[1]))
+    return scores, edges
 
 
 # -- CSV writers -------------------------------------------------------------
@@ -491,6 +469,10 @@ def write_sigmoid_csv(path, fits: list) -> None:
 def write_episodes_csv(path, episodes: list) -> None:
     rows = ([e.unit, e.start_slot, e.end_slot, e.duration_slots, e.max_outage] for e in episodes)
     write_csv(path, ["unit", "start", "end", "duration_slots", "max_outage"], rows)
+
+
+def write_propagation_csv(path, edges: list) -> None:
+    write_csv(path, ["source", "target", "alpha", "attributed_outages"], edges)
 
 
 def write_sweep_csv(path, rows: list, axis1_name: str = "top_units", axis2_name: str = "edges_per_unit") -> None:

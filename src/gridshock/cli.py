@@ -280,7 +280,7 @@ def cmd_ingest(cfg: dict, s: dict, args, units, variables, feeds, grid) -> int:
         f"gap cells: outages {gaps['outage_gap_cells']}/{gaps['total_cells']}, "
         f"weather {gaps['weather_gap_cells']}/{gaps['total_cells']}"
     )
-    skipped = getattr(outages, "skipped_rows", 0) + getattr(weather, "skipped_rows", 0)
+    skipped = outages.skipped_rows + weather.skipped_rows
     if skipped:
         print(f"skipped {skipped} rows outside the grid span")
     print(f"wrote {ds_path}")
@@ -371,7 +371,7 @@ def cmd_simulate(cfg: dict, s: dict, args, ds, params) -> int:
         R=s["sim.replications"],
         seed=s["sim.seed"],
         teacher_forced_until=cutoff,
-        observed=ds.outages if cutoff > 0 else None,
+        observed=ds.outages.counts if cutoff > 0 else None,
     )
     out_dir = _output_dir(cfg)
     write_csv(out_dir / "simulation_units.csv", ["unit", "total_mean"], enumerate(result.unit_total_mean))
@@ -398,12 +398,15 @@ def cmd_simulate(cfg: dict, s: dict, args, ds, params) -> int:
 
 
 def _read_enhance(cfg: dict, s: dict):
-    """The dataset, the model, the scenario file's Scenario (if any), the
-    sweep mode (default "edges") and the sweep's cells."""
-    from .simulate import load_scenario, sweep_scenarios
+    """The dataset, the model, the scenario file's Scenario (if any), checked
+    against the model as the run checks it, the sweep mode (default "edges")
+    and the sweep's cells."""
+    from .simulate import check_scenario, load_scenario, sweep_scenarios
 
     ds, params = _load_inputs(cfg, s)
     scenarios = [load_scenario(_require_file(cfg["scenario"], "scenario"))] if cfg["scenario"] else []
+    for scenario in scenarios:
+        check_scenario(params, scenario)
     sw = cfg["sweep"]
     if sw is not None:
         checked(sw, SWEEP, "sweep")
@@ -427,7 +430,7 @@ def cmd_enhance(cfg: dict, s: dict, args, ds, params, scenarios, mode, cells) ->
         R,
         s["sim.seed"],
         baseline=s["sim.baseline"],
-        observed=ds.outages,
+        observed=ds.outages.counts,
     )
     out_dir = _output_dir(cfg)
     if scenarios:
@@ -468,7 +471,7 @@ def cmd_analyze(cfg: dict, s: dict, args, ds, params, variables) -> int:
     analyze.write_decomposition_csv(out_dir / "decomposition.csv", decomp)
     shares = decomp.direct_share, decomp.indirect_share
     del decomp  # its two K x T fields need not outlive the sigmoid fits
-    episodes = analyze.restoration_durations(ds, zero_run_threshold=s["analyze.zero_run_threshold"])
+    episodes = analyze.restoration_durations(ds.outages.counts, zero_run_threshold=s["analyze.zero_run_threshold"])
     analyze.write_episodes_csv(out_dir / "episodes.csv", episodes)
     summary = analyze.episode_duration_summary(episodes)
     fits = [analyze.fit_sigmoid(ds, m, cfg=params.decay) for m in variables]
@@ -491,11 +494,10 @@ def cmd_export_map(cfg: dict, s: dict, args, ds, params) -> int:
     from . import analyze
 
     path = _output_dir(cfg) / "propagation_map.csv"
-    mass = analyze.triggering_totals(params.alpha, ds.outages, params)
-    n = analyze.export_propagation_map(params.alpha, ds.outages, params, path, mass=mass)
-    scores = analyze.criticality_scores(params.alpha, ds.outages, params, mass=mass)
+    scores, edges = analyze.propagation(params, ds.outages.counts)
+    analyze.write_propagation_csv(path, edges)
     top = sorted(range(len(scores)), key=lambda j: (-scores[j], j))[:5]
-    print(f"wrote {n} edges to {path}")
+    print(f"wrote {len(edges)} edges to {path}")
     for j in top:
         if scores[j] > 0:
             print(f"critical unit {j} ({ds.units[j].unit_id}): exported intensity {scores[j]:.2f}")

@@ -95,6 +95,7 @@ class OutageSeries:
 
     counts: np.ndarray
     gap_mask: np.ndarray | None = None  # True where the slot had no raw samples
+    skipped_rows: int = 0  # raw rows outside the grid span, dropped by aggregation
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -111,6 +112,7 @@ class WeatherTensor:
     values: np.ndarray
     variable_names: list[str] = field(default_factory=list)
     gap_mask: np.ndarray | None = None  # K x T, True where carried forward
+    skipped_rows: int = 0  # raw rows outside the grid span, dropped by aggregation
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -457,7 +459,7 @@ def aggregate_outages(columns: FeedColumns, units: list[UnitMeta], grid: TimeGri
     """Bucket raw (unit, timestamp, customers_out) samples into grid slots.
 
     Slots with no samples are 0 and flagged in the returned gap mask.
-    Out-of-span timestamps are skipped and tallied on `series.skipped_rows`.
+    Out-of-span timestamps are skipped and tallied in `skipped_rows`.
     `last` keeps the sample with the latest timestamp; of equal timestamps,
     the later row.
     """
@@ -488,9 +490,7 @@ def aggregate_outages(columns: FeedColumns, units: list[UnitMeta], grid: TimeGri
     agg += 0.5  # round half-up
     cells = np.floor(agg, out=agg).astype(np.int64).reshape(K, T)
     cells[~covered] = 0
-    series = OutageSeries(counts=cells, gap_mask=~covered)
-    series.skipped_rows = columns.unit.size - cell.size
-    return series
+    return OutageSeries(counts=cells, gap_mask=~covered, skipped_rows=columns.unit.size - cell.size)
 
 
 def aggregate_weather(columns: FeedColumns, units: list[UnitMeta], grid: TimeGrid, variable_names: list[str]) -> WeatherTensor:
@@ -514,9 +514,8 @@ def aggregate_weather(columns: FeedColumns, units: list[UnitMeta], grid: TimeGri
     source = np.maximum.accumulate(np.where(covered, np.arange(T), 0), axis=1)
     unit, slot = np.nonzero(~covered)
     values[unit, slot] = values[unit, source[unit, slot]]
-    tensor = WeatherTensor(values=values, variable_names=list(variable_names), gap_mask=~covered)
-    tensor.skipped_rows = columns.unit.size - cell.size
-    return tensor
+    return WeatherTensor(values=values, variable_names=list(variable_names), gap_mask=~covered,
+                         skipped_rows=columns.unit.size - cell.size)
 
 
 def save_dataset(ds: Dataset, path) -> None:

@@ -315,7 +315,8 @@ class Kernel:
         self.rate = np.asarray(rate, dtype=np.float64)
         self.window = window
         self.decay = np.exp(-self.rate)
-        self.drop = np.exp(-self.rate * (window + 1))
+        with np.errstate(over="ignore"):  # a rate near the float maximum: e^-inf = 0 is the drop
+            self.drop = np.exp(-self.rate * (window + 1))
 
     def step(self, P: np.ndarray, new: np.ndarray, old: np.ndarray | None = None) -> np.ndarray:
         """P before the next slot, from P before this slot, this slot's x
@@ -503,13 +504,13 @@ def direct_from_weather(params: ModelParams, weather) -> np.ndarray:
     return direct
 
 
-def intensity(params: ModelParams, history, v: np.ndarray, i: int, t: int):
-    """Single-cell intensity: returns (lambda, direct, indirect) at (i, t).
+def intensity(params: ModelParams, counts, v: np.ndarray, i: int, t: int):
+    """Single-cell intensity of the K x T `counts`: returns (lambda, direct, indirect) at (i, t).
 
     Sums kernel lags explicitly; `intensity_field` is the fast path and must
     agree with this to floating-point accuracy.
     """
-    counts = np.asarray(getattr(history, "counts", history), dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
     K, T = counts.shape
     if not (0 <= i < K and 0 <= t < T):
         raise ValidationError(f"cell ({i}, {t}) outside {K} x {T} grid")
@@ -535,12 +536,12 @@ def trigger_blocks(params: ModelParams, counts: np.ndarray, coupling: Coupling):
         yield t0, t1, coupling.apply(next(sums)[0])
 
 
-def intensity_field(params: ModelParams, history, weather, direct: np.ndarray | None = None) -> IntensityField:
-    """Vectorized intensity over all cells, filled one block of :func:`trigger_blocks`
-    at a time. The weather term is :func:`direct_from_weather` of `weather` unless
-    the caller passes it as `direct`."""
+def intensity_field(params: ModelParams, counts, weather, direct: np.ndarray | None = None) -> IntensityField:
+    """Vectorized intensity over all cells of the K x T `counts`, filled one block of
+    :func:`trigger_blocks` at a time. The weather term is :func:`direct_from_weather`
+    of `weather` unless the caller passes it as `direct`."""
     params.check_invariants()
-    counts = np.asarray(getattr(history, "counts", history))
+    counts = np.asarray(counts)
     if direct is None:
         direct = direct_from_weather(params, weather)
     if direct.shape != counts.shape:

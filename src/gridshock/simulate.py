@@ -62,6 +62,7 @@ LAMBDA_OVERFLOW = 1e9
 
 MEAN = "mean"  # symbolic override value: population average
 OVERRIDE = (lambda x: x == MEAN or NONNEGATIVE[0](x), f"{NONNEGATIVE[1]} or {MEAN!r}")
+EXPLICIT = (NONNEGATIVE[0], f"{NONNEGATIVE[1]} (explicit values only)")
 
 
 def _clauses(*indices) -> tuple:
@@ -73,8 +74,9 @@ def _clauses(*indices) -> tuple:
     return lambda x: isinstance(x, (list, tuple)) and all(map(clause, x)), text
 
 
-CLAUSE_LISTS = {"edge_reweights": _clauses("source", "target"), "gamma_overrides": _clauses("unit"),
-                "beta_overrides": _clauses("unit"), "omega_overrides": _clauses("variable")}
+# Each explicit clause list: its kind, then the kind of a clause's value.
+CLAUSE_LISTS = {"edge_reweights": (_clauses("source", "target"), OVERRIDE), "gamma_overrides": (_clauses("unit"), OVERRIDE),
+                "beta_overrides": (_clauses("unit"), OVERRIDE), "omega_overrides": (_clauses("variable"), EXPLICIT)}
 SELECTORS = ("top_k_units", "top_e_edges", "gamma_top_units", "beta_bottom_units")
 SWEEP_AXIS = (lambda x: isinstance(x, (list, tuple)) and len(x) > 0 and all(map(is_count, x)),
               "a nonempty list of integers >= 0")
@@ -110,11 +112,11 @@ class Scenario:
 
     def __post_init__(self):
         checked(self.edge_target, OVERRIDE, "edge_target value")
-        for name, kind in CLAUSE_LISTS.items():
+        for name, (kind, value_kind) in CLAUSE_LISTS.items():
             clauses = [tuple(c) for c in checked(getattr(self, name), kind, name)]
             setattr(self, name, clauses)
             for clause in clauses:
-                checked(clause[-1], OVERRIDE, f"{name} value")
+                checked(clause[-1], value_kind, f"{name} value")
         for name in SELECTORS:
             if getattr(self, name) is not None:
                 checked(getattr(self, name), COUNT, name)
@@ -133,10 +135,10 @@ def load_scenario(path) -> Scenario:
     return Scenario.from_dict(read_json_object(path, "scenario"))
 
 
-def top_k_units_by_max_outages(history, k: int) -> list:
-    """Unit indices with the largest per-unit max outage count (ties: lower index)."""
-    counts = np.asarray(getattr(history, "counts", history))
-    peak = counts.max(axis=1)
+def top_k_units_by_max_outages(counts, k: int) -> list:
+    """Unit indices with the largest per-unit max outage count of the K x T
+    `counts` (ties: lower index)."""
+    peak = np.asarray(counts).max(axis=1)
     order = sorted(range(len(peak)), key=lambda i: (-peak[i], i))
     return order[: int(k)]
 
@@ -157,14 +159,32 @@ def top_e_edges_per_unit(params: ModelParams, units, e: int) -> list:
     return out
 
 
+def check_scenario(params: ModelParams, scenario: Scenario) -> None:
+    """Raise unless each explicit clause of `scenario` names a candidate edge, a unit
+    or a weather variable of `params`. These are all the checks of
+    :func:`apply_scenario`; the clauses its selectors add meet them by construction."""
+    for s, t, _ in scenario.edge_reweights:
+        if (s, t) not in params.graph.index:
+            raise ValidationError(f"scenario re-weights edge ({s}, {t}) which is not in the graph")
+    for name in ("gamma", "beta"):
+        for i, _ in getattr(scenario, f"{name}_overrides"):
+            if not 0 <= i < params.num_units:
+                raise ValidationError(f"scenario overrides {name} of unknown unit {i}")
+    for m, _ in scenario.omega_overrides:
+        if not 0 <= m < params.num_variables:
+            raise ValidationError(f"scenario overrides omega of unknown variable {m}")
+
+
 def apply_scenario(params: ModelParams, scenario: Scenario, reference_history=None) -> ModelParams:
-    """Return a new ModelParams with the scenario's edits applied.
+    """Return a new ModelParams with the scenario's edits applied; the top-units
+    selector ranks units by the K x T counts `reference_history`.
 
     "mean" resolves to the average of nonzero off-diagonal couplings (for
     edges) and to the plain unit average (for gamma/beta), all computed on
     the *original* parameters. The no-loop projection is re-applied at the
     end; the input object is never touched.
     """
+    check_scenario(params, scenario)
     out = params.copy()
     K = params.num_units
     w = params.alpha.w
@@ -188,20 +208,12 @@ def apply_scenario(params: ModelParams, scenario: Scenario, reference_history=No
         unit_clauses["beta"].extend((i, MEAN) for i in slowest)
 
     for s, t, value in edge_clauses:
-        if (s, t) not in params.graph.index:
-            raise ValidationError(f"scenario re-weights edge ({s}, {t}) which is not in the graph")
         out.alpha.w[params.graph.index[s, t]] = edge_mean if value == MEAN else float(value)
     for name, clauses in unit_clauses.items():
         mean = float(getattr(params, name).mean())
         for i, value in clauses:
-            if not 0 <= i < K:
-                raise ValidationError(f"scenario overrides {name} of unknown unit {i}")
             getattr(out, name)[i] = mean if value == MEAN else float(value)
     for m, value in scenario.omega_overrides:
-        if not 0 <= m < out.num_variables:
-            raise ValidationError(f"scenario overrides omega of unknown variable {m}")
-        if value == MEAN:
-            raise ValidationError("omega overrides require explicit values")
         out.decay.omega[m] = float(value)
 
     out.alpha = enforce_no_loops(out.alpha)
@@ -245,8 +257,8 @@ def simulate_paths(
 ) -> SimResult:
     """Roll the process forward R times over the grid, replaying `weather`.
 
-    Slots before `teacher_forced_until` feed *observed* counts into the
-    history, later slots the replication's own draws. Every slot's counts are
+    Slots before `teacher_forced_until` feed the *observed* K x T counts into
+    the history, later slots the replication's own draws. Every slot's counts are
     drawn, so fully forced runs measure the one-step distribution; free,
     partly and fully forced runs are one slot loop. Deterministic given the seed.
     """
@@ -260,7 +272,7 @@ def simulate_paths(
     if cutoff > 0:
         if observed is None:
             raise ValidationError("teacher forcing requested but no observed history given")
-        obs = np.asarray(getattr(observed, "counts", observed), dtype=np.float64)
+        obs = np.asarray(observed, dtype=np.float64)
         if obs.shape[0] != K or obs.shape[1] < cutoff:
             raise ValidationError(f"observed history {obs.shape} does not cover the forced span")
 
@@ -552,8 +564,8 @@ def outage_reductions(
 
     baseline="simulated_total" simulates the unmodified model with the *same*
     seed (common random numbers); "observed_total" compares against the
-    observed counts. All simulations roll from empty history with the
-    observed weather replayed.
+    K x T `observed` counts, which also rank units for the top-units selector.
+    All simulations roll from empty history with the observed weather replayed.
 
     All rollouts share the seed, so a scenario whose applied parameters equal
     the baseline's (or an earlier scenario's) reuses that rollout: it is the
@@ -567,7 +579,7 @@ def outage_reductions(
     checked(seed, COUNT, "seed")
     params.check_invariants()  # each scenario's set is checked by apply_scenario
     if baseline == "observed_total":
-        base_total = float(np.asarray(getattr(observed, "counts", observed)).sum())
+        base_total = float(np.asarray(observed).sum())
         if base_total == 0:
             raise NumericError("baseline total outages is zero; reduction percentage is undefined")
     applied = [apply_scenario(params, scen, reference_history=observed) for scen in scenarios]

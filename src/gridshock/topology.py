@@ -75,9 +75,9 @@ class Graph:
 class EdgeWeights:
     """Coupling weights over a candidate graph, stored per edge.
 
-    w[e] is alpha[tgt[e], src[e]]. The dense K x K `alpha` (unit diagonal,
-    zero off the candidate set) is a read-only view for tests and benchmarks;
-    the constructor also accepts one via `alpha=`, keeping its candidate entries.
+    w[e] is alpha[tgt[e], src[e]]. The constructor also accepts a dense K x K
+    `alpha=`, keeping its candidate entries; `off_diagonal` is the dense K x K
+    form of the weights, zero off the candidate set and on the diagonal.
     """
 
     def __init__(self, graph: Graph, w=None, *, alpha=None):
@@ -96,13 +96,6 @@ class EdgeWeights:
     @property
     def num_nodes(self) -> int:
         return self.graph.num_nodes
-
-    @property
-    def alpha(self) -> np.ndarray:
-        a = self.off_diagonal()
-        np.fill_diagonal(a, 1.0)
-        a.flags.writeable = False
-        return a
 
     def copy(self) -> "EdgeWeights":
         return EdgeWeights(self.graph, self.w)

@@ -44,6 +44,15 @@ def naive_accumulate(x, omega, d):
     return v
 
 
+def dense_alpha(weights):
+    """The K x K coupling matrix of an EdgeWeights: alpha[target, source] is the
+    weight of each candidate edge, the diagonal 1, every other entry 0."""
+    a = np.eye(weights.graph.num_nodes)
+    for (s, t), e in weights.graph.index.items():
+        a[t, s] = weights.w[e]
+    return a
+
+
 def naive_intensity_field(params, counts, weather):
     """lambda/direct/indirect per cell, summing every kernel term explicitly.
 
@@ -57,7 +66,7 @@ def naive_intensity_field(params, counts, weather):
     lam = np.zeros((K, T))
     direct = np.zeros((K, T))
     indirect = np.zeros((K, T))
-    alpha = params.alpha.alpha
+    alpha = dense_alpha(params.alpha)
     for i in range(K):
         sources = [i] + [s for s, tgt in params.graph.edges if tgt == i]
         for t in range(T):

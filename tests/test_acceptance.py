@@ -16,6 +16,7 @@ from scipy.special import expit
 
 from oracles import (
     brute_criticality,
+    dense_alpha,
     naive_intensity_field,
     naive_loglik,
 )
@@ -28,7 +29,7 @@ from synth import (
 from test_cli import _write_demo_csvs
 from conftest import SUPPORT_THRESHOLD
 from gridshock import cli
-from gridshock.analyze import criticality_scores, fit_sigmoid_points, predict_ahead
+from gridshock.analyze import fit_sigmoid_points, predict_ahead, propagation
 from gridshock.model import intensity_field
 from gridshock.simulate import Scenario, outage_reductions, simulate_paths
 from gridshock.train import gradients, log_likelihood
@@ -141,7 +142,7 @@ def test_criterion_02_intensity_equality():
 
 def test_criterion_03_constraints_after_fit(standard_fit):
     params, report = standard_fit
-    alpha = params.alpha.alpha
+    alpha = dense_alpha(params.alpha)
     off = params.alpha.off_diagonal()
     checks = {
         "epochs >= 50": report.epochs_run >= 50,
@@ -275,8 +276,8 @@ def test_criterion_08_criticality():
         K = int(rng.integers(3, 7))
         T = int(rng.integers(5, 15))
         p, counts, _ = random_small_instance(rng, K=K, T=T, M=2, n_edges=K, max_count=6)
-        scores = criticality_scores(p.alpha, counts, p)
-        brute = brute_criticality(p.alpha.alpha, p.beta, counts, [(s, t) for s, t, _ in p.alpha.nonzero_edges()])
+        scores, _ = propagation(p, counts)
+        brute = brute_criticality(dense_alpha(p.alpha), p.beta, counts, [(s, t) for s, t, _ in p.alpha.nonzero_edges()])
         rel = np.abs(scores - brute) / np.maximum(1.0, np.abs(brute))
         worst = max(worst, float(rel.max()))
         top_agree += int(np.argmax(scores) == np.argmax(brute))

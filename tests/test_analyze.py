@@ -512,14 +512,6 @@ def test_restoration_durations_match_the_slot_scan(units, threshold):
     assert [(e.unit, e.start_slot, e.end_slot, e.max_outage) for e in episodes] == scan_episodes(counts, threshold)
 
 
-def test_restoration_durations_accepts_dataset(small):
-    _, ds = small
-    from_ds = restoration_durations(ds)
-    from_counts = restoration_durations(ds.outages.counts)
-    assert from_ds == from_counts
-    assert all(ds.outages.counts[e.unit, e.start_slot : e.end_slot + 1].max() == e.max_outage for e in from_ds)
-
-
 def test_episode_duration_summary():
     eps = [
         Episode(unit=0, start_slot=1, end_slot=2, max_outage=3),

@@ -13,6 +13,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from oracles import dense_alpha
 from synth import make_weather, random_small_params, rewrite_container_header, wrap_dataset
 from gridshock import analyze, cli, ingest, model, simulate, topology, train
 from gridshock.container import read_container, write_container
@@ -237,7 +238,7 @@ def test_enhance_simulates_each_distinct_parameter_set_once(pipeline, monkeypatc
     # would take 2 + 6 * 2
     applied = [params, simulate.apply_scenario(params, simulate.load_scenario(scen_path))]
     applied += [
-        simulate.apply_scenario(params, scen, reference_history=ds.outages)
+        simulate.apply_scenario(params, scen, reference_history=ds.outages.counts)
         for _, _, scen in simulate.sweep_scenarios([0, 1, 2], [0, 1])
     ]
     distinct = {tuple(p.alpha.w.tolist() + p.gamma.tolist() + p.beta.tolist()) for p in applied}
@@ -333,11 +334,11 @@ def test_export_map_runs_the_kernel_once(pipeline, monkeypatch, capsys):
     assert rc == 0
     assert len(calls) == 1
     printed = capsys.readouterr().out
-    # the shared totals give the same table and scores as separate passes
+    # the command writes the library's table and prints its scores
     reference = pipeline["root"] / "map_reference.csv"
-    analyze.export_propagation_map(params.alpha, ds.outages, params, reference)
+    scores, edges = analyze.propagation(params, ds.outages.counts)
+    analyze.write_propagation_csv(reference, edges)
     assert (out / "propagation_map.csv").read_bytes() == reference.read_bytes()
-    scores = analyze.criticality_scores(params.alpha, ds.outages, params)
     for line in printed.splitlines()[1:]:
         j = int(line.split()[2])
         assert line.endswith(f"exported intensity {scores[j]:.2f}")
@@ -392,7 +393,7 @@ def test_fit_constraints_line_matches_the_saved_model(pipeline, tmp_path, capsys
     line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("constraints ok: "))
     printed = dict(field.split("=") for field in line.removeprefix("constraints ok: ").split())
     params = deserialize(path)
-    alpha = params.alpha.alpha
+    alpha = dense_alpha(params.alpha)
     candidates = [alpha[t, s] for s, t in params.graph.edges]
     assert printed == {
         "min_alpha": f"{min(a for a in candidates if a > 0):.3g}",  # the weakest kept coupling
@@ -1098,6 +1099,41 @@ def test_validate_only_makes_the_checks_that_need_the_data(pipeline, tmp_path, c
     assert results[0] == results[1]
     assert results[0][0] == 2 and match in results[0][1]
     assert not out.exists()
+
+
+def _enhance(pipeline, tmp_path, scenario, *validate):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return cli.main(["enhance", "--dataset", str(pipeline["dataset"]), "--model", str(pipeline["model"]),
+                     "--scenario", str(path), "--replications", "3", "--output-dir", str(tmp_path / "out"), *validate])
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"gamma_overrides": [[99, 0.5]]}, "scenario overrides gamma of unknown unit 99"),
+        ({"edge_reweights": [[0, 11, 0.0]]}, "scenario re-weights edge (0, 11) which is not in the graph"),
+        ({"omega_overrides": [[0, "mean"]]},
+         "omega_overrides value must be a finite number >= 0 (explicit values only), got 'mean'"),
+    ],
+    ids=["unknown-unit", "not-a-candidate-edge", "mean-omega"],
+)
+def test_validate_only_refuses_the_scenarios_the_run_refuses(pipeline, tmp_path, capsys, scenario, message):
+    results = []
+    for validate in ([], ["--validate-only"]):
+        rc = _enhance(pipeline, tmp_path, scenario, *validate)
+        results.append((rc, capsys.readouterr().err))
+    assert results[0] == results[1] == (2, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_beta_near_the_float_maximum_runs_without_a_numpy_warning(pipeline, tmp_path, capsys):
+    # the kernel's drop factor e^-(beta (window + 1)) overflows to e^-inf = 0, which is its value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = _enhance(pipeline, tmp_path, {"beta_overrides": [[0, 1e308]]})
+    assert rc == 0 and capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "enhancement.csv").is_file()
 
 
 @pytest.mark.parametrize("command, section", [("simulate", "sim"), ("fit", "graph")])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit
 
-from oracles import add_at_coupling, naive_intensity_field, naive_mu
+from oracles import add_at_coupling, dense_alpha, naive_intensity_field, naive_mu
 from synth import random_small_instance, random_small_params
 from gridshock.container import read_container
 from gridshock.errors import ValidationError
@@ -349,9 +349,9 @@ def test_kernel_mass_closed_form():
 
 def _per_edge(alpha, X, adjoint=False):
     """Reference: one edge at a time in (target, source) order, zero weights skipped."""
-    out = X.copy()
+    out, dense = X.copy(), dense_alpha(alpha)
     for s, t in sorted(alpha.graph.edges, key=lambda e: (e[1], e[0])):
-        a = alpha.alpha[t, s]
+        a = dense[t, s]
         if a != 0.0:
             if adjoint:
                 out[s] += a * X[t]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from oracles import dense_alpha
 from synth import random_small_instance, random_small_params, wrap_dataset
 from gridshock import simulate
 from gridshock.errors import DivergenceError, NumericError, ValidationError
@@ -153,13 +154,13 @@ def test_apply_scenario_edge_and_margin_edits():
         omega_overrides=[(0, 0.7)],
     )
     out = apply_scenario(params, scen)
-    assert out.alpha.alpha[1, 0] == 0.05
-    assert out.alpha.alpha[2, 1] == pytest.approx((0.4 + 0.2) / 2)  # mean of original couplings
+    assert dense_alpha(out.alpha)[1, 0] == 0.05
+    assert dense_alpha(out.alpha)[2, 1] == pytest.approx((0.4 + 0.2) / 2)  # mean of original couplings
     assert out.gamma[2] == pytest.approx((0.5 + 0.3 + 0.1) / 3)
     assert out.beta[0] == 9.0
     assert out.decay.omega[0] == 0.7
     # original untouched
-    assert params.alpha.alpha[1, 0] == 0.4 and params.beta[0] == 1.0
+    assert dense_alpha(params.alpha)[1, 0] == 0.4 and params.beta[0] == 1.0
 
 
 def test_apply_scenario_rejects_bad_targets():
@@ -180,8 +181,8 @@ def test_apply_scenario_reapplies_no_loop_projection():
     g = Graph(num_nodes=2, edges=((0, 1), (1, 0)))
     params.alpha = EdgeWeights(graph=g, alpha=[[1.0, 0.0], [0.4, 1.0]])
     out = apply_scenario(params, Scenario(edge_reweights=[(1, 0, 0.9)]))
-    assert out.alpha.alpha[0, 1] == 0.9
-    assert out.alpha.alpha[1, 0] == 0.0  # smaller direction dropped
+    assert dense_alpha(out.alpha)[0, 1] == 0.9
+    assert dense_alpha(out.alpha)[1, 0] == 0.0  # smaller direction dropped
     out.check_invariants()
 
 
@@ -233,7 +234,7 @@ def test_apply_scenario_selector_clauses():
     history = np.array([[7, 0, 0], [1, 0, 0], [0, 2, 0]])
     scen = Scenario(top_k_units=1, top_e_edges=1, edge_target=0.0, gamma_top_units=1, beta_bottom_units=1)
     out = apply_scenario(params, scen, reference_history=history)
-    assert out.alpha.alpha[2, 0] == 0.0  # unit 0's strongest edge cut
+    assert dense_alpha(out.alpha)[2, 0] == 0.0  # unit 0's strongest edge cut
     assert out.gamma[2] == pytest.approx(np.mean([0.6, 0.3, 0.9]))  # largest margin reset
     assert out.beta[1] == pytest.approx(np.mean([1.0, 0.5, 2.0]))  # slowest recovery reset
 
@@ -314,7 +315,7 @@ def test_simulate_validation():
     for cutoff in (-1, np.int64(-3)):  # not clipped to a free run
         match = re.escape(f"teacher_forced_until must be an integer >= 0, got {cutoff!r}")
         with pytest.raises(ValidationError, match=match):
-            simulate_paths(params, ds.weather, ds.grid, R=2, seed=1, teacher_forced_until=cutoff, observed=ds.outages)
+            simulate_paths(params, ds.weather, ds.grid, R=2, seed=1, teacher_forced_until=cutoff, observed=ds.outages.counts)
     with pytest.raises(ValidationError, match="does not cover"):
         simulate_paths(params, np.zeros((2, 3, 1)), ds.grid, R=2, seed=1)
 

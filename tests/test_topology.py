@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import brute_criticality, brute_knn_edges, dense_candidate_edges, distance_matrix_km
+from oracles import brute_criticality, brute_knn_edges, dense_alpha, dense_candidate_edges, distance_matrix_km
 from synth import make_units, random_small_instance, random_small_params
 from gridshock import topology
-from gridshock.analyze import criticality_scores, export_propagation_map
+from gridshock.analyze import propagation, write_propagation_csv
 from gridshock.errors import ValidationError
 from gridshock.ingest import UnitMeta
 from gridshock.model import intensity_field, kernel_matrix
@@ -134,20 +134,18 @@ def test_edge_weights_enforce_structure():
     g = Graph(num_nodes=3, edges=((0, 1), (1, 2)))
     a = np.full((3, 3), 0.7)
     w = EdgeWeights(graph=g, alpha=a)
-    assert_array_equal(np.diag(w.alpha), np.ones(3))
-    assert w.alpha[2, 0] == 0.0  # not a candidate edge
-    assert w.alpha[1, 0] == 0.7
+    assert_array_equal(np.diag(dense_alpha(w)), np.ones(3))
+    assert dense_alpha(w)[2, 0] == 0.0  # not a candidate edge
+    assert dense_alpha(w)[1, 0] == 0.7
     assert w.nonzero_edges() == [(0, 1, 0.7), (1, 2, 0.7)]
     off = w.off_diagonal()
     assert off[0, 0] == 0.0 and off[1, 0] == 0.7
     assert_array_equal(w.w, [0.7, 0.7])
-    # alpha is a read-only view of the per-edge vector, and builds the same vector back
+    # the dense matrix of the per-edge vector builds the same vector back
     g = Graph(num_nodes=3, edges=((0, 1), (1, 0), (2, 1)))
     w = EdgeWeights(g, [0.25, 1e-300, 0.1])
-    with pytest.raises(ValueError, match="read-only"):
-        w.alpha[1, 0] = 0.5
-    assert_array_equal(w.alpha, [[1.0, 0.25, 0.0], [1e-300, 1.0, 0.1], [0.0, 0.0, 1.0]])
-    again = EdgeWeights(g, alpha=w.alpha)
+    assert_array_equal(dense_alpha(w), [[1.0, 0.25, 0.0], [1e-300, 1.0, 0.1], [0.0, 0.0, 1.0]])
+    again = EdgeWeights(g, alpha=dense_alpha(w))
     assert again.w.tobytes() == w.w.tobytes()
     with pytest.raises(ValidationError, match="one weight per edge"):
         EdgeWeights(g, [0.1, 0.2])
@@ -179,18 +177,18 @@ def test_enforce_no_loops_keeps_larger_direction():
     a[1, 2] = 0.3  # 2 -> 1  ... smaller source index wins)
     w = EdgeWeights(graph=g, alpha=a)
     out = enforce_no_loops(w)
-    assert out.alpha[1, 0] == 0.5 and out.alpha[0, 1] == 0.0
-    assert out.alpha[2, 1] == 0.3 and out.alpha[1, 2] == 0.0
+    assert dense_alpha(out)[1, 0] == 0.5 and dense_alpha(out)[0, 1] == 0.0
+    assert dense_alpha(out)[2, 1] == 0.3 and dense_alpha(out)[1, 2] == 0.0
     out.check_invariants()
     again = enforce_no_loops(out)
     assert_array_equal(again.w, out.w)
     # the input is never mutated
-    assert w.alpha[0, 1] == 0.2
+    assert dense_alpha(w)[0, 1] == 0.2
 
 
 def _pairwise_no_loops(weights):
     """Reference: the pairwise double loop over unit pairs p < q, on a dense copy."""
-    a = weights.alpha.copy()
+    a = dense_alpha(weights)
     K = weights.num_nodes
     for p in range(K):
         for q in range(p + 1, K):
@@ -228,7 +226,7 @@ def coupling_weights(draw):
 def test_enforce_no_loops_matches_pairwise_reference(w):
     before = w.w.copy()
     out = enforce_no_loops(w)
-    assert_array_equal(out.alpha, _pairwise_no_loops(w).alpha)
+    assert_array_equal(dense_alpha(out), dense_alpha(_pairwise_no_loops(w)))
     assert_array_equal(enforce_no_loops(out).w, out.w)
     assert_array_equal(w.w, before)
     assert out.graph is w.graph
@@ -254,16 +252,17 @@ def test_criticality_hand_value():
     counts = np.array([[2.0, 0.0, 4.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
 
     class P:
+        alpha = w
         beta = np.array([1.0, 3.0])
         trig_window = 40
 
     # slot 0 contributes at lags 1..3, slot 2 at lag 1
     expected = 0.5 * (2 * (np.exp(-1) + np.exp(-2) + np.exp(-3)) + 4 * np.exp(-1))
-    assert_allclose(criticality_scores(w, counts, P()), [expected, 0.0], rtol=1e-14)
+    assert_allclose(propagation(P(), counts)[0], [expected, 0.0], rtol=1e-14)
     # the model's kernel stops after trig_window lags: slot 0 reaches lags 1..2 only
     P.trig_window = 2
     expected = 0.5 * (2 * (np.exp(-1) + np.exp(-2)) + 4 * np.exp(-1))
-    assert_allclose(criticality_scores(w, counts, P()), [expected, 0.0], rtol=1e-14)
+    assert_allclose(propagation(P(), counts)[0], [expected, 0.0], rtol=1e-14)
 
 
 @given(
@@ -280,16 +279,16 @@ def test_criticality_sums_to_the_cross_unit_cascade_intensity(seed, K, trig_wind
     counts = rng.integers(0, 5, (K, T)).astype(float)
     fld = intensity_field(params, counts, rng.normal(size=(K, T, 1)))
     cross = (fld.indirect - kernel_matrix(counts, params.beta, trig_window)).sum()
-    assert_allclose(criticality_scores(params.alpha, counts, params).sum(), cross, rtol=1e-12)
+    assert_allclose(propagation(params, counts)[0].sum(), cross, rtol=1e-12)
 
 
 def test_criticality_matches_brute_force():
     rng = np.random.default_rng(31)
     for _ in range(10):
         params, counts, _ = random_small_instance(rng, K=5, T=12, M=2, n_edges=5, max_count=6)
-        scores = criticality_scores(params.alpha, counts, params)
+        scores, _ = propagation(params, counts)
         brute = brute_criticality(
-            params.alpha.alpha, params.beta, counts, [(s, t) for s, t, _ in params.alpha.nonzero_edges()]
+            dense_alpha(params.alpha), params.beta, counts, [(s, t) for s, t, _ in params.alpha.nonzero_edges()]
         )
         assert_allclose(scores, brute, rtol=1e-12, atol=1e-12)
 
@@ -299,10 +298,11 @@ def test_criticality_zero_for_units_without_outgoing_edges():
     w = EdgeWeights(g, [0.5])
 
     class P:
+        alpha = w
         beta = np.array([1.0, 1.0, 1.0])
         trig_window = 40
 
-    scores = criticality_scores(w, np.ones((3, 5)), P())
+    scores, _ = propagation(P(), np.ones((3, 5)))
     assert scores[1] == 0.0 and scores[2] == 0.0 and scores[0] > 0.0
 
 
@@ -311,20 +311,41 @@ def test_criticality_dimension_mismatch():
     w = EdgeWeights(graph=g)
 
     class P:
+        alpha = w
         beta = np.array([1.0, 1.0, 1.0])
         trig_window = 40
 
     with pytest.raises(ValidationError, match="mismatch"):
-        criticality_scores(w, np.ones((2, 4)), P())
+        propagation(P(), np.ones((2, 4)))
 
 
 def test_export_propagation_map(tmp_path):
     rng = np.random.default_rng(8)
     params, counts, _ = random_small_instance(rng, K=4, T=10, M=1, n_edges=4, max_count=5)
     path = tmp_path / "map.csv"
-    n = export_propagation_map(params.alpha, counts, params, path)
+    _, edges = propagation(params, counts)
+    write_propagation_csv(path, edges)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "source,target,alpha,attributed_outages"
-    assert len(lines) == n + 1
+    assert len(lines) == len(edges) + 1
     contrib = [float(line.split(",")[3]) for line in lines[1:]]
     assert contrib == sorted(contrib, reverse=True)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(2, 6),
+    n_edges=st.integers(0, 12),
+    trig_window=st.integers(1, 8),
+    T=st.integers(1, 20),
+)
+def test_propagation_edges_add_up_to_their_source_scores(seed, K, n_edges, trig_window, T):
+    # the two reports of one pass: a unit's active edges attribute its whole score
+    rng = np.random.default_rng(seed)
+    params = random_small_params(rng, K=K, M=1, n_edges=n_edges, trig_window=trig_window)
+    counts = rng.integers(0, 5, (K, T))
+    scores, edges = propagation(params, counts)
+    attributed = np.zeros(K)
+    for source, _, _, outages in edges:
+        attributed[source] += outages
+    assert_allclose(attributed, scores, rtol=1e-12)
